@@ -3,22 +3,26 @@
 
 Each config in configs/ describing a full experiment is executed through
 the command line front end into results/<label>/, so a finished run
-leaves the same artifacts a by-hand invocation would.
+leaves the same artifacts a by-hand invocation would.  Each experiment
+prints its wall time and the verdict theory expects next to the one the
+run reached; the exit status reports failed runs only, not mismatches.
 """
 
 import os
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
+# Config, the verdict theory expects, and why (the ROADMAP truth table).
 EXPERIMENTS = [
-    "pq_main.json",
-    "pq_same_orbit.json",
-    "pl_generic.json",
-    "pl_herman.json",
-    "rotation_baseline.json",
+    ("pq_main.json", "SINGULAR_EVIDENCE", "singular"),
+    ("pq_same_orbit.json", "SINGULAR_EVIDENCE", "singular: jump product 1.6 != 1"),
+    ("pl_generic.json", "SINGULAR_EVIDENCE", "singular (Herman)"),
+    ("pl_herman.json", "AC_BASELINE", "AC: breaks on one orbit (Herman 1979)"),
+    ("rotation_baseline.json", "AC_BASELINE", "AC"),
 ]
 
 
@@ -26,7 +30,7 @@ def main() -> int:
     import json
 
     failures = 0
-    for name in EXPERIMENTS:
+    for name, expected, theory in EXPERIMENTS:
         config = os.path.join(ROOT, "configs", name)
         label = json.load(open(config))["label"]
         outdir = os.path.join(ROOT, "results", label)
@@ -41,14 +45,18 @@ def main() -> int:
             outdir,
         ]
         print(f"== {label}")
+        start = time.perf_counter()
         proc = subprocess.run(cmd, capture_output=True, text=True)
+        wall = time.perf_counter() - start
+        print(f"   wall {wall:.2f} s  expected {expected} ({theory})")
         if proc.returncode != 0:
             failures += 1
             print(f"   exit {proc.returncode}: {proc.stderr.strip()}")
             continue
         report = json.load(open(os.path.join(outdir, "report.json")))
+        match = "matches" if report["verdict"] == expected else "differs from"
         print(
-            f"   verdict {report['verdict']}  "
+            f"   verdict {report['verdict']} ({match} theory)  "
             f"min_upper_gap {report['min_upper_gap']:.3e}  "
             f"median_gap {report['median_gap']:.3e}"
         )

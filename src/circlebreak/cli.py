@@ -516,7 +516,7 @@ def cmd_measure(doc, outdir, seed):
     cap = k.integer("cap", DEFAULT_ORBIT_CAP)
     k.done()
 
-    est = _rho_enclosure(m, cap)
+    est = _rho_enclosure(m, cap, drift_tol, points)
     om = conjugacy_values(m, est, x0, points, drift_tol=drift_tol, cap=cap)
     part = build_partition(m, cf, x0, n, cap=cap)
     mrows = partition_masses(om, part)

@@ -63,17 +63,6 @@ def eps_of(x) -> float:
     return float(mpmath.mp.eps)
 
 
-def as_real(x, precision: str = "double"):
-    """Coerce a number to the requested arithmetic backend."""
-    if precision == "double":
-        return float(x)
-    if precision == "extended":
-        import mpmath
-
-        return mpmath.mpf(x)
-    raise ValueError(f"unknown precision backend {precision!r}")
-
-
 def to_circle(x):
     """Reduce a lift coordinate to [0, 1).
 
@@ -110,9 +99,3 @@ def wrap_signed(d):
 def in_arc(x, lo, hi) -> bool:
     """Whether circle point x lies on the closed ccw arc from lo to hi."""
     return arc_length(lo, x) <= arc_length(lo, hi)
-
-
-def dist_to_int(x):
-    """Distance from x to the nearest integer."""
-    v = to_circle(x)
-    return min(v, 1 - v)

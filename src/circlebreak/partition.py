@@ -185,7 +185,8 @@ def build_partition(
     if min_len <= MIN_GAP_EPS * eps:
         raise PrecisionBudgetExceeded(
             f"min element length {min_len:.3e} at rank {n} is below the "
-            f"{MIN_GAP_EPS:.0e}*eps resolution floor; use the extended backend"
+            f"{MIN_GAP_EPS:.0e}*eps resolution floor; the rank is beyond "
+            "binary64 resolution"
         )
 
     tot = sum(e.interval.length for e in elements)

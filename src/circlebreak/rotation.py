@@ -214,16 +214,26 @@ def _quotients_from_moves(moves) -> list:
     return ks
 
 
-def rho_farey(m: CircleMap, depth: int = 60, cap: int | None = None):
+def rho_farey(
+    m: CircleMap, depth: int = 60, cap: int | None = None, width: float | None = None
+):
     """Certified rotation-number enclosure by Farey mediant bisection.
 
     Returns (RotationEstimate, ContinuedFraction).  Each refinement replaces
     one end of a Farey pair by the mediant according to the sign of
     f^q(0) - p; an exact hit (within the rational cutoff) certifies a
     rational rotation number and stops.
+
+    By default the descent takes ``depth`` steps.  With ``width`` set it
+    instead stops as soon as the enclosure is at most ``width`` wide, so
+    the orbit grows only to the denominators that width needs; ``depth``
+    is then ignored and the orbit ``cap`` alone bounds the work (running
+    into it raises PrecisionBudgetExceeded).
     """
-    if depth < 1:
+    if width is None and depth < 1:
         raise ValueError("depth must be >= 1")
+    if width is not None and not width > 0:
+        raise ValueError("width must be positive")
     tr = OrbitTracker(m, cap)
     # integer part: f(0) in [m0, m0+1]
     tr.extend_to(1)
@@ -236,8 +246,16 @@ def rho_farey(m: CircleMap, depth: int = 60, cap: int | None = None):
     pl, ql = m0, 1
     ph, qh = m0 + 1, 1
     moves = []
+
+    def descend():
+        if width is None:
+            return len(moves) < depth
+        # test the float width the estimate reports, so callers can rely on it
+        lo = float(Fraction(pl - m0 * ql, ql))
+        return float(Fraction(ph - m0 * qh, qh)) - lo > width
+
     rational = None
-    for _ in range(depth):
+    while descend():
         pm, qm = pl + ph, ql + qh
         s = tr.sign(pm, qm)
         if s == 0:

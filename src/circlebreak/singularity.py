@@ -28,7 +28,6 @@ from .errors import (
     HypothesisNotCertified,
     InvalidGeometry,
     InvariantFailure,
-    PrecisionBudgetExceeded,
     RankTooShallow,
     TolUnreachable,
 )
@@ -793,8 +792,13 @@ def solve_same_orbit(
 
     Alternates tuning the translation to the target rotation number with
     re-placing c at f^{m_steps}(a) until both are consistent; each round
-    rebuilds the map because moving c changes it.  Returns the tuned map
-    and its TuneResult.
+    rebuilds the map because moving c changes it.  Tuning runs coarse to
+    fine: a round tunes only to max(tune_tol, 1e-2 * previous gap), since
+    a finer translation cannot matter while c itself still moves by the
+    gap, and convergence (gap <= tol) counts only on a round tuned at the
+    full ``tune_tol``.  The accepted c is then retuned at ``tune_tol`` and
+    its residual |f^{m_steps}(a) - c| must stay within 10 * tol.  Returns
+    the tuned map and its TuneResult.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
@@ -808,13 +812,15 @@ def solve_same_orbit(
             return make_pq_two_break(a, c_pos, sigma_a, sigma_c, translation)
         return make_pl_two_break(a, c_pos, slope_ratio, translation)
 
-    tr = None
+    gap = 1.0
     for _ in range(rounds):
+        round_tol = max(tune_tol, 1e-2 * gap)
         base = build(c)
-        tr = tune_translation(base, target.value, tol=tune_tol, cap=cap)
+        tr = tune_translation(base, target.value, tol=round_tol, cap=cap)
         tuned = base.with_translation(tr.translation)
         c_new = iterate(tuned, a, m_steps)[-1]
-        if _circle_gap(c_new, c) <= tol:
+        gap = _circle_gap(c_new, c)
+        if gap <= tol and round_tol == tune_tol:
             tr = tune_translation(build(c_new), target.value, tol=tune_tol, cap=cap)
             final = build(c_new, tr.translation)
             resid = _circle_gap(iterate(final, a, m_steps)[-1], c_new)
@@ -975,22 +981,18 @@ def build_experiment_map(config: ExperimentConfig):
     return base.with_translation(tr.translation), tr.translation, notes
 
 
-def _rho_enclosure(m: CircleMap, cap: int):
-    """Deepest affordable certified rotation-number enclosure.
+def _rho_enclosure(m: CircleMap, cap: int, drift_tol: float, n_points: int):
+    """Certified rotation-number enclosure sized for the measure orbit.
 
-    Farey bisection raises once a test denominator overruns the orbit
-    cap, and how deep that happens depends on the quotients, so back off
-    by steps of six until a depth fits.
+    Orbit point i carries the conjugacy value {i rho}, so the phi drift
+    over ``n_points`` points is n_points times the enclosure width and
+    must stay under ``drift_tol``.  The Farey descent stops at half that
+    budget, width = 0.5 * drift_tol / n_points; the factor of two keeps
+    the drift check of ``conjugacy_values`` clear of rounding.  If the
+    orbit ``cap`` runs out first, PrecisionBudgetExceeded propagates.
     """
-    depth = 40
-    while True:
-        try:
-            est, _ = rho_farey(m, depth=depth, cap=cap)
-            return est
-        except PrecisionBudgetExceeded:
-            if depth <= 10:
-                raise
-            depth -= 6
+    est, _ = rho_farey(m, cap=cap, width=0.5 * drift_tol / n_points)
+    return est
 
 
 def _lorenz_trend_ok(values, limit):
@@ -1014,7 +1016,9 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     m, translation, notes = build_experiment_map(config)
     cf = ContinuedFraction.from_quotients(config.rho_quotients)
     stats = map_stats(m)
-    rho_est = _rho_enclosure(m, config.cap)
+    rho_est = _rho_enclosure(
+        m, config.cap, config.drift_tol, config.measure_points
+    )
     om = conjugacy_values(
         m,
         rho_est,

@@ -121,6 +121,35 @@ def test_budget_exhaustion_exits_3_without_files(tmp_path):
     assert os.listdir(out) == []
 
 
+def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
+    # both commands size the rho enclosure to drift_tol / points; a cap
+    # below the orbit that width needs must fail before anything is written
+    runs = {
+        "singularity": {
+            "kind": "rotation",
+            "label": "capped",
+            "n_min": 4,
+            "n_max": 6,
+            "cap": 10_000,
+        },
+        "measure": {
+            "map": PQ_TUNED,
+            "rho": {"cf": [1] * 30},
+            "x0": 0.05,
+            "n": 5,
+            "points": 400,
+            "cap": 5_000,
+        },
+    }
+    for command, doc in runs.items():
+        sub = tmp_path / command
+        sub.mkdir()
+        code, out = run(sub, command, doc)
+        assert code == 3
+        assert os.listdir(out) == []
+        assert "exceeds cap" in capsys.readouterr().err
+
+
 def test_unreachable_tolerance_exits_5(tmp_path):
     code, out = run(
         tmp_path,

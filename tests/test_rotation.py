@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circlebreak.errors import TolUnreachable
+from circlebreak.errors import PrecisionBudgetExceeded, TolUnreachable
 from circlebreak.maps import make_pl_two_break, make_pq_two_break, make_rotation
 from circlebreak.rotation import (
     ContinuedFraction,
@@ -90,6 +90,24 @@ def test_rho_farey_golden_quotients():
 def test_rho_farey_tuned_pl_matches_rotation(pl_map):
     _, cf = rho_farey(pl_map, depth=20)
     assert cf.quotients[:8] == (1,) * 8
+
+
+def test_rho_farey_width_stop(rot_map, pq_map):
+    w = 1e-9
+    for m in (rot_map, pq_map):
+        est, _ = rho_farey(m, width=w)
+        assert est.upper - est.lower <= w
+        # the width stop halts the same descent a fixed depth runs further
+        deep, _ = rho_farey(m, depth=26)
+        assert deep.width < est.width
+        assert est.lower <= deep.lower and deep.upper <= est.upper
+
+
+def test_rho_farey_width_out_of_cap(pq_map):
+    with pytest.raises(PrecisionBudgetExceeded):
+        rho_farey(pq_map, width=1e-9, cap=5000)
+    with pytest.raises(ValueError):
+        rho_farey(pq_map, width=0.0)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99, allow_nan=False))

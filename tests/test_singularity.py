@@ -266,10 +266,20 @@ def test_lorenz_threshold_validated(rot_om, rot_map, gcf):
 
 def test_same_orbit_map_realizes_relation(so_map):
     from circlebreak.numerics import arc_length
+    from circlebreak.singularity import solve_same_orbit
 
-    c = so_map.breaks[1].location
-    fa = iterate(so_map, so_map.breaks[0].location, 1)[-1]
-    assert min(arc_length(fa, c), arc_length(c, fa)) <= 1e-8
+    pl_so, _ = solve_same_orbit("pl", 0.2, [1] * 30, slope_ratio=2.0)
+    # reference translations from a solve that tuned every placement round
+    # at the full tune_tol; placement fixes c only to tol = 1e-9, so a solve
+    # may land anywhere within that of them
+    for m, reference in (
+        (so_map, 0.67764929970577559),
+        (pl_so, 0.53478225383731515),
+    ):
+        assert abs(m.translation - reference) <= 1e-9
+        c = m.breaks[1].location
+        fa = iterate(m, m.breaks[0].location, 1)[-1]
+        assert min(arc_length(fa, c), arc_length(c, fa)) <= 10 * 1e-9
 
 
 def test_solve_same_orbit_validation():
