@@ -4,10 +4,14 @@
 Each config in configs/ describing a full experiment is executed through
 the command line front end into results/<label>/, so a finished run
 leaves the same artifacts a by-hand invocation would.  Each experiment
-prints its wall time and the verdict theory expects next to the one the
-run reached; the exit status reports failed runs only, not mismatches.
+prints its wall time, the verdict theory expects next to the one the run
+reached, and one SHA-256 over the artifacts it wrote (file names sorted,
+each name followed by the file's bytes); comparing the digests printed
+by two checkouts shows whether their artifacts are byte-identical.  The
+exit status reports failed runs only, not mismatches.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,6 +28,17 @@ EXPERIMENTS = [
     ("pl_herman.json", "AC_BASELINE", "AC: breaks on one orbit (Herman 1979)"),
     ("rotation_baseline.json", "AC_BASELINE", "AC"),
 ]
+
+
+def artifacts_digest(paths) -> str:
+    """SHA-256 over the named files, in sorted name order."""
+    h = hashlib.sha256()
+    for path in sorted(paths, key=os.path.basename):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        h.update(f"{os.path.basename(path)}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def main() -> int:
@@ -62,6 +77,7 @@ def main() -> int:
         )
         lorenz = [row["lorenz_90_length"] for row in report["rows"]]
         print("   lorenz_90_length " + " ".join(f"{v:.5f}" for v in lorenz))
+        print(f"   artifacts sha256 {artifacts_digest(proc.stdout.splitlines())}")
     return 1 if failures else 0
 
 

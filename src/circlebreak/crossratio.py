@@ -27,7 +27,7 @@ from .maps import (
     iterate,
     min_break_distance,
 )
-from .numerics import MACHINE_EPS, arc_length, eps_of, to_circle
+from .numerics import MACHINE_EPS, arc_length, to_circle
 
 # Gaps below this multiple of eps*hull carry no usable cross-ratio
 # information and are rejected outright.
@@ -51,7 +51,7 @@ class Quadruple:
     def __post_init__(self):
         zs = (self.z1, self.z2, self.z3, self.z4)
         hull = self.z4 - self.z1
-        floor = DEGENERACY_EPS * eps_of(self.z1) * max(hull, eps_of(self.z1))
+        floor = DEGENERACY_EPS * MACHINE_EPS * max(hull, MACHINE_EPS)
         for u, w in zip(zs, zs[1:]):
             if not w - u > floor:
                 raise DegenerateQuadruple(
@@ -150,13 +150,15 @@ class ChainResult:
         return len(self.factors)
 
 
-def distortion_chain(q: Quadruple, m: CircleMap, steps: int) -> ChainResult:
+def distortion_chain(
+    q: Quadruple, m: CircleMap, steps: int, cap: int | None = None
+) -> ChainResult:
     """Dist(q; f^steps) as a product of one-step distortions.
 
     The factored product telescopes to Cr(final)/Cr(initial) exactly;
     as an independent check the endpoints are also iterated one by one
-    on the circle and the resulting distortion must agree to 1e-10
-    relative.
+    on the circle (each an orbit bounded by ``cap``) and the resulting
+    distortion must agree to 1e-10 relative.
     """
     track = chain_points(m, q.points, steps)
     quads = tuple(Quadruple(*t) for t in track)
@@ -176,7 +178,7 @@ def distortion_chain(q: Quadruple, m: CircleMap, steps: int) -> ChainResult:
     # Unlike the gap-tracked chain, each endpoint carries its own orbit
     # roundoff, so the comparison degrades with the step count over the
     # smallest reassembled gap; the tolerance floor stays at 1e-10.
-    finals = [iterate(m, to_circle(z), steps)[-1] for z in q.points]
+    finals = [iterate(m, to_circle(z), steps, cap=cap)[-1] for z in q.points]
     w = [finals[0]]
     for u, x in zip(finals, finals[1:]):
         w.append(w[-1] + arc_length(u, x))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import exp, floor, log, sqrt
 
 from .errors import (
     BreakCollision,
@@ -37,14 +38,9 @@ from .errors import (
 from .numerics import (
     BREAK_CLEARANCE_EPS,
     DEFAULT_ORBIT_CAP,
+    MACHINE_EPS,
     arc_length,
-    eps_of,
-    exp,
-    floor,
-    log,
-    sqrt,
     to_circle,
-    wraps_to_zero,
 )
 
 ROTATION = "rotation"
@@ -145,7 +141,7 @@ def _build_two_segment(kind, a, c, da_plus, dc_minus, dc_plus, da_minus, transla
         anchor_seg = 1  # value anchored at p1 == a
     incr = tuple(L * (d0 + d1) / 2 for d0, d1, L in ((s[0], s[1], s[2]) for s in segs))
     closure = incr[0] + incr[1]
-    if abs(closure - 1) > 64 * eps_of(closure):
+    if abs(closure - 1) > 64 * MACHINE_EPS:
         raise InfeasibleDerivatives(f"derivative profile integrates to {closure!r}")
     if anchor_seg == 0:
         v0 = p0
@@ -275,7 +271,7 @@ def invert(m: CircleMap, y):
         # squared derivative at the preimage, hence non-negative.
         disc = d0 * d0 + 2 * cv * dv
         if disc < 0:
-            disc = disc * 0
+            disc = 0.0
         du = 2 * dv / (d0 + sqrt(disc))
     return m.seg_pos[s] + du + k
 
@@ -311,21 +307,23 @@ def step_with_winding(m: CircleMap, x, w: int):
     x is a circle point in [0, 1), w an integer; the pair represents the lift
     value x + w.  Returns the next pair, so f^n(x0) can be reassembled exactly
     as ``x_n + w_n`` without the lift coordinate growing (and losing ulps).
+    This is the one reduction of f(x) to the circle: the point it returns is
+    ``to_circle(f(x))``, and when that clamps up to 0 the winding gains one.
     """
     y = evaluate(m, x)
     k = floor(y)
     xr = y - k
-    if xr < 0:
-        xr += 1
-        k -= 1
-    if wraps_to_zero(xr):
-        xr = xr - xr
-        k += 1
+    if 1 - xr <= 2 * MACHINE_EPS:
+        return 0.0, w + k + 1
     return xr, w + k
 
 
 def iterate(m: CircleMap, x0, n: int, direction: str = "forward", cap: int | None = None):
-    """Orbit of circle points [x0, T x0, ..., T^n x0] (or backward)."""
+    """Orbit of circle points [x0, T x0, ..., T^n x0] (or backward).
+
+    ``cap`` bounds the number of map evaluations n; a longer orbit raises
+    PrecisionBudgetExceeded.
+    """
     cap = DEFAULT_ORBIT_CAP if cap is None else cap
     if n > cap:
         raise PrecisionBudgetExceeded(f"orbit length {n} exceeds cap {cap}")
@@ -335,7 +333,7 @@ def iterate(m: CircleMap, x0, n: int, direction: str = "forward", cap: int | Non
     pts = [x]
     if direction == "forward":
         for _ in range(n):
-            x = to_circle(evaluate(m, x))
+            x, _w = step_with_winding(m, x, 0)
             pts.append(x)
     elif direction == "backward":
         for _ in range(n):
@@ -344,22 +342,6 @@ def iterate(m: CircleMap, x0, n: int, direction: str = "forward", cap: int | Non
     else:
         raise ValueError(f"unknown direction {direction!r}")
     return pts
-
-
-def orbit_with_winding(m: CircleMap, x0, n: int, cap: int | None = None):
-    """Forward orbit as (circle points, integer windings), both length n+1."""
-    cap = DEFAULT_ORBIT_CAP if cap is None else cap
-    if n > cap:
-        raise PrecisionBudgetExceeded(f"orbit length {n} exceeds cap {cap}")
-    x = to_circle(x0)
-    w = 0
-    pts = [x]
-    wind = [0]
-    for _ in range(n):
-        x, w = step_with_winding(m, x, w)
-        pts.append(x)
-        wind.append(w)
-    return pts, wind
 
 
 def min_break_distance(m: CircleMap, x):
@@ -372,25 +354,31 @@ def min_break_distance(m: CircleMap, x):
     return float("inf") if best is None else best
 
 
-def orbit_avoiding_breaks(m: CircleMap, x0, n: int, cap=None, nudge=1e-9, retries=10):
+# Shift applied to the base point when its orbit hits a break.
+NUDGE = 1e-9
+
+
+def orbit_avoiding_breaks(m: CircleMap, x0, n: int, cap=None, retries=10):
     """Forward orbit whose points all keep clear of the break locations.
 
-    If a point lands within the clearance threshold of a break, the base
-    point is nudged by ``nudge`` and the orbit rebuilt, up to ``retries``
-    times.  Returns (points, base point actually used, number of nudges).
+    A point counts as a collision when it lies within BREAK_CLEARANCE_EPS
+    machine epsilons of a break.  On a collision the base point is nudged
+    by ``NUDGE`` and the orbit rebuilt, up to ``retries`` times; with
+    ``retries=0`` the first collision raises.  Returns (points, base point
+    actually used, number of nudges).
     """
+    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
+    far = 1 - clearance
+    locs = [b.location for b in m.breaks]
     x = to_circle(x0)
-    clearance = BREAK_CLEARANCE_EPS * eps_of(x)
     for attempt in range(retries + 1):
         pts = iterate(m, x, n, cap=cap)
-        if not m.breaks:
+        if all(clearance < arc_length(loc, p) < far for p in pts for loc in locs):
             return pts, x, attempt
-        ok = all(min_break_distance(m, p) > clearance for p in pts)
-        if ok:
-            return pts, x, attempt
-        x = to_circle(x + nudge)
+        x = to_circle(x + NUDGE)
     raise BreakCollision(
-        f"orbit of {x0!r} keeps hitting a break after {retries} nudges"
+        f"orbit of {x0!r} comes within {clearance:.1e} of a break "
+        f"after {retries} nudges"
     )
 
 
@@ -436,7 +424,7 @@ def validate_p_homeo(m: CircleMap, grid: int = 10_000) -> MapStats:
     sig = 1.0
     for b in m.breaks:
         sig *= b.sigma
-    return MapStats(v=float(v), lam=float(lam), sigma_product=float(sig))
+    return MapStats(v=v, lam=lam, sigma_product=sig)
 
 
 def _segment_walk(m: CircleMap, lo, hi):
@@ -473,7 +461,7 @@ def gap_image(m: CircleMap, lo, hi):
     """
     if m.kind == ROTATION:
         return hi - lo
-    total = 0.0 * lo
+    total = 0.0
     for s, x1, x2, start in _segment_walk(m, lo, hi):
         mid = (x1 + x2) / 2 - start
         total += (x2 - x1) * (m.seg_d0[s] + m.seg_curv[s] * mid)
@@ -485,7 +473,7 @@ def abs_d2f_integral(m: CircleMap, lo, hi):
     the second derivative is constant per segment)."""
     if m.kind == ROTATION:
         return 0.0
-    total = 0.0 * lo
+    total = 0.0
     for s, x1, x2, _ in _segment_walk(m, lo, hi):
         total += abs(m.seg_curv[s]) * (x2 - x1)
     return total

@@ -1,9 +1,8 @@
 """Shared arithmetic helpers for circle maps.
 
-Everything downstream works with plain Python numbers so that the same code
-runs on binary64 floats (the default) or on ``mpmath.mpf`` values when more
-precision is needed.  The helpers below dispatch on the operand type; the
-float path stays allocation-free and fast because orbit loops sit on it.
+All numerics are binary64 floats: callers use ``math`` directly and
+``MACHINE_EPS`` as the working precision.  The helpers below sit on the
+orbit loops, so they stay branch-light and allocation-free.
 """
 
 from __future__ import annotations
@@ -16,51 +15,9 @@ MACHINE_EPS = sys.float_info.epsilon
 # Hard ceiling on map evaluations in a single orbit-producing call.
 DEFAULT_ORBIT_CAP = 2_000_000
 
-# Orbit points closer to a break than this (in units of the type's epsilon)
+# Orbit points closer to a break than this (in units of MACHINE_EPS)
 # count as collisions for derivative sampling purposes.
 BREAK_CLEARANCE_EPS = 1e3
-
-
-def floor(x):
-    """Integer floor as a Python int, for floats and mpmath values alike."""
-    if isinstance(x, (float, int)):
-        return math.floor(x)
-    import mpmath
-
-    return int(mpmath.floor(x))
-
-
-def sqrt(x):
-    if isinstance(x, (float, int)):
-        return math.sqrt(x)
-    import mpmath
-
-    return mpmath.sqrt(x)
-
-
-def log(x):
-    if isinstance(x, (float, int)):
-        return math.log(x)
-    import mpmath
-
-    return mpmath.log(x)
-
-
-def exp(x):
-    if isinstance(x, (float, int)):
-        return math.exp(x)
-    import mpmath
-
-    return mpmath.exp(x)
-
-
-def eps_of(x) -> float:
-    """Machine epsilon of the arithmetic that produced ``x``."""
-    if isinstance(x, (float, int)):
-        return MACHINE_EPS
-    import mpmath
-
-    return float(mpmath.mp.eps)
 
 
 def to_circle(x):
@@ -68,19 +25,13 @@ def to_circle(x):
 
     Values that land within two epsilons below 1 are clamped to 0 so that a
     rounded-up fractional part never masquerades as a point just left of the
-    origin.  Callers tracking winding numbers must bump the integer part when
-    the clamp fires; see ``maps.step_with_winding``.
+    origin.  ``maps.step_with_winding`` applies the same rule and bumps the
+    winding when the clamp fires.
     """
-    v = x - floor(x)
-    if 1 - v <= 2 * eps_of(x):
-        return v - v
+    v = x - math.floor(x)
+    if 1 - v <= 2 * MACHINE_EPS:
+        return 0.0
     return v
-
-
-def wraps_to_zero(x) -> bool:
-    """True when ``to_circle`` would clamp the fractional part of ``x`` up."""
-    v = x - floor(x)
-    return 1 - v <= 2 * eps_of(x)
 
 
 def arc_length(u, w):

@@ -9,26 +9,18 @@ exact integer combinatorics on a single shared orbit array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, log
 
 import numpy as np
 
 from .errors import (
-    BreakCollision,
     InvariantFailure,
     PrecisionBudgetExceeded,
     RankTooShallow,
     RefinementViolation,
 )
 from .maps import CircleMap, df, iterate, map_stats, orbit_avoiding_breaks
-from .numerics import (
-    BREAK_CLEARANCE_EPS,
-    DEFAULT_ORBIT_CAP,
-    arc_length,
-    eps_of,
-    exp,
-    in_arc,
-    log,
-)
+from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, arc_length, in_arc, to_circle
 from .rotation import ContinuedFraction
 
 # Minimum element length, in units of machine epsilon, below which the
@@ -53,8 +45,6 @@ class CircleInterval:
 
     @property
     def right(self) -> float:
-        from .numerics import to_circle
-
         return to_circle(self.left + self.length)
 
     def contains(self, x) -> bool:
@@ -141,13 +131,7 @@ def build_partition(
         )
     q_n, q_nm1 = cf.q(n), cf.q(n - 1)
     total = q_n + q_nm1
-    if total > cap:
-        raise PrecisionBudgetExceeded(
-            f"partition needs {total} orbit points, cap is {cap}"
-        )
-
-    pts, x0_used, nudges = orbit_avoiding_breaks(m, x0, total - 1)
-    eps = eps_of(x0_used)
+    pts, x0_used, nudges = orbit_avoiding_breaks(m, x0, total - 1, cap=cap)
 
     elements = []
     nm1_even = (n - 1) % 2 == 0
@@ -182,7 +166,7 @@ def build_partition(
         seen.add(e.left_index)
 
     min_len = min(e.interval.length for e in elements)
-    if min_len <= MIN_GAP_EPS * eps:
+    if min_len <= MIN_GAP_EPS * MACHINE_EPS:
         raise PrecisionBudgetExceeded(
             f"min element length {min_len:.3e} at rank {n} is below the "
             f"{MIN_GAP_EPS:.0e}*eps resolution floor; the rank is beyond "
@@ -190,7 +174,7 @@ def build_partition(
         )
 
     tot = sum(e.interval.length for e in elements)
-    if abs(tot - 1) > q_n * 10 * eps:
+    if abs(tot - 1) > q_n * 10 * MACHINE_EPS:
         raise InvariantFailure(f"partition total length {tot!r} deviates from 1")
 
     return DynamicalPartition(
@@ -233,7 +217,7 @@ def check_refinement(
         raise RankTooShallow(f"need quotient k_{n + 1}")
 
     k_next = cf.quotients[n]  # k_{n+1}, quotients are 1-based
-    q_n, q_nm1, q_np1 = cf.q(n), cf.q(n - 1), cf.q(n + 1)
+    q_n, q_nm1 = cf.q(n), cf.q(n - 1)
 
     fine_by_key = {(e.rank_tag, e.index): e for e in fine.elements}
     split_counts = []
@@ -308,7 +292,6 @@ def check_refinement(
             )
         persisted += 1
 
-    _ = q_np1  # documented relation q_{n+1} = k_{n+1} q_n + q_{n-1}
     return RefinementReport(
         n_coarse=n,
         k_next=k_next,
@@ -317,33 +300,18 @@ def check_refinement(
     )
 
 
-def _checked_orbit(m: CircleMap, x0, steps: int, cap: int):
-    """Forward orbit that must not come near a break point."""
-    if steps + 1 > cap:
-        raise PrecisionBudgetExceeded(f"orbit of {steps} steps exceeds cap {cap}")
-    pts = iterate(m, x0, steps)
-    if m.breaks:
-        eps = eps_of(x0)
-        clearance = BREAK_CLEARANCE_EPS * eps
-        locs = [b.location for b in m.breaks]
-        for i, p in enumerate(pts):
-            for loc in locs:
-                d = abs(arc_length(loc, p))
-                d = min(d, 1 - d)
-                if d < clearance:
-                    raise BreakCollision(
-                        f"orbit point {i} lands within {clearance:.1e} of the "
-                        f"break at {loc}"
-                    )
-    return pts
-
-
 def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
-    """Product of Df along the first ``steps`` orbit points of x0."""
-    pts = _checked_orbit(m, x0, steps - 1, cap) if steps > 0 else [x0]
+    """Product of Df along the first ``steps`` orbit points of x0.
+
+    The orbit is not nudged: a point too close to a break raises
+    BreakCollision.
+    """
+    if steps < 1:
+        return 1.0
+    pts, _, _ = orbit_avoiding_breaks(m, x0, steps - 1, cap=cap, retries=0)
     prod = 1.0
-    for i in range(steps):
-        prod *= df(m, pts[i])
+    for p in pts:
+        prod *= df(m, p)
     return prod
 
 
@@ -423,6 +391,7 @@ def endpoint_condition(
     cf: ContinuedFraction,
     interval: CircleInterval,
     n: int,
+    cap: int = DEFAULT_ORBIT_CAP,
 ) -> bool:
     """Sufficient endpoint test for q_n-smallness.
 
@@ -433,9 +402,9 @@ def endpoint_condition(
     """
     q_nm1 = cf.q(n - 1)
     if (n - 1) % 2 == 0:
-        hop = iterate(m, interval.left, q_nm1)[-1]
+        hop = iterate(m, interval.left, q_nm1, cap=cap)[-1]
         return interval.length <= arc_length(interval.left, hop)
-    hop = iterate(m, interval.right, q_nm1)[-1]
+    hop = iterate(m, interval.right, q_nm1, cap=cap)[-1]
     return interval.length <= arc_length(hop, interval.right)
 
 
@@ -462,11 +431,10 @@ def is_qn_small(
     if interval.length >= 1:
         return False
 
-    lefts = iterate(m, interval.left, q_n - 1)
-    rights = iterate(m, interval.right, q_n - 1)
+    lefts = iterate(m, interval.left, q_n - 1, cap=cap)
+    rights = iterate(m, interval.right, q_n - 1, cap=cap)
     lengths = [arc_length(lefts[i], rights[i]) for i in range(q_n)]
-    eps = eps_of(interval.left)
-    tol = 10 * eps * q_n
+    tol = 10 * MACHINE_EPS * q_n
 
     order = sorted(range(q_n), key=lefts.__getitem__)
     disjoint = True
@@ -477,7 +445,7 @@ def is_qn_small(
             disjoint = False
             break
 
-    if endpoint_condition(m, cf, interval, n) and not disjoint:
+    if endpoint_condition(m, cf, interval, n, cap=cap) and not disjoint:
         raise InvariantFailure(
             f"interval satisfies the parity endpoint criterion at rank {n} "
             "but its iterates overlap"

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import floor
 
 from .errors import NotBracketed, PrecisionBudgetExceeded, TolUnreachable
 from .maps import CircleMap, evaluate, step_with_winding
-from .numerics import DEFAULT_ORBIT_CAP, eps_of, floor, to_circle
+from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, to_circle
 
 # |f^q(0) - p| at or below this many epsilons-times-q is treated as an exact
 # hit, i.e. the rotation number is declared rational.
@@ -87,13 +88,13 @@ def cf_expand_convergents(rho, n_max: int = 40, residual_floor: float | None = N
     """Continued fraction of a number in (0, 1) by the Gauss map.
 
     Truncates when the fractional residual drops below ``residual_floor``
-    (default 1e3 machine epsilons of the input type): past that point the
-    floating representation carries no more quotients.
+    (default 1e3 machine epsilons): past that point the floating
+    representation carries no more quotients.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
     if residual_floor is None:
-        residual_floor = 1e3 * eps_of(rho)
+        residual_floor = 1e3 * MACHINE_EPS
     ks = []
     x = rho
     for _ in range(n_max):
@@ -137,7 +138,7 @@ class OrbitTracker:
     def __init__(self, m: CircleMap, cap: int | None = None):
         self.m = m
         self.cap = DEFAULT_ORBIT_CAP if cap is None else cap
-        self.points = [to_circle(0.0 * m.translation)]
+        self.points = [0.0]
         self.winds = [0]
 
     def extend_to(self, q: int):
@@ -160,7 +161,7 @@ class OrbitTracker:
 
     def sign(self, p: int, q: int) -> int:
         s = self.lift_minus(p, q)
-        if abs(s) <= RATIONAL_CUTOFF * eps_of(s) * q:
+        if abs(s) <= RATIONAL_CUTOFF * MACHINE_EPS * q:
             return 0
         return 1 if s > 0 else -1
 
@@ -174,9 +175,9 @@ def rho_iterate_estimate(m: CircleMap, n: int, cap: int | None = None) -> Rotati
     raw = (tr.points[n] + tr.winds[n]) / n
     shift = floor(raw)
     return RotationEstimate(
-        value=float(to_circle(raw)),
-        lower=float(raw - 1.0 / n - shift),
-        upper=float(raw + 1.0 / n - shift),
+        value=to_circle(raw),
+        lower=raw - 1.0 / n - shift,
+        upper=raw + 1.0 / n - shift,
         method="iterate",
     )
 

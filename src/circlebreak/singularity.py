@@ -238,7 +238,7 @@ def _circle_gap(u, w):
     return min(arc_length(u, w), arc_length(w, u))
 
 
-def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc):
+def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc, cap: int):
     """Backward time l < q_n putting the break into the window around x0.
 
     The partition element containing the break is unique, and pulling the
@@ -247,7 +247,7 @@ def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc):
     """
     el = part.locate(loc)
     l = el.index
-    pre = iterate(m, loc, l, direction="backward")[-1] if l else loc
+    pre = iterate(m, loc, l, direction="backward", cap=cap)[-1] if l else loc
     # parity: x_{q_k} lies right of x0 iff k is even
     if part.n % 2 == 0:
         w_left, w_right = part.orbit[part.q_nm1], part.orbit[part.q_n]
@@ -258,7 +258,7 @@ def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc):
             f"preimage {pre!r} of break {loc!r} (l={l}) escaped the window "
             f"[{w_left!r}, {w_right!r}]"
         )
-    back = iterate(m, pre, l)[-1] if l else pre
+    back = iterate(m, pre, l, cap=cap)[-1] if l else pre
     if _circle_gap(back, loc) > 1e-8:
         raise InvariantFailure(
             f"roundtrip through {l} backward steps moved the break by "
@@ -292,11 +292,11 @@ def regular_cover_triple(
         )
     a_loc = m.breaks[0].location
     c_loc = m.breaks[1].location
-    l, abar = _preimage_in_window(m, part, a_loc)
-    p, cbar = _preimage_in_window(m, part, c_loc)
+    l, abar = _preimage_in_window(m, part, a_loc, cap)
+    p, cbar = _preimage_in_window(m, part, c_loc, cap)
 
-    fwd = iterate(m, abar, part.q_nm1)[-1]
-    bwd = iterate(m, abar, part.q_nm1, direction="backward")[-1]
+    fwd = iterate(m, abar, part.q_nm1, cap=cap)[-1]
+    bwd = iterate(m, abar, part.q_nm1, direction="backward", cap=cap)[-1]
     d_n = 0.5 * min(_circle_gap(abar, fwd), _circle_gap(abar, bwd))
     h_v = 0.5 * math.exp(-params.v) * d_n / params.c0
     h_u = params.zeta0 * h_v
@@ -446,9 +446,8 @@ class QnDistortionRow:
 
     gap is |Dist(z; f^{q_n}) - 1| on the cover triple; gf is the
     Lemma-level product gap when the triple covers both breaks, else
-    None.  off_band records how far the product of the non-break factors
-    strays from 1, and image_len_sum the total length of the q_n hull
-    iterates (disjointness puts it under 1).
+    None.  image_len_sum is the total length of the q_n hull iterates
+    (disjointness puts it under 1).
     """
 
     n: int
@@ -458,8 +457,6 @@ class QnDistortionRow:
     l_index: int
     p_index: int
     gf: float | None
-    off_band: float
-    hull_len: float
     image_len_sum: float
 
 
@@ -491,7 +488,7 @@ def _qn_row(
     else:
         triple = None
         quad = _generator_quadruple(part)
-    res = distortion_chain(quad, m, part.q_n)
+    res = distortion_chain(quad, m, part.q_n, cap=cap)
     gap = abs(res.total - 1.0)
     image_len_sum = sum(q.hull for q in res.quadruples[: part.q_n])
     if image_len_sum > 1.0 + 1e-9:
@@ -508,8 +505,6 @@ def _qn_row(
             l_index=-1,
             p_index=-1,
             gf=None,
-            off_band=gap,
-            hull_len=quad.hull,
             image_len_sum=image_len_sum,
         )
 
@@ -518,7 +513,6 @@ def _qn_row(
     a_sig = m.breaks[0].sigma
     c_sig = m.breaks[1].sigma
     gf = None
-    hit_steps = [l]
 
     ql = res.quadruples[l]
     if triple.case_tag == "c_in_U_right":
@@ -536,7 +530,6 @@ def _qn_row(
 
     if triple.covers_second_break:
         p = triple.p_index
-        hit_steps.append(p)
         qp = res.quadruples[p]
         c_lift = lift_into(m.breaks[1].location, qp.z1)
         nc = normalized_coords(qp, cbar=c_lift)
@@ -565,10 +558,6 @@ def _qn_row(
                 f"{budget_p!r}"
             )
 
-    off = 1.0
-    for j, fct in enumerate(res.factors):
-        if j not in hit_steps:
-            off *= fct
     return QnDistortionRow(
         n=part.n,
         q_n=part.q_n,
@@ -577,8 +566,6 @@ def _qn_row(
         l_index=l,
         p_index=triple.p_index,
         gf=gf,
-        off_band=abs(off - 1.0),
-        hull_len=quad.hull,
         image_len_sum=image_len_sum,
     )
 

@@ -19,6 +19,7 @@ from circlebreak.maps import (
     make_rotation,
     map_stats,
     one_sided_derivatives,
+    step_with_winding,
     validate_p_homeo,
 )
 from circlebreak.numerics import to_circle
@@ -97,6 +98,27 @@ def test_iterate_cap():
     m = make_rotation(GOLDEN)
     with pytest.raises(PrecisionBudgetExceeded):
         iterate(m, 0.0, 100, cap=50)
+
+
+def test_step_clamps_to_next_turn():
+    # f(0) = -1e-20: the fractional part rounds up to 1.0, which is the
+    # origin of the next turn, so the point is 0 and the winding stays 0
+    m = make_rotation(-1e-20)
+    assert step_with_winding(m, 0.0, 0) == (0.0, 0)
+    assert iterate(m, 0.0, 1)[1] == step_with_winding(m, 0.0, 0)[0]
+
+
+def test_step_winding_reassembles_lift(pq_map):
+    # the windings count whole turns: x_n + w_n stays within rounding of
+    # the lift f^n(x0) evaluated on the real line
+    x, w = 0.05, 0
+    lift = 0.05
+    for _ in range(200):
+        x, w = step_with_winding(pq_map, x, w)
+        lift = evaluate(pq_map, lift)
+        assert 0.0 <= x < 1.0
+        assert abs((x + w) - lift) < 1e-12
+    assert iterate(pq_map, 0.05, 200)[-1] == x
 
 
 def test_pl_slopes_closed_form():

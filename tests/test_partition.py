@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from circlebreak.errors import BreakCollision, PrecisionBudgetExceeded
 from circlebreak.maps import (
     iterate,
     make_pl_two_break,
@@ -182,3 +183,37 @@ def test_partition_rows_shape(pq_map, gcf):
     n, rank_tag, index, left, length = rows[0]
     assert n == 5 and rank_tag in (4, 5) and index == 0
     assert 0 <= left < 1 and 0 < length < 1
+
+
+def test_orbit_cap_comes_from_the_caller(monkeypatch, pq_map, gcf):
+    # every orbit is sized by the cap the caller passes, not the default
+    monkeypatch.setattr("circlebreak.maps.DEFAULT_ORBIT_CAP", 100)
+    part = build_partition(pq_map, gcf, 0.05, 10, cap=1000)
+    assert len(part.orbit) == 144
+    assert denjoy_product(pq_map, gcf, 0.05, 12, cap=1000) > 0
+    gen = build_partition(pq_map, gcf, 0.05, 12, cap=1000).elements[0].interval
+    assert is_qn_small(pq_map, gcf, gen, 12, cap=1000)
+
+
+def test_orbit_cap_counts_map_evaluations(pq_map, gcf):
+    # rank 10 needs q_10 + q_9 = 144 orbit points, i.e. 143 evaluations
+    assert len(build_partition(pq_map, gcf, 0.05, 10, cap=143).orbit) == 144
+    with pytest.raises(PrecisionBudgetExceeded, match="143 exceeds cap 142"):
+        build_partition(pq_map, gcf, 0.05, 10, cap=142)
+    # a product over 144 points takes the same 143 evaluations
+    assert df_product(pq_map, 0.05, 144, cap=143) > 0
+    with pytest.raises(PrecisionBudgetExceeded):
+        df_product(pq_map, 0.05, 144, cap=142)
+
+
+def test_partition_nudges_off_a_break(pq_map, gcf):
+    # x0 = 0.2 is the break a itself: the partition shifts it once
+    part = build_partition(pq_map, gcf, 0.2, 6)
+    assert part.nudges == 1
+    assert part.x0 == 0.200000001
+
+
+def test_denjoy_product_refuses_a_break_orbit(pq_map, gcf):
+    # the Denjoy bound needs an orbit clear of the breaks: no nudging
+    with pytest.raises(BreakCollision):
+        denjoy_product(pq_map, gcf, 0.2, 6)

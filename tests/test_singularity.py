@@ -133,6 +133,14 @@ def test_cover_triple_generic_case(pq_map, gcf):
     assert t.quadruple.hull == pytest.approx(t.hull)
 
 
+def test_qn_experiment_uses_callers_cap(monkeypatch, pq_map, gcf):
+    # partition, cover triple and chain orbits (q_12 = 233 steps) are all
+    # sized by the caller's cap, not the default
+    monkeypatch.setattr("circlebreak.maps.DEFAULT_ORBIT_CAP", 100)
+    (row,) = qn_distortion_experiment(pq_map, gcf, 0.05, [12], cap=1000)
+    assert (row.n, row.q_n) == (12, 233)
+
+
 def test_cover_triple_same_orbit_case(so_map, gcf):
     stats = map_stats(so_map)
     params = make_cover_params(
