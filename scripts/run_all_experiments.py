@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Run every bundled singularity experiment and print the verdicts.
+"""Run every bundled config and print the verdicts of the five experiments.
 
-Each config in configs/ describing a full experiment is executed through
-the command line front end into results/<label>/, so a finished run
-leaves the same artifacts a by-hand invocation would.  Each experiment
-prints its wall time, the verdict theory expects next to the one the run
-reached, and one SHA-256 over the artifacts it wrote (file names sorted,
-each name followed by the file's bytes); comparing the digests printed
-by two checkouts shows whether their artifacts are byte-identical.  The
-exit status reports failed runs only, not mismatches.
+Each config in configs/ is executed through the command line front end,
+so a finished run leaves the same artifacts a by-hand invocation would:
+the five singularity experiments into results/<label>/, the other
+bundled configs into results/<config name>/.  Each run prints its wall
+time and one SHA-256 over the artifacts it wrote (file names sorted, each
+name followed by the file's bytes); comparing the digests printed by two
+checkouts shows whether all their artifacts are byte-identical.  The
+experiments also print the verdict theory expects next to the one the
+run reached.  The exit status reports failed runs only, not mismatches.
 """
 
 import hashlib
@@ -29,6 +30,17 @@ EXPERIMENTS = [
     ("rotation_baseline.json", "AC_BASELINE", "AC"),
 ]
 
+# The other bundled configs and the command each one is written for.
+OTHER_CONFIGS = [
+    ("pq_main_short.json", "singularity"),
+    ("measure_pq_golden.json", "measure"),
+    ("partition_pq_golden.json", "partition"),
+    ("rotnum_golden.json", "rotnum"),
+    ("rotnum_third.json", "rotnum"),
+    ("tune_pq_golden.json", "tune"),
+    ("distortion_pq.json", "distortion"),
+]
+
 
 def artifacts_digest(paths) -> str:
     """SHA-256 over the named files, in sorted name order."""
@@ -41,6 +53,26 @@ def artifacts_digest(paths) -> str:
     return h.hexdigest()
 
 
+def run(command, config, outdir):
+    """Run one CLI command; print its wall time; return the finished process."""
+    cmd = [
+        sys.executable,
+        "-m",
+        "circlebreak.cli",
+        command,
+        "--config",
+        config,
+        "--out",
+        outdir,
+    ]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    print(f"   wall {time.perf_counter() - start:.2f} s")
+    if proc.returncode != 0:
+        print(f"   exit {proc.returncode}: {proc.stderr.strip()}")
+    return proc
+
+
 def main() -> int:
     import json
 
@@ -49,24 +81,10 @@ def main() -> int:
         config = os.path.join(ROOT, "configs", name)
         label = json.load(open(config))["label"]
         outdir = os.path.join(ROOT, "results", label)
-        cmd = [
-            sys.executable,
-            "-m",
-            "circlebreak.cli",
-            "singularity",
-            "--config",
-            config,
-            "--out",
-            outdir,
-        ]
-        print(f"== {label}")
-        start = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        wall = time.perf_counter() - start
-        print(f"   wall {wall:.2f} s  expected {expected} ({theory})")
+        print(f"== {label}  expected {expected} ({theory})")
+        proc = run("singularity", config, outdir)
         if proc.returncode != 0:
             failures += 1
-            print(f"   exit {proc.returncode}: {proc.stderr.strip()}")
             continue
         report = json.load(open(os.path.join(outdir, "report.json")))
         match = "matches" if report["verdict"] == expected else "differs from"
@@ -77,6 +95,18 @@ def main() -> int:
         )
         lorenz = [row["lorenz_90_length"] for row in report["rows"]]
         print("   lorenz_90_length " + " ".join(f"{v:.5f}" for v in lorenz))
+        print(f"   artifacts sha256 {artifacts_digest(proc.stdout.splitlines())}")
+    for name, command in OTHER_CONFIGS:
+        stem = os.path.splitext(name)[0]
+        print(f"== {stem}  ({command})")
+        proc = run(
+            command,
+            os.path.join(ROOT, "configs", name),
+            os.path.join(ROOT, "results", stem),
+        )
+        if proc.returncode != 0:
+            failures += 1
+            continue
         print(f"   artifacts sha256 {artifacts_digest(proc.stdout.splitlines())}")
     return 1 if failures else 0
 

@@ -27,6 +27,8 @@ import functools
 from dataclasses import dataclass
 from math import exp, floor, log, sqrt
 
+import numpy as np
+
 from .errors import (
     BreakCollision,
     InfeasibleDerivatives,
@@ -297,25 +299,100 @@ def one_sided_derivatives(m: CircleMap, x):
 
 
 def df(m: CircleMap, x):
-    """Derivative at a non-break point (returns the right-hand value)."""
-    return one_sided_derivatives(m, x)[1]
+    """Right-hand derivative Df_+ elementwise over a point or array of points.
+
+    Returns a NumPy array of x's shape whose entries equal
+    ``one_sided_derivatives(m, x)[1]`` bit for bit: at a break u equals
+    the segment start, so the affine formula gives its start value exactly.
+    """
+    xs = np.asarray(x, dtype=float)
+    if m.kind == ROTATION:
+        return np.ones_like(xs)
+    p0, p1 = m.seg_pos[0], m.seg_pos[1]
+    u = xs - np.floor(xs - p0)
+    u = np.where(u < p0, u + 1, np.where(u >= p0 + 1, u - 1, u))
+    return np.where(
+        u < p1,
+        m.seg_d0[0] + m.seg_curv[0] * (u - p0),
+        m.seg_d0[1] + m.seg_curv[1] * (u - p1),
+    )
+
+
+# A fractional part this close below 1 is the origin of the next turn (the
+# ``to_circle`` rule).
+_CLAMP = 2 * MACHINE_EPS
+
+
+def advance(m: CircleMap, x, w: int, n: int, pts=None, winds=None):
+    """Run n forward steps from the circle pair (x, w); return the last pair.
+
+    x is a circle point, w an integer winding; the pair stands for the lift
+    value x + w, so f^n(x0) is reassembled exactly as ``x_n + w_n`` without
+    the lift coordinate growing (and losing ulps).  Each step reduces f(x)
+    to the circle: the point is ``to_circle(f(x))`` and when that clamps up
+    to 0 the winding gains one.  When given, ``pts`` and ``winds`` receive
+    every new point and winding in order.
+
+    This is the one forward orbit loop.  It reads the segment constants into
+    locals once and repeats ``evaluate`` inline, operation for operation, so
+    every point is bit-identical to the reduction of ``evaluate(m, x)``.
+    """
+    t = m.translation
+    fl = floor
+    put_x = None if pts is None else pts.append
+    put_w = None if winds is None else winds.append
+    if m.kind == ROTATION:
+        for _ in range(n):
+            y = x + t
+            k = fl(y)
+            x = y - k
+            if 1 - x <= _CLAMP:
+                x = 0.0
+                k += 1
+            w += k
+            if put_x is not None:
+                put_x(x)
+            if put_w is not None:
+                put_w(w)
+        return x, w
+    p0, p1 = m.seg_pos[0], m.seg_pos[1]
+    p0_next = p0 + 1
+    v0, v1 = m.seg_val[0], m.seg_val[1]
+    a0, a1 = m.seg_d0
+    # evaluate's 0.5 * curv * du groups as (0.5 * curv) * du: hoisting the
+    # first product leaves every bit unchanged.
+    h0, h1 = 0.5 * m.seg_curv[0], 0.5 * m.seg_curv[1]
+    for _ in range(n):
+        j = fl(x - p0)
+        u = x - j
+        if u < p0:
+            u += 1
+            j -= 1
+        elif u >= p0_next:
+            u -= 1
+            j += 1
+        if u < p1:
+            du = u - p0
+            y = v0 + du * (a0 + h0 * du) + j + t
+        else:
+            du = u - p1
+            y = v1 + du * (a1 + h1 * du) + j + t
+        k = fl(y)
+        x = y - k
+        if 1 - x <= _CLAMP:
+            x = 0.0
+            k += 1
+        w += k
+        if put_x is not None:
+            put_x(x)
+        if put_w is not None:
+            put_w(w)
+    return x, w
 
 
 def step_with_winding(m: CircleMap, x, w: int):
-    """One forward step on the circle with exact winding bookkeeping.
-
-    x is a circle point in [0, 1), w an integer; the pair represents the lift
-    value x + w.  Returns the next pair, so f^n(x0) can be reassembled exactly
-    as ``x_n + w_n`` without the lift coordinate growing (and losing ulps).
-    This is the one reduction of f(x) to the circle: the point it returns is
-    ``to_circle(f(x))``, and when that clamps up to 0 the winding gains one.
-    """
-    y = evaluate(m, x)
-    k = floor(y)
-    xr = y - k
-    if 1 - xr <= 2 * MACHINE_EPS:
-        return 0.0, w + k + 1
-    return xr, w + k
+    """One forward step of ``advance``: the next (circle point, winding)."""
+    return advance(m, x, w, 1)
 
 
 def iterate(m: CircleMap, x0, n: int, direction: str = "forward", cap: int | None = None):
@@ -332,9 +409,7 @@ def iterate(m: CircleMap, x0, n: int, direction: str = "forward", cap: int | Non
     x = to_circle(x0)
     pts = [x]
     if direction == "forward":
-        for _ in range(n):
-            x, _w = step_with_winding(m, x, 0)
-            pts.append(x)
+        advance(m, x, 0, n, pts)
     elif direction == "backward":
         for _ in range(n):
             x = to_circle(invert(m, x))
@@ -358,6 +433,20 @@ def min_break_distance(m: CircleMap, x):
 NUDGE = 1e-9
 
 
+def _clears_breaks(m: CircleMap, pts, clearance):
+    """Whether every arc ``arc_length(loc, p)`` from a break loc to a point p
+    lies strictly between ``clearance`` and ``1 - clearance``."""
+    xs = np.array(pts)
+    for b in m.breaks:
+        arc = xs - b.location
+        arc -= np.floor(arc)
+        # to_circle would also clamp arcs within 2 eps of 1 to 0; such arcs
+        # fail the test either way, since clearance exceeds 2 eps.
+        if not ((arc > clearance) & (arc < 1 - clearance)).all():
+            return False
+    return True
+
+
 def orbit_avoiding_breaks(m: CircleMap, x0, n: int, cap=None, retries=10):
     """Forward orbit whose points all keep clear of the break locations.
 
@@ -368,12 +457,10 @@ def orbit_avoiding_breaks(m: CircleMap, x0, n: int, cap=None, retries=10):
     actually used, number of nudges).
     """
     clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
-    far = 1 - clearance
-    locs = [b.location for b in m.breaks]
     x = to_circle(x0)
     for attempt in range(retries + 1):
         pts = iterate(m, x, n, cap=cap)
-        if all(clearance < arc_length(loc, p) < far for p in pts for loc in locs):
+        if _clears_breaks(m, pts, clearance):
             return pts, x, attempt
         x = to_circle(x + NUDGE)
     raise BreakCollision(

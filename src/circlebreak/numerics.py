@@ -25,7 +25,7 @@ def to_circle(x):
 
     Values that land within two epsilons below 1 are clamped to 0 so that a
     rounded-up fractional part never masquerades as a point just left of the
-    origin.  ``maps.step_with_winding`` applies the same rule and bumps the
+    origin.  ``maps.advance`` applies the same rule and bumps the
     winding when the clamp fires.
     """
     v = x - math.floor(x)

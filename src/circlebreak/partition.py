@@ -8,6 +8,7 @@ exact integer combinatorics on a single shared orbit array.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import exp, log
 
@@ -309,10 +310,8 @@ def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
     if steps < 1:
         return 1.0
     pts, _, _ = orbit_avoiding_breaks(m, x0, steps - 1, cap=cap, retries=0)
-    prod = 1.0
-    for p in pts:
-        prod *= df(m, p)
-    return prod
+    # math.prod multiplies in orbit order, as a running product would
+    return math.prod(df(m, pts).tolist())
 
 
 def denjoy_product(
@@ -426,8 +425,6 @@ def is_qn_small(
     q_n = cf.q(n)
     if q_n == 1:
         return True
-    if 2 * q_n > cap:
-        raise PrecisionBudgetExceeded(f"q_n = {q_n} iterate pairs exceed cap {cap}")
     if interval.length >= 1:
         return False
 

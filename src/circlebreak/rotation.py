@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import floor
 
 from .errors import NotBracketed, PrecisionBudgetExceeded, TolUnreachable
-from .maps import CircleMap, evaluate, step_with_winding
+from .maps import CircleMap, advance, evaluate
 from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, to_circle
 
 # |f^q(0) - p| at or below this many epsilons-times-q is treated as an exact
@@ -146,13 +146,8 @@ class OrbitTracker:
             raise PrecisionBudgetExceeded(
                 f"orbit length {q} exceeds cap {self.cap}"
             )
-        x = self.points[-1]
-        w = self.winds[-1]
-        m = self.m
-        while len(self.points) <= q:
-            x, w = step_with_winding(m, x, w)
-            self.points.append(x)
-            self.winds.append(w)
+        pts, winds = self.points, self.winds
+        advance(self.m, pts[-1], winds[-1], q + 1 - len(pts), pts, winds)
 
     def lift_minus(self, p: int, q: int):
         """f^q(0) - p, with the integer part subtracted exactly."""

@@ -11,6 +11,8 @@ from circlebreak.errors import (
     PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
+    advance,
+    df,
     evaluate,
     invert,
     iterate,
@@ -22,7 +24,7 @@ from circlebreak.maps import (
     step_with_winding,
     validate_p_homeo,
 )
-from circlebreak.numerics import to_circle
+from circlebreak.numerics import MACHINE_EPS, to_circle
 
 from conftest import GOLDEN
 
@@ -119,6 +121,84 @@ def test_step_winding_reassembles_lift(pq_map):
         assert 0.0 <= x < 1.0
         assert abs((x + w) - lift) < 1e-12
     assert iterate(pq_map, 0.05, 200)[-1] == x
+
+
+def _reference_step(m, x, w):
+    # reference step: evaluate, then the to_circle reduction with its winding
+    y = evaluate(m, x)
+    k = math.floor(y)
+    xr = y - k
+    if 1 - xr <= 2 * MACHINE_EPS:
+        return 0.0, w + k + 1
+    return xr, w + k
+
+
+# pq and pl maps (one each with c < a, so its segments start at c, and
+# translations beyond a full turn either way), rotations both ways, and a
+# rotation whose first step clamps
+KERNEL_MAPS = [
+    make_pq_two_break(0.2, 0.6, 2.0, 0.8, translation=0.6949140919153628),
+    make_pq_two_break(0.7, 0.1, 1.5, 0.6, translation=-3.35),
+    make_pl_two_break(0.2, 0.6, 3.0, translation=0.476690110107449),
+    make_pl_two_break(0.45, 0.05, 0.4, translation=5.2),
+    make_rotation(GOLDEN),
+    make_rotation(-GOLDEN - 2),
+    make_rotation(-1e-20),
+]
+
+
+def _assert_kernel_matches_reference(m, x, w, n=60):
+    pts, winds = [], []
+    last = advance(m, x, w, n, pts, winds)
+    ref_pts, ref_winds = [], []
+    for _ in range(n):
+        x, w = _reference_step(m, x, w)
+        ref_pts.append(x)
+        ref_winds.append(w)
+    assert pts == ref_pts
+    assert winds == ref_winds
+    assert last == (ref_pts[-1], ref_winds[-1])
+    assert advance(m, pts[0], winds[0], 0) == (pts[0], winds[0])
+
+
+@given(
+    st.sampled_from(KERNEL_MAPS),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_advance_matches_reference_step(m, x, w):
+    _assert_kernel_matches_reference(m, x, w)
+
+
+def test_advance_matches_reference_at_edges():
+    below_one = [1 - MACHINE_EPS / 2, 1 - MACHINE_EPS, 1 - 2 * MACHINE_EPS]
+    clamped = 0
+    for m in KERNEL_MAPS:
+        starts = [0.0, *below_one]
+        for p in m.seg_pos[:2]:
+            starts += [p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)]
+        if m.seg_pos:
+            # ulp neighbours of the preimage of 1 land within 2 eps of it
+            x = to_circle(invert(m, 1.0))
+            for _ in range(40):
+                starts.append(x)
+                x = math.nextafter(x, 0.0)
+        for x in starts:
+            _assert_kernel_matches_reference(m, x, 0)
+            y = evaluate(m, x)
+            clamped += 1 - (y - math.floor(y)) <= 2 * MACHINE_EPS
+    assert clamped > 0
+
+
+def test_df_matches_one_sided_derivatives():
+    rng = random.Random(3)
+    for m in KERNEL_MAPS:
+        xs = [rng.uniform(-2.0, 2.0) for _ in range(200)]
+        # the breaks, a turn away on the lift, and their ulp neighbours
+        for b in m.breaks:
+            for x in (b.location, b.location + 1.0, b.location - 1.0):
+                xs += [x, math.nextafter(x, -2.0), math.nextafter(x, 2.0)]
+        assert df(m, xs).tolist() == [one_sided_derivatives(m, x)[1] for x in xs]
 
 
 def test_pl_slopes_closed_form():

@@ -5,13 +5,16 @@ import pytest
 
 from circlebreak.errors import BreakCollision, PrecisionBudgetExceeded
 from circlebreak.maps import (
+    NUDGE,
     iterate,
     make_pl_two_break,
     make_pq_two_break,
     make_rotation,
     map_stats,
+    one_sided_derivatives,
+    orbit_avoiding_breaks,
 )
-from circlebreak.numerics import MACHINE_EPS, arc_length
+from circlebreak.numerics import BREAK_CLEARANCE_EPS, MACHINE_EPS, arc_length, to_circle
 from circlebreak.partition import (
     CircleInterval,
     build_partition,
@@ -217,3 +220,55 @@ def test_denjoy_product_refuses_a_break_orbit(pq_map, gcf):
     # the Denjoy bound needs an orbit clear of the breaks: no nudging
     with pytest.raises(BreakCollision):
         denjoy_product(pq_map, gcf, 0.2, 6)
+
+
+@pytest.mark.parametrize("name", ["pq_map", "pl_map"])
+def test_df_product_matches_running_product(request, name):
+    m = request.getfixturevalue(name)
+    for x0 in (0.05, 0.31, 0.77):
+        prod = 1.0
+        for p in iterate(m, x0, 232):
+            prod *= one_sided_derivatives(m, p)[1]
+        assert df_product(m, x0, 233) == prod
+
+
+def _reference_orbit_avoiding_breaks(m, x0, n, retries):
+    # the clearance scan point by point, through arc_length
+    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
+    far = 1 - clearance
+    x = to_circle(x0)
+    for attempt in range(retries + 1):
+        pts = iterate(m, x, n)
+        arcs = [arc_length(b.location, p) for p in pts for b in m.breaks]
+        if all(clearance < arc < far for arc in arcs):
+            return pts, x, attempt
+        x = to_circle(x + NUDGE)
+    raise BreakCollision("reference scan gave up")
+
+
+@pytest.mark.parametrize("name", ["pq_map", "pl_map"])
+def test_orbit_landing_on_a_break_later(request, name):
+    # start k steps back from the break c, so the k-th point is c itself
+    m = request.getfixturevalue(name)
+    k, loc = 5, m.breaks[1].location
+    x0 = iterate(m, loc, k, direction="backward")[-1]
+    assert abs(iterate(m, x0, k)[-1] - loc) < 8 * MACHINE_EPS
+    with pytest.raises(BreakCollision):
+        orbit_avoiding_breaks(m, x0, 20, retries=0)
+    with pytest.raises(BreakCollision):
+        df_product(m, x0, 21)
+    pts, used, nudges = orbit_avoiding_breaks(m, x0, 20, retries=10)
+    assert (pts, used, nudges) == _reference_orbit_avoiding_breaks(m, x0, 20, 10)
+    assert nudges == 1 and used == to_circle(x0 + NUDGE)
+    for x in (0.05, 0.31, 0.77):
+        assert orbit_avoiding_breaks(m, x, 300) == _reference_orbit_avoiding_breaks(
+            m, x, 300, 10
+        )
+
+
+def test_is_qn_small_cap_is_per_orbit(pq_map, gcf):
+    # rank 12: q_12 = 233, so the longest orbit takes 232 evaluations
+    gen = build_partition(pq_map, gcf, 0.05, 12).elements[0].interval
+    assert is_qn_small(pq_map, gcf, gen, 12, cap=232)
+    with pytest.raises(PrecisionBudgetExceeded, match="232 exceeds cap 231"):
+        is_qn_small(pq_map, gcf, gen, 12, cap=231)
