@@ -35,6 +35,7 @@ OTHER_CONFIGS = [
     ("pq_main_short.json", "singularity"),
     ("measure_pq_golden.json", "measure"),
     ("partition_pq_golden.json", "partition"),
+    ("partition_pq_deep.json", "partition"),
     ("rotnum_golden.json", "rotnum"),
     ("rotnum_third.json", "rotnum"),
     ("tune_pq_golden.json", "tune"),

@@ -74,7 +74,6 @@ from .crossratio import (
     smooth_distortion_bound,
 )
 from .measure import (
-    MassRow,
     MeasureBounds,
     OrbitMeasure,
     conjugacy_values,

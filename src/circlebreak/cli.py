@@ -24,6 +24,7 @@ import statistics
 import sys
 import tempfile
 from dataclasses import fields
+from itertools import repeat
 
 from .crossratio import (
     Quadruple,
@@ -323,8 +324,16 @@ def cmd_partition(doc, outdir, seed):
     refinement = k.flag("refinement", False)
     cap = k.integer("cap", DEFAULT_ORBIT_CAP)
     k.done()
+    if 0 < decay_n_max < 2:
+        raise ConfigError("decay_n_max must be at least 2")
 
-    part = build_partition(m, cf, x0, n, cap=cap)
+    # with refinement, rank n is cut from the rank n+1 orbit so both
+    # share one base point
+    if refinement:
+        fine = build_partition(m, cf, x0, n + 1, cap=cap)
+        part = fine.coarsen(cf, n)
+    else:
+        part = build_partition(m, cf, x0, n, cap=cap)
     summary = {
         "schema": SCHEMA,
         "command": "partition",
@@ -363,8 +372,6 @@ def cmd_partition(doc, outdir, seed):
         }
 
     if decay_n_max > 0:
-        if decay_n_max < 2:
-            raise ConfigError("decay_n_max must be at least 2")
         fit = max_element_decay(m, cf, x0, decay_n_max, cap=cap)
         summary["decay"] = {
             "rows": [[rn, ln] for rn, ln in fit.rows],
@@ -376,7 +383,6 @@ def cmd_partition(doc, outdir, seed):
         }
 
     if refinement:
-        fine = build_partition(m, cf, x0, n + 1, cap=cap)
         rep = check_refinement(part, fine, cf)
         summary["refinement"] = {
             "k_next": rep.k_next,
@@ -517,28 +523,25 @@ def cmd_measure(doc, outdir, seed):
     k.done()
 
     est = _rho_enclosure(m, cap, drift_tol, points)
-    om = conjugacy_values(m, est, x0, points, drift_tol=drift_tol, cap=cap)
     part = build_partition(m, cf, x0, n, cap=cap)
+    om = conjugacy_values(m, est, part.x0, points, drift_tol=drift_tol, cap=cap)
     mrows = partition_masses(om, part)
 
-    by_rank = {}
-    for r in mrows:
-        by_rank.setdefault(r.rank_tag, []).append(r.mass)
-    rank_summary = {
-        str(tag): {
+    rank_summary = {}
+    for tag in sorted(set(mrows.rank_tag.tolist())):
+        masses = mrows.mass[mrows.rank_tag == tag].tolist()
+        rank_summary[str(tag)] = {
             "count": len(masses),
             "mass": statistics.median(masses),
             "spread": max(masses) - min(masses),
         }
-        for tag, masses in sorted(by_rank.items())
-    }
     report = {
         "schema": SCHEMA,
         "command": "measure",
         "n": n,
         "points": points,
         "rho": {"value": est.value, "lower": est.lower, "upper": est.upper},
-        "mass_sum": sum(r.mass for r in mrows),
+        "mass_sum": sum(mrows.mass.tolist()),
         "ranks": rank_summary,
         "identity_residual": mass_identity_residual(cf, est.value, n),
     }
@@ -550,10 +553,14 @@ def cmd_measure(doc, outdir, seed):
                 "measure.csv",
                 _csv_text(
                     ["n", "rank", "index", "length", "mass", "density"],
-                    [
-                        (n, r.rank_tag, r.index, r.length, r.mass, r.density)
-                        for r in mrows
-                    ],
+                    zip(
+                        repeat(n),
+                        mrows.rank_tag.tolist(),
+                        mrows.index.tolist(),
+                        mrows.length.tolist(),
+                        mrows.mass.tolist(),
+                        mrows.density.tolist(),
+                    ),
                 ),
             ),
         ],

@@ -11,9 +11,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import IndexMismatch, OrderViolation, PrecisionBudgetExceeded
 from .maps import CircleMap, iterate
-from .numerics import DEFAULT_ORBIT_CAP, to_circle
+from .numerics import DEFAULT_ORBIT_CAP, to_circle, to_circle_array
 from .partition import CircleInterval, DynamicalPartition
 from .rotation import ContinuedFraction, RotationEstimate, convergent_error
 
@@ -57,13 +59,6 @@ def _circular_argsort_equal(order_a, order_b) -> bool:
     pos = {v: k for k, v in enumerate(order_b)}
     shift = pos[order_a[0]]
     return all(order_a[k] == order_b[(shift + k) % n] for k in range(n))
-
-
-def order_isomorphic(points_a, points_b) -> bool:
-    """Do two point families on the circle share their circular order?"""
-    oa = sorted(range(len(points_a)), key=points_a.__getitem__)
-    ob = sorted(range(len(points_b)), key=points_b.__getitem__)
-    return _circular_argsort_equal(oa, ob)
 
 
 def conjugacy_values(
@@ -185,50 +180,36 @@ def measure_interval(om: OrbitMeasure, interval: CircleInterval) -> MeasureBound
     return MeasureBounds(min(lower, 1.0), min(upper, 1.0))
 
 
-@dataclass(frozen=True)
-class MassRow:
-    rank_tag: int
-    index: int
-    left: float
-    length: float
-    mass: float
-
-    @property
-    def density(self):
-        return self.mass / self.length
-
-
 def partition_masses(om: OrbitMeasure, part: DynamicalPartition):
     """Exact masses of partition elements from phi differences.
 
     Element endpoints are orbit indices, so each mass is a single
     circular difference; per rank the difference is {q rho} for the
-    same q, hence constant across elements up to rounding.
+    same q, hence constant across elements up to rounding.  Returns a
+    record array, one row per cell in the partition's order, with the
+    columns rank_tag, index, left, length, mass and density.
     """
     if part.x0 != om.x0:
         raise IndexMismatch(
             f"partition base point {part.x0!r} differs from orbit base "
             f"{om.x0!r}"
         )
-    need = max(max(e.left_index, e.right_index) for e in part.elements)
-    if need >= om.n_points:
+    total = len(part.orbit)
+    if total > om.n_points:
         raise IndexMismatch(
-            f"partition references orbit index {need}, measure orbit has "
+            f"partition references orbit index {total - 1}, measure orbit has "
             f"{om.n_points} points"
         )
-    for k, (a, b) in enumerate(zip(part.orbit, om.orbit)):
-        if a != b:
-            raise IndexMismatch(f"orbits diverge at index {k}")
-    return [
-        MassRow(
-            rank_tag=e.rank_tag,
-            index=e.index,
-            left=float(e.interval.left),
-            length=float(e.interval.length),
-            mass=float(om.arc_mass(e.left_index, e.right_index)),
-        )
-        for e in part.elements
-    ]
+    diverged = np.flatnonzero(np.array(part.orbit) != np.array(om.orbit[:total]))
+    if diverged.size:
+        raise IndexMismatch(f"orbits diverge at index {int(diverged[0])}")
+    el = part.elements
+    phi = np.array(om.phi[:total])
+    mass = to_circle_array(phi[el.right_index] - phi[el.left_index])
+    return np.rec.fromarrays(
+        [el.rank_tag, el.index, el.left, el.length, mass, mass / el.length],
+        names="rank_tag,index,left,length,mass,density",
+    )
 
 
 def mass_identity_residual(cf: ContinuedFraction, rho, n: int):

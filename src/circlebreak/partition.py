@@ -1,15 +1,17 @@
 """Dynamical partitions of the circle and Denjoy-type estimates.
 
 The n-th partition xi_n(x0) is assembled from the first q_n + q_{n-1}
-forward orbit points of x0.  Elements are stored by orbit index, not by
-re-evaluated endpoints, so disjointness and refinement checks reduce to
-exact integer combinatorics on a single shared orbit array.
+forward orbit points of x0.  Cells are rows of one record array that
+name their ends by orbit index, so disjointness and refinement checks
+reduce to exact integer combinatorics on a single shared orbit, and
+every shallower partition is cut from a prefix of the same orbit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from math import exp, log
 
 import numpy as np
@@ -21,12 +23,33 @@ from .errors import (
     RefinementViolation,
 )
 from .maps import CircleMap, df, iterate, map_stats, orbit_avoiding_breaks
-from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, arc_length, in_arc, to_circle
+from .numerics import (
+    DEFAULT_ORBIT_CAP,
+    MACHINE_EPS,
+    arc_length,
+    in_arc,
+    to_circle,
+    to_circle_array,
+)
 from .rotation import ContinuedFraction
 
 # Minimum element length, in units of machine epsilon, below which the
 # double-precision backend cannot certify disjointness any more.
 MIN_GAP_EPS = 1.0e3
+
+# One partition cell per row.  rank_tag is n-1 or n; index is the orbit
+# iterate defining the cell; left_index/right_index point into the
+# partition's orbit; left and length give the arc counterclockwise.
+CELL_DTYPE = np.dtype(
+    [
+        ("rank_tag", np.int64),
+        ("index", np.int64),
+        ("left_index", np.int64),
+        ("right_index", np.int64),
+        ("left", np.float64),
+        ("length", np.float64),
+    ]
+)
 
 
 @dataclass(frozen=True)
@@ -48,65 +71,120 @@ class CircleInterval:
     def right(self) -> float:
         return to_circle(self.left + self.length)
 
-    def contains(self, x) -> bool:
-        return in_arc(x, self.left, self.right) if self.length < 1 else True
 
+@dataclass(frozen=True, eq=False)
+class DynamicalPartition:
+    """xi_n(x0) as a record array of cells (``CELL_DTYPE``) over ``orbit``.
 
-@dataclass(frozen=True)
-class PartitionElement:
-    """One cell of a dynamical partition.
-
-    rank_tag is n-1 or n; index is the orbit iterate defining the cell.
-    left_index/right_index point into the parent's orbit array.
+    The q_n rank-(n-1) cells come first, then the q_{n-1} rank-n cells,
+    each block in index order.  ``x0`` is the base point the orbit
+    actually starts from, after ``nudges`` shifts off the breaks.
     """
 
-    interval: CircleInterval
-    rank_tag: int
-    index: int
-    left_index: int
-    right_index: int
-
-
-@dataclass(frozen=True)
-class DynamicalPartition:
     n: int
     x0: float
     q_n: int
     q_nm1: int
-    elements: tuple
+    elements: np.recarray
     orbit: tuple
     nudges: int
 
-    def rank_elements(self, rank_tag: int):
-        return [e for e in self.elements if e.rank_tag == rank_tag]
-
     def total_length(self):
-        return sum(e.interval.length for e in self.elements)
+        # sequential, in cell order: np.sum would add pairwise, other bytes
+        return sum(self.elements.length.tolist())
 
     def max_length(self):
-        return max(e.interval.length for e in self.elements)
+        return float(self.elements.length.max())
 
     def min_length(self):
-        return min(e.interval.length for e in self.elements)
+        return float(self.elements.length.min())
 
-    def locate(self, x) -> PartitionElement:
-        """Element whose half-open arc [left, right) contains x."""
-        for e in self.elements:
-            if in_arc(x, e.interval.left, e.interval.right) and not (
-                x == e.interval.right
-            ):
-                return e
-        # x coincides with a shared endpoint that every half-open test
-        # excluded on the right; fall back to the closed test.
-        for e in self.elements:
-            if in_arc(x, e.interval.left, e.interval.right):
-                return e
-        raise InvariantFailure(f"no partition element contains {x!r}")
+    def locate(self, x) -> int:
+        """Row of the cell whose half-open arc [left, right) contains x.
+
+        The cell starts at the circular predecessor of x among the orbit
+        points.  Partition orbits keep clear of the breaks, so a break is
+        never a cell end.
+        """
+        x = to_circle(x)
+        xs = np.array(self.orbit)
+        order = np.argsort(xs, kind="stable")
+        # k = -1 (x below every point) wraps to the last point
+        k = int(np.searchsorted(xs[order], x, side="right")) - 1
+        row = int(np.flatnonzero(self.elements.left_index == order[k])[0])
+        cell = self.elements[row]
+        if not in_arc(x, self.orbit[cell.left_index], self.orbit[cell.right_index]):
+            raise InvariantFailure(f"no partition element contains {x!r}")
+        return row
+
+    def coarsen(self, cf: ContinuedFraction, k: int) -> "DynamicalPartition":
+        """xi_k(x0), k <= n, cut from the first q_k + q_{k-1} orbit points."""
+        if not 1 <= k <= self.n:
+            raise ValueError(f"cannot cut rank {k} from a rank-{self.n} partition")
+        if cf.depth < self.n or (cf.q(self.n), cf.q(self.n - 1)) != (
+            self.q_n,
+            self.q_nm1,
+        ):
+            raise ValueError("continued fraction does not match the partition")
+        if k == self.n:
+            return self
+        return _cut(cf, k, self.orbit, self.x0, self.nudges)
 
 
-def _oriented(idx_a: int, idx_b: int, parity_even: bool):
-    # parity_even: the later orbit point (idx_b) sits to the right of idx_a.
-    return (idx_a, idx_b) if parity_even else (idx_b, idx_a)
+def _cut(cf: ContinuedFraction, n: int, orbit: tuple, x0, nudges: int):
+    """Assemble xi_n from the first q_n + q_{n-1} points of ``orbit``.
+
+    Rank-(n-1) cells pair orbit indices (i, i+q_{n-1}) for i < q_n and
+    rank-n cells pair (j, j+q_n) for j < q_{n-1}; for an even rank the
+    later orbit point is the right end, for an odd rank the left end.
+    The audit: each cell's right end must be the circular successor of
+    its left end among all the orbit points.  Left ends are used once
+    each by construction (one block takes 0..q-1, the other the rest).
+    """
+    q_n, q_nm1 = cf.q(n), cf.q(n - 1)
+    total = q_n + q_nm1
+    orbit = orbit[:total]
+    xs = np.array(orbit)
+
+    el = np.empty(total, CELL_DTYPE).view(np.recarray)
+    for rows, tag, step in ((slice(0, q_n), n - 1, q_nm1), (slice(q_n, total), n, q_n)):
+        idx = np.arange(rows.stop - rows.start)
+        el.rank_tag[rows] = tag
+        el.index[rows] = idx
+        early, late = (idx, idx + step) if tag % 2 == 0 else (idx + step, idx)
+        el.left_index[rows] = early
+        el.right_index[rows] = late
+    el.left = xs[el.left_index]
+    el.length = to_circle_array(xs[el.right_index] - el.left)
+
+    order = np.argsort(xs, kind="stable")
+    succ = np.empty(total, dtype=np.int64)
+    succ[order] = np.roll(order, -1)
+    bad = np.flatnonzero(succ[el.left_index] != el.right_index)
+    if bad.size:
+        e = el[bad[0]]
+        raise InvariantFailure(
+            f"element (tag {e.rank_tag}, index {e.index}) endpoints "
+            f"{e.left_index}->{e.right_index} are not circularly adjacent; "
+            "orbit order does not match the rotation combinatorics"
+        )
+
+    min_len = float(el.length.min())
+    if min_len <= MIN_GAP_EPS * MACHINE_EPS:
+        raise PrecisionBudgetExceeded(
+            f"min element length {min_len:.3e} at rank {n} is below the "
+            f"{MIN_GAP_EPS:.0e}*eps resolution floor; the rank is beyond "
+            "binary64 resolution"
+        )
+
+    tot = sum(el.length.tolist())
+    if abs(tot - 1) > q_n * 10 * MACHINE_EPS:
+        raise InvariantFailure(f"partition total length {tot!r} deviates from 1")
+
+    el.flags.writeable = False
+    return DynamicalPartition(
+        n=n, x0=x0, q_n=q_n, q_nm1=q_nm1, elements=el, orbit=orbit, nudges=nudges
+    )
 
 
 def build_partition(
@@ -116,13 +194,11 @@ def build_partition(
     n: int,
     cap: int = DEFAULT_ORBIT_CAP,
 ) -> DynamicalPartition:
-    """Assemble xi_n(x0) and verify it tiles the circle.
+    """Assemble xi_n(x0) on an orbit of x0 that clears the breaks.
 
-    Rank-(n-1) cells pair orbit indices (i, i+q_{n-1}) for i < q_n and
-    rank-n cells pair (j, j+q_n) for j < q_{n-1}; which end is left
-    follows the parity alternation of the convergents.  Verification is
-    combinatorial: each cell's endpoints must be circularly adjacent
-    among all q_n + q_{n-1} orbit points, every gap used exactly once.
+    A collision anywhere in the q_n + q_{n-1} points nudges the base
+    point (``orbit_avoiding_breaks``); ``DynamicalPartition.coarsen``
+    cuts every shallower rank from the same orbit.
     """
     if n < 1:
         raise ValueError("partition rank must be >= 1")
@@ -130,63 +206,9 @@ def build_partition(
         raise RankTooShallow(
             f"need {n} partial quotients to build rank {n}, have {cf.depth}"
         )
-    q_n, q_nm1 = cf.q(n), cf.q(n - 1)
-    total = q_n + q_nm1
+    total = cf.q(n) + cf.q(n - 1)
     pts, x0_used, nudges = orbit_avoiding_breaks(m, x0, total - 1, cap=cap)
-
-    elements = []
-    nm1_even = (n - 1) % 2 == 0
-    for i in range(q_n):
-        li, ri = _oriented(i, i + q_nm1, nm1_even)
-        length = arc_length(pts[li], pts[ri])
-        elements.append(
-            PartitionElement(CircleInterval(pts[li], length), n - 1, i, li, ri)
-        )
-    n_even = n % 2 == 0
-    for j in range(q_nm1):
-        lj, rj = _oriented(j, j + q_n, n_even)
-        length = arc_length(pts[lj], pts[rj])
-        elements.append(
-            PartitionElement(CircleInterval(pts[lj], length), n, j, lj, rj)
-        )
-
-    # Adjacency audit.  argsort the orbit; successor in sorted circular
-    # order must match each element's right endpoint index.
-    order = sorted(range(total), key=pts.__getitem__)
-    succ = {order[k]: order[(k + 1) % total] for k in range(total)}
-    seen = set()
-    for e in elements:
-        if succ.get(e.left_index) != e.right_index:
-            raise InvariantFailure(
-                f"element (tag {e.rank_tag}, index {e.index}) endpoints "
-                f"{e.left_index}->{e.right_index} are not circularly adjacent; "
-                "orbit order does not match the rotation combinatorics"
-            )
-        if e.left_index in seen:
-            raise InvariantFailure(f"orbit gap at index {e.left_index} used twice")
-        seen.add(e.left_index)
-
-    min_len = min(e.interval.length for e in elements)
-    if min_len <= MIN_GAP_EPS * MACHINE_EPS:
-        raise PrecisionBudgetExceeded(
-            f"min element length {min_len:.3e} at rank {n} is below the "
-            f"{MIN_GAP_EPS:.0e}*eps resolution floor; the rank is beyond "
-            "binary64 resolution"
-        )
-
-    tot = sum(e.interval.length for e in elements)
-    if abs(tot - 1) > q_n * 10 * MACHINE_EPS:
-        raise InvariantFailure(f"partition total length {tot!r} deviates from 1")
-
-    return DynamicalPartition(
-        n=n,
-        x0=x0_used,
-        q_n=q_n,
-        q_nm1=q_nm1,
-        elements=tuple(elements),
-        orbit=tuple(pts),
-        nudges=nudges,
-    )
+    return _cut(cf, n, tuple(pts), x0_used, nudges)
 
 
 @dataclass(frozen=True)
@@ -204,10 +226,14 @@ def check_refinement(
 ) -> RefinementReport:
     """Verify xi_{n+1} refines xi_n cell by cell.
 
-    Each rank-(n-1) cell of the coarse partition must split into one
-    rank-(n+1) cell plus k_{n+1} rank-n cells with orbit indices
-    i + q_{n-1} + s*q_n, and the coarse rank-n cells must reappear in
-    the fine partition untouched.
+    The rank-(n-1) cell i of the coarse partition, between orbit points
+    i and i + q_{n-1}, splits into the rank-(n+1) cell i and k_{n+1}
+    rank-n cells i + q_{n-1} + s*q_n, s < k_{n+1}; these chain between
+    the coarse ends because i + q_{n-1} + k_{n+1} q_n = i + q_{n+1}.
+    What the orbit decides is checked: the interior boundary points
+    i + q_{n-1} + s*q_n, 0 < s <= k_{n+1}, lie in the coarse cell, and
+    the coarse rank-n cells reappear in the fine partition with the same
+    left end and length.
     """
     n = coarse.n
     if fine.n != n + 1:
@@ -220,84 +246,35 @@ def check_refinement(
     k_next = cf.quotients[n]  # k_{n+1}, quotients are 1-based
     q_n, q_nm1 = cf.q(n), cf.q(n - 1)
 
-    fine_by_key = {(e.rank_tag, e.index): e for e in fine.elements}
-    split_counts = []
-    for e in coarse.rank_elements(n - 1):
-        i = e.index
-        pieces = []
-        deep = fine_by_key.get((n + 1, i))
-        if deep is None:
+    cells = coarse.elements[:q_n]  # rank n-1, cell i in row i
+    fine_xs = np.array(fine.orbit)
+    for s in range(1, k_next + 1):
+        inner = cells.index + q_nm1 + s * q_n
+        escaped = np.flatnonzero(
+            to_circle_array(fine_xs[inner] - cells.left) > cells.length
+        )
+        if escaped.size:
+            i = int(escaped[0])
             raise RefinementViolation(
-                f"rank-{n + 1} piece with index {i} missing from the fine partition"
-            )
-        pieces.append(deep)
-        for s in range(k_next):
-            idx = i + q_nm1 + s * q_n
-            mid = fine_by_key.get((n, idx))
-            if mid is None:
-                raise RefinementViolation(
-                    f"rank-{n} piece with index {idx} missing while splitting "
-                    f"coarse cell {i}"
-                )
-            pieces.append(mid)
-        # Exact chain check on orbit indices modulo orientation: the piece
-        # boundaries must form a path between the coarse cell's endpoints.
-        boundary = {e.left_index, e.right_index}
-        ends = []
-        inner = {}
-        for p in pieces:
-            for idx2 in (p.left_index, p.right_index):
-                inner[idx2] = inner.get(idx2, 0) + 1
-        for idx2, cnt in inner.items():
-            if cnt == 1:
-                ends.append(idx2)
-            elif cnt != 2:
-                raise RefinementViolation(
-                    f"piece boundary index {idx2} used {cnt} times in cell {i}"
-                )
-        if sorted(ends) != sorted(boundary):
-            raise RefinementViolation(
-                f"pieces of coarse cell {i} do not chain between its endpoints"
-            )
-        # Interior boundaries must fall inside the coarse cell.
-        for idx2 in inner:
-            if idx2 in boundary:
-                continue
-            if not in_arc(fine.orbit[idx2], e.interval.left, e.interval.right):
-                raise RefinementViolation(
-                    f"boundary point {idx2} escapes coarse cell {i}"
-                )
-        split_counts.append(len(pieces))
-        if len(pieces) != k_next + 1:
-            raise RefinementViolation(
-                f"coarse cell {i} split into {len(pieces)} pieces, "
-                f"expected {k_next + 1}"
+                f"boundary point {int(inner[i])} escapes coarse cell {i}"
             )
 
-    persisted = 0
-    for e in coarse.rank_elements(n):
-        twin = fine_by_key.get((n, e.index))
-        if twin is None:
-            raise RefinementViolation(
-                f"rank-{n} cell {e.index} of the coarse partition disappeared"
-            )
-        if (twin.left_index, twin.right_index) != (e.left_index, e.right_index):
-            raise RefinementViolation(
-                f"rank-{n} cell {e.index} changed its orbit indices"
-            )
-        if abs(twin.interval.left - e.interval.left) > 1e-12 or abs(
-            twin.interval.length - e.interval.length
-        ) > 1e-12:
-            raise RefinementViolation(
-                f"rank-{n} cell {e.index} moved between partitions"
-            )
-        persisted += 1
+    # coarse rank-n cell j is the fine rank-n cell j, in row j of fine
+    kept, twin = coarse.elements[q_n:], fine.elements[:q_nm1]
+    moved = np.flatnonzero(
+        (np.abs(twin.left - kept.left) > 1e-12)
+        | (np.abs(twin.length - kept.length) > 1e-12)
+    )
+    if moved.size:
+        raise RefinementViolation(
+            f"rank-{n} cell {int(moved[0])} moved between partitions"
+        )
 
     return RefinementReport(
         n_coarse=n,
         k_next=k_next,
-        split_counts=tuple(split_counts),
-        persisted=persisted,
+        split_counts=(k_next + 1,) * q_n,
+        persisted=q_nm1,
     )
 
 
@@ -369,10 +346,8 @@ def max_element_decay(
     The fitted slope is compared against log lambda, lambda =
     (1 + e^{-v})^{-1/2}; the empirical rate should be at least as fast.
     """
-    rows = []
-    for n in range(1, n_max + 1):
-        part = build_partition(m, cf, x0, n, cap=cap)
-        rows.append((n, float(part.max_length())))
+    deep = build_partition(m, cf, x0, n_max, cap=cap)
+    rows = [(n, deep.coarsen(cf, n).max_length()) for n in range(1, n_max + 1)]
     ns = np.array([r[0] for r in rows], dtype=float)
     logs = np.log(np.array([r[1] for r in rows]))
     slope, intercept = np.polyfit(ns, logs, 1)
@@ -452,7 +427,13 @@ def is_qn_small(
 
 def partition_rows(part: DynamicalPartition):
     """Rows (n, rank_tag, index, left, length) for tabular emission."""
-    return [
-        (part.n, e.rank_tag, e.index, float(e.interval.left), float(e.interval.length))
-        for e in part.elements
-    ]
+    el = part.elements
+    return list(
+        zip(
+            repeat(part.n),
+            el.rank_tag.tolist(),
+            el.index.tolist(),
+            el.left.tolist(),
+            el.length.tolist(),
+        )
+    )

@@ -13,6 +13,9 @@ import math
 import statistics
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+
+import numpy as np
 
 from .numerics import (
     DEFAULT_ORBIT_CAP,
@@ -245,8 +248,7 @@ def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc, cap: int):
     break back by the element's orbit index lands it in one of the two
     generators, i.e. in [T^{q_n}x0, T^{q_{n-1}}x0].
     """
-    el = part.locate(loc)
-    l = el.index
+    l = int(part.elements.index[part.locate(loc)])
     pre = iterate(m, loc, l, direction="backward", cap=cap)[-1] if l else loc
     # parity: x_{q_k} lies right of x0 iff k is even
     if part.n % 2 == 0:
@@ -593,11 +595,8 @@ def qn_distortion_experiment(
         stats = map_stats(m)
         params = make_cover_params(m.breaks[0].sigma, m.breaks[1].sigma, stats.v)
     mirror = mirror_params(params) if two_break else None
-    rows = []
-    for n in ns:
-        part = build_partition(m, cf, x0, n, cap=cap)
-        rows.append(_qn_row(m, cf, part, params, mirror, cap))
-    return rows
+    deep = build_partition(m, cf, x0, ns[-1], cap=cap)
+    return [_qn_row(m, cf, deep.coarsen(cf, n), params, mirror, cap) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -744,19 +743,11 @@ def mass_length_curve(om: OrbitMeasure, part: DynamicalPartition, threshold=0.90
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     rows = partition_masses(om, part)
-    order = sorted(rows, key=lambda r: (-r.density, r.rank_tag, r.index))
-    pts = [(0.0, 0.0)]
-    cum_len = 0.0
-    cum_mass = 0.0
-    hit = None
-    for r in order:
-        cum_len += r.length
-        cum_mass += r.mass
-        pts.append((cum_len, cum_mass))
-        if hit is None and cum_mass >= threshold - 1e-12:
-            hit = cum_len
-    if hit is None:
-        hit = cum_len
+    order = np.lexsort((rows.index, rows.rank_tag, -rows.density))
+    lens = list(accumulate(rows.length[order].tolist()))
+    masses = list(accumulate(rows.mass[order].tolist()))
+    hit = next((l for l, c in zip(lens, masses) if c >= threshold - 1e-12), lens[-1])
+    pts = [(0.0, 0.0)] + list(zip(lens, masses))
     return LorenzCurve(
         n=part.n, points=tuple(pts), lorenz_90_length=hit, threshold=threshold
     )
@@ -1006,10 +997,11 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     rho_est = _rho_enclosure(
         m, config.cap, config.drift_tol, config.measure_points
     )
+    deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)
     om = conjugacy_values(
         m,
         rho_est,
-        config.x0,
+        deep.x0,
         config.measure_points,
         drift_tol=config.drift_tol,
         cap=config.cap,
@@ -1029,7 +1021,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     rows = []
     curves = []
     for n in range(config.n_min, config.n_max + 1):
-        part = build_partition(m, cf, config.x0, n, cap=config.cap)
+        part = deep.coarsen(cf, n)
         qrow = _qn_row(m, cf, part, params, mirror, config.cap)
         curve = mass_length_curve(om, part, threshold=config.threshold)
         curves.append(curve)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from circlebreak.maps import make_pl_two_break, make_pq_two_break, make_rotation
+from circlebreak.partition import CircleInterval
 from circlebreak.rotation import ContinuedFraction, tune_translation
 from circlebreak.singularity import solve_same_orbit
 
@@ -19,6 +20,12 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def cell_interval(part, row):
+    """The arc of cell ``row`` of a partition, as a CircleInterval."""
+    cell = part.elements[row]
+    return CircleInterval(float(cell.left), float(cell.length))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import GOLDEN, cell_interval
 
 from circlebreak.crossratio import Quadruple, distortion, distortion_chain, f_func, g_func
 from circlebreak.maps import make_pq_two_break, make_rotation, map_stats
@@ -75,11 +75,11 @@ def test_primary_02_partition_soundness(gcf):
         part = build_partition(m, gcf, 0.05, n)
         assert len(part.elements) == part.q_n + part.q_nm1
         assert part.q_n == gcf.q(n) and part.q_nm1 == gcf.q(n - 1)
-        elems = sorted(part.elements, key=lambda e: e.interval.left)
-        for cur, nxt in zip(elems, elems[1:] + elems[:1]):
-            gap = arc_length(cur.interval.left, nxt.interval.left)
-            assert gap == pytest.approx(cur.interval.length, abs=1e-12)
-        total = sum(e.interval.length for e in part.elements)
+        cells = sorted(zip(part.elements.left.tolist(), part.elements.length.tolist()))
+        for (left, length), (nxt, _) in zip(cells, cells[1:] + cells[:1]):
+            gap = arc_length(left, nxt)
+            assert gap == pytest.approx(length, abs=1e-12)
+        total = sum(part.elements.length.tolist())
         assert abs(total - 1.0) <= part.q_n * 10 * MACHINE_EPS
     for n in (7, 11):
         rep = check_refinement(
@@ -150,7 +150,7 @@ def test_primary_05_cross_ratio_exactness():
 def test_primary_06_telescoping_identity(pq_map, gcf):
     for n in range(2, 13):
         part = build_partition(pq_map, gcf, 0.05, n)
-        gen = part.elements[0].interval
+        gen = cell_interval(part, 0)
         third = gen.length / 3
         q = Quadruple.from_gaps(gen.left, third, third, third)
         res = distortion_chain(q, pq_map, part.q_n)

@@ -185,6 +185,26 @@ def test_partition_outputs(tmp_path, capsys):
     assert len(lines) == 1 + 13
 
 
+def test_partition_refinement_with_a_nudged_fine_orbit(tmp_path):
+    # x0 is T^-15 of the break a: only the rank-6 orbit (21 points) meets
+    # it, and rank 5 is cut from that orbit, so both share the nudged x0
+    code, out = run(
+        tmp_path,
+        "partition",
+        {
+            "map": PQ_TUNED,
+            "rho": {"cf": [1] * 30},
+            "x0": 0.9892413703822137,
+            "n": 5,
+            "refinement": True,
+        },
+    )
+    assert code == 0
+    doc = json.loads((out / "partition.json").read_text())
+    assert doc["refinement"]["split_min"] == doc["refinement"]["split_max"] == 2
+    assert doc["elements"] == 13
+
+
 def test_distortion_explicit_rows(tmp_path):
     code, out = run(
         tmp_path,
@@ -238,6 +258,22 @@ def test_measure_outputs_and_determinism(tmp_path):
     lines = (out1 / "measure.csv").read_text().splitlines()
     assert lines[0] == "n,rank,index,length,mass,density"
     assert len(lines) == 1 + 13
+
+
+def test_measure_with_a_nudged_partition_orbit(tmp_path):
+    # x0 is T^-52 of the break c: the partition nudges it, and the
+    # measure orbit starts from the nudged base point
+    doc = {
+        "map": PQ_TUNED,
+        "rho": {"cf": [1] * 30},
+        "x0": 0.4483041855580787,
+        "n": 8,
+        "points": 3000,
+    }
+    code, out = run(tmp_path, "measure", doc)
+    assert code == 0
+    rep = json.loads((out / "measure.json").read_text())
+    assert rep["mass_sum"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_stale_artifacts_replaced_atomically(tmp_path):

@@ -29,6 +29,8 @@ from circlebreak.maps import (
 )
 from circlebreak.partition import build_partition
 
+from conftest import cell_interval
+
 
 def test_cross_ratio_equally_spaced():
     assert cross_ratio(Quadruple(0.0, 1.0, 2.0, 3.0)) == 0.25
@@ -107,7 +109,7 @@ def _image_under(q, fn):
 
 def test_chain_matches_direct(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 6)
-    gen = part.elements[0].interval
+    gen = cell_interval(part, 0)
     third = gen.length / 3
     q = Quadruple.from_gaps(gen.left, third, third, third)
     res = distortion_chain(q, pq_map, part.q_n)
@@ -220,7 +222,7 @@ def test_curvature_integral_additive(pq_map):
 def test_coordinate_stability_along_chain(pq_map, gcf):
     stats = map_stats(pq_map)
     part = build_partition(pq_map, gcf, 0.05, 7)
-    gen = part.elements[0].interval
+    gen = cell_interval(part, 0)
     third = gen.length / 3
     q = Quadruple.from_gaps(gen.left, third, third, third)
     track = chain_points(pq_map, q.points, part.q_n)

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from circlebreak.maps import (
     step_with_winding,
     validate_p_homeo,
 )
-from circlebreak.numerics import MACHINE_EPS, to_circle
+from circlebreak.numerics import MACHINE_EPS, to_circle, to_circle_array
 
 from conftest import GOLDEN
 
@@ -283,3 +284,13 @@ def test_monotone_lift():
     xs = sorted(rng.uniform(0, 1) for _ in range(500))
     ys = [evaluate(m, x) for x in xs]
     assert all(b > a for a, b in zip(ys, ys[1:]))
+
+
+def test_to_circle_array_matches_to_circle():
+    eps = MACHINE_EPS
+    xs = [0.0, -0.0, 1.0, -1.0, 0.25, -0.25, 3.75, -2.5, 1e-300, -1e-300]
+    xs += [1 - eps / 2, 1 - eps, 1 - 2 * eps, 1 - 3 * eps, -eps / 2, -eps, -3 * eps]
+    xs += [k + f for k in (-3, 0, 2) for f in (1 - 2 * eps, 1 - 4 * eps)]
+    xs += [random.Random(5).uniform(-4, 4) for _ in range(50)]
+    got = to_circle_array(np.array(xs)).tolist()
+    assert got == [to_circle(x) for x in xs]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import GOLDEN, cell_interval
 
 from circlebreak.errors import (
     IndexMismatch,
@@ -14,10 +14,9 @@ from circlebreak.measure import (
     conjugacy_values,
     mass_identity_residual,
     measure_interval,
-    order_isomorphic,
     partition_masses,
 )
-from circlebreak.numerics import arc_length, to_circle
+from circlebreak.numerics import arc_length
 from circlebreak.partition import CircleInterval, build_partition
 from circlebreak.rotation import RotationEstimate, convergent_error
 
@@ -50,13 +49,6 @@ def test_rotation_arc_mass_is_arc_length(rot_om):
         mass = rot_om.arc_mass(i, j)
         length = arc_length(rot_om.orbit[i], rot_om.orbit[j])
         assert mass == pytest.approx(length, abs=1e-12)
-
-
-def test_order_isomorphism_helper():
-    pts = [0.1, 0.5, 0.9, 0.3]
-    shifted = [to_circle(p + 0.77) for p in pts]
-    assert order_isomorphic(pts, shifted)
-    assert not order_isomorphic(pts, [0.5, 0.1, 0.9, 0.3])
 
 
 def test_rank_masses_are_convergent_errors(pq_om, pq_map, gcf):
@@ -144,9 +136,9 @@ def test_measure_interval_orbit_endpoints_collapse(pq_om):
 
 def test_measure_interval_element_matches_closed_form(pq_om, pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 6)
-    for e in part.elements[:5]:
-        b = measure_interval(pq_om, e.interval)
-        beta = convergent_error(gcf, GOLDEN, e.rank_tag)
+    for row in range(5):
+        b = measure_interval(pq_om, cell_interval(part, row))
+        beta = convergent_error(gcf, GOLDEN, int(part.elements.rank_tag[row]))
         assert b.lower - 1e-12 <= beta <= b.upper + 1e-12
         assert b.width <= 2 * pq_om.max_gap()
 

@@ -1,9 +1,15 @@
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from circlebreak.errors import BreakCollision, PrecisionBudgetExceeded
+from circlebreak.errors import (
+    BreakCollision,
+    PrecisionBudgetExceeded,
+    RefinementViolation,
+)
 from circlebreak.maps import (
     NUDGE,
     iterate,
@@ -14,7 +20,13 @@ from circlebreak.maps import (
     one_sided_derivatives,
     orbit_avoiding_breaks,
 )
-from circlebreak.numerics import BREAK_CLEARANCE_EPS, MACHINE_EPS, arc_length, to_circle
+from circlebreak.numerics import (
+    BREAK_CLEARANCE_EPS,
+    MACHINE_EPS,
+    arc_length,
+    in_arc,
+    to_circle,
+)
 from circlebreak.partition import (
     CircleInterval,
     build_partition,
@@ -32,14 +44,14 @@ from circlebreak.rotation import (
     tune_translation,
 )
 
-from conftest import GOLDEN
+from conftest import GOLDEN, cell_interval
 
 
 def test_rotation_partition_three_distance(gcf):
     part = build_partition(make_rotation(GOLDEN), gcf, 0.0, 4)
     assert (part.q_n, part.q_nm1) == (5, 3)
     assert len(part.elements) == 8
-    lengths = sorted({round(e.interval.length, 12) for e in part.elements})
+    lengths = sorted({round(v, 12) for v in part.elements.length.tolist()})
     assert len(lengths) == 2  # rotations admit exactly two gap sizes here
 
 
@@ -47,8 +59,8 @@ def test_pq_partition_counts(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 6)
     assert (part.q_n, part.q_nm1) == (13, 8)
     assert len(part.elements) == 21
-    assert len(part.rank_elements(5)) == 13
-    assert len(part.rank_elements(6)) == 8
+    assert part.elements.rank_tag.tolist().count(5) == 13
+    assert part.elements.rank_tag.tolist().count(6) == 8
 
 
 def test_rank_one_partition(pq_map, gcf):
@@ -62,10 +74,10 @@ def test_partition_covers_circle(pq_map, gcf):
         total = part.total_length()
         assert abs(total - 1.0) <= part.q_n * 10 * MACHINE_EPS
         # sorted left endpoints + lengths tile without overlap
-        elems = sorted(part.elements, key=lambda e: e.interval.left)
-        for cur, nxt in zip(elems, elems[1:]):
-            gap = arc_length(cur.interval.left, nxt.interval.left)
-            assert gap == pytest.approx(cur.interval.length, abs=1e-12)
+        cells = sorted(zip(part.elements.left.tolist(), part.elements.length.tolist()))
+        for (left, length), (nxt, _) in zip(cells, cells[1:]):
+            gap = arc_length(left, nxt)
+            assert gap == pytest.approx(length, abs=1e-12)
 
 
 def test_refinement_golden_splits_two(pq_map, gcf):
@@ -137,7 +149,7 @@ def test_decay_pq_rate(pq_map, gcf):
 
 def test_is_qn_small_generator(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 6)
-    gen = part.elements[0].interval
+    gen = cell_interval(part, 0)
     assert is_qn_small(pq_map, gcf, gen, 6)
 
 
@@ -149,7 +161,7 @@ def test_is_qn_small_whole_circle(pq_map, gcf):
 def test_endpoint_condition_on_generators(pq_map, gcf):
     for n in (5, 6, 7):
         part = build_partition(pq_map, gcf, 0.05, n)
-        gen = part.elements[0].interval
+        gen = cell_interval(part, 0)
         assert endpoint_condition(pq_map, gcf, gen, n)
 
 
@@ -158,7 +170,7 @@ def test_df_ratio_qn_close(pq_map, gcf):
     stats = map_stats(pq_map)
     n = 7
     part = build_partition(pq_map, gcf, 0.05, n)
-    gen = part.elements[0].interval
+    gen = cell_interval(part, 0)
     x, y = gen.left, gen.right
     for steps in (1, part.q_nm1, part.q_n):
         ratio = df_product(pq_map, x, steps) / df_product(pq_map, y, steps)
@@ -194,7 +206,7 @@ def test_orbit_cap_comes_from_the_caller(monkeypatch, pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 10, cap=1000)
     assert len(part.orbit) == 144
     assert denjoy_product(pq_map, gcf, 0.05, 12, cap=1000) > 0
-    gen = build_partition(pq_map, gcf, 0.05, 12, cap=1000).elements[0].interval
+    gen = cell_interval(build_partition(pq_map, gcf, 0.05, 12, cap=1000), 0)
     assert is_qn_small(pq_map, gcf, gen, 12, cap=1000)
 
 
@@ -268,7 +280,191 @@ def test_orbit_landing_on_a_break_later(request, name):
 
 def test_is_qn_small_cap_is_per_orbit(pq_map, gcf):
     # rank 12: q_12 = 233, so the longest orbit takes 232 evaluations
-    gen = build_partition(pq_map, gcf, 0.05, 12).elements[0].interval
+    gen = cell_interval(build_partition(pq_map, gcf, 0.05, 12), 0)
     assert is_qn_small(pq_map, gcf, gen, 12, cap=232)
     with pytest.raises(PrecisionBudgetExceeded, match="232 exceeds cap 231"):
         is_qn_small(pq_map, gcf, gen, 12, cap=231)
+
+
+# -- point-by-point reference for the column form of a partition ------------
+
+
+def _reference_cells(m, cf, x0, n):
+    """xi_n cell by cell: (rank_tag, index, left_index, right_index, left,
+    length) tuples with an arc_length per cell, audited by a sorted
+    successor map; returns the cells and the orbit."""
+    q_n, q_nm1 = cf.q(n), cf.q(n - 1)
+    total = q_n + q_nm1
+    pts, _, _ = orbit_avoiding_breaks(m, x0, total - 1)
+    cells = []
+    for tag, count, step in ((n - 1, q_n, q_nm1), (n, q_nm1, q_n)):
+        for i in range(count):
+            li, ri = (i, i + step) if tag % 2 == 0 else (i + step, i)
+            cells.append((tag, i, li, ri, pts[li], arc_length(pts[li], pts[ri])))
+    order = sorted(range(total), key=pts.__getitem__)
+    succ = {order[k]: order[(k + 1) % total] for k in range(total)}
+    assert all(succ[c[2]] == c[3] for c in cells)
+    assert len({c[2] for c in cells}) == total
+    return cells, pts
+
+
+def _reference_locate(cells, x):
+    # the first cell, in cell order, whose half-open arc holds x
+    for row, (_, _, _, _, left, length) in enumerate(cells):
+        right = to_circle(left + length)
+        if in_arc(x, left, right) and x != right:
+            return row
+    raise AssertionError(f"no reference cell holds {x!r}")
+
+
+def _reference_refinement(coarse, fine, fine_pts, cf, n):
+    """Split counts and persisted cells by dictionary lookups and an
+    explicit chain test; raises RefinementViolation like the old check."""
+    k_next, q_n, q_nm1 = cf.quotients[n], cf.q(n), cf.q(n - 1)
+    by_key = {(c[0], c[1]): c for c in fine}
+    splits, persisted = [], 0
+    for tag, i, li, ri, left, length in coarse:
+        if tag == n - 1:
+            pieces = [by_key[(n + 1, i)]]
+            pieces += [by_key[(n, i + q_nm1 + s * q_n)] for s in range(k_next)]
+            uses = Counter(idx for p in pieces for idx in p[2:4])
+            assert set(uses.values()) <= {1, 2}
+            assert sorted(idx for idx, c in uses.items() if c == 1) == sorted((li, ri))
+            right = to_circle(left + length)
+            for idx in uses:
+                if idx not in (li, ri) and not in_arc(fine_pts[idx], left, right):
+                    raise RefinementViolation(f"boundary point {idx} escapes cell {i}")
+            splits.append(len(pieces))
+        else:
+            twin = by_key[(n, i)]
+            assert twin[2:4] == (li, ri)
+            if abs(twin[4] - left) > 1e-12 or abs(twin[5] - length) > 1e-12:
+                raise RefinementViolation(f"rank-{n} cell {i} moved")
+            persisted += 1
+    return tuple(splits), persisted
+
+
+@pytest.mark.parametrize("name", ["pq_map", "pl_map", "rot_map"])
+def test_columns_match_point_by_point_reference(request, gcf, name):
+    m = request.getfixturevalue(name)
+    rng = random.Random(11)
+    # 0.2 is the break a of both two-break maps: every rank nudges it once
+    for x0 in (0.05, 0.2, 0.31, 0.77):
+        deep = build_partition(m, gcf, x0, 14)
+        for k in range(1, 15):
+            cells, pts = _reference_cells(m, gcf, x0, k)
+            part = build_partition(m, gcf, x0, k)
+            cut = deep.coarsen(gcf, k)
+            assert part.nudges == deep.nudges
+            for p in (part, cut):
+                assert p.elements.tolist() == cells
+                assert p.orbit == tuple(pts) and p.x0 == deep.x0
+                assert (p.n, p.q_n, p.q_nm1) == (k, gcf.q(k), gcf.q(k - 1))
+                assert p.total_length() == sum(c[5] for c in cells)
+                assert p.max_length() == max(c[5] for c in cells)
+                assert p.min_length() == min(c[5] for c in cells)
+            assert partition_rows(part) == [(k, *c[:2], *c[4:]) for c in cells]
+            if x0 != 0.05:
+                continue
+            probes = [0.0] + [rng.random() for _ in range(10)]
+            probes += [b.location for b in m.breaks]
+            probes += [to_circle(c[4] + c[5] / 2) for c in cells[:: max(1, k)]]
+            for x in probes:
+                assert part.locate(x) == _reference_locate(cells, x)
+            # a cell's left end belongs to it, its right end does not
+            for row in range(0, len(cells), max(1, k)):
+                assert part.locate(cells[row][4]) == row
+
+
+@pytest.mark.parametrize(
+    "quotients, n_max, name",
+    [
+        ([1] * 30, 13, "pq_map"),
+        ([1] * 30, 13, "rot_map"),
+        ([1, 3] * 15, 9, "pq_map"),
+        ([1, 3] * 15, 9, "rot_map"),
+    ],
+)
+def test_refinement_matches_dict_reference(request, quotients, n_max, name):
+    cf = ContinuedFraction.from_quotients(quotients)
+    m = request.getfixturevalue(name)
+    m = m.with_translation(
+        cf.value
+        if name == "rot_map"
+        else tune_translation(m, cf.value, tol=1e-10).translation
+    )
+    for n in range(1, n_max + 1):
+        fine = build_partition(m, cf, 0.05, n + 1)
+        coarse = fine.coarsen(cf, n)
+        splits, persisted = _reference_refinement(
+            _reference_cells(m, cf, 0.05, n)[0],
+            *_reference_cells(m, cf, 0.05, n + 1),
+            cf,
+            n,
+        )
+        for c in (coarse, build_partition(m, cf, 0.05, n)):
+            rep = check_refinement(c, fine, cf)
+            assert rep.k_next == cf.quotients[n]
+            assert (rep.split_counts, rep.persisted) == (splits, persisted)
+            assert set(splits) == {cf.quotients[n] + 1}
+
+
+def test_refinement_of_a_different_map_fails(pq_map, pl_map, gcf):
+    # same base point, but the fine orbit belongs to another map
+    coarse = build_partition(pq_map, gcf, 0.05, 7)
+    fine = build_partition(pl_map, gcf, 0.05, 8)
+    with pytest.raises(RefinementViolation):
+        _reference_refinement(
+            _reference_cells(pq_map, gcf, 0.05, 7)[0],
+            *_reference_cells(pl_map, gcf, 0.05, 8),
+            gcf,
+            7,
+        )
+    with pytest.raises(RefinementViolation):
+        check_refinement(coarse, fine, gcf)
+
+
+def test_refinement_catches_an_escaped_point_and_a_moved_cell(pq_map, gcf):
+    fine = build_partition(pq_map, gcf, 0.05, 8)
+    coarse = fine.coarsen(gcf, 7)
+    # push the interior point i + q_6 + q_7 of coarse cell i = 3 past its
+    # right end, to 1.5 cell lengths from its left end
+    left, length = coarse.elements.left[3], coarse.elements.length[3]
+    orbit = list(fine.orbit)
+    orbit[3 + gcf.q(6) + gcf.q(7)] = to_circle(left + 1.5 * length)
+    escaped = dataclasses.replace(fine, orbit=tuple(orbit))
+    with pytest.raises(RefinementViolation, match="escapes coarse cell 3"):
+        check_refinement(coarse, escaped, gcf)
+    # shift the left end of the fine rank-7 cell 2 alone
+    cells = fine.elements.copy()
+    cells.left[2] += 1e-9
+    moved = dataclasses.replace(fine, elements=cells)
+    with pytest.raises(RefinementViolation, match="rank-7 cell 2 moved"):
+        check_refinement(coarse, moved, gcf)
+
+
+def test_coarsen_of_a_nudged_partition(pq_map, gcf):
+    # the orbit of x0 hits the break c after 15 steps: rank 5 (13 points)
+    # clears it alone, rank 8 (55 points) nudges the base point
+    loc = pq_map.breaks[1].location
+    x0 = iterate(pq_map, loc, 15, direction="backward")[-1]
+    assert build_partition(pq_map, gcf, x0, 5).nudges == 0
+    deep = build_partition(pq_map, gcf, x0, 8)
+    assert deep.nudges == 1 and deep.x0 == to_circle(x0 + NUDGE)
+    for k in range(1, 9):
+        cut = deep.coarsen(gcf, k)
+        direct = build_partition(pq_map, gcf, deep.x0, k)
+        assert cut.x0 == direct.x0 == deep.x0 and cut.nudges == 1
+        assert cut.orbit == direct.orbit
+        assert cut.elements.tolist() == direct.elements.tolist()
+    assert check_refinement(deep.coarsen(gcf, 7), deep, gcf).persisted == gcf.q(6)
+
+
+def test_coarsen_refuses_a_foreign_rank_or_fraction(pq_map, gcf):
+    part = build_partition(pq_map, gcf, 0.05, 6)
+    assert part.coarsen(gcf, 6) is part
+    for k in (0, 7):
+        with pytest.raises(ValueError):
+            part.coarsen(gcf, k)
+    with pytest.raises(ValueError):
+        part.coarsen(ContinuedFraction.from_quotients([2] * 30), 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -15,7 +16,7 @@ from circlebreak.errors import (
 from circlebreak.maps import iterate, map_stats
 from circlebreak.measure import conjugacy_values
 from circlebreak.partition import build_partition
-from circlebreak.rotation import RotationEstimate
+from circlebreak.rotation import ContinuedFraction, RotationEstimate
 from circlebreak.singularity import (
     Enclosure,
     ExperimentConfig,
@@ -27,6 +28,7 @@ from circlebreak.singularity import (
     mass_length_curve,
     mirror_params,
     qn_distortion_experiment,
+    build_experiment_map,
     regular_cover_triple,
     singularity_report,
 )
@@ -266,6 +268,35 @@ def test_lorenz_concentrates_for_pq(pq_om, pq_map, gcf):
     assert deep.lorenz_90_length < shallow.lorenz_90_length < 0.90
 
 
+def _reference_lorenz(om, part, threshold):
+    # cells sorted by (-density, rank_tag, index), summed one at a time
+    cells = []
+    for e in part.elements:
+        mass = om.arc_mass(e.left_index, e.right_index)
+        cells.append((-(mass / e.length), int(e.rank_tag), int(e.index), e.length, mass))
+    pts, cum_len, cum_mass, hit = [(0.0, 0.0)], 0.0, 0.0, None
+    for _, _, _, length, mass in sorted(cells):
+        cum_len += float(length)
+        cum_mass += float(mass)
+        pts.append((cum_len, cum_mass))
+        if hit is None and cum_mass >= threshold - 1e-12:
+            hit = cum_len
+    return tuple(pts), hit
+
+
+@pytest.mark.parametrize("name", ["rot", "pq"])
+def test_lorenz_matches_sorted_reference(request, gcf, name):
+    m = request.getfixturevalue(name + "_map")
+    om = request.getfixturevalue(name + "_om")
+    for n in range(2, 11):
+        part = build_partition(m, gcf, om.x0, n)
+        for threshold in (0.5, 0.9):
+            curve = mass_length_curve(om, part, threshold=threshold)
+            assert (curve.points, curve.lorenz_90_length) == _reference_lorenz(
+                om, part, threshold
+            )
+
+
 def test_lorenz_threshold_validated(rot_om, rot_map, gcf):
     part = build_partition(rot_map, gcf, 0.0, 5)
     with pytest.raises(ValueError):
@@ -344,3 +375,19 @@ def test_report_pq_singular_evidence():
     assert lorenz[-1] < lorenz[0]
     for row in rep.rows:
         assert row.case_tag == "c_outside_U"
+
+
+def test_report_with_a_nudged_base_point():
+    # x0 = T^-30 of the break c: the rank-8 orbit (55 points) meets it, the
+    # rank-5 orbit (13 points) does not; every rank and the measure orbit
+    # start from the one nudged base point
+    cfg = ExperimentConfig(
+        kind="pq", label="pq-short", n_min=5, n_max=8, measure_points=800
+    )
+    m, _, _ = build_experiment_map(cfg)
+    cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+    x0 = iterate(m, m.breaks[1].location, 30, direction="backward")[-1]
+    assert build_partition(m, cf, x0, 8).nudges == 1
+    assert build_partition(m, cf, x0, 5).nudges == 0
+    rep = singularity_report(dataclasses.replace(cfg, x0=x0))
+    assert [(r.n, r.q_n) for r in rep.rows] == [(n, cf.q(n)) for n in range(5, 9)]
