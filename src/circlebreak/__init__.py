@@ -8,7 +8,6 @@ measures from absolutely continuous ones.
 """
 
 from .errors import (
-    BracketingTooCoarse,
     BreakCollision,
     BreakNotInStatedInterval,
     CircleBreakError,
@@ -74,11 +73,10 @@ from .crossratio import (
     smooth_distortion_bound,
 )
 from .measure import (
-    MeasureBounds,
     OrbitMeasure,
     conjugacy_values,
+    convergent_masses,
     mass_identity_residual,
-    measure_interval,
     partition_masses,
 )
 from .singularity import (
@@ -87,7 +85,6 @@ from .singularity import (
     LorenzCurve,
     RegularCoverParams,
     SingularityReport,
-    conjugacy_distortion_probe,
     gf_gap,
     make_cover_params,
     mass_length_curve,

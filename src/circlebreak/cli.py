@@ -23,7 +23,7 @@ import random
 import statistics
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from itertools import repeat
 
 from .crossratio import (
@@ -53,13 +53,14 @@ from .partition import (
     partition_rows,
 )
 from .rotation import (
+    TUNE_TOL_FLOOR,
     ContinuedFraction,
     cf_expand_convergents,
     rho_farey,
     rho_iterate_estimate,
     tune_translation,
 )
-from .singularity import ExperimentConfig, _rho_enclosure, singularity_report
+from .singularity import ExperimentConfig, singularity_report
 
 SCHEMA = 1
 
@@ -168,6 +169,33 @@ class _Keys:
             raise ConfigError(f"{self.where} key {key!r} must be an integer")
         return v
 
+    def optional_integer(self, key, default=None):
+        v = self.take(key, default)
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+            raise ConfigError(f"{self.where} key {key!r} must be an integer or null")
+        return v
+
+    def text(self, key, default=_MISSING):
+        v = self.take(key, default)
+        if not isinstance(v, str):
+            raise ConfigError(f"{self.where} key {key!r} must be a string")
+        return v
+
+    def quotients(self, key, default=_MISSING):
+        """A non-empty list of positive integers, as a tuple."""
+        v = self.take(key, default)
+        ok = (
+            isinstance(v, list)
+            and v
+            and all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in v)
+        )
+        if not ok:
+            raise ConfigError(
+                f"{self.where} key {key!r} must be a non-empty list of "
+                "positive integers"
+            )
+        return tuple(v)
+
     def flag(self, key, default=False):
         v = self.take(key, default)
         if not isinstance(v, bool):
@@ -215,17 +243,8 @@ def _cf_from_config(spec, where="rho"):
     """CF-prefix list or a decimal in (0,1), as a ContinuedFraction."""
     if isinstance(spec, dict):
         k = _Keys(spec, where)
-        ks = k.take("cf")
+        ks = k.quotients("cf")
         k.done()
-        ok = (
-            isinstance(ks, list)
-            and ks
-            and all(isinstance(x, int) and not isinstance(x, bool) and x >= 1 for x in ks)
-        )
-        if not ok:
-            raise ConfigError(
-                f"{where}.cf must be a non-empty list of positive integers"
-            )
         return ContinuedFraction.from_quotients(ks)
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         v = float(spec)
@@ -294,6 +313,8 @@ def cmd_tune(doc, outdir, seed):
     tol = k.real("tol", 1e-10)
     cap = k.integer("cap", DEFAULT_ORBIT_CAP)
     k.done()
+    if not tol >= TUNE_TOL_FLOOR:
+        raise ConfigError(f"tol must be at least {TUNE_TOL_FLOOR:g}")
 
     res = tune_translation(m, target.value, tol=tol, cap=cap)
     report = {
@@ -324,6 +345,8 @@ def cmd_partition(doc, outdir, seed):
     refinement = k.flag("refinement", False)
     cap = k.integer("cap", DEFAULT_ORBIT_CAP)
     k.done()
+    if n < 1:
+        raise ConfigError("n must be >= 1")
     if 0 < decay_n_max < 2:
         raise ConfigError("decay_n_max must be at least 2")
 
@@ -511,6 +534,20 @@ def cmd_distortion(doc, outdir, seed):
     )
 
 
+def _rho_enclosure(m, cap: int, drift_tol: float, n_points: int):
+    """Certified rotation-number enclosure sized for the measure orbit.
+
+    Orbit point i carries the conjugacy value {i rho}, so the phi drift
+    over ``n_points`` points is n_points times the enclosure width and
+    must stay under ``drift_tol``.  The Farey descent stops at half that
+    budget, width = 0.5 * drift_tol / n_points; the factor of two keeps
+    the drift check of ``conjugacy_values`` clear of rounding.  If the
+    orbit ``cap`` runs out first, PrecisionBudgetExceeded propagates.
+    """
+    est, _ = rho_farey(m, cap=cap, width=0.5 * drift_tol / n_points)
+    return est
+
+
 def cmd_measure(doc, outdir, seed):
     k = _Keys(doc)
     m, _ = _map_from_config(k.take("map"))
@@ -521,6 +558,12 @@ def cmd_measure(doc, outdir, seed):
     drift_tol = k.real("drift_tol", 1e-6)
     cap = k.integer("cap", DEFAULT_ORBIT_CAP)
     k.done()
+    if n < 1:
+        raise ConfigError("n must be >= 1")
+    if points < 2:
+        raise ConfigError("points must be at least 2")
+    if not drift_tol > 0:
+        raise ConfigError("drift_tol must be positive")
 
     est = _rho_enclosure(m, cap, drift_tol, points)
     part = build_partition(m, cf, x0, n, cap=cap)
@@ -567,17 +610,25 @@ def cmd_measure(doc, outdir, seed):
     )
 
 
+# ExperimentConfig field annotation -> the reader that checks its type.
+_FIELD_READERS = {
+    "str": _Keys.text,
+    "float": _Keys.real,
+    "int": _Keys.integer,
+    "int | None": _Keys.optional_integer,
+    "tuple": _Keys.quotients,
+}
+
+
 def cmd_singularity(doc, outdir, seed):
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown singularity config keys: {', '.join(unknown)}")
-    kwargs = dict(doc)
-    if "rho_quotients" in kwargs:
-        rq = kwargs["rho_quotients"]
-        if not isinstance(rq, list) or not rq:
-            raise ConfigError("rho_quotients must be a non-empty list of integers")
-        kwargs["rho_quotients"] = tuple(rq)
+    # keys left out keep the dataclass defaults
+    k = _Keys(doc, "singularity config")
+    kwargs = {
+        f.name: _FIELD_READERS[f.type](k, f.name)
+        for f in fields(ExperimentConfig)
+        if f.name in doc or f.default is MISSING
+    }
+    k.done()
     config = ExperimentConfig(**kwargs)
 
     report = singularity_report(config)

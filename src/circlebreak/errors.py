@@ -74,11 +74,6 @@ class IndexMismatch(CircleBreakError):
     """Partition and measure objects were built from different orbits."""
 
 
-class BracketingTooCoarse(CircleBreakError):
-    """Orbit-based measure bracketing is too coarse for the requested
-    interval; increase the orbit length."""
-
-
 class RankTooShallow(CircleBreakError):
     """Requested construction under-resolves the arithmetic type at this
     partition rank."""

@@ -1,14 +1,14 @@
 """Invariant-measure values along orbits via the conjugacy to rotation.
 
 With h the conjugacy normalized by h(x0) = 0, the i-th orbit point
-carries the exact value h(x_i) = {i rho}.  Every measure query below is
-a circular difference of these phi values; no density estimation is
-involved anywhere.
+carries the exact value h(x_i) = {i rho}.  Orbit measures are circular
+differences of these phi values; partition masses also have the closed
+form beta_k = |q_k rho - p_k|.  No density estimation is involved
+anywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,39 +16,23 @@ import numpy as np
 from .errors import IndexMismatch, OrderViolation, PrecisionBudgetExceeded
 from .maps import CircleMap, iterate
 from .numerics import DEFAULT_ORBIT_CAP, to_circle, to_circle_array
-from .partition import CircleInterval, DynamicalPartition
+from .partition import DynamicalPartition
 from .rotation import ContinuedFraction, RotationEstimate, convergent_error
 
 
 @dataclass(frozen=True)
 class OrbitMeasure:
-    """Orbit points paired with their exact conjugacy values.
-
-    sorted_pos/sorted_idx cache the circular order of the orbit for
-    bracketing queries.
-    """
+    """Orbit points paired with their exact conjugacy values."""
 
     m: CircleMap
     rho: RotationEstimate
     x0: float
     orbit: tuple
     phi: tuple
-    sorted_pos: tuple
-    sorted_idx: tuple
 
     @property
     def n_points(self) -> int:
         return len(self.orbit)
-
-    def arc_mass(self, i: int, j: int):
-        """Measure of the counterclockwise arc from x_i to x_j."""
-        return to_circle(self.phi[j] - self.phi[i])
-
-    def max_gap(self):
-        """Largest phi mass of a gap between circularly adjacent points."""
-        idx = self.sorted_idx
-        n = len(idx)
-        return max(self.arc_mass(idx[k], idx[(k + 1) % n]) for k in range(n))
 
 
 def _circular_argsort_equal(order_a, order_b) -> bool:
@@ -111,73 +95,7 @@ def conjugacy_values(
         x0=pts[0],
         orbit=tuple(pts),
         phi=phi,
-        sorted_pos=tuple(pts[k] for k in order_orbit),
-        sorted_idx=tuple(order_orbit),
     )
-
-
-@dataclass(frozen=True)
-class MeasureBounds:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.upper <= 1):
-            raise ValueError(f"bad measure bounds ({self.lower}, {self.upper})")
-
-    @property
-    def width(self):
-        return self.upper - self.lower
-
-
-def measure_interval(om: OrbitMeasure, interval: CircleInterval) -> MeasureBounds:
-    """Bracket the invariant measure of an interval by orbit points.
-
-    The lower bound is the mass between the extreme orbit points inside
-    the interval, the upper bound the mass between their outside
-    neighbors; both collapse onto the truth as the orbit fills in.
-    """
-    if interval.length >= 1:
-        return MeasureBounds(1.0, 1.0)
-    pos, idx = om.sorted_pos, om.sorted_idx
-    n = len(pos)
-    left, right = interval.left, interval.right
-
-    lo_k = bisect_left(pos, left)  # first point >= left, linearly
-    hi_k = bisect_right(pos, right) - 1  # last point <= right, linearly
-    if left <= right:
-        inside_first, inside_last = lo_k, hi_k
-        count = hi_k - lo_k + 1
-    else:
-        # Interval wraps 0; inside points are >= left or <= right.
-        count = (n - lo_k) + (hi_k + 1)
-        inside_first = lo_k % n
-        inside_last = hi_k % n
-
-    if count <= 0:
-        lower = 0.0
-        pred = (lo_k - 1) % n
-        upper = om.arc_mass(idx[pred], idx[(pred + 1) % n])
-        return MeasureBounds(lower, min(upper, 1.0))
-
-    first_idx, last_idx = idx[inside_first], idx[inside_last]
-    lower = om.arc_mass(first_idx, last_idx) if count > 1 else 0.0
-    # The measure is nonatomic, so an endpoint sitting exactly on an
-    # orbit point contributes no slack on its side.
-    pred = (
-        first_idx
-        if pos[inside_first] == left
-        else idx[(inside_first - 1) % n]
-    )
-    succ = (
-        last_idx
-        if pos[inside_last] == right
-        else idx[(inside_last + 1) % n]
-    )
-    upper = om.arc_mass(pred, succ) if (pred, succ) != (first_idx, last_idx) else lower
-    if count == n:
-        upper = 1.0
-    return MeasureBounds(min(lower, 1.0), min(upper, 1.0))
 
 
 def partition_masses(om: OrbitMeasure, part: DynamicalPartition):
@@ -210,6 +128,23 @@ def partition_masses(om: OrbitMeasure, part: DynamicalPartition):
         [el.rank_tag, el.index, el.left, el.length, mass, mass / el.length],
         names="rank_tag,index,left,length,mass,density",
     )
+
+
+def convergent_masses(part: DynamicalPartition, cf: ContinuedFraction, rho):
+    """Masses of the cells of xi_n from the convergent errors alone.
+
+    The conjugacy to the rotation by rho carries a rank-k cell onto an
+    arc of length beta_k = |q_k rho - p_k|, so every cell of xi_n has
+    mass beta_{n-1} or beta_n by its rank tag; no orbit is needed.
+    Returns a float array, one mass per cell in the partition's order.
+    """
+    n = part.n
+    if cf.depth < n or (cf.q(n), cf.q(n - 1)) != (part.q_n, part.q_nm1):
+        raise ValueError("continued fraction does not match the partition")
+    betas = np.array(
+        [convergent_error(cf, rho, n - 1), convergent_error(cf, rho, n)]
+    )
+    return betas[part.elements.rank_tag - (n - 1)]
 
 
 def mass_identity_residual(cf: ContinuedFraction, rho, n: int):

@@ -22,6 +22,9 @@ from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, to_circle
 # hit, i.e. the rotation number is declared rational.
 RATIONAL_CUTOFF = 4.0
 
+# Finest translation-tuning tolerance that binary64 can certify.
+TUNE_TOL_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class ContinuedFraction:
@@ -341,8 +344,10 @@ def tune_translation(
     target = float(target_rho)
     if not 0 < target < 1:
         raise ValueError("target rotation number must lie in (0, 1)")
-    if tol < 1e-12:
-        raise ValueError("tolerances below 1e-12 are not certifiable in binary64")
+    if not tol >= TUNE_TOL_FLOOR:
+        raise ValueError(
+            f"tolerances below {TUNE_TOL_FLOOR:g} are not certifiable in binary64"
+        )
     tcf = cf_expand_convergents(target, cf_depth)
     if tcf.depth < 8:
         raise ValueError(

@@ -2,9 +2,9 @@
 
 Turns a tuned two-break map into quantitative evidence about its
 invariant measure: cover triples centered on a break preimage, the G*F
-product gap that keeps Dist(.; f^{q_n}) away from 1, enclosures for the
-conjugacy distortion, and Lorenz-style mass-versus-length curves whose
-collapse is the numerical signature of singularity.
+product gap that keeps Dist(.; f^{q_n}) away from 1, and Lorenz-style
+mass-versus-length curves whose collapse is the numerical signature of
+singularity.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .numerics import (
     wrap_signed,
 )
 from .errors import (
-    BracketingTooCoarse,
     ConfigError,
     HypothesisNotCertified,
     InvalidGeometry,
@@ -43,26 +42,28 @@ from .maps import (
     make_rotation,
     map_stats,
 )
-from .rotation import ContinuedFraction, rho_farey, tune_translation
+from .rotation import TUNE_TOL_FLOOR, ContinuedFraction, rho_farey, tune_translation
 from .partition import CircleInterval, DynamicalPartition, build_partition, is_qn_small
 from .crossratio import (
     Quadruple,
     calibrate_k1,
     chain_points,
-    cross_ratio,
     distortion_chain,
     f_func,
     g_func,
     lift_into,
     normalized_coords,
 )
-from .measure import OrbitMeasure, conjugacy_values, measure_interval, partition_masses
+from .measure import convergent_masses
 
 CASE_TAGS = ("c_outside_U", "c_in_U_left", "c_in_U_right", "a_only")
 
 # Relative slack for certification checks on quantities that are exact
 # by construction up to rounding.
 CERT_SLACK = 1e-9
+
+# Relative accuracy of every partition mass a singularity report uses.
+MASS_REL_TOL = 1e-3
 
 
 @lru_cache(maxsize=32)
@@ -600,131 +601,6 @@ def qn_distortion_experiment(
 
 
 @dataclass(frozen=True)
-class Enclosure:
-    """A closed interval certain to contain the reported quantity."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise InvariantFailure(
-                f"enclosure [{self.lower!r}, {self.upper!r}] is empty"
-            )
-
-    @property
-    def width(self):
-        return self.upper - self.lower
-
-    @property
-    def midpoint(self):
-        return 0.5 * (self.lower + self.upper)
-
-    def contains(self, x) -> bool:
-        return self.lower <= x <= self.upper
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    dist_phi: Enclosure
-    dist_phi_qn: Enclosure
-    ratio: Enclosure
-    identity_residual: float
-    q_n: int
-
-
-def _gap_mass_bounds(om: OrbitMeasure, pts):
-    out = []
-    for u, w in zip(pts, pts[1:]):
-        arc = arc_length(u, w)
-        if arc <= 0:
-            raise BracketingTooCoarse("quadruple points collapsed on the circle")
-        mb = measure_interval(om, CircleInterval(left=u, length=arc))
-        if mb.lower <= 0:
-            raise BracketingTooCoarse(
-                f"orbit of {om.n_points} points cannot separate the gap "
-                f"[{u!r}, {w!r}]; its measure lower bound is 0"
-            )
-        out.append(mb)
-    return out
-
-
-def _cross_ratio_bounds(gaps) -> Enclosure:
-    a, b, c = gaps
-    lo = (a.lower * c.lower) / ((a.lower + b.upper) * (b.upper + c.lower))
-    hi = (a.upper * c.upper) / ((a.upper + b.lower) * (b.lower + c.upper))
-    return Enclosure(lower=lo, upper=hi)
-
-
-def conjugacy_distortion_probe(om: OrbitMeasure, subject, q_n=None) -> ProbeResult:
-    """Enclosures for the conjugacy's cross-ratio distortion on a quadruple.
-
-    subject is a CoverTriple (q_n implied) or a plain Quadruple plus q_n.
-    Gap masses are bracketed by the orbit, giving rigorous enclosures for
-    Dist(z; T_phi) and Dist(T^{q_n}z; T_phi); their ratio must contain
-    Dist(z; f^{q_n}) because phi conjugates the map to the rotation.  The
-    translation-invariance identity Cr(phi z + q_n rho) = Cr(phi z) is
-    recomputed literally as a sanity residual.
-    """
-    if isinstance(subject, CoverTriple):
-        zs = (subject.z1, subject.z2, subject.z3, subject.z4)
-        q_n = subject.q_n
-    elif isinstance(subject, Quadruple):
-        if q_n is None:
-            raise ValueError("plain quadruples need an explicit q_n")
-        zs = subject.points
-    else:
-        raise TypeError("subject must be a CoverTriple or a Quadruple")
-
-    pts = [to_circle(z) for z in zs]
-    cr_z = cross_ratio(Quadruple(*zs))
-    gaps = _gap_mass_bounds(om, pts)
-    cr_phi = _cross_ratio_bounds(gaps)
-    dist_phi = Enclosure(cr_phi.lower / cr_z, cr_phi.upper / cr_z)
-
-    imgs = [iterate(om.m, x, q_n)[-1] for x in pts]
-    lift = [imgs[0]]
-    for u, w in zip(imgs, imgs[1:]):
-        lift.append(lift[-1] + arc_length(u, w))
-    cr_w = cross_ratio(Quadruple(*lift))
-    gaps_img = _gap_mass_bounds(om, imgs)
-    cr_phi_img = _cross_ratio_bounds(gaps_img)
-    dist_phi_qn = Enclosure(cr_phi_img.lower / cr_w, cr_phi_img.upper / cr_w)
-
-    if dist_phi_qn.lower <= 0:
-        raise BracketingTooCoarse("image distortion enclosure touches zero")
-    ratio = Enclosure(
-        dist_phi.lower / dist_phi_qn.upper, dist_phi.upper / dist_phi_qn.lower
-    )
-
-    mids = [0.5 * (g.lower + g.upper) for g in gaps]
-    base = [0.0, mids[0], mids[0] + mids[1], mids[0] + mids[1] + mids[2]]
-    shift = to_circle(q_n * om.rho.value)
-    shifted = [v + shift for v in base]
-    cr_base = _plain_cross_ratio(base)
-    cr_shift = _plain_cross_ratio(shifted)
-    identity_residual = abs(cr_shift - cr_base)
-    if identity_residual > 1e-12:
-        raise InvariantFailure(
-            f"translation moved a cross-ratio by {identity_residual!r}"
-        )
-    return ProbeResult(
-        dist_phi=dist_phi,
-        dist_phi_qn=dist_phi_qn,
-        ratio=ratio,
-        identity_residual=identity_residual,
-        q_n=q_n,
-    )
-
-
-def _plain_cross_ratio(pts):
-    a = pts[1] - pts[0]
-    b = pts[2] - pts[1]
-    c = pts[3] - pts[2]
-    return (a * c) / ((a + b) * (b + c))
-
-
-@dataclass(frozen=True)
 class LorenzCurve:
     """Cumulative (length, mass) after sorting elements by density.
 
@@ -739,15 +615,16 @@ class LorenzCurve:
     threshold: float = 0.90
 
 
-def mass_length_curve(om: OrbitMeasure, part: DynamicalPartition, threshold=0.90):
+def mass_length_curve(part: DynamicalPartition, masses, threshold=0.90):
+    """Lorenz curve of ``part`` with one mass per cell, in cell order."""
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
-    rows = partition_masses(om, part)
-    order = np.lexsort((rows.index, rows.rank_tag, -rows.density))
-    lens = list(accumulate(rows.length[order].tolist()))
-    masses = list(accumulate(rows.mass[order].tolist()))
-    hit = next((l for l, c in zip(lens, masses) if c >= threshold - 1e-12), lens[-1])
-    pts = [(0.0, 0.0)] + list(zip(lens, masses))
+    el = part.elements
+    order = np.lexsort((el.index, el.rank_tag, -(masses / el.length)))
+    lens = list(accumulate(el.length[order].tolist()))
+    cums = list(accumulate(masses[order].tolist()))
+    hit = next((l for l, c in zip(lens, cums) if c >= threshold - 1e-12), lens[-1])
+    pts = [(0.0, 0.0)] + list(zip(lens, cums))
     return LorenzCurve(
         n=part.n, points=tuple(pts), lorenz_90_length=hit, threshold=threshold
     )
@@ -830,8 +707,6 @@ class ExperimentConfig:
     n_max: int = 12
     same_orbit_steps: int | None = None
     tune_tol: float = 1e-10
-    measure_points: int = 1200
-    drift_tol: float = 1e-6
     gap_floor_ratio: float = 0.5
     gap_abs_floor: float = 1e-6
     lorenz_violation_limit: float = 0.05
@@ -849,8 +724,8 @@ class ExperimentConfig:
                 "rho_quotients must reach past n_max with entries >= 1"
             )
         object.__setattr__(self, "rho_quotients", qs)
-        if self.measure_points < 2:
-            raise ConfigError("measure_points must be at least 2")
+        if not self.tune_tol >= TUNE_TOL_FLOOR:
+            raise ConfigError(f"tune_tol must be at least {TUNE_TOL_FLOOR:g}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
         if self.same_orbit_steps is not None and self.same_orbit_steps < 1:
@@ -959,18 +834,22 @@ def build_experiment_map(config: ExperimentConfig):
     return base.with_translation(tr.translation), tr.translation, notes
 
 
-def _rho_enclosure(m: CircleMap, cap: int, drift_tol: float, n_points: int):
-    """Certified rotation-number enclosure sized for the measure orbit.
+def _mass_rho(m: CircleMap, cf: ContinuedFraction, n: int, cap: int):
+    """Rotation number for the cell masses beta_k of ranks k <= n.
 
-    Orbit point i carries the conjugacy value {i rho}, so the phi drift
-    over ``n_points`` points is n_points times the enclosure width and
-    must stay under ``drift_tol``.  The Farey descent stops at half that
-    budget, width = 0.5 * drift_tol / n_points; the factor of two keeps
-    the drift check of ``conjugacy_values`` clear of rounding.  If the
-    orbit ``cap`` runs out first, PrecisionBudgetExceeded propagates.
+    The Farey enclosure stops at width w = 2 * MASS_REL_TOL / (q_n (q_n +
+    q_{n+1})).  Its midpoint rho_hat lies within w/2 of rho, so
+    |beta_k(rho_hat) - beta_k(rho)| <= q_k w / 2, while beta_k >
+    1/(q_k + q_{k+1}).  The relative error of beta_k is therefore below
+    q_k (q_k + q_{k+1}) w / 2, which grows with k and equals MASS_REL_TOL
+    at k = n: every mass of every rank up to n is within MASS_REL_TOL.
+    If the orbit ``cap`` runs out first, PrecisionBudgetExceeded
+    propagates.
     """
-    est, _ = rho_farey(m, cap=cap, width=0.5 * drift_tol / n_points)
-    return est
+    q_n, q_np1 = cf.q(n), cf.q(n + 1)
+    width = 2.0 * MASS_REL_TOL / (q_n * (q_n + q_np1))
+    est, _ = rho_farey(m, cap=cap, width=width)
+    return est.value
 
 
 def _lorenz_trend_ok(values, limit):
@@ -984,7 +863,7 @@ def _lorenz_trend_ok(values, limit):
 
 
 def singularity_report(config: ExperimentConfig) -> SingularityReport:
-    """Full experiment: tune, partition, measure, cover, gap, curve.
+    """Full experiment: tune, enclose rho, partition, cover, gap, curve.
 
     The verdict is SINGULAR_EVIDENCE when the distortion gaps stay
     bounded away from zero on the deep ranks and the length carrying 90%
@@ -994,18 +873,8 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     m, translation, notes = build_experiment_map(config)
     cf = ContinuedFraction.from_quotients(config.rho_quotients)
     stats = map_stats(m)
-    rho_est = _rho_enclosure(
-        m, config.cap, config.drift_tol, config.measure_points
-    )
+    rho = _mass_rho(m, cf, config.n_max, config.cap)
     deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)
-    om = conjugacy_values(
-        m,
-        rho_est,
-        deep.x0,
-        config.measure_points,
-        drift_tol=config.drift_tol,
-        cap=config.cap,
-    )
 
     two_break = len(m.breaks) == 2
     params = None
@@ -1023,7 +892,9 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     for n in range(config.n_min, config.n_max + 1):
         part = deep.coarsen(cf, n)
         qrow = _qn_row(m, cf, part, params, mirror, config.cap)
-        curve = mass_length_curve(om, part, threshold=config.threshold)
+        curve = mass_length_curve(
+            part, convergent_masses(part, cf, rho), threshold=config.threshold
+        )
         curves.append(curve)
         rows.append(
             ReportRow(

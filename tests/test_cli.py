@@ -4,6 +4,9 @@ import os
 import pytest
 
 from circlebreak.cli import main
+from circlebreak.maps import make_rotation
+from circlebreak.partition import build_partition
+from circlebreak.rotation import ContinuedFraction
 
 PQ_GOLDEN_T = 0.6949140919153628  # certified by the tune example config
 
@@ -122,15 +125,20 @@ def test_budget_exhaustion_exits_3_without_files(tmp_path):
 
 
 def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
-    # both commands size the rho enclosure to drift_tol / points; a cap
-    # below the orbit that width needs must fail before anything is written
+    # singularity sizes the rho enclosure by its deepest rank, measure by
+    # drift_tol / points; a cap below the orbit that width needs must fail
+    # before anything is written. At rank 20 the partition orbit fits the
+    # cap, the enclosure's does not.
+    cf = ContinuedFraction.from_quotients([1] * 30)
+    part = build_partition(make_rotation(cf.value), cf, 0.05, 20, cap=100_000)
+    assert len(part.orbit) == cf.q(20) + cf.q(19) == 17_711
     runs = {
         "singularity": {
             "kind": "rotation",
             "label": "capped",
-            "n_min": 4,
-            "n_max": 6,
-            "cap": 10_000,
+            "n_min": 18,
+            "n_max": 20,
+            "cap": 100_000,
         },
         "measure": {
             "map": PQ_TUNED,
@@ -148,6 +156,48 @@ def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
         assert code == 3
         assert os.listdir(out) == []
         assert "exceeds cap" in capsys.readouterr().err
+
+
+SINGULARITY = {"kind": "pq", "n_min": 5, "n_max": 6}
+MEASURE = {"map": PQ_TUNED, "rho": {"cf": [1] * 30}, "x0": 0.05, "n": 5}
+TUNE = {"map": PQ_MAP, "target_rho": {"cf": [1] * 30}}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("singularity", dict(SINGULARITY, n_min="5")),
+        ("singularity", dict(SINGULARITY, x0="abc")),
+        ("singularity", dict(SINGULARITY, cap="big")),
+        ("singularity", dict(SINGULARITY, tune_tol=-1)),
+        ("singularity", dict(SINGULARITY, rho_quotients=[1.5] + [1] * 29)),
+        ("singularity", dict(SINGULARITY, same_orbit_steps=1.0)),
+        ("singularity", {"n_min": 5, "n_max": 6}),
+        ("partition", dict(MEASURE, n=0)),
+        ("measure", dict(MEASURE, n=0)),
+        ("measure", dict(MEASURE, points=1)),
+        ("measure", dict(MEASURE, drift_tol=0)),
+        ("tune", dict(TUNE, tol=-1)),
+    ],
+    ids=[
+        "n_min-string",
+        "x0-string",
+        "cap-string",
+        "tune_tol-negative",
+        "rho_quotients-fraction",
+        "same_orbit_steps-float",
+        "kind-missing",
+        "partition-n-0",
+        "measure-n-0",
+        "measure-points-1",
+        "measure-drift_tol-0",
+        "tune-tol-negative",
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, command, doc):
+    code, out = run(tmp_path, command, doc)
+    assert code == 2
+    assert os.listdir(out) == []
 
 
 def test_unreachable_tolerance_exits_5(tmp_path):

@@ -1,8 +1,7 @@
-import math
-
+import numpy as np
 import pytest
 
-from conftest import GOLDEN, cell_interval
+from conftest import GOLDEN
 
 from circlebreak.errors import (
     IndexMismatch,
@@ -10,15 +9,21 @@ from circlebreak.errors import (
     PrecisionBudgetExceeded,
 )
 from circlebreak.measure import (
-    MeasureBounds,
     conjugacy_values,
+    convergent_masses,
     mass_identity_residual,
-    measure_interval,
     partition_masses,
 )
-from circlebreak.numerics import arc_length
-from circlebreak.partition import CircleInterval, build_partition
-from circlebreak.rotation import RotationEstimate, convergent_error
+from circlebreak.maps import make_rotation
+from circlebreak.numerics import arc_length, to_circle
+from circlebreak.partition import build_partition
+from circlebreak.rotation import (
+    ContinuedFraction,
+    RotationEstimate,
+    convergent_error,
+    rho_farey,
+)
+from circlebreak.singularity import MASS_REL_TOL, mass_length_curve
 
 
 def exact_rho(value):
@@ -42,11 +47,16 @@ def pq_om(pq_map):
     return conjugacy_values(pq_map, tuned_rho(GOLDEN), 0.05, 380)
 
 
+def arc_mass(om, i, j):
+    """Measure of the counterclockwise arc from x_i to x_j."""
+    return to_circle(om.phi[j] - om.phi[i])
+
+
 def test_rotation_arc_mass_is_arc_length(rot_om):
-    idx = rot_om.sorted_idx
+    idx = sorted(range(rot_om.n_points), key=rot_om.orbit.__getitem__)
     for k in range(0, len(idx) - 1, 7):
         i, j = idx[k], idx[k + 1]
-        mass = rot_om.arc_mass(i, j)
+        mass = arc_mass(rot_om, i, j)
         length = arc_length(rot_om.orbit[i], rot_om.orbit[j])
         assert mass == pytest.approx(length, abs=1e-12)
 
@@ -98,65 +108,9 @@ def test_mass_identity():
 def test_push_forward_invariance(pq_om, pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 8)
     for e in part.elements:
-        mass = pq_om.arc_mass(e.left_index, e.right_index)
-        image_mass = pq_om.arc_mass(e.left_index + 1, e.right_index + 1)
+        mass = arc_mass(pq_om, e.left_index, e.right_index)
+        image_mass = arc_mass(pq_om, e.left_index + 1, e.right_index + 1)
         assert image_mass == pytest.approx(mass, abs=1e-10)
-
-
-def test_measure_interval_full_circle(rot_om):
-    b = measure_interval(rot_om, CircleInterval(0.3, 1.0))
-    assert (b.lower, b.upper) == (1.0, 1.0)
-
-
-def test_measure_interval_rotation_lebesgue(rot_map, gcf):
-    om = conjugacy_values(rot_map, exact_rho(gcf.value), 0.0, 10**4)
-    b = measure_interval(om, CircleInterval(0.0, 0.3))
-    assert b.lower <= 0.3 <= b.upper
-    assert b.width <= 2e-3
-
-
-def test_measure_interval_generic_straddle(pq_om):
-    b = measure_interval(pq_om, CircleInterval(0.12, 0.3))
-    assert b.width <= 2 * pq_om.max_gap()
-    assert 0 < b.lower < b.upper < 1
-
-
-def test_measure_interval_orbit_endpoints_collapse(pq_om):
-    # Both endpoints on orbit points: nonatomicity leaves no slack, so
-    # the bracket closes to a single exact value.
-    pos = pq_om.sorted_pos
-    k = 11
-    iv = CircleInterval(pos[k], arc_length(pos[k], pos[k + 5]))
-    b = measure_interval(pq_om, iv)
-    assert b.width == 0.0
-    assert b.lower == pq_om.arc_mass(
-        pq_om.sorted_idx[k], pq_om.sorted_idx[k + 5]
-    )
-
-
-def test_measure_interval_element_matches_closed_form(pq_om, pq_map, gcf):
-    part = build_partition(pq_map, gcf, 0.05, 6)
-    for row in range(5):
-        b = measure_interval(pq_om, cell_interval(part, row))
-        beta = convergent_error(gcf, GOLDEN, int(part.elements.rank_tag[row]))
-        assert b.lower - 1e-12 <= beta <= b.upper + 1e-12
-        assert b.width <= 2 * pq_om.max_gap()
-
-
-def test_measure_interval_empty(pq_om):
-    pos = pq_om.sorted_pos
-    gap_mid = (pos[3] + pos[4]) / 2
-    width = (pos[4] - pos[3]) / 10
-    b = measure_interval(pq_om, CircleInterval(gap_mid, width))
-    assert b.lower == 0.0
-    assert b.upper == pq_om.arc_mass(pq_om.sorted_idx[3], pq_om.sorted_idx[4])
-
-
-def test_bounds_validation():
-    with pytest.raises(ValueError):
-        MeasureBounds(0.5, 0.3)
-    with pytest.raises(ValueError):
-        MeasureBounds(-0.1, 0.3)
 
 
 def test_conjugacy_rejects_wide_enclosure(pq_map):
@@ -187,11 +141,55 @@ def test_partition_masses_orbit_too_short(pq_map, gcf):
         partition_masses(om, part)
 
 
-def test_max_gap_shrinks_with_orbit(rot_map, gcf):
-    coarse = conjugacy_values(rot_map, exact_rho(gcf.value), 0.0, 50)
-    fine = conjugacy_values(rot_map, exact_rho(gcf.value), 0.0, 400)
-    assert fine.max_gap() < coarse.max_gap() < 0.05
-
-
 def test_phi_drift_within_budget(pq_om):
     assert pq_om.rho.width * pq_om.n_points <= 1e-7
+
+
+def mass_rule_width(cf, n):
+    """The rho width a singularity report asks for at deepest rank n."""
+    return 2.0 * MASS_REL_TOL / (cf.q(n) * (cf.q(n) + cf.q(n + 1)))
+
+
+@pytest.mark.parametrize("name", ["pq", "pl", "rot"])
+def test_convergent_masses_match_orbit_masses(request, gcf, name):
+    m = request.getfixturevalue(name + "_map")
+    fine, _ = rho_farey(m, width=1e-11)
+    w = mass_rule_width(gcf, 12)
+    coarse, _ = rho_farey(m, width=w)
+    assert coarse.width <= w
+    deep = build_partition(m, gcf, 0.05, 12)
+    om = conjugacy_values(m, fine, deep.x0, len(deep.orbit))
+    for n in range(2, 13):
+        part = deep.coarsen(gcf, n)
+        orbit = partition_masses(om, part)
+        # same rho: the rank tag picks beta_{n-1} or beta_n exactly
+        same = convergent_masses(part, gcf, fine.value)
+        assert np.abs(same - orbit.mass).max() <= 1e-12
+        # the report's coarser rho: q_k times the rho error, plus rounding
+        q_k = np.array([gcf.q(int(k)) for k in part.elements.rank_tag])
+        masses = convergent_masses(part, gcf, coarse.value)
+        bound = q_k * (coarse.width + fine.width) / 2 + 1e-12
+        assert (np.abs(masses - orbit.mass) <= bound).all()
+        assert (np.abs(masses - orbit.mass) <= MASS_REL_TOL * orbit.mass).all()
+        if m.breaks:
+            assert (
+                mass_length_curve(part, masses).lorenz_90_length
+                == mass_length_curve(part, orbit.mass).lorenz_90_length
+            )
+
+
+def test_convergent_masses_are_the_rank_errors(gcf):
+    # any partition of the golden cf: rank n-1 cells get beta_{n-1}
+    part = build_partition(make_rotation(GOLDEN), gcf, 0.3, 6)
+    masses = convergent_masses(part, gcf, GOLDEN)
+    for tag, mass in zip(part.elements.rank_tag.tolist(), masses.tolist()):
+        assert mass == convergent_error(gcf, GOLDEN, tag)
+    assert sum(masses.tolist()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_convergent_masses_refuse_a_foreign_fraction(pq_map, gcf):
+    part = build_partition(pq_map, gcf, 0.05, 6)
+    with pytest.raises(ValueError):
+        convergent_masses(part, ContinuedFraction.from_quotients([2] * 10), GOLDEN)
+    with pytest.raises(ValueError):
+        convergent_masses(part, ContinuedFraction.from_quotients([1] * 5), GOLDEN)

@@ -1,27 +1,30 @@
 import dataclasses
+import json
 import math
+import os
+import sys
 
 import pytest
 
 from conftest import GOLDEN
 
-from circlebreak.crossratio import Quadruple, distortion_chain
+import circlebreak.measure
+import circlebreak.rotation
+from circlebreak.cli import main
 from circlebreak.errors import (
-    BracketingTooCoarse,
     ConfigError,
     HypothesisNotCertified,
     InvalidGeometry,
     InvariantFailure,
 )
 from circlebreak.maps import iterate, map_stats
-from circlebreak.measure import conjugacy_values
+from circlebreak.measure import convergent_masses
 from circlebreak.partition import build_partition
-from circlebreak.rotation import ContinuedFraction, RotationEstimate
+from circlebreak.rotation import ContinuedFraction
 from circlebreak.singularity import (
-    Enclosure,
+    MASS_REL_TOL,
     ExperimentConfig,
     RegularCoverParams,
-    conjugacy_distortion_probe,
     estimate_r6,
     gf_gap,
     make_cover_params,
@@ -39,22 +42,6 @@ V25 = math.log(2.5)  # |log 2| + |log 0.8|
 @pytest.fixture(scope="module")
 def params25():
     return make_cover_params(2.0, 0.8, V25)
-
-
-@pytest.fixture(scope="module")
-def rot_om(rot_map, gcf):
-    rho = RotationEstimate(
-        value=gcf.value, lower=gcf.value, upper=gcf.value, method="fixed"
-    )
-    return conjugacy_values(rot_map, rho, 0.0, 400)
-
-
-@pytest.fixture(scope="module")
-def pq_om(pq_map):
-    rho = RotationEstimate(
-        value=GOLDEN, lower=GOLDEN - 1e-10, upper=GOLDEN + 1e-10, method="tuned"
-    )
-    return conjugacy_values(pq_map, rho, 0.05, 380)
 
 
 def test_zeta0_closed_form(params25):
@@ -194,67 +181,9 @@ def test_qn_experiment_rejects_empty_range(pq_map, gcf):
         qn_distortion_experiment(pq_map, gcf, 0.05, [])
 
 
-def test_enclosure_basics():
-    e = Enclosure(0.5, 1.5)
-    assert e.width == 1.0 and e.midpoint == 1.0
-    assert e.contains(0.5) and e.contains(1.5) and not e.contains(1.6)
-    with pytest.raises(InvariantFailure):
-        Enclosure(2.0, 1.0)
-
-
-def _orbit_quadruple(om, q_n, stride=3):
-    # Consecutive-in-order orbit points whose indices leave room for q_n
-    # more steps, so the image points are exact orbit hits as well.
-    pos, idx = om.sorted_pos, om.sorted_idx
-    limit = om.n_points - q_n
-    for k in range(len(pos) - 3 * stride):
-        picks = range(k, k + 3 * stride + 1, stride)
-        if all(idx[j] < limit for j in picks):
-            return Quadruple(*(pos[j] for j in picks))
-    raise AssertionError("no index window left for the image quadruple")
-
-
-def test_probe_rotation_trivial(rot_om):
-    q = _orbit_quadruple(rot_om, 13)
-    res = conjugacy_distortion_probe(rot_om, q, q_n=13)
-    assert res.dist_phi.width == 0.0
-    assert res.dist_phi_qn.width == 0.0
-    # orbit points carry ~n_points ulps of iterate rounding against the
-    # once-rounded phi values; cross-ratios divide by gaps of a few 1e-3
-    assert res.dist_phi.midpoint == pytest.approx(1.0, abs=1e-10)
-    assert res.dist_phi_qn.midpoint == pytest.approx(1.0, abs=1e-10)
-    assert res.identity_residual <= 1e-13
-    assert res.ratio.midpoint == pytest.approx(1.0, abs=1e-10)
-
-
-def test_probe_brackets_chain_distortion(pq_om, pq_map):
-    pos = pq_om.sorted_pos
-    k = 30
-    q = Quadruple(pos[k], pos[k + 5], pos[k + 10], pos[k + 15])
-    res = conjugacy_distortion_probe(pq_om, q, q_n=13)
-    chain = distortion_chain(q, pq_map, 13)
-    assert res.ratio.lower - 1e-9 <= chain.total <= res.ratio.upper + 1e-9
-    assert res.identity_residual <= 1e-12
-
-
-def test_probe_coarse_orbit_refused(pq_om, pq_map, gcf):
-    part = build_partition(pq_map, gcf, 0.05, 8)
-    t = regular_cover_triple(pq_map, gcf, part)
-    with pytest.raises(BracketingTooCoarse):
-        conjugacy_distortion_probe(pq_om, t)
-
-
-def test_probe_needs_qn_for_plain_quadruple(pq_om):
-    pos = pq_om.sorted_pos
-    with pytest.raises(ValueError):
-        conjugacy_distortion_probe(
-            pq_om, Quadruple(pos[0], pos[5], pos[10], pos[15])
-        )
-
-
-def test_lorenz_rotation_flat(rot_om, rot_map, gcf):
+def test_lorenz_rotation_flat(rot_map, gcf):
     part = build_partition(rot_map, gcf, 0.0, 7)
-    curve = mass_length_curve(rot_om, part)
+    curve = mass_length_curve(part, convergent_masses(part, gcf, gcf.value))
     assert abs(curve.lorenz_90_length - 0.90) <= 2.0 / part.q_n
     end_len, end_mass = curve.points[-1]
     assert end_len == pytest.approx(1.0, abs=1e-9)
@@ -262,17 +191,19 @@ def test_lorenz_rotation_flat(rot_om, rot_map, gcf):
     assert max(abs(l - m) for l, m in curve.points) < 0.1
 
 
-def test_lorenz_concentrates_for_pq(pq_om, pq_map, gcf):
-    shallow = mass_length_curve(pq_om, build_partition(pq_map, gcf, 0.05, 6))
-    deep = mass_length_curve(pq_om, build_partition(pq_map, gcf, 0.05, 10))
+def test_lorenz_concentrates_for_pq(pq_map, gcf):
+    shallow, deep = (
+        build_partition(pq_map, gcf, 0.05, n) for n in (6, 10)
+    )
+    shallow = mass_length_curve(shallow, convergent_masses(shallow, gcf, GOLDEN))
+    deep = mass_length_curve(deep, convergent_masses(deep, gcf, GOLDEN))
     assert deep.lorenz_90_length < shallow.lorenz_90_length < 0.90
 
 
-def _reference_lorenz(om, part, threshold):
+def _reference_lorenz(part, masses, threshold):
     # cells sorted by (-density, rank_tag, index), summed one at a time
     cells = []
-    for e in part.elements:
-        mass = om.arc_mass(e.left_index, e.right_index)
+    for e, mass in zip(part.elements, masses.tolist()):
         cells.append((-(mass / e.length), int(e.rank_tag), int(e.index), e.length, mass))
     pts, cum_len, cum_mass, hit = [(0.0, 0.0)], 0.0, 0.0, None
     for _, _, _, length, mass in sorted(cells):
@@ -287,20 +218,23 @@ def _reference_lorenz(om, part, threshold):
 @pytest.mark.parametrize("name", ["rot", "pq"])
 def test_lorenz_matches_sorted_reference(request, gcf, name):
     m = request.getfixturevalue(name + "_map")
-    om = request.getfixturevalue(name + "_om")
+    # the rotation at x0 = 0 has cells of both ranks with equal density
+    x0, rho = {"rot": (0.0, gcf.value), "pq": (0.05, GOLDEN)}[name]
     for n in range(2, 11):
-        part = build_partition(m, gcf, om.x0, n)
+        part = build_partition(m, gcf, x0, n)
+        masses = convergent_masses(part, gcf, rho)
         for threshold in (0.5, 0.9):
-            curve = mass_length_curve(om, part, threshold=threshold)
+            curve = mass_length_curve(part, masses, threshold=threshold)
             assert (curve.points, curve.lorenz_90_length) == _reference_lorenz(
-                om, part, threshold
+                part, masses, threshold
             )
 
 
-def test_lorenz_threshold_validated(rot_om, rot_map, gcf):
+def test_lorenz_threshold_validated(rot_map, gcf):
     part = build_partition(rot_map, gcf, 0.0, 5)
+    masses = convergent_masses(part, gcf, gcf.value)
     with pytest.raises(ValueError):
-        mass_length_curve(rot_om, part, threshold=1.2)
+        mass_length_curve(part, masses, threshold=1.2)
 
 
 def test_same_orbit_map_realizes_relation(so_map):
@@ -332,7 +266,7 @@ def test_solve_same_orbit_validation():
         )
 
 
-def test_experiment_config_validation():
+def test_experiment_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="quadratic")
     with pytest.raises(ConfigError):
@@ -344,13 +278,48 @@ def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", same_orbit_steps=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(kind="pq", measure_points=1)
+        ExperimentConfig(kind="pq", tune_tol=1e-13)
+    # masses come from the convergent errors, so the measure-orbit keys of
+    # the measure command mean nothing here: exit 2, nothing written
+    for key, value in (("measure_points", 1200), ("drift_tol", 1e-6)):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"kind": "rotation", "n_min": 4, "n_max": 6, key: value}))
+        out = tmp_path / key
+        out.mkdir()
+        assert main(["singularity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert os.listdir(out) == []
+
+
+def _count_calls(monkeypatch, fn):
+    """Count calls of fn through every circlebreak module binding."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "circlebreak":
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["pq", "rotation"])
+def test_report_encloses_rho_once_and_runs_no_measure_orbit(monkeypatch, kind):
+    cfg = ExperimentConfig(kind=kind, n_min=5, n_max=8)
+    farey = _count_calls(monkeypatch, circlebreak.rotation.rho_farey)
+    orbits = _count_calls(monkeypatch, circlebreak.measure.conjugacy_values)
+    singularity_report(cfg)
+    cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+    width = 2.0 * MASS_REL_TOL / (cf.q(8) * (cf.q(8) + cf.q(9)))
+    assert [call["width"] for call in farey] == [width]
+    assert orbits == []
 
 
 def test_report_rotation_baseline():
-    cfg = ExperimentConfig(
-        kind="rotation", label="baseline", n_min=4, n_max=7, measure_points=400
-    )
+    cfg = ExperimentConfig(kind="rotation", label="baseline", n_min=4, n_max=7)
     rep = singularity_report(cfg)
     assert rep.verdict == "AC_BASELINE"
     assert not rep.gap_floor_ok and not rep.lorenz_trend_ok
@@ -363,9 +332,7 @@ def test_report_rotation_baseline():
 
 
 def test_report_pq_singular_evidence():
-    cfg = ExperimentConfig(
-        kind="pq", label="pq-short", n_min=5, n_max=8, measure_points=800
-    )
+    cfg = ExperimentConfig(kind="pq", label="pq-short", n_min=5, n_max=8)
     rep = singularity_report(cfg)
     assert rep.verdict == "SINGULAR_EVIDENCE"
     assert rep.gap_floor_ok and rep.lorenz_trend_ok
@@ -379,11 +346,9 @@ def test_report_pq_singular_evidence():
 
 def test_report_with_a_nudged_base_point():
     # x0 = T^-30 of the break c: the rank-8 orbit (55 points) meets it, the
-    # rank-5 orbit (13 points) does not; every rank and the measure orbit
-    # start from the one nudged base point
-    cfg = ExperimentConfig(
-        kind="pq", label="pq-short", n_min=5, n_max=8, measure_points=800
-    )
+    # rank-5 orbit (13 points) does not; every rank starts from the one
+    # nudged base point
+    cfg = ExperimentConfig(kind="pq", label="pq-short", n_min=5, n_max=8)
     m, _, _ = build_experiment_map(cfg)
     cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
     x0 = iterate(m, m.breaks[1].location, 30, direction="backward")[-1]
