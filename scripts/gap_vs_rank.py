@@ -20,9 +20,9 @@ def main() -> int:
 
     base = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
     tuned = base.with_translation(
-        tune_translation(base, GOLDEN_CF.value, tol=1e-10).translation
+        tune_translation(base, GOLDEN_CF, tol=1e-10).translation
     )
-    same, _ = solve_same_orbit("pq", 0.2, [1] * 30, sigma_a=2.0, sigma_c=0.8)
+    same, _ = solve_same_orbit("pq", 0.2, GOLDEN_CF, sigma_a=2.0, sigma_c=0.8)
     rot = make_rotation(GOLDEN_CF.value)
 
     print(f"{'n':>3} {'generic pq':>14} {'same-orbit pq':>14} {'rotation':>12}")

@@ -47,7 +47,6 @@ from .rotation import (
     RotationEstimate,
     TuneResult,
     cf_expand_convergents,
-    norm_q_rho,
     rho_farey,
     rho_iterate_estimate,
     tune_translation,

@@ -315,8 +315,12 @@ def cmd_tune(doc, outdir, seed):
     k.done()
     if not tol >= TUNE_TOL_FLOOR:
         raise ConfigError(f"tol must be at least {TUNE_TOL_FLOOR:g}")
+    try:
+        target.bracket_within(tol)
+    except ValueError as e:
+        raise ConfigError(f"target_rho cannot certify tol: {e}") from e
 
-    res = tune_translation(m, target.value, tol=tol, cap=cap)
+    res = tune_translation(m, target, tol=tol, cap=cap)
     report = {
         "schema": SCHEMA,
         "command": "tune",
@@ -560,8 +564,13 @@ def cmd_measure(doc, outdir, seed):
     k.done()
     if n < 1:
         raise ConfigError("n must be >= 1")
-    if points < 2:
-        raise ConfigError("points must be at least 2")
+    if n > cf.depth:
+        raise ConfigError(f"rank {n} needs at least {n} rho quotients")
+    # the measure orbit must cover the partition orbit it assigns masses to
+    if points < cf.q(n) + cf.q(n - 1):
+        raise ConfigError(
+            f"points must be at least q_n + q_(n-1) = {cf.q(n) + cf.q(n - 1)}"
+        )
     if not drift_tol > 0:
         raise ConfigError("drift_tol must be positive")
 
@@ -699,12 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="path to the JSON config")
     ap.add_argument("--out", default=".", help="output directory")
     ap.add_argument(
-        "--precision",
-        choices=("double", "extended"),
-        default="double",
-        help="numeric backend (only double is built in)",
-    )
-    ap.add_argument(
         "--seed", type=int, default=0, help="seed for sampled base points"
     )
     return ap
@@ -713,11 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.precision != "double":
-            raise ConfigError(
-                "the extended precision backend is not built into this "
-                "package; run with --precision double"
-            )
         doc = _load_config(args.config)
         written = _COMMANDS[args.command](doc, args.out, args.seed)
     except ConfigError as e:

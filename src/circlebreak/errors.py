@@ -39,10 +39,6 @@ class NotBracketed(CircleBreakError):
 class TolUnreachable(CircleBreakError):
     """Requested tolerance cannot be certified within the evaluation budget."""
 
-    def __init__(self, msg, achieved=None):
-        super().__init__(msg)
-        self.achieved = achieved
-
 
 class BreakCollision(CircleBreakError):
     """An orbit point landed on (or indistinguishably close to) a break."""

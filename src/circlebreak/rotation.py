@@ -25,6 +25,9 @@ RATIONAL_CUTOFF = 4.0
 # Finest translation-tuning tolerance that binary64 can certify.
 TUNE_TOL_FLOOR = 1e-12
 
+# Translation bisections before tuning gives up.
+MAX_BISECTIONS = 200
+
 
 @dataclass(frozen=True)
 class ContinuedFraction:
@@ -71,6 +74,18 @@ class ContinuedFraction:
     @property
     def value(self) -> float:
         return float(self.fraction())
+
+    def bracket_within(self, tol) -> int:
+        """First n whose convergent bracket [p_{n-1}/q_{n-1}, p_n/q_n] is at
+        most ``tol`` wide; ValueError when the quotients run out first."""
+        for n in range(1, self.depth + 1):
+            # consecutive convergents are 1 / (q_{n-1} q_n) apart
+            if 1 / (self.q(n - 1) * self.q(n)) <= tol:
+                return n
+        raise ValueError(
+            f"no convergent bracket of {self.depth} partial quotients is "
+            f"within {tol:g}; give more quotients"
+        )
 
 
 def cf_quotients_of_fraction(fr: Fraction):
@@ -296,146 +311,93 @@ class TuneResult:
     certified_tol: float
 
 
-def _compare_to_target(m, target_cf: ContinuedFraction, tol, cap):
-    """Certified comparison of rho(m) against an irrational target.
+def _compare_to_target(m, target: ContinuedFraction, n: int, cap):
+    """Certified comparison of rho(m) against the target's n-th bracket.
 
-    Returns ("low" | "high" | "within" | "cap", achieved enclosure width).
-    Uses the target's convergent pairs as Farey test rationals: consecutive
-    convergents bracket the target, and one-point sign tests place rho(m)
-    relative to the bracket.
+    Returns "low", "high" or "within".  Walks the convergent brackets
+    [p_{k-1}/q_{k-1}, p_k/q_k] for k = 1..n: consecutive convergents
+    bracket the target, and one-point sign tests place rho(m) relative to
+    each bracket, so "within" certifies rho(m) in bracket n.  An orbit
+    longer than ``cap`` raises PrecisionBudgetExceeded.
     """
     tr = OrbitTracker(m, cap)
-    convs = target_cf.convergents
-    width = 1.0
-    for n in range(1, len(convs)):
-        (pa, qa), (pb, qb) = convs[n - 1], convs[n]
-        fa = Fraction(pa, qa)
-        fb = Fraction(pb, qb)
-        lo_f, hi_f = (fa, fb) if fa < fb else (fb, fa)
-        q_lo, q_hi = (qa, qb) if fa < fb else (qb, qa)
-        p_lo, p_hi = (lo_f.numerator, hi_f.numerator)
-        if max(q_lo, q_hi) > tr.cap:
-            return "cap", width
-        if tr.sign(p_lo, q_lo) <= 0:
-            return "low", width
-        if tr.sign(p_hi, q_hi) >= 0:
-            return "high", width
-        width = float(hi_f - lo_f)
-        if width <= tol:
-            return "within", width
-    return "cap", width
+    convs = target.convergents
+    for k in range(1, n + 1):
+        # even convergents lie below the target, odd ones above
+        lo, hi = (convs[k - 1], convs[k]) if k % 2 else (convs[k], convs[k - 1])
+        if tr.sign(*lo) <= 0:
+            return "low"
+        if tr.sign(*hi) >= 0:
+            return "high"
+    return "within"
 
 
 def tune_translation(
     m: CircleMap,
-    target_rho,
+    target: ContinuedFraction,
     tol: float = 1e-10,
     cap: int | None = None,
-    max_bisections: int = 200,
-    cf_depth: int = 60,
 ) -> TuneResult:
     """Find t with |rho(f + t) - target| <= tol by certified bisection.
 
-    ``target_rho`` must behave irrationally at working precision (continued
-    fraction depth at least 8); each candidate t is compared to the target
-    through exact Farey tests, so the returned tolerance is certified, not
-    just observed.
+    ``target`` is the finite continued fraction that stands in for an
+    irrational rotation number.  The certificate is its first convergent
+    bracket [p_{n-1}/q_{n-1}, p_n/q_n] at most ``tol`` wide, which holds
+    the target; too few quotients for such a bracket raise ValueError
+    before any orbit runs.  Each candidate t is placed against the
+    brackets by exact Farey tests, and rho(f + t) is monotone in t, so the
+    returned tolerance is certified, not just observed.
     """
-    target = float(target_rho)
-    if not 0 < target < 1:
-        raise ValueError("target rotation number must lie in (0, 1)")
     if not tol >= TUNE_TOL_FLOOR:
         raise ValueError(
             f"tolerances below {TUNE_TOL_FLOOR:g} are not certifiable in binary64"
         )
-    tcf = cf_expand_convergents(target, cf_depth)
-    if tcf.depth < 8:
-        raise ValueError(
-            "target looks rational at working precision (CF depth "
-            f"{tcf.depth} < 8); tuning needs an irrational-like target"
-        )
+    n = target.bracket_within(tol)
+    lo, hi = sorted((target.fraction(n - 1), target.fraction(n)))
+    est = RotationEstimate(
+        value=float((lo + hi) / 2), lower=float(lo), upper=float(hi), method="tuned"
+    )
     base = m.with_translation(0.0)
     # Displacement range of the base lift bounds rho(f_t) - t.
     grid = [i / 512 for i in range(512)] + [b.location for b in base.breaks]
     disps = [evaluate(base, x) - x for x in grid]
     dmin, dmax = min(disps), max(disps)
-    t_lo = target - dmax - 1e-9
-    t_hi = target - dmin + 1e-9
+    t_lo = target.value - dmax - 1e-9
+    t_hi = target.value - dmin + 1e-9
 
     def oracle(t):
-        return _compare_to_target(m.with_translation(t), tcf, tol, cap)
+        return _compare_to_target(m.with_translation(t), target, n, cap)
 
-    r_lo, _ = oracle(t_lo)
-    r_hi, _ = oracle(t_hi)
+    r_lo = oracle(t_lo)
+    r_hi = oracle(t_hi)
     for _ in range(4):
         if r_lo in ("low", "within"):
             break
         t_lo -= 0.5
-        r_lo, _ = oracle(t_lo)
+        r_lo = oracle(t_lo)
     for _ in range(4):
         if r_hi in ("high", "within"):
             break
         t_hi += 0.5
-        r_hi, _ = oracle(t_hi)
+        r_hi = oracle(t_hi)
     if r_lo == "within":
-        est = _estimate_from_target(tcf, tol)
         return TuneResult(t_lo, est, 0, tol)
     if r_hi == "within":
-        est = _estimate_from_target(tcf, tol)
         return TuneResult(t_hi, est, 0, tol)
     if r_lo != "low" or r_hi != "high":
         raise NotBracketed(
-            f"could not bracket target {target!r} within [{t_lo}, {t_hi}]"
+            f"could not bracket target {target.value!r} within [{t_lo}, {t_hi}]"
         )
-    best_width = 1.0
-    for it in range(1, max_bisections + 1):
+    for it in range(1, MAX_BISECTIONS + 1):
         t_mid = 0.5 * (t_lo + t_hi)
-        res, width = oracle(t_mid)
-        best_width = min(best_width, width)
+        res = oracle(t_mid)
         if res == "within":
-            est = _estimate_from_target(tcf, tol)
             return TuneResult(t_mid, est, it, tol)
         if res == "low":
             t_lo = t_mid
-        elif res == "high":
+        else:
             t_hi = t_mid
-        else:  # cap
-            raise TolUnreachable(
-                f"evaluation budget exhausted at enclosure width {width:g}",
-                achieved=width,
-            )
-    raise TolUnreachable(
-        f"no certification after {max_bisections} bisections "
-        f"(best enclosure width {best_width:g})",
-        achieved=best_width,
-    )
-
-
-def _estimate_from_target(tcf: ContinuedFraction, tol) -> RotationEstimate:
-    """Enclosure of the tuned rotation number from the deepest certified
-    convergent bracket of the target."""
-    for n in range(1, len(tcf.convergents)):
-        fa = tcf.fraction(n - 1)
-        fb = tcf.fraction(n)
-        lo, hi = (fa, fb) if fa < fb else (fb, fa)
-        if float(hi - lo) <= tol:
-            return RotationEstimate(
-                value=float((lo + hi) / 2),
-                lower=float(lo),
-                upper=float(hi),
-                method="tuned",
-            )
-    lo = tcf.fraction(tcf.depth - 1)
-    hi = tcf.fraction(tcf.depth)
-    lo, hi = (lo, hi) if lo < hi else (hi, lo)
-    return RotationEstimate(float((lo + hi) / 2), float(lo), float(hi), "tuned")
-
-
-def norm_q_rho(q: int, rho) -> float:
-    """Distance of q*rho to the nearest integer."""
-    x = q * rho
-    f = x - floor(x)
-    return float(min(f, 1 - f))
+    raise TolUnreachable(f"no certification after {MAX_BISECTIONS} bisections")
 
 
 def convergent_error(cf: ContinuedFraction, rho, n: int) -> float:

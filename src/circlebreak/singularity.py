@@ -633,7 +633,7 @@ def mass_length_curve(part: DynamicalPartition, masses, threshold=0.90):
 def solve_same_orbit(
     kind: str,
     a,
-    quotients,
+    target: ContinuedFraction,
     sigma_a=None,
     sigma_c=None,
     slope_ratio=None,
@@ -659,7 +659,6 @@ def solve_same_orbit(
         raise ValueError("m_steps must be >= 1")
     if kind not in ("pq", "pl"):
         raise ValueError("same-orbit construction supports pq and pl maps")
-    target = ContinuedFraction.from_quotients(quotients)
     c = to_circle(a + 0.61 * m_steps)
 
     def build(c_pos, translation=0.0):
@@ -671,12 +670,12 @@ def solve_same_orbit(
     for _ in range(rounds):
         round_tol = max(tune_tol, 1e-2 * gap)
         base = build(c)
-        tr = tune_translation(base, target.value, tol=round_tol, cap=cap)
+        tr = tune_translation(base, target, tol=round_tol, cap=cap)
         tuned = base.with_translation(tr.translation)
         c_new = iterate(tuned, a, m_steps)[-1]
         gap = _circle_gap(c_new, c)
         if gap <= tol and round_tol == tune_tol:
-            tr = tune_translation(build(c_new), target.value, tol=tune_tol, cap=cap)
+            tr = tune_translation(build(c_new), target, tol=tune_tol, cap=cap)
             final = build(c_new, tr.translation)
             resid = _circle_gap(iterate(final, a, m_steps)[-1], c_new)
             if resid > 10.0 * tol:
@@ -726,6 +725,11 @@ class ExperimentConfig:
         object.__setattr__(self, "rho_quotients", qs)
         if not self.tune_tol >= TUNE_TOL_FLOOR:
             raise ConfigError(f"tune_tol must be at least {TUNE_TOL_FLOOR:g}")
+        if self.kind != "rotation":
+            try:
+                ContinuedFraction.from_quotients(qs).bracket_within(self.tune_tol)
+            except ValueError as e:
+                raise ConfigError(f"rho_quotients cannot certify tune_tol: {e}") from e
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
         if self.same_orbit_steps is not None and self.same_orbit_steps < 1:
@@ -802,9 +806,9 @@ class SingularityReport:
         }
 
 
-def build_experiment_map(config: ExperimentConfig):
-    """Map described by the config, tuned to the target rotation number."""
-    target = ContinuedFraction.from_quotients(config.rho_quotients)
+def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
+    """Map described by the config, tuned to ``target``, the continued
+    fraction of ``config.rho_quotients``."""
     notes = []
     if config.kind == "rotation":
         m = make_rotation(target.value)
@@ -813,7 +817,7 @@ def build_experiment_map(config: ExperimentConfig):
         m, tr = solve_same_orbit(
             config.kind,
             config.a,
-            config.rho_quotients,
+            target,
             sigma_a=config.sigma_a,
             sigma_c=config.sigma_c,
             slope_ratio=config.slope_ratio,
@@ -830,7 +834,7 @@ def build_experiment_map(config: ExperimentConfig):
         base = make_pq_two_break(config.a, config.c, config.sigma_a, config.sigma_c)
     else:
         base = make_pl_two_break(config.a, config.c, config.slope_ratio)
-    tr = tune_translation(base, target.value, tol=config.tune_tol, cap=config.cap)
+    tr = tune_translation(base, target, tol=config.tune_tol, cap=config.cap)
     return base.with_translation(tr.translation), tr.translation, notes
 
 
@@ -870,8 +874,8 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     of the mass keeps shrinking; AC_BASELINE when both statistics sit at
     their rigid-rotation values; INCONCLUSIVE otherwise.
     """
-    m, translation, notes = build_experiment_map(config)
     cf = ContinuedFraction.from_quotients(config.rho_quotients)
+    m, translation, notes = build_experiment_map(config, cf)
     stats = map_stats(m)
     rho = _mass_rho(m, cf, config.n_max, config.cap)
     deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)

@@ -42,7 +42,7 @@ def rot_map(gcf):
 def pq_map(gcf):
     """pq two-break map, sigma product 1.6, tuned to the golden mean."""
     base = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
-    res = tune_translation(base, gcf.value, tol=1e-10)
+    res = tune_translation(base, gcf, tol=1e-10)
     return base.with_translation(res.translation)
 
 
@@ -50,12 +50,12 @@ def pq_map(gcf):
 def pl_map(gcf):
     """Piecewise linear two-break map with break orbits in general position."""
     base = make_pl_two_break(0.2, 0.6, 3.0)
-    res = tune_translation(base, gcf.value, tol=1e-10)
+    res = tune_translation(base, gcf, tol=1e-10)
     return base.with_translation(res.translation)
 
 
 @pytest.fixture(scope="session")
-def so_map():
+def so_map(gcf):
     """pq map with the second break on the first break's forward orbit."""
-    m, _ = solve_same_orbit("pq", 0.2, [1] * 30, sigma_a=2.0, sigma_c=0.8)
+    m, _ = solve_same_orbit("pq", 0.2, gcf, sigma_a=2.0, sigma_c=0.8)
     return m

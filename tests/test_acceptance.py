@@ -69,7 +69,7 @@ def test_primary_01_cf_rotation(gcf):
 def test_primary_02_partition_soundness(gcf):
     t0 = time.perf_counter()
     base = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
-    res = tune_translation(base, gcf.value, tol=1e-10)
+    res = tune_translation(base, gcf, tol=1e-10)
     m = base.with_translation(res.translation)
     for n in range(1, 13):
         part = build_partition(m, gcf, 0.05, n)

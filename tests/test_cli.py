@@ -89,14 +89,16 @@ def test_missing_config_exits_2(tmp_path):
 
 
 def test_extended_precision_refused(tmp_path):
-    code, out = run(
-        tmp_path,
-        "rotnum",
-        {"map": {"kind": "rotation", "translation": 0.3}},
-        extra=("--precision", "extended"),
-    )
-    assert code == 2
-    assert os.listdir(out) == []
+    # float64 is the only backend: the option does not exist
+    with pytest.raises(SystemExit) as exc:
+        run(
+            tmp_path,
+            "rotnum",
+            {"map": {"kind": "rotation", "translation": 0.3}},
+            extra=("--precision", "extended"),
+        )
+    assert exc.value.code == 2
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_tune_rejects_pinned_translation(tmp_path):
@@ -178,6 +180,11 @@ TUNE = {"map": PQ_MAP, "target_rho": {"cf": [1] * 30}}
         ("measure", dict(MEASURE, points=1)),
         ("measure", dict(MEASURE, drift_tol=0)),
         ("tune", dict(TUNE, tol=-1)),
+        # brackets of too few quotients cannot certify the tolerance
+        ("tune", dict(TUNE, target_rho=0.25)),
+        ("singularity", dict(SINGULARITY, rho_quotients=[1] * 13, n_max=12)),
+        # one point short of the rank-8 partition orbit, q_8 + q_7 = 55
+        ("measure", dict(MEASURE, n=8, points=54)),
     ],
     ids=[
         "n_min-string",
@@ -192,6 +199,9 @@ TUNE = {"map": PQ_MAP, "target_rho": {"cf": [1] * 30}}
         "measure-points-1",
         "measure-drift_tol-0",
         "tune-tol-negative",
+        "tune-target-rational",
+        "singularity-quotients-short-for-tune_tol",
+        "measure-points-below-partition-orbit",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, doc):
@@ -200,7 +210,8 @@ def test_malformed_config_exits_2(tmp_path, command, doc):
     assert os.listdir(out) == []
 
 
-def test_unreachable_tolerance_exits_5(tmp_path):
+def test_unreachable_tolerance_exits_3(tmp_path):
+    # tol 1e-10 needs the golden bracket of q_26 = 196418, far past the cap
     code, out = run(
         tmp_path,
         "tune",
@@ -211,7 +222,7 @@ def test_unreachable_tolerance_exits_5(tmp_path):
             "cap": 2000,
         },
     )
-    assert code == 5
+    assert code == 3
     assert os.listdir(out) == []
 
 

@@ -92,7 +92,7 @@ def test_refinement_golden_splits_two(pq_map, gcf):
 def test_refinement_large_quotient_splits_four():
     cf = ContinuedFraction.from_quotients([1, 3] + [1] * 28)
     base = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
-    res = tune_translation(base, cf.value, tol=1e-9)
+    res = tune_translation(base, cf, tol=1e-9)
     m = base.with_translation(res.translation)
     coarse = build_partition(m, cf, 0.05, 1)
     fine = build_partition(m, cf, 0.05, 2)
@@ -117,7 +117,7 @@ def test_denjoy_pl_bounds(pl_map, gcf):
 
 def test_denjoy_pl_ratio_two_explicit_bounds(gcf):
     base = make_pl_two_break(0.2, 0.6, 2.0)
-    m = base.with_translation(tune_translation(base, gcf.value, tol=1e-9).translation)
+    m = base.with_translation(tune_translation(base, gcf, tol=1e-9).translation)
     rng = random.Random(17)
     for _ in range(50):
         p = denjoy_product(m, gcf, rng.random(), 8)
@@ -391,7 +391,7 @@ def test_refinement_matches_dict_reference(request, quotients, n_max, name):
     m = m.with_translation(
         cf.value
         if name == "rot_map"
-        else tune_translation(m, cf.value, tol=1e-10).translation
+        else tune_translation(m, cf, tol=1e-10).translation
     )
     for n in range(1, n_max + 1):
         fine = build_partition(m, cf, 0.05, n + 1)

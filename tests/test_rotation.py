@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from circlebreak.errors import PrecisionBudgetExceeded, TolUnreachable
+from circlebreak.errors import PrecisionBudgetExceeded
 from circlebreak.maps import make_pl_two_break, make_pq_two_break, make_rotation
 from circlebreak.rotation import (
     ContinuedFraction,
     cf_expand_convergents,
-    norm_q_rho,
     rho_farey,
     rho_iterate_estimate,
     tune_translation,
@@ -129,8 +128,8 @@ def test_rho_monotone_in_translation():
     assert all(b >= a - 2e-3 for a, b in zip(vals, vals[1:]))
 
 
-def test_tune_rotation_family_is_identity():
-    res = tune_translation(make_rotation(0.0), GOLDEN, tol=1e-10)
+def test_tune_rotation_family_is_identity(gcf):
+    res = tune_translation(make_rotation(0.0), gcf, tol=1e-10)
     assert res.translation == pytest.approx(GOLDEN, abs=1e-10)
     assert res.certified_tol <= 1e-10
 
@@ -142,21 +141,25 @@ def test_tuned_maps_certified(pq_map, pl_map, gcf):
 
 
 def test_tune_rejects_rational_target():
+    # 1/4 = [4] has the single bracket [0, 1/4]: no tolerance below 1/4
     with pytest.raises(ValueError):
-        tune_translation(make_rotation(0.0), 0.25)
+        tune_translation(make_rotation(0.0), ContinuedFraction.from_quotients([4]))
 
 
-def test_tune_cap_exhaustion():
+def test_tune_cap_exhaustion(gcf):
     base = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
-    with pytest.raises(TolUnreachable):
-        tune_translation(base, GOLDEN, tol=1e-10, cap=2000)
+    with pytest.raises(PrecisionBudgetExceeded):
+        tune_translation(base, gcf, tol=1e-10, cap=2000)
 
 
-def test_norm_q_rho():
-    assert norm_q_rho(3, 1 / 3) == pytest.approx(0.0, abs=1e-15)
-    assert norm_q_rho(2, GOLDEN) == pytest.approx(abs(2 * GOLDEN - 1), abs=1e-15)
-    cf = ContinuedFraction.from_quotients([1] * 20)
-    for n in range(2, 10):
-        assert norm_q_rho(cf.q(n), GOLDEN) == pytest.approx(
-            abs(cf.q(n) * GOLDEN - cf.p(n)), abs=1e-12
-        )
+def test_tune_certifies_the_last_bracket_of_the_given_quotients():
+    # [1]*16 reaches 7e-7 only at its last bracket (q_15, q_16) = (987, 1597),
+    # 6.3e-7 wide; a float re-expansion of its value loses that bracket
+    cf = ContinuedFraction.from_quotients([1] * 16)
+    base = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
+    res = tune_translation(base, cf, tol=7e-7)
+    lo, hi = sorted((cf.fraction(15), cf.fraction(16)))
+    assert (res.rho.lower, res.rho.upper) == (float(lo), float(hi))
+    assert res.rho.width == pytest.approx(1 / (987 * 1597))
+    est, _ = rho_farey(base.with_translation(res.translation), width=1e-9)
+    assert lo <= est.upper and est.lower <= hi

@@ -237,11 +237,11 @@ def test_lorenz_threshold_validated(rot_map, gcf):
         mass_length_curve(part, masses, threshold=1.2)
 
 
-def test_same_orbit_map_realizes_relation(so_map):
+def test_same_orbit_map_realizes_relation(so_map, gcf):
     from circlebreak.numerics import arc_length
     from circlebreak.singularity import solve_same_orbit
 
-    pl_so, _ = solve_same_orbit("pl", 0.2, [1] * 30, slope_ratio=2.0)
+    pl_so, _ = solve_same_orbit("pl", 0.2, gcf, slope_ratio=2.0)
     # reference translations from a solve that tuned every placement round
     # at the full tune_tol; placement fixes c only to tol = 1e-9, so a solve
     # may land anywhere within that of them
@@ -255,15 +255,13 @@ def test_same_orbit_map_realizes_relation(so_map):
         assert min(arc_length(fa, c), arc_length(c, fa)) <= 10 * 1e-9
 
 
-def test_solve_same_orbit_validation():
+def test_solve_same_orbit_validation(gcf):
     from circlebreak.singularity import solve_same_orbit
 
     with pytest.raises(ValueError):
-        solve_same_orbit("henon", 0.2, [1] * 20, sigma_a=2.0, sigma_c=0.8)
+        solve_same_orbit("henon", 0.2, gcf, sigma_a=2.0, sigma_c=0.8)
     with pytest.raises(ValueError):
-        solve_same_orbit(
-            "pq", 0.2, [1] * 20, sigma_a=2.0, sigma_c=0.8, m_steps=0
-        )
+        solve_same_orbit("pq", 0.2, gcf, sigma_a=2.0, sigma_c=0.8, m_steps=0)
 
 
 def test_experiment_config_validation(tmp_path):
@@ -279,6 +277,14 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(kind="pq", same_orbit_steps=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", tune_tol=1e-13)
+    # 13 golden quotients certify 1e-4 but not the default 1e-10; the
+    # rotation is not tuned, so it does not need the bracket
+    short = dict(rho_quotients=tuple([1] * 13), n_max=12)
+    ExperimentConfig(kind="pq", tune_tol=1e-4, **short)
+    ExperimentConfig(kind="rotation", **short)
+    for kind in ("pq", "pl"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(kind=kind, **short)
     # masses come from the convergent errors, so the measure-orbit keys of
     # the measure command mean nothing here: exit 2, nothing written
     for key, value in (("measure_points", 1200), ("drift_tol", 1e-6)):
@@ -349,8 +355,8 @@ def test_report_with_a_nudged_base_point():
     # rank-5 orbit (13 points) does not; every rank starts from the one
     # nudged base point
     cfg = ExperimentConfig(kind="pq", label="pq-short", n_min=5, n_max=8)
-    m, _, _ = build_experiment_map(cfg)
     cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+    m, _, _ = build_experiment_map(cfg, cf)
     x0 = iterate(m, m.breaks[1].location, 30, direction="backward")[-1]
     assert build_partition(m, cf, x0, 8).nudges == 1
     assert build_partition(m, cf, x0, 5).nudges == 0
