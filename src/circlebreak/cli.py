@@ -353,6 +353,14 @@ def cmd_partition(doc, outdir, seed):
         raise ConfigError("n must be >= 1")
     if 0 < decay_n_max < 2:
         raise ConfigError("decay_n_max must be at least 2")
+    # refinement cuts rank n from rank n + 1
+    deepest = n + 1 if refinement else n
+    for key, rank in (("n", deepest), ("decay_n_max", decay_n_max)):
+        if rank > cf.depth:
+            raise ConfigError(
+                f"{key} reaches rank {rank}, which needs at least {rank} "
+                f"rho quotients, have {cf.depth}"
+            )
 
     # with refinement, rank n is cut from the rank n+1 orbit so both
     # share one base point

@@ -337,16 +337,24 @@ def tune_translation(
     target: ContinuedFraction,
     tol: float = 1e-10,
     cap: int | None = None,
+    family=None,
 ) -> TuneResult:
-    """Find t with |rho(f + t) - target| <= tol by certified bisection.
+    """Find t with |rho(f_t) - target| <= tol by bisection on t.
 
     ``target`` is the finite continued fraction that stands in for an
     irrational rotation number.  The certificate is its first convergent
     bracket [p_{n-1}/q_{n-1}, p_n/q_n] at most ``tol`` wide, which holds
     the target; too few quotients for such a bracket raise ValueError
-    before any orbit runs.  Each candidate t is placed against the
-    brackets by exact Farey tests, and rho(f + t) is monotone in t, so the
-    returned tolerance is certified, not just observed.
+    before any orbit runs.  The returned t is certified by the oracle:
+    exact Farey tests place rho(f_t) of that very map inside the bracket
+    ("within").  Monotonicity of t -> rho(f_t) only lets bisection find
+    such a t; the certificate does not rest on it.
+
+    ``family`` maps t to the map f_t to test and defaults to
+    ``m.with_translation``, i.e. f_t = f + t.  A family that moves more
+    than the translation (the same-orbit maps, whose second break sits at
+    a + t) passes a representative member as ``m``: its displacement
+    range only seeds the starting bracket, whose ends the oracle checks.
     """
     if not tol >= TUNE_TOL_FLOOR:
         raise ValueError(
@@ -357,6 +365,8 @@ def tune_translation(
     est = RotationEstimate(
         value=float((lo + hi) / 2), lower=float(lo), upper=float(hi), method="tuned"
     )
+    if family is None:
+        family = m.with_translation
     base = m.with_translation(0.0)
     # Displacement range of the base lift bounds rho(f_t) - t.
     grid = [i / 512 for i in range(512)] + [b.location for b in base.breaks]
@@ -366,7 +376,7 @@ def tune_translation(
     t_hi = target.value - dmin + 1e-9
 
     def oracle(t):
-        return _compare_to_target(m.with_translation(t), target, n, cap)
+        return _compare_to_target(family(t), target, n, cap)
 
     r_lo = oracle(t_lo)
     r_hi = oracle(t_hi)

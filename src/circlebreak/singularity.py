@@ -198,7 +198,8 @@ class CoverTriple:
     p_index are the forward times at which the hull covers each break;
     p_index is meaningful only when case_tag says the second break is
     covered.  d_n is half the clearance to the q_{n-1}-neighbors, the
-    scale every width is derived from.
+    scale every width is derived from.  cbar is abar itself when c is
+    a's (p_index - l_index)-th image in floating point.
     """
 
     n: int
@@ -297,6 +298,10 @@ def regular_cover_triple(
     c_loc = m.breaks[1].location
     l, abar = _preimage_in_window(m, part, a_loc, cap)
     p, cbar = _preimage_in_window(m, part, c_loc, cap)
+    if p > l and iterate(m, a_loc, p - l, cap=cap)[-1] == c_loc:
+        # c is a's (p - l)-th image in floating point, so its preimage is
+        # abar itself; pulling c back separately would only add rounding
+        cbar = abar
 
     fwd = iterate(m, abar, part.q_nm1, cap=cap)[-1]
     bwd = iterate(m, abar, part.q_nm1, direction="backward", cap=cap)[-1]
@@ -535,6 +540,12 @@ def _qn_row(
         p = triple.p_index
         qp = res.quadruples[p]
         c_lift = lift_into(m.breaks[1].location, qp.z1)
+        if triple.cbar == triple.abar:
+            # c is a's image, so at step p the break is z2's image: offset
+            # 0 up to the chain's rounding.  Re-locating c keeps the factor
+            # audit on the chain's own arithmetic; when that rounding
+            # carries c past z2 into the middle gap, it is z2 all the same
+            c_lift = min(c_lift, qp.z2)
         nc = normalized_coords(qp, cbar=c_lift)
         if triple.case_tag == "c_in_U_left":
             if nc.z is None:
@@ -645,27 +656,54 @@ def solve_same_orbit(
 ):
     """Two-break map with the second break on the first break's orbit.
 
-    Alternates tuning the translation to the target rotation number with
-    re-placing c at f^{m_steps}(a) until both are consistent; each round
-    rebuilds the map because moving c changes it.  Tuning runs coarse to
-    fine: a round tunes only to max(tune_tol, 1e-2 * previous gap), since
-    a finer translation cannot matter while c itself still moves by the
-    gap, and convergence (gap <= tol) counts only on a round tuned at the
-    full ``tune_tol``.  The accepted c is then retuned at ``tune_tol`` and
-    its residual |f^{m_steps}(a) - c| must stay within 10 * tol.  Returns
-    the tuned map and its TuneResult.
+    Every base lift is anchored at f(a) = a, so with ``m_steps`` 1 the
+    condition c = f_t(a) reads c = a + t (mod 1).  The maps
+    h_t = build(a + t, t) are then one family in t, tuned once by
+    ``tune_translation``; ``maps.advance`` computes h_t(a) as a + t bit
+    for bit, so the residual |h_t(a) - c| is exactly 0.
+
+    For ``m_steps`` > 1, c has no closed form in t.  The solve alternates
+    tuning the translation to the target rotation number with re-placing
+    c at f^{m_steps}(a) until both are consistent; each round rebuilds
+    the map because moving c changes it.  Tuning runs coarse to fine: a
+    round tunes only to max(tune_tol, 1e-2 * previous gap), since a finer
+    translation cannot matter while c itself still moves by the gap, and
+    convergence (gap <= tol) counts only on a round tuned at the full
+    ``tune_tol``.  The accepted c is then retuned at ``tune_tol``.
+
+    Either way the residual |f^{m_steps}(a) - c| must stay within
+    10 * tol.  Returns the tuned map and its TuneResult.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
     if kind not in ("pq", "pl"):
         raise ValueError("same-orbit construction supports pq and pl maps")
-    c = to_circle(a + 0.61 * m_steps)
 
     def build(c_pos, translation=0.0):
         if kind == "pq":
             return make_pq_two_break(a, c_pos, sigma_a, sigma_c, translation)
         return make_pl_two_break(a, c_pos, slope_ratio, translation)
 
+    def checked(final, tr):
+        c = final.breaks[1].location
+        resid = _circle_gap(iterate(final, a, m_steps)[-1], c)
+        if resid > 10.0 * tol:
+            raise TolUnreachable(
+                f"same-orbit residual {resid:.3e} exceeds {10.0 * tol:.1e}"
+            )
+        return final, tr
+
+    if m_steps == 1:
+        a_circ = to_circle(a)
+
+        def family(t):
+            return build(to_circle(a_circ + t), t)
+
+        rep = build(to_circle(a_circ + target.value))
+        tr = tune_translation(rep, target, tol=tune_tol, cap=cap, family=family)
+        return checked(family(tr.translation), tr)
+
+    c = to_circle(a + 0.61 * m_steps)
     gap = 1.0
     for _ in range(rounds):
         round_tol = max(tune_tol, 1e-2 * gap)
@@ -676,13 +714,7 @@ def solve_same_orbit(
         gap = _circle_gap(c_new, c)
         if gap <= tol and round_tol == tune_tol:
             tr = tune_translation(build(c_new), target, tol=tune_tol, cap=cap)
-            final = build(c_new, tr.translation)
-            resid = _circle_gap(iterate(final, a, m_steps)[-1], c_new)
-            if resid > 10.0 * tol:
-                raise TolUnreachable(
-                    f"same-orbit residual {resid:.3e} after final retune"
-                )
-            return final, tr
+            return checked(build(c_new, tr.translation), tr)
         c = c_new
     raise TolUnreachable(
         f"same-orbit placement did not converge in {rounds} rounds"

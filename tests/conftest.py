@@ -59,3 +59,10 @@ def so_map(gcf):
     """pq map with the second break on the first break's forward orbit."""
     m, _ = solve_same_orbit("pq", 0.2, gcf, sigma_a=2.0, sigma_c=0.8)
     return m
+
+
+@pytest.fixture(scope="session")
+def pl_so_map(gcf):
+    """Piecewise linear map with both breaks on one orbit (Herman's case)."""
+    m, _ = solve_same_orbit("pl", 0.2, gcf, slope_ratio=2.0)
+    return m

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,8 @@ def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
 SINGULARITY = {"kind": "pq", "n_min": 5, "n_max": 6}
 MEASURE = {"map": PQ_TUNED, "rho": {"cf": [1] * 30}, "x0": 0.05, "n": 5}
 TUNE = {"map": PQ_MAP, "target_rho": {"cf": [1] * 30}}
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -185,6 +188,11 @@ TUNE = {"map": PQ_MAP, "target_rho": {"cf": [1] * 30}}
         ("singularity", dict(SINGULARITY, rho_quotients=[1] * 13, n_max=12)),
         # one point short of the rank-8 partition orbit, q_8 + q_7 = 55
         ("measure", dict(MEASURE, n=8, points=54)),
+        # ranks past the given quotients; the example config refines, so
+        # its deepest rank is n + 1
+        ("partition", dict(PARTITION, rho={"cf": [1] * 5}, n=8)),
+        ("partition", dict(PARTITION, rho={"cf": [1] * 6}, n=4, decay_n_max=9)),
+        ("partition", dict(PARTITION, rho={"cf": [1] * 6}, n=6, decay_n_max=6)),
     ],
     ids=[
         "n_min-string",
@@ -202,6 +210,9 @@ TUNE = {"map": PQ_MAP, "target_rho": {"cf": [1] * 30}}
         "tune-target-rational",
         "singularity-quotients-short-for-tune_tol",
         "measure-points-below-partition-orbit",
+        "partition-n-past-quotients",
+        "partition-decay_n_max-past-quotients",
+        "partition-refinement-past-quotients",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, doc):

@@ -19,6 +19,7 @@ from circlebreak.errors import (
 )
 from circlebreak.maps import iterate, map_stats
 from circlebreak.measure import convergent_masses
+from circlebreak.numerics import arc_length
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction
 from circlebreak.singularity import (
@@ -34,6 +35,7 @@ from circlebreak.singularity import (
     build_experiment_map,
     regular_cover_triple,
     singularity_report,
+    solve_same_orbit,
 )
 
 V25 = math.log(2.5)  # |log 2| + |log 0.8|
@@ -237,27 +239,85 @@ def test_lorenz_threshold_validated(rot_map, gcf):
         mass_length_curve(part, masses, threshold=1.2)
 
 
-def test_same_orbit_map_realizes_relation(so_map, gcf):
-    from circlebreak.numerics import arc_length
-    from circlebreak.singularity import solve_same_orbit
+def _same_orbit_residual(m, steps=1):
+    c = m.breaks[1].location
+    fa = iterate(m, m.breaks[0].location, steps)[-1]
+    return min(arc_length(fa, c), arc_length(c, fa))
 
-    pl_so, _ = solve_same_orbit("pl", 0.2, gcf, slope_ratio=2.0)
-    # reference translations from a solve that tuned every placement round
-    # at the full tune_tol; placement fixes c only to tol = 1e-9, so a solve
-    # may land anywhere within that of them
+
+def test_same_orbit_map_realizes_relation(so_map, pl_so_map):
+    # reference translations from a solve that placed c by alternating
+    # tuning and re-placement; they hold c = f(a) only to 1e-9, so the
+    # one-family solve may land anywhere within that of them
     for m, reference in (
         (so_map, 0.67764929970577559),
-        (pl_so, 0.53478225383731515),
+        (pl_so_map, 0.53478225383731515),
     ):
         assert abs(m.translation - reference) <= 1e-9
-        c = m.breaks[1].location
-        fa = iterate(m, m.breaks[0].location, 1)[-1]
-        assert min(arc_length(fa, c), arc_length(c, fa)) <= 10 * 1e-9
+        assert _same_orbit_residual(m) == 0.0
+
+
+@pytest.mark.parametrize(
+    "kind, a, shape, wraps",
+    [
+        ("pq", 0.2, dict(sigma_a=2.0, sigma_c=0.8), False),
+        ("pl", 0.2, dict(slope_ratio=2.0), False),
+        # a + t passes 1, so c wraps below a
+        ("pq", 0.9, dict(sigma_a=2.0, sigma_c=0.8), True),
+    ],
+    ids=["pq", "pl", "pq-wrapping"],
+)
+def test_same_orbit_one_step_tunes_once(monkeypatch, gcf, kind, a, shape, wraps):
+    import circlebreak.singularity as sing
+
+    calls = []
+    tune = sing.tune_translation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tune(*args, **kwargs)
+
+    monkeypatch.setattr(sing, "tune_translation", counting)
+    m, tr = sing.solve_same_orbit(kind, a, gcf, **shape)
+    assert len(calls) == 1
+    assert m.translation == tr.translation
+    assert m.breaks[0].location == a
+    assert _same_orbit_residual(m) == 0.0
+    assert (m.breaks[1].location < a) == wraps
+
+
+@pytest.mark.parametrize(
+    "kind, shape, reference",
+    [
+        ("pq", dict(sigma_a=2.0, sigma_c=0.8), 0.6936457639359019),
+        ("pl", dict(slope_ratio=2.0), 0.5553289839588207),
+    ],
+    ids=["pq", "pl"],
+)
+def test_same_orbit_two_steps_runs_the_placement_loop(gcf, kind, shape, reference):
+    # c = f_t^2(a) has no closed form in t, so c is placed by alternating
+    # tuning with re-placement; the reference is that loop's translation
+    tol = 1e-9
+    m, _ = solve_same_orbit(kind, 0.2, gcf, m_steps=2, tol=tol, **shape)
+    assert abs(m.translation - reference) <= 1e-9
+    assert _same_orbit_residual(m, steps=2) <= 10 * tol
+
+
+def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
+    # Herman: both breaks on one orbit of a PL map give an AC measure, and
+    # with c exactly f(a) the q_n-distortion gap is rounding only.  At
+    # rank 19 the chain's rounding puts c 4e-9 alpha left of z2; taking
+    # its offset as exactly 0 would move the predicted second-break factor
+    # by 1.6e-9, past the audit's 1e-9 budget
+    ranks = list(range(5, 13)) + [19]
+    rows = qn_distortion_experiment(pl_so_map, gcf, 0.05, ranks)
+    assert [r.n for r in rows] == ranks
+    for r in rows:
+        assert r.case_tag == "c_in_U_left"
+        assert r.gap <= 1e-12, f"rank {r.n}: gap {r.gap!r}"
 
 
 def test_solve_same_orbit_validation(gcf):
-    from circlebreak.singularity import solve_same_orbit
-
     with pytest.raises(ValueError):
         solve_same_orbit("henon", 0.2, gcf, sigma_a=2.0, sigma_c=0.8)
     with pytest.raises(ValueError):
