@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     DegenerateQuadruple,
     HypothesisNotCertified,
-    IndexMismatch,
     InfeasibleDerivatives,
     InvalidGeometry,
     InvariantFailure,

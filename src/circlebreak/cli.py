@@ -163,10 +163,12 @@ class _Keys:
             raise ConfigError(f"{self.where} key {key!r} must be a number")
         return float(v)
 
-    def integer(self, key, default=_MISSING):
+    def integer(self, key, default=_MISSING, minimum=None):
         v = self.take(key, default)
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{self.where} key {key!r} must be an integer")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"{self.where} key {key!r} must be >= {minimum}")
         return v
 
     def optional_integer(self, key, default=None):
@@ -257,12 +259,10 @@ def _cf_from_config(spec, where="rho"):
 def cmd_rotnum(doc, outdir, seed):
     k = _Keys(doc)
     m, _ = _map_from_config(k.take("map"))
-    depth = k.integer("depth", 40)
-    estimate_n = k.integer("estimate_n", 10_000)
-    cap = k.integer("cap", DEFAULT_ORBIT_CAP)
+    depth = k.integer("depth", 40, minimum=1)
+    estimate_n = k.integer("estimate_n", 10_000, minimum=0)
+    cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
-    if depth < 1:
-        raise ConfigError("depth must be >= 1")
 
     est, cfr = rho_farey(m, depth=depth, cap=cap)
     it = rho_iterate_estimate(m, estimate_n, cap=cap) if estimate_n > 0 else None
@@ -311,7 +311,7 @@ def cmd_tune(doc, outdir, seed):
     m, kind = _map_from_config(mspec, forbid_translation=True)
     target = _cf_from_config(k.take("target_rho"), "target_rho")
     tol = k.real("tol", 1e-10)
-    cap = k.integer("cap", DEFAULT_ORBIT_CAP)
+    cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
     if not tol >= TUNE_TOL_FLOOR:
         raise ConfigError(f"tol must be at least {TUNE_TOL_FLOOR:g}")
@@ -343,32 +343,26 @@ def cmd_partition(doc, outdir, seed):
     m, _ = _map_from_config(k.take("map"))
     cf = _cf_from_config(k.take("rho"))
     x0 = k.real("x0", 0.05)
-    n = k.integer("n")
-    denjoy_samples = k.integer("denjoy_samples", 0)
-    decay_n_max = k.integer("decay_n_max", 0)
+    n = k.integer("n", minimum=1)
+    denjoy_samples = k.integer("denjoy_samples", 0, minimum=0)
+    decay_n_max = k.integer("decay_n_max", 0, minimum=0)
     refinement = k.flag("refinement", False)
-    cap = k.integer("cap", DEFAULT_ORBIT_CAP)
+    cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
-    if n < 1:
-        raise ConfigError("n must be >= 1")
-    if 0 < decay_n_max < 2:
-        raise ConfigError("decay_n_max must be at least 2")
-    # refinement cuts rank n from rank n + 1
-    deepest = n + 1 if refinement else n
-    for key, rank in (("n", deepest), ("decay_n_max", decay_n_max)):
+    if decay_n_max == 1:
+        raise ConfigError("decay_n_max must be 0 (no fit) or at least 2")
+    # refinement compares rank n with rank n + 1
+    n_fine = n + 1 if refinement else n
+    for key, rank in (("n", n_fine), ("decay_n_max", decay_n_max)):
         if rank > cf.depth:
             raise ConfigError(
                 f"{key} reaches rank {rank}, which needs at least {rank} "
                 f"rho quotients, have {cf.depth}"
             )
 
-    # with refinement, rank n is cut from the rank n+1 orbit so both
-    # share one base point
-    if refinement:
-        fine = build_partition(m, cf, x0, n + 1, cap=cap)
-        part = fine.coarsen(cf, n)
-    else:
-        part = build_partition(m, cf, x0, n, cap=cap)
+    # every rank is cut from one orbit, so all share one base point
+    deep = build_partition(m, cf, x0, max(n_fine, decay_n_max), cap=cap)
+    part = deep.coarsen(cf, n)
     summary = {
         "schema": SCHEMA,
         "command": "partition",
@@ -407,7 +401,7 @@ def cmd_partition(doc, outdir, seed):
         }
 
     if decay_n_max > 0:
-        fit = max_element_decay(m, cf, x0, decay_n_max, cap=cap)
+        fit = max_element_decay(m, cf, deep.coarsen(cf, decay_n_max))
         summary["decay"] = {
             "rows": [[rn, ln] for rn, ln in fit.rows],
             "slope": fit.slope,
@@ -418,7 +412,7 @@ def cmd_partition(doc, outdir, seed):
         }
 
     if refinement:
-        rep = check_refinement(part, fine, cf)
+        rep = check_refinement(part, deep.coarsen(cf, n + 1), cf)
         summary["refinement"] = {
             "k_next": rep.k_next,
             "expected_splits": rep.k_next + 1,
@@ -565,13 +559,11 @@ def cmd_measure(doc, outdir, seed):
     m, _ = _map_from_config(k.take("map"))
     cf = _cf_from_config(k.take("rho"))
     x0 = k.real("x0", 0.05)
-    n = k.integer("n")
+    n = k.integer("n", minimum=1)
     points = k.integer("points", 2000)
     drift_tol = k.real("drift_tol", 1e-6)
-    cap = k.integer("cap", DEFAULT_ORBIT_CAP)
+    cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
-    if n < 1:
-        raise ConfigError("n must be >= 1")
     if n > cf.depth:
         raise ConfigError(f"rank {n} needs at least {n} rho quotients")
     # the measure orbit must cover the partition orbit it assigns masses to
@@ -584,8 +576,8 @@ def cmd_measure(doc, outdir, seed):
 
     est = _rho_enclosure(m, cap, drift_tol, points)
     part = build_partition(m, cf, x0, n, cap=cap)
-    om = conjugacy_values(m, est, part.x0, points, drift_tol=drift_tol, cap=cap)
-    mrows = partition_masses(om, part)
+    om = conjugacy_values(m, est, part, points, drift_tol=drift_tol, cap=cap)
+    mrows = partition_masses(om)
 
     rank_summary = {}
     for tag in sorted(set(mrows.rank_tag.tolist())):

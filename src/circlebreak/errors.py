@@ -66,10 +66,6 @@ class OrderViolation(CircleBreakError):
     """Orbit circular order disagrees with the rigid-rotation order."""
 
 
-class IndexMismatch(CircleBreakError):
-    """Partition and measure objects were built from different orbits."""
-
-
 class RankTooShallow(CircleBreakError):
     """Requested construction under-resolves the arithmetic type at this
     partition rank."""

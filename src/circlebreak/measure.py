@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexMismatch, OrderViolation, PrecisionBudgetExceeded
-from .maps import CircleMap, iterate
+from .errors import OrderViolation, PrecisionBudgetExceeded
+from .maps import CircleMap, advance
 from .numerics import DEFAULT_ORBIT_CAP, to_circle, to_circle_array
 from .partition import DynamicalPartition
 from .rotation import ContinuedFraction, RotationEstimate, convergent_error
@@ -22,11 +22,14 @@ from .rotation import ContinuedFraction, RotationEstimate, convergent_error
 
 @dataclass(frozen=True)
 class OrbitMeasure:
-    """Orbit points paired with their exact conjugacy values."""
+    """A partition's orbit, extended, with the exact conjugacy values.
 
-    m: CircleMap
+    ``orbit`` starts with ``part.orbit``, so partition masses read
+    ``phi`` at the cells' own orbit indices.
+    """
+
+    part: DynamicalPartition
     rho: RotationEstimate
-    x0: float
     orbit: tuple
     phi: tuple
 
@@ -48,12 +51,17 @@ def _circular_argsort_equal(order_a, order_b) -> bool:
 def conjugacy_values(
     m: CircleMap,
     rho: RotationEstimate,
-    x0,
+    part: DynamicalPartition,
     n_points: int,
     drift_tol: float = 1e-7,
     cap: int = DEFAULT_ORBIT_CAP,
 ) -> OrbitMeasure:
-    """Forward orbit of x0 with phi[i] = {i rho}, order-checked.
+    """Orbit of ``part.x0`` to n_points points, phi[i] = {i rho}, order-checked.
+
+    The partition's orbit is extended from its last point; ``advance``
+    does not read the winding, so the points are bit-identical to an
+    orbit iterated afresh from the base point.  ``cap`` bounds the whole
+    orbit, n_points - 1 map steps.
 
     The orbit must be circularly ordered exactly like the rigid
     rotation orbit; any disagreement means rho is not accurate enough
@@ -61,14 +69,19 @@ def conjugacy_values(
     is a hard failure.  The accumulated phi drift n_points * width(rho)
     must stay under drift_tol.
     """
-    if n_points < 2:
-        raise ValueError("need at least two orbit points")
+    pts = list(part.orbit)
+    if n_points < len(pts):
+        raise ValueError(
+            f"{n_points} points cannot extend the partition orbit of {len(pts)}"
+        )
     if rho.width * n_points > drift_tol:
         raise PrecisionBudgetExceeded(
             f"rho enclosure width {rho.width:.3e} lets phi drift past "
             f"{drift_tol:.1e} over {n_points} points; deepen the rho estimate"
         )
-    pts = iterate(m, x0, n_points - 1, cap=cap)
+    if n_points - 1 > cap:
+        raise PrecisionBudgetExceeded(f"orbit length {n_points - 1} exceeds cap {cap}")
+    advance(m, pts[-1], 0, n_points - len(pts), pts)
     val = rho.value
     phi = tuple(to_circle(i * val) for i in range(n_points))
 
@@ -89,17 +102,11 @@ def conjugacy_values(
             "orbit is not circularly ordered like the rigid rotation; "
             "rho estimate too coarse or map not semi-conjugate"
         )
-    return OrbitMeasure(
-        m=m,
-        rho=rho,
-        x0=pts[0],
-        orbit=tuple(pts),
-        phi=phi,
-    )
+    return OrbitMeasure(part=part, rho=rho, orbit=tuple(pts), phi=phi)
 
 
-def partition_masses(om: OrbitMeasure, part: DynamicalPartition):
-    """Exact masses of partition elements from phi differences.
+def partition_masses(om: OrbitMeasure):
+    """Exact masses of the cells of ``om.part`` from phi differences.
 
     Element endpoints are orbit indices, so each mass is a single
     circular difference; per rank the difference is {q rho} for the
@@ -107,22 +114,8 @@ def partition_masses(om: OrbitMeasure, part: DynamicalPartition):
     record array, one row per cell in the partition's order, with the
     columns rank_tag, index, left, length, mass and density.
     """
-    if part.x0 != om.x0:
-        raise IndexMismatch(
-            f"partition base point {part.x0!r} differs from orbit base "
-            f"{om.x0!r}"
-        )
-    total = len(part.orbit)
-    if total > om.n_points:
-        raise IndexMismatch(
-            f"partition references orbit index {total - 1}, measure orbit has "
-            f"{om.n_points} points"
-        )
-    diverged = np.flatnonzero(np.array(part.orbit) != np.array(om.orbit[:total]))
-    if diverged.size:
-        raise IndexMismatch(f"orbits diverge at index {int(diverged[0])}")
-    el = part.elements
-    phi = np.array(om.phi[:total])
+    el = om.part.elements
+    phi = np.array(om.phi[: len(om.part.orbit)])
     mass = to_circle_array(phi[el.right_index] - phi[el.left_index])
     return np.rec.fromarrays(
         [el.rank_tag, el.index, el.left, el.length, mass, mass / el.length],

@@ -335,19 +335,15 @@ class DecayFit:
 
 
 def max_element_decay(
-    m: CircleMap,
-    cf: ContinuedFraction,
-    x0,
-    n_max: int,
-    cap: int = DEFAULT_ORBIT_CAP,
+    m: CircleMap, cf: ContinuedFraction, part: DynamicalPartition
 ) -> DecayFit:
-    """Max cell length of xi_n for n = 1..n_max, with a log-linear fit.
+    """Max cell length of xi_n for n = 1..part.n, with a log-linear fit.
 
-    The fitted slope is compared against log lambda, lambda =
-    (1 + e^{-v})^{-1/2}; the empirical rate should be at least as fast.
+    Every rank is cut from ``part``'s orbit.  The fitted slope is
+    compared against log lambda, lambda = (1 + e^{-v})^{-1/2}; the
+    empirical rate should be at least as fast.
     """
-    deep = build_partition(m, cf, x0, n_max, cap=cap)
-    rows = [(n, deep.coarsen(cf, n).max_length()) for n in range(1, n_max + 1)]
+    rows = [(n, part.coarsen(cf, n).max_length()) for n in range(1, part.n + 1)]
     ns = np.array([r[0] for r in rows], dtype=float)
     logs = np.log(np.array([r[1] for r in rows]))
     slope, intercept = np.polyfit(ns, logs, 1)

@@ -138,7 +138,6 @@ class RotationEstimate:
     value: float
     lower: float
     upper: float
-    method: str
     rational: tuple | None = None
 
     @property
@@ -191,7 +190,6 @@ def rho_iterate_estimate(m: CircleMap, n: int, cap: int | None = None) -> Rotati
         value=to_circle(raw),
         lower=raw - 1.0 / n - shift,
         upper=raw + 1.0 / n - shift,
-        method="iterate",
     )
 
 
@@ -255,7 +253,7 @@ def rho_farey(
     m0 = floor(f0)
     if tr.sign(m0, 1) == 0:
         cfr = ContinuedFraction.from_quotients([1])  # placeholder; rho integer
-        est = RotationEstimate(0.0, 0.0, 0.0, "farey", rational=(m0, 1))
+        est = RotationEstimate(0.0, 0.0, 0.0, rational=(m0, 1))
         return est, cfr
     pl, ql = m0, 1
     ph, qh = m0 + 1, 1
@@ -286,20 +284,18 @@ def rho_farey(
         fr = Fraction(p - m0 * q, q)
         if fr == 0:
             cfr = ContinuedFraction.from_quotients([1])
-            est = RotationEstimate(0.0, 0.0, 0.0, "farey", rational=rational)
+            est = RotationEstimate(0.0, 0.0, 0.0, rational=rational)
             return est, cfr
         ks = cf_quotients_of_fraction(fr)
         cfr = ContinuedFraction.from_quotients(ks)
         v = float(fr)
-        return RotationEstimate(v, v, v, "farey", rational=rational), cfr
+        return RotationEstimate(v, v, v, rational=rational), cfr
     lo = Fraction(pl - m0 * ql, ql)
     hi = Fraction(ph - m0 * qh, qh)
     mid = (lo + hi) / 2
     ks = _quotients_from_moves(moves)
     cfr = ContinuedFraction.from_quotients(ks) if ks else ContinuedFraction((), ((0, 1),))
-    est = RotationEstimate(
-        value=float(mid), lower=float(lo), upper=float(hi), method="farey"
-    )
+    est = RotationEstimate(value=float(mid), lower=float(lo), upper=float(hi))
     return est, cfr
 
 
@@ -363,7 +359,7 @@ def tune_translation(
     n = target.bracket_within(tol)
     lo, hi = sorted((target.fraction(n - 1), target.fraction(n)))
     est = RotationEstimate(
-        value=float((lo + hi) / 2), lower=float(lo), upper=float(hi), method="tuned"
+        value=float((lo + hi) / 2), lower=float(lo), upper=float(hi)
     )
     if family is None:
         family = m.with_translation

@@ -47,7 +47,6 @@ from .partition import CircleInterval, DynamicalPartition, build_partition, is_q
 from .crossratio import (
     Quadruple,
     calibrate_k1,
-    chain_points,
     distortion_chain,
     f_func,
     g_func,
@@ -64,6 +63,9 @@ CERT_SLACK = 1e-9
 
 # Relative accuracy of every partition mass a singularity report uses.
 MASS_REL_TOL = 1e-3
+
+# Placement rounds ``solve_same_orbit`` allows for same_orbit_steps > 1.
+SAME_ORBIT_ROUNDS = 40
 
 
 @lru_cache(maxsize=32)
@@ -181,12 +183,7 @@ def mirror_params(params: RegularCoverParams) -> RegularCoverParams:
     The gap floor shrinks accordingly: the mirrored product tends to
     1/(sigma_a*sigma_c) instead of sigma_a*sigma_c.
     """
-    return make_cover_params(
-        1.0 / params.sigma_a,
-        1.0 / params.sigma_c,
-        params.v,
-        r6_hat=estimate_r6(1.0 / params.sigma_a, 1.0 / params.sigma_c),
-    )
+    return make_cover_params(1.0 / params.sigma_a, 1.0 / params.sigma_c, params.v)
 
 
 @dataclass(frozen=True)
@@ -197,9 +194,8 @@ class CoverTriple:
     preimage sits at z2 (left cases) or z3 (c_in_U_right).  l_index and
     p_index are the forward times at which the hull covers each break;
     p_index is meaningful only when case_tag says the second break is
-    covered.  d_n is half the clearance to the q_{n-1}-neighbors, the
-    scale every width is derived from.  cbar is abar itself when c is
-    a's (p_index - l_index)-th image in floating point.
+    covered.  cbar is abar itself when c is a's (p_index - l_index)-th
+    image in floating point.
     """
 
     n: int
@@ -211,12 +207,10 @@ class CoverTriple:
     case_tag: str
     l_index: int
     p_index: int
-    d_n: float
     abar: float
     cbar: float
     xi0: float
     coord0: float
-    r1: float
 
     def __post_init__(self):
         if self.case_tag not in CASE_TAGS:
@@ -283,9 +277,10 @@ def regular_cover_triple(
     Sizes come from d_n (clearance to the q_{n-1} neighbors of abar)
     through V_n and its zeta0-core U_n; the position of the second
     break's preimage relative to U_n selects between the one-sided cover
-    and the two asymmetric two-break covers.  Everything the downstream
-    lemmas assume is audited here: q_n-smallness of the hull, each break
-    covered exactly once, the normalized coordinates matching C0/zeta0.
+    and the two asymmetric two-break covers.  The q_n-smallness of the
+    hull and the normalized coordinates matching C0/zeta0 are audited
+    here; that each break is covered exactly once along the q_n iterates
+    is audited on the distortion chain (``_check_break_hits``).
     """
     if len(m.breaks) != 2:
         raise InvalidGeometry("cover triples need a map with exactly two breaks")
@@ -355,30 +350,11 @@ def regular_cover_triple(
     else:
         xi0 = gaps[1] / gaps[2]
         coord0 = delta / h_v
-    r1 = max(gaps) / min(gaps)
 
     hull_iv = CircleInterval(left=to_circle(zs[0]), length=zs[3] - zs[0])
     if not is_qn_small(m, cf, hull_iv, part.n, cap=cap):
         raise InvariantFailure(
             f"cover hull of length {zs[3] - zs[0]:.3e} is not q_{part.n}-small"
-        )
-
-    track = chain_points(m, zs, part.q_n)
-    a_hits, c_hits = [], []
-    for j in range(part.q_n):
-        lo, hi = to_circle(track[j][0]), to_circle(track[j][3])
-        if in_arc(a_loc, lo, hi):
-            a_hits.append(j)
-        if in_arc(c_loc, lo, hi):
-            c_hits.append(j)
-    want_c = [p] if tag in ("c_in_U_left", "c_in_U_right") else []
-    if a_hits != [l]:
-        raise InvariantFailure(
-            f"first break covered at steps {a_hits}, expected [{l}]"
-        )
-    if c_hits != want_c:
-        raise InvariantFailure(
-            f"second break covered at steps {c_hits}, expected {want_c}"
         )
 
     if tag in ("c_in_U_left", "c_in_U_right"):
@@ -402,12 +378,10 @@ def regular_cover_triple(
         case_tag=tag,
         l_index=l,
         p_index=p,
-        d_n=d_n,
         abar=abar,
         cbar=cbar,
         xi0=xi0,
         coord0=coord0,
-        r1=r1,
     )
 
 
@@ -481,6 +455,31 @@ def _generator_quadruple(part: DynamicalPartition) -> Quadruple:
     )
 
 
+def _check_break_hits(m: CircleMap, triple: CoverTriple, quads):
+    """Each break is covered exactly once by the q_n hull iterates ``quads``.
+
+    The first break at step l_index; the second at p_index when the case
+    tag says the triple covers it, and never otherwise.
+    """
+    a_loc, c_loc = m.breaks[0].location, m.breaks[1].location
+    a_hits, c_hits = [], []
+    for j, q in enumerate(quads):
+        lo, hi = to_circle(q.z1), to_circle(q.z4)
+        if in_arc(a_loc, lo, hi):
+            a_hits.append(j)
+        if in_arc(c_loc, lo, hi):
+            c_hits.append(j)
+    want_c = [triple.p_index] if triple.covers_second_break else []
+    if a_hits != [triple.l_index]:
+        raise InvariantFailure(
+            f"first break covered at steps {a_hits}, expected [{triple.l_index}]"
+        )
+    if c_hits != want_c:
+        raise InvariantFailure(
+            f"second break covered at steps {c_hits}, expected {want_c}"
+        )
+
+
 def _qn_row(
     m: CircleMap,
     cf: ContinuedFraction,
@@ -497,8 +496,11 @@ def _qn_row(
         triple = None
         quad = _generator_quadruple(part)
     res = distortion_chain(quad, m, part.q_n, cap=cap)
+    iterates = res.quadruples[: part.q_n]
+    if triple is not None:
+        _check_break_hits(m, triple, iterates)
     gap = abs(res.total - 1.0)
-    image_len_sum = sum(q.hull for q in res.quadruples[: part.q_n])
+    image_len_sum = sum(q.hull for q in iterates)
     if image_len_sum > 1.0 + 1e-9:
         raise InvariantFailure(
             f"hull iterates overlap: total image length {image_len_sum!r}"
@@ -651,7 +653,6 @@ def solve_same_orbit(
     m_steps: int = 1,
     tol: float = 1e-9,
     tune_tol: float = 1e-10,
-    rounds: int = 40,
     cap: int = DEFAULT_ORBIT_CAP,
 ):
     """Two-break map with the second break on the first break's orbit.
@@ -705,7 +706,7 @@ def solve_same_orbit(
 
     c = to_circle(a + 0.61 * m_steps)
     gap = 1.0
-    for _ in range(rounds):
+    for _ in range(SAME_ORBIT_ROUNDS):
         round_tol = max(tune_tol, 1e-2 * gap)
         base = build(c)
         tr = tune_translation(base, target, tol=round_tol, cap=cap)
@@ -717,7 +718,7 @@ def solve_same_orbit(
             return checked(build(c_new, tr.translation), tr)
         c = c_new
     raise TolUnreachable(
-        f"same-orbit placement did not converge in {rounds} rounds"
+        f"same-orbit placement did not converge in {SAME_ORBIT_ROUNDS} rounds"
     )
 
 
@@ -766,6 +767,8 @@ class ExperimentConfig:
             raise ConfigError("threshold must lie in (0, 1)")
         if self.same_orbit_steps is not None and self.same_orbit_steps < 1:
             raise ConfigError("same_orbit_steps must be >= 1 when set")
+        if self.cap < 1:
+            raise ConfigError("cap must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def test_primary_03_denjoy_inequality(pq_map, rot_map, gcf):
 
 
 def test_primary_04_decay_rate(pq_map, gcf):
-    fit = max_element_decay(pq_map, gcf, 0.05, 12)
+    fit = max_element_decay(pq_map, gcf, build_partition(pq_map, gcf, 0.05, 12))
     pts = [(n, math.log(length)) for n, length in fit.rows if 4 <= n <= 12]
     assert [n for n, _ in pts] == list(range(4, 13))
     slope, _ = statistics.linear_regression(
@@ -159,14 +159,12 @@ def test_primary_06_telescoping_identity(pq_map, gcf):
 
 
 def test_primary_07_mass_identity(pq_map, gcf):
-    rho = RotationEstimate(
-        value=GOLDEN, lower=GOLDEN - 1e-10, upper=GOLDEN + 1e-10, method="tuned"
-    )
-    om = conjugacy_values(pq_map, rho, 0.05, 380)
+    rho = RotationEstimate(value=GOLDEN, lower=GOLDEN - 1e-10, upper=GOLDEN + 1e-10)
     for n in range(1, 13):
         assert abs(mass_identity_residual(gcf, GOLDEN, n)) < 1e-9
     for n in (6, 9, 12):
-        rows = partition_masses(om, build_partition(pq_map, gcf, 0.05, n))
+        part = build_partition(pq_map, gcf, 0.05, n)
+        rows = partition_masses(conjugacy_values(pq_map, rho, part, 380))
         by_rank = {}
         for r in rows:
             by_rank.setdefault(r.rank_tag, []).append(r.mass)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,7 @@ def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
 SINGULARITY = {"kind": "pq", "n_min": 5, "n_max": 6}
 MEASURE = {"map": PQ_TUNED, "rho": {"cf": [1] * 30}, "x0": 0.05, "n": 5}
 TUNE = {"map": PQ_MAP, "target_rho": {"cf": [1] * 30}}
+ROTNUM = {"map": {"kind": "rotation", "translation": 0.3333333333333333}, "depth": 10}
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
 
@@ -193,6 +195,16 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("partition", dict(PARTITION, rho={"cf": [1] * 5}, n=8)),
         ("partition", dict(PARTITION, rho={"cf": [1] * 6}, n=4, decay_n_max=9)),
         ("partition", dict(PARTITION, rho={"cf": [1] * 6}, n=6, decay_n_max=6)),
+        # counts and caps out of range, refused before any orbit runs
+        ("partition", dict(PARTITION, denjoy_samples=-1)),
+        ("partition", dict(PARTITION, decay_n_max=-1)),
+        ("partition", dict(PARTITION, decay_n_max=1)),
+        ("partition", dict(PARTITION, cap=-1)),
+        ("rotnum", dict(ROTNUM, estimate_n=-1)),
+        ("rotnum", dict(ROTNUM, cap=0)),
+        ("tune", dict(TUNE, cap=0)),
+        ("measure", dict(MEASURE, cap=0)),
+        ("singularity", dict(SINGULARITY, cap=0)),
     ],
     ids=[
         "n_min-string",
@@ -213,6 +225,15 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "partition-n-past-quotients",
         "partition-decay_n_max-past-quotients",
         "partition-refinement-past-quotients",
+        "partition-denjoy_samples-negative",
+        "partition-decay_n_max-negative",
+        "partition-decay_n_max-1",
+        "partition-cap-negative",
+        "rotnum-estimate_n-negative",
+        "rotnum-cap-0",
+        "tune-cap-0",
+        "measure-cap-0",
+        "singularity-cap-0",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, doc):
@@ -275,6 +296,32 @@ def test_partition_refinement_with_a_nudged_fine_orbit(tmp_path):
     doc = json.loads((out / "partition.json").read_text())
     assert doc["refinement"]["split_min"] == doc["refinement"]["split_max"] == 2
     assert doc["elements"] == 13
+
+
+def test_partition_builds_one_orbit_for_every_rank(monkeypatch, tmp_path):
+    # rank n, the refinement's rank n + 1 and the decay ranks 1..decay_n_max
+    # are all cut from a single build at the deepest of them
+    builds = []
+
+    def counted(m, cf, x0, n, cap):
+        builds.append(n)
+        return build_partition(m, cf, x0, n, cap=cap)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "circlebreak":
+            for attr, value in list(vars(mod).items()):
+                if value is build_partition:
+                    monkeypatch.setattr(mod, attr, counted)
+    for decay_n_max, deepest in ((10, 10), (4, 9)):
+        builds.clear()
+        sub = tmp_path / str(decay_n_max)
+        sub.mkdir()
+        code, out = run(sub, "partition", dict(PARTITION, decay_n_max=decay_n_max))
+        assert code == 0
+        assert builds == [deepest]
+        doc = json.loads((out / "partition.json").read_text())
+        assert [row[0] for row in doc["decay"]["rows"]] == list(range(1, decay_n_max + 1))
+        assert doc["refinement"]["split_min"] == 2
 
 
 def test_distortion_explicit_rows(tmp_path):

@@ -3,18 +3,15 @@ import pytest
 
 from conftest import GOLDEN
 
-from circlebreak.errors import (
-    IndexMismatch,
-    OrderViolation,
-    PrecisionBudgetExceeded,
-)
+import circlebreak.measure
+from circlebreak.errors import OrderViolation, PrecisionBudgetExceeded
 from circlebreak.measure import (
     conjugacy_values,
     convergent_masses,
     mass_identity_residual,
     partition_masses,
 )
-from circlebreak.maps import make_rotation
+from circlebreak.maps import iterate, make_rotation
 from circlebreak.numerics import arc_length, to_circle
 from circlebreak.partition import build_partition
 from circlebreak.rotation import (
@@ -27,24 +24,30 @@ from circlebreak.singularity import MASS_REL_TOL, mass_length_curve
 
 
 def exact_rho(value):
-    return RotationEstimate(value=value, lower=value, upper=value, method="fixed")
+    return RotationEstimate(value=value, lower=value, upper=value)
 
 
 def tuned_rho(value, tol=1e-10):
-    return RotationEstimate(
-        value=value, lower=value - tol, upper=value + tol, method="tuned"
-    )
+    return RotationEstimate(value=value, lower=value - tol, upper=value + tol)
 
 
 @pytest.fixture(scope="module")
 def rot_om(rot_map, gcf):
     # The map's rotation number is its translation, exactly.
-    return conjugacy_values(rot_map, exact_rho(gcf.value), 0.0, 400)
+    part = build_partition(rot_map, gcf, 0.0, 7)
+    return conjugacy_values(rot_map, exact_rho(gcf.value), part, 400)
 
 
 @pytest.fixture(scope="module")
-def pq_om(pq_map):
-    return conjugacy_values(pq_map, tuned_rho(GOLDEN), 0.05, 380)
+def pq_om(pq_map, gcf):
+    part = build_partition(pq_map, gcf, 0.05, 8)
+    return conjugacy_values(pq_map, tuned_rho(GOLDEN), part, 380)
+
+
+def pq_masses(pq_map, gcf, n, points=380):
+    """Cell masses of xi_n(0.05), from its orbit extended to ``points``."""
+    part = build_partition(pq_map, gcf, 0.05, n)
+    return partition_masses(conjugacy_values(pq_map, tuned_rho(GOLDEN), part, points))
 
 
 def arc_mass(om, i, j):
@@ -61,9 +64,8 @@ def test_rotation_arc_mass_is_arc_length(rot_om):
         assert mass == pytest.approx(length, abs=1e-12)
 
 
-def test_rank_masses_are_convergent_errors(pq_om, pq_map, gcf):
-    part = build_partition(pq_map, gcf, 0.05, 6)
-    rows = partition_masses(pq_om, part)
+def test_rank_masses_are_convergent_errors(pq_map, gcf):
+    rows = pq_masses(pq_map, gcf, 6)
     by_rank = {}
     for r in rows:
         by_rank.setdefault(r.rank_tag, []).append(r.mass)
@@ -79,9 +81,9 @@ def test_rank_masses_are_convergent_errors(pq_om, pq_map, gcf):
     assert sum(r.mass for r in rows) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_mass_depends_only_on_rank_deep(pq_om, pq_map, gcf):
+def test_mass_depends_only_on_rank_deep(pq_map, gcf):
     for n in (8, 10, 12):
-        rows = partition_masses(pq_om, build_partition(pq_map, gcf, 0.05, n))
+        rows = pq_masses(pq_map, gcf, n)
         by_rank = {}
         for r in rows:
             by_rank.setdefault(r.rank_tag, []).append(r.mass)
@@ -90,8 +92,8 @@ def test_mass_depends_only_on_rank_deep(pq_om, pq_map, gcf):
         assert sum(r.mass for r in rows) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_rotation_masses_equal_lengths(rot_om, rot_map, gcf):
-    rows = partition_masses(rot_om, build_partition(rot_map, gcf, 0.0, 7))
+def test_rotation_masses_equal_lengths(rot_om):
+    rows = partition_masses(rot_om)
     for r in rows:
         assert r.mass == pytest.approx(r.length, abs=1e-12)
         assert r.density == pytest.approx(1.0, abs=1e-9)
@@ -105,40 +107,56 @@ def test_mass_identity():
         assert abs(mass_identity_residual(cf, GOLDEN, n)) < 1e-9
 
 
-def test_push_forward_invariance(pq_om, pq_map, gcf):
-    part = build_partition(pq_map, gcf, 0.05, 8)
-    for e in part.elements:
+def test_push_forward_invariance(pq_om):
+    for e in pq_om.part.elements:
         mass = arc_mass(pq_om, e.left_index, e.right_index)
         image_mass = arc_mass(pq_om, e.left_index + 1, e.right_index + 1)
         assert image_mass == pytest.approx(mass, abs=1e-10)
 
 
-def test_conjugacy_rejects_wide_enclosure(pq_map):
+def test_conjugacy_rejects_wide_enclosure(pq_map, gcf):
+    part = build_partition(pq_map, gcf, 0.05, 5)
     with pytest.raises(PrecisionBudgetExceeded):
-        conjugacy_values(pq_map, tuned_rho(GOLDEN, tol=1e-3), 0.05, 1000)
+        conjugacy_values(pq_map, tuned_rho(GOLDEN, tol=1e-3), part, 1000)
 
 
-def test_conjugacy_rejects_wrong_rho(pq_map):
+def test_conjugacy_rejects_wrong_rho(pq_map, gcf):
+    part = build_partition(pq_map, gcf, 0.05, 5)
     with pytest.raises(OrderViolation):
-        conjugacy_values(pq_map, exact_rho(0.61), 0.05, 100)
+        conjugacy_values(pq_map, exact_rho(0.61), part, 100)
 
 
-def test_conjugacy_needs_two_points(rot_map):
+def test_conjugacy_needs_two_points(rot_map, gcf):
+    # the shallowest partition orbit, x0 and T x0, already has two
+    part = build_partition(rot_map, gcf, 0.0, 1)
+    assert len(part.orbit) == 2
     with pytest.raises(ValueError):
-        conjugacy_values(rot_map, exact_rho(GOLDEN), 0.0, 1)
+        conjugacy_values(rot_map, exact_rho(GOLDEN), part, 1)
 
 
-def test_partition_masses_base_point_mismatch(pq_om, pq_map, gcf):
-    part = build_partition(pq_map, gcf, 0.07, 5)
-    with pytest.raises(IndexMismatch):
-        partition_masses(pq_om, part)
-
-
-def test_partition_masses_orbit_too_short(pq_map, gcf):
-    om = conjugacy_values(pq_map, tuned_rho(GOLDEN), 0.05, 10)
+def test_conjugacy_values_orbit_too_short(pq_map, gcf):
+    # the measure orbit extends the partition's 21 points, never cuts them
     part = build_partition(pq_map, gcf, 0.05, 6)
-    with pytest.raises(IndexMismatch):
-        partition_masses(om, part)
+    with pytest.raises(ValueError):
+        conjugacy_values(pq_map, tuned_rho(GOLDEN), part, 10)
+
+
+def test_conjugacy_values_extends_the_partition_orbit(monkeypatch, pq_map, gcf):
+    part = build_partition(pq_map, gcf, 0.05, 8)
+    steps = []
+    advance = circlebreak.measure.advance
+
+    def counted(m, x, w, n, *rest):
+        steps.append(n)
+        return advance(m, x, w, n, *rest)
+
+    monkeypatch.setattr(circlebreak.measure, "advance", counted)
+    om = conjugacy_values(pq_map, tuned_rho(GOLDEN), part, 380)
+    assert steps == [380 - len(part.orbit)]
+    assert om.part is part and om.n_points == 380
+    assert om.orbit[: len(part.orbit)] == part.orbit
+    # extending is bit-identical to iterating afresh from the base point
+    assert list(om.orbit) == iterate(pq_map, part.x0, 379)
 
 
 def test_phi_drift_within_budget(pq_om):
@@ -158,10 +176,9 @@ def test_convergent_masses_match_orbit_masses(request, gcf, name):
     coarse, _ = rho_farey(m, width=w)
     assert coarse.width <= w
     deep = build_partition(m, gcf, 0.05, 12)
-    om = conjugacy_values(m, fine, deep.x0, len(deep.orbit))
     for n in range(2, 13):
         part = deep.coarsen(gcf, n)
-        orbit = partition_masses(om, part)
+        orbit = partition_masses(conjugacy_values(m, fine, part, len(deep.orbit)))
         # same rho: the rank tag picks beta_{n-1} or beta_n exactly
         same = convergent_masses(part, gcf, fine.value)
         assert np.abs(same - orbit.mass).max() <= 1e-12

@@ -135,13 +135,14 @@ def test_denjoy_pq_bounds(pq_map, gcf):
 def test_decay_rotation_closed_form(gcf):
     # Max cell length at rank n is the convergent error beta_{n-1}; note
     # beta_0 = rho itself (p_0 = 0), not the distance to the nearest integer.
-    fit = max_element_decay(make_rotation(GOLDEN), gcf, 0.0, 9)
+    rot = make_rotation(GOLDEN)
+    fit = max_element_decay(rot, gcf, build_partition(rot, gcf, 0.0, 9))
     for n, ln in fit.rows:
         assert ln == pytest.approx(convergent_error(gcf, GOLDEN, n - 1), abs=1e-9)
 
 
 def test_decay_pq_rate(pq_map, gcf):
-    fit = max_element_decay(pq_map, gcf, 0.05, 12)
+    fit = max_element_decay(pq_map, gcf, build_partition(pq_map, gcf, 0.05, 12))
     assert fit.slope <= fit.log_lambda + 0.05
     lens = [ln for _, ln in fit.rows]
     assert all(b <= a for a, b in zip(lens, lens[1:]))

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -8,9 +9,11 @@ import pytest
 
 from conftest import GOLDEN
 
+import circlebreak.crossratio
 import circlebreak.measure
 import circlebreak.rotation
 from circlebreak.cli import main
+from circlebreak.crossratio import calibrate_k1
 from circlebreak.errors import (
     ConfigError,
     HypothesisNotCertified,
@@ -337,6 +340,8 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(kind="pq", same_orbit_steps=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", tune_tol=1e-13)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="pq", cap=0)
     # 13 golden quotients certify 1e-4 but not the default 1e-10; the
     # rotation is not tuned, so it does not need the bracket
     short = dict(rho_quotients=tuple([1] * 13), n_max=12)
@@ -357,11 +362,13 @@ def test_experiment_config_validation(tmp_path):
 
 
 def _count_calls(monkeypatch, fn):
-    """Count calls of fn through every circlebreak module binding."""
+    """Record the arguments, by name, of every call of fn through any
+    circlebreak module binding."""
     calls = []
+    sig = inspect.signature(fn)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(sig.bind(*args, **kwargs).arguments)
         return fn(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -382,6 +389,16 @@ def test_report_encloses_rho_once_and_runs_no_measure_orbit(monkeypatch, kind):
     width = 2.0 * MASS_REL_TOL / (cf.q(8) * (cf.q(8) + cf.q(9)))
     assert [call["width"] for call in farey] == [width]
     assert orbits == []
+
+
+@pytest.mark.parametrize("name", ["pq_map", "so_map"])
+def test_qn_row_chains_each_rank_once(monkeypatch, request, gcf, name):
+    # the break-hit audit reads the distortion chain's own quadruples
+    m = request.getfixturevalue(name)
+    calibrate_k1(m)  # cached; its sample runs one-step chains of its own
+    chains = _count_calls(monkeypatch, circlebreak.crossratio.chain_points)
+    rows = qn_distortion_experiment(m, gcf, 0.05, range(5, 9))
+    assert [call["steps"] for call in chains] == [r.q_n for r in rows]
 
 
 def test_report_rotation_baseline():
