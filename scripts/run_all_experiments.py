@@ -5,9 +5,11 @@ Each config in configs/ is executed through the command line front end,
 so a finished run leaves the same artifacts a by-hand invocation would:
 the five singularity experiments into results/<label>/, the other
 bundled configs into results/<config name>/.  Each run prints its wall
-time and one SHA-256 over the artifacts it wrote (file names sorted, each
-name followed by the file's bytes); comparing the digests printed by two
-checkouts shows whether all their artifacts are byte-identical.  The
+time, its peak resident memory (the child's ru_maxrss, read by
+``os.wait4``) and one SHA-256 over the artifacts it wrote (file names
+sorted, each name followed by the file's bytes); comparing the digests
+printed by two checkouts shows whether all their artifacts are
+byte-identical.  The
 experiments also print the verdict theory expects next to the one the
 run reached.  The exit status reports failed runs only, not mismatches.
 """
@@ -16,6 +18,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -55,7 +58,8 @@ def artifacts_digest(paths) -> str:
 
 
 def run(command, config, outdir):
-    """Run one CLI command; print its wall time; return the finished process."""
+    """Run one CLI command; print its wall time and peak RSS; return the
+    finished process."""
     cmd = [
         sys.executable,
         "-m",
@@ -66,9 +70,20 @@ def run(command, config, outdir):
         "--out",
         outdir,
     ]
-    start = time.perf_counter()
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    print(f"   wall {time.perf_counter() - start:.2f} s")
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(cmd, stdout=out, stderr=err)
+        # wait4 reaps the child and hands back its resource usage
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        proc = subprocess.CompletedProcess(
+            cmd, child.returncode, out.read().decode(), err.read().decode()
+        )
+    # Linux reports ru_maxrss in KiB
+    print(f"   wall {wall:.2f} s  peak rss {usage.ru_maxrss / 1024:.1f} MB")
     if proc.returncode != 0:
         print(f"   exit {proc.returncode}: {proc.stderr.strip()}")
     return proc

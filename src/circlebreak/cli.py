@@ -14,17 +14,16 @@ so a failing run leaves no partial outputs behind.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import random
+import re
 import statistics
 import sys
 import tempfile
 from dataclasses import MISSING, fields
-from itertools import repeat
+from itertools import chain, repeat
 
 from .crossratio import (
     Quadruple,
@@ -105,13 +104,54 @@ def _json_text(obj, indent: int = 0) -> str:
     raise InvariantFailure(f"cannot serialize {type(obj).__name__} into a report")
 
 
+# csv.writer's minimal quoting quotes a cell holding a delimiter, a quote
+# or a line break; table strings are written verbatim, so none may hold one.
+_CSV_QUOTED = re.compile(r'[",\r\n]')
+_CELL_FORMATS = {int: "%d", float: "%.17g", str: "%s"}
+
+
+def _row_format(kinds):
+    """%-template of a CSV row whose cells have these types, with the
+    positions of its float cells and of its string cells."""
+    try:
+        template = ",".join(_CELL_FORMATS[k] for k in kinds) + "\n"
+    except KeyError as e:
+        raise TypeError(f"no CSV format for a {e.args[0].__name__} cell") from None
+    floats = [i for i, k in enumerate(kinds) if k is float]
+    strs = [i for i, k in enumerate(kinds) if k is str]
+    return template, floats, strs
+
+
 def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([c if isinstance(c, str) else fmt(c) for c in row])
-    return buf.getvalue()
+    """CSV text of a header and rows, every cell as ``fmt`` renders it.
+
+    Each row goes through one %-template picked by its cell types rather
+    than ``fmt`` per cell: ints as ``str``, floats to 17 significant
+    digits, strings verbatim.  The bytes are the ones ``csv.writer`` writes,
+    which would quote only a cell holding a delimiter, a quote or a line
+    break, or a row of one empty cell; a string that needs quoting raises
+    InvariantFailure, as does a non-finite float.
+    """
+    isfinite = math.isfinite
+    formats = {}
+    lines = []
+    for row in chain([header], rows):
+        row = tuple(row)
+        kinds = tuple(map(type, row))
+        fm = formats.get(kinds)
+        if fm is None:
+            fm = formats[kinds] = _row_format(kinds)
+        template, floats, strs = fm
+        for i in floats:
+            if not isfinite(row[i]):
+                raise InvariantFailure(
+                    f"non-finite value {row[i]!r} reached an output table"
+                )
+        for i in strs:
+            if _CSV_QUOTED.search(row[i]) or row == ("",):
+                raise InvariantFailure(f"table cell {row[i]!r} would need CSV quoting")
+        lines.append(template % row)
+    return "".join(lines)
 
 
 def _write_all(outdir, artifacts):

@@ -323,15 +323,15 @@ def df(m: CircleMap, x):
 _CLAMP = 2 * MACHINE_EPS
 
 
-def advance(m: CircleMap, x, w: int, n: int, pts=None, winds=None):
+def advance(m: CircleMap, x, w: int, n: int, pts=None):
     """Run n forward steps from the circle pair (x, w); return the last pair.
 
     x is a circle point, w an integer winding; the pair stands for the lift
     value x + w, so f^n(x0) is reassembled exactly as ``x_n + w_n`` without
     the lift coordinate growing (and losing ulps).  Each step reduces f(x)
     to the circle: the point is ``to_circle(f(x))`` and when that clamps up
-    to 0 the winding gains one.  When given, ``pts`` and ``winds`` receive
-    every new point and winding in order.
+    to 0 the winding gains one.  When given, ``pts`` receives every new
+    point in order.
 
     This is the one forward orbit loop.  It reads the segment constants into
     locals once and repeats ``evaluate`` inline, operation for operation, so
@@ -340,7 +340,6 @@ def advance(m: CircleMap, x, w: int, n: int, pts=None, winds=None):
     t = m.translation
     fl = floor
     put_x = None if pts is None else pts.append
-    put_w = None if winds is None else winds.append
     if m.kind == ROTATION:
         for _ in range(n):
             y = x + t
@@ -352,8 +351,6 @@ def advance(m: CircleMap, x, w: int, n: int, pts=None, winds=None):
             w += k
             if put_x is not None:
                 put_x(x)
-            if put_w is not None:
-                put_w(w)
         return x, w
     p0, p1 = m.seg_pos[0], m.seg_pos[1]
     p0_next = p0 + 1
@@ -385,8 +382,6 @@ def advance(m: CircleMap, x, w: int, n: int, pts=None, winds=None):
         w += k
         if put_x is not None:
             put_x(x)
-        if put_w is not None:
-            put_w(w)
     return x, w
 
 

@@ -146,7 +146,18 @@ class RotationEstimate:
 
 
 class OrbitTracker:
-    """Lazily extended forward orbit of 0 with exact winding bookkeeping.
+    """Lazily advanced forward orbit of 0 with exact winding bookkeeping.
+
+    The tracker keeps the states (circle point, winding) at the steps
+    callers asked for, never the whole orbit; the last of them, at step
+    ``n``, is the current state.  A query past ``n`` advances from it with
+    ``maps.advance`` and keeps the new state, a query for a step asked
+    before reads the kept one.  Callers ask for denominators that only
+    grow (Farey mediants, the convergents of a tuning target) or for one
+    they asked for already, so no step runs twice; a query for a step that
+    was passed without being asked for raises ValueError.  Each state is
+    bit-identical to the one a stored orbit holds, since the same loop runs
+    the same steps from the same state.
 
     ``sign(p, q)`` reports the certified sign of f^q(0) - p, with 0 meaning
     "within the rational cutoff of an exact hit".
@@ -155,21 +166,24 @@ class OrbitTracker:
     def __init__(self, m: CircleMap, cap: int | None = None):
         self.m = m
         self.cap = DEFAULT_ORBIT_CAP if cap is None else cap
-        self.points = [0.0]
-        self.winds = [0]
+        self.n = 0
+        self.kept = {0: (0.0, 0)}
 
-    def extend_to(self, q: int):
+    def lift_minus(self, p: int, q: int):
+        """f^q(0) - p, with the integer part subtracted exactly."""
         if q > self.cap:
             raise PrecisionBudgetExceeded(
                 f"orbit length {q} exceeds cap {self.cap}"
             )
-        pts, winds = self.points, self.winds
-        advance(self.m, pts[-1], winds[-1], q + 1 - len(pts), pts, winds)
-
-    def lift_minus(self, p: int, q: int):
-        """f^q(0) - p, with the integer part subtracted exactly."""
-        self.extend_to(q)
-        return self.points[q] + (self.winds[q] - p)
+        state = self.kept.get(q)
+        if state is None:
+            if q < self.n:
+                raise ValueError(f"orbit step {q} was passed without being kept")
+            x, w = self.kept[self.n]
+            state = self.kept[q] = advance(self.m, x, w, q - self.n)
+            self.n = q
+        x, w = state
+        return x + (w - p)
 
     def sign(self, p: int, q: int) -> int:
         s = self.lift_minus(p, q)
@@ -182,9 +196,7 @@ def rho_iterate_estimate(m: CircleMap, n: int, cap: int | None = None) -> Rotati
     """Plain Birkhoff estimate f^n(0)/n with the certified +-1/n enclosure."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tr = OrbitTracker(m, cap)
-    tr.extend_to(n)
-    raw = (tr.points[n] + tr.winds[n]) / n
+    raw = OrbitTracker(m, cap).lift_minus(0, n) / n
     shift = floor(raw)
     return RotationEstimate(
         value=to_circle(raw),
@@ -248,9 +260,7 @@ def rho_farey(
         raise ValueError("width must be positive")
     tr = OrbitTracker(m, cap)
     # integer part: f(0) in [m0, m0+1]
-    tr.extend_to(1)
-    f0 = tr.points[1] + tr.winds[1]
-    m0 = floor(f0)
+    m0 = floor(tr.lift_minus(0, 1))
     if tr.sign(m0, 1) == 0:
         cfr = ContinuedFraction.from_quotients([1])  # placeholder; rho integer
         est = RotationEstimate(0.0, 0.0, 0.0, rational=(m0, 1))

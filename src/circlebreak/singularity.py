@@ -765,6 +765,11 @@ class ExperimentConfig:
                 raise ConfigError(f"rho_quotients cannot certify tune_tol: {e}") from e
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
+        # with negative gap floors numerical-zero gaps pass the gap test;
+        # `not x >= 0` refuses NaN as well
+        for name in ("gap_abs_floor", "gap_floor_ratio", "lorenz_violation_limit"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.same_orbit_steps is not None and self.same_orbit_steps < 1:
             raise ConfigError("same_orbit_steps must be >= 1 when set")
         if self.cap < 1:

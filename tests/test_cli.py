@@ -1,14 +1,19 @@
+import csv
+import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from circlebreak.cli import main
+from circlebreak.cli import _csv_text, fmt, main
+from circlebreak.errors import InvariantFailure
 from circlebreak.maps import make_rotation
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction
+from circlebreak.singularity import CASE_TAGS
 
 PQ_GOLDEN_T = 0.6949140919153628  # certified by the tune example config
 
@@ -101,6 +106,17 @@ def test_extended_precision_refused(tmp_path):
         )
     assert exc.value.code == 2
     assert os.listdir(tmp_path / "out") == []
+
+
+def test_tune_example_config_finds_the_pinned_translation(tmp_path):
+    # the partition and measure example configs pin this translation; the
+    # bisection path that finds it must not drift
+    doc = json.loads((CONFIG_DIR / "tune_pq_golden.json").read_text())
+    code, out = run(tmp_path, "tune", doc)
+    assert code == 0
+    report = json.loads((out / "tune.json").read_text())
+    assert report["t_star"] == PQ_GOLDEN_T
+    assert report["bisections"] == 32
 
 
 def test_tune_rejects_pinned_translation(tmp_path):
@@ -238,6 +254,19 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
 )
 def test_malformed_config_exits_2(tmp_path, command, doc):
     code, out = run(tmp_path, command, doc)
+    assert code == 2
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "key", ["gap_abs_floor", "gap_floor_ratio", "lorenz_violation_limit"]
+)
+def test_verdict_threshold_below_zero_exits_2(tmp_path, key, value):
+    # a negative floor would let numerical-zero gaps read as singular; NaN
+    # compares false against every gap, so it is refused the same way
+    doc = {"kind": "rotation", "n_min": 4, "n_max": 6, key: value}
+    code, out = run(tmp_path, "singularity", doc)
     assert code == 2
     assert os.listdir(out) == []
 
@@ -409,3 +438,42 @@ def test_stale_artifacts_replaced_atomically(tmp_path):
     assert code == 0
     assert (out / "rotnum.json").read_bytes() == first
     assert not [p for p in os.listdir(out) if p.startswith(".stage-")]
+
+
+def _csv_writer_text(header, rows):
+    """Reference for _csv_text: csv.writer over ``fmt`` of every cell."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([c if isinstance(c, str) else fmt(c) for c in row])
+    return buf.getvalue()
+
+
+def test_csv_text_matches_csv_writer():
+    header = ["n", "q_n", "gf_gap", "dist_qn_gap", "lorenz_90_length", "case_tag"]
+    floats = [0.0, -0.0, 5e-324, -1e-300, 1e300, 0.1, 2.0, math.pi, -2**53 - 0.5]
+    rows = [
+        (n, 2**n + 10**20 * (n % 2), "" if n % 3 else x, x, -x / 3, tag)
+        for n, (x, tag) in enumerate(zip(floats, [*CASE_TAGS, "break_free"] * 2))
+    ]
+    rows += [(n, -n, n / 7) for n in range(5)] + [(), ("", 1.5)]
+    assert _csv_text(header, rows) == _csv_writer_text(header, rows)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (1, math.inf),
+        (math.nan, 2),
+        (1, -math.inf),
+        ("a,b", 1),
+        ('say "x"', 1),
+        ("a\nb", 1),
+        ("",),
+    ],
+)
+def test_csv_text_refuses_what_csv_would_mangle(row):
+    # non-finite values never reach a table, and no string needs quoting
+    with pytest.raises(InvariantFailure):
+        _csv_text(["a", "b"], [row])

@@ -149,8 +149,9 @@ KERNEL_MAPS = [
 
 
 def _assert_kernel_matches_reference(m, x, w, n=60):
-    pts, winds = [], []
-    last = advance(m, x, w, n, pts, winds)
+    pts = []
+    last = advance(m, x, w, n, pts)
+    winds = [advance(m, x, w, k)[1] for k in range(1, n + 1)]
     ref_pts, ref_winds = [], []
     for _ in range(n):
         x, w = _reference_step(m, x, w)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import circlebreak.rotation
 from circlebreak.errors import PrecisionBudgetExceeded
-from circlebreak.maps import make_pl_two_break, make_pq_two_break, make_rotation
+from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make_rotation
 from circlebreak.rotation import (
     ContinuedFraction,
+    OrbitTracker,
     cf_expand_convergents,
     rho_farey,
     rho_iterate_estimate,
@@ -163,3 +165,76 @@ def test_tune_certifies_the_last_bracket_of_the_given_quotients():
     assert res.rho.width == pytest.approx(1 / (987 * 1597))
     est, _ = rho_farey(base.with_translation(res.translation), width=1e-9)
     assert lo <= est.upper and est.lower <= hi
+
+
+class _ListTracker:
+    """Reference for OrbitTracker: the whole orbit of 0 as lists of points
+    and windings, extended one step at a time and read by index."""
+
+    def __init__(self, m):
+        self.m = m
+        self.points, self.winds = [0.0], [0]
+
+    def lift_minus(self, p, q):
+        pts, winds = self.points, self.winds
+        while len(pts) <= q:
+            x, w = advance(self.m, pts[-1], winds[-1], 1)
+            pts.append(x)
+            winds.append(w)
+        return pts[q] + (winds[q] - p)
+
+
+TUNED_MAPS = ["pq_map", "pl_map", "so_map", "pl_so_map", "rot_map"]
+
+
+@pytest.mark.parametrize("name", TUNED_MAPS)
+def test_tracker_matches_list_reference_at_convergents(request, gcf, name):
+    # the reads of _compare_to_target: bracket k tests q_{k-1} and q_k, the
+    # lower end first, so even k reads q_{k-1} back after q_k
+    m = request.getfixturevalue(name)
+    tr, ref = OrbitTracker(m), _ListTracker(m)
+    convs = gcf.convergents
+    for k in range(1, 27):
+        for p, q in (convs[k - 1], convs[k]) if k % 2 else (convs[k], convs[k - 1]):
+            assert tr.lift_minus(p, q).hex() == ref.lift_minus(p, q).hex()
+    assert tr.n == gcf.q(26) == 196_418
+    # only the asked-for states are kept, not the orbit
+    assert set(tr.kept) == {0} | {gcf.q(k) for k in range(27)}
+
+
+@pytest.mark.parametrize("name", TUNED_MAPS)
+def test_tracker_matches_list_reference_at_farey_mediants(monkeypatch, request, name):
+    m = request.getfixturevalue(name)
+    reads = []
+
+    class Recording(OrbitTracker):
+        def lift_minus(self, p, q):
+            s = super().lift_minus(p, q)
+            reads.append((p, q, s))
+            return s
+
+    monkeypatch.setattr(circlebreak.rotation, "OrbitTracker", Recording)
+    rho_farey(m, width=1e-10)
+    ref = _ListTracker(m)
+    assert len(reads) > 20
+    for p, q, s in reads:
+        assert s.hex() == ref.lift_minus(p, q).hex()
+
+
+def test_tracker_query_past_cap_runs_no_step(monkeypatch, pq_map):
+    steps = []
+
+    def counted(m, x, w, n, *rest):
+        steps.append(n)
+        return advance(m, x, w, n, *rest)
+
+    monkeypatch.setattr(circlebreak.rotation, "advance", counted)
+    tr = OrbitTracker(pq_map, cap=100)
+    with pytest.raises(PrecisionBudgetExceeded):
+        tr.lift_minus(0, 101)
+    assert steps == [] and tr.n == 0
+    tr.lift_minus(0, 100)
+    assert steps == [100]
+    # a step passed without being asked for is not kept, so it cannot be read
+    with pytest.raises(ValueError):
+        tr.lift_minus(0, 50)
