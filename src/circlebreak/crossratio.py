@@ -249,6 +249,28 @@ def f_func(x, t, sigma):
     return s * (1 + x) / (s + x)
 
 
+def pl_frame_distortion(q: Quadruple, pos, sigma):
+    """One-step distortion of q under slope sigma left of ``pos`` and 1 right.
+
+    ``pos`` is a break's lift anywhere in [z1, z4]; each gap's image is
+    sigma times its part left of the break plus its part right of it.
+    This is g_func at pos = z2, f_func with the break in [z1, z2] and
+    f_func(eta, theta, 1/sigma) with it in [z3, z4], and it covers the
+    middle gap as well.  Exact for PL maps, since the cross-ratio ignores
+    a common scale.
+    """
+    if not q.z1 <= pos <= q.z4:
+        raise BreakNotInStatedInterval(
+            f"break {pos!r} lies outside the hull [{q.z1!r}, {q.z4!r}]"
+        )
+    imgs = []
+    for u, w in zip(q.points, q.points[1:]):
+        left = min(max(pos - u, 0.0), w - u)
+        imgs.append(sigma * left + (w - u - left))
+    a, b, c = imgs
+    return (a * c) / ((a + b) * (b + c)) / cross_ratio(q)
+
+
 @dataclass(frozen=True)
 class ClosedForm:
     predicted: float

@@ -87,6 +87,14 @@ class ContinuedFraction:
             f"within {tol:g}; give more quotients"
         )
 
+    def bracket(self, n: int) -> "RotationEstimate":
+        """The convergent bracket [p_{n-1}/q_{n-1}, p_n/q_n] as an enclosure
+        whose value is its midpoint; it holds the target for n >= 1."""
+        lo, hi = sorted((self.fraction(n - 1), self.fraction(n)))
+        return RotationEstimate(
+            value=float((lo + hi) / 2), lower=float(lo), upper=float(hi)
+        )
+
 
 def cf_quotients_of_fraction(fr: Fraction):
     """Finite continued fraction of a rational in (0, 1), exact."""
@@ -311,9 +319,13 @@ def rho_farey(
 
 @dataclass(frozen=True)
 class TuneResult:
+    """A translation certified to put rho in the target's first convergent
+    bracket at most ``certified_tol`` wide; ``rho`` is that bracket.
+    ``bisections`` is None for a map that needed no tuning."""
+
     translation: float
     rho: RotationEstimate
-    bisections: int
+    bisections: int | None
     certified_tol: float
 
 
@@ -367,10 +379,7 @@ def tune_translation(
             f"tolerances below {TUNE_TOL_FLOOR:g} are not certifiable in binary64"
         )
     n = target.bracket_within(tol)
-    lo, hi = sorted((target.fraction(n - 1), target.fraction(n)))
-    est = RotationEstimate(
-        value=float((lo + hi) / 2), lower=float(lo), upper=float(hi)
-    )
+    est = target.bracket(n)
     if family is None:
         family = m.with_translation
     base = m.with_translation(0.0)

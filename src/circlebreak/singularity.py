@@ -42,7 +42,7 @@ from .maps import (
     make_rotation,
     map_stats,
 )
-from .rotation import TUNE_TOL_FLOOR, ContinuedFraction, rho_farey, tune_translation
+from .rotation import TUNE_TOL_FLOOR, ContinuedFraction, TuneResult, tune_translation
 from .partition import CircleInterval, DynamicalPartition, build_partition, is_qn_small
 from .crossratio import (
     Quadruple,
@@ -52,6 +52,7 @@ from .crossratio import (
     g_func,
     lift_into,
     normalized_coords,
+    pl_frame_distortion,
 )
 from .measure import convergent_masses
 
@@ -525,12 +526,13 @@ def _qn_row(
     gf = None
 
     ql = res.quadruples[l]
-    if triple.case_tag == "c_in_U_right":
-        coords_l = normalized_coords(ql).eta
-        predicted_l = g_func(coords_l, 1.0 / a_sig)
-    else:
-        coords_l = normalized_coords(ql).xi
-        predicted_l = g_func(coords_l, a_sig)
+    nc_l = normalized_coords(ql)
+    coords_l = nc_l.eta if triple.case_tag == "c_in_U_right" else nc_l.xi
+    # the chain's rounding carries the tracked point off the break, to
+    # either side; the PL frame at the break's own lift predicts the
+    # factor wherever in the hull it falls
+    a_lift = lift_into(m.breaks[0].location, ql.z1)
+    predicted_l = pl_frame_distortion(ql, a_lift, a_sig)
     budget_l = k1 * abs_d2f_integral(m, to_circle(ql.z1), to_circle(ql.z4)) + 1e-9
     if abs(res.factors[l] - predicted_l) > budget_l:
         raise InvariantFailure(
@@ -738,7 +740,6 @@ class ExperimentConfig:
     n_min: int = 5
     n_max: int = 12
     same_orbit_steps: int | None = None
-    tune_tol: float = 1e-10
     gap_floor_ratio: float = 0.5
     gap_abs_floor: float = 1e-6
     lorenz_violation_limit: float = 0.05
@@ -756,13 +757,19 @@ class ExperimentConfig:
                 "rho_quotients must reach past n_max with entries >= 1"
             )
         object.__setattr__(self, "rho_quotients", qs)
-        if not self.tune_tol >= TUNE_TOL_FLOOR:
-            raise ConfigError(f"tune_tol must be at least {TUNE_TOL_FLOOR:g}")
-        if self.kind != "rotation":
-            try:
-                ContinuedFraction.from_quotients(qs).bracket_within(self.tune_tol)
-            except ValueError as e:
-                raise ConfigError(f"rho_quotients cannot certify tune_tol: {e}") from e
+        cf = ContinuedFraction.from_quotients(qs)
+        width = mass_width(cf, self.n_max)
+        if not width >= TUNE_TOL_FLOOR:
+            raise ConfigError(
+                f"n_max {self.n_max} needs rho to {width:.2g}, finer than the "
+                f"certifiable {TUNE_TOL_FLOOR:g}"
+            )
+        try:
+            cf.bracket_within(width)
+        except ValueError as e:
+            raise ConfigError(
+                f"rho_quotients cannot certify the masses of rank {self.n_max}: {e}"
+            ) from e
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
         # with negative gap floors numerical-zero gaps pass the gap test;
@@ -806,6 +813,8 @@ class SingularityReport:
     min_upper_gap: float
     median_gap: float
     notes: tuple
+    # (key, value) pairs of the rho certificate the masses were read off
+    diagnostics: tuple = ()
     # Full mass-length curves, one per row; carried for tabular emission
     # but kept out of the JSON document.
     curves: tuple = ()
@@ -843,16 +852,38 @@ class SingularityReport:
             "min_upper_gap": self.min_upper_gap,
             "median_gap": self.median_gap,
             "notes": list(self.notes),
+            "diagnostics": dict(self.diagnostics),
         }
+
+
+def mass_width(cf: ContinuedFraction, n: int) -> float:
+    """Width of a rho enclosure whose midpoint gives every cell mass of
+    ranks up to n within MASS_REL_TOL.
+
+    The width is w = 2 * MASS_REL_TOL / (q_n (q_n + q_{n+1})).  A midpoint
+    rho_hat within w/2 of rho moves beta_k = |q_k rho - p_k| by at most
+    q_k w / 2, while beta_k > 1/(q_k + q_{k+1}).  The relative error of
+    beta_k is therefore below q_k (q_k + q_{k+1}) w / 2, which grows with
+    k and equals MASS_REL_TOL at k = n.
+    """
+    return 2.0 * MASS_REL_TOL / (cf.q(n) * (cf.q(n) + cf.q(n + 1)))
 
 
 def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
     """Map described by the config, tuned to ``target``, the continued
-    fraction of ``config.rho_quotients``."""
+    fraction of ``config.rho_quotients``, with its TuneResult and notes.
+
+    Tuning stops at the first bracket of the target within
+    ``mass_width`` of rank ``n_max``, so the certificate's midpoint serves
+    the masses.  The rotation is not tuned: its TuneResult carries the
+    same bracket, which holds ``target.value`` by construction.
+    """
     notes = []
+    width = mass_width(target, config.n_max)
     if config.kind == "rotation":
-        m = make_rotation(target.value)
-        return m, target.value, notes
+        rho = target.bracket(target.bracket_within(width))
+        tr = TuneResult(target.value, rho, None, width)
+        return make_rotation(target.value), tr, notes
     if config.same_orbit_steps is not None:
         m, tr = solve_same_orbit(
             config.kind,
@@ -862,38 +893,20 @@ def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
             sigma_c=config.sigma_c,
             slope_ratio=config.slope_ratio,
             m_steps=config.same_orbit_steps,
-            tune_tol=config.tune_tol,
+            tune_tol=width,
             cap=config.cap,
         )
         notes.append(
             f"second break placed on the first break's orbit after "
             f"{config.same_orbit_steps} steps"
         )
-        return m, tr.translation, notes
+        return m, tr, notes
     if config.kind == "pq":
         base = make_pq_two_break(config.a, config.c, config.sigma_a, config.sigma_c)
     else:
         base = make_pl_two_break(config.a, config.c, config.slope_ratio)
-    tr = tune_translation(base, target, tol=config.tune_tol, cap=config.cap)
-    return base.with_translation(tr.translation), tr.translation, notes
-
-
-def _mass_rho(m: CircleMap, cf: ContinuedFraction, n: int, cap: int):
-    """Rotation number for the cell masses beta_k of ranks k <= n.
-
-    The Farey enclosure stops at width w = 2 * MASS_REL_TOL / (q_n (q_n +
-    q_{n+1})).  Its midpoint rho_hat lies within w/2 of rho, so
-    |beta_k(rho_hat) - beta_k(rho)| <= q_k w / 2, while beta_k >
-    1/(q_k + q_{k+1}).  The relative error of beta_k is therefore below
-    q_k (q_k + q_{k+1}) w / 2, which grows with k and equals MASS_REL_TOL
-    at k = n: every mass of every rank up to n is within MASS_REL_TOL.
-    If the orbit ``cap`` runs out first, PrecisionBudgetExceeded
-    propagates.
-    """
-    q_n, q_np1 = cf.q(n), cf.q(n + 1)
-    width = 2.0 * MASS_REL_TOL / (q_n * (q_n + q_np1))
-    est, _ = rho_farey(m, cap=cap, width=width)
-    return est.value
+    tr = tune_translation(base, target, tol=width, cap=config.cap)
+    return base.with_translation(tr.translation), tr, notes
 
 
 def _lorenz_trend_ok(values, limit):
@@ -907,7 +920,7 @@ def _lorenz_trend_ok(values, limit):
 
 
 def singularity_report(config: ExperimentConfig) -> SingularityReport:
-    """Full experiment: tune, enclose rho, partition, cover, gap, curve.
+    """Full experiment: tune (enclosing rho), partition, cover, gap, curve.
 
     The verdict is SINGULAR_EVIDENCE when the distortion gaps stay
     bounded away from zero on the deep ranks and the length carrying 90%
@@ -915,9 +928,13 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     their rigid-rotation values; INCONCLUSIVE otherwise.
     """
     cf = ContinuedFraction.from_quotients(config.rho_quotients)
-    m, translation, notes = build_experiment_map(config, cf)
+    m, tr, notes = build_experiment_map(config, cf)
+    translation = tr.translation
     stats = map_stats(m)
-    rho = _mass_rho(m, cf, config.n_max, config.cap)
+    # the certificate holds rho in a bracket within the mass width, so
+    # its midpoint serves every rank's masses
+    rho = tr.rho.value
+    bracket = cf.bracket_within(tr.certified_tol)
     deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)
 
     two_break = len(m.breaks) == 2
@@ -1008,5 +1025,10 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
         min_upper_gap=min_upper,
         median_gap=med,
         notes=tuple(notes),
+        diagnostics=(
+            ("rho_bracket", bracket),
+            ("rho_bracket_width", 1.0 / (cf.q(bracket - 1) * cf.q(bracket))),
+            ("tune_bisections", tr.bisections),
+        ),
         curves=tuple(curves),
     )

@@ -13,7 +13,7 @@ from circlebreak.errors import InvariantFailure
 from circlebreak.maps import make_rotation
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction
-from circlebreak.singularity import CASE_TAGS
+from circlebreak.singularity import CASE_TAGS, mass_width
 
 PQ_GOLDEN_T = 0.6949140919153628  # certified by the tune example config
 
@@ -147,18 +147,21 @@ def test_budget_exhaustion_exits_3_without_files(tmp_path):
 def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
     # singularity sizes the rho enclosure by its deepest rank, measure by
     # drift_tol / points; a cap below the orbit that width needs must fail
-    # before anything is written. At rank 20 the partition orbit fits the
-    # cap, the enclosure's does not.
+    # before anything is written. At rank 12 the partition orbit fits the
+    # cap; tuning to the mass width needs the golden bracket of q_20, which
+    # does not.
     cf = ContinuedFraction.from_quotients([1] * 30)
-    part = build_partition(make_rotation(cf.value), cf, 0.05, 20, cap=100_000)
-    assert len(part.orbit) == cf.q(20) + cf.q(19) == 17_711
+    part = build_partition(make_rotation(cf.value), cf, 0.05, 12, cap=5_000)
+    assert len(part.orbit) == cf.q(12) + cf.q(11) == 377
+    assert cf.bracket_within(mass_width(cf, 12)) == 20
+    assert cf.q(20) == 10_946
     runs = {
         "singularity": {
-            "kind": "rotation",
+            "kind": "pq",
             "label": "capped",
-            "n_min": 18,
-            "n_max": 20,
-            "cap": 100_000,
+            "n_min": 11,
+            "n_max": 12,
+            "cap": 5_000,
         },
         "measure": {
             "map": PQ_TUNED,
@@ -192,7 +195,8 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("singularity", dict(SINGULARITY, n_min="5")),
         ("singularity", dict(SINGULARITY, x0="abc")),
         ("singularity", dict(SINGULARITY, cap="big")),
-        ("singularity", dict(SINGULARITY, tune_tol=-1)),
+        # the tuning width follows from n_max
+        ("singularity", dict(SINGULARITY, tune_tol=1e-10)),
         ("singularity", dict(SINGULARITY, rho_quotients=[1.5] + [1] * 29)),
         ("singularity", dict(SINGULARITY, same_orbit_steps=1.0)),
         ("singularity", {"n_min": 5, "n_max": 6}),
@@ -203,7 +207,10 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("tune", dict(TUNE, tol=-1)),
         # brackets of too few quotients cannot certify the tolerance
         ("tune", dict(TUNE, target_rho=0.25)),
-        ("singularity", dict(SINGULARITY, rho_quotients=[1] * 13, n_max=12)),
+        # rank 12's mass width needs the golden bracket 20
+        ("singularity", dict(SINGULARITY, rho_quotients=[1] * 19, n_max=12)),
+        # rank 22's mass width, 9.3e-13, is past what binary64 certifies
+        ("singularity", dict(SINGULARITY, n_max=22)),
         # one point short of the rank-8 partition orbit, q_8 + q_7 = 55
         ("measure", dict(MEASURE, n=8, points=54)),
         # ranks past the given quotients; the example config refines, so
@@ -226,7 +233,7 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "n_min-string",
         "x0-string",
         "cap-string",
-        "tune_tol-negative",
+        "tune_tol-removed",
         "rho_quotients-fraction",
         "same_orbit_steps-float",
         "kind-missing",
@@ -236,7 +243,8 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "measure-drift_tol-0",
         "tune-tol-negative",
         "tune-target-rational",
-        "singularity-quotients-short-for-tune_tol",
+        "singularity-quotients-short-for-mass-width",
+        "singularity-n_max-past-tune-floor",
         "measure-points-below-partition-orbit",
         "partition-n-past-quotients",
         "partition-decay_n_max-past-quotients",
@@ -256,6 +264,27 @@ def test_malformed_config_exits_2(tmp_path, command, doc):
     code, out = run(tmp_path, command, doc)
     assert code == 2
     assert os.listdir(out) == []
+
+
+# The bundled experiments and, where it already holds, the verdict theory
+# predicts; pq_same_orbit and pl_herman do not reach theirs yet.
+BUNDLED_VERDICTS = [
+    ("pq_main", "SINGULAR_EVIDENCE"),
+    ("pq_same_orbit", None),
+    ("pl_generic", "SINGULAR_EVIDENCE"),
+    ("pl_herman", None),
+    ("rotation_baseline", "AC_BASELINE"),
+]
+
+
+@pytest.mark.parametrize("name, verdict", BUNDLED_VERDICTS)
+def test_bundled_experiments_keep_their_verdicts(tmp_path, name, verdict):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    code, out = run(tmp_path, "singularity", doc)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    if verdict is not None:
+        assert report["verdict"] == verdict
 
 
 @pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])

@@ -17,6 +17,7 @@ from circlebreak.crossratio import (
     image_quadruple,
     lift_into,
     normalized_coords,
+    pl_frame_distortion,
     single_break_closed_form,
     smooth_distortion_bound,
 )
@@ -158,6 +159,43 @@ def test_single_break_closed_form_pl_exact():
         assert res.residual_bound == 0.0  # curvature-free family
         assert res.actual == pytest.approx(res.predicted, abs=1e-12)
         assert res.side == "left"
+
+
+def test_pl_frame_matches_the_closed_forms():
+    rng = random.Random(11)
+    for _ in range(50):
+        alpha, beta, gamma = (math.exp(rng.uniform(-3, 3)) for _ in range(3))
+        sigma = math.exp(rng.uniform(-2, 2))
+        q = Quadruple.from_gaps(rng.uniform(-1, 1), alpha, beta, gamma)
+        nc = normalized_coords(q)
+        assert pl_frame_distortion(q, q.z2, sigma) == pytest.approx(
+            g_func(nc.xi, sigma), rel=1e-12
+        )
+        t = rng.random()
+        assert pl_frame_distortion(q, q.z2 - t * alpha, sigma) == pytest.approx(
+            f_func(nc.xi, t, sigma), rel=1e-12
+        )
+        assert pl_frame_distortion(q, q.z3 + t * gamma, sigma) == pytest.approx(
+            f_func(nc.eta, t, 1 / sigma), rel=1e-12
+        )
+
+
+def test_pl_frame_is_exact_for_pl_maps():
+    # one break in the hull, in each of the three gaps
+    m = make_pl_two_break(0.3, 0.7, 2.0)
+    for brk in m.breaks:
+        for shift in (0.004, 0.01, 0.013, 0.019):
+            z1 = brk.location - shift
+            q = Quadruple(z1, z1 + 0.006, z1 + 0.015, z1 + 0.02)
+            assert pl_frame_distortion(q, brk.location, brk.sigma) == pytest.approx(
+                distortion(q, m), rel=1e-12
+            )
+
+
+def test_pl_frame_refuses_a_break_outside_the_hull():
+    q = Quadruple(0.0, 1.0, 2.0, 3.0)
+    with pytest.raises(BreakNotInStatedInterval):
+        pl_frame_distortion(q, 3.5, 2.0)
 
 
 def test_single_break_closed_form_right_side():

@@ -20,9 +20,9 @@ from circlebreak.errors import (
     InvalidGeometry,
     InvariantFailure,
 )
-from circlebreak.maps import iterate, map_stats
+from circlebreak.maps import iterate, make_pl_two_break, make_pq_two_break, map_stats
 from circlebreak.measure import convergent_masses
-from circlebreak.numerics import arc_length
+from circlebreak.numerics import arc_length, to_circle
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction
 from circlebreak.singularity import (
@@ -33,6 +33,7 @@ from circlebreak.singularity import (
     gf_gap,
     make_cover_params,
     mass_length_curve,
+    mass_width,
     mirror_params,
     qn_distortion_experiment,
     build_experiment_map,
@@ -339,20 +340,31 @@ def test_experiment_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", same_orbit_steps=0)
     with pytest.raises(ConfigError):
-        ExperimentConfig(kind="pq", tune_tol=1e-13)
-    with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", cap=0)
-    # 13 golden quotients certify 1e-4 but not the default 1e-10; the
-    # rotation is not tuned, so it does not need the bracket
-    short = dict(rho_quotients=tuple([1] * 13), n_max=12)
-    ExperimentConfig(kind="pq", tune_tol=1e-4, **short)
-    ExperimentConfig(kind="rotation", **short)
-    for kind in ("pq", "pl"):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(kind=kind, **short)
-    # masses come from the convergent errors, so the measure-orbit keys of
-    # the measure command mean nothing here: exit 2, nothing written
-    for key, value in (("measure_points", 1200), ("drift_tol", 1e-6)):
+    # the tuning width is rank n_max's mass width, 1.41e-8 at 12, which the
+    # golden bracket 20 is the first to meet; the rotation reads the same
+    # bracket, so every kind needs its quotients
+    golden = ContinuedFraction.from_quotients([1] * 30)
+    assert mass_width(golden, 12) == pytest.approx(1.407e-8, rel=1e-3)
+    assert golden.bracket_within(mass_width(golden, 12)) == 20
+    for kind in ("pq", "pl", "rotation"):
+        ExperimentConfig(kind=kind, rho_quotients=tuple([1] * 20), n_max=12)
+        with pytest.raises(ConfigError, match="cannot certify"):
+            ExperimentConfig(kind=kind, rho_quotients=tuple([1] * 19), n_max=12)
+    # n_max 21 needs 2.4e-12; 22 needs 9.3e-13, which binary64 cannot
+    # certify, so it is refused here, before any orbit runs
+    ExperimentConfig(kind="pq", n_max=21)
+    assert mass_width(golden, 22) == pytest.approx(9.3e-13, rel=1e-2)
+    with pytest.raises(ConfigError, match="certifiable"):
+        ExperimentConfig(kind="pq", n_max=22)
+    # the width follows from n_max, so tune_tol and the measure-orbit keys
+    # of the measure command (masses come from the convergent errors) mean
+    # nothing here: exit 2, nothing written
+    for key, value in (
+        ("measure_points", 1200),
+        ("drift_tol", 1e-6),
+        ("tune_tol", 1e-10),
+    ):
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({"kind": "rotation", "n_min": 4, "n_max": 6, key: value}))
         out = tmp_path / key
@@ -381,14 +393,50 @@ def _count_calls(monkeypatch, fn):
 
 @pytest.mark.parametrize("kind", ["pq", "rotation"])
 def test_report_encloses_rho_once_and_runs_no_measure_orbit(monkeypatch, kind):
+    # one certificate: tuning to rank 8's mass width encloses rho, and the
+    # masses of every rank read its bracket's midpoint; the rotation is not
+    # tuned and reads the same bracket of its target
     cfg = ExperimentConfig(kind=kind, n_min=5, n_max=8)
     farey = _count_calls(monkeypatch, circlebreak.rotation.rho_farey)
+    tunes = _count_calls(monkeypatch, circlebreak.rotation.tune_translation)
+    masses = _count_calls(monkeypatch, circlebreak.measure.convergent_masses)
     orbits = _count_calls(monkeypatch, circlebreak.measure.conjugacy_values)
-    singularity_report(cfg)
+    rep = singularity_report(cfg)
     cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
     width = 2.0 * MASS_REL_TOL / (cf.q(8) * (cf.q(8) + cf.q(9)))
-    assert [call["width"] for call in farey] == [width]
-    assert orbits == []
+    assert mass_width(cf, 8) == width
+    assert [call["tol"] for call in tunes] == ([] if kind == "rotation" else [width])
+    assert farey == [] and orbits == []
+    n = cf.bracket_within(width)
+    assert [call["rho"] for call in masses] == [cf.bracket(n).value] * 4
+    diag = rep.to_json_dict()["diagnostics"]
+    assert diag["rho_bracket"] == n
+    assert diag["rho_bracket_width"] == 1 / (cf.q(n - 1) * cf.q(n)) <= width
+    if kind == "rotation":
+        assert diag["tune_bisections"] is None
+    else:
+        assert diag["tune_bisections"] > 0
+
+
+@pytest.mark.parametrize(
+    "m, rank",
+    [
+        (make_pq_two_break(0.2, 0.6, 2.0, 0.8, 0.6949140919153628), 13),
+        (
+            make_pl_two_break(
+                0.2, to_circle(0.2 + 0.5347822538316107), 2.0, 0.5347822538316107
+            ),
+            20,
+        ),
+    ],
+    ids=["pq-rank-13", "pl-same-orbit-rank-20"],
+)
+def test_first_break_audit_follows_the_break_off_z2(gcf, m, rank):
+    # the chain's rounding carries the tracked z2 off the first break by
+    # 1e-16 to 2.5e-14; predicting with the offset-0 slice g_func missed the
+    # measured factor beyond the audit's budget at these ranks
+    (row,) = qn_distortion_experiment(m, gcf, 0.05, [rank])
+    assert row.n == rank
 
 
 @pytest.mark.parametrize("name", ["pq_map", "so_map"])
