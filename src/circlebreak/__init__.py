@@ -30,7 +30,6 @@ from .maps import (
     BreakPoint,
     CircleMap,
     MapStats,
-    df,
     evaluate,
     invert,
     iterate,

@@ -24,6 +24,7 @@ import sys
 import tempfile
 from dataclasses import MISSING, fields
 from itertools import chain, repeat
+from operator import truediv
 
 from .crossratio import (
     Quadruple,
@@ -617,15 +618,16 @@ def cmd_measure(doc, outdir, seed):
     est = _rho_enclosure(m, cap, drift_tol, points)
     part = build_partition(m, cf, x0, n, cap=cap)
     om = conjugacy_values(m, est, part, points, drift_tol=drift_tol, cap=cap)
-    mrows = partition_masses(om)
+    masses = partition_masses(om)
+    el = part.elements
 
     rank_summary = {}
-    for tag in sorted(set(mrows.rank_tag.tolist())):
-        masses = mrows.mass[mrows.rank_tag == tag].tolist()
+    for tag in (n - 1, n):
+        rank = [x for t, x in zip(el.rank_tag, masses) if t == tag]
         rank_summary[str(tag)] = {
-            "count": len(masses),
-            "mass": statistics.median(masses),
-            "spread": max(masses) - min(masses),
+            "count": len(rank),
+            "mass": statistics.median(rank),
+            "spread": max(rank) - min(rank),
         }
     report = {
         "schema": SCHEMA,
@@ -633,7 +635,7 @@ def cmd_measure(doc, outdir, seed):
         "n": n,
         "points": points,
         "rho": {"value": est.value, "lower": est.lower, "upper": est.upper},
-        "mass_sum": sum(mrows.mass.tolist()),
+        "mass_sum": sum(masses),
         "ranks": rank_summary,
         "identity_residual": mass_identity_residual(cf, est.value, n),
     }
@@ -647,11 +649,11 @@ def cmd_measure(doc, outdir, seed):
                     ["n", "rank", "index", "length", "mass", "density"],
                     zip(
                         repeat(n),
-                        mrows.rank_tag.tolist(),
-                        mrows.index.tolist(),
-                        mrows.length.tolist(),
-                        mrows.mass.tolist(),
-                        mrows.density.tolist(),
+                        el.rank_tag,
+                        el.index,
+                        el.length,
+                        masses,
+                        map(truediv, masses, el.length),
                     ),
                 ),
             ),

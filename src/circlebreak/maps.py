@@ -27,8 +27,6 @@ import functools
 from dataclasses import dataclass
 from math import exp, floor, log, sqrt
 
-import numpy as np
-
 from .errors import (
     BreakCollision,
     InfeasibleDerivatives,
@@ -298,26 +296,6 @@ def one_sided_derivatives(m: CircleMap, x):
     return (d, d)
 
 
-def df(m: CircleMap, x):
-    """Right-hand derivative Df_+ elementwise over a point or array of points.
-
-    Returns a NumPy array of x's shape whose entries equal
-    ``one_sided_derivatives(m, x)[1]`` bit for bit: at a break u equals
-    the segment start, so the affine formula gives its start value exactly.
-    """
-    xs = np.asarray(x, dtype=float)
-    if m.kind == ROTATION:
-        return np.ones_like(xs)
-    p0, p1 = m.seg_pos[0], m.seg_pos[1]
-    u = xs - np.floor(xs - p0)
-    u = np.where(u < p0, u + 1, np.where(u >= p0 + 1, u - 1, u))
-    return np.where(
-        u < p1,
-        m.seg_d0[0] + m.seg_curv[0] * (u - p0),
-        m.seg_d0[1] + m.seg_curv[1] * (u - p1),
-    )
-
-
 # A fractional part this close below 1 is the origin of the next turn (the
 # ``to_circle`` rule).
 _CLAMP = 2 * MACHINE_EPS
@@ -431,14 +409,16 @@ NUDGE = 1e-9
 def _clears_breaks(m: CircleMap, pts, clearance):
     """Whether every arc ``arc_length(loc, p)`` from a break loc to a point p
     lies strictly between ``clearance`` and ``1 - clearance``."""
-    xs = np.array(pts)
+    far = 1 - clearance
     for b in m.breaks:
-        arc = xs - b.location
-        arc -= np.floor(arc)
-        # to_circle would also clamp arcs within 2 eps of 1 to 0; such arcs
-        # fail the test either way, since clearance exceeds 2 eps.
-        if not ((arc > clearance) & (arc < 1 - clearance)).all():
-            return False
+        loc = b.location
+        for p in pts:
+            arc = p - loc
+            arc -= floor(arc)
+            # to_circle would also clamp arcs within 2 eps of 1 to 0; such
+            # arcs fail the test either way, since clearance exceeds 2 eps.
+            if not clearance < arc < far:
+                return False
     return True
 
 

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import OrderViolation, PrecisionBudgetExceeded
 from .maps import CircleMap, advance
-from .numerics import DEFAULT_ORBIT_CAP, to_circle, to_circle_array
+from .numerics import DEFAULT_ORBIT_CAP, to_circle
 from .partition import DynamicalPartition
 from .rotation import ContinuedFraction, RotationEstimate, convergent_error
 
@@ -111,16 +109,10 @@ def partition_masses(om: OrbitMeasure):
     Element endpoints are orbit indices, so each mass is a single
     circular difference; per rank the difference is {q rho} for the
     same q, hence constant across elements up to rounding.  Returns a
-    record array, one row per cell in the partition's order, with the
-    columns rank_tag, index, left, length, mass and density.
+    list, one mass per cell in the partition's order.
     """
-    el = om.part.elements
-    phi = np.array(om.phi[: len(om.part.orbit)])
-    mass = to_circle_array(phi[el.right_index] - phi[el.left_index])
-    return np.rec.fromarrays(
-        [el.rank_tag, el.index, el.left, el.length, mass, mass / el.length],
-        names="rank_tag,index,left,length,mass,density",
-    )
+    el, phi = om.part.elements, om.phi
+    return [to_circle(phi[r] - phi[l]) for l, r in zip(el.left_index, el.right_index)]
 
 
 def convergent_masses(part: DynamicalPartition, cf: ContinuedFraction, rho):
@@ -129,15 +121,14 @@ def convergent_masses(part: DynamicalPartition, cf: ContinuedFraction, rho):
     The conjugacy to the rotation by rho carries a rank-k cell onto an
     arc of length beta_k = |q_k rho - p_k|, so every cell of xi_n has
     mass beta_{n-1} or beta_n by its rank tag; no orbit is needed.
-    Returns a float array, one mass per cell in the partition's order.
+    Returns a list, one mass per cell in the partition's order.
     """
     n = part.n
     if cf.depth < n or (cf.q(n), cf.q(n - 1)) != (part.q_n, part.q_nm1):
         raise ValueError("continued fraction does not match the partition")
-    betas = np.array(
-        [convergent_error(cf, rho, n - 1), convergent_error(cf, rho, n)]
-    )
-    return betas[part.elements.rank_tag - (n - 1)]
+    beta_nm1, beta_n = convergent_error(cf, rho, n - 1), convergent_error(cf, rho, n)
+    # the q_n rank-(n-1) cells come first, then the q_{n-1} rank-n cells
+    return [beta_nm1] * part.q_n + [beta_n] * part.q_nm1
 
 
 def mass_identity_residual(cf: ContinuedFraction, rho, n: int):

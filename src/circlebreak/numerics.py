@@ -2,16 +2,14 @@
 
 All numerics are binary64 floats: callers use ``math`` directly and
 ``MACHINE_EPS`` as the working precision.  The scalar helpers below sit
-on the orbit loops, so they stay branch-light and allocation-free;
-``to_circle_array`` applies the ``to_circle`` rule to whole arrays.
+on the orbit loops, so they stay branch-light and allocation-free.
+The package needs nothing beyond the standard library.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-
-import numpy as np
 
 MACHINE_EPS = sys.float_info.epsilon
 
@@ -34,13 +32,6 @@ def to_circle(x):
     v = x - math.floor(x)
     if 1 - v <= 2 * MACHINE_EPS:
         return 0.0
-    return v
-
-
-def to_circle_array(x):
-    """``to_circle`` element-wise over a NumPy array, bit for bit."""
-    v = x - np.floor(x)
-    v[1 - v <= 2 * MACHINE_EPS] = 0.0
     return v
 
 

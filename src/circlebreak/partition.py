@@ -1,20 +1,21 @@
 """Dynamical partitions of the circle and Denjoy-type estimates.
 
 The n-th partition xi_n(x0) is assembled from the first q_n + q_{n-1}
-forward orbit points of x0.  Cells are rows of one record array that
-name their ends by orbit index, so disjointness and refinement checks
-reduce to exact integer combinatorics on a single shared orbit, and
-every shallower partition is cut from a prefix of the same orbit.
+forward orbit points of x0.  Cells are the rows of one column table
+(``CellTable``, plain tuples of ints and floats) that name their ends
+by orbit index, so disjointness and refinement checks reduce to exact
+integer combinatorics on a single shared orbit, and every shallower
+partition is cut from a prefix of the same orbit.
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import repeat
-from math import exp, log
-
-import numpy as np
+from math import exp, floor, log
+from operator import sub
 
 from .errors import (
     InvariantFailure,
@@ -22,14 +23,14 @@ from .errors import (
     RankTooShallow,
     RefinementViolation,
 )
-from .maps import CircleMap, df, iterate, map_stats, orbit_avoiding_breaks
+from .maps import ROTATION, CircleMap, iterate, map_stats, orbit_avoiding_breaks
 from .numerics import (
+    BREAK_CLEARANCE_EPS,
     DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
     arc_length,
     in_arc,
     to_circle,
-    to_circle_array,
 )
 from .rotation import ContinuedFraction
 
@@ -37,19 +38,35 @@ from .rotation import ContinuedFraction
 # double-precision backend cannot certify disjointness any more.
 MIN_GAP_EPS = 1.0e3
 
-# One partition cell per row.  rank_tag is n-1 or n; index is the orbit
-# iterate defining the cell; left_index/right_index point into the
-# partition's orbit; left and length give the arc counterclockwise.
-CELL_DTYPE = np.dtype(
-    [
-        ("rank_tag", np.int64),
-        ("index", np.int64),
-        ("left_index", np.int64),
-        ("right_index", np.int64),
-        ("left", np.float64),
-        ("length", np.float64),
-    ]
-)
+# One partition cell.  rank_tag is n-1 or n; index is the orbit iterate
+# defining the cell; left_index/right_index point into the partition's
+# orbit; left and length give the arc counterclockwise.
+Cell = namedtuple("Cell", "rank_tag index left_index right_index left length")
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """Partition cells as six tuples, one entry per cell.
+
+    ``len`` counts the cells; ``table[row]`` and iteration read a row as
+    a ``Cell``, made on demand, so no object is kept per cell.
+    """
+
+    rank_tag: tuple
+    index: tuple
+    left_index: tuple
+    right_index: tuple
+    left: tuple
+    length: tuple
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, row: int) -> Cell:
+        return Cell(*(col[row] for col in vars(self).values()))
+
+    def __iter__(self):
+        return map(Cell, *vars(self).values())
 
 
 @dataclass(frozen=True)
@@ -74,7 +91,7 @@ class CircleInterval:
 
 @dataclass(frozen=True, eq=False)
 class DynamicalPartition:
-    """xi_n(x0) as a record array of cells (``CELL_DTYPE``) over ``orbit``.
+    """xi_n(x0) as a table of cells (``CellTable``) over ``orbit``.
 
     The q_n rank-(n-1) cells come first, then the q_{n-1} rank-n cells,
     each block in index order.  ``x0`` is the base point the orbit
@@ -85,19 +102,19 @@ class DynamicalPartition:
     x0: float
     q_n: int
     q_nm1: int
-    elements: np.recarray
+    elements: CellTable
     orbit: tuple
     nudges: int
 
     def total_length(self):
-        # sequential, in cell order: np.sum would add pairwise, other bytes
-        return sum(self.elements.length.tolist())
+        # sequential, in cell order
+        return sum(self.elements.length)
 
     def max_length(self):
-        return float(self.elements.length.max())
+        return max(self.elements.length)
 
     def min_length(self):
-        return float(self.elements.length.min())
+        return min(self.elements.length)
 
     def locate(self, x) -> int:
         """Row of the cell whose half-open arc [left, right) contains x.
@@ -107,13 +124,12 @@ class DynamicalPartition:
         never a cell end.
         """
         x = to_circle(x)
-        xs = np.array(self.orbit)
-        order = np.argsort(xs, kind="stable")
-        # k = -1 (x below every point) wraps to the last point
-        k = int(np.searchsorted(xs[order], x, side="right")) - 1
-        row = int(np.flatnonzero(self.elements.left_index == order[k])[0])
+        pts = self.orbit
+        # the largest point <= x; with none, x wraps to the largest point
+        k = max(range(len(pts)), key=lambda i: (pts[i] <= x, pts[i]))
+        row = self.elements.left_index.index(k)
         cell = self.elements[row]
-        if not in_arc(x, self.orbit[cell.left_index], self.orbit[cell.right_index]):
+        if not in_arc(x, pts[cell.left_index], pts[cell.right_index]):
             raise InvariantFailure(f"no partition element contains {x!r}")
         return row
 
@@ -144,32 +160,37 @@ def _cut(cf: ContinuedFraction, n: int, orbit: tuple, x0, nudges: int):
     q_n, q_nm1 = cf.q(n), cf.q(n - 1)
     total = q_n + q_nm1
     orbit = orbit[:total]
-    xs = np.array(orbit)
 
-    el = np.empty(total, CELL_DTYPE).view(np.recarray)
-    for rows, tag, step in ((slice(0, q_n), n - 1, q_nm1), (slice(q_n, total), n, q_n)):
-        idx = np.arange(rows.stop - rows.start)
-        el.rank_tag[rows] = tag
-        el.index[rows] = idx
-        early, late = (idx, idx + step) if tag % 2 == 0 else (idx + step, idx)
-        el.left_index[rows] = early
-        el.right_index[rows] = late
-    el.left = xs[el.left_index]
-    el.length = to_circle_array(xs[el.right_index] - el.left)
+    tags, lefts, rights = [], [], []
+    for count, tag, step in ((q_n, n - 1, q_nm1), (q_nm1, n, q_n)):
+        early, late = range(count), range(step, step + count)
+        tags += repeat(tag, count)
+        lefts += early if tag % 2 == 0 else late
+        rights += late if tag % 2 == 0 else early
+    at = orbit.__getitem__
+    left = tuple(map(at, lefts))
+    el = CellTable(
+        rank_tag=tuple(tags),
+        index=(*range(q_n), *range(q_nm1)),
+        left_index=tuple(lefts),
+        right_index=tuple(rights),
+        left=left,
+        length=tuple(map(to_circle, map(sub, map(at, rights), left))),
+    )
 
-    order = np.argsort(xs, kind="stable")
-    succ = np.empty(total, dtype=np.int64)
-    succ[order] = np.roll(order, -1)
-    bad = np.flatnonzero(succ[el.left_index] != el.right_index)
-    if bad.size:
-        e = el[bad[0]]
+    order = sorted(range(total), key=at)
+    succ = [0] * total
+    for a, b in zip(order, order[1:] + order[:1]):
+        succ[a] = b
+    if list(map(succ.__getitem__, lefts)) != rights:
+        e = next(e for e in el if succ[e.left_index] != e.right_index)
         raise InvariantFailure(
             f"element (tag {e.rank_tag}, index {e.index}) endpoints "
             f"{e.left_index}->{e.right_index} are not circularly adjacent; "
             "orbit order does not match the rotation combinatorics"
         )
 
-    min_len = float(el.length.min())
+    min_len = min(el.length)
     if min_len <= MIN_GAP_EPS * MACHINE_EPS:
         raise PrecisionBudgetExceeded(
             f"min element length {min_len:.3e} at rank {n} is below the "
@@ -177,11 +198,10 @@ def _cut(cf: ContinuedFraction, n: int, orbit: tuple, x0, nudges: int):
             "binary64 resolution"
         )
 
-    tot = sum(el.length.tolist())
+    tot = sum(el.length)
     if abs(tot - 1) > q_n * 10 * MACHINE_EPS:
         raise InvariantFailure(f"partition total length {tot!r} deviates from 1")
 
-    el.flags.writeable = False
     return DynamicalPartition(
         n=n, x0=x0, q_n=q_n, q_nm1=q_nm1, elements=el, orbit=orbit, nudges=nudges
     )
@@ -246,29 +266,24 @@ def check_refinement(
     k_next = cf.quotients[n]  # k_{n+1}, quotients are 1-based
     q_n, q_nm1 = cf.q(n), cf.q(n - 1)
 
-    cells = coarse.elements[:q_n]  # rank n-1, cell i in row i
-    fine_xs = np.array(fine.orbit)
+    el, fine_orbit = coarse.elements, fine.orbit
     for s in range(1, k_next + 1):
-        inner = cells.index + q_nm1 + s * q_n
-        escaped = np.flatnonzero(
-            to_circle_array(fine_xs[inner] - cells.left) > cells.length
-        )
-        if escaped.size:
-            i = int(escaped[0])
-            raise RefinementViolation(
-                f"boundary point {int(inner[i])} escapes coarse cell {i}"
-            )
+        shift = q_nm1 + s * q_n
+        # rank n-1 cells fill the first q_n rows, cell i in row i
+        for i, left, length in zip(el.index[:q_n], el.left, el.length):
+            if to_circle(fine_orbit[i + shift] - left) > length:
+                raise RefinementViolation(
+                    f"boundary point {i + shift} escapes coarse cell {i}"
+                )
 
     # coarse rank-n cell j is the fine rank-n cell j, in row j of fine
-    kept, twin = coarse.elements[q_n:], fine.elements[:q_nm1]
-    moved = np.flatnonzero(
-        (np.abs(twin.left - kept.left) > 1e-12)
-        | (np.abs(twin.length - kept.length) > 1e-12)
-    )
-    if moved.size:
-        raise RefinementViolation(
-            f"rank-{n} cell {int(moved[0])} moved between partitions"
-        )
+    fel = fine.elements
+    for j in range(q_nm1):
+        if (
+            abs(fel.left[j] - el.left[q_n + j]) > 1e-12
+            or abs(fel.length[j] - el.length[q_n + j]) > 1e-12
+        ):
+            raise RefinementViolation(f"rank-{n} cell {j} moved between partitions")
 
     return RefinementReport(
         n_coarse=n,
@@ -279,16 +294,65 @@ def check_refinement(
 
 
 def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
-    """Product of Df along the first ``steps`` orbit points of x0.
+    """Product of Df_+ along the first ``steps`` orbit points of x0.
+
+    One pass, no orbit kept: the loop steps the orbit as ``maps.advance``
+    does and multiplies in Df_+ = d0 + curv * du from the segment offset
+    du it has just computed, which is ``one_sided_derivatives(m, x)[1]``
+    bit for bit.  The product runs in orbit order, as a running product.
 
     The orbit is not nudged: a point too close to a break raises
-    BreakCollision.
+    BreakCollision.  The exact test is ``orbit_avoiding_breaks``'s; a
+    point whose du lies within twice the clearance of a segment end (an
+    ulp-level superset of the points that test rejects) runs it over the
+    whole orbit, once, so exactly the same base points raise.
     """
     if steps < 1:
         return 1.0
-    pts, _, _ = orbit_avoiding_breaks(m, x0, steps - 1, cap=cap, retries=0)
-    # math.prod multiplies in orbit order, as a running product would
-    return math.prod(df(m, pts).tolist())
+    if steps - 1 > cap:
+        raise PrecisionBudgetExceeded(f"orbit length {steps - 1} exceeds cap {cap}")
+    if m.kind == ROTATION:
+        return 1.0
+    t = m.translation
+    fl = floor
+    p0, p1 = m.seg_pos[0], m.seg_pos[1]
+    p0_next = p0 + 1
+    v0, v1 = m.seg_val[0], m.seg_val[1]
+    a0, a1 = m.seg_d0
+    c0, c1 = m.seg_curv
+    h0, h1 = 0.5 * c0, 0.5 * c1
+    clamp = 2 * MACHINE_EPS
+    near = 2 * BREAK_CLEARANCE_EPS * MACHINE_EPS
+    end0, end1 = (p1 - p0) - near, (p0_next - p1) - near
+    x = to_circle(x0)
+    prod = 1.0
+    for _ in range(steps):
+        j = fl(x - p0)
+        u = x - j
+        if u < p0:
+            u += 1
+            j -= 1
+        elif u >= p0_next:
+            u -= 1
+            j += 1
+        if u < p1:
+            du = u - p0
+            end = end0
+            prod *= a0 + c0 * du
+            y = v0 + du * (a0 + h0 * du) + j + t
+        else:
+            du = u - p1
+            end = end1
+            prod *= a1 + c1 * du
+            y = v1 + du * (a1 + h1 * du) + j + t
+        if du < near or du > end:
+            orbit_avoiding_breaks(m, x0, steps - 1, cap=cap, retries=0)
+            # the whole orbit clears the breaks: flag nothing more
+            near, end0, end1 = -1.0, 2.0, 2.0
+        x = y - fl(y)
+        if 1 - x <= clamp:
+            x = 0.0
+    return prod
 
 
 def denjoy_product(
@@ -344,16 +408,33 @@ def max_element_decay(
     empirical rate should be at least as fast.
     """
     rows = [(n, part.coarsen(cf, n).max_length()) for n in range(1, part.n + 1)]
-    ns = np.array([r[0] for r in rows], dtype=float)
-    logs = np.log(np.array([r[1] for r in rows]))
-    slope, intercept = np.polyfit(ns, logs, 1)
-    lam = map_stats(m).lam
+    slope, intercept = least_squares_line([(n, log(h)) for n, h in rows])
     return DecayFit(
         rows=tuple(rows),
-        slope=float(slope),
-        intercept=float(intercept),
-        log_lambda=float(log(lam)),
+        slope=slope,
+        intercept=intercept,
+        log_lambda=log(map_stats(m).lam),
     )
+
+
+def least_squares_line(points):
+    """(slope, intercept) of the least-squares line through (x, y) points.
+
+    The normal equations are solved exactly in rationals from the float
+    inputs and each result is rounded once, so the fit does not depend
+    on the summation order or on a linear-algebra library.  Needs two
+    distinct x values.
+    """
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    k = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxx = sum(x * x for x in xs)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    det = k * sxx - sx * sx
+    if det == 0:
+        raise ValueError("a line fit needs two distinct x values")
+    return float((k * sxy - sx * sy) / det), float((sy * sxx - sx * sxy) / det)
 
 
 def endpoint_condition(
@@ -424,12 +505,4 @@ def is_qn_small(
 def partition_rows(part: DynamicalPartition):
     """Rows (n, rank_tag, index, left, length) for tabular emission."""
     el = part.elements
-    return list(
-        zip(
-            repeat(part.n),
-            el.rank_tag.tolist(),
-            el.index.tolist(),
-            el.left.tolist(),
-            el.length.tolist(),
-        )
-    )
+    return list(zip(repeat(part.n), el.rank_tag, el.index, el.left, el.length))

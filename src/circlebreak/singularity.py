@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
-import numpy as np
-
 from .numerics import (
     DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
@@ -635,9 +633,13 @@ def mass_length_curve(part: DynamicalPartition, masses, threshold=0.90):
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must lie in (0, 1)")
     el = part.elements
-    order = np.lexsort((el.index, el.rank_tag, -(masses / el.length)))
-    lens = list(accumulate(el.length[order].tolist()))
-    cums = list(accumulate(masses[order].tolist()))
+    # densest first; ties by rank tag, then index
+    order = sorted(
+        range(len(el)),
+        key=lambda r: (-(masses[r] / el.length[r]), el.rank_tag[r], el.index[r]),
+    )
+    lens = list(accumulate(el.length[r] for r in order))
+    cums = list(accumulate(masses[r] for r in order))
     hit = next((l for l, c in zip(lens, cums) if c >= threshold - 1e-12), lens[-1])
     pts = [(0.0, 0.0)] + list(zip(lens, cums))
     return LorenzCurve(

@@ -75,11 +75,11 @@ def test_primary_02_partition_soundness(gcf):
         part = build_partition(m, gcf, 0.05, n)
         assert len(part.elements) == part.q_n + part.q_nm1
         assert part.q_n == gcf.q(n) and part.q_nm1 == gcf.q(n - 1)
-        cells = sorted(zip(part.elements.left.tolist(), part.elements.length.tolist()))
+        cells = sorted(zip(part.elements.left, part.elements.length))
         for (left, length), (nxt, _) in zip(cells, cells[1:] + cells[:1]):
             gap = arc_length(left, nxt)
             assert gap == pytest.approx(length, abs=1e-12)
-        total = sum(part.elements.length.tolist())
+        total = sum(part.elements.length)
         assert abs(total - 1.0) <= part.q_n * 10 * MACHINE_EPS
     for n in (7, 11):
         rep = check_refinement(
@@ -164,10 +164,10 @@ def test_primary_07_mass_identity(pq_map, gcf):
         assert abs(mass_identity_residual(gcf, GOLDEN, n)) < 1e-9
     for n in (6, 9, 12):
         part = build_partition(pq_map, gcf, 0.05, n)
-        rows = partition_masses(conjugacy_values(pq_map, rho, part, 380))
+        masses = partition_masses(conjugacy_values(pq_map, rho, part, 380))
         by_rank = {}
-        for r in rows:
-            by_rank.setdefault(r.rank_tag, []).append(r.mass)
+        for tag, mass in zip(part.elements.rank_tag, masses):
+            by_rank.setdefault(tag, []).append(mass)
         for masses in by_rank.values():
             assert max(masses) - min(masses) < 1e-10
     _ok("PRIMARY-07 mass identity and per-rank constancy")

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from conftest import GOLDEN
@@ -45,9 +44,11 @@ def pq_om(pq_map, gcf):
 
 
 def pq_masses(pq_map, gcf, n, points=380):
-    """Cell masses of xi_n(0.05), from its orbit extended to ``points``."""
+    """(rank_tag, mass) per cell of xi_n(0.05), from its orbit extended to
+    ``points``."""
     part = build_partition(pq_map, gcf, 0.05, n)
-    return partition_masses(conjugacy_values(pq_map, tuned_rho(GOLDEN), part, points))
+    om = conjugacy_values(pq_map, tuned_rho(GOLDEN), part, points)
+    return list(zip(part.elements.rank_tag, partition_masses(om)))
 
 
 def arc_mass(om, i, j):
@@ -67,8 +68,8 @@ def test_rotation_arc_mass_is_arc_length(rot_om):
 def test_rank_masses_are_convergent_errors(pq_map, gcf):
     rows = pq_masses(pq_map, gcf, 6)
     by_rank = {}
-    for r in rows:
-        by_rank.setdefault(r.rank_tag, []).append(r.mass)
+    for tag, mass in rows:
+        by_rank.setdefault(tag, []).append(mass)
     assert sorted(by_rank) == [5, 6]
     assert len(by_rank[5]) == 13 and len(by_rank[6]) == 8
     for rank, masses in by_rank.items():
@@ -78,25 +79,25 @@ def test_rank_masses_are_convergent_errors(pq_map, gcf):
         assert max(masses) - min(masses) < 1e-10
     # |8 rho - 5| for the golden mean
     assert abs(by_rank[5][0] - 0.05572809000) < 1e-9
-    assert sum(r.mass for r in rows) == pytest.approx(1.0, abs=1e-10)
+    assert sum(mass for _, mass in rows) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mass_depends_only_on_rank_deep(pq_map, gcf):
     for n in (8, 10, 12):
         rows = pq_masses(pq_map, gcf, n)
         by_rank = {}
-        for r in rows:
-            by_rank.setdefault(r.rank_tag, []).append(r.mass)
+        for tag, mass in rows:
+            by_rank.setdefault(tag, []).append(mass)
         for masses in by_rank.values():
             assert max(masses) - min(masses) < 1e-10
-        assert sum(r.mass for r in rows) == pytest.approx(1.0, abs=1e-10)
+        assert sum(mass for _, mass in rows) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_rotation_masses_equal_lengths(rot_om):
-    rows = partition_masses(rot_om)
-    for r in rows:
-        assert r.mass == pytest.approx(r.length, abs=1e-12)
-        assert r.density == pytest.approx(1.0, abs=1e-9)
+    lengths = rot_om.part.elements.length
+    for mass, length in zip(partition_masses(rot_om), lengths):
+        assert mass == pytest.approx(length, abs=1e-12)
+        assert mass / length == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mass_identity():
@@ -181,17 +182,16 @@ def test_convergent_masses_match_orbit_masses(request, gcf, name):
         orbit = partition_masses(conjugacy_values(m, fine, part, len(deep.orbit)))
         # same rho: the rank tag picks beta_{n-1} or beta_n exactly
         same = convergent_masses(part, gcf, fine.value)
-        assert np.abs(same - orbit.mass).max() <= 1e-12
+        assert max(abs(a - b) for a, b in zip(same, orbit)) <= 1e-12
         # the report's coarser rho: q_k times the rho error, plus rounding
-        q_k = np.array([gcf.q(int(k)) for k in part.elements.rank_tag])
         masses = convergent_masses(part, gcf, coarse.value)
-        bound = q_k * (coarse.width + fine.width) / 2 + 1e-12
-        assert (np.abs(masses - orbit.mass) <= bound).all()
-        assert (np.abs(masses - orbit.mass) <= MASS_REL_TOL * orbit.mass).all()
+        for k, mass, ref in zip(part.elements.rank_tag, masses, orbit):
+            assert abs(mass - ref) <= gcf.q(k) * (coarse.width + fine.width) / 2 + 1e-12
+            assert abs(mass - ref) <= MASS_REL_TOL * ref
         if m.breaks:
             assert (
                 mass_length_curve(part, masses).lorenz_90_length
-                == mass_length_curve(part, orbit.mass).lorenz_90_length
+                == mass_length_curve(part, orbit).lorenz_90_length
             )
 
 
@@ -199,9 +199,9 @@ def test_convergent_masses_are_the_rank_errors(gcf):
     # any partition of the golden cf: rank n-1 cells get beta_{n-1}
     part = build_partition(make_rotation(GOLDEN), gcf, 0.3, 6)
     masses = convergent_masses(part, gcf, GOLDEN)
-    for tag, mass in zip(part.elements.rank_tag.tolist(), masses.tolist()):
+    for tag, mass in zip(part.elements.rank_tag, masses):
         assert mass == convergent_error(gcf, GOLDEN, tag)
-    assert sum(masses.tolist()) == pytest.approx(1.0, abs=1e-12)
+    assert sum(masses) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_convergent_masses_refuse_a_foreign_fraction(pq_map, gcf):

@@ -17,6 +17,7 @@ from circlebreak.maps import (
     make_pq_two_break,
     make_rotation,
     map_stats,
+    min_break_distance,
     one_sided_derivatives,
     orbit_avoiding_breaks,
 )
@@ -35,6 +36,7 @@ from circlebreak.partition import (
     df_product,
     endpoint_condition,
     is_qn_small,
+    least_squares_line,
     max_element_decay,
     partition_rows,
 )
@@ -51,7 +53,7 @@ def test_rotation_partition_three_distance(gcf):
     part = build_partition(make_rotation(GOLDEN), gcf, 0.0, 4)
     assert (part.q_n, part.q_nm1) == (5, 3)
     assert len(part.elements) == 8
-    lengths = sorted({round(v, 12) for v in part.elements.length.tolist()})
+    lengths = sorted({round(v, 12) for v in part.elements.length})
     assert len(lengths) == 2  # rotations admit exactly two gap sizes here
 
 
@@ -59,8 +61,8 @@ def test_pq_partition_counts(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 6)
     assert (part.q_n, part.q_nm1) == (13, 8)
     assert len(part.elements) == 21
-    assert part.elements.rank_tag.tolist().count(5) == 13
-    assert part.elements.rank_tag.tolist().count(6) == 8
+    assert part.elements.rank_tag.count(5) == 13
+    assert part.elements.rank_tag.count(6) == 8
 
 
 def test_rank_one_partition(pq_map, gcf):
@@ -74,7 +76,7 @@ def test_partition_covers_circle(pq_map, gcf):
         total = part.total_length()
         assert abs(total - 1.0) <= part.q_n * 10 * MACHINE_EPS
         # sorted left endpoints + lengths tile without overlap
-        cells = sorted(zip(part.elements.left.tolist(), part.elements.length.tolist()))
+        cells = sorted(zip(part.elements.left, part.elements.length))
         for (left, length), (nxt, _) in zip(cells, cells[1:]):
             gap = arc_length(left, nxt)
             assert gap == pytest.approx(length, abs=1e-12)
@@ -146,6 +148,23 @@ def test_decay_pq_rate(pq_map, gcf):
     assert fit.slope <= fit.log_lambda + 0.05
     lens = [ln for _, ln in fit.rows]
     assert all(b <= a for a, b in zip(lens, lens[1:]))
+
+
+def test_least_squares_line_is_exact():
+    # (0, 0), (1, 1), (2, 1): slope 1/2 and intercept 1/6, each rounded once
+    assert least_squares_line([(0, 0.0), (1, 1.0), (2, 1.0)]) == (0.5, 1 / 6)
+    # dyadic data, slope 19/20 and intercept -1/4
+    rows = [(1, 0.75), (2, 1.5), (3, 2.75), (4, 3.5)]
+    assert least_squares_line(rows) == (0.95, -0.25)
+    with pytest.raises(ValueError):
+        least_squares_line([(3, 1.0), (3, 2.0)])
+
+
+def test_decay_fit_is_the_exact_line(pq_map, gcf):
+    fit = max_element_decay(pq_map, gcf, build_partition(pq_map, gcf, 0.05, 12))
+    assert (fit.slope, fit.intercept) == least_squares_line(
+        [(n, math.log(ln)) for n, ln in fit.rows]
+    )
 
 
 def test_is_qn_small_generator(pq_map, gcf):
@@ -235,14 +254,53 @@ def test_denjoy_product_refuses_a_break_orbit(pq_map, gcf):
         denjoy_product(pq_map, gcf, 0.2, 6)
 
 
+def _running_product(m, x0, steps):
+    prod = 1.0
+    for p in iterate(m, x0, steps - 1):
+        prod *= one_sided_derivatives(m, p)[1]
+    return prod
+
+
 @pytest.mark.parametrize("name", ["pq_map", "pl_map"])
 def test_df_product_matches_running_product(request, name):
     m = request.getfixturevalue(name)
     for x0 in (0.05, 0.31, 0.77):
-        prod = 1.0
-        for p in iterate(m, x0, 232):
-            prod *= one_sided_derivatives(m, p)[1]
-        assert df_product(m, x0, 233) == prod
+        assert df_product(m, x0, 233) == _running_product(m, x0, 233)
+        # q_18 = 4181 steps
+        assert df_product(m, x0, 4181) == _running_product(m, x0, 4181)
+
+
+@pytest.mark.parametrize("name", ["pq_map", "pl_map"])
+def test_df_product_near_a_break(monkeypatch, request, name):
+    # a point 1.5 clearances off a break is inside the kernel's 2x prefilter
+    # band but outside the exact bound: the exact scan runs once and passes;
+    # at 0.5 clearances it raises
+    m = request.getfixturevalue(name)
+    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
+    scans = []
+
+    def counted(*args, **kwargs):
+        scans.append(args)
+        return orbit_avoiding_breaks(*args, **kwargs)
+
+    monkeypatch.setattr("circlebreak.partition.orbit_avoiding_breaks", counted)
+    assert df_product(m, 0.05, 233) == _running_product(m, 0.05, 233)
+    assert scans == []
+    for b in m.breaks:
+        for side in (1, -1):
+            near = to_circle(b.location + side * 1.5 * clearance)
+            # the base point itself, then the point 5 steps on
+            for k in (0, 5):
+                x0 = iterate(m, near, k, direction="backward")[-1]
+                dist = min(min_break_distance(m, p) for p in iterate(m, x0, 232))
+                assert 1.2 * clearance < dist < 1.8 * clearance
+                scans.clear()
+                assert df_product(m, x0, 233) == _running_product(m, x0, 233)
+                assert len(scans) == 1
+            inside = to_circle(b.location + side * 0.5 * clearance)
+            x0 = iterate(m, inside, 5, direction="backward")[-1]
+            with pytest.raises(BreakCollision):
+                df_product(m, x0, 233)
 
 
 def _reference_orbit_avoiding_breaks(m, x0, n, retries):
@@ -358,7 +416,7 @@ def test_columns_match_point_by_point_reference(request, gcf, name):
             cut = deep.coarsen(gcf, k)
             assert part.nudges == deep.nudges
             for p in (part, cut):
-                assert p.elements.tolist() == cells
+                assert list(p.elements) == cells
                 assert p.orbit == tuple(pts) and p.x0 == deep.x0
                 assert (p.n, p.q_n, p.q_nm1) == (k, gcf.q(k), gcf.q(k - 1))
                 assert p.total_length() == sum(c[5] for c in cells)
@@ -437,8 +495,9 @@ def test_refinement_catches_an_escaped_point_and_a_moved_cell(pq_map, gcf):
     with pytest.raises(RefinementViolation, match="escapes coarse cell 3"):
         check_refinement(coarse, escaped, gcf)
     # shift the left end of the fine rank-7 cell 2 alone
-    cells = fine.elements.copy()
-    cells.left[2] += 1e-9
+    lefts = list(fine.elements.left)
+    lefts[2] += 1e-9
+    cells = dataclasses.replace(fine.elements, left=tuple(lefts))
     moved = dataclasses.replace(fine, elements=cells)
     with pytest.raises(RefinementViolation, match="rank-7 cell 2 moved"):
         check_refinement(coarse, moved, gcf)
@@ -457,7 +516,7 @@ def test_coarsen_of_a_nudged_partition(pq_map, gcf):
         direct = build_partition(pq_map, gcf, deep.x0, k)
         assert cut.x0 == direct.x0 == deep.x0 and cut.nudges == 1
         assert cut.orbit == direct.orbit
-        assert cut.elements.tolist() == direct.elements.tolist()
+        assert cut.elements == direct.elements
     assert check_refinement(deep.coarsen(gcf, 7), deep, gcf).persisted == gcf.q(6)
 
 

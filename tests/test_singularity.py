@@ -209,12 +209,12 @@ def test_lorenz_concentrates_for_pq(pq_map, gcf):
 def _reference_lorenz(part, masses, threshold):
     # cells sorted by (-density, rank_tag, index), summed one at a time
     cells = []
-    for e, mass in zip(part.elements, masses.tolist()):
-        cells.append((-(mass / e.length), int(e.rank_tag), int(e.index), e.length, mass))
+    for e, mass in zip(part.elements, masses):
+        cells.append((-(mass / e.length), e.rank_tag, e.index, e.length, mass))
     pts, cum_len, cum_mass, hit = [(0.0, 0.0)], 0.0, 0.0, None
     for _, _, _, length, mass in sorted(cells):
-        cum_len += float(length)
-        cum_mass += float(mass)
+        cum_len += length
+        cum_mass += mass
         pts.append((cum_len, cum_mass))
         if hit is None and cum_mass >= threshold - 1e-12:
             hit = cum_len
