@@ -517,14 +517,7 @@ def cmd_distortion(doc, outdir, seed):
         for _ in range(count):
             z1 = rng.random()
             gaps = [scale * (0.25 + rng.random()) for _ in range(3)]
-            quads.append(
-                Quadruple(
-                    z1,
-                    z1 + gaps[0],
-                    z1 + gaps[0] + gaps[1],
-                    z1 + gaps[0] + gaps[1] + gaps[2],
-                )
-            )
+            quads.append(Quadruple.from_gaps(z1, *gaps))
     if not quads:
         raise ConfigError("distortion needs a quadruples list or a sample block")
 

@@ -276,19 +276,18 @@ class ClosedForm:
     predicted: float
     residual_bound: float
     actual: float
-    side: str  # "left" for [z1,z2], "right" for [z3,z4]
     sigma: float
 
 
 def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> ClosedForm:
     """One-step distortion against its break-point closed form.
 
-    With the break in [z1, z2] the prediction is F(xi, z) at the jump
-    ratio sigma; in [z3, z4] it is F(eta, theta) at 1/sigma.  The
-    reciprocal comes from reflection symmetry (x -> -x swaps the
-    one-sided derivatives) and is confirmed exactly by piecewise linear
-    frames.  The residual is certified against the calibrated multiple
-    of the total curvature over the hull; zero for PL maps.
+    The prediction is the PL frame at the break's lift: F(xi, z) at the
+    jump ratio sigma with the break in [z1, z2], F(eta, theta) at
+    1/sigma with it in [z3, z4].  A break in the middle gap is refused,
+    as no closed form of the paper covers it.  The residual is certified
+    against the calibrated multiple of the total curvature over the hull;
+    zero for PL maps.
     """
     pos = lift_into(brk.location, q.z1)
     others = [b for b in m.breaks if b.location != brk.location]
@@ -298,11 +297,11 @@ def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> Clo
             raise BreakNotInStatedInterval(
                 f"hull also contains the break at {other.location!r}"
             )
-    coords = normalized_coords(q, cbar=pos)  # raises if pos is in the middle gap
-    if coords.z is not None:
-        side, predicted = "left", f_func(coords.xi, coords.z, brk.sigma)
-    else:
-        side, predicted = "right", f_func(coords.eta, coords.theta, 1 / brk.sigma)
+    if q.z2 < pos < q.z3:
+        raise BreakNotInStatedInterval(
+            f"break {pos!r} lies in the middle gap [{q.z2!r}, {q.z3!r}]"
+        )
+    predicted = pl_frame_distortion(q, pos, brk.sigma)
 
     actual = distortion(q, m)
     k1 = calibrate_k1(m)
@@ -316,7 +315,6 @@ def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> Clo
         predicted=predicted,
         residual_bound=bound,
         actual=actual,
-        side=side,
         sigma=brk.sigma,
     )
 
@@ -374,12 +372,7 @@ def calibrate_k1(m: CircleMap) -> float:
     rng = random.Random(0x5EED)
     worst = 0.0
     for qd, brk in _sample_quadruples(m, rng, 1000, with_break=True):
-        pos = lift_into(brk.location, qd.z1)
-        coords = normalized_coords(qd, cbar=pos)
-        if coords.z is not None:
-            predicted = f_func(coords.xi, coords.z, brk.sigma)
-        else:
-            predicted = f_func(coords.eta, coords.theta, 1 / brk.sigma)
+        predicted = pl_frame_distortion(qd, lift_into(brk.location, qd.z1), brk.sigma)
         integral = abs_d2f_integral(m, qd.z1, qd.z4)
         if integral <= 0:
             continue

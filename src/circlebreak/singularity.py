@@ -185,6 +185,13 @@ def mirror_params(params: RegularCoverParams) -> RegularCoverParams:
     return make_cover_params(1.0 / params.sigma_a, 1.0 / params.sigma_c, params.v)
 
 
+@lru_cache(maxsize=32)
+def _cover_params(m: CircleMap):
+    """(params, mirror) for a two-break map, from its jump ratios and v."""
+    params = make_cover_params(m.breaks[0].sigma, m.breaks[1].sigma, map_stats(m).v)
+    return params, mirror_params(params)
+
+
 @dataclass(frozen=True)
 class CoverTriple:
     """Three adjacent intervals straddling a break preimage.
@@ -236,6 +243,15 @@ def _circle_gap(u, w):
     return min(arc_length(u, w), arc_length(w, u))
 
 
+def _roundtrip_check(m: CircleMap, pre, steps: int, loc, cap: int):
+    back = iterate(m, pre, steps, cap=cap)[-1] if steps else pre
+    if _circle_gap(back, loc) > 1e-8:
+        raise InvariantFailure(
+            f"roundtrip through {steps} backward steps moved the break by "
+            f"{_circle_gap(back, loc):.3e}"
+        )
+
+
 def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc, cap: int):
     """Backward time l < q_n putting the break into the window around x0.
 
@@ -255,13 +271,20 @@ def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc, cap: int):
             f"preimage {pre!r} of break {loc!r} (l={l}) escaped the window "
             f"[{w_left!r}, {w_right!r}]"
         )
-    back = iterate(m, pre, l, cap=cap)[-1] if l else pre
-    if _circle_gap(back, loc) > 1e-8:
-        raise InvariantFailure(
-            f"roundtrip through {l} backward steps moved the break by "
-            f"{_circle_gap(back, loc):.3e}"
-        )
+    _roundtrip_check(m, pre, l, loc, cap)
     return l, pre
+
+
+def _preimage_near(m: CircleMap, part: DynamicalPartition, loc, abar, cap: int):
+    """Backward time p < q_n putting the break nearest to ``abar``.
+
+    A window point can have two preimages within q_n steps; the one on
+    abar's own orbit, which the hull around abar reaches, is the nearer.
+    """
+    pres = iterate(m, loc, part.q_n - 1, direction="backward", cap=cap)
+    p = min(range(len(pres)), key=lambda k: _circle_gap(pres[k], abar))
+    _roundtrip_check(m, pres[p], p, loc, cap)
+    return p, pres[p]
 
 
 def regular_cover_triple(
@@ -284,14 +307,11 @@ def regular_cover_triple(
     if len(m.breaks) != 2:
         raise InvalidGeometry("cover triples need a map with exactly two breaks")
     if params is None:
-        stats = map_stats(m)
-        params = make_cover_params(
-            m.breaks[0].sigma, m.breaks[1].sigma, stats.v
-        )
+        params = _cover_params(m)[0]
     a_loc = m.breaks[0].location
     c_loc = m.breaks[1].location
     l, abar = _preimage_in_window(m, part, a_loc, cap)
-    p, cbar = _preimage_in_window(m, part, c_loc, cap)
+    p, cbar = _preimage_near(m, part, c_loc, abar, cap)
     if p > l and iterate(m, a_loc, p - l, cap=cap)[-1] == c_loc:
         # c is a's (p - l)-th image in floating point, so its preimage is
         # abar itself; pulling c back separately would only add rounding
@@ -309,15 +329,15 @@ def regular_cover_triple(
         )
 
     delta = wrap_signed(cbar - abar)
+    if abs(delta) <= h_u and p == l:
+        raise InvariantFailure(
+            "both breaks pull back to the same time step; the one-step "
+            "factors cannot be separated"
+        )
     if abs(delta) > h_u:
         tag = "a_only" if params.degenerate else "c_outside_U"
         zs = (abar - h_u / 2.0, abar, abar + h_u / 2.0, abar + h_u)
     elif delta <= 0.0:
-        if p == l:
-            raise InvariantFailure(
-                "both breaks pull back to the same time step; the one-step "
-                "factors cannot be separated"
-            )
         tag = "c_in_U_left"
         zs = (
             abar - h_v,
@@ -326,11 +346,6 @@ def regular_cover_triple(
             abar + 2.0 * params.c0 * h_v,
         )
     else:
-        if p == l:
-            raise InvariantFailure(
-                "both breaks pull back to the same time step; the one-step "
-                "factors cannot be separated"
-            )
         tag = "c_in_U_right"
         zs = (
             abar - 2.0 * params.c0 * h_v,
@@ -517,62 +532,44 @@ def _qn_row(
             image_len_sum=image_len_sum,
         )
 
-    l = triple.l_index
     k1 = calibrate_k1(m)
-    a_sig = m.breaks[0].sigma
-    c_sig = m.breaks[1].sigma
-    gf = None
-
-    ql = res.quadruples[l]
-    nc_l = normalized_coords(ql)
-    coords_l = nc_l.eta if triple.case_tag == "c_in_U_right" else nc_l.xi
-    # the chain's rounding carries the tracked point off the break, to
-    # either side; the PL frame at the break's own lift predicts the
-    # factor wherever in the hull it falls
-    a_lift = lift_into(m.breaks[0].location, ql.z1)
-    predicted_l = pl_frame_distortion(ql, a_lift, a_sig)
-    budget_l = k1 * abs_d2f_integral(m, to_circle(ql.z1), to_circle(ql.z4)) + 1e-9
-    if abs(res.factors[l] - predicted_l) > budget_l:
-        raise InvariantFailure(
-            f"one-step factor {res.factors[l]!r} at the first break differs "
-            f"from its closed form {predicted_l!r} beyond {budget_l!r}"
-        )
-
+    l, p = triple.l_index, triple.p_index
+    audited = [(l, m.breaks[0], "first")]
     if triple.covers_second_break:
-        p = triple.p_index
+        audited.append((p, m.breaks[1], "second"))
+    for step, brk, which in audited:
+        # the chain's rounding carries the tracked point off the break, to
+        # either side; the PL frame at the break's own lift predicts the
+        # factor wherever in the hull it falls
+        q = res.quadruples[step]
+        predicted = pl_frame_distortion(q, lift_into(brk.location, q.z1), brk.sigma)
+        budget = k1 * abs_d2f_integral(m, q.z1, q.z4) + 1e-9
+        if abs(res.factors[step] - predicted) > budget:
+            raise InvariantFailure(
+                f"one-step factor {res.factors[step]!r} at the {which} break "
+                f"differs from its closed form {predicted!r} beyond {budget!r}"
+            )
+
+    gf = None
+    if triple.covers_second_break:
+        nc_l = normalized_coords(res.quadruples[l])
         qp = res.quadruples[p]
         c_lift = lift_into(m.breaks[1].location, qp.z1)
         if triple.cbar == triple.abar:
             # c is a's image, so at step p the break is z2's image: offset
-            # 0 up to the chain's rounding.  Re-locating c keeps the factor
-            # audit on the chain's own arithmetic; when that rounding
-            # carries c past z2 into the middle gap, it is z2 all the same
+            # 0 up to the chain's rounding; when that rounding carries c
+            # past z2 into the middle gap, it is z2 all the same
             c_lift = min(c_lift, qp.z2)
         nc = normalized_coords(qp, cbar=c_lift)
         if triple.case_tag == "c_in_U_left":
-            if nc.z is None:
-                raise InvariantFailure(
-                    "second break left its stated interval along the chain"
-                )
-            predicted_p = f_func(nc.xi, nc.z, c_sig)
-            gf_params = params
-            gf = gf_gap(gf_params, coords_l, nc.xi, nc.z)
+            gf_args = (params, nc_l.xi, nc.xi, nc.z)
         else:
-            if nc.theta is None:
-                raise InvariantFailure(
-                    "second break left its stated interval along the chain"
-                )
-            predicted_p = f_func(nc.eta, nc.theta, 1.0 / c_sig)
-            gf = gf_gap(mirror, coords_l, nc.eta, nc.theta)
-        budget_p = (
-            k1 * abs_d2f_integral(m, to_circle(qp.z1), to_circle(qp.z4)) + 1e-9
-        )
-        if abs(res.factors[p] - predicted_p) > budget_p:
+            gf_args = (mirror, nc_l.eta, nc.eta, nc.theta)
+        if gf_args[3] is None:
             raise InvariantFailure(
-                f"one-step factor {res.factors[p]!r} at the second break "
-                f"differs from its closed form {predicted_p!r} beyond "
-                f"{budget_p!r}"
+                "second break left its stated interval along the chain"
             )
+        gf = gf_gap(*gf_args)
 
     return QnDistortionRow(
         n=part.n,
@@ -580,7 +577,7 @@ def _qn_row(
         gap=gap,
         case_tag=triple.case_tag,
         l_index=l,
-        p_index=triple.p_index,
+        p_index=p,
         gf=gf,
         image_len_sum=image_len_sum,
     )
@@ -604,11 +601,12 @@ def qn_distortion_experiment(
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise ValueError("empty rank range")
-    two_break = len(m.breaks) == 2
-    if two_break and params is None:
-        stats = map_stats(m)
-        params = make_cover_params(m.breaks[0].sigma, m.breaks[1].sigma, stats.v)
-    mirror = mirror_params(params) if two_break else None
+    mirror = None
+    if len(m.breaks) == 2:
+        if params is None:
+            params, mirror = _cover_params(m)
+        else:
+            mirror = mirror_params(params)
     deep = build_partition(m, cf, x0, ns[-1], cap=cap)
     return [_qn_row(m, cf, deep.coarsen(cf, n), params, mirror, cap) for n in ns]
 
@@ -943,8 +941,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     params = None
     mirror = None
     if two_break:
-        params = make_cover_params(m.breaks[0].sigma, m.breaks[1].sigma, stats.v)
-        mirror = mirror_params(params)
+        params, mirror = _cover_params(m)
         notes.append(
             f"cover constants: C0={params.c0:.6g}, zeta0={params.zeta0:.6g}, "
             f"R6={params.r6_hat:.6g}"

@@ -287,6 +287,27 @@ def test_bundled_experiments_keep_their_verdicts(tmp_path, name, verdict):
         assert report["verdict"] == verdict
 
 
+@pytest.mark.parametrize(
+    "doc, tag",
+    [
+        ({"kind": "pq", "n_min": 7, "n_max": 7, "same_orbit_steps": 3}, "c_in_U_right"),
+        ({"kind": "pl", "n_min": 5, "n_max": 6, "same_orbit_steps": 3}, "c_in_U_right"),
+        # a near 1 puts the cover hulls across 0, where a curvature budget
+        # read between the circle representatives of the ends came out 0
+        (
+            {"kind": "pq", "a": 0.995, "sigma_a": 2.0, "sigma_c": 0.8, "same_orbit_steps": 1},
+            "c_in_U_left",
+        ),
+    ],
+    ids=["pq-three-steps", "pl-three-steps", "pq-hull-across-zero"],
+)
+def test_same_orbit_experiments_pass_their_audits(tmp_path, doc, tag):
+    code, out = run(tmp_path, "singularity", doc)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["rows"][-1]["case_tag"] == tag
+
+
 @pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
 @pytest.mark.parametrize(
     "key", ["gap_abs_floor", "gap_floor_ratio", "lorenz_violation_limit"]

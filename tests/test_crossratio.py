@@ -158,7 +158,10 @@ def test_single_break_closed_form_pl_exact():
         res = single_break_closed_form(q, brk, m)
         assert res.residual_bound == 0.0  # curvature-free family
         assert res.actual == pytest.approx(res.predicted, abs=1e-12)
-        assert res.side == "left"
+        # the break sits in [z1, z2], at z = t
+        assert res.predicted == pytest.approx(
+            f_func(normalized_coords(q).xi, t, brk.sigma), rel=1e-12
+        )
 
 
 def test_pl_frame_matches_the_closed_forms():
@@ -204,7 +207,10 @@ def test_single_break_closed_form_right_side():
     z3 = brk.location - 0.004
     q = Quadruple(z3 - 0.02, z3 - 0.01, z3, z3 + 0.01)
     res = single_break_closed_form(q, brk, m)
-    assert res.side == "right"
+    # the break sits in [z3, z4], at theta = 0.4
+    assert res.predicted == pytest.approx(
+        f_func(normalized_coords(q).eta, 0.4, 1 / brk.sigma), rel=1e-12
+    )
     assert res.actual == pytest.approx(res.predicted, abs=1e-12)
 
 
@@ -222,6 +228,14 @@ def test_single_break_rejects_second_break(pq_map):
     q = Quadruple(a - 0.01, a, (a + c) / 2, c + 0.01)
     with pytest.raises(BreakNotInStatedInterval):
         single_break_closed_form(q, pq_map.breaks[0], pq_map)
+
+
+def test_single_break_rejects_a_middle_gap_break():
+    m = make_pl_two_break(0.3, 0.7, 2.0)
+    brk = m.breaks[0]
+    q = Quadruple.from_gaps(brk.location - 0.01, 0.005, 0.01, 0.005)
+    with pytest.raises(BreakNotInStatedInterval):
+        single_break_closed_form(q, brk, m)
 
 
 def test_calibrations():

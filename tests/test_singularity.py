@@ -24,7 +24,7 @@ from circlebreak.maps import iterate, make_pl_two_break, make_pq_two_break, map_
 from circlebreak.measure import convergent_masses
 from circlebreak.numerics import arc_length, to_circle
 from circlebreak.partition import build_partition
-from circlebreak.rotation import ContinuedFraction
+from circlebreak.rotation import ContinuedFraction, tune_translation
 from circlebreak.singularity import (
     MASS_REL_TOL,
     ExperimentConfig,
@@ -148,6 +148,32 @@ def test_cover_triple_same_orbit_case(so_map, gcf):
     assert t.p_index == t.l_index + 1
     assert t.xi0 == pytest.approx(params.c0, rel=1e-9)
     assert t.coord0 == pytest.approx(0.0, abs=params.zeta0)
+
+
+@pytest.fixture(scope="module")
+def pl_seam_map(gcf):
+    """PL map with breaks on distinct orbits, the second one near the seam."""
+    base = make_pl_two_break(0.4, 0.95, 1.5)
+    return base.with_translation(tune_translation(base, gcf, tol=1e-10).translation)
+
+
+@pytest.mark.parametrize(
+    "name, x0, rank, tag, p",
+    [
+        ("so_map", 0.8268521246720381, 5, "c_in_U_left", 5),
+        ("so_map", 0.8639844696985152, 9, "c_in_U_left", 34),
+        ("pl_so_map", 0.7776360863476505, 6, "c_in_U_left", 8),
+        ("pl_seam_map", 0.14188767737138264, 8, "c_in_U_right", 24),
+    ],
+)
+def test_second_break_found_on_abar_orbit(request, gcf, name, x0, rank, tag, p):
+    # cases from a random.Random(7) sweep of (x0, rank 5-12) that exited 4
+    # with "second break covered at steps [p], expected []": c has two
+    # preimages within q_n steps, and pulling it back along its own cell
+    # took the one the hull around abar does not reach
+    m = request.getfixturevalue(name)
+    (row,) = qn_distortion_experiment(m, gcf, x0, [rank])
+    assert (row.case_tag, row.p_index) == (tag, p)
 
 
 def test_cover_triple_needs_two_breaks(rot_map, gcf):
