@@ -9,7 +9,8 @@ time, its peak resident memory (the child's ru_maxrss, read by
 ``os.wait4``) and one SHA-256 over the artifacts it wrote (file names
 sorted, each name followed by the file's bytes); comparing the digests
 printed by two checkouts shows whether all their artifacts are
-byte-identical.  The
+byte-identical.  Next to each digest it says whether the digest matches
+the one committed for that run in ``artifact_digests.txt``.  The
 experiments also print the verdict theory expects next to the one the
 run reached.  The exit status reports failed runs only, not mismatches.
 """
@@ -23,6 +24,10 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+
+# One `<label> <sha256>` line per bundled run: the artifact digests of the
+# committed code.
+MANIFEST = os.path.join(HERE, "artifact_digests.txt")
 
 # Config, the verdict theory expects, and why (the ROADMAP truth table).
 EXPERIMENTS = [
@@ -55,6 +60,26 @@ def artifacts_digest(paths) -> str:
         h.update(f"{os.path.basename(path)}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
+
+
+def load_manifest() -> dict:
+    """{label: sha256} read off the manifest's lines."""
+    with open(MANIFEST) as fh:
+        return dict(line.split() for line in fh if line.strip())
+
+
+def print_digest(label, proc, manifest):
+    """Print the digest of the artifacts ``proc`` wrote and whether it
+    matches the manifest's digest for ``label``."""
+    digest = artifacts_digest(proc.stdout.splitlines())
+    want = manifest.get(label)
+    if want is None:
+        status = "not in manifest"
+    elif want == digest:
+        status = "matches manifest"
+    else:
+        status = f"differs from manifest {want}"
+    print(f"   artifacts sha256 {digest} ({status})")
 
 
 def run(command, config, outdir):
@@ -92,6 +117,7 @@ def run(command, config, outdir):
 def main() -> int:
     import json
 
+    manifest = load_manifest()
     failures = 0
     for name, expected, theory in EXPERIMENTS:
         config = os.path.join(ROOT, "configs", name)
@@ -111,7 +137,7 @@ def main() -> int:
         )
         lorenz = [row["lorenz_90_length"] for row in report["rows"]]
         print("   lorenz_90_length " + " ".join(f"{v:.5f}" for v in lorenz))
-        print(f"   artifacts sha256 {artifacts_digest(proc.stdout.splitlines())}")
+        print_digest(label, proc, manifest)
     for name, command in OTHER_CONFIGS:
         stem = os.path.splitext(name)[0]
         print(f"== {stem}  ({command})")
@@ -123,7 +149,7 @@ def main() -> int:
         if proc.returncode != 0:
             failures += 1
             continue
-        print(f"   artifacts sha256 {artifacts_digest(proc.stdout.splitlines())}")
+        print_digest(stem, proc, manifest)
     return 1 if failures else 0
 
 

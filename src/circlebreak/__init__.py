@@ -19,7 +19,6 @@ from .errors import (
     InvariantFailure,
     NotBracketed,
     NotClassP,
-    NotHomeomorphism,
     OrderViolation,
     PrecisionBudgetExceeded,
     RankTooShallow,
@@ -38,7 +37,6 @@ from .maps import (
     make_rotation,
     map_stats,
     one_sided_derivatives,
-    validate_p_homeo,
 )
 from .rotation import (
     ContinuedFraction,

@@ -21,7 +21,6 @@ from .maps import (
     BreakPoint,
     CircleMap,
     abs_d2f_integral,
-    d2f_range,
     evaluate,
     gap_image,
     iterate,
@@ -405,24 +404,17 @@ def calibrate_c1(m: CircleMap) -> float:
 @dataclass(frozen=True)
 class SmoothBound:
     bound: float
-    oscillation: float
     integral: float
     constant: float
 
 
 def smooth_distortion_bound(m: CircleMap, q: Quadruple) -> SmoothBound:
-    """Bound Ĉ (hull·osc(D²f) + (∫|D²f|)²) over the hull of q.
+    """Bound Ĉ (∫|D²f|)² on |Dist - 1| over the hull of q.
 
-    The oscillation is taken over the hull itself; for hulls inside one
-    smooth piece it vanishes and the squared integral term dominates.
+    The hull must contain no break.  It then lies in one segment, where
+    D²f is constant, so the oscillation term hull·osc(D²f) of the general
+    bound is 0 and the squared curvature integral is all that remains.
     """
-    lo_c, hi_c = d2f_range(m, q.z1, q.z4)
-    osc = hi_c - lo_c
     integral = abs_d2f_integral(m, q.z1, q.z4)
     c1 = calibrate_c1(m)
-    return SmoothBound(
-        bound=c1 * (q.hull * osc + integral**2),
-        oscillation=osc,
-        integral=integral,
-        constant=c1,
-    )
+    return SmoothBound(bound=c1 * integral**2, integral=integral, constant=c1)

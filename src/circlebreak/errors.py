@@ -24,10 +24,6 @@ class InfeasibleDerivatives(CircleBreakError):
     one-sided derivative."""
 
 
-class NotHomeomorphism(CircleBreakError):
-    """Lift failed the strict monotonicity check."""
-
-
 class NotClassP(CircleBreakError):
     """One-sided derivatives are not bounded away from zero/infinity."""
 

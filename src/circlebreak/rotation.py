@@ -110,21 +110,19 @@ def cf_quotients_of_fraction(fr: Fraction):
     return ks
 
 
-def cf_expand_convergents(rho, n_max: int = 40, residual_floor: float | None = None) -> ContinuedFraction:
+def cf_expand_convergents(rho, n_max: int = 40) -> ContinuedFraction:
     """Continued fraction of a number in (0, 1) by the Gauss map.
 
-    Truncates when the fractional residual drops below ``residual_floor``
-    (default 1e3 machine epsilons): past that point the floating
-    representation carries no more quotients.
+    Truncates when the fractional residual drops below 1e3 machine
+    epsilons: past that point the floating representation carries no
+    more quotients.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie strictly between 0 and 1")
-    if residual_floor is None:
-        residual_floor = 1e3 * MACHINE_EPS
     ks = []
     x = rho
     for _ in range(n_max):
-        if x < residual_floor:
+        if x < 1e3 * MACHINE_EPS:
             break
         inv = 1 / x
         k = floor(inv)

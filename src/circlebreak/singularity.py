@@ -66,27 +66,31 @@ MASS_REL_TOL = 1e-3
 # Placement rounds ``solve_same_orbit`` allows for same_orbit_steps > 1.
 SAME_ORBIT_ROUNDS = 40
 
+# Move of c between placement rounds at which ``solve_same_orbit`` stops.
+SAME_ORBIT_TOL = 1e-9
+
 
 @lru_cache(maxsize=32)
-def estimate_r6(sigma_a, sigma_c, xi_min: float = 10.0):
+def estimate_r6(sigma_a, sigma_c):
     """Empirical constant bounding the tail factor Phi2.
 
     Phi2(xi_l, xi_p, z) -> 1 as both ratios grow, with error dominated by
     R6*(1/xi_l + 1/xi_p).  The bound's constant is only claimed to exist,
     so it is estimated as the worst observed ratio on a log grid with
-    xi >= xi_min, then doubled.  Floor at 1 since the downstream constant
-    assumes R6 > 1.
+    xi >= 10, then doubled.  Phi2 is affine over affine in z, hence
+    monotone there, so |Phi2 - 1| peaks at z = 0 or z = 1 and only those
+    two are evaluated.  Floor at 1 since the downstream constant assumes
+    R6 > 1.
     """
     if sigma_a <= 0 or sigma_c <= 0:
         raise InvalidGeometry("jump ratios must be positive")
-    xis = [xi_min * (10.0 ** (k / 6.0)) for k in range(31)]
-    zs = [j / 8.0 for j in range(9)]
+    xis = [10.0 * (10.0 ** (k / 6.0)) for k in range(31)]
     worst = 0.0
     for xl in xis:
         left = (1.0 + xl) / (sigma_a + xl)
         for xp in xis:
             budget = 1.0 / xl + 1.0 / xp
-            for z in zs:
+            for z in (0.0, 1.0):
                 den = sigma_c + (1.0 - sigma_c) * z + xp
                 phi2 = left * (1.0 + xp) / den
                 worst = max(worst, abs(phi2 - 1.0) / budget)
@@ -139,20 +143,20 @@ class RegularCoverParams:
         return abs(self.sigma_product - 1.0) / 4.0
 
 
-def make_cover_params(sigma_a, sigma_c, v, r6_hat=None) -> RegularCoverParams:
+def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
     """Constants C0 and zeta0 for the cover construction.
 
     zeta0 comes from the closed form; C0 needs the Phi2 tail constant,
-    estimated by estimate_r6 unless the caller pins one.  The sup of
-    Phi1(z) = ss + (1 - sigma_c) sigma_a z over z in [0,1] is
-    max(ss, sigma_a): Phi1 is linear with endpoint values ss and sigma_a.
+    estimated by estimate_r6.  The sup of Phi1(z) = ss + (1 - sigma_c)
+    sigma_a z over z in [0,1] is max(ss, sigma_a): Phi1 is linear with
+    endpoint values ss and sigma_a.
     """
     if sigma_a <= 0 or sigma_c <= 0:
         raise InvalidGeometry("jump ratios must be positive")
     if v <= 0:
         raise InvalidGeometry("log-derivative variation must be positive")
     ss = sigma_a * sigma_c
-    r6 = float(r6_hat) if r6_hat is not None else estimate_r6(sigma_a, sigma_c)
+    r6 = estimate_r6(sigma_a, sigma_c)
     if abs(ss - 1.0) <= 1e-12:
         return RegularCoverParams(
             c0=1.0,
@@ -291,7 +295,6 @@ def regular_cover_triple(
     m: CircleMap,
     cf: ContinuedFraction,
     part: DynamicalPartition,
-    params: RegularCoverParams | None = None,
     cap: int = DEFAULT_ORBIT_CAP,
 ) -> CoverTriple:
     """Cover triple around the first break's preimage at rank part.n.
@@ -306,8 +309,7 @@ def regular_cover_triple(
     """
     if len(m.breaks) != 2:
         raise InvalidGeometry("cover triples need a map with exactly two breaks")
-    if params is None:
-        params = _cover_params(m)[0]
+    params = _cover_params(m)[0]
     a_loc = m.breaks[0].location
     c_loc = m.breaks[1].location
     l, abar = _preimage_in_window(m, part, a_loc, cap)
@@ -498,13 +500,10 @@ def _qn_row(
     m: CircleMap,
     cf: ContinuedFraction,
     part: DynamicalPartition,
-    params: RegularCoverParams | None,
-    mirror: RegularCoverParams | None,
     cap: int,
 ) -> QnDistortionRow:
-    two_break = len(m.breaks) == 2
-    if two_break:
-        triple = regular_cover_triple(m, cf, part, params=params, cap=cap)
+    if len(m.breaks) == 2:
+        triple = regular_cover_triple(m, cf, part, cap=cap)
         quad = triple.quadruple
     else:
         triple = None
@@ -561,6 +560,7 @@ def _qn_row(
             # past z2 into the middle gap, it is z2 all the same
             c_lift = min(c_lift, qp.z2)
         nc = normalized_coords(qp, cbar=c_lift)
+        params, mirror = _cover_params(m)
         if triple.case_tag == "c_in_U_left":
             gf_args = (params, nc_l.xi, nc.xi, nc.z)
         else:
@@ -588,7 +588,6 @@ def qn_distortion_experiment(
     cf: ContinuedFraction,
     x0,
     n_range,
-    params: RegularCoverParams | None = None,
     cap: int = DEFAULT_ORBIT_CAP,
 ):
     """Per-rank distortion gaps |Dist(z; f^{q_n}) - 1| on cover triples.
@@ -601,14 +600,8 @@ def qn_distortion_experiment(
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise ValueError("empty rank range")
-    mirror = None
-    if len(m.breaks) == 2:
-        if params is None:
-            params, mirror = _cover_params(m)
-        else:
-            mirror = mirror_params(params)
     deep = build_partition(m, cf, x0, ns[-1], cap=cap)
-    return [_qn_row(m, cf, deep.coarsen(cf, n), params, mirror, cap) for n in ns]
+    return [_qn_row(m, cf, deep.coarsen(cf, n), cap) for n in ns]
 
 
 @dataclass(frozen=True)
@@ -653,7 +646,6 @@ def solve_same_orbit(
     sigma_c=None,
     slope_ratio=None,
     m_steps: int = 1,
-    tol: float = 1e-9,
     tune_tol: float = 1e-10,
     cap: int = DEFAULT_ORBIT_CAP,
 ):
@@ -671,11 +663,11 @@ def solve_same_orbit(
     the map because moving c changes it.  Tuning runs coarse to fine: a
     round tunes only to max(tune_tol, 1e-2 * previous gap), since a finer
     translation cannot matter while c itself still moves by the gap, and
-    convergence (gap <= tol) counts only on a round tuned at the full
-    ``tune_tol``.  The accepted c is then retuned at ``tune_tol``.
+    convergence (gap <= SAME_ORBIT_TOL) counts only on a round tuned at
+    the full ``tune_tol``.  The accepted c is then retuned at ``tune_tol``.
 
     Either way the residual |f^{m_steps}(a) - c| must stay within
-    10 * tol.  Returns the tuned map and its TuneResult.
+    10 * SAME_ORBIT_TOL.  Returns the tuned map and its TuneResult.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
@@ -690,9 +682,10 @@ def solve_same_orbit(
     def checked(final, tr):
         c = final.breaks[1].location
         resid = _circle_gap(iterate(final, a, m_steps)[-1], c)
-        if resid > 10.0 * tol:
+        if resid > 10.0 * SAME_ORBIT_TOL:
             raise TolUnreachable(
-                f"same-orbit residual {resid:.3e} exceeds {10.0 * tol:.1e}"
+                f"same-orbit residual {resid:.3e} exceeds "
+                f"{10.0 * SAME_ORBIT_TOL:.1e}"
             )
         return final, tr
 
@@ -715,7 +708,7 @@ def solve_same_orbit(
         tuned = base.with_translation(tr.translation)
         c_new = iterate(tuned, a, m_steps)[-1]
         gap = _circle_gap(c_new, c)
-        if gap <= tol and round_tol == tune_tol:
+        if gap <= SAME_ORBIT_TOL and round_tol == tune_tol:
             tr = tune_translation(build(c_new), target, tol=tune_tol, cap=cap)
             return checked(build(c_new, tr.translation), tr)
         c = c_new
@@ -938,10 +931,8 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)
 
     two_break = len(m.breaks) == 2
-    params = None
-    mirror = None
     if two_break:
-        params, mirror = _cover_params(m)
+        params = _cover_params(m)[0]
         notes.append(
             f"cover constants: C0={params.c0:.6g}, zeta0={params.zeta0:.6g}, "
             f"R6={params.r6_hat:.6g}"
@@ -951,7 +942,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     curves = []
     for n in range(config.n_min, config.n_max + 1):
         part = deep.coarsen(cf, n)
-        qrow = _qn_row(m, cf, part, params, mirror, config.cap)
+        qrow = _qn_row(m, cf, part, config.cap)
         curve = mass_length_curve(
             part, convergent_masses(part, cf, rho), threshold=config.threshold
         )
@@ -994,21 +985,16 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
             VERDICT_BASELINE if max(gaps) < 1e-8 and flat else VERDICT_OPEN
         )
 
-    if config.kind == "pq":
-        map_params = (
-            ("a", config.a),
-            ("c", config.c),
-            ("sigma_a", config.sigma_a),
-            ("sigma_c", config.sigma_c),
-        )
-    elif config.kind == "pl":
-        map_params = (
-            ("a", config.a),
-            ("c", config.c),
-            ("slope_ratio", config.slope_ratio),
-        )
-    else:
+    if config.kind == "rotation":
         map_params = (("translation", translation),)
+    else:
+        # a same-orbit solve places c itself, and the map reduces both breaks
+        # mod 1, so the map, not the config, has them
+        map_params = (("a", m.breaks[0].location), ("c", m.breaks[1].location))
+        if config.kind == "pq":
+            map_params += (("sigma_a", config.sigma_a), ("sigma_c", config.sigma_c))
+        else:
+            map_params += (("slope_ratio", config.slope_ratio),)
 
     return SingularityReport(
         label=config.label,

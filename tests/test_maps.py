@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from circlebreak.errors import (
     InfeasibleDerivatives,
     InvalidGeometry,
+    NotClassP,
     PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
@@ -21,7 +22,6 @@ from circlebreak.maps import (
     map_stats,
     one_sided_derivatives,
     step_with_winding,
-    validate_p_homeo,
 )
 from circlebreak.numerics import MACHINE_EPS, to_circle
 
@@ -228,7 +228,7 @@ def test_pq_rejects_degenerate():
 
 def test_pq_stats():
     m = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
-    stats = validate_p_homeo(m)
+    stats = map_stats(m)
     assert stats.sigma_product == pytest.approx(1.6, abs=1e-14)
     # Df is monotone on each arc, so the smooth variation equals the jump
     # sizes again and v doubles them.
@@ -238,7 +238,7 @@ def test_pq_stats():
 
 
 def test_rotation_stats():
-    stats = validate_p_homeo(make_rotation(GOLDEN))
+    stats = map_stats(make_rotation(GOLDEN))
     assert stats.v == 0.0
     assert stats.lam == pytest.approx(0.7071067811865476, abs=1e-15)
     assert stats.sigma_product == 1.0
@@ -248,6 +248,25 @@ def test_pl_stats():
     stats = map_stats(make_pl_two_break(0.3, 0.7, 2.0))
     assert stats.v == pytest.approx(2 * math.log(2.0), abs=1e-12)
     assert stats.sigma_product == pytest.approx(1.0, abs=1e-14)
+
+
+def test_map_stats_reads_the_segment_table(monkeypatch):
+    # the one-sided derivative values decide class P: a map is never
+    # evaluated, and a non-positive value is refused
+    import dataclasses
+
+    import circlebreak.maps as maps
+
+    def refuse(*args):
+        raise AssertionError("map_stats evaluated the lift")
+
+    monkeypatch.setattr(maps, "evaluate", refuse)
+    m = make_pq_two_break(0.137, 0.771, 1.7, 0.6)
+    stats = map_stats(m)
+    assert stats.sigma_product == pytest.approx(1.7 * 0.6, rel=1e-14)
+    bad = dataclasses.replace(m, seg_d0=(-m.seg_d0[0], m.seg_d0[1]))
+    with pytest.raises(NotClassP):
+        map_stats(bad)
 
 
 def test_translation_family():

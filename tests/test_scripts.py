@@ -22,3 +22,22 @@ def test_gap_vs_rank_prints_every_rank():
     header, *rows = proc.stdout.splitlines()
     assert header.split() == ["n", "generic", "pq", "same-orbit", "pq", "rotation"]
     assert [int(r.split()[0]) for r in rows] == list(range(5, 13))
+
+
+def test_digest_manifest_names_every_bundled_run():
+    import importlib.util
+    import json
+
+    path = os.path.join(ROOT, "scripts", "run_all_experiments.py")
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    labels = []
+    for name, _, _ in script.EXPERIMENTS:
+        with open(os.path.join(ROOT, "configs", name)) as fh:
+            labels.append(json.load(fh)["label"])
+    labels += [os.path.splitext(name)[0] for name, _ in script.OTHER_CONFIGS]
+    manifest = script.load_manifest()
+    assert sorted(manifest) == sorted(labels)
+    for digest in manifest.values():
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")

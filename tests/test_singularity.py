@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import random
 import sys
 
 import pytest
@@ -91,8 +92,34 @@ def test_zeta0_recomputed_on_construction(params25):
 def test_r6_estimate_moderate():
     r6 = estimate_r6(2.0, 0.8)
     assert 1.0 < r6 < 4.0
-    pinned = make_cover_params(2.0, 0.8, V25, r6_hat=2.0)
-    assert pinned.c0 == pytest.approx(4.0 * 2.0 * 2.5 * 2.0 / 0.6, rel=1e-12)
+    params = make_cover_params(2.0, 0.8, V25)
+    assert params.r6_hat == r6
+    assert params.c0 == pytest.approx(4.0 * r6 * 2.5 * 2.0 / 0.6, rel=1e-12)
+
+
+def _r6_on_a_z_grid(sigma_a, sigma_c):
+    # estimate_r6 with Phi2 sampled at nine z in [0, 1], not just the ends
+    xis = [10.0 * (10.0 ** (k / 6.0)) for k in range(31)]
+    worst = 0.0
+    for xl in xis:
+        left = (1.0 + xl) / (sigma_a + xl)
+        for xp in xis:
+            budget = 1.0 / xl + 1.0 / xp
+            for z in [j / 8.0 for j in range(9)]:
+                den = sigma_c + (1.0 - sigma_c) * z + xp
+                phi2 = left * (1.0 + xp) / den
+                worst = max(worst, abs(phi2 - 1.0) / budget)
+    return max(2.0 * worst, 1.0)
+
+
+def test_r6_estimate_matches_a_z_grid():
+    # Phi2 is monotone in z, so its ends carry the worst ratio bit for bit
+    rng = random.Random(3)
+    pairs = [(2.0, 0.8), (0.5, 3.0), (1.5, 1.5), (0.1, 0.2), (8.0, 0.05)]
+    pairs += [(rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0)) for _ in range(20)]
+    for sa, sc in pairs:
+        for s in ((sa, sc), (1.0 / sa, 1.0 / sc)):
+            assert estimate_r6(*s) == _r6_on_a_z_grid(*s)
 
 
 def test_gf_gap_value(params25):
@@ -142,7 +169,7 @@ def test_cover_triple_same_orbit_case(so_map, gcf):
         so_map.breaks[0].sigma, so_map.breaks[1].sigma, stats.v
     )
     part = build_partition(so_map, gcf, 0.05, 7)
-    t = regular_cover_triple(so_map, gcf, part, params=params)
+    t = regular_cover_triple(so_map, gcf, part)
     assert t.case_tag == "c_in_U_left"
     assert t.covers_second_break
     assert t.p_index == t.l_index + 1
@@ -327,10 +354,9 @@ def test_same_orbit_one_step_tunes_once(monkeypatch, gcf, kind, a, shape, wraps)
 def test_same_orbit_two_steps_runs_the_placement_loop(gcf, kind, shape, reference):
     # c = f_t^2(a) has no closed form in t, so c is placed by alternating
     # tuning with re-placement; the reference is that loop's translation
-    tol = 1e-9
-    m, _ = solve_same_orbit(kind, 0.2, gcf, m_steps=2, tol=tol, **shape)
+    m, _ = solve_same_orbit(kind, 0.2, gcf, m_steps=2, **shape)
     assert abs(m.translation - reference) <= 1e-9
-    assert _same_orbit_residual(m, steps=2) <= 10 * tol
+    assert _same_orbit_residual(m, steps=2) <= 10 * 1e-9
 
 
 def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
@@ -499,6 +525,34 @@ def test_report_pq_singular_evidence():
     assert lorenz[-1] < lorenz[0]
     for row in rep.rows:
         assert row.case_tag == "c_outside_U"
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(kind="pq", same_orbit_steps=1),
+        dict(kind="pl", same_orbit_steps=1),
+        dict(kind="pq", c=0.7),
+        dict(kind="pq", a=1.2, c=1.7),
+    ],
+    ids=["pq-same-orbit", "pl-same-orbit", "pq-generic", "pq-outside-unit"],
+)
+def test_report_gives_the_maps_second_break(shape):
+    # a same-orbit solve places c itself at f(a), so the configured c
+    # (default 0.6) is not the map's; a generic map keeps the config's
+    # breaks, reduced mod 1
+    cfg = ExperimentConfig(label="c-report", n_min=5, n_max=6, **shape)
+    cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+    m, _, _ = build_experiment_map(cfg, cf)
+    params = singularity_report(cfg).to_json_dict()["map_params"]
+    a, c = params["a"], params["c"]
+    assert (a, c) == (m.breaks[0].location, m.breaks[1].location)
+    assert a == to_circle(cfg.a)
+    if cfg.same_orbit_steps is None:
+        assert c == to_circle(cfg.c)
+    else:
+        assert c == iterate(m, cfg.a, 1)[-1]
+        assert c != cfg.c
 
 
 def test_report_with_a_nudged_base_point():
