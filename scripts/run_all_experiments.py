@@ -121,14 +121,16 @@ def main() -> int:
     failures = 0
     for name, expected, theory in EXPERIMENTS:
         config = os.path.join(ROOT, "configs", name)
-        label = json.load(open(config))["label"]
+        with open(config) as fh:
+            label = json.load(fh)["label"]
         outdir = os.path.join(ROOT, "results", label)
         print(f"== {label}  expected {expected} ({theory})")
         proc = run("singularity", config, outdir)
         if proc.returncode != 0:
             failures += 1
             continue
-        report = json.load(open(os.path.join(outdir, "report.json")))
+        with open(os.path.join(outdir, "report.json")) as fh:
+            report = json.load(fh)
         match = "matches" if report["verdict"] == expected else "differs from"
         print(
             f"   verdict {report['verdict']} ({match} theory)  "

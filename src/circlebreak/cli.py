@@ -22,9 +22,9 @@ import re
 import statistics
 import sys
 import tempfile
-from dataclasses import MISSING, fields
 from itertools import chain, repeat
 from operator import truediv
+from typing import get_type_hints
 
 from .crossratio import (
     Quadruple,
@@ -654,23 +654,24 @@ def cmd_measure(doc, outdir, seed):
     )
 
 
-# ExperimentConfig field annotation -> the reader that checks its type.
+# ExperimentConfig field type -> the reader that checks it.
 _FIELD_READERS = {
-    "str": _Keys.text,
-    "float": _Keys.real,
-    "int": _Keys.integer,
-    "int | None": _Keys.optional_integer,
-    "tuple": _Keys.quotients,
+    str: _Keys.text,
+    float: _Keys.real,
+    int: _Keys.integer,
+    int | None: _Keys.optional_integer,
+    tuple: _Keys.quotients,
 }
 
 
 def cmd_singularity(doc, outdir, seed):
-    # keys left out keep the dataclass defaults
+    # keys left out keep the ExperimentConfig defaults
     k = _Keys(doc, "singularity config")
+    types = get_type_hints(ExperimentConfig)
     kwargs = {
-        f.name: _FIELD_READERS[f.type](k, f.name)
-        for f in fields(ExperimentConfig)
-        if f.name in doc or f.default is MISSING
+        name: _FIELD_READERS[types[name]](k, name)
+        for name in ExperimentConfig._fields
+        if name in doc or name not in ExperimentConfig._field_defaults
     }
     k.done()
     config = ExperimentConfig(**kwargs)

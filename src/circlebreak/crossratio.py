@@ -9,8 +9,8 @@ many orders of magnitude below 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     BreakNotInStatedInterval,
@@ -33,38 +33,38 @@ from .numerics import MACHINE_EPS, arc_length, to_circle
 DEGENERACY_EPS = 10.0
 
 
-@dataclass(frozen=True)
-class Quadruple:
-    """Four lift points z1 < z2 < z3 < z4.
+class _QuadrupleFields(NamedTuple):
+    z1: float
+    z2: float
+    z3: float
+    z4: float
+
+
+class Quadruple(_QuadrupleFields):
+    """Four lift points z1 < z2 < z3 < z4, as a tuple of the four.
 
     Pure cross-ratio arithmetic accepts any hull; pushing a quadruple
     through a circle map additionally requires the hull to fit on one
     chart (length < 1), enforced at application time.
     """
 
-    z1: float
-    z2: float
-    z3: float
-    z4: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        zs = (self.z1, self.z2, self.z3, self.z4)
-        hull = self.z4 - self.z1
-        floor = DEGENERACY_EPS * MACHINE_EPS * max(hull, MACHINE_EPS)
+    def __new__(cls, z1, z2, z3, z4):
+        zs = (z1, z2, z3, z4)
+        floor = DEGENERACY_EPS * MACHINE_EPS * max(z4 - z1, MACHINE_EPS)
         for u, w in zip(zs, zs[1:]):
             if not w - u > floor:
                 raise DegenerateQuadruple(
                     f"gap {w - u!r} between {u!r} and {w!r} is below the "
                     "degeneracy floor"
                 )
-
-    @property
-    def points(self):
-        return (self.z1, self.z2, self.z3, self.z4)
+        return tuple.__new__(cls, zs)
 
     @property
     def gaps(self):
-        return (self.z2 - self.z1, self.z3 - self.z2, self.z4 - self.z3)
+        z1, z2, z3, z4 = self
+        return (z2 - z1, z3 - z2, z4 - z3)
 
     @property
     def hull(self):
@@ -118,11 +118,11 @@ def chain_points(m: CircleMap, pts, steps: int):
 
 
 def image_quadruple(q: Quadruple, m: CircleMap) -> Quadruple:
-    return Quadruple(*chain_points(m, q.points, 1)[1])
+    return Quadruple(*chain_points(m, q, 1)[1])
 
 
 def _callable_image(q: Quadruple, fn) -> Quadruple:
-    w = [fn(z) for z in q.points]
+    w = [fn(z) for z in q]
     if not (w[0] < w[1] < w[2] < w[3]):
         raise DegenerateQuadruple("images are not strictly increasing")
     return Quadruple(*w)
@@ -137,8 +137,7 @@ def distortion(q: Quadruple, m):
     return cross_ratio(img) / cross_ratio(q)
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     total: float
     factors: tuple
     quadruples: tuple
@@ -159,7 +158,7 @@ def distortion_chain(
     on the circle (each an orbit bounded by ``cap``) and the resulting
     distortion must agree to 1e-10 relative.
     """
-    track = chain_points(m, q.points, steps)
+    track = chain_points(m, q, steps)
     quads = tuple(Quadruple(*t) for t in track)
     crs = [cross_ratio(x) for x in quads]
     factors = tuple(crs[k + 1] / crs[k] for k in range(steps))
@@ -177,7 +176,7 @@ def distortion_chain(
     # Unlike the gap-tracked chain, each endpoint carries its own orbit
     # roundoff, so the comparison degrades with the step count over the
     # smallest reassembled gap; the tolerance floor stays at 1e-10.
-    finals = [iterate(m, to_circle(z), steps, cap=cap)[-1] for z in q.points]
+    finals = [iterate(m, to_circle(z), steps, cap=cap)[-1] for z in q]
     w = [finals[0]]
     for u, x in zip(finals, finals[1:]):
         w.append(w[-1] + arc_length(u, x))
@@ -192,8 +191,7 @@ def distortion_chain(
     return ChainResult(total=total, factors=factors, quadruples=quads, direct=direct)
 
 
-@dataclass(frozen=True)
-class NormalizedCoords:
+class NormalizedCoords(NamedTuple):
     """Gap ratios of a quadruple, with the break coordinate when tracked.
 
     xi and eta always exist; z is set when the tracked point lies in
@@ -263,15 +261,14 @@ def pl_frame_distortion(q: Quadruple, pos, sigma):
             f"break {pos!r} lies outside the hull [{q.z1!r}, {q.z4!r}]"
         )
     imgs = []
-    for u, w in zip(q.points, q.points[1:]):
+    for u, w in zip(q, q[1:]):
         left = min(max(pos - u, 0.0), w - u)
         imgs.append(sigma * left + (w - u - left))
     a, b, c = imgs
     return (a * c) / ((a + b) * (b + c)) / cross_ratio(q)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     predicted: float
     residual_bound: float
     actual: float
@@ -401,8 +398,7 @@ def calibrate_c1(m: CircleMap) -> float:
     return 2.0 * worst
 
 
-@dataclass(frozen=True)
-class SmoothBound:
+class SmoothBound(NamedTuple):
     bound: float
     integral: float
     constant: float

@@ -24,8 +24,8 @@ values; break locations and derivatives do not depend on it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import exp, floor, log, sqrt
+from typing import NamedTuple
 
 from .errors import (
     BreakCollision,
@@ -47,32 +47,35 @@ PL_TWO_BREAK = "pl_two_break"
 PQ_TWO_BREAK = "pq_two_break"
 
 
-@dataclass(frozen=True)
-class BreakPoint:
+class _BreakPointFields(NamedTuple):
+    location: float  # circle coordinate in [0, 1)
+    d_minus: float
+    d_plus: float
+
+
+class BreakPoint(_BreakPointFields):
     """A point where the one-sided derivatives of the lift differ.
 
     ``sigma`` is the jump ratio Df_-(x) / Df_+(x).
     """
 
-    location: float  # circle coordinate in [0, 1)
-    d_minus: float
-    d_plus: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.location < 1):
-            raise InvalidGeometry(f"break location {self.location!r} not in [0, 1)")
-        if self.d_minus <= 0 or self.d_plus <= 0:
+    def __new__(cls, location, d_minus, d_plus):
+        if not (0 <= location < 1):
+            raise InvalidGeometry(f"break location {location!r} not in [0, 1)")
+        if d_minus <= 0 or d_plus <= 0:
             raise InvalidGeometry("one-sided derivatives must be positive")
-        if self.d_minus == self.d_plus:
+        if d_minus == d_plus:
             raise InvalidGeometry("equal one-sided derivatives: not a break")
+        return super().__new__(cls, location, d_minus, d_plus)
 
     @property
     def sigma(self):
         return self.d_minus / self.d_plus
 
 
-@dataclass(frozen=True)
-class MapStats:
+class MapStats(NamedTuple):
     """Summary invariants of a class-P homeomorphism.
 
     v             total variation of log Df over the circle
@@ -86,8 +89,7 @@ class MapStats:
     sigma_product: float
 
 
-@dataclass(frozen=True)
-class CircleMap:
+class CircleMap(NamedTuple):
     """Immutable two-segment piecewise-polynomial lift (or a rotation).
 
     Segment s covers [seg_pos[s], seg_pos[s+1]] of the fundamental domain,
@@ -107,9 +109,7 @@ class CircleMap:
     seg_curv: tuple = ()
 
     def with_translation(self, t) -> "CircleMap":
-        import dataclasses
-
-        return dataclasses.replace(self, translation=t)
+        return self._replace(translation=t)
 
 
 def make_rotation(translation) -> CircleMap:

@@ -9,7 +9,7 @@ anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OrderViolation, PrecisionBudgetExceeded
 from .maps import CircleMap, advance
@@ -18,8 +18,7 @@ from .partition import DynamicalPartition
 from .rotation import ContinuedFraction, RotationEstimate, convergent_error
 
 
-@dataclass(frozen=True)
-class OrbitMeasure:
+class OrbitMeasure(NamedTuple):
     """A partition's orbit, extended, with the exact conjugacy values.
 
     ``orbit`` starts with ``part.orbit``, so partition masses read

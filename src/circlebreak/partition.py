@@ -11,11 +11,11 @@ partition is cut from a prefix of the same orbit.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import exp, floor, log
 from operator import sub
+from typing import NamedTuple
 
 from .errors import (
     InvariantFailure,
@@ -44,53 +44,71 @@ MIN_GAP_EPS = 1.0e3
 Cell = namedtuple("Cell", "rank_tag index left_index right_index left length")
 
 
-@dataclass(frozen=True)
 class CellTable:
     """Partition cells as six tuples, one entry per cell.
 
     ``len`` counts the cells; ``table[row]`` and iteration read a row as
-    a ``Cell``, made on demand, so no object is kept per cell.
+    a ``Cell``, made on demand, so no object is kept per cell.  The
+    columns are read-only, and tables with equal columns are equal.
     """
 
-    rank_tag: tuple
-    index: tuple
-    left_index: tuple
-    right_index: tuple
-    left: tuple
-    length: tuple
+    __slots__ = Cell._fields
+
+    def __init__(self, rank_tag, index, left_index, right_index, left, length):
+        for name, col in zip(
+            self.__slots__, (rank_tag, index, left_index, right_index, left, length)
+        ):
+            object.__setattr__(self, name, col)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to CellTable column {name!r}")
+
+    def _columns(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not CellTable:
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self):
+        return hash(self._columns())
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __getitem__(self, row: int) -> Cell:
-        return Cell(*(col[row] for col in vars(self).values()))
+        return Cell(*(col[row] for col in self._columns()))
 
     def __iter__(self):
-        return map(Cell, *vars(self).values())
+        return map(Cell, *self._columns())
 
 
-@dataclass(frozen=True)
-class CircleInterval:
+class _CircleIntervalFields(NamedTuple):
+    left: float
+    length: float
+
+
+class CircleInterval(_CircleIntervalFields):
     """Arc going counterclockwise from ``left`` over ``length``.
 
     length is allowed to reach 1 so that the full circle is expressible
     as a measurement domain; proper partition elements stay below 1.
     """
 
-    left: float
-    length: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 < self.length <= 1):
-            raise ValueError(f"interval length must lie in (0, 1], got {self.length}")
+    def __new__(cls, left, length):
+        if not (0 < length <= 1):
+            raise ValueError(f"interval length must lie in (0, 1], got {length}")
+        return super().__new__(cls, left, length)
 
     @property
     def right(self) -> float:
         return to_circle(self.left + self.length)
 
 
-@dataclass(frozen=True, eq=False)
-class DynamicalPartition:
+class DynamicalPartition(NamedTuple):
     """xi_n(x0) as a table of cells (``CellTable``) over ``orbit``.
 
     The q_n rank-(n-1) cells come first, then the q_{n-1} rank-n cells,
@@ -231,8 +249,7 @@ def build_partition(
     return _cut(cf, n, tuple(pts), x0_used, nudges)
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     n_coarse: int
     k_next: int
     split_counts: tuple
@@ -382,8 +399,7 @@ def denjoy_product(
     return prod
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     rows: tuple  # (n, max element length)
     slope: float
     intercept: float

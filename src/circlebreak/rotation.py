@@ -10,9 +10,9 @@ with all fraction arithmetic in exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
+from typing import NamedTuple
 
 from .errors import NotBracketed, PrecisionBudgetExceeded, TolUnreachable
 from .maps import CircleMap, advance, evaluate
@@ -29,8 +29,7 @@ TUNE_TOL_FLOOR = 1e-12
 MAX_BISECTIONS = 200
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     """Partial quotients k_1, k_2, ... of a number in (0, 1), with the
     convergents p_n/q_n built by the standard recursion
 
@@ -135,8 +134,7 @@ def cf_expand_convergents(rho, n_max: int = 40) -> ContinuedFraction:
     return ContinuedFraction.from_quotients(ks)
 
 
-@dataclass(frozen=True)
-class RotationEstimate:
+class RotationEstimate(NamedTuple):
     """An estimate with a certified enclosure: lower <= rho <= upper, where
     ``value`` in [0, 1) is the reported representative.  ``rational`` holds
     (p, q) when the bisection certified an exact rational hit."""
@@ -315,8 +313,7 @@ def rho_farey(
     return est, cfr
 
 
-@dataclass(frozen=True)
-class TuneResult:
+class TuneResult(NamedTuple):
     """A translation certified to put rho in the target's first convergent
     bracket at most ``certified_tol`` wide; ``rho`` is that bracket.
     ``bisections`` is None for a map that needed no tuning."""

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .numerics import (
     DEFAULT_ORBIT_CAP,
@@ -97,8 +97,17 @@ def estimate_r6(sigma_a, sigma_c):
     return max(2.0 * worst, 1.0)
 
 
-@dataclass(frozen=True)
-class RegularCoverParams:
+class _RegularCoverParamsFields(NamedTuple):
+    c0: float
+    zeta0: float
+    v: float
+    sigma_a: float
+    sigma_c: float
+    r6_hat: float
+    degenerate: bool = False
+
+
+class RegularCoverParams(_RegularCoverParamsFields):
     """Geometry constants for regular cover triples.
 
     c0 scales the long side of the triple, zeta0 caps the normalized
@@ -108,15 +117,10 @@ class RegularCoverParams:
     bound to enforce and the constants collapse to neutral values.
     """
 
-    c0: float
-    zeta0: float
-    v: float
-    sigma_a: float
-    sigma_c: float
-    r6_hat: float
-    degenerate: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.c0 < 1.0:
             raise InvalidGeometry(f"C0 must be >= 1, got {self.c0!r}")
         if not 0.0 < self.zeta0 <= 1.0:
@@ -132,6 +136,7 @@ class RegularCoverParams:
                     f"zeta0 {self.zeta0!r} does not match its defining "
                     f"formula {want!r}"
                 )
+        return self
 
     @property
     def sigma_product(self):
@@ -196,18 +201,7 @@ def _cover_params(m: CircleMap):
     return params, mirror_params(params)
 
 
-@dataclass(frozen=True)
-class CoverTriple:
-    """Three adjacent intervals straddling a break preimage.
-
-    Lift coordinates z1 < z2 < z3 < z4 on the chart of abar; the break
-    preimage sits at z2 (left cases) or z3 (c_in_U_right).  l_index and
-    p_index are the forward times at which the hull covers each break;
-    p_index is meaningful only when case_tag says the second break is
-    covered.  cbar is abar itself when c is a's (p_index - l_index)-th
-    image in floating point.
-    """
-
+class _CoverTripleFields(NamedTuple):
     n: int
     q_n: int
     z1: float
@@ -222,13 +216,29 @@ class CoverTriple:
     xi0: float
     coord0: float
 
-    def __post_init__(self):
+
+class CoverTriple(_CoverTripleFields):
+    """Three adjacent intervals straddling a break preimage.
+
+    Lift coordinates z1 < z2 < z3 < z4 on the chart of abar; the break
+    preimage sits at z2 (left cases) or z3 (c_in_U_right).  l_index and
+    p_index are the forward times at which the hull covers each break;
+    p_index is meaningful only when case_tag says the second break is
+    covered.  cbar is abar itself when c is a's (p_index - l_index)-th
+    image in floating point.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.case_tag not in CASE_TAGS:
             raise InvalidGeometry(f"unknown case tag {self.case_tag!r}")
         if not self.z1 < self.z2 < self.z3 < self.z4:
             raise InvalidGeometry("cover coordinates must be strictly increasing")
         if not self.z4 - self.z1 < 1.0:
             raise InvalidGeometry("cover hull must fit on one chart")
+        return self
 
     @property
     def quadruple(self) -> Quadruple:
@@ -438,8 +448,7 @@ def gf_gap(params: RegularCoverParams, xi_l, xi_p, z_p):
     return gap
 
 
-@dataclass(frozen=True)
-class QnDistortionRow:
+class QnDistortionRow(NamedTuple):
     """One rank of the distortion experiment.
 
     gap is |Dist(z; f^{q_n}) - 1| on the cover triple; gf is the
@@ -604,8 +613,7 @@ def qn_distortion_experiment(
     return [_qn_row(m, cf, deep.coarsen(cf, n), cap) for n in ns]
 
 
-@dataclass(frozen=True)
-class LorenzCurve:
+class LorenzCurve(NamedTuple):
     """Cumulative (length, mass) after sorting elements by density.
 
     lorenz_90_length is the least total Lebesgue length of partition
@@ -717,10 +725,7 @@ def solve_same_orbit(
     )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Declarative description of one singularity experiment."""
-
+class _ExperimentConfigFields(NamedTuple):
     kind: str
     label: str = "experiment"
     a: float = 0.2
@@ -739,7 +744,14 @@ class ExperimentConfig:
     threshold: float = 0.90
     cap: int = DEFAULT_ORBIT_CAP
 
-    def __post_init__(self):
+
+class ExperimentConfig(_ExperimentConfigFields):
+    """Declarative description of one singularity experiment."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("pq", "pl", "rotation"):
             raise ConfigError(f"unknown map kind {self.kind!r}")
         if not 1 <= self.n_min <= self.n_max:
@@ -749,7 +761,6 @@ class ExperimentConfig:
             raise ConfigError(
                 "rho_quotients must reach past n_max with entries >= 1"
             )
-        object.__setattr__(self, "rho_quotients", qs)
         cf = ContinuedFraction.from_quotients(qs)
         width = mass_width(cf, self.n_max)
         if not width >= TUNE_TOL_FLOOR:
@@ -774,10 +785,10 @@ class ExperimentConfig:
             raise ConfigError("same_orbit_steps must be >= 1 when set")
         if self.cap < 1:
             raise ConfigError("cap must be >= 1")
+        return self._replace(rho_quotients=qs)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     n: int
     q_n: int
     gf: float | None
@@ -791,8 +802,7 @@ VERDICT_BASELINE = "AC_BASELINE"
 VERDICT_OPEN = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class _SingularityReportFields(NamedTuple):
     label: str
     kind: str
     map_params: tuple
@@ -812,13 +822,19 @@ class SingularityReport:
     # but kept out of the JSON document.
     curves: tuple = ()
 
-    def __post_init__(self):
+
+class SingularityReport(_SingularityReportFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         ns = [r.n for r in self.rows]
         if ns != sorted(set(ns)):
             raise InvariantFailure("report rows must be strictly increasing in n")
         for r in self.rows:
             if r.dist_gap < 0 or (r.gf is not None and r.gf < 0):
                 raise InvariantFailure("gaps cannot be negative")
+        return self
 
     def to_json_dict(self) -> dict:
         return {

@@ -105,7 +105,7 @@ def test_telescoping_composition(pq_map, pl_map):
 
 
 def _image_under(q, fn):
-    return Quadruple(*(fn(z) for z in q.points))
+    return Quadruple(*(fn(z) for z in q))
 
 
 def test_chain_matches_direct(pq_map, gcf):
@@ -276,7 +276,7 @@ def test_coordinate_stability_along_chain(pq_map, gcf):
     gen = cell_interval(part, 0)
     third = gen.length / 3
     q = Quadruple.from_gaps(gen.left, third, third, third)
-    track = chain_points(pq_map, q.points, part.q_n)
+    track = chain_points(pq_map, q, part.q_n)
     xi0 = None
     for pts in track:
         a, b = pts[1] - pts[0], pts[2] - pts[1]

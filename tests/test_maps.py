@@ -253,8 +253,6 @@ def test_pl_stats():
 def test_map_stats_reads_the_segment_table(monkeypatch):
     # the one-sided derivative values decide class P: a map is never
     # evaluated, and a non-positive value is refused
-    import dataclasses
-
     import circlebreak.maps as maps
 
     def refuse(*args):
@@ -264,7 +262,7 @@ def test_map_stats_reads_the_segment_table(monkeypatch):
     m = make_pq_two_break(0.137, 0.771, 1.7, 0.6)
     stats = map_stats(m)
     assert stats.sigma_product == pytest.approx(1.7 * 0.6, rel=1e-14)
-    bad = dataclasses.replace(m, seg_d0=(-m.seg_d0[0], m.seg_d0[1]))
+    bad = m._replace(seg_d0=(-m.seg_d0[0], m.seg_d0[1]))
     with pytest.raises(NotClassP):
         map_stats(bad)
 

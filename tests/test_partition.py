@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from collections import Counter
@@ -29,6 +28,7 @@ from circlebreak.numerics import (
     to_circle,
 )
 from circlebreak.partition import (
+    CellTable,
     CircleInterval,
     build_partition,
     check_refinement,
@@ -491,14 +491,17 @@ def test_refinement_catches_an_escaped_point_and_a_moved_cell(pq_map, gcf):
     left, length = coarse.elements.left[3], coarse.elements.length[3]
     orbit = list(fine.orbit)
     orbit[3 + gcf.q(6) + gcf.q(7)] = to_circle(left + 1.5 * length)
-    escaped = dataclasses.replace(fine, orbit=tuple(orbit))
+    escaped = fine._replace(orbit=tuple(orbit))
     with pytest.raises(RefinementViolation, match="escapes coarse cell 3"):
         check_refinement(coarse, escaped, gcf)
     # shift the left end of the fine rank-7 cell 2 alone
     lefts = list(fine.elements.left)
     lefts[2] += 1e-9
-    cells = dataclasses.replace(fine.elements, left=tuple(lefts))
-    moved = dataclasses.replace(fine, elements=cells)
+    el = fine.elements
+    cells = CellTable(
+        el.rank_tag, el.index, el.left_index, el.right_index, tuple(lefts), el.length
+    )
+    moved = fine._replace(elements=cells)
     with pytest.raises(RefinementViolation, match="rank-7 cell 2 moved"):
         check_refinement(coarse, moved, gcf)
 

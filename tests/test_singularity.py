@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import json
 import math
@@ -14,22 +13,30 @@ import circlebreak.crossratio
 import circlebreak.measure
 import circlebreak.rotation
 from circlebreak.cli import main
-from circlebreak.crossratio import calibrate_k1
+from circlebreak.crossratio import Quadruple, calibrate_k1
 from circlebreak.errors import (
     ConfigError,
     HypothesisNotCertified,
     InvalidGeometry,
     InvariantFailure,
 )
-from circlebreak.maps import iterate, make_pl_two_break, make_pq_two_break, map_stats
+from circlebreak.maps import (
+    BreakPoint,
+    iterate,
+    make_pl_two_break,
+    make_pq_two_break,
+    map_stats,
+)
 from circlebreak.measure import convergent_masses
 from circlebreak.numerics import arc_length, to_circle
-from circlebreak.partition import build_partition
+from circlebreak.partition import CircleInterval, build_partition
 from circlebreak.rotation import ContinuedFraction, tune_translation
 from circlebreak.singularity import (
     MASS_REL_TOL,
+    CoverTriple,
     ExperimentConfig,
     RegularCoverParams,
+    SingularityReport,
     estimate_r6,
     gf_gap,
     make_cover_params,
@@ -565,5 +572,69 @@ def test_report_with_a_nudged_base_point():
     x0 = iterate(m, m.breaks[1].location, 30, direction="backward")[-1]
     assert build_partition(m, cf, x0, 8).nudges == 1
     assert build_partition(m, cf, x0, 5).nudges == 0
-    rep = singularity_report(dataclasses.replace(cfg, x0=x0))
+    rep = singularity_report(ExperimentConfig(**{**cfg._asdict(), "x0": x0}))
     assert [(r.n, r.q_n) for r in rep.rows] == [(n, cf.q(n)) for n in range(5, 9)]
+
+
+def test_equal_maps_hit_the_caches():
+    # the caches keyed by a map compare by value: a twin built on its own
+    # compares and hashes equal, so it reads the entries of the first map
+    m = make_pq_two_break(0.137, 0.771, 1.7, 0.6, 0.3)
+    twin = make_pq_two_break(0.137, 0.771, 1.7, 0.6).with_translation(0.3)
+    assert twin is not m and twin == m and hash(twin) == hash(m)
+    for cached in (map_stats, calibrate_k1):
+        first = cached(m)
+        hits = cached.cache_info().hits
+        assert cached(twin) is first
+        assert cached.cache_info().hits == hits + 1
+
+
+def test_records_refuse_assignment(pq_map, gcf):
+    m = pq_map
+    part = build_partition(m, gcf, 0.05, 4)
+    cfg = ExperimentConfig(kind="pq", n_max=6)
+    records = [
+        (m, "translation"),
+        (m.breaks[0], "location"),
+        (map_stats(m), "v"),
+        (Quadruple(0.0, 0.1, 0.2, 0.3), "z1"),
+        (gcf, "quotients"),
+        (part, "orbit"),
+        (part.elements, "left"),
+        (CircleInterval(0.1, 0.2), "length"),
+        (cfg, "n_max"),
+    ]
+    for record, field in records:
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, before)
+        assert getattr(record, field) is before
+
+
+def test_validated_records_refuse_bad_values():
+    # ExperimentConfig, RegularCoverParams and Quadruple have their own
+    # tests; the list-valued config quotients come back as a tuple
+    cfg = ExperimentConfig(kind="pq", n_min=5, n_max=6, rho_quotients=[1] * 20)
+    assert type(cfg) is ExperimentConfig and cfg.rho_quotients == (1,) * 20
+    with pytest.raises(InvalidGeometry):
+        BreakPoint(1.0, 2.0, 1.0)
+    with pytest.raises(InvalidGeometry):
+        BreakPoint(0.5, 2.0, 2.0)
+    with pytest.raises(ValueError):
+        CircleInterval(0.5, 0.0)
+    triple = dict(
+        n=5, q_n=5, z1=0.0, z2=0.1, z3=0.2, z4=0.3, case_tag="a_only",
+        l_index=0, p_index=0, abar=0.1, cbar=0.1, xi0=1.0, coord0=0.0,
+    )
+    assert CoverTriple(**triple).hull == pytest.approx(0.3)
+    for bad in ({"case_tag": "b_only"}, {"z3": 0.05}, {"z4": 1.5}):
+        with pytest.raises(InvalidGeometry):
+            CoverTriple(**{**triple, **bad})
+    rep = singularity_report(cfg)
+    fields = rep._asdict()
+    assert SingularityReport(**fields) == rep
+    with pytest.raises(InvariantFailure, match="strictly increasing"):
+        SingularityReport(**{**fields, "rows": rep.rows[::-1]})
+    negative = rep.rows[0]._replace(dist_gap=-1.0)
+    with pytest.raises(InvariantFailure, match="negative"):
+        SingularityReport(**{**fields, "rows": (negative,) + rep.rows[1:]})
