@@ -123,15 +123,23 @@ def _row_format(kinds):
     return template, floats, strs
 
 
-def _csv_text(header, rows) -> str:
-    """CSV text of a header and rows, every cell as ``fmt`` renders it.
+# Lines per chunk of a table: chunks stay small beside the 46k-row tables
+# of deep partitions, while writes and joins stay few.
+CSV_CHUNK_LINES = 4096
+
+
+def _csv_chunks(header, rows):
+    """CSV text of a header and rows, in chunks of at most CSV_CHUNK_LINES
+    lines, every cell as ``fmt`` renders it.
 
     Each row goes through one %-template picked by its cell types rather
     than ``fmt`` per cell: ints as ``str``, floats to 17 significant
-    digits, strings verbatim.  The bytes are the ones ``csv.writer`` writes,
-    which would quote only a cell holding a delimiter, a quote or a line
-    break, or a row of one empty cell; a string that needs quoting raises
-    InvariantFailure, as does a non-finite float.
+    digits, strings verbatim.  The joined chunks are the bytes
+    ``csv.writer`` writes, which would quote only a cell holding a
+    delimiter, a quote or a line break, or a row of one empty cell; a
+    string that needs quoting raises InvariantFailure, as does a
+    non-finite float.  Rows are read lazily, so a table is never held
+    whole as text.
     """
     isfinite = math.isfinite
     formats = {}
@@ -152,19 +160,27 @@ def _csv_text(header, rows) -> str:
             if _CSV_QUOTED.search(row[i]) or row == ("",):
                 raise InvariantFailure(f"table cell {row[i]!r} would need CSV quoting")
         lines.append(template % row)
-    return "".join(lines)
+        if len(lines) == CSV_CHUNK_LINES:
+            yield "".join(lines)
+            lines = []
+    if lines:
+        yield "".join(lines)
 
 
 def _write_all(outdir, artifacts):
-    """Stage every artifact, then rename; no partial output on failure."""
+    """Stage every artifact, then rename; no partial output on failure.
+
+    An artifact is a name and an iterable of text chunks, written as they
+    come; a chunk source that raises leaves no staged file behind either.
+    """
     os.makedirs(outdir, exist_ok=True)
     staged = []
     try:
-        for name, text in artifacts:
+        for name, chunks in artifacts:
             fd, tmp = tempfile.mkstemp(dir=outdir, prefix=".stage-")
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
             staged.append((tmp, os.path.join(outdir, name)))
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
     except BaseException:
         for tmp, _ in staged:
             try:
@@ -340,8 +356,8 @@ def cmd_rotnum(doc, outdir, seed):
     return _write_all(
         outdir,
         [
-            ("rotnum.json", _json_text(report) + "\n"),
-            ("cf_table.csv", _csv_text(["n", "k_n", "p_n", "q_n", "err"], table)),
+            ("rotnum.json", [_json_text(report) + "\n"]),
+            ("cf_table.csv", _csv_chunks(["n", "k_n", "p_n", "q_n", "err"], table)),
         ],
     )
 
@@ -376,7 +392,7 @@ def cmd_tune(doc, outdir, seed):
             "upper": res.rho.upper,
         },
     }
-    return _write_all(outdir, [("tune.json", _json_text(report) + "\n")])
+    return _write_all(outdir, [("tune.json", [_json_text(report) + "\n"])])
 
 
 def cmd_partition(doc, outdir, seed):
@@ -465,10 +481,10 @@ def cmd_partition(doc, outdir, seed):
     return _write_all(
         outdir,
         [
-            ("partition.json", _json_text(summary) + "\n"),
+            ("partition.json", [_json_text(summary) + "\n"]),
             (
                 "partition.csv",
-                _csv_text(
+                _csv_chunks(
                     ["n", "rank_tag", "index", "left", "length"],
                     partition_rows(part),
                 ),
@@ -562,10 +578,10 @@ def cmd_distortion(doc, outdir, seed):
     return _write_all(
         outdir,
         [
-            ("distortion.json", _json_text(report) + "\n"),
+            ("distortion.json", [_json_text(report) + "\n"]),
             (
                 "distortion.csv",
-                _csv_text(
+                _csv_chunks(
                     ["z1", "z2", "z3", "z4", "Cr", "Dist", "predicted", "residual", "bound"],
                     rows,
                 ),
@@ -635,10 +651,10 @@ def cmd_measure(doc, outdir, seed):
     return _write_all(
         outdir,
         [
-            ("measure.json", _json_text(report) + "\n"),
+            ("measure.json", [_json_text(report) + "\n"]),
             (
                 "measure.csv",
-                _csv_text(
+                _csv_chunks(
                     ["n", "rank", "index", "length", "mass", "density"],
                     zip(
                         repeat(n),
@@ -681,10 +697,10 @@ def cmd_singularity(doc, outdir, seed):
     body.update(report.to_json_dict())
 
     artifacts = [
-        ("report.json", _json_text(body) + "\n"),
+        ("report.json", [_json_text(body) + "\n"]),
         (
             "rows.csv",
-            _csv_text(
+            _csv_chunks(
                 ["n", "q_n", "gf_gap", "dist_qn_gap", "lorenz_90_length", "case_tag"],
                 [
                     (
@@ -704,7 +720,7 @@ def cmd_singularity(doc, outdir, seed):
         artifacts.append(
             (
                 f"lorenz_n{curve.n}.csv",
-                _csv_text(["cum_length", "cum_mass"], list(curve.points)),
+                _csv_chunks(["cum_length", "cum_mass"], curve.points),
             )
         )
     return _write_all(outdir, artifacts)

@@ -227,9 +227,11 @@ def make_pq_two_break(a, c, sigma_a, sigma_c, translation=0.0) -> CircleMap:
 
 def evaluate(m: CircleMap, x):
     """Lift value f(x) for any real lift coordinate x."""
-    if m.kind == ROTATION:
-        return x + m.translation
-    p0 = m.seg_pos[0]
+    # one unpack of the record in place of a field read per use
+    kind, t, _, pos, val, d0, _, curv = m
+    if kind == ROTATION:
+        return x + t
+    p0 = pos[0]
     k = floor(x - p0)
     u = x - k
     # Guard against boundary rounding in the reduction.
@@ -239,10 +241,10 @@ def evaluate(m: CircleMap, x):
     elif u >= p0 + 1:
         u -= 1
         k += 1
-    s = 0 if u < m.seg_pos[1] else 1
-    du = u - m.seg_pos[s]
-    val = m.seg_val[s] + du * (m.seg_d0[s] + 0.5 * m.seg_curv[s] * du)
-    return val + k + m.translation
+    s = 0 if u < pos[1] else 1
+    du = u - pos[s]
+    y = val[s] + du * (d0[s] + 0.5 * curv[s] * du)
+    return y + k + t
 
 
 def invert(m: CircleMap, y):
@@ -473,7 +475,8 @@ def map_stats(m: CircleMap) -> MapStats:
 def _segment_walk(m: CircleMap, lo, hi):
     """Yield (segment id, x1, x2, segment start) covering the lift interval
     [lo, hi] piece by piece; hi - lo may cross several boundaries."""
-    p0, p1 = m.seg_pos[0], m.seg_pos[1]
+    pos = m.seg_pos
+    p0, p1 = pos[0], pos[1]
     cur = lo
     while cur < hi:
         j = floor(cur - p0)
@@ -490,8 +493,18 @@ def _segment_walk(m: CircleMap, lo, hi):
         else:
             s = 1
             nxt = p0 + 1 + j
+        if nxt <= cur:
+            # cur is a segment end that the reduction rounded back into the
+            # segment it closes (1.2 - 1 < 0.2): the piece is the next one
+            if s == 0:
+                s = 1
+                nxt = p0 + 1 + j
+            else:
+                s = 0
+                j += 1
+                nxt = p1 + j
         x2 = hi if hi < nxt else nxt
-        yield s, cur, x2, m.seg_pos[s] + j
+        yield s, cur, x2, pos[s] + j
         cur = x2
 
 
@@ -504,10 +517,11 @@ def gap_image(m: CircleMap, lo, hi):
     """
     if m.kind == ROTATION:
         return hi - lo
+    d0, curv = m.seg_d0, m.seg_curv
     total = 0.0
     for s, x1, x2, start in _segment_walk(m, lo, hi):
         mid = (x1 + x2) / 2 - start
-        total += (x2 - x1) * (m.seg_d0[s] + m.seg_curv[s] * mid)
+        total += (x2 - x1) * (d0[s] + curv[s] * mid)
     return total
 
 
@@ -516,7 +530,8 @@ def abs_d2f_integral(m: CircleMap, lo, hi):
     the second derivative is constant per segment)."""
     if m.kind == ROTATION:
         return 0.0
+    curv = m.seg_curv
     total = 0.0
     for s, x1, x2, _ in _segment_walk(m, lo, hi):
-        total += abs(m.seg_curv[s]) * (x2 - x1)
+        total += abs(curv[s]) * (x2 - x1)
     return total

@@ -179,28 +179,32 @@ def _cut(cf: ContinuedFraction, n: int, orbit: tuple, x0, nudges: int):
     total = q_n + q_nm1
     orbit = orbit[:total]
 
-    tags, lefts, rights = [], [], []
+    # one set of index objects, shared by every index column and the sort
+    idx = tuple(range(total))
+    # right_of[i]: the right end of the cell whose left end is point i
+    right_of = [0] * total
+    tags = lefts = rights = ()
     for count, tag, step in ((q_n, n - 1, q_nm1), (q_nm1, n, q_n)):
-        early, late = range(count), range(step, step + count)
-        tags += repeat(tag, count)
-        lefts += early if tag % 2 == 0 else late
-        rights += late if tag % 2 == 0 else early
+        early, late = slice(0, count), slice(step, step + count)
+        l_ends, r_ends = (early, late) if tag % 2 == 0 else (late, early)
+        right_of[l_ends] = idx[r_ends]
+        tags += (tag,) * count
+        lefts += idx[l_ends]
+        rights += idx[r_ends]
     at = orbit.__getitem__
     left = tuple(map(at, lefts))
     el = CellTable(
-        rank_tag=tuple(tags),
-        index=(*range(q_n), *range(q_nm1)),
-        left_index=tuple(lefts),
-        right_index=tuple(rights),
+        rank_tag=tags,
+        index=idx[:q_n] + idx[:q_nm1],
+        left_index=lefts,
+        right_index=rights,
         left=left,
         length=tuple(map(to_circle, map(sub, map(at, rights), left))),
     )
 
-    order = sorted(range(total), key=at)
-    succ = [0] * total
-    for a, b in zip(order, order[1:] + order[:1]):
-        succ[a] = b
-    if list(map(succ.__getitem__, lefts)) != rights:
+    order = sorted(idx, key=at)
+    if list(map(right_of.__getitem__, order)) != order[1:] + order[:1]:
+        succ = dict(zip(order, order[1:] + order[:1]))
         e = next(e for e in el if succ[e.left_index] != e.right_index)
         raise InvariantFailure(
             f"element (tag {e.rank_tag}, index {e.index}) endpoints "
@@ -519,6 +523,7 @@ def is_qn_small(
 
 
 def partition_rows(part: DynamicalPartition):
-    """Rows (n, rank_tag, index, left, length) for tabular emission."""
+    """Rows (n, rank_tag, index, left, length) for tabular emission, read
+    lazily off the partition's columns."""
     el = part.elements
-    return list(zip(repeat(part.n), el.rank_tag, el.index, el.left, el.length))
+    return zip(repeat(part.n), el.rank_tag, el.index, el.left, el.length)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -12,8 +13,11 @@ from circlebreak.errors import (
     PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
+    _segment_walk,
+    abs_d2f_integral,
     advance,
     evaluate,
+    gap_image,
     invert,
     iterate,
     make_pl_two_break,
@@ -289,3 +293,22 @@ def test_monotone_lift():
     xs = sorted(rng.uniform(0, 1) for _ in range(500))
     ys = [evaluate(m, x) for x in xs]
     assert all(b > a for a, b in zip(ys, ys[1:]))
+
+
+@pytest.mark.parametrize("lo, hi", [(1.1, 1.3), (0.7, 1.3), (-0.9, -0.7), (-1.05, -0.53)])
+def test_segment_walk_passes_a_rounded_segment_end(lo, hi):
+    # 1.2 and -0.8 close segment 1 (p0 = 0.2), but reducing them rounds
+    # back into it (1.2 - 1 < 0.2): a walk that re-reduced them stood still
+    m = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
+    pieces = list(islice(_segment_walk(m, lo, hi), 8))
+    assert pieces[0][1] == lo and pieces[-1][2] == hi
+    assert all(x1 < x2 for _, x1, x2, _ in pieces)
+    for (s, _, end, _), (s_next, start, _, _) in zip(pieces, pieces[1:]):
+        assert start == end and s_next == 1 - s
+    assert gap_image(m, lo, hi) == pytest.approx(
+        evaluate(m, hi) - evaluate(m, lo), rel=1e-14
+    )
+    curv = m.seg_curv
+    assert abs_d2f_integral(m, lo, hi) == pytest.approx(
+        sum(abs(curv[s]) * (x2 - x1) for s, x1, x2, _ in pieces), rel=1e-15
+    )

@@ -6,6 +6,7 @@ import pytest
 
 from circlebreak.errors import (
     BreakCollision,
+    InvariantFailure,
     PrecisionBudgetExceeded,
     RefinementViolation,
 )
@@ -213,7 +214,7 @@ def test_interval_comparability(pq_map, gcf):
 
 def test_partition_rows_shape(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 5)
-    rows = partition_rows(part)
+    rows = list(partition_rows(part))
     assert len(rows) == len(part.elements)
     n, rank_tag, index, left, length = rows[0]
     assert n == 5 and rank_tag in (4, 5) and index == 0
@@ -422,7 +423,7 @@ def test_columns_match_point_by_point_reference(request, gcf, name):
                 assert p.total_length() == sum(c[5] for c in cells)
                 assert p.max_length() == max(c[5] for c in cells)
                 assert p.min_length() == min(c[5] for c in cells)
-            assert partition_rows(part) == [(k, *c[:2], *c[4:]) for c in cells]
+            assert list(partition_rows(part)) == [(k, *c[:2], *c[4:]) for c in cells]
             if x0 != 0.05:
                 continue
             probes = [0.0] + [rng.random() for _ in range(10)]
@@ -531,3 +532,21 @@ def test_coarsen_refuses_a_foreign_rank_or_fraction(pq_map, gcf):
             part.coarsen(gcf, k)
     with pytest.raises(ValueError):
         part.coarsen(ContinuedFraction.from_quotients([2] * 30), 4)
+
+
+@pytest.mark.parametrize(
+    "t, n, cell",
+    [
+        (0.3, 5, "tag 4, index 0) endpoints 0->5"),
+        (0.38, 8, "tag 8, index 0) endpoints 0->34"),
+        (0.7, 7, "tag 6, index 0) endpoints 0->13"),
+    ],
+)
+def test_adjacency_audit_names_the_first_misplaced_cell(gcf, t, n, cell):
+    # a rotation by t does not have the golden mean's orbit order
+    with pytest.raises(InvariantFailure) as err:
+        build_partition(make_rotation(t), gcf, 0.05, n)
+    assert str(err.value) == (
+        f"element ({cell} are not circularly adjacent; "
+        "orbit order does not match the rotation combinatorics"
+    )
