@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import math
 import os
 import random
@@ -193,6 +194,99 @@ def _write_all(outdir, artifacts):
         os.replace(tmp, final)
         written.append(final)
     return written
+
+
+# POSIX fixes SIGKILL's number; importing ``signal`` to name it would add
+# about 1.5 ms (it builds enums) to every run.
+_SIGKILL = 9
+
+
+def _fork_block(fn, block, cpu):
+    """Start a child that computes ``[fn(x) for x in block]`` pinned to
+    ``cpu`` and writes the list to a pipe as marshal bytes.
+
+    Returns (pid, the pipe's read end as a binary file), or None if no
+    child could be started.  The child never returns into the caller: it leaves through
+    ``os._exit``, with status 0 only once all its bytes are written.
+    """
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            os.sched_setaffinity(0, {cpu})
+            data = marshal.dumps([fn(x) for x in block])
+            with open(w, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _map_on_cpus(fn, items):
+    """``[fn(x) for x in items]``, with contiguous blocks of ``items``
+    computed at once on the CPUs this process may run on.
+
+    Block 0 runs here, with this process pinned to the first CPU of its
+    affinity set until the block is done; every other block runs in a
+    forked child pinned to a CPU of its own (``_fork_block``), so results
+    must be marshal-able.  Unpinned, the scheduler tends to keep a child
+    on its parent's CPU and the blocks gain nothing.  A block whose child
+    could not start or exits non-zero is computed here again, so the
+    first exception in item order is raised as the serial loop raises
+    it.  Every child is reaped before this returns or raises.  With one
+    usable CPU, fewer than two items or no ``fork`` and affinity control
+    on the platform, all items run here.  The CLI process starts no
+    threads, so forking it is safe.
+    """
+    try:
+        allowed = os.sched_getaffinity(0)
+    except AttributeError:  # no affinity control on this platform
+        allowed = ()
+    cpus = sorted(allowed)
+    k = min(len(cpus), len(items))
+    if k < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    cuts = [len(items) * i // k for i in range(k + 1)]
+    blocks = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    # (pid, read end) of blocks 1.., None once reaped or if never started
+    children = []
+    try:
+        for cpu, block in zip(cpus[1:], blocks[1:]):
+            children.append(_fork_block(fn, block, cpu))
+        os.sched_setaffinity(0, {cpus[0]})
+        try:
+            out = [fn(x) for x in blocks[0]]
+        finally:
+            os.sched_setaffinity(0, allowed)
+        for i, block in enumerate(blocks[1:]):
+            status = data = None
+            if children[i] is not None:
+                pid, fh = children[i]
+                with fh:
+                    data = fh.read()
+                status = os.waitpid(pid, 0)[1]
+                children[i] = None
+            out += marshal.loads(data) if status == 0 else [fn(x) for x in block]
+    finally:
+        for child in children:
+            if child is not None:
+                pid, fh = child
+                fh.close()
+                os.kill(pid, _SIGKILL)
+                os.waitpid(pid, 0)
+    return out
 
 
 _MISSING = object()
@@ -395,6 +489,37 @@ def cmd_tune(doc, outdir, seed):
     return _write_all(outdir, [("tune.json", [_json_text(report) + "\n"])])
 
 
+def _denjoy_samples(m, cf, n, cap, count, seed):
+    """Denjoy products of ``count`` random base points whose orbits clear
+    the breaks, in draw order; at most 10 * count base points are drawn.
+
+    Base points are drawn in batches no larger than the samples still
+    needed nor the draws left, and each batch is spread over the CPUs
+    (``_map_on_cpus``), so the draws, the accepted points, the collision
+    cap and the first failure are those of a one-at-a-time loop.
+    """
+
+    def sample(x):
+        try:
+            return denjoy_product(m, cf, x, n, cap=cap)
+        except BreakCollision:
+            return None
+
+    rng = random.Random(seed)
+    prods = []
+    attempts, budget = 0, 10 * count
+    while len(prods) < count:
+        if attempts == budget:
+            raise InvariantFailure(
+                "random base points keep colliding with break orbits"
+            )
+        batch = min(count - len(prods), budget - attempts)
+        attempts += batch
+        xs = [rng.random() for _ in range(batch)]
+        prods += [p for p in _map_on_cpus(sample, xs) if p is not None]
+    return prods
+
+
 def cmd_partition(doc, outdir, seed):
     k = _Keys(doc)
     m, _ = _map_from_config(k.take("map"))
@@ -434,19 +559,7 @@ def cmd_partition(doc, outdir, seed):
 
     if denjoy_samples > 0:
         stats = map_stats(m)
-        rng = random.Random(seed)
-        prods = []
-        attempts = 0
-        while len(prods) < denjoy_samples:
-            attempts += 1
-            if attempts > 10 * denjoy_samples:
-                raise InvariantFailure(
-                    "random base points keep colliding with break orbits"
-                )
-            try:
-                prods.append(denjoy_product(m, cf, rng.random(), n, cap=cap))
-            except BreakCollision:
-                continue
+        prods = _denjoy_samples(m, cf, n, cap, denjoy_samples, seed)
         summary["denjoy"] = {
             "samples": denjoy_samples,
             "n": n,

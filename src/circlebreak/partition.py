@@ -317,10 +317,14 @@ def check_refinement(
 def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
     """Product of Df_+ along the first ``steps`` orbit points of x0.
 
-    One pass, no orbit kept: the loop steps the orbit as ``maps.advance``
-    does and multiplies in Df_+ = d0 + curv * du from the segment offset
-    du it has just computed, which is ``one_sided_derivatives(m, x)[1]``
-    bit for bit.  The product runs in orbit order, as a running product.
+    One pass, no orbit kept: each step gives the point ``maps.advance``
+    gives, bit for bit, and multiplies in Df_+ = d0 + curv * du from the
+    segment offset du it has just computed, which is
+    ``one_sided_derivatives(m, x)[1]`` bit for bit.  The product runs in
+    orbit order, as a running product.  Where ``advance`` places the
+    circle point x in the fundamental domain [p0, p0 + 1) by
+    floor(x - p0), this loop compares x with p0, which picks the same
+    turn for every x in [0, 1).
 
     The orbit is not nudged: a point too close to a break raises
     BreakCollision.  The exact test is ``orbit_avoiding_breaks``'s; a
@@ -348,14 +352,17 @@ def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
     x = to_circle(x0)
     prod = 1.0
     for _ in range(steps):
-        j = fl(x - p0)
-        u = x - j
-        if u < p0:
-            u += 1
-            j -= 1
-        elif u >= p0_next:
-            u -= 1
-            j += 1
+        # x lies in [0, 1): left of p0 it sits one turn back, and from p0
+        # on it needs no fix-up, as x < 1 <= p0 + 1
+        if x < p0:
+            u = x + 1
+            j = -1
+            if u >= p0_next:
+                u -= 1
+                j = 0
+        else:
+            u = x
+            j = 0
         if u < p1:
             du = u - p0
             end = end0

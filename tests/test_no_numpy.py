@@ -3,10 +3,13 @@
 Every CLI run is a fresh interpreter that pays for each import.  Importing
 numpy costs more than most commands' own work, and ``dataclasses`` (which
 loads ``inspect``) costs its import plus the generated methods of every
-class it decorates, so no module under ``circlebreak`` may load any of
-the three, at import time or from inside a command.  A fresh interpreter
-imports the CLI, runs each of the six commands on a bundled config and
-reports which of them were loaded after each step.
+class it decorates.  The Denjoy samples fan out over the CPUs with
+``os.fork``, a pipe and ``marshal`` alone, so neither ``multiprocessing``
+nor ``concurrent.futures`` has any use.  No module under ``circlebreak``
+may load any of these, at import time or from inside a command.  A fresh
+interpreter imports the CLI, runs each of the six commands on a bundled
+config (``partition`` with Denjoy samples) and reports which of them
+were loaded after each step.
 """
 
 import os
@@ -15,7 +18,13 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-HEAVY = ("numpy", "dataclasses", "inspect")
+HEAVY = (
+    "numpy",
+    "dataclasses",
+    "inspect",
+    "multiprocessing",
+    "concurrent.futures",
+)
 
 RUNS = [
     ("rotnum", "rotnum_golden.json"),

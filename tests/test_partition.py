@@ -23,6 +23,7 @@ from circlebreak.maps import (
 )
 from circlebreak.numerics import (
     BREAK_CLEARANCE_EPS,
+    DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
     arc_length,
     in_arc,
@@ -302,6 +303,125 @@ def test_df_product_near_a_break(monkeypatch, request, name):
             x0 = iterate(m, inside, 5, direction="backward")[-1]
             with pytest.raises(BreakCollision):
                 df_product(m, x0, 233)
+
+
+def _df_product_floor(m, x0, steps, cap=DEFAULT_ORBIT_CAP):
+    # df_product as written before it placed x by comparisons: the
+    # fundamental-domain turn j comes from floor(x - p0), as in advance
+    if steps < 1:
+        return 1.0
+    if steps - 1 > cap:
+        raise PrecisionBudgetExceeded(f"orbit length {steps - 1} exceeds cap {cap}")
+    if m.kind == "rotation":
+        return 1.0
+    t = m.translation
+    p0, p1 = m.seg_pos[0], m.seg_pos[1]
+    p0_next = p0 + 1
+    v0, v1 = m.seg_val[0], m.seg_val[1]
+    a0, a1 = m.seg_d0
+    c0, c1 = m.seg_curv
+    h0, h1 = 0.5 * c0, 0.5 * c1
+    clamp = 2 * MACHINE_EPS
+    near = 2 * BREAK_CLEARANCE_EPS * MACHINE_EPS
+    end0, end1 = (p1 - p0) - near, (p0_next - p1) - near
+    x = to_circle(x0)
+    prod = 1.0
+    for _ in range(steps):
+        j = math.floor(x - p0)
+        u = x - j
+        if u < p0:
+            u += 1
+            j -= 1
+        elif u >= p0_next:
+            u -= 1
+            j += 1
+        if u < p1:
+            du = u - p0
+            end = end0
+            prod *= a0 + c0 * du
+            y = v0 + du * (a0 + h0 * du) + j + t
+        else:
+            du = u - p1
+            end = end1
+            prod *= a1 + c1 * du
+            y = v1 + du * (a1 + h1 * du) + j + t
+        if du < near or du > end:
+            orbit_avoiding_breaks(m, x0, steps - 1, cap=cap, retries=0)
+            near, end0, end1 = -1.0, 2.0, 2.0
+        x = y - math.floor(y)
+        if 1 - x <= clamp:
+            x = 0.0
+    return prod
+
+
+def _outcome(fn, *args):
+    """A result's bits, or the type and message of what it raised."""
+    try:
+        return "value", fn(*args).hex()
+    except BreakCollision as e:
+        return "raised", type(e).__name__, str(e)
+
+
+def _sweep_maps():
+    rng = random.Random(2024)
+    # the pl map has c < a, so its segments start at c
+    maps = [
+        make_pq_two_break(0.2, 0.6, 2.0, 0.8, 0.61),
+        make_pl_two_break(0.75, 0.3, 3.0, 0.4),
+    ]
+    for _ in range(3):
+        a, c = rng.random(), rng.random()
+        sa, sc = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
+        maps.append(make_pq_two_break(a, c, sa, sc, rng.random()))
+        maps.append(make_pl_two_break(a, c, rng.uniform(0.3, 3), rng.random()))
+    return maps
+
+
+def _sweep_base_points(m, rng):
+    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
+    points = [0.0, math.nextafter(1.0, 0.0)]
+    points += [rng.random() for _ in range(20)]
+    for b in m.breaks:
+        x = b.location
+        for _ in range(4):  # the break and three ulps to either side
+            points += [x, b.location - (x - b.location)]
+            x = math.nextafter(x, 1.0)
+        for side in (1, -1):
+            # inside the 2x prefilter band: clear at 1.5 clearances, not at 0.5
+            for frac in (1.5, 0.5):
+                near = to_circle(b.location + side * frac * clearance)
+                points += [near, iterate(m, near, 5, direction="backward")[-1]]
+    return points
+
+
+@pytest.mark.parametrize(
+    "m", _sweep_maps(), ids=lambda m: f"{m.kind}-{m.breaks[0].location:.3f}"
+)
+def test_df_product_matches_the_floor_step(m):
+    # the comparison step is bit-identical to floor(x - p0), and the
+    # near-break path raises the same BreakCollision message
+    rng = random.Random(7)
+    points = _sweep_base_points(m, rng)
+    outcomes = Counter()
+    for x0 in points:
+        for steps in (1, 377, 2584):
+            got = _outcome(df_product, m, x0, steps)
+            assert got == _outcome(_df_product_floor, m, x0, steps), (x0, steps)
+            outcomes[got[0]] += 1
+    assert outcomes["value"] and outcomes["raised"]
+
+
+def test_df_product_turn_fix_up_matches_the_floor_step():
+    # just left of p0 = 0.2, x + 1 rounds up to p0 + 1: the step takes
+    # the point back one turn, as floor's u >= p0 + 1 fix-up does
+    m = make_pq_two_break(0.2, 0.6, 2.0, 0.8, 0.61)
+    p0 = m.seg_pos[0]
+    x = math.nextafter(p0, 0.0)
+    assert x < p0 and x + 1 >= p0 + 1
+    for steps in (1, 50):
+        got = _outcome(df_product, m, x, steps)
+        assert got == _outcome(_df_product_floor, m, x, steps)
+        assert got[0] == "raised"
 
 
 def _reference_orbit_avoiding_breaks(m, x0, n, retries):
