@@ -168,32 +168,47 @@ def _csv_chunks(header, rows):
         yield "".join(lines)
 
 
-def _write_all(outdir, artifacts):
-    """Stage every artifact, then rename; no partial output on failure.
+def _stage(outdir, artifacts, staged):
+    """Write each artifact to a temporary file in ``outdir`` and add its
+    (temporary, final path) pair to ``staged``, for the caller to rename
+    or, if anything raises, to remove (``_unstage``).
 
     An artifact is a name and an iterable of text chunks, written as they
-    come; a chunk source that raises leaves no staged file behind either.
+    come.
     """
     os.makedirs(outdir, exist_ok=True)
-    staged = []
+    for name, chunks in artifacts:
+        fd, tmp = tempfile.mkstemp(dir=outdir, prefix=".stage-")
+        staged.append((tmp, os.path.join(outdir, name)))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+
+
+def _unstage(staged):
+    for tmp, _ in staged:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _write_all(outdir, artifacts, staged=()):
+    """Stage every artifact, then rename them and after them the pairs
+    ``staged`` earlier (``_stage``); no partial output on failure.
+
+    A chunk source that raises leaves no file of these artifacts behind
+    either; those staged earlier are the caller's to remove.
+    """
+    pairs = []
     try:
-        for name, chunks in artifacts:
-            fd, tmp = tempfile.mkstemp(dir=outdir, prefix=".stage-")
-            staged.append((tmp, os.path.join(outdir, name)))
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(chunks)
+        _stage(outdir, artifacts, pairs)
     except BaseException:
-        for tmp, _ in staged:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        _unstage(pairs)
         raise
-    written = []
-    for tmp, final in staged:
+    pairs += staged
+    for tmp, final in pairs:
         os.replace(tmp, final)
-        written.append(final)
-    return written
+    return [final for _, final in pairs]
 
 
 # POSIX fixes SIGKILL's number; importing ``signal`` to name it would add
@@ -234,59 +249,107 @@ def _fork_block(fn, block, cpu):
     return pid, open(r, "rb")
 
 
-def _map_on_cpus(fn, items):
-    """``[fn(x) for x in items]``, with contiguous blocks of ``items``
-    computed at once on the CPUs this process may run on.
+def _spread_cpus(items):
+    """The CPUs to spread work on ``items`` over: this process's affinity
+    set in order, or none with one usable CPU, fewer than two items, or
+    no ``fork`` or affinity control on the platform."""
+    try:
+        cpus = sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity control on this platform
+        return []
+    return cpus if len(cpus) > 1 and len(items) > 1 and hasattr(os, "fork") else []
 
-    Block 0 runs here, with this process pinned to the first CPU of its
-    affinity set until the block is done; every other block runs in a
-    forked child pinned to a CPU of its own (``_fork_block``), so results
-    must be marshal-able.  Unpinned, the scheduler tends to keep a child
-    on its parent's CPU and the blocks gain nothing.  A block whose child
-    could not start or exits non-zero is computed here again, so the
-    first exception in item order is raised as the serial loop raises
-    it.  Every child is reaped before this returns or raises.  With one
-    usable CPU, fewer than two items or no ``fork`` and affinity control
-    on the platform, all items run here.  The CLI process starts no
+
+def _pin(cpus):
+    """Restrict this process to ``cpus``.  Where the system refuses (a
+    seccomp profile may forbid the call), it goes on unpinned."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+class _Blocks:
+    """``[fn(x) for x in items]`` in contiguous blocks, one forked child
+    each, pinned to ``cpus[1]``, ``cpus[2]``, ... (``_fork_block``); this
+    process goes on pinned to ``cpus[0]`` until ``join`` or ``kill``.
+
+    Unpinned, the scheduler tends to keep a child on its parent's CPU and
+    the blocks gain nothing.  With fewer than two ``cpus`` the items form
+    one block without a child.  ``join`` computes here each block without
+    a child or whose child exits non-zero, so the first exception in item
+    order is raised as the serial loop raises it; it and ``kill`` reap
+    every child before they return or raise.  The CLI process starts no
     threads, so forking it is safe.
     """
-    try:
-        allowed = os.sched_getaffinity(0)
-    except AttributeError:  # no affinity control on this platform
-        allowed = ()
-    cpus = sorted(allowed)
-    k = min(len(cpus), len(items))
-    if k < 2 or not hasattr(os, "fork"):
-        return [fn(x) for x in items]
-    cuts = [len(items) * i // k for i in range(k + 1)]
-    blocks = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    # (pid, read end) of blocks 1.., None once reaped or if never started
-    children = []
-    try:
-        for cpu, block in zip(cpus[1:], blocks[1:]):
-            children.append(_fork_block(fn, block, cpu))
-        os.sched_setaffinity(0, {cpus[0]})
+
+    def __init__(self, fn, items, cpus):
+        self.fn, self.cpus = fn, cpus
+        k = min(len(cpus) - 1, len(items))
+        if k < 1:
+            self.blocks = [[items, None]]
+            return
+        cuts = [len(items) * i // k for i in range(k + 1)]
+        # [block, (pid, read end) or None once reaped or if never started]
+        self.blocks = []
         try:
-            out = [fn(x) for x in blocks[0]]
+            for cpu, lo, hi in zip(cpus[1:], cuts, cuts[1:]):
+                block = items[lo:hi]
+                self.blocks.append([block, _fork_block(fn, block, cpu)])
+        except BaseException:
+            self.kill()
+            raise
+        _pin(cpus[:1])
+
+    def join(self):
+        """The results in item order."""
+        if self.cpus:
+            _pin(self.cpus)
+        out = []
+        try:
+            for entry in self.blocks:
+                block, child = entry
+                status = data = None
+                if child is not None:
+                    pid, fh = child
+                    with fh:
+                        data = fh.read()
+                    status = os.waitpid(pid, 0)[1]
+                    entry[1] = None
+                out += marshal.loads(data) if status == 0 else list(map(self.fn, block))
         finally:
-            os.sched_setaffinity(0, allowed)
-        for i, block in enumerate(blocks[1:]):
-            status = data = None
-            if children[i] is not None:
-                pid, fh = children[i]
-                with fh:
-                    data = fh.read()
-                status = os.waitpid(pid, 0)[1]
-                children[i] = None
-            out += marshal.loads(data) if status == 0 else [fn(x) for x in block]
-    finally:
-        for child in children:
-            if child is not None:
-                pid, fh = child
+            self.kill()
+        return out
+
+    def kill(self):
+        """Unpin this process; kill and reap every child not yet joined."""
+        if self.cpus:
+            _pin(self.cpus)
+        for entry in self.blocks:
+            if entry[1] is not None:
+                pid, fh = entry[1]
+                entry[1] = None
                 fh.close()
                 os.kill(pid, _SIGKILL)
                 os.waitpid(pid, 0)
-    return out
+
+
+def _map_on_cpus(fn, items):
+    """``[fn(x) for x in items]``, with contiguous blocks of ``items``
+    computed at once on the CPUs this process may run on
+    (``_spread_cpus``): block 0 here, pinned to the first CPU, the others
+    in children (``_Blocks``), which are all reaped before this returns
+    or raises.
+    """
+    cpus = _spread_cpus(items)
+    cut = len(items) // (min(len(cpus), len(items)) or 1)
+    rest = _Blocks(fn, items[cut:], cpus)
+    try:
+        out = [fn(x) for x in items[:cut]]
+    except BaseException:
+        rest.kill()
+        raise
+    return out + rest.join()
 
 
 _MISSING = object()
@@ -489,12 +552,16 @@ def cmd_tune(doc, outdir, seed):
     return _write_all(outdir, [("tune.json", [_json_text(report) + "\n"])])
 
 
-def _denjoy_samples(m, cf, n, cap, count, seed):
-    """Denjoy products of ``count`` random base points whose orbits clear
-    the breaks, in draw order; at most 10 * count base points are drawn.
+def _start_denjoy_samples(m, cf, n, cap, count, seed):
+    """Start the Denjoy products of ``count`` random base points whose
+    orbits clear the breaks; at most 10 * count base points are drawn.
 
-    Base points are drawn in batches no larger than the samples still
-    needed nor the draws left, and each batch is spread over the CPUs
+    The first batch, ``count`` base points, starts at once in children on
+    the CPUs but the first (``_Blocks``), so the caller can work beside
+    them, pinned to the first CPU.  Returns those blocks, for the caller
+    to ``kill`` if it fails first, and a function that joins them and
+    returns the products in draw order.  Later batches, no larger than
+    the samples still needed nor the draws left, are spread over the CPUs
     (``_map_on_cpus``), so the draws, the accepted points, the collision
     cap and the first failure are those of a one-at-a-time loop.
     """
@@ -506,18 +573,24 @@ def _denjoy_samples(m, cf, n, cap, count, seed):
             return None
 
     rng = random.Random(seed)
-    prods = []
-    attempts, budget = 0, 10 * count
-    while len(prods) < count:
-        if attempts == budget:
-            raise InvariantFailure(
-                "random base points keep colliding with break orbits"
-            )
-        batch = min(count - len(prods), budget - attempts)
-        attempts += batch
-        xs = [rng.random() for _ in range(batch)]
-        prods += [p for p in _map_on_cpus(sample, xs) if p is not None]
-    return prods
+    xs = [rng.random() for _ in range(count)]
+    first = _Blocks(sample, xs, _spread_cpus(xs))
+
+    def finish():
+        prods = [p for p in first.join() if p is not None]
+        attempts, budget = count, 10 * count
+        while len(prods) < count:
+            if attempts == budget:
+                raise InvariantFailure(
+                    "random base points keep colliding with break orbits"
+                )
+            batch = min(count - len(prods), budget - attempts)
+            attempts += batch
+            xs = [rng.random() for _ in range(batch)]
+            prods += [p for p in _map_on_cpus(sample, xs) if p is not None]
+        return prods
+
+    return first, finish
 
 
 def cmd_partition(doc, outdir, seed):
@@ -542,68 +615,75 @@ def cmd_partition(doc, outdir, seed):
                 f"rho quotients, have {cf.depth}"
             )
 
-    # every rank is cut from one orbit, so all share one base point
-    deep = build_partition(m, cf, x0, max(n_fine, decay_n_max), cap=cap)
-    part = deep.coarsen(cf, n)
-    summary = {
-        "schema": SCHEMA,
-        "command": "partition",
-        "n": n,
-        "q_n": part.q_n,
-        "q_nm1": part.q_nm1,
-        "elements": len(part.elements),
-        "total_length": part.total_length(),
-        "max_length": part.max_length(),
-        "min_length": part.min_length(),
-    }
-
-    if denjoy_samples > 0:
-        stats = map_stats(m)
-        prods = _denjoy_samples(m, cf, n, cap, denjoy_samples, seed)
-        summary["denjoy"] = {
-            "samples": denjoy_samples,
+    # The Denjoy samples do not depend on the partition: they run in
+    # children while this process builds, checks and stages the table.
+    # Failures still surface in the order of a serial run: the build's,
+    # then the samples', then those of the checks and the table.
+    samples, finish_samples = _start_denjoy_samples(m, cf, n, cap, denjoy_samples, seed)
+    staged = []
+    try:
+        # every rank is cut from one orbit, so all share one base point
+        deep = build_partition(m, cf, x0, max(n_fine, decay_n_max), cap=cap)
+        # a map outside class P fails here, before the samples, as it did serially
+        stats = map_stats(m) if denjoy_samples > 0 else None
+        try:
+            part = deep.coarsen(cf, n)
+            fit = rep = None
+            if decay_n_max > 0:
+                fit = max_element_decay(m, cf, deep.coarsen(cf, decay_n_max))
+            if refinement:
+                rep = check_refinement(part, deep.coarsen(cf, n + 1), cf)
+            header = ["n", "rank_tag", "index", "left", "length"]
+            table = _csv_chunks(header, partition_rows(part))
+            _stage(outdir, [("partition.csv", table)], staged)
+        except Exception:
+            finish_samples()
+            raise
+        prods = finish_samples()
+        summary = {
+            "schema": SCHEMA,
+            "command": "partition",
             "n": n,
-            "min": min(prods),
-            "max": max(prods),
-            "lower_bound": math.exp(-stats.v),
-            "upper_bound": math.exp(stats.v),
-            "v": stats.v,
+            "q_n": part.q_n,
+            "q_nm1": part.q_nm1,
+            "elements": len(part.elements),
+            "total_length": part.total_length(),
+            "max_length": part.max_length(),
+            "min_length": part.min_length(),
         }
-
-    if decay_n_max > 0:
-        fit = max_element_decay(m, cf, deep.coarsen(cf, decay_n_max))
-        summary["decay"] = {
-            "rows": [[rn, ln] for rn, ln in fit.rows],
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "log_lambda": fit.log_lambda,
-            "margin": fit.margin,
-            "within_bound": fit.within_bound,
-        }
-
-    if refinement:
-        rep = check_refinement(part, deep.coarsen(cf, n + 1), cf)
-        summary["refinement"] = {
-            "k_next": rep.k_next,
-            "expected_splits": rep.k_next + 1,
-            "split_min": min(rep.split_counts),
-            "split_max": max(rep.split_counts),
-            "persisted": rep.persisted,
-        }
-
-    return _write_all(
-        outdir,
-        [
-            ("partition.json", [_json_text(summary) + "\n"]),
-            (
-                "partition.csv",
-                _csv_chunks(
-                    ["n", "rank_tag", "index", "left", "length"],
-                    partition_rows(part),
-                ),
-            ),
-        ],
-    )
+        if stats is not None:
+            summary["denjoy"] = {
+                "samples": denjoy_samples,
+                "n": n,
+                "min": min(prods),
+                "max": max(prods),
+                "lower_bound": math.exp(-stats.v),
+                "upper_bound": math.exp(stats.v),
+                "v": stats.v,
+            }
+        if fit is not None:
+            summary["decay"] = {
+                "rows": [[rn, ln] for rn, ln in fit.rows],
+                "slope": fit.slope,
+                "intercept": fit.intercept,
+                "log_lambda": fit.log_lambda,
+                "margin": fit.margin,
+                "within_bound": fit.within_bound,
+            }
+        if rep is not None:
+            summary["refinement"] = {
+                "k_next": rep.k_next,
+                "expected_splits": rep.k_next + 1,
+                "split_min": min(rep.split_counts),
+                "split_max": max(rep.split_counts),
+                "persisted": rep.persisted,
+            }
+        report = [_json_text(summary) + "\n"]
+        return _write_all(outdir, [("partition.json", report)], staged)
+    except BaseException:
+        samples.kill()
+        _unstage(staged)
+        raise
 
 
 def _config_quadruple(raw, where):

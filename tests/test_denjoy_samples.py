@@ -1,22 +1,31 @@
 """Denjoy samples spread over the CPUs give the one-at-a-time results.
 
-``cli._denjoy_samples`` draws base points in batches and computes each
-batch in contiguous blocks, one per CPU of the process's affinity set
-(``cli._map_on_cpus``: block 0 here, the others in forked children).
-These tests hold it to the serial loop it replaced: the same artifact
-bytes whatever the CPU count, the same accepted base points, the same
-first failure and the same collision cap, and no child left behind.
+``cli._start_denjoy_samples`` draws the first batch of base points and
+starts it in forked children on the CPUs but the first (``cli._Blocks``),
+so that ``partition`` builds, checks and stages its table beside them;
+later batches, after collisions, are spread over every CPU
+(``cli._map_on_cpus``: block 0 here, the others in children).  These
+tests hold it to the serial loop it replaced: the same artifact bytes
+whatever the CPU count, the same accepted base points, the same first
+failure, the same collision cap and the same error order against the
+build, the checks and the table, and no child left behind.
 """
 
 import json
 import os
 import random
 import time
+from itertools import chain
 
 import pytest
 
 from circlebreak import cli
-from circlebreak.errors import BreakCollision, InvariantFailure
+from circlebreak.errors import (
+    BreakCollision,
+    CircleBreakError,
+    InvariantFailure,
+    PrecisionBudgetExceeded,
+)
 
 PQ_TUNED = {
     "kind": "pq",
@@ -94,7 +103,7 @@ def test_partition_bytes_do_not_depend_on_the_cpu_count(tmp_path):
     ids=lambda f: "draws-" + "-".join(map(str, f)),
 )
 def test_first_failure_in_draw_order_exits_4(monkeypatch, tmp_path, capsys, failing):
-    # with 40 samples and two CPUs, draws 20..39 run in a child; a child
+    # with two CPUs all 40 draws run in a child beside the build; a child
     # that raises exits non-zero and its block is computed again here
     index = _draws(40)
     real = cli.denjoy_product
@@ -166,7 +175,8 @@ def test_collisions_accept_the_serial_base_points(monkeypatch, count, colliding)
         return x
 
     monkeypatch.setattr(cli, "denjoy_product", product)
-    got = _outcome(lambda: cli._denjoy_samples(None, None, 0, 0, count, SEED))
+    _, finish = cli._start_denjoy_samples(None, None, 0, 0, count, SEED)
+    got = _outcome(finish)
     assert got == _outcome(lambda: _serial_samples(product, count, SEED))
     _assert_no_children()
 
@@ -258,4 +268,160 @@ def test_a_child_that_cannot_pin_has_its_block_run_here(monkeypatch):
     # block 0 ran pinned; the others ran here after the pin, unpinned
     assert got[:2] == [(os.getpid(), ALL_CPUS[:1])] * 2
     assert got[2:] == [(os.getpid(), ALL_CPUS)] * (len(got) - 2)
+    _assert_no_children()
+
+
+@needs_two_cpus
+def test_the_samples_run_during_the_build(monkeypatch, tmp_path):
+    # a child's first sample leaves a file, which the build waits for
+    flag = tmp_path / "sampling"
+    parent = os.getpid()
+    real_product, real_build = cli.denjoy_product, cli.build_partition
+    seen = []
+
+    def product(m, cf, x, n, cap):
+        if os.getpid() != parent:
+            flag.touch()
+        return real_product(m, cf, x, n, cap=cap)
+
+    def build(*args, **kwargs):
+        deadline = time.monotonic() + 10
+        while not flag.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        seen.append(flag.exists())
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "denjoy_product", product)
+    monkeypatch.setattr(cli, "build_partition", build)
+    code, _ = _run(tmp_path, "all", dict(PARTITION, denjoy_samples=40))
+    assert code == 0
+    assert seen == [True]
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+def test_a_failing_build_beats_a_failing_sample(monkeypatch, tmp_path, capsys, cpus):
+    parent = os.getpid()
+
+    def product(m, cf, x, n, cap):
+        if os.getpid() != parent:
+            time.sleep(60)  # only a kill ends this child in time
+        raise InvariantFailure("Denjoy product escapes its bounds")
+
+    def build(*args, **kwargs):
+        raise PrecisionBudgetExceeded("the build ran out of orbit budget")
+
+    monkeypatch.setattr(cli, "denjoy_product", product)
+    monkeypatch.setattr(cli, "build_partition", build)
+    if cpus == "one":
+        _one_cpu(monkeypatch)
+    start = time.monotonic()
+    code, out = _run(tmp_path, cpus, dict(PARTITION, denjoy_samples=40))
+    assert time.monotonic() - start < 10
+    assert code == 3
+    assert capsys.readouterr().err == "error: the build ran out of orbit budget\n"
+    assert os.listdir(out) == []
+    _assert_no_children()
+
+
+def _failing_decay(m, cf, part):
+    raise PrecisionBudgetExceeded("the decay fit ran out of orbit budget")
+
+
+def _failing_refinement(part, fine, cf):
+    raise CircleBreakError("the refinement audit failed")
+
+
+def _nan_rows(part, real=cli.partition_rows):
+    return chain(real(part), [(part.n, part.n, 0, 0.5, float("nan"))])
+
+
+# failure -> (cli name to replace, replacement, exit code, message)
+LATER_FAILURES = {
+    "decay": (
+        "max_element_decay",
+        _failing_decay,
+        3,
+        "the decay fit ran out of orbit budget",
+    ),
+    "refinement": (
+        "check_refinement",
+        _failing_refinement,
+        5,
+        "the refinement audit failed",
+    ),
+    "csv": (
+        "partition_rows",
+        _nan_rows,
+        4,
+        "non-finite value nan reached an output table",
+    ),
+}
+
+
+@pytest.mark.parametrize("cpus", ["all", "one"])
+@pytest.mark.parametrize("later", sorted(LATER_FAILURES))
+@pytest.mark.parametrize(
+    "sample_fails", [True, False], ids=["sample-fails", "samples-pass"]
+)
+def test_a_failing_sample_beats_the_checks_and_the_table(
+    monkeypatch, tmp_path, capsys, cpus, later, sample_fails
+):
+    # as in a serial run, a failed sample is raised before any failure of
+    # the decay fit, the refinement audit or the table that ran beside it
+    name, replacement, later_code, later_message = LATER_FAILURES[later]
+    index = _draws(40)
+    real = cli.denjoy_product
+
+    def product(m, cf, x, n, cap):
+        if sample_fails and index[x] == 27:
+            raise InvariantFailure("Denjoy product escapes its bounds at draw 27")
+        return real(m, cf, x, n, cap=cap)
+
+    monkeypatch.setattr(cli, "denjoy_product", product)
+    monkeypatch.setattr(cli, name, replacement)
+    if cpus == "one":
+        _one_cpu(monkeypatch)
+    doc = dict(PARTITION, denjoy_samples=40, decay_n_max=12, refinement=True)
+    code, out = _run(tmp_path, cpus, doc)
+    if sample_fails:
+        expected = (4, "error: Denjoy product escapes its bounds at draw 27\n")
+    else:
+        expected = (later_code, f"error: {later_message}\n")
+    assert (code, capsys.readouterr().err) == expected
+    assert os.listdir(out) == []
+    _assert_no_children()
+
+
+@needs_two_cpus
+def test_a_refused_pin_runs_unpinned(monkeypatch, tmp_path, capsys):
+    # as under a seccomp profile that forbids sched_setaffinity; draws 3
+    # and 5 collide, so a second batch of two runs through _map_on_cpus
+    index = _draws(400)
+    real = cli.denjoy_product
+
+    def product(m, cf, x, n, cap):
+        if index[x] in (3, 5):
+            raise BreakCollision(f"draw {index[x]} collides")
+        return real(m, cf, x, n, cap=cap)
+
+    def refuse(pid, cpus):
+        raise PermissionError("sched_setaffinity refused")
+
+    monkeypatch.setattr(cli, "denjoy_product", product)
+    monkeypatch.setattr(cli.os, "sched_setaffinity", refuse)
+    doc = dict(PARTITION, denjoy_samples=40, decay_n_max=12, refinement=True)
+    code, everywhere = _run(tmp_path, "all", doc)
+    printed = capsys.readouterr().out
+    assert code == 0
+    _assert_no_children()
+    assert sorted(os.sched_getaffinity(0)) == ALL_CPUS
+    assert printed.splitlines() == [
+        str(everywhere / "partition.json"),
+        str(everywhere / "partition.csv"),
+    ]
+    _one_cpu(monkeypatch)
+    code, alone = _run(tmp_path, "one", doc)
+    assert code == 0
+    assert _artifacts(alone) == _artifacts(everywhere)
     _assert_no_children()

@@ -4,8 +4,10 @@ Every CLI run is a fresh interpreter that pays for each import.  Importing
 numpy costs more than most commands' own work, and ``dataclasses`` (which
 loads ``inspect``) costs its import plus the generated methods of every
 class it decorates.  The Denjoy samples fan out over the CPUs with
-``os.fork``, a pipe and ``marshal`` alone, so neither ``multiprocessing``
-nor ``concurrent.futures`` has any use.  No module under ``circlebreak``
+``os.fork``, a pipe and ``marshal`` alone, and a child is killed by
+SIGKILL's fixed number, so none of ``multiprocessing``,
+``concurrent.futures``, ``signal`` (which builds enums on import) and
+``subprocess`` has any use.  No module under ``circlebreak``
 may load any of these, at import time or from inside a command.  A fresh
 interpreter imports the CLI, runs each of the six commands on a bundled
 config (``partition`` with Denjoy samples) and reports which of them
@@ -24,6 +26,8 @@ HEAVY = (
     "inspect",
     "multiprocessing",
     "concurrent.futures",
+    "signal",
+    "subprocess",
 )
 
 RUNS = [
