@@ -334,24 +334,6 @@ class _Blocks:
                 os.waitpid(pid, 0)
 
 
-def _map_on_cpus(fn, items):
-    """``[fn(x) for x in items]``, with contiguous blocks of ``items``
-    computed at once on the CPUs this process may run on
-    (``_spread_cpus``): block 0 here, pinned to the first CPU, the others
-    in children (``_Blocks``), which are all reaped before this returns
-    or raises.
-    """
-    cpus = _spread_cpus(items)
-    cut = len(items) // (min(len(cpus), len(items)) or 1)
-    rest = _Blocks(fn, items[cut:], cpus)
-    try:
-        out = [fn(x) for x in items[:cut]]
-    except BaseException:
-        rest.kill()
-        raise
-    return out + rest.join()
-
-
 _MISSING = object()
 
 
@@ -375,6 +357,10 @@ class _Keys:
         v = self.take(key, default)
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{self.where} key {key!r} must be a number")
+        # json reads NaN, Infinity and integers past the float range; this
+        # test fails for each of them
+        if not abs(v) <= sys.float_info.max:
+            raise ConfigError(f"{self.where} key {key!r} must be finite, got {v!r}")
         return float(v)
 
     def integer(self, key, default=_MISSING, minimum=None):
@@ -553,44 +539,28 @@ def cmd_tune(doc, outdir, seed):
 
 
 def _start_denjoy_samples(m, cf, n, cap, count, seed):
-    """Start the Denjoy products of ``count`` random base points whose
-    orbits clear the breaks; at most 10 * count base points are drawn.
+    """Start the Denjoy products of ``count`` random base points drawn
+    from ``random.Random(seed)``, in children on the CPUs but the first
+    (``_Blocks``), so the caller can work beside them, pinned to the
+    first CPU.  Returns the blocks: ``join`` gives the products in draw
+    order, ``kill`` ends them.
 
-    The first batch, ``count`` base points, starts at once in children on
-    the CPUs but the first (``_Blocks``), so the caller can work beside
-    them, pinned to the first CPU.  Returns those blocks, for the caller
-    to ``kill`` if it fails first, and a function that joins them and
-    returns the products in draw order.  Later batches, no larger than
-    the samples still needed nor the draws left, are spread over the CPUs
-    (``_map_on_cpus``), so the draws, the accepted points, the collision
-    cap and the first failure are those of a one-at-a-time loop.
+    A base point whose orbit collides with a break is not redrawn: it
+    fails the run, and another ``--seed`` draws other points.
     """
 
     def sample(x):
         try:
             return denjoy_product(m, cf, x, n, cap=cap)
-        except BreakCollision:
-            return None
+        except BreakCollision as e:
+            raise InvariantFailure(
+                f"the orbit of Denjoy base point {x!r}, drawn with --seed "
+                f"{seed}, comes too close to a break; rerun with another --seed"
+            ) from e
 
     rng = random.Random(seed)
     xs = [rng.random() for _ in range(count)]
-    first = _Blocks(sample, xs, _spread_cpus(xs))
-
-    def finish():
-        prods = [p for p in first.join() if p is not None]
-        attempts, budget = count, 10 * count
-        while len(prods) < count:
-            if attempts == budget:
-                raise InvariantFailure(
-                    "random base points keep colliding with break orbits"
-                )
-            batch = min(count - len(prods), budget - attempts)
-            attempts += batch
-            xs = [rng.random() for _ in range(batch)]
-            prods += [p for p in _map_on_cpus(sample, xs) if p is not None]
-        return prods
-
-    return first, finish
+    return _Blocks(sample, xs, _spread_cpus(xs))
 
 
 def cmd_partition(doc, outdir, seed):
@@ -619,7 +589,7 @@ def cmd_partition(doc, outdir, seed):
     # children while this process builds, checks and stages the table.
     # Failures still surface in the order of a serial run: the build's,
     # then the samples', then those of the checks and the table.
-    samples, finish_samples = _start_denjoy_samples(m, cf, n, cap, denjoy_samples, seed)
+    samples = _start_denjoy_samples(m, cf, n, cap, denjoy_samples, seed)
     staged = []
     try:
         # every rank is cut from one orbit, so all share one base point
@@ -637,9 +607,9 @@ def cmd_partition(doc, outdir, seed):
             table = _csv_chunks(header, partition_rows(part))
             _stage(outdir, [("partition.csv", table)], staged)
         except Exception:
-            finish_samples()
+            samples.join()
             raise
-        prods = finish_samples()
+        prods = samples.join()
         summary = {
             "schema": SCHEMA,
             "command": "partition",

@@ -230,6 +230,14 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("tune", dict(TUNE, cap=0)),
         ("measure", dict(MEASURE, cap=0)),
         ("singularity", dict(SINGULARITY, cap=0)),
+        # json reads NaN, Infinity and integers past the float range; no
+        # config number may be any of them
+        ("partition", dict(PARTITION, x0=math.nan)),
+        ("measure", dict(MEASURE, map=dict(PQ_TUNED, a=math.nan))),
+        ("partition", dict(PARTITION, map={"kind": "rotation", "translation": math.inf})),
+        ("rotnum", dict(ROTNUM, map={"kind": "rotation", "translation": math.nan})),
+        ("singularity", dict(SINGULARITY, x0=math.nan)),
+        ("singularity", dict(SINGULARITY, a=10**400)),
     ],
     ids=[
         "n_min-string",
@@ -260,6 +268,12 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "tune-cap-0",
         "measure-cap-0",
         "singularity-cap-0",
+        "partition-x0-nan",
+        "measure-pq-a-nan",
+        "partition-rotation-translation-infinity",
+        "rotnum-translation-nan",
+        "singularity-x0-nan",
+        "singularity-a-past-float-range",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, doc):

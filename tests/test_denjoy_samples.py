@@ -1,14 +1,13 @@
 """Denjoy samples spread over the CPUs give the one-at-a-time results.
 
-``cli._start_denjoy_samples`` draws the first batch of base points and
-starts it in forked children on the CPUs but the first (``cli._Blocks``),
-so that ``partition`` builds, checks and stages its table beside them;
-later batches, after collisions, are spread over every CPU
-(``cli._map_on_cpus``: block 0 here, the others in children).  These
-tests hold it to the serial loop it replaced: the same artifact bytes
-whatever the CPU count, the same accepted base points, the same first
-failure, the same collision cap and the same error order against the
-build, the checks and the table, and no child left behind.
+``cli._start_denjoy_samples`` draws ``denjoy_samples`` seeded random base
+points and starts them in forked children on the CPUs but the first
+(``cli._Blocks``), so that ``partition`` builds, checks and stages its
+table beside them.  A base point whose orbit collides with a break fails
+the run.  These tests hold it to the serial loop it replaced: the same
+artifact bytes whatever the CPU count, the same first failure, and the
+same error order against the build, the checks and the table, and no
+child left behind.
 """
 
 import json
@@ -128,78 +127,44 @@ def test_first_failure_in_draw_order_exits_4(monkeypatch, tmp_path, capsys, fail
     assert os.listdir(out) == os.listdir(serial_out) == []
 
 
-def _serial_samples(product, count, seed):
-    # the one-at-a-time draw loop that cmd_partition ran before batching
-    rng = random.Random(seed)
-    prods = []
-    attempts = 0
-    while len(prods) < count:
-        attempts += 1
-        if attempts > 10 * count:
-            raise InvariantFailure(
-                "random base points keep colliding with break orbits"
-            )
-        try:
-            prods.append(product(None, None, rng.random(), 0, cap=0))
-        except BreakCollision:
-            continue
-    return prods
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except InvariantFailure as e:
-        return str(e)
-
-
-@pytest.mark.parametrize(
-    "count, colliding",
-    [
-        (40, ()),
-        (40, (3, 21, 22, 39, 40, 41)),
-        (40, tuple(range(0, 80, 2))),
-        (4, tuple(range(3, 39))),  # the last sample is the 40th and last draw
-        (4, tuple(range(2, 39))),  # one short at the cap
-        (3, tuple(range(1, 29))),  # one draw left for two samples
-        (7, tuple(range(1, 70, 3))),
-    ],
-)
-def test_collisions_accept_the_serial_base_points(monkeypatch, count, colliding):
+def test_the_base_points_are_the_seeded_draws(monkeypatch):
     # a product that returns its base point shows which points were taken
-    index = _draws(10 * count)
-
-    def product(m, cf, x, n, cap):
-        if index[x] in colliding:
-            raise BreakCollision(f"draw {index[x]} collides")
-        return x
-
-    monkeypatch.setattr(cli, "denjoy_product", product)
-    _, finish = cli._start_denjoy_samples(None, None, 0, 0, count, SEED)
-    got = _outcome(finish)
-    assert got == _outcome(lambda: _serial_samples(product, count, SEED))
+    monkeypatch.setattr(cli, "denjoy_product", lambda m, cf, x, n, cap: x)
+    got = cli._start_denjoy_samples(None, None, 0, 0, 40, SEED).join()
+    assert got == list(_draws(40))
     _assert_no_children()
 
 
-def test_every_draw_colliding_fails_at_the_cap(monkeypatch, tmp_path, capsys):
-    # each call appends one byte, children's calls included
-    calls = tmp_path / "calls"
-    fd = os.open(calls, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+@pytest.mark.parametrize("cpus", ["all", "one"])
+@pytest.mark.parametrize(
+    "colliding",
+    [(27,), (5, 27), (0, 39)],
+    ids=lambda c: "draws-" + "-".join(map(str, c)),
+)
+def test_a_colliding_draw_exits_4(monkeypatch, tmp_path, capsys, cpus, colliding):
+    # a colliding draw is not replaced: the first one in draw order fails
+    # the run, before a bound failing at a later draw
+    index = _draws(40)
+    real = cli.denjoy_product
 
     def product(m, cf, x, n, cap):
-        os.write(fd, b".")
-        raise BreakCollision("every draw collides")
+        i = index[x]
+        if i in colliding:
+            raise BreakCollision(f"draw {i} collides")
+        if i == 33:
+            raise InvariantFailure("Denjoy product escapes its bounds at draw 33")
+        return real(m, cf, x, n, cap=cap)
 
     monkeypatch.setattr(cli, "denjoy_product", product)
-    try:
-        code, out = _run(tmp_path, "all", dict(PARTITION, denjoy_samples=6))
-    finally:
-        os.close(fd)
+    if cpus == "one":
+        _one_cpu(monkeypatch)
+    code, out = _run(tmp_path, cpus, dict(PARTITION, denjoy_samples=40))
     assert code == 4
+    x = list(index)[min(colliding)]
     assert capsys.readouterr().err == (
-        "error: random base points keep colliding with break orbits\n"
+        f"error: the orbit of Denjoy base point {x!r}, drawn with --seed {SEED}, "
+        "comes too close to a break; rerun with another --seed\n"
     )
-    assert calls.stat().st_size == 60
     assert os.listdir(out) == []
     _assert_no_children()
 
@@ -210,36 +175,42 @@ def _where(x):
 
 @needs_two_cpus
 def test_each_block_runs_pinned_to_its_own_cpu():
-    items = list(range(3 * len(ALL_CPUS)))
-    got = cli._map_on_cpus(_where, items)
+    children = len(ALL_CPUS) - 1
+    blocks = cli._Blocks(_where, list(range(3 * children)), ALL_CPUS)
+    waiting = sorted(os.sched_getaffinity(0))
+    got = blocks.join()
+    # this process waits on the first CPU until the join
+    assert waiting == ALL_CPUS[:1]
     assert sorted(os.sched_getaffinity(0)) == ALL_CPUS
     _assert_no_children()
-    # contiguous blocks of three, block b on CPU b; block 0 in this process
-    assert [cpus for _, cpus in got] == [[c] for c in ALL_CPUS for _ in range(3)]
+    # contiguous blocks of three, block b in a child on CPU b + 1
+    assert [cpus for _, cpus in got] == [[c] for c in ALL_CPUS[1:] for _ in range(3)]
     pids = [pid for pid, _ in got]
-    assert pids[:3] == [os.getpid()] * 3
-    assert len(set(pids)) == len(ALL_CPUS)
-    assert cli._map_on_cpus(_where, [0]) == [(os.getpid(), ALL_CPUS)]
+    assert len(set(pids)) == children
+    assert os.getpid() not in pids
 
 
 @needs_two_cpus
 def test_children_are_reaped_when_this_block_raises():
+    # the children sleep; only the kill that partition makes when its own
+    # work raises ends them in time
     def work(i):
-        if i == 0:
-            raise InvariantFailure("first item fails")
-        time.sleep(0.2)
+        time.sleep(60)
         return i
 
-    with pytest.raises(InvariantFailure, match="first item fails"):
-        cli._map_on_cpus(work, list(range(4 * len(ALL_CPUS))))
+    start = time.monotonic()
+    cli._Blocks(work, list(range(2 * len(ALL_CPUS))), ALL_CPUS).kill()
+    assert time.monotonic() - start < 10
     assert sorted(os.sched_getaffinity(0)) == ALL_CPUS
     _assert_no_children()
 
 
 def test_one_usable_cpu_runs_everything_here(monkeypatch):
     _one_cpu(monkeypatch)
-    got = cli._map_on_cpus(_where, list(range(5)))
-    assert {pid for pid, _ in got} == {os.getpid()}
+    items = list(range(5))
+    blocks = cli._Blocks(_where, items, cli._spread_cpus(items))
+    assert {pid for pid, _ in blocks.join()} == {os.getpid()}
+    _assert_no_children()
 
 
 @needs_two_cpus
@@ -248,26 +219,29 @@ def test_a_block_without_a_child_runs_here(monkeypatch):
         raise OSError("fork refused")
 
     monkeypatch.setattr(cli.os, "fork", no_fork)
-    got = cli._map_on_cpus(_where, list(range(2 * len(ALL_CPUS))))
-    assert {pid for pid, _ in got} == {os.getpid()}
+    got = cli._Blocks(_where, list(range(2 * len(ALL_CPUS))), ALL_CPUS).join()
+    # computed at the join, after this process is unpinned
+    assert got == [(os.getpid(), ALL_CPUS)] * len(got)
     _assert_no_children()
 
 
 @needs_two_cpus
 def test_a_child_that_cannot_pin_has_its_block_run_here(monkeypatch):
     real = os.sched_setaffinity
-    allowed = set(ALL_CPUS)
 
-    def pin_first_only(pid, cpus):
-        if set(cpus) not in ({ALL_CPUS[0]}, allowed):
+    def refuse_second(pid, cpus):
+        if set(cpus) == {ALL_CPUS[1]}:
             raise OSError("CPU refused")
         real(pid, cpus)
 
-    monkeypatch.setattr(cli.os, "sched_setaffinity", pin_first_only)
-    got = cli._map_on_cpus(_where, list(range(2 * len(ALL_CPUS))))
-    # block 0 ran pinned; the others ran here after the pin, unpinned
-    assert got[:2] == [(os.getpid(), ALL_CPUS[:1])] * 2
-    assert got[2:] == [(os.getpid(), ALL_CPUS)] * (len(got) - 2)
+    monkeypatch.setattr(cli.os, "sched_setaffinity", refuse_second)
+    items = list(range(2 * (len(ALL_CPUS) - 1)))
+    got = cli._Blocks(_where, items, ALL_CPUS).join()
+    # the block bound for the second CPU ran here at the join, unpinned;
+    # any later blocks ran in children on their own CPUs
+    assert got[:2] == [(os.getpid(), ALL_CPUS)] * 2
+    assert [cpus for _, cpus in got[2:]] == [[c] for c in ALL_CPUS[2:] for _ in range(2)]
+    assert os.getpid() not in [pid for pid, _ in got[2:]]
     _assert_no_children()
 
 
@@ -395,20 +369,10 @@ def test_a_failing_sample_beats_the_checks_and_the_table(
 
 @needs_two_cpus
 def test_a_refused_pin_runs_unpinned(monkeypatch, tmp_path, capsys):
-    # as under a seccomp profile that forbids sched_setaffinity; draws 3
-    # and 5 collide, so a second batch of two runs through _map_on_cpus
-    index = _draws(400)
-    real = cli.denjoy_product
-
-    def product(m, cf, x, n, cap):
-        if index[x] in (3, 5):
-            raise BreakCollision(f"draw {index[x]} collides")
-        return real(m, cf, x, n, cap=cap)
-
+    # as under a seccomp profile that forbids sched_setaffinity
     def refuse(pid, cpus):
         raise PermissionError("sched_setaffinity refused")
 
-    monkeypatch.setattr(cli, "denjoy_product", product)
     monkeypatch.setattr(cli.os, "sched_setaffinity", refuse)
     doc = dict(PARTITION, denjoy_samples=40, decay_n_max=12, refinement=True)
     code, everywhere = _run(tmp_path, "all", doc)

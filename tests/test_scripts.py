@@ -1,5 +1,7 @@
 """Smoke tests for the scripts in scripts/, which no command imports."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -24,20 +26,42 @@ def test_gap_vs_rank_prints_every_rank():
     assert [int(r.split()[0]) for r in rows] == list(range(5, 13))
 
 
-def test_digest_manifest_names_every_bundled_run():
-    import importlib.util
-    import json
-
+def _run_all_experiments():
     path = os.path.join(ROOT, "scripts", "run_all_experiments.py")
     spec = importlib.util.spec_from_file_location("run_all_experiments", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    labels = []
+    return script
+
+
+def _bundled_runs(script):
+    """(label, command, config name) of every run the script makes."""
+    runs = []
     for name, _, _ in script.EXPERIMENTS:
         with open(os.path.join(ROOT, "configs", name)) as fh:
-            labels.append(json.load(fh)["label"])
-    labels += [os.path.splitext(name)[0] for name, _ in script.OTHER_CONFIGS]
+            runs.append((json.load(fh)["label"], "singularity", name))
+    runs += [(os.path.splitext(name)[0], cmd, name) for name, cmd in script.OTHER_CONFIGS]
+    return runs
+
+
+def test_digest_manifest_names_every_bundled_run():
+    script = _run_all_experiments()
     manifest = script.load_manifest()
-    assert sorted(manifest) == sorted(labels)
+    assert sorted(manifest) == sorted(label for label, _, _ in _bundled_runs(script))
     for digest in manifest.values():
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+
+def test_every_bundled_run_writes_its_committed_bytes(tmp_path, monkeypatch):
+    # the runs go into tmp_path, not results/, as the script would write them
+    script = _run_all_experiments()
+    src = os.path.join(ROOT, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    monkeypatch.setenv("PYTHONPATH", path)
+    digests = {}
+    for label, command, name in _bundled_runs(script):
+        config = os.path.join(ROOT, "configs", name)
+        proc = script.run(command, config, str(tmp_path / label))
+        assert proc.returncode == 0, proc.stderr
+        digests[label] = script.artifacts_digest(proc.stdout.splitlines())
+    assert digests == script.load_manifest()
