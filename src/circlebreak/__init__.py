@@ -29,6 +29,7 @@ from .maps import (
     BreakPoint,
     CircleMap,
     MapStats,
+    advance,
     evaluate,
     invert,
     iterate,
@@ -37,6 +38,7 @@ from .maps import (
     make_rotation,
     map_stats,
     one_sided_derivatives,
+    retreat,
 )
 from .rotation import (
     ContinuedFraction,

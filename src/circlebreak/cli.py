@@ -664,6 +664,10 @@ def _config_quadruple(raw, where):
     )
     if not ok:
         raise ConfigError(f"{where} must be a list of four numbers")
+    # the rule of _Keys.real: refuses NaN, Infinity and integers past the
+    # float range
+    if not all(abs(v) <= sys.float_info.max for v in raw):
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
     try:
         return Quadruple(*(float(v) for v in raw))
     except CircleBreakError as e:

@@ -21,9 +21,9 @@ from .maps import (
     BreakPoint,
     CircleMap,
     abs_d2f_integral,
+    advance,
     evaluate,
     gap_image,
-    iterate,
     min_break_distance,
 )
 from .numerics import MACHINE_EPS, arc_length, to_circle
@@ -148,15 +148,13 @@ class ChainResult(NamedTuple):
         return len(self.factors)
 
 
-def distortion_chain(
-    q: Quadruple, m: CircleMap, steps: int, cap: int | None = None
-) -> ChainResult:
+def distortion_chain(q: Quadruple, m: CircleMap, steps: int) -> ChainResult:
     """Dist(q; f^steps) as a product of one-step distortions.
 
     The factored product telescopes to Cr(final)/Cr(initial) exactly;
     as an independent check the endpoints are also iterated one by one
-    on the circle (each an orbit bounded by ``cap``) and the resulting
-    distortion must agree to 1e-10 relative.
+    on the circle and the resulting distortion must agree to 1e-10
+    relative.
     """
     track = chain_points(m, q, steps)
     quads = tuple(Quadruple(*t) for t in track)
@@ -176,7 +174,7 @@ def distortion_chain(
     # Unlike the gap-tracked chain, each endpoint carries its own orbit
     # roundoff, so the comparison degrades with the step count over the
     # smallest reassembled gap; the tolerance floor stays at 1e-10.
-    finals = [iterate(m, to_circle(z), steps, cap=cap)[-1] for z in q]
+    finals = [advance(m, to_circle(z), 0, steps)[0] for z in q]
     w = [finals[0]]
     for u, x in zip(finals, finals[1:]):
         w.append(w[-1] + arc_length(u, x))

@@ -364,6 +364,24 @@ def advance(m: CircleMap, x, w: int, n: int, pts=None):
     return x, w
 
 
+def retreat(m: CircleMap, x, w: int, n: int, pts=None):
+    """``advance`` run backward: each step reduces the exact preimage
+    ``invert(m, x)`` by the same clamp-and-winding rule, so the point is
+    ``to_circle(invert(m, x))`` and ``x_n + w_n`` is f^{-n}(x0 + w0)."""
+    put_x = None if pts is None else pts.append
+    for _ in range(n):
+        y = invert(m, x)
+        k = floor(y)
+        x = y - k
+        if 1 - x <= _CLAMP:
+            x = 0.0
+            k += 1
+        w += k
+        if put_x is not None:
+            put_x(x)
+    return x, w
+
+
 def step_with_winding(m: CircleMap, x, w: int):
     """One forward step of ``advance``: the next (circle point, winding)."""
     return advance(m, x, w, 1)
@@ -372,7 +390,8 @@ def step_with_winding(m: CircleMap, x, w: int):
 def iterate(m: CircleMap, x0, n: int, direction: str = "forward", cap: int | None = None):
     """Orbit of circle points [x0, T x0, ..., T^n x0] (or backward).
 
-    ``cap`` bounds the number of map evaluations n; a longer orbit raises
+    The capped list form of ``advance`` and ``retreat``: ``cap`` bounds the
+    number of map evaluations n; a longer orbit raises
     PrecisionBudgetExceeded.
     """
     cap = DEFAULT_ORBIT_CAP if cap is None else cap
@@ -380,16 +399,10 @@ def iterate(m: CircleMap, x0, n: int, direction: str = "forward", cap: int | Non
         raise PrecisionBudgetExceeded(f"orbit length {n} exceeds cap {cap}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    x = to_circle(x0)
-    pts = [x]
-    if direction == "forward":
-        advance(m, x, 0, n, pts)
-    elif direction == "backward":
-        for _ in range(n):
-            x = to_circle(invert(m, x))
-            pts.append(x)
-    else:
+    if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction {direction!r}")
+    pts = [to_circle(x0)]
+    (advance if direction == "forward" else retreat)(m, pts[0], 0, n, pts)
     return pts
 
 

@@ -26,8 +26,8 @@ def to_circle(x):
 
     Values that land within two epsilons below 1 are clamped to 0 so that a
     rounded-up fractional part never masquerades as a point just left of the
-    origin.  ``maps.advance`` applies the same rule and bumps the
-    winding when the clamp fires.
+    origin.  ``maps.advance`` and ``maps.retreat`` apply the same rule and
+    bump the winding when the clamp fires.
     """
     v = x - math.floor(x)
     if 1 - v <= 2 * MACHINE_EPS:

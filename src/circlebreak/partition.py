@@ -23,7 +23,7 @@ from .errors import (
     RankTooShallow,
     RefinementViolation,
 )
-from .maps import ROTATION, CircleMap, iterate, map_stats, orbit_avoiding_breaks
+from .maps import ROTATION, CircleMap, advance, map_stats, orbit_avoiding_breaks
 from .numerics import (
     BREAK_CLEARANCE_EPS,
     DEFAULT_ORBIT_CAP,
@@ -465,11 +465,7 @@ def least_squares_line(points):
 
 
 def endpoint_condition(
-    m: CircleMap,
-    cf: ContinuedFraction,
-    interval: CircleInterval,
-    n: int,
-    cap: int = DEFAULT_ORBIT_CAP,
+    m: CircleMap, cf: ContinuedFraction, interval: CircleInterval, n: int
 ) -> bool:
     """Sufficient endpoint test for q_n-smallness.
 
@@ -480,24 +476,22 @@ def endpoint_condition(
     """
     q_nm1 = cf.q(n - 1)
     if (n - 1) % 2 == 0:
-        hop = iterate(m, interval.left, q_nm1, cap=cap)[-1]
+        hop = advance(m, to_circle(interval.left), 0, q_nm1)[0]
         return interval.length <= arc_length(interval.left, hop)
-    hop = iterate(m, interval.right, q_nm1, cap=cap)[-1]
+    hop = advance(m, interval.right, 0, q_nm1)[0]
     return interval.length <= arc_length(hop, interval.right)
 
 
 def is_qn_small(
-    m: CircleMap,
-    cf: ContinuedFraction,
-    interval: CircleInterval,
-    n: int,
-    cap: int = DEFAULT_ORBIT_CAP,
+    m: CircleMap, cf: ContinuedFraction, interval: CircleInterval, n: int
 ) -> bool:
     """True iff T^i(interval), 0 <= i < q_n, have disjoint interiors.
 
     Cross-checks the parity endpoint criterion: whenever that sufficient
     condition holds the direct test must agree, otherwise the orbit
-    combinatorics are broken and we refuse to answer.
+    combinatorics are broken and we refuse to answer.  Its orbits take
+    q_n - 1 steps, within the rank-n partition orbit that
+    ``build_partition`` checks against the caller's cap.
     """
     if cf.depth < n:
         raise RankTooShallow(f"need {n} partial quotients, have {cf.depth}")
@@ -507,8 +501,10 @@ def is_qn_small(
     if interval.length >= 1:
         return False
 
-    lefts = iterate(m, interval.left, q_n - 1, cap=cap)
-    rights = iterate(m, interval.right, q_n - 1, cap=cap)
+    lefts = [to_circle(interval.left)]
+    advance(m, lefts[0], 0, q_n - 1, lefts)
+    rights = [interval.right]
+    advance(m, rights[0], 0, q_n - 1, rights)
     lengths = [arc_length(lefts[i], rights[i]) for i in range(q_n)]
     tol = 10 * MACHINE_EPS * q_n
 
@@ -521,7 +517,7 @@ def is_qn_small(
             disjoint = False
             break
 
-    if endpoint_condition(m, cf, interval, n, cap=cap) and not disjoint:
+    if endpoint_condition(m, cf, interval, n) and not disjoint:
         raise InvariantFailure(
             f"interval satisfies the parity endpoint criterion at rank {n} "
             "but its iterates overlap"

@@ -28,17 +28,19 @@ from .errors import (
     HypothesisNotCertified,
     InvalidGeometry,
     InvariantFailure,
+    PrecisionBudgetExceeded,
     RankTooShallow,
     TolUnreachable,
 )
 from .maps import (
     CircleMap,
     abs_d2f_integral,
-    iterate,
+    advance,
     make_pl_two_break,
     make_pq_two_break,
     make_rotation,
     map_stats,
+    retreat,
 )
 from .rotation import TUNE_TOL_FLOOR, ContinuedFraction, TuneResult, tune_translation
 from .partition import CircleInterval, DynamicalPartition, build_partition, is_qn_small
@@ -68,6 +70,14 @@ SAME_ORBIT_ROUNDS = 40
 
 # Move of c between placement rounds at which ``solve_same_orbit`` stops.
 SAME_ORBIT_TOL = 1e-9
+
+# Verdict thresholds of a two-break map: the deep half of the distortion
+# gaps must reach GAP_ABS_FLOOR and GAP_FLOOR_RATIO times their median,
+# and the Lorenz lengths may rise at most once, by at most
+# LORENZ_VIOLATION_LIMIT relative.
+GAP_FLOOR_RATIO = 0.5
+GAP_ABS_FLOOR = 1e-6
+LORENZ_VIOLATION_LIMIT = 0.05
 
 
 @lru_cache(maxsize=32)
@@ -257,8 +267,8 @@ def _circle_gap(u, w):
     return min(arc_length(u, w), arc_length(w, u))
 
 
-def _roundtrip_check(m: CircleMap, pre, steps: int, loc, cap: int):
-    back = iterate(m, pre, steps, cap=cap)[-1] if steps else pre
+def _roundtrip_check(m: CircleMap, pre, steps: int, loc):
+    back = advance(m, pre, 0, steps)[0]
     if _circle_gap(back, loc) > 1e-8:
         raise InvariantFailure(
             f"roundtrip through {steps} backward steps moved the break by "
@@ -266,7 +276,7 @@ def _roundtrip_check(m: CircleMap, pre, steps: int, loc, cap: int):
         )
 
 
-def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc, cap: int):
+def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc):
     """Backward time l < q_n putting the break into the window around x0.
 
     The partition element containing the break is unique, and pulling the
@@ -274,7 +284,7 @@ def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc, cap: int):
     generators, i.e. in [T^{q_n}x0, T^{q_{n-1}}x0].
     """
     l = int(part.elements.index[part.locate(loc)])
-    pre = iterate(m, loc, l, direction="backward", cap=cap)[-1] if l else loc
+    pre = retreat(m, loc, 0, l)[0]
     # parity: x_{q_k} lies right of x0 iff k is even
     if part.n % 2 == 0:
         w_left, w_right = part.orbit[part.q_nm1], part.orbit[part.q_n]
@@ -285,27 +295,25 @@ def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc, cap: int):
             f"preimage {pre!r} of break {loc!r} (l={l}) escaped the window "
             f"[{w_left!r}, {w_right!r}]"
         )
-    _roundtrip_check(m, pre, l, loc, cap)
+    _roundtrip_check(m, pre, l, loc)
     return l, pre
 
 
-def _preimage_near(m: CircleMap, part: DynamicalPartition, loc, abar, cap: int):
+def _preimage_near(m: CircleMap, part: DynamicalPartition, loc, abar):
     """Backward time p < q_n putting the break nearest to ``abar``.
 
     A window point can have two preimages within q_n steps; the one on
     abar's own orbit, which the hull around abar reaches, is the nearer.
     """
-    pres = iterate(m, loc, part.q_n - 1, direction="backward", cap=cap)
+    pres = [loc]
+    retreat(m, loc, 0, part.q_n - 1, pres)
     p = min(range(len(pres)), key=lambda k: _circle_gap(pres[k], abar))
-    _roundtrip_check(m, pres[p], p, loc, cap)
+    _roundtrip_check(m, pres[p], p, loc)
     return p, pres[p]
 
 
 def regular_cover_triple(
-    m: CircleMap,
-    cf: ContinuedFraction,
-    part: DynamicalPartition,
-    cap: int = DEFAULT_ORBIT_CAP,
+    m: CircleMap, cf: ContinuedFraction, part: DynamicalPartition
 ) -> CoverTriple:
     """Cover triple around the first break's preimage at rank part.n.
 
@@ -322,15 +330,15 @@ def regular_cover_triple(
     params = _cover_params(m)[0]
     a_loc = m.breaks[0].location
     c_loc = m.breaks[1].location
-    l, abar = _preimage_in_window(m, part, a_loc, cap)
-    p, cbar = _preimage_near(m, part, c_loc, abar, cap)
-    if p > l and iterate(m, a_loc, p - l, cap=cap)[-1] == c_loc:
+    l, abar = _preimage_in_window(m, part, a_loc)
+    p, cbar = _preimage_near(m, part, c_loc, abar)
+    if p > l and advance(m, a_loc, 0, p - l)[0] == c_loc:
         # c is a's (p - l)-th image in floating point, so its preimage is
         # abar itself; pulling c back separately would only add rounding
         cbar = abar
 
-    fwd = iterate(m, abar, part.q_nm1, cap=cap)[-1]
-    bwd = iterate(m, abar, part.q_nm1, direction="backward", cap=cap)[-1]
+    fwd = advance(m, abar, 0, part.q_nm1)[0]
+    bwd = retreat(m, abar, 0, part.q_nm1)[0]
     d_n = 0.5 * min(_circle_gap(abar, fwd), _circle_gap(abar, bwd))
     h_v = 0.5 * math.exp(-params.v) * d_n / params.c0
     h_u = params.zeta0 * h_v
@@ -378,7 +386,7 @@ def regular_cover_triple(
         coord0 = delta / h_v
 
     hull_iv = CircleInterval(left=to_circle(zs[0]), length=zs[3] - zs[0])
-    if not is_qn_small(m, cf, hull_iv, part.n, cap=cap):
+    if not is_qn_small(m, cf, hull_iv, part.n):
         raise InvariantFailure(
             f"cover hull of length {zs[3] - zs[0]:.3e} is not q_{part.n}-small"
         )
@@ -506,18 +514,15 @@ def _check_break_hits(m: CircleMap, triple: CoverTriple, quads):
 
 
 def _qn_row(
-    m: CircleMap,
-    cf: ContinuedFraction,
-    part: DynamicalPartition,
-    cap: int,
+    m: CircleMap, cf: ContinuedFraction, part: DynamicalPartition
 ) -> QnDistortionRow:
     if len(m.breaks) == 2:
-        triple = regular_cover_triple(m, cf, part, cap=cap)
+        triple = regular_cover_triple(m, cf, part)
         quad = triple.quadruple
     else:
         triple = None
         quad = _generator_quadruple(part)
-    res = distortion_chain(quad, m, part.q_n, cap=cap)
+    res = distortion_chain(quad, m, part.q_n)
     iterates = res.quadruples[: part.q_n]
     if triple is not None:
         _check_break_hits(m, triple, iterates)
@@ -605,12 +610,15 @@ def qn_distortion_experiment(
     factors audited against their closed forms; break-free maps fall
     back to generator-scale quadruples, where the gap must vanish for a
     rigid rotation.  Returns QnDistortionRow per rank, ascending.
+
+    ``cap`` bounds the deep partition orbit, q_N + q_{N-1} - 1 steps at
+    the deepest rank N; every cover and chain orbit is shorter.
     """
     ns = sorted(set(int(n) for n in n_range))
     if not ns:
         raise ValueError("empty rank range")
     deep = build_partition(m, cf, x0, ns[-1], cap=cap)
-    return [_qn_row(m, cf, deep.coarsen(cf, n), cap) for n in ns]
+    return [_qn_row(m, cf, deep.coarsen(cf, n)) for n in ns]
 
 
 class LorenzCurve(NamedTuple):
@@ -675,12 +683,16 @@ def solve_same_orbit(
     the full ``tune_tol``.  The accepted c is then retuned at ``tune_tol``.
 
     Either way the residual |f^{m_steps}(a) - c| must stay within
-    10 * SAME_ORBIT_TOL.  Returns the tuned map and its TuneResult.
+    10 * SAME_ORBIT_TOL.  ``cap`` bounds the tuning orbits and the
+    m_steps placement orbit.  Returns the tuned map and its TuneResult.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
     if kind not in ("pq", "pl"):
         raise ValueError("same-orbit construction supports pq and pl maps")
+    if m_steps > cap:
+        raise PrecisionBudgetExceeded(f"orbit length {m_steps} exceeds cap {cap}")
+    a_circ = to_circle(a)
 
     def build(c_pos, translation=0.0):
         if kind == "pq":
@@ -689,7 +701,7 @@ def solve_same_orbit(
 
     def checked(final, tr):
         c = final.breaks[1].location
-        resid = _circle_gap(iterate(final, a, m_steps)[-1], c)
+        resid = _circle_gap(advance(final, a_circ, 0, m_steps)[0], c)
         if resid > 10.0 * SAME_ORBIT_TOL:
             raise TolUnreachable(
                 f"same-orbit residual {resid:.3e} exceeds "
@@ -698,7 +710,6 @@ def solve_same_orbit(
         return final, tr
 
     if m_steps == 1:
-        a_circ = to_circle(a)
 
         def family(t):
             return build(to_circle(a_circ + t), t)
@@ -714,7 +725,7 @@ def solve_same_orbit(
         base = build(c)
         tr = tune_translation(base, target, tol=round_tol, cap=cap)
         tuned = base.with_translation(tr.translation)
-        c_new = iterate(tuned, a, m_steps)[-1]
+        c_new = advance(tuned, a_circ, 0, m_steps)[0]
         gap = _circle_gap(c_new, c)
         if gap <= SAME_ORBIT_TOL and round_tol == tune_tol:
             tr = tune_translation(build(c_new), target, tol=tune_tol, cap=cap)
@@ -738,9 +749,6 @@ class _ExperimentConfigFields(NamedTuple):
     n_min: int = 5
     n_max: int = 12
     same_orbit_steps: int | None = None
-    gap_floor_ratio: float = 0.5
-    gap_abs_floor: float = 1e-6
-    lorenz_violation_limit: float = 0.05
     threshold: float = 0.90
     cap: int = DEFAULT_ORBIT_CAP
 
@@ -776,11 +784,6 @@ class ExperimentConfig(_ExperimentConfigFields):
             ) from e
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError("threshold must lie in (0, 1)")
-        # with negative gap floors numerical-zero gaps pass the gap test;
-        # `not x >= 0` refuses NaN as well
-        for name in ("gap_abs_floor", "gap_floor_ratio", "lorenz_violation_limit"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0")
         if self.same_orbit_steps is not None and self.same_orbit_steps < 1:
             raise ConfigError("same_orbit_steps must be >= 1 when set")
         if self.cap < 1:
@@ -958,7 +961,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     curves = []
     for n in range(config.n_min, config.n_max + 1):
         part = deep.coarsen(cf, n)
-        qrow = _qn_row(m, cf, part, config.cap)
+        qrow = _qn_row(m, cf, part)
         curve = mass_length_curve(
             part, convergent_masses(part, cf, rho), threshold=config.threshold
         )
@@ -982,11 +985,8 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
 
     if two_break:
         # the ratio test alone would accept a sequence of numerical zeros
-        gap_floor_ok = (
-            min_upper >= config.gap_abs_floor
-            and min_upper >= config.gap_floor_ratio * med
-        )
-        lorenz_trend_ok = _lorenz_trend_ok(lorenz, config.lorenz_violation_limit)
+        gap_floor_ok = min_upper >= GAP_ABS_FLOOR and min_upper >= GAP_FLOOR_RATIO * med
+        lorenz_trend_ok = _lorenz_trend_ok(lorenz, LORENZ_VIOLATION_LIMIT)
         if gap_floor_ok and lorenz_trend_ok:
             verdict = VERDICT_SINGULAR
         else:

@@ -238,6 +238,9 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("rotnum", dict(ROTNUM, map={"kind": "rotation", "translation": math.nan})),
         ("singularity", dict(SINGULARITY, x0=math.nan)),
         ("singularity", dict(SINGULARITY, a=10**400)),
+        ("distortion", {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, math.inf]]}),
+        ("distortion", {"map": PQ_MAP, "quadruples": [[0.1, 0.2, math.nan, 0.4]]}),
+        ("distortion", {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, 10**400]]}),
     ],
     ids=[
         "n_min-string",
@@ -274,6 +277,9 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "rotnum-translation-nan",
         "singularity-x0-nan",
         "singularity-a-past-float-range",
+        "distortion-quadruple-infinity",
+        "distortion-quadruple-nan",
+        "distortion-quadruple-past-float-range",
     ],
 )
 def test_malformed_config_exits_2(tmp_path, command, doc):
@@ -329,8 +335,8 @@ def test_same_orbit_experiments_pass_their_audits(tmp_path, doc, tag):
     "key", ["gap_abs_floor", "gap_floor_ratio", "lorenz_violation_limit"]
 )
 def test_verdict_threshold_below_zero_exits_2(tmp_path, key, value):
-    # a negative floor would let numerical-zero gaps read as singular; NaN
-    # compares false against every gap, so it is refused the same way
+    # the verdict thresholds are module constants, not config keys: a
+    # config that sets one is refused as naming an unknown key
     doc = {"kind": "rotation", "n_min": 4, "n_max": 6, key: value}
     code, out = run(tmp_path, "singularity", doc)
     assert code == 2
@@ -439,6 +445,22 @@ def test_distortion_explicit_rows(tmp_path):
     assert lines[0] == "z1,z2,z3,z4,Cr,Dist,predicted,residual,bound"
     assert len(lines) == 3
     assert lines[1].split(",")[6] == "1"  # break-free row predicts 1
+
+
+@pytest.mark.parametrize(
+    "coord", ["Infinity", "1e400", "NaN", "1" + "0" * 400], ids=["inf", "1e400", "nan", "int"]
+)
+def test_distortion_quadruple_must_be_finite(tmp_path, capsys, coord):
+    # json reads each of these as a number past the float range, or as NaN
+    cfg = tmp_path / "cfg.json"
+    doc = {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, "COORD"]]}
+    cfg.write_text(json.dumps(doc).replace('"COORD"', coord))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(["distortion", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert os.listdir(out) == []
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_distortion_needs_input(tmp_path):

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,6 +27,7 @@ from circlebreak.maps import (
     make_rotation,
     map_stats,
     one_sided_derivatives,
+    retreat,
     step_with_winding,
 )
 from circlebreak.numerics import MACHINE_EPS, to_circle
@@ -192,6 +195,90 @@ def test_advance_matches_reference_at_edges():
             y = evaluate(m, x)
             clamped += 1 - (y - math.floor(y)) <= 2 * MACHINE_EPS
     assert clamped > 0
+
+
+def _reference_retreat(m, x, n):
+    # reference backward orbit: the exact preimage, reduced by to_circle
+    pts = []
+    for _ in range(n):
+        x = to_circle(invert(m, x))
+        pts.append(x)
+    return pts
+
+
+# the kernel maps and a rotation whose first backward step clamps
+RETREAT_MAPS = KERNEL_MAPS + [make_rotation(1e-20)]
+
+
+@given(
+    st.sampled_from(RETREAT_MAPS),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+)
+def test_retreat_matches_reference_loop(m, x):
+    pts = []
+    assert retreat(m, x, 0, 60, pts)[0] == pts[-1]
+    assert pts == _reference_retreat(m, x, 60)
+
+
+def test_retreat_matches_reference_at_edges():
+    clamped = 0
+    for m in RETREAT_MAPS:
+        starts = [0.0, 1 - MACHINE_EPS, *(b.location for b in m.breaks)]
+        # ulp neighbours of the image of 0 have preimages within 2 eps
+        # below a whole turn
+        y = to_circle(evaluate(m, 0.0))
+        for _ in range(40):
+            starts += [y, math.nextafter(y, 1.0)]
+            y = math.nextafter(y, 0.0)
+        for x in starts:
+            pts = []
+            retreat(m, x, 0, 400, pts)
+            assert pts == _reference_retreat(m, x, 400)
+            y0 = invert(m, x)
+            clamped += 1 - (y0 - math.floor(y0)) <= 2 * MACHINE_EPS
+    assert clamped > 0
+
+
+def test_retreat_winding_reassembles_lift(pq_map):
+    # x_n + w_n stays within rounding of the lift preimage f^-n(x0 + w0)
+    # inverted on the real line
+    x, w = 0.05, 2
+    lift = 2.05
+    for _ in range(200):
+        x, w = retreat(pq_map, x, w, 1)
+        lift = invert(pq_map, lift)
+        assert 0.0 <= x < 1.0
+        assert abs((x + w) - lift) < 1e-12
+    assert retreat(pq_map, 0.05, 2, 200) == (x, w)
+    assert retreat(pq_map, x, w, 0) == (x, w)
+
+
+def test_iterate_is_the_capped_list_form(pq_map):
+    for x0 in (0.05, 1.3, -0.2):
+        pts = []
+        retreat(pq_map, to_circle(x0), 0, 50, pts)
+        assert iterate(pq_map, x0, 50, direction="backward") == [to_circle(x0)] + pts
+        pts = []
+        advance(pq_map, to_circle(x0), 0, 50, pts)
+        assert iterate(pq_map, x0, 50) == [to_circle(x0)] + pts
+    with pytest.raises(ValueError):
+        iterate(pq_map, 0.05, 3, direction="sideways")
+
+
+def test_no_module_keeps_an_orbit_list_for_one_point():
+    # a caller that wants an endpoint reads it off advance or retreat;
+    # indexing an iterate(...) result builds a list only to drop it
+    pkg = Path(__file__).resolve().parent.parent / "src" / "circlebreak"
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)):
+                continue
+            func = node.value.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "iterate":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_pl_slopes_closed_form():

@@ -229,7 +229,7 @@ def test_orbit_cap_comes_from_the_caller(monkeypatch, pq_map, gcf):
     assert len(part.orbit) == 144
     assert denjoy_product(pq_map, gcf, 0.05, 12, cap=1000) > 0
     gen = cell_interval(build_partition(pq_map, gcf, 0.05, 12, cap=1000), 0)
-    assert is_qn_small(pq_map, gcf, gen, 12, cap=1000)
+    assert is_qn_small(pq_map, gcf, gen, 12)
 
 
 def test_orbit_cap_counts_map_evaluations(pq_map, gcf):
@@ -456,14 +456,6 @@ def test_orbit_landing_on_a_break_later(request, name):
         assert orbit_avoiding_breaks(m, x, 300) == _reference_orbit_avoiding_breaks(
             m, x, 300, 10
         )
-
-
-def test_is_qn_small_cap_is_per_orbit(pq_map, gcf):
-    # rank 12: q_12 = 233, so the longest orbit takes 232 evaluations
-    gen = cell_interval(build_partition(pq_map, gcf, 0.05, 12), 0)
-    assert is_qn_small(pq_map, gcf, gen, 12, cap=232)
-    with pytest.raises(PrecisionBudgetExceeded, match="232 exceeds cap 231"):
-        is_qn_small(pq_map, gcf, gen, 12, cap=231)
 
 
 # -- point-by-point reference for the column form of a partition ------------

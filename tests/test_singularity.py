@@ -19,6 +19,7 @@ from circlebreak.errors import (
     HypothesisNotCertified,
     InvalidGeometry,
     InvariantFailure,
+    PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
     BreakPoint,
@@ -364,6 +365,18 @@ def test_same_orbit_two_steps_runs_the_placement_loop(gcf, kind, shape, referenc
     m, _ = solve_same_orbit(kind, 0.2, gcf, m_steps=2, **shape)
     assert abs(m.translation - reference) <= 1e-9
     assert _same_orbit_residual(m, steps=2) <= 10 * 1e-9
+
+
+def test_same_orbit_placement_uses_callers_cap(monkeypatch, gcf):
+    # the m_steps placement orbits are sized by the caller's cap, not the
+    # default; the pq three-step case converges at n_max 7
+    shape = dict(sigma_a=2.0, sigma_c=0.8, m_steps=3, tune_tol=mass_width(gcf, 7))
+    monkeypatch.setattr("circlebreak.maps.DEFAULT_ORBIT_CAP", 2)
+    m, _ = solve_same_orbit("pq", 0.2, gcf, cap=1000, **shape)
+    with pytest.raises(PrecisionBudgetExceeded, match="length 3 exceeds cap 2"):
+        solve_same_orbit("pq", 0.2, gcf, cap=2, **shape)
+    monkeypatch.undo()
+    assert _same_orbit_residual(m, steps=3) <= 10 * 1e-9
 
 
 def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
