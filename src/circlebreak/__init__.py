@@ -63,6 +63,8 @@ from .crossratio import (
     cross_ratio,
     distortion,
     distortion_chain,
+    distortion_rounding,
+    distortion_row,
     f_func,
     g_func,
     normalized_coords,

@@ -27,17 +27,9 @@ from itertools import chain, repeat
 from operator import truediv
 from typing import get_type_hints
 
-from .crossratio import (
-    Quadruple,
-    cross_ratio,
-    distortion,
-    lift_into,
-    single_break_closed_form,
-    smooth_distortion_bound,
-)
+from .crossratio import Quadruple, distortion_row
 from .errors import (
     BreakCollision,
-    BreakNotInStatedInterval,
     CircleBreakError,
     ConfigError,
     InvariantFailure,
@@ -337,6 +329,14 @@ class _Blocks:
 _MISSING = object()
 
 
+def _finite(v, what):
+    """A config number as a float.  json reads NaN, Infinity and integers
+    past the float range; this test fails for each of them."""
+    if not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be finite, got {v!r}")
+    return float(v)
+
+
 class _Keys:
     """Tracked view of a config object; leftover keys are rejected."""
 
@@ -357,11 +357,7 @@ class _Keys:
         v = self.take(key, default)
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{self.where} key {key!r} must be a number")
-        # json reads NaN, Infinity and integers past the float range; this
-        # test fails for each of them
-        if not abs(v) <= sys.float_info.max:
-            raise ConfigError(f"{self.where} key {key!r} must be finite, got {v!r}")
-        return float(v)
+        return _finite(v, f"{self.where} key {key!r}")
 
     def integer(self, key, default=_MISSING, minimum=None):
         v = self.take(key, default)
@@ -449,7 +445,7 @@ def _cf_from_config(spec, where="rho"):
         k.done()
         return ContinuedFraction.from_quotients(ks)
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        v = float(spec)
+        v = _finite(spec, where)
         if not 0 < v < 1:
             raise ConfigError(f"{where} must lie in (0, 1), got {v!r}")
         return cf_expand_convergents(v)
@@ -664,12 +660,9 @@ def _config_quadruple(raw, where):
     )
     if not ok:
         raise ConfigError(f"{where} must be a list of four numbers")
-    # the rule of _Keys.real: refuses NaN, Infinity and integers past the
-    # float range
-    if not all(abs(v) <= sys.float_info.max for v in raw):
-        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    zs = [_finite(v, where) for v in raw]
     try:
-        return Quadruple(*(float(v) for v in raw))
+        return Quadruple(*zs)
     except CircleBreakError as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -708,32 +701,12 @@ def cmd_distortion(doc, outdir, seed):
     closed_form_rows = 0
     max_residual = 0.0
     for q in quads:
-        cr = cross_ratio(q)
-        d = distortion(q, m)
-        inside = [
-            b for b in m.breaks if q.z1 < lift_into(b.location, q.z1) < q.z4
-        ]
-        pred = resid = bound = ""
-        if not inside:
-            sb = smooth_distortion_bound(m, q)
-            pred, resid, bound = 1.0, abs(d - 1.0), sb.bound
-            if resid > bound + 1e-13:
-                raise InvariantFailure(
-                    f"break-free distortion residual {resid:.3e} exceeds the "
-                    f"smooth bound {bound:.3e}"
-                )
-        elif len(inside) == 1:
-            try:
-                cf = single_break_closed_form(q, inside[0], m)
-            except BreakNotInStatedInterval:
-                pass  # break in the middle gap: no closed form applies
-            else:
-                pred = cf.predicted
-                resid = abs(cf.actual - cf.predicted)
-                bound = cf.residual_bound
-                closed_form_rows += 1
-                max_residual = max(max_residual, resid)
-        rows.append((q.z1, q.z2, q.z3, q.z4, cr, d, pred, resid, bound))
+        r = distortion_row(q, m)
+        if r.closed_form:
+            closed_form_rows += 1
+            max_residual = max(max_residual, r.residual)
+        checked = ("", "", "") if r.bound is None else (r.predicted, r.residual, r.bound)
+        rows.append((q.z1, q.z2, q.z3, q.z4, r.cr, r.dist, *checked))
 
     report = {
         "schema": SCHEMA,

@@ -16,6 +16,7 @@ from .errors import (
     BreakNotInStatedInterval,
     DegenerateQuadruple,
     InvariantFailure,
+    PrecisionBudgetExceeded,
 )
 from .maps import (
     BreakPoint,
@@ -24,7 +25,6 @@ from .maps import (
     advance,
     evaluate,
     gap_image,
-    min_break_distance,
 )
 from .numerics import MACHINE_EPS, arc_length, to_circle
 
@@ -266,11 +266,113 @@ def pl_frame_distortion(q: Quadruple, pos, sigma):
     return (a * c) / ((a + b) * (b + c)) / cross_ratio(q)
 
 
+# Unit roundoff of binary64: fl(x op y) = (x op y)(1 + d) with |d| <= U.
+U = MACHINE_EPS / 2
+
+
+@lru_cache(maxsize=None)
+def _slope_range(m: CircleMap):
+    """(min Df, max Df, max |D2f|) over the circle; a rotation has slope 1.
+
+    Df is affine on each segment, so its extremes sit at segment ends.
+    """
+    if not m.seg_d0:
+        return 1.0, 1.0, 0.0
+    ends = m.seg_d0 + m.seg_d1
+    return min(ends), max(ends), max(abs(c) for c in m.seg_curv)
+
+
+def _quotient_rounding(gap, abs_err, rel_err):
+    """1.25 t, with t = 4 (rel_err + abs_err / gap) + 15 U; see distortion_rounding."""
+    t = 4.0 * (rel_err + abs_err / gap) + 15.0 * U
+    if t > 1.0 / 64:
+        raise PrecisionBudgetExceeded(
+            f"rounding of the cross-ratio ({t:.3e} relative) swamps a gap of {gap!r}"
+        )
+    return 1.25 * t
+
+
+def distortion_rounding(q: Quadruple, img: Quadruple, m: CircleMap) -> float:
+    """Relative rounding bound on d = cross_ratio(img) / cross_ratio(q).
+
+    ``img`` is ``image_quadruple(q, m)``.  The bound holds for |d - D| / d,
+    where D is the exact distortion of the float points z1..z4 under the
+    exact map of m's segment table.  Write u = U for the unit roundoff,
+    S = 1 + max(|z1|, |z4|), Df in [lo, hi] and |D2f| <= k on the circle.
+
+    Image gaps.  chain_points builds P' = fl(P + g) from the anchor P, so
+    the difference P' - P is g plus one rounding of at most u|P'|: the
+    loss is about eps over the gap, and it does not accumulate along the
+    running sum.  On top of that, cross_ratio's subtraction P' - P rounds
+    once (u), and gap_image contributes per piece a rounded length (u), a
+    midpoint off by at most 2uS, which moves Df by k(2S + 1)u with its own
+    product, a rounded Df sum (u) and a rounded product (u), plus at most
+    2u for summing at most three positive pieces.  Where a break lies in
+    the hull or within rounding of it, gap_image may split a gap at a
+    segment end rounded by at most 2uS, and Df jumps there by at most
+    hi - lo.  So every image gap g' is exact within
+
+        r = (6 + k(2S + 1)/lo) u + (u max|P| + [split] 2uS(hi - lo)) / g'_min
+
+    relative, and each of q's gaps within u (one subtraction).
+
+    Quotient.  Cr = ac / ((a+b)(b+c)) moves by at most 4r relative when
+    each of its gaps moves by at most r, since a+b and b+c are weighted
+    means of their gaps' errors.  Each cross_ratio rounds five times and
+    the quotient once, so to first order |d/D - 1| <= t = 4r + 4u + 11u.
+    For t <= 1/64 the higher-order terms stay below 0.05t and D <= 1.02d,
+    so |d - D| <= 1.25t d; this returns 1.25t, and past t = 1/64 it
+    raises PrecisionBudgetExceeded.  Since 1.25t >= 18u, scaling a bound's
+    curvature term by 1 + 1.25t also covers the rounding of that term
+    (at most 8u), of the residual and of their sum.
+    """
+    lo, hi, k = _slope_range(m)
+    z1, _, _, z4 = q
+    p0, p1, p2, p3 = img
+    # max |z| and max |P| of increasing points
+    s = 1.0 + max(-z1, z4)
+    abs_err = U * max(-p0, p3)
+    # a break's offset past z1 is rounded by at most 2uS; 16uS covers that
+    # and a segment end rounded by 2uS
+    margin = 16.0 * U * s
+    for b in m.breaks:
+        off = (b.location - z1) % 1.0
+        if off <= z4 - z1 + margin or off >= 1.0 - margin:
+            abs_err += 2.0 * U * s * (hi - lo)
+            break
+    gap = min(p1 - p0, p2 - p1, p3 - p2)
+    return _quotient_rounding(gap, abs_err, U * (6.0 + k * (2.0 * s + 1.0) / lo))
+
+
+def _frame_rounding(q: Quadruple, sigma) -> float:
+    """Relative rounding bound on pl_frame_distortion(q, pos, sigma).
+
+    The frame's gaps sigma*left + (g - left), with left = clamp(pos - z, 0, g),
+    are the image gaps of distortion_rounding's quotient.  lift_into puts
+    pos within (S + 11)u of the break's lift: two to_circle calls of at
+    most 5u each, counting their clamp to 0 within 2 eps of 1, one
+    rounding below 1 and one of size S.  pos - z rounds within u more, so
+    each frame gap is off by at most 13uS|sigma - 1| absolute plus
+    3(sigma + 1)u/min(sigma, 1) relative, and frame gaps are at least
+    min(sigma, 1) times q's smallest gap.
+    """
+    s = 1.0 + max(-q.z1, q.z4)
+    low = min(sigma, 1.0)
+    return _quotient_rounding(
+        low * min(q.gaps), 13.0 * U * s * abs(sigma - 1.0), 3.0 * U * (sigma + 1.0) / low
+    )
+
+
 class ClosedForm(NamedTuple):
+    """``residual_bound`` = ``curvature`` + ``rounding``: K1 times the
+    curvature integral over the hull, and the rounding of both quotients."""
+
     predicted: float
     residual_bound: float
     actual: float
     sigma: float
+    curvature: float
+    rounding: float
 
 
 def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> ClosedForm:
@@ -279,9 +381,10 @@ def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> Clo
     The prediction is the PL frame at the break's lift: F(xi, z) at the
     jump ratio sigma with the break in [z1, z2], F(eta, theta) at
     1/sigma with it in [z3, z4].  A break in the middle gap is refused,
-    as no closed form of the paper covers it.  The residual is certified
-    against the calibrated multiple of the total curvature over the hull;
-    zero for PL maps.
+    as no closed form of the paper covers it.  The residual is bounded
+    by the calibrated multiple of the total curvature over the hull,
+    zero for PL maps, plus the rounding of the distortion and of the
+    prediction; distortion_row checks it.
     """
     pos = lift_into(brk.location, q.z1)
     others = [b for b in m.breaks if b.location != brk.location]
@@ -296,25 +399,25 @@ def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> Clo
             f"break {pos!r} lies in the middle gap [{q.z2!r}, {q.z3!r}]"
         )
     predicted = pl_frame_distortion(q, pos, brk.sigma)
-
-    actual = distortion(q, m)
-    k1 = calibrate_k1(m)
-    bound = k1 * abs_d2f_integral(m, q.z1, q.z4)
-    if abs(actual - predicted) > bound + 1e-12:
-        raise InvariantFailure(
-            f"closed-form residual {abs(actual - predicted):.3e} exceeds the "
-            f"calibrated bound {bound:.3e}"
-        )
+    img = image_quadruple(q, m)
+    actual = cross_ratio(img) / cross_ratio(q)
+    curvature = calibrate_k1(m) * abs_d2f_integral(m, q.z1, q.z4)
+    rounding = (
+        distortion_rounding(q, img, m) * (actual + curvature)
+        + _frame_rounding(q, brk.sigma) * predicted
+    )
     return ClosedForm(
         predicted=predicted,
-        residual_bound=bound,
+        residual_bound=curvature + rounding,
         actual=actual,
         sigma=brk.sigma,
+        curvature=curvature,
+        rounding=rounding,
     )
 
 
-def _sample_quadruples(m: CircleMap, rng: random.Random, count: int, with_break: bool):
-    """Random small-hull quadruples, with the break in a side gap or none."""
+def _sample_quadruples(m: CircleMap, rng: random.Random, count: int):
+    """Random small-hull quadruples with one break in a side gap."""
     out = []
     locs = [b.location for b in m.breaks]
     attempts = 0
@@ -324,32 +427,23 @@ def _sample_quadruples(m: CircleMap, rng: random.Random, count: int, with_break:
         parts = [rng.uniform(0.15, 1.0) for _ in range(3)]
         s = sum(parts)
         alpha, beta, gamma = (p * h / s for p in parts)
-        if with_break:
-            brk = rng.choice(m.breaks)
-            if rng.random() < 0.5:
-                t = rng.uniform(0.0, 1.0)  # z-coordinate in [z1, z2]
-                z2 = brk.location + t * alpha
-                z1 = z2 - alpha
-            else:
-                t = rng.uniform(0.0, 1.0)  # theta-coordinate in [z3, z4]
-                z1 = brk.location - t * gamma - beta - alpha
-            qd = Quadruple.from_gaps(z1, alpha, beta, gamma)
-            inside = [
-                x
-                for x in locs
-                if x != brk.location and qd.z1 < lift_into(x, qd.z1) < qd.z4
-            ]
-            if inside:
-                continue
-            out.append((qd, brk))
+        brk = rng.choice(m.breaks)
+        if rng.random() < 0.5:
+            t = rng.uniform(0.0, 1.0)  # z-coordinate in [z1, z2]
+            z2 = brk.location + t * alpha
+            z1 = z2 - alpha
         else:
-            z1 = rng.random()
-            qd = Quadruple.from_gaps(z1, alpha, beta, gamma)
-            if min_break_distance(m, qd.z1) < 2 * h or any(
-                qd.z1 <= lift_into(x, qd.z1) <= qd.z4 for x in locs
-            ):
-                continue
-            out.append((qd, None))
+            t = rng.uniform(0.0, 1.0)  # theta-coordinate in [z3, z4]
+            z1 = brk.location - t * gamma - beta - alpha
+        qd = Quadruple.from_gaps(z1, alpha, beta, gamma)
+        inside = [
+            x
+            for x in locs
+            if x != brk.location and qd.z1 < lift_into(x, qd.z1) < qd.z4
+        ]
+        if inside:
+            continue
+        out.append((qd, brk))
     return out
 
 
@@ -365,7 +459,7 @@ def calibrate_k1(m: CircleMap) -> float:
         return 0.0
     rng = random.Random(0x5EED)
     worst = 0.0
-    for qd, brk in _sample_quadruples(m, rng, 1000, with_break=True):
+    for qd, brk in _sample_quadruples(m, rng, 1000):
         predicted = pl_frame_distortion(qd, lift_into(brk.location, qd.z1), brk.sigma)
         integral = abs_d2f_integral(m, qd.z1, qd.z4)
         if integral <= 0:
@@ -377,38 +471,97 @@ def calibrate_k1(m: CircleMap) -> float:
 
 @lru_cache(maxsize=None)
 def calibrate_c1(m: CircleMap) -> float:
-    """Calibrated break-free distortion constant for one map.
+    """C1 = 1 / (4 min Df^2): |Dist - 1| <= C1 (∫|D2f|)^2 on break-free hulls.
 
-    On break-free hulls of these families the curvature is constant, so
-    the oscillation term drops and |Dist - 1| is compared against the
-    squared curvature integral alone.
+    A break-free hull [z1, z4] of length h lies in one segment, where Df
+    is affine with slope k = D2f.  Each gap's image is then the gap times
+    Df at its midpoint.  With m_a, m_c the midpoints of the outer gaps and
+    m_ab, m_bc those of [z1, z3] and [z2, z4], m_a + m_c = m_ab + m_bc
+    and m_a m_c - m_ab m_bc = -beta h / 4, which gives exactly
+
+        Dist - 1 = -k^2 beta h / (4 Df(m_ab) Df(m_bc)).
+
+    As beta < h and ∫|D2f| = |k| h, |Dist - 1| <= (|k| h)^2 / (4 min Df^2).
+    Curvature-free maps get 0.
     """
-    if all(c == 0 for c in m.seg_curv):
+    if not any(m.seg_curv):
         return 0.0
-    rng = random.Random(0xACC0)
-    worst = 0.0
-    for qd, _ in _sample_quadruples(m, rng, 1000, with_break=False):
-        integral = abs_d2f_integral(m, qd.z1, qd.z4)
-        if integral <= 0:
-            continue
-        ratio = abs(distortion(qd, m) - 1.0) / integral**2
-        worst = max(worst, ratio)
-    return 2.0 * worst
+    return 1.0 / (4.0 * _slope_range(m)[0] ** 2)
 
 
 class SmoothBound(NamedTuple):
+    """``bound`` = ``curvature`` + ``rounding``: C1 times the squared
+    curvature integral, and the rounding of the distortion ``actual``."""
+
     bound: float
     integral: float
     constant: float
+    curvature: float
+    rounding: float
+    actual: float
 
 
 def smooth_distortion_bound(m: CircleMap, q: Quadruple) -> SmoothBound:
-    """Bound Ĉ (∫|D²f|)² on |Dist - 1| over the hull of q.
+    """Bound C1 (∫|D²f|)² plus rounding on |Dist - 1| over the hull of q.
 
     The hull must contain no break.  It then lies in one segment, where
     D²f is constant, so the oscillation term hull·osc(D²f) of the general
-    bound is 0 and the squared curvature integral is all that remains.
+    bound is 0 and the squared curvature integral is all that remains;
+    calibrate_c1 gives its constant in closed form.
     """
+    img = image_quadruple(q, m)
+    actual = cross_ratio(img) / cross_ratio(q)
     integral = abs_d2f_integral(m, q.z1, q.z4)
     c1 = calibrate_c1(m)
-    return SmoothBound(bound=c1 * integral**2, integral=integral, constant=c1)
+    curvature = c1 * integral**2
+    rounding = distortion_rounding(q, img, m) * (actual + curvature)
+    return SmoothBound(
+        bound=curvature + rounding,
+        integral=integral,
+        constant=c1,
+        curvature=curvature,
+        rounding=rounding,
+        actual=actual,
+    )
+
+
+class DistortionRow(NamedTuple):
+    """One quadruple's cross-ratio, distortion and checked bound.
+
+    ``predicted``, ``residual`` and ``bound`` are None where no bound
+    applies: two breaks in the hull, or one in the middle gap.
+    ``closed_form`` tells a one-break row from a break-free one.
+    """
+
+    cr: float
+    dist: float
+    predicted: float | None = None
+    residual: float | None = None
+    bound: float | None = None
+    closed_form: bool = False
+
+
+def distortion_row(q: Quadruple, m: CircleMap) -> DistortionRow:
+    """Dist(q; f) with the bound that applies to q's hull, checked.
+
+    A break-free hull is held to smooth_distortion_bound, a hull with one
+    break in a side gap to single_break_closed_form; a residual past its
+    bound raises InvariantFailure.  Each path computes q's image once.
+    """
+    cr = cross_ratio(q)
+    inside = [b for b in m.breaks if q.z1 < lift_into(b.location, q.z1) < q.z4]
+    if not inside:
+        sb = smooth_distortion_bound(m, q)
+        predicted, actual, bound = 1.0, sb.actual, sb.bound
+    else:
+        try:
+            cf = single_break_closed_form(q, inside[0], m)
+        except BreakNotInStatedInterval:
+            # two breaks in the hull, or one in the middle gap
+            return DistortionRow(cr, distortion(q, m))
+        predicted, actual, bound = cf.predicted, cf.actual, cf.residual_bound
+    residual = abs(actual - predicted)
+    if residual > bound:
+        what = "closed-form" if inside else "break-free distortion"
+        raise InvariantFailure(f"{what} residual {residual:.3e} exceeds its bound {bound:.3e}")
+    return DistortionRow(cr, actual, predicted, residual, bound, bool(inside))

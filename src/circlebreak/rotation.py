@@ -209,37 +209,18 @@ def rho_iterate_estimate(m: CircleMap, n: int, cap: int | None = None) -> Rotati
     )
 
 
-def _quotients_from_moves(moves) -> list:
-    """Partial quotients read off a Stern-Brocot descent path.
+def _bracket_quotients(pl, ql, ph, qh, m0) -> list:
+    """Partial quotients the Farey bracket [pl/ql, ph/qh] has settled.
 
-    The path toward x in (0,1) spells L^{k1-1} R^{k2} L^{k3} R^{k4} ...; only
-    finished runs are reported (the last run may still be growing).
+    The next mediant minus m0 is a rational whose continued fraction
+    starts with every finished run of the descent; its last quotient
+    belongs to the run still growing and is dropped.  An upper end still
+    at m0 + 1 (qh == 1) means the descent has only moved the lower end,
+    and no quotient is settled.
     """
-    if not moves:
+    if qh == 1:
         return []
-    runs = []
-    cur, cnt = moves[0], 1
-    for mv in moves[1:]:
-        if mv == cur:
-            cnt += 1
-        else:
-            runs.append((cur, cnt))
-            cur, cnt = mv, 1
-    # the final (cur, cnt) run is unfinished and is dropped
-    complete = runs
-    ks = []
-    if not complete:
-        return ks
-    if complete[0][0] == "L":
-        # path L^{k1-1} R^{k2} L^{k3} ...
-        ks.append(complete[0][1] + 1)
-        rest = complete[1:]
-    else:
-        # an immediate R means k1 = 1 and the R-run is k2 in full
-        ks.append(1)
-        rest = complete
-    ks.extend(cnt for _, cnt in rest)
-    return ks
+    return cf_quotients_of_fraction(Fraction(pl + ph, ql + qh) - m0)[:-1]
 
 
 def rho_farey(
@@ -271,11 +252,11 @@ def rho_farey(
         return est, cfr
     pl, ql = m0, 1
     ph, qh = m0 + 1, 1
-    moves = []
+    steps = 0
 
     def descend():
         if width is None:
-            return len(moves) < depth
+            return steps < depth
         # test the float width the estimate reports, so callers can rely on it
         lo = float(Fraction(pl - m0 * ql, ql))
         return float(Fraction(ph - m0 * qh, qh)) - lo > width
@@ -289,10 +270,9 @@ def rho_farey(
             break
         if s > 0:
             pl, ql = pm, qm
-            moves.append("R")
         else:
             ph, qh = pm, qm
-            moves.append("L")
+        steps += 1
     if rational is not None:
         p, q = rational
         fr = Fraction(p - m0 * q, q)
@@ -307,7 +287,7 @@ def rho_farey(
     lo = Fraction(pl - m0 * ql, ql)
     hi = Fraction(ph - m0 * qh, qh)
     mid = (lo + hi) / 2
-    ks = _quotients_from_moves(moves)
+    ks = _bracket_quotients(pl, ql, ph, qh, m0)
     cfr = ContinuedFraction.from_quotients(ks) if ks else ContinuedFraction((), ((0, 1),))
     est = RotationEstimate(value=float(mid), lower=float(lo), upper=float(hi))
     return est, cfr

@@ -1,17 +1,22 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import circlebreak.crossratio
 from circlebreak.crossratio import (
     Quadruple,
+    calibrate_c1,
     calibrate_k1,
     chain_points,
     cross_ratio,
     distortion,
     distortion_chain,
+    distortion_rounding,
+    distortion_row,
     f_func,
     g_func,
     image_quadruple,
@@ -21,11 +26,16 @@ from circlebreak.crossratio import (
     single_break_closed_form,
     smooth_distortion_bound,
 )
-from circlebreak.errors import BreakNotInStatedInterval, DegenerateQuadruple
+from circlebreak.errors import (
+    BreakNotInStatedInterval,
+    DegenerateQuadruple,
+    PrecisionBudgetExceeded,
+)
 from circlebreak.maps import (
     abs_d2f_integral,
     make_pl_two_break,
     make_pq_two_break,
+    make_rotation,
     map_stats,
 )
 from circlebreak.partition import build_partition
@@ -156,8 +166,8 @@ def test_single_break_closed_form_pl_exact():
         z2 = brk.location + t * 0.01
         q = Quadruple(z2 - 0.01, z2, z2 + 0.012, z2 + 0.02)
         res = single_break_closed_form(q, brk, m)
-        assert res.residual_bound == 0.0  # curvature-free family
-        assert res.actual == pytest.approx(res.predicted, abs=1e-12)
+        assert res.curvature == 0.0  # curvature-free family
+        assert abs(res.actual - res.predicted) <= res.residual_bound
         # the break sits in [z1, z2], at z = t
         assert res.predicted == pytest.approx(
             f_func(normalized_coords(q).xi, t, brk.sigma), rel=1e-12
@@ -219,8 +229,9 @@ def test_single_break_closed_form_pq_bounded(pq_map):
     q = Quadruple(brk.location - 0.005, brk.location, brk.location + 0.006,
                   brk.location + 0.011)
     res = single_break_closed_form(q, brk, pq_map)
-    assert res.residual_bound > 0
-    assert abs(res.actual - res.predicted) <= res.residual_bound + 1e-12
+    assert res.curvature > 0
+    assert res.residual_bound == res.curvature + res.rounding
+    assert abs(res.actual - res.predicted) <= res.residual_bound
 
 
 def test_single_break_rejects_second_break(pq_map):
@@ -238,27 +249,128 @@ def test_single_break_rejects_a_middle_gap_break():
         single_break_closed_form(q, brk, m)
 
 
+# the pq map of the bundled partition and distortion configs, as pinned there
+PINNED_PQ = make_pq_two_break(0.2, 0.6, 2.0, 0.8, 0.6949140919153628)
+PL = make_pl_two_break(0.2, 0.6, 3.0, 0.3)
+
+
 def test_calibrations():
     assert calibrate_k1(make_pl_two_break(0.3, 0.7, 2.0)) == 0.0
     assert calibrate_k1(make_pq_two_break(0.2, 0.6, 2.0, 0.8)) > 0.0
+    # K1 is still sampled, bit for bit as before C1 went closed form
+    assert calibrate_k1(PINNED_PQ) == 0.7080270578616931
+
+
+def test_c1_is_closed_form(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("calibrate_c1 drew random numbers")
+
+    monkeypatch.setattr(circlebreak.crossratio.random, "Random", no_sampling)
+    min_df = min(PINNED_PQ.seg_d0 + PINNED_PQ.seg_d1)
+    assert calibrate_c1(PINNED_PQ) == 1 / (4 * min_df**2)
+    assert calibrate_c1(PINNED_PQ) == pytest.approx(0.62016, abs=1e-5)
+    assert calibrate_c1(PL) == 0.0
+    assert calibrate_c1(make_rotation(0.3)) == 0.0
+
+
+def _exact_lift(m, x):
+    """f(x) in Fraction arithmetic from m's segment table."""
+    p0, p1 = Fraction(m.seg_pos[0]), Fraction(m.seg_pos[1])
+    j = math.floor(x - p0)
+    s = 0 if x - j < p1 else 1
+    du = x - j - Fraction(m.seg_pos[s])
+    return (
+        Fraction(m.seg_val[s])
+        + du * (Fraction(m.seg_d0[s]) + Fraction(m.seg_curv[s]) / 2 * du)
+        + j
+        + Fraction(m.translation)
+    )
+
+
+def _exact_distortion(m, q):
+    zs = [Fraction(z) for z in q]
+    fs = [_exact_lift(m, z) for z in zs]
+
+    def cr(p):
+        a, b, c = (p[k + 1] - p[k] for k in range(3))
+        return a * c / ((a + b) * (b + c))
+
+    return cr(fs) / cr(zs)
+
+
+def _seeded_quadruples(rng, m, count, breaks_inside):
+    """Quadruples at scales 1e-7 to 1e-1 on lifts in [-3, 4), keeping those
+    whose closed hull holds ``breaks_inside`` breaks."""
+    out = []
+    while len(out) < count:
+        scale = 10 ** rng.uniform(-7, -1)
+        gaps = [scale * (0.25 + rng.random()) for _ in range(3)]
+        q = Quadruple.from_gaps(rng.uniform(-3, 4), *gaps)
+        if breaks_inside:
+            brk = rng.choice(m.breaks)
+            # the break at a random point of a side gap
+            t = rng.random()
+            left = t * gaps[0] if rng.random() < 0.5 else gaps[0] + gaps[1] + t * gaps[2]
+            lift = brk.location + math.floor(q.z1 - brk.location) + 1
+            q = Quadruple.from_gaps(lift - left, *gaps)
+        inside = sum(q.z1 <= lift_into(b.location, q.z1) <= q.z4 for b in m.breaks)
+        if inside == breaks_inside:
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("m", [PINNED_PQ, PL], ids=["pq", "pl"])
+def test_break_free_bound_holds_in_exact_arithmetic(m):
+    for q in _seeded_quadruples(random.Random(5), m, 400, 0):
+        exact = _exact_distortion(m, q)
+        img = image_quadruple(q, m)
+        sb = smooth_distortion_bound(m, q)
+        # the closed-form C1 bounds the exact distortion (0 for PL maps) ...
+        assert abs(exact - 1) <= sb.curvature
+        # ... and the rounding term the float one
+        d = sb.actual
+        assert abs(Fraction(d) - exact) <= distortion_rounding(q, img, m) * Fraction(d)
+        row = distortion_row(q, m)
+        assert not row.closed_form
+        assert row.residual == abs(d - 1) <= row.bound == sb.bound
+
+
+def test_pl_one_break_rows_hold_their_rounding_bound():
+    # a PL map's distortion is its PL frame exactly, so K1 = 0 and each
+    # one-break residual is rounding alone
+    for q in _seeded_quadruples(random.Random(9), PL, 400, 1):
+        img = image_quadruple(q, PL)
+        d = cross_ratio(img) / cross_ratio(q)
+        exact = _exact_distortion(PL, q)
+        assert abs(Fraction(d) - exact) <= distortion_rounding(q, img, PL) * Fraction(d)
+        row = distortion_row(q, PL)
+        if row.closed_form:
+            assert row.residual <= row.bound
+
+
+def test_rounding_past_its_range_is_refused():
+    # gaps of 1e-15 on a lift near 3: eps over the gap is above 1/64
+    q = Quadruple.from_gaps(3.1, 1e-15, 1e-15, 1e-15)
+    with pytest.raises(PrecisionBudgetExceeded):
+        distortion_row(q, PINNED_PQ)
 
 
 def test_smooth_bound_scaling(pq_map):
     # Inside one smooth piece the bound is governed by the squared
     # curvature integral: each halving of the hull halves the integral
-    # and quarters the bound.
+    # and quarters the curvature term.
     z1 = 0.25
     h = 0.08
     prev = None
     for _ in range(5):
         q = Quadruple.from_gaps(z1, h / 3, h / 3, h / 3)
         sb = smooth_distortion_bound(pq_map, q)
-        assert abs(distortion(q, pq_map) - 1.0) <= sb.bound + 1e-14
+        assert abs(distortion(q, pq_map) - 1.0) <= sb.bound
         if prev is not None:
-            prev_integral, prev_bound = prev
+            prev_integral, prev_curvature = prev
             assert sb.integral == pytest.approx(prev_integral / 2, rel=1e-9)
-            assert sb.bound == pytest.approx(prev_bound / 4, rel=1e-9)
-        prev = (sb.integral, sb.bound)
+            assert sb.curvature == pytest.approx(prev_curvature / 4, rel=1e-9)
+        prev = (sb.integral, sb.curvature)
         h /= 2
 
 

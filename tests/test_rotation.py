@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make
 from circlebreak.rotation import (
     ContinuedFraction,
     OrbitTracker,
+    _bracket_quotients,
     cf_expand_convergents,
     rho_farey,
     rho_iterate_estimate,
@@ -91,6 +93,66 @@ def test_rho_farey_golden_quotients():
 def test_rho_farey_tuned_pl_matches_rotation(pl_map):
     _, cf = rho_farey(pl_map, depth=20)
     assert cf.quotients[:8] == (1,) * 8
+
+
+def _quotients_from_moves(moves) -> list:
+    """Partial quotients read off a Stern-Brocot descent path.
+
+    The path toward x in (0,1) spells L^{k1-1} R^{k2} L^{k3} R^{k4} ...; only
+    finished runs are reported (the last run may still be growing).
+    rho_farey read its quotients this way until it read them off the
+    final bracket; kept as the reference for that read-off.
+    """
+    if not moves:
+        return []
+    runs = []
+    cur, cnt = moves[0], 1
+    for mv in moves[1:]:
+        if mv == cur:
+            cnt += 1
+        else:
+            runs.append((cur, cnt))
+            cur, cnt = mv, 1
+    # the final (cur, cnt) run is unfinished and is dropped
+    complete = runs
+    ks = []
+    if not complete:
+        return ks
+    if complete[0][0] == "L":
+        # path L^{k1-1} R^{k2} L^{k3} ...
+        ks.append(complete[0][1] + 1)
+        rest = complete[1:]
+    else:
+        # an immediate R means k1 = 1 and the R-run is k2 in full
+        ks.append(1)
+        rest = complete
+    ks.extend(cnt for _, cnt in rest)
+    return ks
+
+
+def _descent(rng):
+    """A seeded Stern-Brocot path of depth 0-60, in runs of 1-8 moves."""
+    depth = rng.randint(0, 60)
+    moves = []
+    mv = rng.choice("LR")
+    while len(moves) < depth:
+        moves += mv * rng.randint(1, 8)
+        mv = "L" if mv == "R" else "R"
+    return moves[:depth]
+
+
+def test_bracket_quotients_match_the_descent_path():
+    rng = random.Random(23)
+    paths = [_descent(rng) for _ in range(3000)] + [["R"] * k for k in range(8)]
+    for moves in paths:
+        m0 = rng.randint(-2, 2)
+        pl, ql, ph, qh = m0, 1, m0 + 1, 1
+        for mv in moves:
+            if mv == "R":
+                pl, ql = pl + ph, ql + qh
+            else:
+                ph, qh = pl + ph, ql + qh
+        assert _bracket_quotients(pl, ql, ph, qh, m0) == _quotients_from_moves(moves)
 
 
 def test_rho_farey_width_stop(rot_map, pq_map):
