@@ -65,6 +65,7 @@ from .crossratio import (
     distortion_chain,
     distortion_rounding,
     distortion_row,
+    distortion_rows,
     f_func,
     g_func,
     normalized_coords,

@@ -27,7 +27,7 @@ from itertools import chain, repeat
 from operator import truediv
 from typing import get_type_hints
 
-from .crossratio import Quadruple, distortion_row
+from .crossratio import Quadruple, distortion_rows
 from .errors import (
     BreakCollision,
     CircleBreakError,
@@ -662,9 +662,12 @@ def _config_quadruple(raw, where):
         raise ConfigError(f"{where} must be a list of four numbers")
     zs = [_finite(v, where) for v in raw]
     try:
-        return Quadruple(*zs)
+        q = Quadruple(*zs)
     except CircleBreakError as e:
         raise ConfigError(f"{where}: {e}") from e
+    if not q.hull < 1:
+        raise ConfigError(f"{where}: hull {q.hull!r} must be shorter than one turn")
+    return q
 
 
 def cmd_distortion(doc, outdir, seed):
@@ -689,19 +692,20 @@ def cmd_distortion(doc, outdir, seed):
         sk.done()
         if count < 1 or not 0 < scale <= 0.2:
             raise ConfigError("sample.count must be >= 1 and 0 < sample.scale <= 0.2")
-        rng = random.Random(seed)
+        rand = random.Random(seed).random
         for _ in range(count):
-            z1 = rng.random()
-            gaps = [scale * (0.25 + rng.random()) for _ in range(3)]
-            quads.append(Quadruple.from_gaps(z1, *gaps))
+            # three gaps of scale * [0.25, 1.25) added from z1 in turn
+            z1 = rand()
+            z2 = z1 + scale * (0.25 + rand())
+            z3 = z2 + scale * (0.25 + rand())
+            quads.append(Quadruple(z1, z2, z3, z3 + scale * (0.25 + rand())))
     if not quads:
         raise ConfigError("distortion needs a quadruples list or a sample block")
 
     rows = []
     closed_form_rows = 0
     max_residual = 0.0
-    for q in quads:
-        r = distortion_row(q, m)
+    for q, r in zip(quads, distortion_rows(quads, m)):
         if r.closed_form:
             closed_form_rows += 1
             max_residual = max(max_residual, r.residual)

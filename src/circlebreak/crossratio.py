@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from math import floor
 from typing import NamedTuple
 
 from .errors import (
@@ -19,6 +20,7 @@ from .errors import (
     PrecisionBudgetExceeded,
 )
 from .maps import (
+    ROTATION,
     BreakPoint,
     CircleMap,
     abs_d2f_integral,
@@ -51,15 +53,15 @@ class Quadruple(_QuadrupleFields):
     __slots__ = ()
 
     def __new__(cls, z1, z2, z3, z4):
-        zs = (z1, z2, z3, z4)
         floor = DEGENERACY_EPS * MACHINE_EPS * max(z4 - z1, MACHINE_EPS)
-        for u, w in zip(zs, zs[1:]):
-            if not w - u > floor:
-                raise DegenerateQuadruple(
-                    f"gap {w - u!r} between {u!r} and {w!r} is below the "
-                    "degeneracy floor"
-                )
-        return tuple.__new__(cls, zs)
+        if not (z2 - z1 > floor and z3 - z2 > floor and z4 - z3 > floor):
+            for u, w in ((z1, z2), (z2, z3), (z3, z4)):
+                if not w - u > floor:
+                    raise DegenerateQuadruple(
+                        f"gap {w - u!r} between {u!r} and {w!r} is below the "
+                        "degeneracy floor"
+                    )
+        return tuple.__new__(cls, (z1, z2, z3, z4))
 
     @property
     def gaps(self):
@@ -541,8 +543,8 @@ class DistortionRow(NamedTuple):
     closed_form: bool = False
 
 
-def distortion_row(q: Quadruple, m: CircleMap) -> DistortionRow:
-    """Dist(q; f) with the bound that applies to q's hull, checked.
+def _general_row(q: Quadruple, m: CircleMap) -> DistortionRow:
+    """distortion_row by way of the bound records, for any hull and map.
 
     A break-free hull is held to smooth_distortion_bound, a hull with one
     break in a side gap to single_break_closed_form; a residual past its
@@ -565,3 +567,151 @@ def distortion_row(q: Quadruple, m: CircleMap) -> DistortionRow:
         what = "closed-form" if inside else "break-free distortion"
         raise InvariantFailure(f"{what} residual {residual:.3e} exceeds its bound {bound:.3e}")
     return DistortionRow(cr, actual, predicted, residual, bound, bool(inside))
+
+
+def distortion_rows(quads, m: CircleMap) -> list:
+    """distortion_row for each quadruple of ``quads``, as one list.
+
+    This is the one procedure that decides and checks rows.  It reads the
+    segment table, C1, the slope range and the break locations once.  A
+    break-free hull that gap_image's walk keeps in one segment piece is
+    computed inline, operation for operation as smooth_distortion_bound
+    computes it: evaluate, the three gap_image increments, the image's
+    Quadruple check, abs_d2f_integral and distortion_rounding, the way
+    maps.advance repeats evaluate.  Its row is bit-identical to
+    _general_row's.  Every other row goes through _general_row: a break in
+    the hull, a walk that starts on a rounded segment end or leaves the
+    piece, a rotation, and any row that would raise, which then raises
+    there.
+    """
+    if m.kind == ROTATION:
+        return [_general_row(q, m) for q in quads]
+    fl = floor
+    clamp = 2 * MACHINE_EPS
+    t = m.translation
+    p0, p1 = m.seg_pos[0], m.seg_pos[1]
+    p0_next = p0 + 1
+    v0, v1 = m.seg_val[0], m.seg_val[1]
+    a0, a1 = m.seg_d0
+    c0, c1 = m.seg_curv
+    # evaluate's 0.5 * curv * du groups as (0.5 * curv) * du
+    h0, h1 = 0.5 * c0, 0.5 * c1
+    locs = [b.location for b in m.breaks]
+    lo, hi, kmax = _slope_range(m)
+    c1_const = calibrate_c1(m)
+    # distortion_rounding's constant products, grouped as it groups them
+    u2, u15, u16, spread = 2.0 * U, 15.0 * U, 16.0 * U, hi - lo
+    floor_eps = DEGENERACY_EPS * MACHINE_EPS
+
+    def piece(x, y):
+        """gap_image(m, x, y) when its walk is one piece, else None.
+
+        A walk whose start the reduction rounded back below its segment's
+        end (nxt <= x < y) corrects the piece; it is left to gap_image.
+        """
+        j = fl(x - p0)
+        u = x - j
+        if u < p0:
+            u += 1
+            j -= 1
+        elif u >= p0_next:
+            u -= 1
+            j += 1
+        if u < p1:
+            nxt = p1 + j
+            if y > nxt:
+                return None
+            return (y - x) * (a0 + c0 * ((x + y) / 2 - (p0 + j)))
+        nxt = p0_next + j
+        if y > nxt:
+            return None
+        return (y - x) * (a1 + c1 * ((x + y) / 2 - (p1 + j)))
+
+    def fast_row(q):
+        z1, z2, z3, z4 = q
+        a = z2 - z1
+        b = z3 - z2
+        c = z4 - z3
+        cr = (a * c) / ((a + b) * (b + c))
+        # lift_into(location, z1) must leave the open hull for each break
+        v = z1 - fl(z1)
+        if 1 - v <= clamp:
+            v = 0.0
+        for loc in locs:
+            w = loc - v
+            w -= fl(w)
+            if 1 - w <= clamp:
+                w = 0.0
+            if z1 < z1 + w < z4:
+                return None
+        # evaluate(m, z1) reduced by to_circle; the same reduction starts
+        # the walks over [z1, z2] and over the hull [z1, z4]
+        j = fl(z1 - p0)
+        u = z1 - j
+        if u < p0:
+            u += 1
+            j -= 1
+        elif u >= p0_next:
+            u -= 1
+            j += 1
+        if u < p1:
+            du = u - p0
+            y = v0 + du * (a0 + h0 * du) + j + t
+            nxt, start, d0, curv = p1 + j, p0 + j, a0, c0
+        else:
+            du = u - p1
+            y = v1 + du * (a1 + h1 * du) + j + t
+            nxt, start, d0, curv = p0_next + j, p1 + j, a1, c1
+        # one piece holds the hull (so it is shorter than one turn)
+        if z4 > nxt:
+            return None
+        g2 = piece(z2, z3)
+        g3 = piece(z3, z4)
+        if g2 is None or g3 is None:
+            return None
+        # chain_points' image: the anchor and its running gap sums
+        P0 = y - fl(y)
+        if 1 - P0 <= clamp:
+            P0 = 0.0
+        P1 = P0 + a * (d0 + curv * ((z1 + z2) / 2 - start))
+        P2 = P1 + g2
+        P3 = P2 + g3
+        h = P3 - P0
+        if not h < 1:
+            return None
+        A = P1 - P0
+        B = P2 - P1
+        C = P3 - P2
+        gfloor = floor_eps * max(h, MACHINE_EPS)
+        if not (A > gfloor and B > gfloor and C > gfloor):
+            return None
+        actual = (A * C) / ((A + B) * (B + C)) / cr
+        integral = abs(curv) * (z4 - z1)
+        curvature = c1_const * integral**2
+        # distortion_rounding(q, img, m)
+        s = 1.0 + max(-z1, z4)
+        abs_err = U * max(-P0, P3)
+        margin = u16 * s
+        for loc in locs:
+            off = (loc - z1) % 1.0
+            if off <= z4 - z1 + margin or off >= 1.0 - margin:
+                abs_err += u2 * s * spread
+                break
+        gap = min(A, B, C)
+        rel_err = U * (6.0 + kmax * (2.0 * s + 1.0) / lo)
+        tq = 4.0 * (rel_err + abs_err / gap) + u15
+        if tq > 1.0 / 64:
+            return None
+        bound = curvature + 1.25 * tq * (actual + curvature)
+        residual = abs(actual - 1.0)
+        if residual > bound:
+            return None
+        return DistortionRow(cr, actual, 1.0, residual, bound, False)
+
+    return [fast_row(q) or _general_row(q, m) for q in quads]
+
+
+def distortion_row(q: Quadruple, m: CircleMap) -> DistortionRow:
+    """Dist(q; f) with the bound that applies to q's hull, checked: the
+    one-quadruple call of distortion_rows."""
+    return distortion_rows((q,), m)[0]

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+from circlebreak import crossratio
 from circlebreak.cli import CSV_CHUNK_LINES, _csv_chunks, _write_all, fmt, main
+from circlebreak.crossratio import lift_into
 from circlebreak.errors import InvariantFailure
 from circlebreak.maps import make_rotation
 from circlebreak.partition import build_partition, partition_rows
@@ -241,6 +243,7 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("distortion", {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, math.inf]]}),
         ("distortion", {"map": PQ_MAP, "quadruples": [[0.1, 0.2, math.nan, 0.4]]}),
         ("distortion", {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, 10**400]]}),
+        ("distortion", {"map": PQ_MAP, "quadruples": [[0.0, 0.3, 0.6, 1.2]]}),
         ("partition", dict(PARTITION, rho=10**400)),
         ("measure", dict(MEASURE, rho=10**400)),
         ("tune", dict(TUNE, target_rho=10**400)),
@@ -283,6 +286,7 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "distortion-quadruple-infinity",
         "distortion-quadruple-nan",
         "distortion-quadruple-past-float-range",
+        "distortion-quadruple-wider-than-one-turn",
         "partition-rho-past-float-range",
         "measure-rho-past-float-range",
         "tune-target_rho-past-float-range",
@@ -497,6 +501,39 @@ def test_distortion_rows_hold_their_bounds(tmp_path, doc):
     report = json.loads((out / "distortion.json").read_text())
     assert report["closed_form_rows"] > 0
     assert _rows_within_their_bounds(out) > report["closed_form_rows"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        json.loads((CONFIG_DIR / "distortion_pq.json").read_text()),
+        {"map": PARTITION["map"], "sample": {"count": 2000, "scale": 0.01}},
+    ],
+    ids=["distortion_pq", "pq-pinned-0.01"],
+)
+def test_break_free_rows_stay_on_the_row_kernel(tmp_path, monkeypatch, doc):
+    # distortion_rows computes a break-free row itself; only rows whose
+    # hull holds a break may reach the per-row path
+    general = crossratio._general_row
+    reached = {True: 0, False: 0}
+
+    def counted(q, m):
+        reached[any(q.z1 < lift_into(b.location, q.z1) < q.z4 for b in m.breaks)] += 1
+        return general(q, m)
+
+    monkeypatch.setattr(crossratio, "_general_row", counted)
+    code, _ = run(tmp_path, "distortion", doc, extra=("--seed", "7"))
+    assert code == 0
+    assert reached[False] == 0
+    assert reached[True] > 0
+
+
+def test_distortion_quadruple_must_fit_one_turn(tmp_path, capsys):
+    doc = {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, 0.4], [0.0, 0.3, 0.6, 1.0]]}
+    code, out = run(tmp_path, "distortion", doc)
+    assert code == 2
+    assert os.listdir(out) == []
+    assert "quadruples[1]: hull 1.0 must be shorter than one turn" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

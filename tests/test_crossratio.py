@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import circlebreak.crossratio
 from circlebreak.crossratio import (
+    DistortionRow,
     Quadruple,
     calibrate_c1,
     calibrate_k1,
@@ -17,6 +18,7 @@ from circlebreak.crossratio import (
     distortion_chain,
     distortion_rounding,
     distortion_row,
+    distortion_rows,
     f_func,
     g_func,
     image_quadruple,
@@ -28,7 +30,9 @@ from circlebreak.crossratio import (
 )
 from circlebreak.errors import (
     BreakNotInStatedInterval,
+    CircleBreakError,
     DegenerateQuadruple,
+    InvariantFailure,
     PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
@@ -353,6 +357,103 @@ def test_rounding_past_its_range_is_refused():
     q = Quadruple.from_gaps(3.1, 1e-15, 1e-15, 1e-15)
     with pytest.raises(PrecisionBudgetExceeded):
         distortion_row(q, PINNED_PQ)
+
+
+def _reference_row(q, m):
+    # one row through the bound records, with no inline path: the
+    # reference distortion_rows is held to
+    cr = cross_ratio(q)
+    inside = [b for b in m.breaks if q.z1 < lift_into(b.location, q.z1) < q.z4]
+    if not inside:
+        sb = smooth_distortion_bound(m, q)
+        predicted, actual, bound = 1.0, sb.actual, sb.bound
+    else:
+        try:
+            cf = single_break_closed_form(q, inside[0], m)
+        except BreakNotInStatedInterval:
+            return DistortionRow(cr, distortion(q, m))
+        predicted, actual, bound = cf.predicted, cf.actual, cf.residual_bound
+    residual = abs(actual - predicted)
+    if residual > bound:
+        what = "closed-form" if inside else "break-free distortion"
+        raise InvariantFailure(f"{what} residual {residual:.3e} exceeds its bound {bound:.3e}")
+    return DistortionRow(cr, actual, predicted, residual, bound, bool(inside))
+
+
+def _fields(row):
+    return tuple(repr(v) for v in row)
+
+
+def _outcome(row_of, q, m):
+    """The repr of each field of q's row, or the error's type and message."""
+    try:
+        return _fields(row_of(q, m))
+    except CircleBreakError as e:
+        return type(e), str(e)
+
+
+# the pinned pq map, a pq map whose breaks do not multiply to 1, a PL map
+# and a rotation
+KERNEL_ROW_MAPS = [PINNED_PQ, make_pq_two_break(0.3, 0.9, 3.0, 0.7), PL, make_rotation(0.3)]
+
+
+def _kernel_quadruples(m, rng):
+    """Seeded quadruples at scales 1e-7 to 0.2 on lifts in [-3, 4), with
+    hulls that start or end within 1e-15 of a segment end, and hulls too
+    small for the rounding budget."""
+    def gaps(scale):
+        return [scale * (0.25 + rng.random()) for _ in range(3)]
+
+    qs = [
+        Quadruple.from_gaps(rng.uniform(-3, 4), *gaps(10 ** rng.uniform(-7, math.log10(0.2))))
+        for _ in range(1500)
+    ]
+    ends = [b.location for b in m.breaks] or [0.0]
+    for _ in range(1000):
+        # a few ulps from a segment end, where the walk may split a hull
+        # that holds no break, or start on the end it rounded back
+        end = edge = rng.choice(ends) + rng.randrange(-3, 4)
+        toward = rng.choice([-math.inf, math.inf])
+        for _ in range(rng.randrange(6)):
+            step = math.nextafter(edge, toward)
+            if abs(step - end) > 1e-15:
+                break
+            edge = step
+        g = gaps(10 ** rng.uniform(-7, math.log10(0.2)))
+        if rng.random() < 0.5:
+            qs.append(Quadruple.from_gaps(edge, *g))
+        else:
+            qs.append(Quadruple(edge - g[0] - g[1] - g[2], edge - g[1] - g[2], edge - g[2], edge))
+    qs += [Quadruple.from_gaps(z, 1e-15, 1e-15, 1e-15) for z in (3.1, *ends)]
+    return qs
+
+
+@pytest.mark.parametrize("m", KERNEL_ROW_MAPS, ids=["pq-pinned", "pq", "pl", "rotation"])
+def test_distortion_rows_match_the_reference_path(m, monkeypatch):
+    qs = _kernel_quadruples(m, random.Random(24))
+    expected = [_outcome(_reference_row, q, m) for q in qs]
+    assert any(isinstance(want[0], type) for want in expected)
+    general = []
+    original = circlebreak.crossratio._general_row
+
+    def counted(q, m):
+        general.append(q)
+        return original(q, m)
+
+    monkeypatch.setattr(circlebreak.crossratio, "_general_row", counted)
+    # distortion_row is the kernel's one-quadruple call
+    for q, want in zip(qs, expected):
+        assert _outcome(distortion_row, q, m) == want, q
+    # one batch gives the rows that one call a row gives
+    kept = [q for q, want in zip(qs, expected) if not isinstance(want[0], type)]
+    assert [_fields(row) for row in distortion_rows(kept, m)] == [
+        want for want in expected if not isinstance(want[0], type)
+    ]
+    # the kernel computes most break-free rows itself, except on a rotation
+    if m.seg_pos:
+        assert 0 < len(general) < len(qs) / 2
+    else:
+        assert len(general) == len(qs) + len(kept)
 
 
 def test_smooth_bound_scaling(pq_map):
