@@ -36,6 +36,7 @@ from .errors import (
 )
 from .numerics import (
     BREAK_CLEARANCE_EPS,
+    CLAMP_FROM,
     DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
     arc_length,
@@ -297,71 +298,88 @@ def one_sided_derivatives(m: CircleMap, x):
     return (d, d)
 
 
-# A fractional part this close below 1 is the origin of the next turn (the
-# ``to_circle`` rule).
-_CLAMP = 2 * MACHINE_EPS
-
-
 def advance(m: CircleMap, x, w: int, n: int, pts=None):
-    """Run n forward steps from the circle pair (x, w); return the last pair.
+    """Run n forward steps from the pair (x, w); return the last pair.
 
-    x is a circle point, w an integer winding; the pair stands for the lift
-    value x + w, so f^n(x0) is reassembled exactly as ``x_n + w_n`` without
-    the lift coordinate growing (and losing ulps).  Each step reduces f(x)
-    to the circle: the point is ``to_circle(f(x))`` and when that clamps up
-    to 0 the winding gains one.  When given, ``pts`` receives every new
-    point in order.
+    The start x may be any lift coordinate, w an integer winding; the pair
+    stands for the lift value x + w, so f^n(x0) is reassembled exactly as
+    ``x_n + w_n`` without the lift coordinate growing (and losing ulps).
+    Every later point is a circle point: each step reduces f(x) to the
+    circle, the point is ``to_circle(f(x))`` and when that clamps up to 0
+    the winding gains one.  When given, ``pts`` receives every new point in
+    order.
 
     This is the one forward orbit loop.  It reads the segment constants into
     locals once and repeats ``evaluate`` inline, operation for operation, so
     every point is bit-identical to the reduction of ``evaluate(m, x)``.
+    Every operand in the loop is a float, which keeps CPython on its
+    float-only opcodes: a circle point is placed in [p0, p0 + 1) by
+    comparison with p0, ``y % 1.0`` is ``y - floor(y)`` for finite y, and
+    ``y - (y % 1.0)`` is floor(y) exactly, so the winding is summed as a
+    float.
     """
-    t = m.translation
-    fl = floor
+    kind, t, _, pos, val, d0, _, curv = m
+    top = CLAMP_FROM
     put_x = None if pts is None else pts.append
-    if m.kind == ROTATION:
+    if n > 0 and not (0.0 <= x < 1.0 and t - t == 0.0):
+        # a start off the circle takes one step the general way: evaluate
+        # places it by floor, and floor raises for a start or a
+        # translation that is not finite, where y % 1.0 would give nan
+        y = evaluate(m, x)
+        k = floor(y)
+        x = y - k
+        if x >= top:
+            x = 0.0
+            k += 1
+        w += k
+        n -= 1
+        if put_x is not None:
+            put_x(x)
+    turns = 0.0
+    if kind == ROTATION:
         for _ in range(n):
             y = x + t
-            k = fl(y)
-            x = y - k
-            if 1 - x <= _CLAMP:
+            x = y % 1.0
+            turns += y - x
+            if x >= top:
                 x = 0.0
-                k += 1
-            w += k
+                turns += 1.0
             if put_x is not None:
                 put_x(x)
-        return x, w
-    p0, p1 = m.seg_pos[0], m.seg_pos[1]
+        return x, w + int(turns)
+    p0, p1 = pos[0], pos[1]
     p0_next = p0 + 1
-    v0, v1 = m.seg_val[0], m.seg_val[1]
-    a0, a1 = m.seg_d0
+    v0, v1 = val[0], val[1]
+    a0, a1 = d0
     # evaluate's 0.5 * curv * du groups as (0.5 * curv) * du: hoisting the
     # first product leaves every bit unchanged.
-    h0, h1 = 0.5 * m.seg_curv[0], 0.5 * m.seg_curv[1]
+    h0, h1 = 0.5 * curv[0], 0.5 * curv[1]
     for _ in range(n):
-        j = fl(x - p0)
-        u = x - j
-        if u < p0:
-            u += 1
-            j -= 1
-        elif u >= p0_next:
-            u -= 1
-            j += 1
+        # x lies in [0, 1): left of p0 it sits one turn back, and from p0
+        # on it needs no fix-up, as x < 1 <= p0 + 1
+        if x < p0:
+            u = x + 1.0
+            j = -1.0
+            if u >= p0_next:
+                u -= 1.0
+                j = 0.0
+        else:
+            u = x
+            j = 0.0
         if u < p1:
             du = u - p0
             y = v0 + du * (a0 + h0 * du) + j + t
         else:
             du = u - p1
             y = v1 + du * (a1 + h1 * du) + j + t
-        k = fl(y)
-        x = y - k
-        if 1 - x <= _CLAMP:
+        x = y % 1.0
+        turns += y - x
+        if x >= top:
             x = 0.0
-            k += 1
-        w += k
+            turns += 1.0
         if put_x is not None:
             put_x(x)
-    return x, w
+    return x, w + int(turns)
 
 
 def retreat(m: CircleMap, x, w: int, n: int, pts=None):
@@ -373,7 +391,7 @@ def retreat(m: CircleMap, x, w: int, n: int, pts=None):
         y = invert(m, x)
         k = floor(y)
         x = y - k
-        if 1 - x <= _CLAMP:
+        if x >= CLAMP_FROM:
             x = 0.0
             k += 1
         w += k
@@ -427,10 +445,13 @@ def _clears_breaks(m: CircleMap, pts, clearance):
     for b in m.breaks:
         loc = b.location
         for p in pts:
+            # p and loc are circle points, so p - loc lies in (-1, 1) and
+            # adding 1.0 below 0 is subtracting its floor.  to_circle would
+            # also clamp arcs within 2 eps of 1 to 0; such arcs fail the
+            # test either way, since clearance exceeds 2 eps.
             arc = p - loc
-            arc -= floor(arc)
-            # to_circle would also clamp arcs within 2 eps of 1 to 0; such
-            # arcs fail the test either way, since clearance exceeds 2 eps.
+            if arc < 0.0:
+                arc += 1.0
             if not clearance < arc < far:
                 return False
     return True

@@ -8,10 +8,16 @@ The package needs nothing beyond the standard library.
 
 from __future__ import annotations
 
-import math
 import sys
+from math import floor
 
 MACHINE_EPS = sys.float_info.epsilon
+
+# A fractional part v within 2 eps below 1 is the origin of the next turn:
+# 1 - v <= 2 eps.  For v in [0, 1] that is v >= CLAMP_FROM, as 1 - v is
+# exact from v = 1/2 on, and one comparison is cheaper than a subtraction
+# and a comparison.
+CLAMP_FROM = 1.0 - 2 * MACHINE_EPS
 
 # Hard ceiling on map evaluations in a single orbit-producing call.
 DEFAULT_ORBIT_CAP = 2_000_000
@@ -29,8 +35,8 @@ def to_circle(x):
     origin.  ``maps.advance`` and ``maps.retreat`` apply the same rule and
     bump the winding when the clamp fires.
     """
-    v = x - math.floor(x)
-    if 1 - v <= 2 * MACHINE_EPS:
+    v = x - floor(x)
+    if v >= CLAMP_FROM:
         return 0.0
     return v
 

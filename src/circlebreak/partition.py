@@ -26,6 +26,7 @@ from .errors import (
 from .maps import ROTATION, CircleMap, advance, map_stats, orbit_avoiding_breaks
 from .numerics import (
     BREAK_CLEARANCE_EPS,
+    CLAMP_FROM,
     DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
     arc_length,
@@ -321,10 +322,10 @@ def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
     gives, bit for bit, and multiplies in Df_+ = d0 + curv * du from the
     segment offset du it has just computed, which is
     ``one_sided_derivatives(m, x)[1]`` bit for bit.  The product runs in
-    orbit order, as a running product.  Where ``advance`` places the
-    circle point x in the fundamental domain [p0, p0 + 1) by
-    floor(x - p0), this loop compares x with p0, which picks the same
-    turn for every x in [0, 1).
+    orbit order, as a running product.  It places each circle point as
+    ``advance``'s loop does, by comparison with p0, and like that loop it
+    keeps every operand a float, so CPython stays on its float-only
+    opcodes.
 
     The orbit is not nudged: a point too close to a break raises
     BreakCollision.  The exact test is ``orbit_avoiding_breaks``'s; a
@@ -334,51 +335,58 @@ def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
     """
     if steps < 1:
         return 1.0
-    if steps - 1 > cap:
-        raise PrecisionBudgetExceeded(f"orbit length {steps - 1} exceeds cap {cap}")
+    length = steps - 1  # the orbit's steps after its base point
+    if length > cap:
+        raise PrecisionBudgetExceeded(f"orbit length {length} exceeds cap {cap}")
     if m.kind == ROTATION:
         return 1.0
     t = m.translation
-    fl = floor
+    # floor raises for a translation that is not finite, where the loop's
+    # y % 1.0 would go on with nan
+    floor(t)
     p0, p1 = m.seg_pos[0], m.seg_pos[1]
     p0_next = p0 + 1
     v0, v1 = m.seg_val[0], m.seg_val[1]
     a0, a1 = m.seg_d0
     c0, c1 = m.seg_curv
     h0, h1 = 0.5 * c0, 0.5 * c1
-    clamp = 2 * MACHINE_EPS
+    top = CLAMP_FROM
     near = 2 * BREAK_CLEARANCE_EPS * MACHINE_EPS
     end0, end1 = (p1 - p0) - near, (p0_next - p1) - near
     x = to_circle(x0)
     prod = 1.0
     for _ in range(steps):
-        # x lies in [0, 1): left of p0 it sits one turn back, and from p0
-        # on it needs no fix-up, as x < 1 <= p0 + 1
+        # x lies in [0, 1).  Left of p0 it sits one turn back, at
+        # u = x + 1 >= 1 > p1 in segment 1.  From p0 on it sits in p0's
+        # own turn, whose offset 0.0 is not added: adding it could only
+        # turn a -0.0 lift value into +0.0, and y % 1.0 does that too.
         if x < p0:
-            u = x + 1
-            j = -1
+            u = x + 1.0
             if u >= p0_next:
-                u -= 1
-                j = 0
-        else:
-            u = x
-            j = 0
-        if u < p1:
-            du = u - p0
-            end = end0
-            prod *= a0 + c0 * du
-            y = v0 + du * (a0 + h0 * du) + j + t
-        else:
+                # x + 1 rounds up to p0 + 1 only within an ulp of the
+                # break p0, and there the exact scan raises
+                orbit_avoiding_breaks(m, x0, length, cap=cap, retries=0)
+                raise InvariantFailure(f"orbit point {x!r} at the break {p0!r}")
             du = u - p1
             end = end1
             prod *= a1 + c1 * du
-            y = v1 + du * (a1 + h1 * du) + j + t
+            y = v1 + du * (a1 + h1 * du) - 1.0 + t
+        elif x < p1:
+            du = x - p0
+            end = end0
+            prod *= a0 + c0 * du
+            y = v0 + du * (a0 + h0 * du) + t
+        else:
+            du = x - p1
+            end = end1
+            prod *= a1 + c1 * du
+            y = v1 + du * (a1 + h1 * du) + t
         if du < near or du > end:
-            orbit_avoiding_breaks(m, x0, steps - 1, cap=cap, retries=0)
+            orbit_avoiding_breaks(m, x0, length, cap=cap, retries=0)
             # the whole orbit clears the breaks: flag nothing more
             near, end0, end1 = -1.0, 2.0, 2.0
-        x = y - fl(y)
-        if 1 - x <= clamp:
+        x = y % 1.0
+        if x >= top:
             x = 0.0
     return prod
 

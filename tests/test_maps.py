@@ -15,6 +15,7 @@ from circlebreak.errors import (
     PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
+    _clears_breaks,
     _segment_walk,
     abs_d2f_integral,
     advance,
@@ -30,7 +31,7 @@ from circlebreak.maps import (
     retreat,
     step_with_winding,
 )
-from circlebreak.numerics import MACHINE_EPS, to_circle
+from circlebreak.numerics import BREAK_CLEARANCE_EPS, MACHINE_EPS, arc_length, to_circle
 
 from conftest import GOLDEN
 
@@ -162,28 +163,42 @@ def _assert_kernel_matches_reference(m, x, w, n=60):
         x, w = _reference_step(m, x, w)
         ref_pts.append(x)
         ref_winds.append(w)
-    assert pts == ref_pts
-    assert winds == ref_winds
+    # compared bit for bit: == would take -0.0 for 0.0
+    assert list(map(float.hex, pts)) == list(map(float.hex, ref_pts))
+    assert winds == ref_winds and all(type(k) is int for k in winds)
     assert last == (ref_pts[-1], ref_winds[-1])
     assert advance(m, pts[0], winds[0], 0) == (pts[0], winds[0])
 
 
 @given(
     st.sampled_from(KERNEL_MAPS),
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    # the start may be any lift: only the points after it are circle points
+    st.floats(min_value=-3.0, max_value=4.0, exclude_max=True),
     st.integers(min_value=-3, max_value=3),
 )
 def test_advance_matches_reference_step(m, x, w):
     _assert_kernel_matches_reference(m, x, w)
 
 
+def _ulps_around(x, k=2):
+    """x and its k float neighbours on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
 def test_advance_matches_reference_at_edges():
     below_one = [1 - MACHINE_EPS / 2, 1 - MACHINE_EPS, 1 - 2 * MACHINE_EPS]
     clamped = 0
     for m in KERNEL_MAPS:
-        starts = [0.0, *below_one]
+        # lift starts just off the circle, on both sides
+        starts = [0.0, -0.0, *below_one, 1.0, math.nextafter(1.0, 2.0), -MACHINE_EPS]
         for p in m.seg_pos[:2]:
             starts += [p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)]
+            starts += _ulps_around(p + 1)
         if m.seg_pos:
             # ulp neighbours of the preimage of 1 land within 2 eps of it
             x = to_circle(invert(m, 1.0))
@@ -195,6 +210,19 @@ def test_advance_matches_reference_at_edges():
             y = evaluate(m, x)
             clamped += 1 - (y - math.floor(y)) <= 2 * MACHINE_EPS
     assert clamped > 0
+
+
+@pytest.mark.parametrize(
+    "t, error", [(math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)]
+)
+def test_advance_refuses_a_non_finite_translation(t, error):
+    # the first step raises, as floor(f(x)) does, before any point is kept
+    for m in (make_rotation(t), make_pq_two_break(0.2, 0.6, 2.0, 0.8, t)):
+        pts = []
+        with pytest.raises(error):
+            advance(m, 0.3, 0, 3, pts)
+        assert pts == []
+        assert advance(m, 0.3, 0, 0) == (0.3, 0)
 
 
 def _reference_retreat(m, x, n):
@@ -278,6 +306,102 @@ def test_no_module_keeps_an_orbit_list_for_one_point():
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             if name == "iterate":
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize("name", ["pq_map", "pl_map"])
+def test_clears_breaks_at_the_clearance_bounds(request, name):
+    # points at loc +- clearance, at 1 - clearance and left of a break (a
+    # negative raw arc p - loc), each with its ulp neighbours, against the
+    # arc_length form of the test
+    m = request.getfixturevalue(name)
+    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
+    far = 1 - clearance
+    for b in m.breaks:
+        loc = b.location
+        centres = [loc + clearance, loc - clearance, far, loc, loc - 0.3, 0.0]
+        pts = [to_circle(p) for c in centres for p in _ulps_around(c, 3)]
+        pts += [math.nextafter(1.0, 0.0)]
+        seen = set()
+        for p in pts:
+            want = all(
+                clearance < arc_length(brk.location, p) < far for brk in m.breaks
+            )
+            assert _clears_breaks(m, [p], clearance) == want, (loc, p)
+            seen.add(want)
+        assert seen == {True, False}
+        assert not _clears_breaks(m, pts, clearance)
+        # both sides of loc + clearance and of loc - clearance show up
+        near = [p for c in centres[:2] for p in _ulps_around(c, 3)]
+        arcs = [arc_length(loc, p) for p in near]
+        assert min(arcs) < clearance < max(a for a in arcs if a < 0.5)
+        assert min(a for a in arcs if a > 0.5) < far < max(arcs)
+
+
+# the loops whose every operand must stay a float, by module
+FLOAT_LOOPS = {"maps.py": ("advance", "_clears_breaks"), "partition.py": ("df_product",)}
+
+
+def _int_literal(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _int_operands_in_loops(func):
+    """(line, kind) of every int literal that is an operand of a BinOp,
+    AugAssign or Compare, or the value of an Assign, inside a for loop."""
+    found = []
+    for loop in ast.walk(func):
+        if not isinstance(loop, ast.For):
+            continue
+        for stmt in loop.body + loop.orelse:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.BinOp):
+                    operands = [node.left, node.right]
+                elif isinstance(node, (ast.AugAssign, ast.Assign)):
+                    operands = [node.value]
+                elif isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                else:
+                    continue
+                if any(map(_int_literal, operands)):
+                    found.append((node.lineno, type(node).__name__))
+    return found
+
+
+def test_int_operand_guard_flags_mixed_arithmetic():
+    src = (
+        "def f(xs):\n"
+        "    for x in xs:\n"
+        "        a = 1 - x\n"
+        "        x += 1\n"
+        "        j = -1\n"
+        "        if x < 0:\n"
+        "            b = x + 1.0\n"
+    )
+    kinds = [kind for _, kind in _int_operands_in_loops(ast.parse(src))]
+    assert kinds == ["BinOp", "AugAssign", "Assign", "Compare"]
+
+
+def test_orbit_loops_keep_every_operand_a_float():
+    # CPython 3.11 specialises float + - * only when both operands are
+    # floats; one int literal in these loops sends every step through the
+    # generic path and an int-to-float conversion, with every test passing
+    pkg = Path(__file__).resolve().parent.parent / "src" / "circlebreak"
+    found, loops = [], 0
+    for module, names in FLOAT_LOOPS.items():
+        tree = ast.parse((pkg / module).read_text())
+        funcs = [
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names
+        ]
+        assert sorted(f.name for f in funcs) == sorted(names)
+        for func in funcs:
+            loops += sum(isinstance(node, ast.For) for node in ast.walk(func))
+            found += [(module, func.name, *hit) for hit in _int_operands_in_loops(func)]
+    assert loops >= 4
     assert found == []
 
 

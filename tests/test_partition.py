@@ -305,6 +305,15 @@ def test_df_product_near_a_break(monkeypatch, request, name):
                 df_product(m, x0, 233)
 
 
+@pytest.mark.parametrize(
+    "t, error", [(math.inf, OverflowError), (-math.inf, OverflowError), (math.nan, ValueError)]
+)
+def test_df_product_refuses_a_non_finite_translation(t, error):
+    # the first image's floor raises, where y % 1.0 would go on with nan
+    with pytest.raises(error):
+        df_product(make_pq_two_break(0.2, 0.6, 2.0, 0.8, t), 0.3, 5)
+
+
 def _df_product_floor(m, x0, steps, cap=DEFAULT_ORBIT_CAP):
     # df_product as written before it placed x by comparisons: the
     # fundamental-domain turn j comes from floor(x - p0), as in advance
