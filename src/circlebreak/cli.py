@@ -734,20 +734,6 @@ def cmd_distortion(doc, outdir, seed):
     )
 
 
-def _rho_enclosure(m, cap: int, drift_tol: float, n_points: int):
-    """Certified rotation-number enclosure sized for the measure orbit.
-
-    Orbit point i carries the conjugacy value {i rho}, so the phi drift
-    over ``n_points`` points is n_points times the enclosure width and
-    must stay under ``drift_tol``.  The Farey descent stops at half that
-    budget, width = 0.5 * drift_tol / n_points; the factor of two keeps
-    the drift check of ``conjugacy_values`` clear of rounding.  If the
-    orbit ``cap`` runs out first, PrecisionBudgetExceeded propagates.
-    """
-    est, _ = rho_farey(m, cap=cap, width=0.5 * drift_tol / n_points)
-    return est
-
-
 def cmd_measure(doc, outdir, seed):
     k = _Keys(doc)
     m, _ = _map_from_config(k.take("map"))
@@ -768,7 +754,12 @@ def cmd_measure(doc, outdir, seed):
     if not drift_tol > 0:
         raise ConfigError("drift_tol must be positive")
 
-    est = _rho_enclosure(m, cap, drift_tol, points)
+    # Orbit point i carries the conjugacy value {i rho}, so the phi drift
+    # over ``points`` points is points times the enclosure width and must
+    # stay under drift_tol.  The Farey descent stops at half that budget:
+    # the factor 0.5 keeps conjugacy_values' drift check clear of rounding.
+    # If the orbit cap runs out first, PrecisionBudgetExceeded propagates.
+    est, _ = rho_farey(m, cap=cap, width=0.5 * drift_tol / points)
     part = build_partition(m, cf, x0, n, cap=cap)
     om = conjugacy_values(m, est, part, points, drift_tol=drift_tol, cap=cap)
     masses = partition_masses(om)

@@ -123,20 +123,9 @@ def image_quadruple(q: Quadruple, m: CircleMap) -> Quadruple:
     return Quadruple(*chain_points(m, q, 1)[1])
 
 
-def _callable_image(q: Quadruple, fn) -> Quadruple:
-    w = [fn(z) for z in q]
-    if not (w[0] < w[1] < w[2] < w[3]):
-        raise DegenerateQuadruple("images are not strictly increasing")
-    return Quadruple(*w)
-
-
-def distortion(q: Quadruple, m):
-    """Cr(f z1..f z4) / Cr(z1..z4) for a CircleMap or a plain callable."""
-    if isinstance(m, CircleMap):
-        img = image_quadruple(q, m)
-    else:
-        img = _callable_image(q, m)
-    return cross_ratio(img) / cross_ratio(q)
+def distortion(q: Quadruple, m: CircleMap):
+    """Cr(f z1..f z4) / Cr(z1..z4), the one-step distortion of q under m."""
+    return cross_ratio(image_quadruple(q, m)) / cross_ratio(q)
 
 
 class ChainResult(NamedTuple):
@@ -144,10 +133,6 @@ class ChainResult(NamedTuple):
     factors: tuple
     quadruples: tuple
     direct: float
-
-    @property
-    def steps(self) -> int:
-        return len(self.factors)
 
 
 def distortion_chain(q: Quadruple, m: CircleMap, steps: int) -> ChainResult:
@@ -386,7 +371,7 @@ def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> Clo
     as no closed form of the paper covers it.  The residual is bounded
     by the calibrated multiple of the total curvature over the hull,
     zero for PL maps, plus the rounding of the distortion and of the
-    prediction; distortion_row checks it.
+    prediction; distortion_rows checks it.
     """
     pos = lift_into(brk.location, q.z1)
     others = [b for b in m.breaks if b.location != brk.location]
@@ -544,7 +529,7 @@ class DistortionRow(NamedTuple):
 
 
 def _general_row(q: Quadruple, m: CircleMap) -> DistortionRow:
-    """distortion_row by way of the bound records, for any hull and map.
+    """One row of distortion_rows by way of the bound records, for any hull.
 
     A break-free hull is held to smooth_distortion_bound, a hull with one
     break in a side gap to single_break_closed_form; a residual past its
@@ -570,7 +555,8 @@ def _general_row(q: Quadruple, m: CircleMap) -> DistortionRow:
 
 
 def distortion_rows(quads, m: CircleMap) -> list:
-    """distortion_row for each quadruple of ``quads``, as one list.
+    """Dist(q; f) with the bound that applies to q's hull, checked, for
+    each quadruple q of ``quads``, as one list.
 
     This is the one procedure that decides and checks rows.  It reads the
     segment table, C1, the slope range and the break locations once.  A
@@ -710,8 +696,3 @@ def distortion_rows(quads, m: CircleMap) -> list:
 
     return [fast_row(q) or _general_row(q, m) for q in quads]
 
-
-def distortion_row(q: Quadruple, m: CircleMap) -> DistortionRow:
-    """Dist(q; f) with the bound that applies to q's hull, checked: the
-    one-quadruple call of distortion_rows."""
-    return distortion_rows((q,), m)[0]

@@ -405,33 +405,20 @@ def step_with_winding(m: CircleMap, x, w: int):
     return advance(m, x, w, 1)
 
 
-def iterate(m: CircleMap, x0, n: int, direction: str = "forward", cap: int | None = None):
-    """Orbit of circle points [x0, T x0, ..., T^n x0] (or backward).
+def iterate(m: CircleMap, x0, n: int, cap: int | None = None):
+    """Forward orbit of circle points [x0, T x0, ..., T^n x0].
 
-    The capped list form of ``advance`` and ``retreat``: ``cap`` bounds the
-    number of map evaluations n; a longer orbit raises
-    PrecisionBudgetExceeded.
+    The capped list form of ``advance``: ``cap`` bounds the number of map
+    evaluations n; a longer orbit raises PrecisionBudgetExceeded.
     """
     cap = DEFAULT_ORBIT_CAP if cap is None else cap
     if n > cap:
         raise PrecisionBudgetExceeded(f"orbit length {n} exceeds cap {cap}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"unknown direction {direction!r}")
     pts = [to_circle(x0)]
-    (advance if direction == "forward" else retreat)(m, pts[0], 0, n, pts)
+    advance(m, pts[0], 0, n, pts)
     return pts
-
-
-def min_break_distance(m: CircleMap, x):
-    """Smallest circle distance from x to a break location (inf if none)."""
-    best = None
-    for b in m.breaks:
-        d = arc_length(b.location, x)
-        d = min(d, 1 - d)
-        best = d if best is None or d < best else best
-    return float("inf") if best is None else best
 
 
 # Shift applied to the base point when its orbit hits a break.

@@ -275,11 +275,8 @@ def rho_farey(
         steps += 1
     if rational is not None:
         p, q = rational
+        # a mediant lies strictly between m0 and m0 + 1, so fr is in (0, 1)
         fr = Fraction(p - m0 * q, q)
-        if fr == 0:
-            cfr = ContinuedFraction.from_quotients([1])
-            est = RotationEstimate(0.0, 0.0, 0.0, rational=rational)
-            return est, cfr
         ks = cf_quotients_of_fraction(fr)
         cfr = ContinuedFraction.from_quotients(ks)
         v = float(fr)

@@ -516,6 +516,13 @@ def _check_break_hits(m: CircleMap, triple: CoverTriple, quads):
 def _qn_row(
     m: CircleMap, cf: ContinuedFraction, part: DynamicalPartition
 ) -> QnDistortionRow:
+    """|Dist(z; f^{q_n}) - 1| at the rank of ``part``.
+
+    Two-break maps get the full cover construction with the one-step
+    factors audited against their closed forms; break-free maps fall
+    back to generator-scale quadruples, where the gap must vanish for a
+    rigid rotation.
+    """
     if len(m.breaks) == 2:
         triple = regular_cover_triple(m, cf, part)
         quad = triple.quadruple
@@ -595,30 +602,6 @@ def _qn_row(
         gf=gf,
         image_len_sum=image_len_sum,
     )
-
-
-def qn_distortion_experiment(
-    m: CircleMap,
-    cf: ContinuedFraction,
-    x0,
-    n_range,
-    cap: int = DEFAULT_ORBIT_CAP,
-):
-    """Per-rank distortion gaps |Dist(z; f^{q_n}) - 1| on cover triples.
-
-    Two-break maps get the full cover construction with the one-step
-    factors audited against their closed forms; break-free maps fall
-    back to generator-scale quadruples, where the gap must vanish for a
-    rigid rotation.  Returns QnDistortionRow per rank, ascending.
-
-    ``cap`` bounds the deep partition orbit, q_N + q_{N-1} - 1 steps at
-    the deepest rank N; every cover and chain orbit is shorter.
-    """
-    ns = sorted(set(int(n) for n in n_range))
-    if not ns:
-        raise ValueError("empty rank range")
-    deep = build_partition(m, cf, x0, ns[-1], cap=cap)
-    return [_qn_row(m, cf, deep.coarsen(cf, n)) for n in ns]
 
 
 class LorenzCurve(NamedTuple):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from circlebreak.maps import make_pl_two_break, make_pq_two_break, make_rotation
-from circlebreak.partition import CircleInterval
+from circlebreak.partition import CircleInterval, build_partition
 from circlebreak.rotation import ContinuedFraction, tune_translation
-from circlebreak.singularity import solve_same_orbit
+from circlebreak.singularity import _qn_row, solve_same_orbit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -26,6 +26,14 @@ def cell_interval(part, row):
     """The arc of cell ``row`` of a partition, as a CircleInterval."""
     cell = part.elements[row]
     return CircleInterval(float(cell.left), float(cell.length))
+
+
+def qn_rows(m, cf, x0, ranks):
+    """singularity_report's per-rank distortion rows: one partition at the
+    deepest of ``ranks`` (ascending), cut to each rank."""
+    ranks = list(ranks)
+    deep = build_partition(m, cf, x0, ranks[-1])
+    return [_qn_row(m, cf, deep.coarsen(cf, n)) for n in ranks]
 
 
 @pytest.fixture(scope="session")

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, cell_interval
+from conftest import GOLDEN, cell_interval, qn_rows
 
-from circlebreak.crossratio import Quadruple, distortion, distortion_chain, f_func, g_func
+from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain, f_func, g_func
 from circlebreak.maps import make_pq_two_break, make_rotation, map_stats
 from circlebreak.measure import (
     conjugacy_values,
@@ -40,7 +40,6 @@ from circlebreak.rotation import (
 )
 from circlebreak.singularity import (
     ExperimentConfig,
-    qn_distortion_experiment,
     singularity_report,
 )
 
@@ -128,9 +127,14 @@ def test_primary_04_decay_rate(pq_map, gcf):
     _ok("PRIMARY-04 max element length decays at least like lambda^n")
 
 
+def _dist(q, fn):
+    """Cr(fn z1..fn z4) / Cr(z1..z4) for a plain callable lift fn."""
+    return cross_ratio(Quadruple(*(fn(z) for z in q))) / cross_ratio(q)
+
+
 def test_primary_05_cross_ratio_exactness():
     frame = lambda x: 2.0 * x if x <= 0 else x  # jump ratio 2 at the origin
-    d = distortion(Quadruple(-1.0, 0.0, 1.0, 2.0), frame)
+    d = _dist(Quadruple(-1.0, 0.0, 1.0, 2.0), frame)
     assert d == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert d == pytest.approx(g_func(1.0, 2.0), abs=1e-12)
     rng = random.Random(5)
@@ -143,7 +147,7 @@ def test_primary_05_cross_ratio_exactness():
         q = Quadruple.from_gaps(
             rng.uniform(-1, 1), *(rng.uniform(0.1, 1.0) for _ in range(3))
         )
-        assert abs(distortion(q, lambda x: a * x + b) - 1.0) < 1e-13
+        assert abs(_dist(q, lambda x: a * x + b) - 1.0) < 1e-13
     _ok("PRIMARY-05 closed-form break distortion and affine invariance")
 
 
@@ -179,7 +183,7 @@ def test_primary_08_gf_gap_floor(so_map, gcf):
     checked = 0
     for _ in range(20):
         x0 = rng.random()
-        rows = qn_distortion_experiment(so_map, gcf, x0, range(6, 13))
+        rows = qn_rows(so_map, gcf, x0, range(6, 13))
         for r in rows:
             assert r.case_tag == "c_in_U_left"
             assert r.gf is not None
@@ -192,13 +196,13 @@ def test_primary_08_gf_gap_floor(so_map, gcf):
 
 
 def test_primary_09_qn_distortion_gap(so_map, rot_map, gcf):
-    rows = qn_distortion_experiment(so_map, gcf, 0.05, range(5, 13))
+    rows = qn_rows(so_map, gcf, 0.05, range(5, 13))
     gaps = {r.n: r.gap for r in rows}
     deep_min = min(gaps[n] for n in range(9, 13))
     med = statistics.median(gaps.values())
     assert deep_min > 0
     assert deep_min >= 0.5 * med, f"min {deep_min} < half median {med}"
-    rot_rows = qn_distortion_experiment(rot_map, gcf, 0.0, range(5, 13))
+    rot_rows = qn_rows(rot_map, gcf, 0.0, range(5, 13))
     rot_stat = min(r.gap for r in rot_rows if r.n >= 9)
     assert rot_stat < 1e-10
     _ok("PRIMARY-09 q_n-distortion gap bounded below, rotation null")

@@ -17,7 +17,6 @@ from circlebreak.crossratio import (
     distortion,
     distortion_chain,
     distortion_rounding,
-    distortion_row,
     distortion_rows,
     f_func,
     g_func,
@@ -68,7 +67,7 @@ def test_pl_break_quadruple_closed_form():
     # Lift with slope 2 left of the origin, 1 right of it: jump ratio 2.
     frame = lambda x: 2.0 * x if x <= 0 else x
     q = Quadruple(-1.0, 0.0, 1.0, 2.0)
-    d = distortion(q, frame)
+    d = _dist(q, frame)
     assert d == pytest.approx(4.0 / 3.0, abs=1e-12)
     assert d == pytest.approx(g_func(1.0, 2.0), abs=1e-12)
 
@@ -99,7 +98,7 @@ def test_affine_invariance():
         q = Quadruple.from_gaps(
             rng.uniform(-1, 1), *(rng.uniform(0.1, 1.0) for _ in range(3))
         )
-        assert abs(distortion(q, lambda x: a * x + b) - 1.0) < 1e-13
+        assert abs(_dist(q, lambda x: a * x + b) - 1.0) < 1e-13
 
 
 def test_telescoping_composition(pq_map, pl_map):
@@ -112,14 +111,19 @@ def test_telescoping_composition(pq_map, pl_map):
         q = Quadruple.from_gaps(
             rng.random(), *(1e-3 * (0.2 + rng.random()) for _ in range(3))
         )
-        lhs = distortion(q, lambda x: g(h(x)))
-        step = distortion(q, h)
-        rhs = distortion(_image_under(q, h), g) * step
+        lhs = _dist(q, lambda x: g(h(x)))
+        step = _dist(q, h)
+        rhs = _dist(_image_under(q, h), g) * step
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def _image_under(q, fn):
     return Quadruple(*(fn(z) for z in q))
+
+
+def _dist(q, fn):
+    """Cr(fn z1..fn z4) / Cr(z1..z4) for a plain callable lift fn."""
+    return cross_ratio(_image_under(q, fn)) / cross_ratio(q)
 
 
 def test_chain_matches_direct(pq_map, gcf):
@@ -128,7 +132,7 @@ def test_chain_matches_direct(pq_map, gcf):
     third = gen.length / 3
     q = Quadruple.from_gaps(gen.left, third, third, third)
     res = distortion_chain(q, pq_map, part.q_n)
-    assert res.steps == part.q_n
+    assert len(res.factors) == part.q_n
     assert len(res.quadruples) == part.q_n + 1
     assert res.total == pytest.approx(res.direct, rel=1e-10)
     assert all(f > 0 for f in res.factors)
@@ -334,7 +338,7 @@ def test_break_free_bound_holds_in_exact_arithmetic(m):
         # ... and the rounding term the float one
         d = sb.actual
         assert abs(Fraction(d) - exact) <= distortion_rounding(q, img, m) * Fraction(d)
-        row = distortion_row(q, m)
+        row = distortion_rows((q,), m)[0]
         assert not row.closed_form
         assert row.residual == abs(d - 1) <= row.bound == sb.bound
 
@@ -347,7 +351,7 @@ def test_pl_one_break_rows_hold_their_rounding_bound():
         d = cross_ratio(img) / cross_ratio(q)
         exact = _exact_distortion(PL, q)
         assert abs(Fraction(d) - exact) <= distortion_rounding(q, img, PL) * Fraction(d)
-        row = distortion_row(q, PL)
+        row = distortion_rows((q,), PL)[0]
         if row.closed_form:
             assert row.residual <= row.bound
 
@@ -356,7 +360,7 @@ def test_rounding_past_its_range_is_refused():
     # gaps of 1e-15 on a lift near 3: eps over the gap is above 1/64
     q = Quadruple.from_gaps(3.1, 1e-15, 1e-15, 1e-15)
     with pytest.raises(PrecisionBudgetExceeded):
-        distortion_row(q, PINNED_PQ)
+        distortion_rows((q,), PINNED_PQ)
 
 
 def _reference_row(q, m):
@@ -441,9 +445,9 @@ def test_distortion_rows_match_the_reference_path(m, monkeypatch):
         return original(q, m)
 
     monkeypatch.setattr(circlebreak.crossratio, "_general_row", counted)
-    # distortion_row is the kernel's one-quadruple call
+    # one quadruple at a time
     for q, want in zip(qs, expected):
-        assert _outcome(distortion_row, q, m) == want, q
+        assert _outcome(lambda q, m: distortion_rows((q,), m)[0], q, m) == want, q
     # one batch gives the rows that one call a row gives
     kept = [q for q, want in zip(qs, expected) if not isinstance(want[0], type)]
     assert [_fields(row) for row in distortion_rows(kept, m)] == [

@@ -86,8 +86,8 @@ def test_iterate_rotation_exact():
 def test_iterate_roundtrip():
     m = make_pq_two_break(0.2, 0.6, 2.0, 0.8, translation=0.61)
     fwd = iterate(m, 0.123, 1000)
-    back = iterate(m, fwd[-1], 1000, direction="backward")
-    assert abs(back[-1] - 0.123) < 1e-10
+    back, _ = retreat(m, to_circle(fwd[-1]), 0, 1000)
+    assert abs(back - 0.123) < 1e-10
 
 
 def test_orbit_order_matches_rotation(pq_map, gcf):
@@ -284,13 +284,8 @@ def test_retreat_winding_reassembles_lift(pq_map):
 def test_iterate_is_the_capped_list_form(pq_map):
     for x0 in (0.05, 1.3, -0.2):
         pts = []
-        retreat(pq_map, to_circle(x0), 0, 50, pts)
-        assert iterate(pq_map, x0, 50, direction="backward") == [to_circle(x0)] + pts
-        pts = []
         advance(pq_map, to_circle(x0), 0, 50, pts)
         assert iterate(pq_map, x0, 50) == [to_circle(x0)] + pts
-    with pytest.raises(ValueError):
-        iterate(pq_map, 0.05, 3, direction="sideways")
 
 
 def test_no_module_keeps_an_orbit_list_for_one_point():
@@ -307,6 +302,49 @@ def test_no_module_keeps_an_orbit_list_for_one_point():
             if name == "iterate":
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Kept although only tests call it: the tests read each Df factor of
+# partition.df_product against this one-point reference.
+TEST_ONLY_HELPERS = {"one_sided_derivatives"}
+
+
+def test_every_helper_is_used_by_the_program():
+    # each top-level def and class of the package is named somewhere in
+    # src/, scripts/ or perfbench/ outside its own definition: as a name,
+    # an attribute, an imported alias, or a string of the benchmark's
+    # SPANS/COUNTED tables.  A re-export in __init__.py is not a use, and
+    # __init__.py imports nothing.
+    root = Path(__file__).resolve().parent.parent
+    pkg = root / "src" / "circlebreak"
+    init = ast.parse((pkg / "__init__.py").read_text())
+    assert [n.lineno for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
+    defined, used = [], set()
+    files = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
+    for path in files + sorted((root / "scripts").glob("*.py")) + sorted(
+        (root / "perfbench").glob("*.py")
+    ):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None) if path.parent == pkg else None
+            if own is not None:
+                defined.append(own)
+            if isinstance(top, ast.Assign) and any(
+                getattr(t, "id", None) in ("SPANS", "COUNTED") for t in top.targets
+            ):
+                used.update(attr for _, attr in ast.literal_eval(top.value))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name.rpartition(".")[2]
+                else:
+                    continue
+                if name != own:
+                    used.add(name)
+    assert len(defined) > 100
+    assert sorted(set(defined) - used - TEST_ONLY_HELPERS) == []
 
 
 @pytest.mark.parametrize("name", ["pq_map", "pl_map"])

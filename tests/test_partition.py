@@ -17,9 +17,9 @@ from circlebreak.maps import (
     make_pq_two_break,
     make_rotation,
     map_stats,
-    min_break_distance,
     one_sided_derivatives,
     orbit_avoiding_breaks,
+    retreat,
 )
 from circlebreak.numerics import (
     BREAK_CLEARANCE_EPS,
@@ -263,6 +263,11 @@ def _running_product(m, x0, steps):
     return prod
 
 
+def _break_distance(m, x):
+    """Smallest circle distance from x to a break location of m."""
+    return min(min(d, 1 - d) for d in (arc_length(b.location, x) for b in m.breaks))
+
+
 @pytest.mark.parametrize("name", ["pq_map", "pl_map"])
 def test_df_product_matches_running_product(request, name):
     m = request.getfixturevalue(name)
@@ -293,14 +298,14 @@ def test_df_product_near_a_break(monkeypatch, request, name):
             near = to_circle(b.location + side * 1.5 * clearance)
             # the base point itself, then the point 5 steps on
             for k in (0, 5):
-                x0 = iterate(m, near, k, direction="backward")[-1]
-                dist = min(min_break_distance(m, p) for p in iterate(m, x0, 232))
+                x0 = retreat(m, to_circle(near), 0, k)[0]
+                dist = min(_break_distance(m, p) for p in iterate(m, x0, 232))
                 assert 1.2 * clearance < dist < 1.8 * clearance
                 scans.clear()
                 assert df_product(m, x0, 233) == _running_product(m, x0, 233)
                 assert len(scans) == 1
             inside = to_circle(b.location + side * 0.5 * clearance)
-            x0 = iterate(m, inside, 5, direction="backward")[-1]
+            x0 = retreat(m, to_circle(inside), 0, 5)[0]
             with pytest.raises(BreakCollision):
                 df_product(m, x0, 233)
 
@@ -399,7 +404,7 @@ def _sweep_base_points(m, rng):
             # inside the 2x prefilter band: clear at 1.5 clearances, not at 0.5
             for frac in (1.5, 0.5):
                 near = to_circle(b.location + side * frac * clearance)
-                points += [near, iterate(m, near, 5, direction="backward")[-1]]
+                points += [near, retreat(m, to_circle(near), 0, 5)[0]]
     return points
 
 
@@ -452,7 +457,7 @@ def test_orbit_landing_on_a_break_later(request, name):
     # start k steps back from the break c, so the k-th point is c itself
     m = request.getfixturevalue(name)
     k, loc = 5, m.breaks[1].location
-    x0 = iterate(m, loc, k, direction="backward")[-1]
+    x0 = retreat(m, to_circle(loc), 0, k)[0]
     assert abs(iterate(m, x0, k)[-1] - loc) < 8 * MACHINE_EPS
     with pytest.raises(BreakCollision):
         orbit_avoiding_breaks(m, x0, 20, retries=0)
@@ -632,7 +637,7 @@ def test_coarsen_of_a_nudged_partition(pq_map, gcf):
     # the orbit of x0 hits the break c after 15 steps: rank 5 (13 points)
     # clears it alone, rank 8 (55 points) nudges the base point
     loc = pq_map.breaks[1].location
-    x0 = iterate(pq_map, loc, 15, direction="backward")[-1]
+    x0 = retreat(pq_map, to_circle(loc), 0, 15)[0]
     assert build_partition(pq_map, gcf, x0, 5).nudges == 0
     deep = build_partition(pq_map, gcf, x0, 8)
     assert deep.nudges == 1 and deep.x0 == to_circle(x0 + NUDGE)

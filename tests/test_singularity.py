@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import GOLDEN
+from conftest import GOLDEN, qn_rows
 
 import circlebreak.crossratio
 import circlebreak.measure
@@ -27,6 +27,7 @@ from circlebreak.maps import (
     make_pl_two_break,
     make_pq_two_break,
     map_stats,
+    retreat,
 )
 from circlebreak.measure import convergent_masses
 from circlebreak.numerics import arc_length, to_circle
@@ -44,7 +45,6 @@ from circlebreak.singularity import (
     mass_length_curve,
     mass_width,
     mirror_params,
-    qn_distortion_experiment,
     build_experiment_map,
     regular_cover_triple,
     singularity_report,
@@ -163,11 +163,13 @@ def test_cover_triple_generic_case(pq_map, gcf):
     assert t.quadruple.hull == pytest.approx(t.hull)
 
 
-def test_qn_experiment_uses_callers_cap(monkeypatch, pq_map, gcf):
+def test_report_uses_the_configs_cap(monkeypatch):
     # partition, cover triple and chain orbits (q_12 = 233 steps) are all
-    # sized by the caller's cap, not the default
+    # sized by the config's cap, not the default; the cap is 1e5 because
+    # the tuning's Farey orbits at rank 12's mass width pass 1e4 steps
     monkeypatch.setattr("circlebreak.maps.DEFAULT_ORBIT_CAP", 100)
-    (row,) = qn_distortion_experiment(pq_map, gcf, 0.05, [12], cap=1000)
+    cfg = ExperimentConfig(kind="pq", label="cap-100000", n_min=12, n_max=12, cap=100_000)
+    (row,) = singularity_report(cfg).rows
     assert (row.n, row.q_n) == (12, 233)
 
 
@@ -207,7 +209,7 @@ def test_second_break_found_on_abar_orbit(request, gcf, name, x0, rank, tag, p):
     # preimages within q_n steps, and pulling it back along its own cell
     # took the one the hull around abar does not reach
     m = request.getfixturevalue(name)
-    (row,) = qn_distortion_experiment(m, gcf, x0, [rank])
+    (row,) = qn_rows(m, gcf, x0, [rank])
     assert (row.case_tag, row.p_index) == (tag, p)
 
 
@@ -218,7 +220,7 @@ def test_cover_triple_needs_two_breaks(rot_map, gcf):
 
 
 def test_qn_gaps_rotation_vanish(rot_map, gcf):
-    rows = qn_distortion_experiment(rot_map, gcf, 0.0, range(4, 9))
+    rows = qn_rows(rot_map, gcf, 0.0, range(4, 9))
     for r in rows:
         assert r.case_tag == "break_free"
         assert r.gf is None
@@ -227,7 +229,7 @@ def test_qn_gaps_rotation_vanish(rot_map, gcf):
 
 
 def test_qn_gaps_generic_bounded_below(pq_map, gcf):
-    rows = qn_distortion_experiment(pq_map, gcf, 0.05, range(6, 10))
+    rows = qn_rows(pq_map, gcf, 0.05, range(6, 10))
     for r in rows:
         assert r.case_tag == "c_outside_U"
         assert r.gap > 0.2
@@ -235,17 +237,12 @@ def test_qn_gaps_generic_bounded_below(pq_map, gcf):
 
 
 def test_qn_gaps_same_orbit_certified(so_map, gcf):
-    rows = qn_distortion_experiment(so_map, gcf, 0.05, range(6, 10))
+    rows = qn_rows(so_map, gcf, 0.05, range(6, 10))
     for r in rows:
         assert r.case_tag == "c_in_U_left"
         assert r.gf is not None
         assert r.gf >= 0.15
         assert r.gap > 0.3
-
-
-def test_qn_experiment_rejects_empty_range(pq_map, gcf):
-    with pytest.raises(ValueError):
-        qn_distortion_experiment(pq_map, gcf, 0.05, [])
 
 
 def test_lorenz_rotation_flat(rot_map, gcf):
@@ -386,7 +383,7 @@ def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
     # its offset as exactly 0 would move the predicted second-break factor
     # by 1.6e-9, past the audit's 1e-9 budget
     ranks = list(range(5, 13)) + [19]
-    rows = qn_distortion_experiment(pl_so_map, gcf, 0.05, ranks)
+    rows = qn_rows(pl_so_map, gcf, 0.05, ranks)
     assert [r.n for r in rows] == ranks
     for r in rows:
         assert r.case_tag == "c_in_U_left"
@@ -507,7 +504,7 @@ def test_first_break_audit_follows_the_break_off_z2(gcf, m, rank):
     # the chain's rounding carries the tracked z2 off the first break by
     # 1e-16 to 2.5e-14; predicting with the offset-0 slice g_func missed the
     # measured factor beyond the audit's budget at these ranks
-    (row,) = qn_distortion_experiment(m, gcf, 0.05, [rank])
+    (row,) = qn_rows(m, gcf, 0.05, [rank])
     assert row.n == rank
 
 
@@ -517,7 +514,7 @@ def test_qn_row_chains_each_rank_once(monkeypatch, request, gcf, name):
     m = request.getfixturevalue(name)
     calibrate_k1(m)  # cached; its sample runs one-step chains of its own
     chains = _count_calls(monkeypatch, circlebreak.crossratio.chain_points)
-    rows = qn_distortion_experiment(m, gcf, 0.05, range(5, 9))
+    rows = qn_rows(m, gcf, 0.05, range(5, 9))
     assert [call["steps"] for call in chains] == [r.q_n for r in rows]
 
 
@@ -582,7 +579,7 @@ def test_report_with_a_nudged_base_point():
     cfg = ExperimentConfig(kind="pq", label="pq-short", n_min=5, n_max=8)
     cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
     m, _, _ = build_experiment_map(cfg, cf)
-    x0 = iterate(m, m.breaks[1].location, 30, direction="backward")[-1]
+    x0 = retreat(m, to_circle(m.breaks[1].location), 0, 30)[0]
     assert build_partition(m, cf, x0, 8).nudges == 1
     assert build_partition(m, cf, x0, 5).nudges == 0
     rep = singularity_report(ExperimentConfig(**{**cfg._asdict(), "x0": x0}))
