@@ -28,7 +28,7 @@ from .maps import (
     evaluate,
     gap_image,
 )
-from .numerics import MACHINE_EPS, arc_length, to_circle
+from .numerics import CLAMP_FROM, MACHINE_EPS, arc_length, to_circle
 
 # Gaps below this multiple of eps*hull carry no usable cross-ratio
 # information and are rejected outright.
@@ -573,7 +573,6 @@ def distortion_rows(quads, m: CircleMap) -> list:
     if m.kind == ROTATION:
         return [_general_row(q, m) for q in quads]
     fl = floor
-    clamp = 2 * MACHINE_EPS
     t = m.translation
     p0, p1 = m.seg_pos[0], m.seg_pos[1]
     p0_next = p0 + 1
@@ -621,12 +620,12 @@ def distortion_rows(quads, m: CircleMap) -> list:
         cr = (a * c) / ((a + b) * (b + c))
         # lift_into(location, z1) must leave the open hull for each break
         v = z1 - fl(z1)
-        if 1 - v <= clamp:
+        if v >= CLAMP_FROM:
             v = 0.0
         for loc in locs:
             w = loc - v
             w -= fl(w)
-            if 1 - w <= clamp:
+            if w >= CLAMP_FROM:
                 w = 0.0
             if z1 < z1 + w < z4:
                 return None
@@ -657,7 +656,7 @@ def distortion_rows(quads, m: CircleMap) -> list:
             return None
         # chain_points' image: the anchor and its running gap sums
         P0 = y - fl(y)
-        if 1 - P0 <= clamp:
+        if P0 >= CLAMP_FROM:
             P0 = 0.0
         P1 = P0 + a * (d0 + curv * ((z1 + z2) / 2 - start))
         P2 = P1 + g2

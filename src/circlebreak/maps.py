@@ -405,13 +405,12 @@ def step_with_winding(m: CircleMap, x, w: int):
     return advance(m, x, w, 1)
 
 
-def iterate(m: CircleMap, x0, n: int, cap: int | None = None):
+def iterate(m: CircleMap, x0, n: int, cap: int = DEFAULT_ORBIT_CAP):
     """Forward orbit of circle points [x0, T x0, ..., T^n x0].
 
     The capped list form of ``advance``: ``cap`` bounds the number of map
     evaluations n; a longer orbit raises PrecisionBudgetExceeded.
     """
-    cap = DEFAULT_ORBIT_CAP if cap is None else cap
     if n > cap:
         raise PrecisionBudgetExceeded(f"orbit length {n} exceeds cap {cap}")
     if n < 0:
@@ -444,7 +443,7 @@ def _clears_breaks(m: CircleMap, pts, clearance):
     return True
 
 
-def orbit_avoiding_breaks(m: CircleMap, x0, n: int, cap=None, retries=10):
+def orbit_avoiding_breaks(m: CircleMap, x0, n: int, cap: int = DEFAULT_ORBIT_CAP, retries=10):
     """Forward orbit whose points all keep clear of the break locations.
 
     A point counts as a collision when it lies within BREAK_CLEARANCE_EPS

@@ -298,13 +298,11 @@ def check_refinement(
                     f"boundary point {i + shift} escapes coarse cell {i}"
                 )
 
-    # coarse rank-n cell j is the fine rank-n cell j, in row j of fine
+    # coarse rank-n cell j is the fine rank-n cell j, in row j of fine: the
+    # same orbit points in the same order, so the same floats bit for bit
     fel = fine.elements
     for j in range(q_nm1):
-        if (
-            abs(fel.left[j] - el.left[q_n + j]) > 1e-12
-            or abs(fel.length[j] - el.length[q_n + j]) > 1e-12
-        ):
+        if fel.left[j] != el.left[q_n + j] or fel.length[j] != el.length[q_n + j]:
             raise RefinementViolation(f"rank-{n} cell {j} moved between partitions")
 
     return RefinementReport(

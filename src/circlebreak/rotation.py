@@ -149,58 +149,31 @@ class RotationEstimate(NamedTuple):
         return self.upper - self.lower
 
 
-class OrbitTracker:
-    """Lazily advanced forward orbit of 0 with exact winding bookkeeping.
-
-    The tracker keeps the states (circle point, winding) at the steps
-    callers asked for, never the whole orbit; the last of them, at step
-    ``n``, is the current state.  A query past ``n`` advances from it with
-    ``maps.advance`` and keeps the new state, a query for a step asked
-    before reads the kept one.  Callers ask for denominators that only
-    grow (Farey mediants, the convergents of a tuning target) or for one
-    they asked for already, so no step runs twice; a query for a step that
-    was passed without being asked for raises ValueError.  Each state is
-    bit-identical to the one a stored orbit holds, since the same loop runs
-    the same steps from the same state.
-
-    ``sign(p, q)`` reports the certified sign of f^q(0) - p, with 0 meaning
-    "within the rational cutoff of an exact hit".
-    """
-
-    def __init__(self, m: CircleMap, cap: int | None = None):
-        self.m = m
-        self.cap = DEFAULT_ORBIT_CAP if cap is None else cap
-        self.n = 0
-        self.kept = {0: (0.0, 0)}
-
-    def lift_minus(self, p: int, q: int):
-        """f^q(0) - p, with the integer part subtracted exactly."""
-        if q > self.cap:
-            raise PrecisionBudgetExceeded(
-                f"orbit length {q} exceeds cap {self.cap}"
-            )
-        state = self.kept.get(q)
-        if state is None:
-            if q < self.n:
-                raise ValueError(f"orbit step {q} was passed without being kept")
-            x, w = self.kept[self.n]
-            state = self.kept[q] = advance(self.m, x, w, q - self.n)
-            self.n = q
-        x, w = state
-        return x + (w - p)
-
-    def sign(self, p: int, q: int) -> int:
-        s = self.lift_minus(p, q)
-        if abs(s) <= RATIONAL_CUTOFF * MACHINE_EPS * q:
-            return 0
-        return 1 if s > 0 else -1
+def _walk(m: CircleMap, x, w: int, at: int, q: int, cap: int):
+    """The orbit state (x, w) of 0 moved from step ``at`` to step ``q`` by
+    ``maps.advance``; a q past ``cap`` raises before any step runs."""
+    if q > cap:
+        raise PrecisionBudgetExceeded(f"orbit length {q} exceeds cap {cap}")
+    return advance(m, x, w, q - at)
 
 
-def rho_iterate_estimate(m: CircleMap, n: int, cap: int | None = None) -> RotationEstimate:
+def _sign(x, w: int, p: int, q: int) -> int:
+    """Certified sign of f^q(0) - p off the orbit state (x, w) of 0 at
+    step q; 0 means "within the rational cutoff of an exact hit"."""
+    s = x + (w - p)
+    if abs(s) <= RATIONAL_CUTOFF * MACHINE_EPS * q:
+        return 0
+    return 1 if s > 0 else -1
+
+
+def rho_iterate_estimate(
+    m: CircleMap, n: int, cap: int = DEFAULT_ORBIT_CAP
+) -> RotationEstimate:
     """Plain Birkhoff estimate f^n(0)/n with the certified +-1/n enclosure."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    raw = OrbitTracker(m, cap).lift_minus(0, n) / n
+    x, w = _walk(m, 0.0, 0, 0, n, cap)
+    raw = (x + w) / n
     shift = floor(raw)
     return RotationEstimate(
         value=to_circle(raw),
@@ -224,14 +197,15 @@ def _bracket_quotients(pl, ql, ph, qh, m0) -> list:
 
 
 def rho_farey(
-    m: CircleMap, depth: int = 60, cap: int | None = None, width: float | None = None
+    m: CircleMap, depth: int = 60, cap: int = DEFAULT_ORBIT_CAP, width: float | None = None
 ):
     """Certified rotation-number enclosure by Farey mediant bisection.
 
     Returns (RotationEstimate, ContinuedFraction).  Each refinement replaces
     one end of a Farey pair by the mediant according to the sign of
     f^q(0) - p; an exact hit (within the rational cutoff) certifies a
-    rational rotation number and stops.
+    rational rotation number and stops.  The tests walk the orbit of 0
+    once, since the mediant denominators only grow.
 
     By default the descent takes ``depth`` steps.  With ``width`` set it
     instead stops as soon as the enclosure is at most ``width`` wide, so
@@ -243,16 +217,17 @@ def rho_farey(
         raise ValueError("depth must be >= 1")
     if width is not None and not width > 0:
         raise ValueError("width must be positive")
-    tr = OrbitTracker(m, cap)
+    x, w = _walk(m, 0.0, 0, 0, 1, cap)
     # integer part: f(0) in [m0, m0+1]
-    m0 = floor(tr.lift_minus(0, 1))
-    if tr.sign(m0, 1) == 0:
+    m0 = floor(x + w)
+    if _sign(x, w, m0, 1) == 0:
         cfr = ContinuedFraction.from_quotients([1])  # placeholder; rho integer
         est = RotationEstimate(0.0, 0.0, 0.0, rational=(m0, 1))
         return est, cfr
     pl, ql = m0, 1
     ph, qh = m0 + 1, 1
     steps = 0
+    at = 1
 
     def descend():
         if width is None:
@@ -264,7 +239,9 @@ def rho_farey(
     rational = None
     while descend():
         pm, qm = pl + ph, ql + qh
-        s = tr.sign(pm, qm)
+        x, w = _walk(m, x, w, at, qm, cap)
+        at = qm
+        s = _sign(x, w, pm, qm)
         if s == 0:
             rational = (pm, qm)
             break
@@ -301,23 +278,27 @@ class TuneResult(NamedTuple):
     certified_tol: float
 
 
-def _compare_to_target(m, target: ContinuedFraction, n: int, cap):
+def _compare_to_target(m, target: ContinuedFraction, n: int, cap: int):
     """Certified comparison of rho(m) against the target's n-th bracket.
 
-    Returns "low", "high" or "within".  Walks the convergent brackets
-    [p_{k-1}/q_{k-1}, p_k/q_k] for k = 1..n: consecutive convergents
-    bracket the target, and one-point sign tests place rho(m) relative to
-    each bracket, so "within" certifies rho(m) in bracket n.  An orbit
-    longer than ``cap`` raises PrecisionBudgetExceeded.
+    Returns "low", "high" or "within".  Even convergents lie below the
+    target and odd ones above, so consecutive ones bracket it.  One walk
+    of the orbit of 0 tests each convergent p_k/q_k, k = 0..n, once: a
+    sign <= 0 at an even k puts rho(m) at or below p_k/q_k, so at or below
+    bracket n's lower end ("low"), and a sign >= 0 at an odd k at or above
+    its upper end ("high").  Passing all n + 1 tests certifies rho(m) in
+    bracket n ("within").  An orbit longer than ``cap`` raises
+    PrecisionBudgetExceeded.
     """
-    tr = OrbitTracker(m, cap)
-    convs = target.convergents
-    for k in range(1, n + 1):
-        # even convergents lie below the target, odd ones above
-        lo, hi = (convs[k - 1], convs[k]) if k % 2 else (convs[k], convs[k - 1])
-        if tr.sign(*lo) <= 0:
-            return "low"
-        if tr.sign(*hi) >= 0:
+    x, w, at = 0.0, 0, 0
+    for k, (p, q) in enumerate(target.convergents[: n + 1]):
+        x, w = _walk(m, x, w, at, q, cap)
+        at = q
+        s = _sign(x, w, p, q)
+        if k % 2 == 0:
+            if s <= 0:
+                return "low"
+        elif s >= 0:
             return "high"
     return "within"
 
@@ -326,7 +307,7 @@ def tune_translation(
     m: CircleMap,
     target: ContinuedFraction,
     tol: float = 1e-10,
-    cap: int | None = None,
+    cap: int = DEFAULT_ORBIT_CAP,
     family=None,
 ) -> TuneResult:
     """Find t with |rho(f_t) - target| <= tol by bisection on t.

@@ -79,6 +79,10 @@ GAP_FLOOR_RATIO = 0.5
 GAP_ABS_FLOOR = 1e-6
 LORENZ_VIOLATION_LIMIT = 0.05
 
+# Share of the invariant measure whose least carrying length the Lorenz
+# curve reports as lorenz_90_length.
+LORENZ_MASS = 0.90
+
 
 @lru_cache(maxsize=32)
 def estimate_r6(sigma_a, sigma_c):
@@ -608,20 +612,17 @@ class LorenzCurve(NamedTuple):
     """Cumulative (length, mass) after sorting elements by density.
 
     lorenz_90_length is the least total Lebesgue length of partition
-    elements that together carry at least `threshold` of the invariant
+    elements that together carry at least LORENZ_MASS of the invariant
     measure; its decay across ranks is the concentration signature.
     """
 
     n: int
     points: tuple
     lorenz_90_length: float
-    threshold: float = 0.90
 
 
-def mass_length_curve(part: DynamicalPartition, masses, threshold=0.90):
+def mass_length_curve(part: DynamicalPartition, masses):
     """Lorenz curve of ``part`` with one mass per cell, in cell order."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
     el = part.elements
     # densest first; ties by rank tag, then index
     order = sorted(
@@ -630,11 +631,9 @@ def mass_length_curve(part: DynamicalPartition, masses, threshold=0.90):
     )
     lens = list(accumulate(el.length[r] for r in order))
     cums = list(accumulate(masses[r] for r in order))
-    hit = next((l for l, c in zip(lens, cums) if c >= threshold - 1e-12), lens[-1])
+    hit = next((l for l, c in zip(lens, cums) if c >= LORENZ_MASS - 1e-12), lens[-1])
     pts = [(0.0, 0.0)] + list(zip(lens, cums))
-    return LorenzCurve(
-        n=part.n, points=tuple(pts), lorenz_90_length=hit, threshold=threshold
-    )
+    return LorenzCurve(n=part.n, points=tuple(pts), lorenz_90_length=hit)
 
 
 def solve_same_orbit(
@@ -732,7 +731,6 @@ class _ExperimentConfigFields(NamedTuple):
     n_min: int = 5
     n_max: int = 12
     same_orbit_steps: int | None = None
-    threshold: float = 0.90
     cap: int = DEFAULT_ORBIT_CAP
 
 
@@ -765,8 +763,6 @@ class ExperimentConfig(_ExperimentConfigFields):
             raise ConfigError(
                 f"rho_quotients cannot certify the masses of rank {self.n_max}: {e}"
             ) from e
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("threshold must lie in (0, 1)")
         if self.same_orbit_steps is not None and self.same_orbit_steps < 1:
             raise ConfigError("same_orbit_steps must be >= 1 when set")
         if self.cap < 1:
@@ -945,9 +941,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     for n in range(config.n_min, config.n_max + 1):
         part = deep.coarsen(cf, n)
         qrow = _qn_row(m, cf, part)
-        curve = mass_length_curve(
-            part, convergent_masses(part, cf, rho), threshold=config.threshold
-        )
+        curve = mass_length_curve(part, convergent_masses(part, cf, rho))
         curves.append(curve)
         rows.append(
             ReportRow(
@@ -976,7 +970,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
             verdict = VERDICT_OPEN
     else:
         flat = all(
-            abs(l - config.threshold) <= 2.0 / r.q_n for l, r in zip(lorenz, rows)
+            abs(l - LORENZ_MASS) <= 2.0 / r.q_n for l, r in zip(lorenz, rows)
         )
         gap_floor_ok = False
         lorenz_trend_ok = False

@@ -355,11 +355,12 @@ def test_same_orbit_experiments_pass_their_audits(tmp_path, doc, tag):
 
 @pytest.mark.parametrize("value", [-1.0, float("nan")], ids=["negative", "nan"])
 @pytest.mark.parametrize(
-    "key", ["gap_abs_floor", "gap_floor_ratio", "lorenz_violation_limit"]
+    "key", ["gap_abs_floor", "gap_floor_ratio", "lorenz_violation_limit", "threshold"]
 )
 def test_verdict_threshold_below_zero_exits_2(tmp_path, key, value):
-    # the verdict thresholds are module constants, not config keys: a
-    # config that sets one is refused as naming an unknown key
+    # the verdict thresholds and the Lorenz mass share are module
+    # constants, not config keys: a config that sets one is refused as
+    # naming an unknown key
     doc = {"kind": "rotation", "n_min": 4, "n_max": 6, key: value}
     code, out = run(tmp_path, "singularity", doc)
     assert code == 2

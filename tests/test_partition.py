@@ -224,12 +224,19 @@ def test_partition_rows_shape(pq_map, gcf):
 
 def test_orbit_cap_comes_from_the_caller(monkeypatch, pq_map, gcf):
     # every orbit is sized by the cap the caller passes, not the default
-    monkeypatch.setattr("circlebreak.maps.DEFAULT_ORBIT_CAP", 100)
+    caps = []
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return orbit_avoiding_breaks(*args, **kwargs)
+
+    monkeypatch.setattr("circlebreak.partition.orbit_avoiding_breaks", spy)
     part = build_partition(pq_map, gcf, 0.05, 10, cap=1000)
     assert len(part.orbit) == 144
     assert denjoy_product(pq_map, gcf, 0.05, 12, cap=1000) > 0
     gen = cell_interval(build_partition(pq_map, gcf, 0.05, 12, cap=1000), 0)
     assert is_qn_small(pq_map, gcf, gen, 12)
+    assert caps == [1000, 1000]
 
 
 def test_orbit_cap_counts_map_evaluations(pq_map, gcf):
@@ -631,6 +638,26 @@ def test_refinement_catches_an_escaped_point_and_a_moved_cell(pq_map, gcf):
     moved = fine._replace(elements=cells)
     with pytest.raises(RefinementViolation, match="rank-7 cell 2 moved"):
         check_refinement(coarse, moved, gcf)
+
+
+@pytest.mark.parametrize("name", ["pq_map", "pl_map", "rot_map"])
+def test_refinement_compares_persisted_cells_exactly(request, gcf, name):
+    # separately built partitions of one base point pair the same orbit
+    # points in the same order, so a persisted cell moved by one ulp fails
+    m = request.getfixturevalue(name)
+    for n in (5, 9, 13):
+        coarse = build_partition(m, gcf, 0.05, n)
+        fine = build_partition(m, gcf, 0.05, n + 1)
+        assert check_refinement(coarse, fine, gcf).persisted == gcf.q(n - 1)
+        el = fine.elements
+        for column in ("left", "length"):
+            columns = {name: getattr(el, name) for name in CellTable.__slots__}
+            values = list(columns[column])
+            values[1] = math.nextafter(values[1], 1.0)
+            columns[column] = tuple(values)
+            moved = fine._replace(elements=CellTable(**columns))
+            with pytest.raises(RefinementViolation, match=f"rank-{n} cell 1 moved"):
+                check_refinement(coarse, moved, gcf)
 
 
 def test_coarsen_of_a_nudged_partition(pq_map, gcf):

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 import circlebreak.rotation
 from circlebreak.errors import PrecisionBudgetExceeded
 from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make_rotation
+from circlebreak.numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS
 from circlebreak.rotation import (
+    RATIONAL_CUTOFF,
     ContinuedFraction,
-    OrbitTracker,
     _bracket_quotients,
+    _compare_to_target,
+    _sign,
     cf_expand_convergents,
     rho_farey,
     rho_iterate_estimate,
@@ -230,8 +233,8 @@ def test_tune_certifies_the_last_bracket_of_the_given_quotients():
 
 
 class _ListTracker:
-    """Reference for OrbitTracker: the whole orbit of 0 as lists of points
-    and windings, extended one step at a time and read by index."""
+    """Reference for the orbit walks of 0: the whole orbit of 0 as lists of
+    points and windings, extended one step at a time and read by index."""
 
     def __init__(self, m):
         self.m = m
@@ -246,22 +249,69 @@ class _ListTracker:
         return pts[q] + (winds[q] - p)
 
 
+def _reference_compare(ref, target, n, cap):
+    """The oracle as it tested brackets before: bracket k tests both its
+    ends, lower end first, so each end it shares with bracket k - 1 is
+    tested twice; every value is read off the list orbit ``ref``."""
+
+    def sign(p, q):
+        if q > cap:
+            raise PrecisionBudgetExceeded(f"orbit length {q} exceeds cap {cap}")
+        s = ref.lift_minus(p, q)
+        if abs(s) <= RATIONAL_CUTOFF * MACHINE_EPS * q:
+            return 0
+        return 1 if s > 0 else -1
+
+    convs = target.convergents
+    for k in range(1, n + 1):
+        lo, hi = (convs[k - 1], convs[k]) if k % 2 else (convs[k], convs[k - 1])
+        if sign(*lo) <= 0:
+            return "low"
+        if sign(*hi) >= 0:
+            return "high"
+    return "within"
+
+
+def _outcome(compare, *args):
+    """The answer of a comparison, or the message of its cap error."""
+    try:
+        return compare(*args)
+    except PrecisionBudgetExceeded as e:
+        return f"PrecisionBudgetExceeded: {e}"
+
+
 TUNED_MAPS = ["pq_map", "pl_map", "so_map", "pl_so_map", "rot_map"]
 
 
 @pytest.mark.parametrize("name", TUNED_MAPS)
-def test_tracker_matches_list_reference_at_convergents(request, gcf, name):
-    # the reads of _compare_to_target: bracket k tests q_{k-1} and q_k, the
-    # lower end first, so even k reads q_{k-1} back after q_k
+def test_tracker_matches_list_reference_at_convergents(monkeypatch, request, gcf, name):
+    # the walk of _compare_to_target tests each convergent once and answers
+    # as the two-tests-per-bracket reference does, around the tuned t and
+    # at convergents of the target, where the rotation hits exactly
     m = request.getfixturevalue(name)
-    tr, ref = OrbitTracker(m), _ListTracker(m)
-    convs = gcf.convergents
-    for k in range(1, 27):
-        for p, q in (convs[k - 1], convs[k]) if k % 2 else (convs[k], convs[k - 1]):
-            assert tr.lift_minus(p, q).hex() == ref.lift_minus(p, q).hex()
-    assert tr.n == gcf.q(26) == 196_418
-    # only the asked-for states are kept, not the orbit
-    assert set(tr.kept) == {0} | {gcf.q(k) for k in range(27)}
+    tests, signs = [], set()
+
+    def counted(*args):
+        tests.append(args)
+        signs.add(_sign(*args))
+        return _sign(*args)
+
+    monkeypatch.setattr(circlebreak.rotation, "_sign", counted)
+    answers = set()
+    ts = [m.translation + d for d in (-1e-3, -1e-7, 0.0, 1e-7, 1e-3)]
+    for t in ts + [float(gcf.fraction(k)) for k in (2, 5, 8)]:
+        mt = m.with_translation(t)
+        ref = _ListTracker(mt)
+        for n in (1, 2, 5, 9, 26):
+            for cap in (DEFAULT_ORBIT_CAP, 1, 50, 1000):
+                tests.clear()
+                got = _outcome(_compare_to_target, mt, gcf, n, cap)
+                assert got == _outcome(_reference_compare, ref, gcf, n, cap)
+                assert len(tests) <= n + 1
+                answers.add(got)
+    assert {"low", "high", "within"} <= answers
+    assert any(a.startswith("PrecisionBudgetExceeded") for a in answers)
+    assert name != "rot_map" or 0 in signs
 
 
 @pytest.mark.parametrize("name", TUNED_MAPS)
@@ -269,21 +319,20 @@ def test_tracker_matches_list_reference_at_farey_mediants(monkeypatch, request, 
     m = request.getfixturevalue(name)
     reads = []
 
-    class Recording(OrbitTracker):
-        def lift_minus(self, p, q):
-            s = super().lift_minus(p, q)
-            reads.append((p, q, s))
-            return s
+    def recording(x, w, p, q):
+        reads.append((x, w, p, q))
+        return _sign(x, w, p, q)
 
-    monkeypatch.setattr(circlebreak.rotation, "OrbitTracker", Recording)
+    monkeypatch.setattr(circlebreak.rotation, "_sign", recording)
     rho_farey(m, width=1e-10)
     ref = _ListTracker(m)
     assert len(reads) > 20
-    for p, q, s in reads:
-        assert s.hex() == ref.lift_minus(p, q).hex()
+    for x, w, p, q in reads:
+        assert (x + (w - p)).hex() == ref.lift_minus(p, q).hex()
+        assert (x.hex(), w) == (ref.points[q].hex(), ref.winds[q])
 
 
-def test_tracker_query_past_cap_runs_no_step(monkeypatch, pq_map):
+def test_tracker_query_past_cap_runs_no_step(monkeypatch, pq_map, gcf):
     steps = []
 
     def counted(m, x, w, n, *rest):
@@ -291,12 +340,14 @@ def test_tracker_query_past_cap_runs_no_step(monkeypatch, pq_map):
         return advance(m, x, w, n, *rest)
 
     monkeypatch.setattr(circlebreak.rotation, "advance", counted)
-    tr = OrbitTracker(pq_map, cap=100)
     with pytest.raises(PrecisionBudgetExceeded):
-        tr.lift_minus(0, 101)
-    assert steps == [] and tr.n == 0
-    tr.lift_minus(0, 100)
+        rho_iterate_estimate(pq_map, 101, cap=100)
+    assert steps == []
+    rho_iterate_estimate(pq_map, 100, cap=100)
     assert steps == [100]
-    # a step passed without being asked for is not kept, so it cannot be read
-    with pytest.raises(ValueError):
-        tr.lift_minus(0, 50)
+    # the walk over the golden convergents stops at q_10 = 89: q_11 = 144
+    # is past the cap, and its test runs no step
+    steps.clear()
+    with pytest.raises(PrecisionBudgetExceeded, match="144 exceeds cap 100"):
+        _compare_to_target(pq_map, gcf, 26, 100)
+    assert sum(steps) == 89

@@ -164,13 +164,30 @@ def test_cover_triple_generic_case(pq_map, gcf):
 
 
 def test_report_uses_the_configs_cap(monkeypatch):
-    # partition, cover triple and chain orbits (q_12 = 233 steps) are all
-    # sized by the config's cap, not the default; the cap is 1e5 because
-    # the tuning's Farey orbits at rank 12's mass width pass 1e4 steps
-    monkeypatch.setattr("circlebreak.maps.DEFAULT_ORBIT_CAP", 100)
-    cfg = ExperimentConfig(kind="pq", label="cap-100000", n_min=12, n_max=12, cap=100_000)
-    (row,) = singularity_report(cfg).rows
-    assert (row.n, row.q_n) == (12, 233)
+    # the tuning (directly and through the same-orbit solve) and the deep
+    # partition are sized by the config's cap, not the default; the cap is
+    # 1e5 because the tuning's orbits at rank 12's mass width pass 1e4 steps
+    import circlebreak.singularity as sing
+
+    caps = []
+    for name in ("build_partition", "tune_translation"):
+
+        def spy(*args, _name=name, _wrapped=getattr(sing, name), **kwargs):
+            caps.append((_name, kwargs.get("cap")))
+            return _wrapped(*args, **kwargs)
+
+        monkeypatch.setattr(sing, name, spy)
+    for steps in (None, 1):
+        caps.clear()
+        cfg = ExperimentConfig(
+            kind="pq", n_min=12, n_max=12, same_orbit_steps=steps, cap=100_000
+        )
+        (row,) = singularity_report(cfg).rows
+        assert (row.n, row.q_n) == (12, 233)
+        assert sorted(caps) == [
+            ("build_partition", 100_000),
+            ("tune_translation", 100_000),
+        ]
 
 
 def test_cover_triple_same_orbit_case(so_map, gcf):
@@ -264,7 +281,7 @@ def test_lorenz_concentrates_for_pq(pq_map, gcf):
     assert deep.lorenz_90_length < shallow.lorenz_90_length < 0.90
 
 
-def _reference_lorenz(part, masses, threshold):
+def _reference_lorenz(part, masses):
     # cells sorted by (-density, rank_tag, index), summed one at a time
     cells = []
     for e, mass in zip(part.elements, masses):
@@ -274,7 +291,7 @@ def _reference_lorenz(part, masses, threshold):
         cum_len += length
         cum_mass += mass
         pts.append((cum_len, cum_mass))
-        if hit is None and cum_mass >= threshold - 1e-12:
+        if hit is None and cum_mass >= 0.9 - 1e-12:
             hit = cum_len
     return tuple(pts), hit
 
@@ -287,18 +304,10 @@ def test_lorenz_matches_sorted_reference(request, gcf, name):
     for n in range(2, 11):
         part = build_partition(m, gcf, x0, n)
         masses = convergent_masses(part, gcf, rho)
-        for threshold in (0.5, 0.9):
-            curve = mass_length_curve(part, masses, threshold=threshold)
-            assert (curve.points, curve.lorenz_90_length) == _reference_lorenz(
-                part, masses, threshold
-            )
-
-
-def test_lorenz_threshold_validated(rot_map, gcf):
-    part = build_partition(rot_map, gcf, 0.0, 5)
-    masses = convergent_masses(part, gcf, gcf.value)
-    with pytest.raises(ValueError):
-        mass_length_curve(part, masses, threshold=1.2)
+        curve = mass_length_curve(part, masses)
+        assert (curve.points, curve.lorenz_90_length) == _reference_lorenz(
+            part, masses
+        )
 
 
 def _same_orbit_residual(m, steps=1):
@@ -365,14 +374,24 @@ def test_same_orbit_two_steps_runs_the_placement_loop(gcf, kind, shape, referenc
 
 
 def test_same_orbit_placement_uses_callers_cap(monkeypatch, gcf):
-    # the m_steps placement orbits are sized by the caller's cap, not the
-    # default; the pq three-step case converges at n_max 7
+    # the m_steps placement orbits and every tuning are sized by the
+    # caller's cap, not the default; the pq three-step case converges at
+    # n_max 7
+    import circlebreak.singularity as sing
+
     shape = dict(sigma_a=2.0, sigma_c=0.8, m_steps=3, tune_tol=mass_width(gcf, 7))
-    monkeypatch.setattr("circlebreak.maps.DEFAULT_ORBIT_CAP", 2)
+    caps = []
+    tune = sing.tune_translation
+
+    def spy(*args, **kwargs):
+        caps.append(kwargs.get("cap"))
+        return tune(*args, **kwargs)
+
+    monkeypatch.setattr(sing, "tune_translation", spy)
     m, _ = solve_same_orbit("pq", 0.2, gcf, cap=1000, **shape)
+    assert len(caps) > 1 and set(caps) == {1000}
     with pytest.raises(PrecisionBudgetExceeded, match="length 3 exceeds cap 2"):
         solve_same_orbit("pq", 0.2, gcf, cap=2, **shape)
-    monkeypatch.undo()
     assert _same_orbit_residual(m, steps=3) <= 10 * 1e-9
 
 
@@ -404,8 +423,6 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(kind="pq", n_min=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", rho_quotients=tuple([1] * 5), n_max=12)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(kind="pq", threshold=1.2)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", same_orbit_steps=0)
     with pytest.raises(ConfigError):
