@@ -248,36 +248,6 @@ def evaluate(m: CircleMap, x):
     return y + k + t
 
 
-def invert(m: CircleMap, y):
-    """Preimage of the lift value y; exact per-segment quadratic solve."""
-    if m.kind == ROTATION:
-        return y - m.translation
-    yb = y - m.translation
-    v0 = m.seg_val[0]
-    k = floor(yb - v0)
-    w = yb - k
-    if w < v0:
-        w += 1
-        k -= 1
-    elif w >= v0 + 1:
-        w -= 1
-        k += 1
-    s = 0 if w < m.seg_val[1] else 1
-    dv = w - m.seg_val[s]
-    d0 = m.seg_d0[s]
-    cv = m.seg_curv[s]
-    if cv == 0:
-        du = dv / d0
-    else:
-        # Stable root of (cv/2) du^2 + d0 du = dv; discriminant equals the
-        # squared derivative at the preimage, hence non-negative.
-        disc = d0 * d0 + 2 * cv * dv
-        if disc < 0:
-            disc = 0.0
-        du = 2 * dv / (d0 + sqrt(disc))
-    return m.seg_pos[s] + du + k
-
-
 def one_sided_derivatives(m: CircleMap, x):
     """(Df_-(x), Df_+(x)) at the circle point underlying x."""
     if m.kind == ROTATION:
@@ -298,43 +268,41 @@ def one_sided_derivatives(m: CircleMap, x):
     return (d, d)
 
 
+def check_orbit_length(n: int, cap: int):
+    """Refuse an orbit of n map steps when n exceeds ``cap``."""
+    if n > cap:
+        raise PrecisionBudgetExceeded(f"orbit length {n} exceeds cap {cap}")
+
+
+def _check_orbit_start(x, t, n: int):
+    """Refuse a start off the circle, and for n > 0 a translation that is
+    not finite: floor raises for it where ``y % 1.0`` would go on with nan."""
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"orbit start {x!r} is not a circle point in [0, 1)")
+    if n > 0 and t - t != 0.0:
+        floor(t)
+
+
 def advance(m: CircleMap, x, w: int, n: int, pts=None):
     """Run n forward steps from the pair (x, w); return the last pair.
 
-    The start x may be any lift coordinate, w an integer winding; the pair
-    stands for the lift value x + w, so f^n(x0) is reassembled exactly as
+    x is a circle point in [0, 1) and w an integer winding: the pair stands
+    for the lift value x + w, so f^n(x0) is reassembled exactly as
     ``x_n + w_n`` without the lift coordinate growing (and losing ulps).
-    Every later point is a circle point: each step reduces f(x) to the
-    circle, the point is ``to_circle(f(x))`` and when that clamps up to 0
-    the winding gains one.  When given, ``pts`` receives every new point in
-    order.
+    Each point is ``to_circle(evaluate(m, x))`` bit for bit, and when that
+    clamps up to 0 the winding gains one.  When given, ``pts`` receives
+    every new point in order.
 
-    This is the one forward orbit loop.  It reads the segment constants into
-    locals once and repeats ``evaluate`` inline, operation for operation, so
-    every point is bit-identical to the reduction of ``evaluate(m, x)``.
-    Every operand in the loop is a float, which keeps CPython on its
-    float-only opcodes: a circle point is placed in [p0, p0 + 1) by
-    comparison with p0, ``y % 1.0`` is ``y - floor(y)`` for finite y, and
-    ``y - (y % 1.0)`` is floor(y) exactly, so the winding is summed as a
-    float.
+    The loop repeats ``evaluate`` inline with the segment constants in
+    locals, and every operand is a float, which keeps CPython on its
+    float-only opcodes: x is placed in [p0, p0 + 1) by comparison with p0,
+    ``y % 1.0`` is ``y - floor(y)`` for finite y, and ``y - (y % 1.0)`` is
+    floor(y) exactly, so the winding is summed as a float.
     """
     kind, t, _, pos, val, d0, _, curv = m
+    _check_orbit_start(x, t, n)
     top = CLAMP_FROM
     put_x = None if pts is None else pts.append
-    if n > 0 and not (0.0 <= x < 1.0 and t - t == 0.0):
-        # a start off the circle takes one step the general way: evaluate
-        # places it by floor, and floor raises for a start or a
-        # translation that is not finite, where y % 1.0 would give nan
-        y = evaluate(m, x)
-        k = floor(y)
-        x = y - k
-        if x >= top:
-            x = 0.0
-            k += 1
-        w += k
-        n -= 1
-        if put_x is not None:
-            put_x(x)
     turns = 0.0
     if kind == ROTATION:
         for _ in range(n):
@@ -383,21 +351,82 @@ def advance(m: CircleMap, x, w: int, n: int, pts=None):
 
 
 def retreat(m: CircleMap, x, w: int, n: int, pts=None):
-    """``advance`` run backward: each step reduces the exact preimage
-    ``invert(m, x)`` by the same clamp-and-winding rule, so the point is
-    ``to_circle(invert(m, x))`` and ``x_n + w_n`` is f^{-n}(x0 + w0)."""
+    """``advance`` run backward: n steps from the pair (x, w), so that
+    ``x_n + w_n`` is f^{-n}(x + w).
+
+    Each step solves f(y) = x exactly and reduces y by ``advance``'s
+    clamp-and-winding rule, so points and windings are bit-identical to
+    ``to_circle`` and ``floor`` of that solve.  As ``evaluate`` does in
+    position space, the solve puts u = x - t - k in [v0, v0 + 1), for k the
+    floor of x - t - v0, and takes the segment's linear or stable quadratic
+    root.  Over the circle x - t spans at most one turn, so that floor is
+    one of the float turn offsets k0, k0 + 1 and k0 + 2, and comparisons
+    pick it.  As in ``advance``, every operand of the loop is a float.
+    """
+    kind, t, _, pos, val, d0, _, curv = m
+    if kind == ROTATION:
+        # x - t is x + (-t) bit for bit
+        return advance(m.with_translation(-t), x, w, n, pts)
+    _check_orbit_start(x, t, n)
+    top = CLAMP_FROM
     put_x = None if pts is None else pts.append
+    p0, p1 = pos[0], pos[1]
+    v0, v1 = val[0], val[1]
+    v0_next = v0 + 1.0
+    a0, a1 = d0
+    # the exact solve's d0 * d0 + 2 * curv * dv groups as
+    # (d0 * d0) + (2 * curv) * dv: hoisting both products keeps every bit
+    sq0, sq1 = a0 * a0, a1 * a1
+    c0, c1 = 2.0 * curv[0], 2.0 * curv[1]
+    # x - t - v0 is least at x = 0, as rounding is monotone; z0 - z0 % 1.0
+    # is its floor, as in advance
+    z0 = 0.0 - t - v0
+    k0 = z0 - z0 % 1.0
+    k1, k2 = k0 + 1.0, k0 + 2.0
+    turns = 0.0
     for _ in range(n):
-        y = invert(m, x)
-        k = floor(y)
-        x = y - k
-        if x >= CLAMP_FROM:
+        yb = x - t
+        z = yb - v0
+        if z < k1:
+            k = k0
+        elif z < k2:
+            k = k1
+        else:
+            k = k2
+        # the rounding of z can leave u one ulp outside [v0, v0 + 1)
+        u = yb - k
+        if u < v0:
+            u += 1.0
+            k -= 1.0
+        elif u >= v0_next:
+            u -= 1.0
+            k += 1.0
+        # a discriminant is the squared derivative at the preimage, so it
+        # is negative by rounding only
+        if u < v1:
+            dv = u - v0
+            if c0 == 0.0:
+                du = dv / a0
+            else:
+                disc = sq0 + c0 * dv
+                du = 2.0 * dv / (a0 + sqrt(disc if disc > 0.0 else 0.0))
+            y = p0 + du + k
+        else:
+            dv = u - v1
+            if c1 == 0.0:
+                du = dv / a1
+            else:
+                disc = sq1 + c1 * dv
+                du = 2.0 * dv / (a1 + sqrt(disc if disc > 0.0 else 0.0))
+            y = p1 + du + k
+        x = y % 1.0
+        turns += y - x
+        if x >= top:
             x = 0.0
-            k += 1
-        w += k
+            turns += 1.0
         if put_x is not None:
             put_x(x)
-    return x, w
+    return x, w + int(turns)
 
 
 def step_with_winding(m: CircleMap, x, w: int):
@@ -411,8 +440,7 @@ def iterate(m: CircleMap, x0, n: int, cap: int = DEFAULT_ORBIT_CAP):
     The capped list form of ``advance``: ``cap`` bounds the number of map
     evaluations n; a longer orbit raises PrecisionBudgetExceeded.
     """
-    if n > cap:
-        raise PrecisionBudgetExceeded(f"orbit length {n} exceeds cap {cap}")
+    check_orbit_length(n, cap)
     if n < 0:
         raise ValueError("n must be non-negative")
     pts = [to_circle(x0)]

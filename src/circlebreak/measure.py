@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import OrderViolation, PrecisionBudgetExceeded
-from .maps import CircleMap, advance
+from .maps import CircleMap, advance, check_orbit_length
 from .numerics import DEFAULT_ORBIT_CAP, to_circle
 from .partition import DynamicalPartition
 from .rotation import ContinuedFraction, RotationEstimate, convergent_error
@@ -76,8 +76,7 @@ def conjugacy_values(
             f"rho enclosure width {rho.width:.3e} lets phi drift past "
             f"{drift_tol:.1e} over {n_points} points; deepen the rho estimate"
         )
-    if n_points - 1 > cap:
-        raise PrecisionBudgetExceeded(f"orbit length {n_points - 1} exceeds cap {cap}")
+    check_orbit_length(n_points - 1, cap)
     advance(m, pts[-1], 0, n_points - len(pts), pts)
     val = rho.value
     phi = tuple(to_circle(i * val) for i in range(n_points))

@@ -23,7 +23,14 @@ from .errors import (
     RankTooShallow,
     RefinementViolation,
 )
-from .maps import ROTATION, CircleMap, advance, map_stats, orbit_avoiding_breaks
+from .maps import (
+    ROTATION,
+    CircleMap,
+    advance,
+    check_orbit_length,
+    map_stats,
+    orbit_avoiding_breaks,
+)
 from .numerics import (
     BREAK_CLEARANCE_EPS,
     CLAMP_FROM,
@@ -334,8 +341,7 @@ def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
     if steps < 1:
         return 1.0
     length = steps - 1  # the orbit's steps after its base point
-    if length > cap:
-        raise PrecisionBudgetExceeded(f"orbit length {length} exceeds cap {cap}")
+    check_orbit_length(length, cap)
     if m.kind == ROTATION:
         return 1.0
     t = m.translation

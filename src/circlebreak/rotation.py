@@ -14,8 +14,8 @@ from fractions import Fraction
 from math import floor
 from typing import NamedTuple
 
-from .errors import NotBracketed, PrecisionBudgetExceeded, TolUnreachable
-from .maps import CircleMap, advance, evaluate
+from .errors import NotBracketed, TolUnreachable
+from .maps import CircleMap, advance, check_orbit_length, evaluate
 from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, to_circle
 
 # |f^q(0) - p| at or below this many epsilons-times-q is treated as an exact
@@ -152,8 +152,7 @@ class RotationEstimate(NamedTuple):
 def _walk(m: CircleMap, x, w: int, at: int, q: int, cap: int):
     """The orbit state (x, w) of 0 moved from step ``at`` to step ``q`` by
     ``maps.advance``; a q past ``cap`` raises before any step runs."""
-    if q > cap:
-        raise PrecisionBudgetExceeded(f"orbit length {q} exceeds cap {cap}")
+    check_orbit_length(q, cap)
     return advance(m, x, w, q - at)
 
 
@@ -221,7 +220,7 @@ def rho_farey(
     # integer part: f(0) in [m0, m0+1]
     m0 = floor(x + w)
     if _sign(x, w, m0, 1) == 0:
-        cfr = ContinuedFraction.from_quotients([1])  # placeholder; rho integer
+        cfr = ContinuedFraction.from_quotients(())  # rho is an integer
         est = RotationEstimate(0.0, 0.0, 0.0, rational=(m0, 1))
         return est, cfr
     pl, ql = m0, 1
@@ -262,7 +261,7 @@ def rho_farey(
     hi = Fraction(ph - m0 * qh, qh)
     mid = (lo + hi) / 2
     ks = _bracket_quotients(pl, ql, ph, qh, m0)
-    cfr = ContinuedFraction.from_quotients(ks) if ks else ContinuedFraction((), ((0, 1),))
+    cfr = ContinuedFraction.from_quotients(ks)
     est = RotationEstimate(value=float(mid), lower=float(lo), upper=float(hi))
     return est, cfr
 

@@ -28,7 +28,6 @@ from .errors import (
     HypothesisNotCertified,
     InvalidGeometry,
     InvariantFailure,
-    PrecisionBudgetExceeded,
     RankTooShallow,
     TolUnreachable,
 )
@@ -36,6 +35,7 @@ from .maps import (
     CircleMap,
     abs_d2f_integral,
     advance,
+    check_orbit_length,
     make_pl_two_break,
     make_pq_two_break,
     make_rotation,
@@ -672,8 +672,7 @@ def solve_same_orbit(
         raise ValueError("m_steps must be >= 1")
     if kind not in ("pq", "pl"):
         raise ValueError("same-orbit construction supports pq and pl maps")
-    if m_steps > cap:
-        raise PrecisionBudgetExceeded(f"orbit length {m_steps} exceeds cap {cap}")
+    check_orbit_length(m_steps, cap)
     a_circ = to_circle(a)
 
     def build(c_pos, translation=0.0):

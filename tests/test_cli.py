@@ -54,6 +54,21 @@ def test_rotnum_rational_third(tmp_path):
     assert lines[1].startswith("1,3,1,3,")
 
 
+@pytest.mark.parametrize("translation", [0.0, 1.0])
+def test_rotnum_integer_rotation_number_has_no_quotients(tmp_path, translation):
+    code, out = run(
+        tmp_path,
+        "rotnum",
+        {"map": {"kind": "rotation", "translation": translation}, "depth": 5, "estimate_n": 100},
+    )
+    assert code == 0
+    doc = json.loads((out / "rotnum.json").read_text())
+    assert doc["farey"]["rational"] == [int(translation), 1]
+    assert doc["quotients"] == []
+    assert doc["max_quotient"] is None
+    assert (out / "cf_table.csv").read_text().splitlines() == ["n,k_n,p_n,q_n,err"]
+
+
 def test_rotnum_golden_quotients(tmp_path):
     code, out = run(
         tmp_path,

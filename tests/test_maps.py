@@ -15,13 +15,13 @@ from circlebreak.errors import (
     PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
+    ROTATION,
     _clears_breaks,
     _segment_walk,
     abs_d2f_integral,
     advance,
     evaluate,
     gap_image,
-    invert,
     iterate,
     make_pl_two_break,
     make_pq_two_break,
@@ -31,7 +31,13 @@ from circlebreak.maps import (
     retreat,
     step_with_winding,
 )
-from circlebreak.numerics import BREAK_CLEARANCE_EPS, MACHINE_EPS, arc_length, to_circle
+from circlebreak.numerics import (
+    BREAK_CLEARANCE_EPS,
+    CLAMP_FROM,
+    MACHINE_EPS,
+    arc_length,
+    to_circle,
+)
 
 from conftest import GOLDEN
 
@@ -140,6 +146,37 @@ def _reference_step(m, x, w):
     return xr, w + k
 
 
+def _reference_invert(m, y):
+    """Exact preimage of the lift value y by the per-segment quadratic
+    solve: the reference for each step of ``retreat``."""
+    if m.kind == ROTATION:
+        return y - m.translation
+    yb = y - m.translation
+    v0 = m.seg_val[0]
+    k = math.floor(yb - v0)
+    w = yb - k
+    if w < v0:
+        w += 1
+        k -= 1
+    elif w >= v0 + 1:
+        w -= 1
+        k += 1
+    s = 0 if w < m.seg_val[1] else 1
+    dv = w - m.seg_val[s]
+    d0 = m.seg_d0[s]
+    cv = m.seg_curv[s]
+    if cv == 0:
+        du = dv / d0
+    else:
+        # stable root of (cv/2) du^2 + d0 du = dv; the discriminant is the
+        # squared derivative at the preimage, hence non-negative
+        disc = d0 * d0 + 2 * cv * dv
+        if disc < 0:
+            disc = 0.0
+        du = 2 * dv / (d0 + math.sqrt(disc))
+    return m.seg_pos[s] + du + k
+
+
 # pq and pl maps (one each with c < a, so its segments start at c, and
 # translations beyond a full turn either way), rotations both ways, and a
 # rotation whose first step clamps
@@ -172,8 +209,7 @@ def _assert_kernel_matches_reference(m, x, w, n=60):
 
 @given(
     st.sampled_from(KERNEL_MAPS),
-    # the start may be any lift: only the points after it are circle points
-    st.floats(min_value=-3.0, max_value=4.0, exclude_max=True),
+    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     st.integers(min_value=-3, max_value=3),
 )
 def test_advance_matches_reference_step(m, x, w):
@@ -194,14 +230,12 @@ def test_advance_matches_reference_at_edges():
     below_one = [1 - MACHINE_EPS / 2, 1 - MACHINE_EPS, 1 - 2 * MACHINE_EPS]
     clamped = 0
     for m in KERNEL_MAPS:
-        # lift starts just off the circle, on both sides
-        starts = [0.0, -0.0, *below_one, 1.0, math.nextafter(1.0, 2.0), -MACHINE_EPS]
+        starts = [0.0, -0.0, *below_one]
         for p in m.seg_pos[:2]:
             starts += [p, math.nextafter(p, 0.0), math.nextafter(p, 1.0)]
-            starts += _ulps_around(p + 1)
         if m.seg_pos:
             # ulp neighbours of the preimage of 1 land within 2 eps of it
-            x = to_circle(invert(m, 1.0))
+            x = to_circle(_reference_invert(m, 1.0))
             for _ in range(40):
                 starts.append(x)
                 x = math.nextafter(x, 0.0)
@@ -223,35 +257,74 @@ def test_advance_refuses_a_non_finite_translation(t, error):
             advance(m, 0.3, 0, 3, pts)
         assert pts == []
         assert advance(m, 0.3, 0, 0) == (0.3, 0)
+        with pytest.raises(error):
+            retreat(m, 0.3, 0, 3, pts)
+        assert pts == []
+        assert retreat(m, 0.3, 0, 0) == (0.3, 0)
 
 
-def _reference_retreat(m, x, n):
-    # reference backward orbit: the exact preimage, reduced by to_circle
-    pts = []
+@pytest.mark.parametrize("x", [-3.0, 1.0, math.nextafter(1.0, 2.0)])
+def test_orbit_loops_refuse_a_start_off_the_circle(x):
+    for m in KERNEL_MAPS:
+        for loop in (advance, retreat):
+            for n in (0, 1):
+                with pytest.raises(ValueError, match="not a circle point"):
+                    loop(m, x, 0, n)
+
+
+def _reference_retreat(m, x, w, n):
+    """Reference backward orbit: each exact preimage reduced as to_circle
+    reduces it, with floor's winding."""
+    pts, winds = [], []
     for _ in range(n):
-        x = to_circle(invert(m, x))
+        y = _reference_invert(m, x)
+        k = math.floor(y)
+        x = y - k
+        if x >= CLAMP_FROM:
+            x = 0.0
+            k += 1
+        w += k
         pts.append(x)
-    return pts
+        winds.append(w)
+    return pts, winds
 
 
-# the kernel maps and a rotation whose first backward step clamps
-RETREAT_MAPS = KERNEL_MAPS + [make_rotation(1e-20)]
+# the kernel maps, a rotation whose first backward step clamps, and a pq map
+# whose translation lets x - t - v0 reach a third turn offset near x = 1
+RETREAT_MAPS = KERNEL_MAPS + [
+    make_rotation(1e-20),
+    make_pq_two_break(0.7, 0.1, 1.5, 0.6, translation=-1.9990654205607474),
+]
 
 
-@given(
-    st.sampled_from(RETREAT_MAPS),
-    st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-)
-def test_retreat_matches_reference_loop(m, x):
+def _assert_retreat_matches_reference(m, x, n):
     pts = []
-    assert retreat(m, x, 0, 60, pts)[0] == pts[-1]
-    assert pts == _reference_retreat(m, x, 60)
+    last = retreat(m, x, 0, n, pts)
+    ref_pts, ref_winds = _reference_retreat(m, x, 0, n)
+    # compared bit for bit: == would take -0.0 for 0.0
+    assert list(map(float.hex, pts)) == list(map(float.hex, ref_pts))
+    assert last == (ref_pts[-1], ref_winds[-1]) and type(last[1]) is int
+    # each single step from a reference pair gives the next winding
+    pairs = zip([x] + ref_pts[:-1], [0] + ref_winds[:-1])
+    assert [retreat(m, p, w, 1)[1] for p, w in pairs] == ref_winds
+
+
+def test_retreat_matches_reference_loop():
+    # seeded starts, and the images of the segment starts with their ulp
+    # neighbours: there x - t sits on a segment start in value space
+    rng = random.Random(29)
+    seeded = [rng.random() for _ in range(1000)]
+    for m in RETREAT_MAPS:
+        edges = [y for p in m.seg_pos[:2] for y in _ulps_around(to_circle(evaluate(m, p)))]
+        for x in seeded + edges:
+            _assert_retreat_matches_reference(m, x, 20)
 
 
 def test_retreat_matches_reference_at_edges():
-    clamped = 0
+    clamped = offsets = 0
     for m in RETREAT_MAPS:
-        starts = [0.0, 1 - MACHINE_EPS, *(b.location for b in m.breaks)]
+        starts = [0.0, -0.0, 1 - MACHINE_EPS, math.nextafter(1.0, 0.0)]
+        starts += [b.location for b in m.breaks]
         # ulp neighbours of the image of 0 have preimages within 2 eps
         # below a whole turn
         y = to_circle(evaluate(m, 0.0))
@@ -259,12 +332,15 @@ def test_retreat_matches_reference_at_edges():
             starts += [y, math.nextafter(y, 1.0)]
             y = math.nextafter(y, 0.0)
         for x in starts:
-            pts = []
-            retreat(m, x, 0, 400, pts)
-            assert pts == _reference_retreat(m, x, 400)
-            y0 = invert(m, x)
+            _assert_retreat_matches_reference(m, x, 400)
+            y0 = _reference_invert(m, x)
             clamped += 1 - (y0 - math.floor(y0)) <= 2 * MACHINE_EPS
-    assert clamped > 0
+            if m.seg_val:
+                v0 = m.seg_val[0]
+                offsets += math.floor(x - m.translation - v0) == math.floor(
+                    0.0 - m.translation - v0
+                ) + 2
+    assert clamped > 0 and offsets > 0
 
 
 def test_retreat_winding_reassembles_lift(pq_map):
@@ -274,7 +350,7 @@ def test_retreat_winding_reassembles_lift(pq_map):
     lift = 2.05
     for _ in range(200):
         x, w = retreat(pq_map, x, w, 1)
-        lift = invert(pq_map, lift)
+        lift = _reference_invert(pq_map, lift)
         assert 0.0 <= x < 1.0
         assert abs((x + w) - lift) < 1e-12
     assert retreat(pq_map, 0.05, 2, 200) == (x, w)
@@ -377,7 +453,10 @@ def test_clears_breaks_at_the_clearance_bounds(request, name):
 
 
 # the loops whose every operand must stay a float, by module
-FLOAT_LOOPS = {"maps.py": ("advance", "_clears_breaks"), "partition.py": ("df_product",)}
+FLOAT_LOOPS = {
+    "maps.py": ("advance", "retreat", "_clears_breaks"),
+    "partition.py": ("df_product",),
+}
 
 
 def _int_literal(node):
@@ -439,7 +518,7 @@ def test_orbit_loops_keep_every_operand_a_float():
         for func in funcs:
             loops += sum(isinstance(node, ast.For) for node in ast.walk(func))
             found += [(module, func.name, *hit) for hit in _int_operands_in_loops(func)]
-    assert loops >= 4
+    assert loops >= 6
     assert found == []
 
 
@@ -528,12 +607,14 @@ def test_translation_family():
     assert shifted.breaks == base.breaks
 
 
-def test_invert_roundtrip():
+def test_advance_retreat_roundtrip():
     m = make_pq_two_break(0.2, 0.6, 2.0, 0.8, translation=0.3)
     rng = random.Random(5)
     for _ in range(50):
-        x = rng.uniform(-2, 2)
-        assert invert(m, evaluate(m, x)) == pytest.approx(x, abs=1e-12)
+        x, w = rng.random(), rng.randint(-2, 2)
+        y, v = advance(m, x, w, 1)
+        back, v = retreat(m, y, v, 1)
+        assert back + v == pytest.approx(x + w, abs=1e-12)
 
 
 def test_monotone_lift():
