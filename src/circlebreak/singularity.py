@@ -43,7 +43,7 @@ from .maps import (
     retreat,
 )
 from .rotation import TUNE_TOL_FLOOR, ContinuedFraction, TuneResult, tune_translation
-from .partition import CircleInterval, DynamicalPartition, build_partition, is_qn_small
+from .partition import DynamicalPartition, build_partition
 from .crossratio import (
     Quadruple,
     calibrate_k1,
@@ -139,17 +139,6 @@ class RegularCoverParams(_RegularCoverParamsFields):
             raise InvalidGeometry(f"C0 must be >= 1, got {self.c0!r}")
         if not 0.0 < self.zeta0 <= 1.0:
             raise InvalidGeometry(f"zeta0 must lie in (0, 1], got {self.zeta0!r}")
-        if not self.degenerate:
-            ss = self.sigma_a * self.sigma_c
-            want = min(
-                abs(ss - 1.0) / (2.0 * math.exp(self.v) * abs(ss - self.sigma_a)),
-                1.0,
-            )
-            if abs(self.zeta0 - want) > 1e-12:
-                raise InvariantFailure(
-                    f"zeta0 {self.zeta0!r} does not match its defining "
-                    f"formula {want!r}"
-                )
         return self
 
     @property
@@ -197,22 +186,21 @@ def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
     )
 
 
-def mirror_params(params: RegularCoverParams) -> RegularCoverParams:
-    """Constants for the reflected construction.
-
-    Reflecting the circle swaps left and right one-sided derivatives, so
-    the triple anchored on its third point sees the inverted jump ratios.
-    The gap floor shrinks accordingly: the mirrored product tends to
-    1/(sigma_a*sigma_c) instead of sigma_a*sigma_c.
-    """
-    return make_cover_params(1.0 / params.sigma_a, 1.0 / params.sigma_c, params.v)
-
-
 @lru_cache(maxsize=32)
 def _cover_params(m: CircleMap):
-    """(params, mirror) for a two-break map, from its jump ratios and v."""
-    params = make_cover_params(m.breaks[0].sigma, m.breaks[1].sigma, map_stats(m).v)
-    return params, mirror_params(params)
+    """(params, mirror) for a two-break map, from its jump ratios and v.
+
+    The mirror serves the reflected construction.  Reflecting the circle
+    swaps left and right one-sided derivatives, so the triple anchored on
+    its third point sees the inverted jump ratios, and the gap floor
+    shrinks accordingly: the mirrored product tends to
+    1/(sigma_a*sigma_c) instead of sigma_a*sigma_c.
+    """
+    sigma_a, sigma_c, v = m.breaks[0].sigma, m.breaks[1].sigma, map_stats(m).v
+    return (
+        make_cover_params(sigma_a, sigma_c, v),
+        make_cover_params(1.0 / sigma_a, 1.0 / sigma_c, v),
+    )
 
 
 class _CoverTripleFields(NamedTuple):
@@ -316,18 +304,16 @@ def _preimage_near(m: CircleMap, part: DynamicalPartition, loc, abar):
     return p, pres[p]
 
 
-def regular_cover_triple(
-    m: CircleMap, cf: ContinuedFraction, part: DynamicalPartition
-) -> CoverTriple:
+def regular_cover_triple(m: CircleMap, part: DynamicalPartition) -> CoverTriple:
     """Cover triple around the first break's preimage at rank part.n.
 
     Sizes come from d_n (clearance to the q_{n-1} neighbors of abar)
     through V_n and its zeta0-core U_n; the position of the second
     break's preimage relative to U_n selects between the one-sided cover
-    and the two asymmetric two-break covers.  The q_n-smallness of the
-    hull and the normalized coordinates matching C0/zeta0 are audited
-    here; that each break is covered exactly once along the q_n iterates
-    is audited on the distortion chain (``_check_break_hits``).
+    and the two asymmetric two-break covers.  The normalized coordinates
+    matching C0/zeta0 are audited here; the q_n-smallness of the hull
+    and that each break is covered exactly once along its q_n iterates
+    are audited on the distortion chain (``_check_hull_images``).
     """
     if len(m.breaks) != 2:
         raise InvalidGeometry("cover triples need a map with exactly two breaks")
@@ -360,40 +346,18 @@ def regular_cover_triple(
         )
     if abs(delta) > h_u:
         tag = "a_only" if params.degenerate else "c_outside_U"
-        zs = (abar - h_u / 2.0, abar, abar + h_u / 2.0, abar + h_u)
+        z1, z2, z3, z4 = abar - h_u / 2.0, abar, abar + h_u / 2.0, abar + h_u
+        xi0, coord0 = (z3 - z2) / (z2 - z1), 0.0
     elif delta <= 0.0:
         tag = "c_in_U_left"
-        zs = (
-            abar - h_v,
-            abar,
-            abar + params.c0 * h_v,
-            abar + 2.0 * params.c0 * h_v,
-        )
+        z1, z2 = abar - h_v, abar
+        z3, z4 = abar + params.c0 * h_v, abar + 2.0 * params.c0 * h_v
+        xi0, coord0 = (z3 - z2) / (z2 - z1), -delta / h_v
     else:
         tag = "c_in_U_right"
-        zs = (
-            abar - 2.0 * params.c0 * h_v,
-            abar - params.c0 * h_v,
-            abar,
-            abar + h_v,
-        )
-
-    gaps = tuple(w - u for u, w in zip(zs, zs[1:]))
-    if tag in ("c_outside_U", "a_only"):
-        xi0 = gaps[1] / gaps[0]
-        coord0 = 0.0
-    elif tag == "c_in_U_left":
-        xi0 = gaps[1] / gaps[0]
-        coord0 = -delta / h_v
-    else:
-        xi0 = gaps[1] / gaps[2]
-        coord0 = delta / h_v
-
-    hull_iv = CircleInterval(left=to_circle(zs[0]), length=zs[3] - zs[0])
-    if not is_qn_small(m, cf, hull_iv, part.n):
-        raise InvariantFailure(
-            f"cover hull of length {zs[3] - zs[0]:.3e} is not q_{part.n}-small"
-        )
+        z1, z2 = abar - 2.0 * params.c0 * h_v, abar - params.c0 * h_v
+        z3, z4 = abar, abar + h_v
+        xi0, coord0 = (z3 - z2) / (z4 - z3), delta / h_v
 
     if tag in ("c_in_U_left", "c_in_U_right"):
         if abs(xi0 - params.c0) > CERT_SLACK * params.c0:
@@ -409,10 +373,10 @@ def regular_cover_triple(
     return CoverTriple(
         n=part.n,
         q_n=part.q_n,
-        z1=zs[0],
-        z2=zs[1],
-        z3=zs[2],
-        z4=zs[3],
+        z1=z1,
+        z2=z2,
+        z3=z3,
+        z4=z4,
         case_tag=tag,
         l_index=l,
         p_index=p,
@@ -492,20 +456,55 @@ def _generator_quadruple(part: DynamicalPartition) -> Quadruple:
     )
 
 
-def _check_break_hits(m: CircleMap, triple: CoverTriple, quads):
-    """Each break is covered exactly once by the q_n hull iterates ``quads``.
+def _check_hull_images(
+    m: CircleMap, part: DynamicalPartition, triple: CoverTriple, res
+):
+    """Audit the cover hull's first q_n images, the distortion chain's
+    quadruples 0..q_n-1, and return their total length.
 
-    The first break at step l_index; the second at p_index when the case
-    tag says the triple covers it, and never otherwise.
+    The hull is q_n-small: its images, sorted by circle left end, each
+    end before the next one starts, within 10 eps q_n.  That is
+    cross-checked with the parity endpoint criterion, a sufficient
+    condition: a hull within one hop of T^{q_{n-1}} (from its left end
+    rightward for even n-1, into its right end leftward for odd n-1) is
+    q_n-small, and otherwise the orbit combinatorics are broken.  Each
+    break lies in exactly one image: the first at l_index, the second at
+    p_index when the case tag says the triple covers it, and never
+    otherwise.
     """
+    q_n, n = part.q_n, part.n
     a_loc, c_loc = m.breaks[0].location, m.breaks[1].location
-    a_hits, c_hits = [], []
-    for j, q in enumerate(quads):
-        lo, hi = to_circle(q.z1), to_circle(q.z4)
+    lefts, lengths, a_hits, c_hits = [], [], [], []
+    for j, (z1, _, _, z4) in enumerate(res.quadruples[:q_n]):
+        lo, hi = to_circle(z1), to_circle(z4)
+        lefts.append(lo)
+        lengths.append(z4 - z1)
         if in_arc(a_loc, lo, hi):
             a_hits.append(j)
         if in_arc(c_loc, lo, hi):
             c_hits.append(j)
+
+    tol = 10 * MACHINE_EPS * q_n
+    order = sorted(range(q_n), key=lefts.__getitem__)
+    disjoint = q_n == 1 or all(
+        lengths[a] <= arc_length(lefts[a], lefts[b]) + tol
+        for a, b in zip(order, order[1:] + order[:1])
+    )
+    if not disjoint:
+        hop = res.quadruples[part.q_nm1]
+        if (n - 1) % 2 == 0:
+            reach = arc_length(lefts[0], to_circle(hop.z1))
+        else:
+            reach = arc_length(to_circle(hop.z4), to_circle(triple.z4))
+        if lengths[0] <= reach:
+            raise InvariantFailure(
+                f"interval satisfies the parity endpoint criterion at rank {n} "
+                "but its iterates overlap"
+            )
+        raise InvariantFailure(
+            f"cover hull of length {lengths[0]:.3e} is not q_{n}-small"
+        )
+
     want_c = [triple.p_index] if triple.covers_second_break else []
     if a_hits != [triple.l_index]:
         raise InvariantFailure(
@@ -515,11 +514,10 @@ def _check_break_hits(m: CircleMap, triple: CoverTriple, quads):
         raise InvariantFailure(
             f"second break covered at steps {c_hits}, expected {want_c}"
         )
+    return sum(lengths)
 
 
-def _qn_row(
-    m: CircleMap, cf: ContinuedFraction, part: DynamicalPartition
-) -> QnDistortionRow:
+def _qn_row(m: CircleMap, part: DynamicalPartition) -> QnDistortionRow:
     """|Dist(z; f^{q_n}) - 1| at the rank of ``part``.
 
     Two-break maps get the full cover construction with the one-step
@@ -528,17 +526,14 @@ def _qn_row(
     rigid rotation.
     """
     if len(m.breaks) == 2:
-        triple = regular_cover_triple(m, cf, part)
-        quad = triple.quadruple
+        triple = regular_cover_triple(m, part)
+        res = distortion_chain(triple.quadruple, m, part.q_n)
+        image_len_sum = _check_hull_images(m, part, triple, res)
     else:
         triple = None
-        quad = _generator_quadruple(part)
-    res = distortion_chain(quad, m, part.q_n)
-    iterates = res.quadruples[: part.q_n]
-    if triple is not None:
-        _check_break_hits(m, triple, iterates)
+        res = distortion_chain(_generator_quadruple(part), m, part.q_n)
+        image_len_sum = sum(q.hull for q in res.quadruples[: part.q_n])
     gap = abs(res.total - 1.0)
-    image_len_sum = sum(q.hull for q in iterates)
     if image_len_sum > 1.0 + 1e-9:
         raise InvariantFailure(
             f"hull iterates overlap: total image length {image_len_sum!r}"
@@ -939,7 +934,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     curves = []
     for n in range(config.n_min, config.n_max + 1):
         part = deep.coarsen(cf, n)
-        qrow = _qn_row(m, cf, part)
+        qrow = _qn_row(m, part)
         curve = mass_length_curve(part, convergent_masses(part, cf, rho))
         curves.append(curve)
         rows.append(

@@ -1,12 +1,15 @@
 """Shared fixtures: tuned maps are expensive, so build each once."""
 
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, settings
 
-from circlebreak.maps import make_pl_two_break, make_pq_two_break, make_rotation
-from circlebreak.partition import CircleInterval, build_partition
+from circlebreak.errors import InvariantFailure
+from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make_rotation
+from circlebreak.numerics import MACHINE_EPS, arc_length, to_circle
+from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction, tune_translation
 from circlebreak.singularity import _qn_row, solve_same_orbit
 
@@ -22,10 +25,68 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+class Arc(NamedTuple):
+    """Arc going counterclockwise from ``left`` over ``length``."""
+
+    left: float
+    length: float
+
+    @property
+    def right(self):
+        return to_circle(self.left + self.length)
+
+
 def cell_interval(part, row):
-    """The arc of cell ``row`` of a partition, as a CircleInterval."""
+    """The arc of cell ``row`` of a partition."""
     cell = part.elements[row]
-    return CircleInterval(float(cell.left), float(cell.length))
+    return Arc(cell.left, cell.length)
+
+
+def _reference_endpoint_condition(m, cf, interval, n):
+    """Sufficient endpoint test for q_n-smallness, on orbits of its own.
+
+    By convergent parity the arc is q_n-small whenever it fits inside a
+    single hop of T^{q_{n-1}}: for even n-1 the hop from the left end
+    runs rightward, for odd n-1 the hop into the right end leftward.
+    """
+    q_nm1 = cf.q(n - 1)
+    if (n - 1) % 2 == 0:
+        hop = advance(m, to_circle(interval.left), 0, q_nm1)[0]
+        return interval.length <= arc_length(interval.left, hop)
+    hop = advance(m, interval.right, 0, q_nm1)[0]
+    return interval.length <= arc_length(hop, interval.right)
+
+
+def _reference_is_qn_small(m, cf, interval, n):
+    """True iff T^i(interval), 0 <= i < q_n, have disjoint interiors, with
+    both ends iterated separately; the oracle for the chain-based check
+    ``singularity._check_hull_images``.
+
+    Raises InvariantFailure when the parity endpoint criterion holds but
+    the iterates overlap.
+    """
+    q_n = cf.q(n)
+    if q_n == 1:
+        return True
+    if interval.length >= 1:
+        return False
+    lefts = [to_circle(interval.left)]
+    advance(m, lefts[0], 0, q_n - 1, lefts)
+    rights = [interval.right]
+    advance(m, rights[0], 0, q_n - 1, rights)
+    lengths = [arc_length(lefts[i], rights[i]) for i in range(q_n)]
+    tol = 10 * MACHINE_EPS * q_n
+    order = sorted(range(q_n), key=lefts.__getitem__)
+    disjoint = all(
+        lengths[a] <= arc_length(lefts[a], lefts[b]) + tol
+        for a, b in zip(order, order[1:] + order[:1])
+    )
+    if _reference_endpoint_condition(m, cf, interval, n) and not disjoint:
+        raise InvariantFailure(
+            f"interval satisfies the parity endpoint criterion at rank {n} "
+            "but its iterates overlap"
+        )
+    return disjoint
 
 
 def qn_rows(m, cf, x0, ranks):
@@ -33,7 +94,7 @@ def qn_rows(m, cf, x0, ranks):
     deepest of ``ranks`` (ascending), cut to each rank."""
     ranks = list(ranks)
     deep = build_partition(m, cf, x0, ranks[-1])
-    return [_qn_row(m, cf, deep.coarsen(cf, n)) for n in ranks]
+    return [_qn_row(m, deep.coarsen(cf, n)) for n in ranks]
 
 
 @pytest.fixture(scope="session")

@@ -313,6 +313,72 @@ def test_malformed_config_exits_2(tmp_path, command, doc):
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize(
+    "command, doc, key",
+    [
+        ("tune", dict(TUNE, target_rho=1e-20), "target_rho"),
+        ("partition", dict(PARTITION, rho=1e-20), "rho"),
+        ("measure", dict(MEASURE, rho=1e-20), "rho"),
+    ],
+    ids=["tune", "partition", "measure"],
+)
+def test_unresolvable_decimal_rho_exits_2_naming_the_key(tmp_path, capsys, command, doc, key):
+    # 1e-20 lies in (0, 1), but binary64 resolves none of its quotients
+    code, out = run(tmp_path, command, doc)
+    assert code == 2
+    assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert err == f"error: {key} 1e-20: no partial quotients resolvable at this precision\n"
+
+
+@pytest.mark.parametrize(
+    "doc, keys",
+    [
+        ({"kind": "pl", "sigma_a": 9.0}, "sigma_a"),
+        ({"kind": "pl", "sigma_c": 0.5}, "sigma_c"),
+        ({"kind": "pq", "slope_ratio": 2.0}, "slope_ratio"),
+        (
+            {"kind": "rotation", "same_orbit_steps": 3, "sigma_a": 5.0},
+            "same_orbit_steps, sigma_a",
+        ),
+        (
+            {"kind": "rotation", "a": 0.3, "c": 0.7, "sigma_c": 0.5, "slope_ratio": 2.0},
+            "a, c, sigma_c, slope_ratio",
+        ),
+        # the same-orbit solve places c itself
+        ({"kind": "pq", "c": 0.9, "same_orbit_steps": 1}, "c"),
+        ({"kind": "pl", "c": 0.9, "same_orbit_steps": 2}, "c"),
+    ],
+    ids=[
+        "pl-sigma_a",
+        "pl-sigma_c",
+        "pq-slope_ratio",
+        "rotation-same_orbit_steps",
+        "rotation-shape",
+        "pq-same-orbit-c",
+        "pl-same-orbit-c",
+    ],
+)
+def test_singularity_refuses_keys_its_map_never_reads(tmp_path, capsys, doc, keys):
+    code, out = run(tmp_path, "singularity", dict(doc, n_min=5, n_max=6))
+    assert code == 2
+    assert os.listdir(out) == []
+    kind = doc["kind"]
+    assert capsys.readouterr().err == (
+        f"error: a {kind} singularity config does not read {keys}\n"
+    )
+
+
+def test_singularity_null_same_orbit_steps_is_the_default(tmp_path):
+    # null leaves c to the config, on every kind
+    for kind, extra in (("pq", {"c": 0.7}), ("rotation", {})):
+        doc = dict(kind=kind, n_min=5, n_max=5, same_orbit_steps=None, **extra)
+        code, out = run(tmp_path, "singularity", doc)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["map_params"].get("c", 0.7) == 0.7
+
+
 # The bundled experiments and, where it already holds, the verdict theory
 # predicts; pq_same_orbit and pl_herman do not reach theirs yet.
 BUNDLED_VERDICTS = [

@@ -31,13 +31,10 @@ from circlebreak.numerics import (
 )
 from circlebreak.partition import (
     CellTable,
-    CircleInterval,
     build_partition,
     check_refinement,
     denjoy_product,
     df_product,
-    endpoint_condition,
-    is_qn_small,
     least_squares_line,
     max_element_decay,
     partition_rows,
@@ -48,7 +45,13 @@ from circlebreak.rotation import (
     tune_translation,
 )
 
-from conftest import GOLDEN, cell_interval
+from conftest import (
+    GOLDEN,
+    Arc,
+    _reference_endpoint_condition,
+    _reference_is_qn_small,
+    cell_interval,
+)
 
 
 def test_rotation_partition_three_distance(gcf):
@@ -89,7 +92,6 @@ def test_refinement_golden_splits_two(pq_map, gcf):
     fine = build_partition(pq_map, gcf, 0.05, 8)
     rep = check_refinement(coarse, fine, gcf)
     assert rep.k_next == 1
-    assert set(rep.split_counts) == {2}
     assert rep.persisted == coarse.q_nm1
 
 
@@ -102,7 +104,7 @@ def test_refinement_large_quotient_splits_four():
     fine = build_partition(m, cf, 0.05, 2)
     rep = check_refinement(coarse, fine, cf)
     assert rep.k_next == 3
-    assert set(rep.split_counts) == {4}
+    assert rep.persisted == coarse.q_nm1
 
 
 def test_denjoy_rotation_product_exact(gcf):
@@ -169,22 +171,26 @@ def test_decay_fit_is_the_exact_line(pq_map, gcf):
     )
 
 
+# The reference q_n-smallness test, the oracle of the chain-based check
+# in test_singularity, on arcs whose answer is known
+
+
 def test_is_qn_small_generator(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 6)
     gen = cell_interval(part, 0)
-    assert is_qn_small(pq_map, gcf, gen, 6)
+    assert _reference_is_qn_small(pq_map, gcf, gen, 6)
 
 
 def test_is_qn_small_whole_circle(pq_map, gcf):
-    circle = CircleInterval(left=0.0, length=1.0)
-    assert not is_qn_small(pq_map, gcf, circle, 4)
+    circle = Arc(left=0.0, length=1.0)
+    assert not _reference_is_qn_small(pq_map, gcf, circle, 4)
 
 
 def test_endpoint_condition_on_generators(pq_map, gcf):
     for n in (5, 6, 7):
         part = build_partition(pq_map, gcf, 0.05, n)
         gen = cell_interval(part, 0)
-        assert endpoint_condition(pq_map, gcf, gen, n)
+        assert _reference_endpoint_condition(pq_map, gcf, gen, n)
 
 
 def test_df_ratio_qn_close(pq_map, gcf):
@@ -234,8 +240,7 @@ def test_orbit_cap_comes_from_the_caller(monkeypatch, pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 10, cap=1000)
     assert len(part.orbit) == 144
     assert denjoy_product(pq_map, gcf, 0.05, 12, cap=1000) > 0
-    gen = cell_interval(build_partition(pq_map, gcf, 0.05, 12, cap=1000), 0)
-    assert is_qn_small(pq_map, gcf, gen, 12)
+    assert len(build_partition(pq_map, gcf, 0.05, 12, cap=1000).orbit) == 377
     assert caps == [1000, 1000]
 
 
@@ -598,8 +603,8 @@ def test_refinement_matches_dict_reference(request, quotients, n_max, name):
         for c in (coarse, build_partition(m, cf, 0.05, n)):
             rep = check_refinement(c, fine, cf)
             assert rep.k_next == cf.quotients[n]
-            assert (rep.split_counts, rep.persisted) == (splits, persisted)
-            assert set(splits) == {cf.quotients[n] + 1}
+            assert (rep.persisted, len(splits)) == (persisted, c.q_n)
+            assert set(splits) == {rep.k_next + 1}
 
 
 def test_refinement_of_a_different_map_fails(pq_map, pl_map, gcf):

@@ -7,13 +7,19 @@ import sys
 
 import pytest
 
-from conftest import GOLDEN, qn_rows
+from conftest import (
+    GOLDEN,
+    Arc,
+    _reference_endpoint_condition,
+    _reference_is_qn_small,
+    qn_rows,
+)
 
 import circlebreak.crossratio
 import circlebreak.measure
 import circlebreak.rotation
 from circlebreak.cli import main
-from circlebreak.crossratio import Quadruple, calibrate_k1
+from circlebreak.crossratio import Quadruple, calibrate_k1, distortion_chain
 from circlebreak.errors import (
     ConfigError,
     HypothesisNotCertified,
@@ -23,6 +29,8 @@ from circlebreak.errors import (
 )
 from circlebreak.maps import (
     BreakPoint,
+    advance,
+    evaluate,
     iterate,
     make_pl_two_break,
     make_pq_two_break,
@@ -31,7 +39,7 @@ from circlebreak.maps import (
 )
 from circlebreak.measure import convergent_masses
 from circlebreak.numerics import arc_length, to_circle
-from circlebreak.partition import CircleInterval, build_partition
+from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction, tune_translation
 from circlebreak.singularity import (
     MASS_REL_TOL,
@@ -39,12 +47,12 @@ from circlebreak.singularity import (
     ExperimentConfig,
     RegularCoverParams,
     SingularityReport,
+    _check_hull_images,
     estimate_r6,
     gf_gap,
     make_cover_params,
     mass_length_curve,
     mass_width,
-    mirror_params,
     build_experiment_map,
     regular_cover_triple,
     singularity_report,
@@ -68,7 +76,7 @@ def test_zeta0_closed_form(params25):
 
 
 def test_mirror_scales_zeta0(params25):
-    mir = mirror_params(params25)
+    mir = make_cover_params(1.0 / params25.sigma_a, 1.0 / params25.sigma_c, params25.v)
     assert mir.zeta0 == pytest.approx(params25.sigma_a * params25.zeta0, rel=1e-9)
     assert mir.sigma_a == pytest.approx(0.5)
 
@@ -83,18 +91,6 @@ def test_degenerate_product_collapses_constants():
 def test_single_genuine_break_rejected():
     with pytest.raises(InvalidGeometry):
         make_cover_params(2.0, 1.0, V25)
-
-
-def test_zeta0_recomputed_on_construction(params25):
-    with pytest.raises(InvariantFailure):
-        RegularCoverParams(
-            c0=params25.c0,
-            zeta0=0.5,
-            v=params25.v,
-            sigma_a=2.0,
-            sigma_c=0.8,
-            r6_hat=params25.r6_hat,
-        )
 
 
 def test_r6_estimate_moderate():
@@ -153,7 +149,7 @@ def test_gf_gap_degenerate_reports_without_floor():
 
 def test_cover_triple_generic_case(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 7)
-    t = regular_cover_triple(pq_map, gcf, part)
+    t = regular_cover_triple(pq_map, part)
     assert t.case_tag == "c_outside_U"
     assert not t.covers_second_break
     assert t.z1 < t.z2 < t.z3 < t.z4
@@ -196,7 +192,7 @@ def test_cover_triple_same_orbit_case(so_map, gcf):
         so_map.breaks[0].sigma, so_map.breaks[1].sigma, stats.v
     )
     part = build_partition(so_map, gcf, 0.05, 7)
-    t = regular_cover_triple(so_map, gcf, part)
+    t = regular_cover_triple(so_map, part)
     assert t.case_tag == "c_in_U_left"
     assert t.covers_second_break
     assert t.p_index == t.l_index + 1
@@ -211,15 +207,15 @@ def pl_seam_map(gcf):
     return base.with_translation(tune_translation(base, gcf, tol=1e-10).translation)
 
 
-@pytest.mark.parametrize(
-    "name, x0, rank, tag, p",
-    [
-        ("so_map", 0.8268521246720381, 5, "c_in_U_left", 5),
-        ("so_map", 0.8639844696985152, 9, "c_in_U_left", 34),
-        ("pl_so_map", 0.7776360863476505, 6, "c_in_U_left", 8),
-        ("pl_seam_map", 0.14188767737138264, 8, "c_in_U_right", 24),
-    ],
-)
+SECOND_BREAK_CASES = [
+    ("so_map", 0.8268521246720381, 5, "c_in_U_left", 5),
+    ("so_map", 0.8639844696985152, 9, "c_in_U_left", 34),
+    ("pl_so_map", 0.7776360863476505, 6, "c_in_U_left", 8),
+    ("pl_seam_map", 0.14188767737138264, 8, "c_in_U_right", 24),
+]
+
+
+@pytest.mark.parametrize("name, x0, rank, tag, p", SECOND_BREAK_CASES)
 def test_second_break_found_on_abar_orbit(request, gcf, name, x0, rank, tag, p):
     # cases from a random.Random(7) sweep of (x0, rank 5-12) that exited 4
     # with "second break covered at steps [p], expected []": c has two
@@ -230,10 +226,136 @@ def test_second_break_found_on_abar_orbit(request, gcf, name, x0, rank, tag, p):
     assert (row.case_tag, row.p_index) == (tag, p)
 
 
+@pytest.fixture(scope="module")
+def pq_tilted_map(gcf):
+    """pq map with jump product 2.1 and its second break at 0.9."""
+    base = make_pq_two_break(0.3, 0.9, 3.0, 0.7)
+    return base.with_translation(tune_translation(base, gcf, tol=1e-10).translation)
+
+
+def _hull_outcome(m, part, triple, res):
+    """What the hull audit decides on the chain ``res``: "parity" or
+    "overlap" for its two q_n-smallness failures, else "disjoint"."""
+    try:
+        _check_hull_images(m, part, triple, res)
+    except InvariantFailure as e:
+        for outcome, needle in (("parity", "parity endpoint"), ("overlap", "-small")):
+            if needle in str(e):
+                return outcome
+    return "disjoint"
+
+
+def _overlapped(part, res):
+    """The chain with image j laid over image 0, for the first j that is
+    neither 0 nor q_{n-1}: the images overlap, while the hull and its
+    parity hop stay as they were."""
+    j = next(j for j in range(1, part.q_n) if j != part.q_nm1)
+    quads = list(res.quadruples)
+    quads[j] = quads[0]
+    return res._replace(quadruples=tuple(quads))
+
+
+def _chain_verdicts(m, part, triple):
+    """(q_n-small, parity criterion met) as the chain-based audit decides
+    them.  For a q_n-small hull the audit names the criterion only on
+    overlapping images, so its parity verdict is read off ``_overlapped``."""
+    res = distortion_chain(triple.quadruple, m, part.q_n)
+    outcome = _hull_outcome(m, part, triple, res)
+    if outcome == "disjoint":
+        overlapped = _hull_outcome(m, part, triple, _overlapped(part, res))
+        return True, overlapped == "parity"
+    return False, outcome == "parity"
+
+
+def _reference_verdicts(m, cf, triple):
+    """(q_n-small, parity criterion met) on orbits of the hull's two ends."""
+    arc = Arc(to_circle(triple.z1), triple.hull)
+    parity = _reference_endpoint_condition(m, cf, arc, triple.n)
+    try:
+        small = _reference_is_qn_small(m, cf, arc, triple.n)
+    except InvariantFailure:
+        small = False
+    return small, parity
+
+
+def test_chain_hull_audit_matches_the_reference(request, gcf):
+    # 50 seeded (x0, rank 5-16) covers on each of six maps, and the
+    # second-break cases: as built each is q_n-small within its parity
+    # hop; widened to a random multiple of the rank's longest cell most
+    # are neither.  Both ways the audit on the distortion chain's images
+    # and the reference on two endpoint orbits reach the same verdicts
+    rng = random.Random(30)
+    names = (
+        "pq_map", "pq_tilted_map", "pl_map", "pl_seam_map", "so_map", "pl_so_map"
+    )
+    cases = [(name, rng.random(), rng.randint(5, 16)) for name in names for _ in range(50)]
+    cases += [case[:3] for case in SECOND_BREAK_CASES]
+    widened = []
+    for name, x0, rank in cases:
+        m = request.getfixturevalue(name)
+        part = build_partition(m, gcf, x0, rank)
+        triple = regular_cover_triple(m, part)
+        assert _chain_verdicts(m, part, triple) == (True, True)
+        assert _reference_verdicts(m, gcf, triple) == (True, True)
+        wide = triple._replace(z4=triple.z1 + rng.uniform(0.2, 2.0) * part.max_length())
+        verdicts = _chain_verdicts(m, part, wide)
+        assert verdicts == _reference_verdicts(m, gcf, wide), (name, x0, rank, wide.hull)
+        widened.append(verdicts)
+    assert len(cases) == 304
+    assert widened.count((False, False)) > 100
+
+
+def test_widened_hull_exits_4_naming_qn_small(monkeypatch, tmp_path, capsys):
+    # a cover hull twice the rank's longest cell is not q_n-small; the
+    # audit on the chain's images refuses it before any factor is read
+    import circlebreak.singularity as sing
+
+    build = sing.regular_cover_triple
+
+    def widened(m, part):
+        t = build(m, part)
+        return t._replace(z4=t.z1 + 2.0 * part.max_length())
+
+    monkeypatch.setattr(sing, "regular_cover_triple", widened)
+    cfg = tmp_path / "pq.json"
+    cfg.write_text(json.dumps({"kind": "pq", "n_min": 6, "n_max": 6}))
+    out = tmp_path / "out"
+    assert main(["singularity", "--config", str(cfg), "--out", str(out)]) == 4
+    assert "is not q_6-small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overlap_within_the_parity_hop_raises(pq_map, gcf):
+    # a hull within one T^{q_{n-1}} hop is q_n-small, so images that
+    # overlap all the same mean broken orbit combinatorics; ranks 5 and 6
+    # take the hop from the left end and into the right end
+    for n in (5, 6):
+        part = build_partition(pq_map, gcf, 0.05, n)
+        triple = regular_cover_triple(pq_map, part)
+        arc = Arc(to_circle(triple.z1), triple.hull)
+        assert _reference_endpoint_condition(pq_map, gcf, arc, n)
+        res = _overlapped(part, distortion_chain(triple.quadruple, pq_map, part.q_n))
+        with pytest.raises(InvariantFailure, match=f"parity endpoint criterion at rank {n}"):
+            _check_hull_images(pq_map, part, triple, res)
+
+
+def test_hull_audit_runs_no_orbit(monkeypatch, pq_map, gcf):
+    # the audit reads the chain's quadruples; its sum is the row's
+    # image_len_sum
+    part = build_partition(pq_map, gcf, 0.05, 9)
+    triple = regular_cover_triple(pq_map, part)
+    res = distortion_chain(triple.quadruple, pq_map, part.q_n)
+    calls = [_count_calls(monkeypatch, fn) for fn in (advance, retreat, evaluate)]
+    total = _check_hull_images(pq_map, part, triple, res)
+    assert calls == [[], [], []]
+    assert total == sum(q.hull for q in res.quadruples[: part.q_n])
+    assert total == qn_rows(pq_map, gcf, 0.05, [9])[0].image_len_sum
+
+
 def test_cover_triple_needs_two_breaks(rot_map, gcf):
     part = build_partition(rot_map, gcf, 0.0, 6)
     with pytest.raises(InvalidGeometry):
-        regular_cover_triple(rot_map, gcf, part)
+        regular_cover_triple(rot_map, part)
 
 
 def test_qn_gaps_rotation_vanish(rot_map, gcf):
@@ -527,7 +649,8 @@ def test_first_break_audit_follows_the_break_off_z2(gcf, m, rank):
 
 @pytest.mark.parametrize("name", ["pq_map", "so_map"])
 def test_qn_row_chains_each_rank_once(monkeypatch, request, gcf, name):
-    # the break-hit audit reads the distortion chain's own quadruples
+    # the hull audit (q_n-smallness, parity cross-check, break hits) reads
+    # the distortion chain's own quadruples and runs no orbit of its own
     m = request.getfixturevalue(name)
     calibrate_k1(m)  # cached; its sample runs one-step chains of its own
     chains = _count_calls(monkeypatch, circlebreak.crossratio.chain_points)
@@ -628,7 +751,6 @@ def test_records_refuse_assignment(pq_map, gcf):
         (gcf, "quotients"),
         (part, "orbit"),
         (part.elements, "left"),
-        (CircleInterval(0.1, 0.2), "length"),
         (cfg, "n_max"),
     ]
     for record, field in records:
@@ -639,16 +761,19 @@ def test_records_refuse_assignment(pq_map, gcf):
 
 
 def test_validated_records_refuse_bad_values():
-    # ExperimentConfig, RegularCoverParams and Quadruple have their own
-    # tests; the list-valued config quotients come back as a tuple
+    # ExperimentConfig and Quadruple have their own tests; the list-valued
+    # config quotients come back as a tuple
     cfg = ExperimentConfig(kind="pq", n_min=5, n_max=6, rho_quotients=[1] * 20)
     assert type(cfg) is ExperimentConfig and cfg.rho_quotients == (1,) * 20
     with pytest.raises(InvalidGeometry):
         BreakPoint(1.0, 2.0, 1.0)
     with pytest.raises(InvalidGeometry):
         BreakPoint(0.5, 2.0, 2.0)
-    with pytest.raises(ValueError):
-        CircleInterval(0.5, 0.0)
+    params = make_cover_params(2.0, 0.8, V25)._asdict()
+    assert RegularCoverParams(**params) == make_cover_params(2.0, 0.8, V25)
+    for bad in ({"c0": 0.5}, {"zeta0": 0.0}, {"zeta0": 1.5}):
+        with pytest.raises(InvalidGeometry):
+            RegularCoverParams(**{**params, **bad})
     triple = dict(
         n=5, q_n=5, z1=0.0, z2=0.1, z3=0.2, z4=0.3, case_tag="a_only",
         l_index=0, p_index=0, abar=0.1, cbar=0.1, xi0=1.0, coord0=0.0,
