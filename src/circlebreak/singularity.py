@@ -268,45 +268,29 @@ def _roundtrip_check(m: CircleMap, pre, steps: int, loc):
         )
 
 
-def _preimage_in_window(m: CircleMap, part: DynamicalPartition, loc):
-    """Backward time l < q_n putting the break into the window around x0.
-
-    The partition element containing the break is unique, and pulling the
-    break back by the element's orbit index lands it in one of the two
-    generators, i.e. in [T^{q_n}x0, T^{q_{n-1}}x0].
+def break_preimages(m: CircleMap, deep: DynamicalPartition):
+    """Each break's backward orbit, entry 0 the break itself, for the
+    ranks up to deep.n: rank n reads its preimages off the first q_n
+    entries and d_n's backward point q_{n-1} entries past abar, so the
+    orbit runs deep.q_n + deep.q_nm1 - 1 steps.  ``retreat`` carries x
+    alone, so entry l + k is entry l's k-th preimage bit for bit.
     """
-    l = int(part.elements.index[part.locate(loc)])
-    pre = retreat(m, loc, 0, l)[0]
-    # parity: x_{q_k} lies right of x0 iff k is even
-    if part.n % 2 == 0:
-        w_left, w_right = part.orbit[part.q_nm1], part.orbit[part.q_n]
-    else:
-        w_left, w_right = part.orbit[part.q_n], part.orbit[part.q_nm1]
-    if not in_arc(pre, w_left, w_right):
-        raise InvariantFailure(
-            f"preimage {pre!r} of break {loc!r} (l={l}) escaped the window "
-            f"[{w_left!r}, {w_right!r}]"
-        )
-    _roundtrip_check(m, pre, l, loc)
-    return l, pre
+    tables = []
+    for brk in m.breaks:
+        pres = [brk.location]
+        retreat(m, brk.location, 0, deep.q_n + deep.q_nm1 - 1, pres)
+        tables.append(pres)
+    return tables
 
 
-def _preimage_near(m: CircleMap, part: DynamicalPartition, loc, abar):
-    """Backward time p < q_n putting the break nearest to ``abar``.
-
-    A window point can have two preimages within q_n steps; the one on
-    abar's own orbit, which the hull around abar reaches, is the nearer.
-    """
-    pres = [loc]
-    retreat(m, loc, 0, part.q_n - 1, pres)
-    p = min(range(len(pres)), key=lambda k: _circle_gap(pres[k], abar))
-    _roundtrip_check(m, pres[p], p, loc)
-    return p, pres[p]
-
-
-def regular_cover_triple(m: CircleMap, part: DynamicalPartition) -> CoverTriple:
+def regular_cover_triple(m: CircleMap, part: DynamicalPartition, tables) -> CoverTriple:
     """Cover triple around the first break's preimage at rank part.n.
 
+    ``tables`` (``break_preimages``) give abar, the first break pulled
+    back by its cell's orbit index into [T^{q_n}x0, T^{q_{n-1}}x0], and
+    cbar, the second break's preimage within q_n steps nearest abar: a
+    window point can have two, and the hull around abar reaches the one
+    on abar's own orbit.
     Sizes come from d_n (clearance to the q_{n-1} neighbors of abar)
     through V_n and its zeta0-core U_n; the position of the second
     break's preimage relative to U_n selects between the one-sided cover
@@ -318,17 +302,30 @@ def regular_cover_triple(m: CircleMap, part: DynamicalPartition) -> CoverTriple:
     if len(m.breaks) != 2:
         raise InvalidGeometry("cover triples need a map with exactly two breaks")
     params = _cover_params(m)[0]
-    a_loc = m.breaks[0].location
-    c_loc = m.breaks[1].location
-    l, abar = _preimage_in_window(m, part, a_loc)
-    p, cbar = _preimage_near(m, part, c_loc, abar)
+    a_loc, c_loc = m.breaks[0].location, m.breaks[1].location
+    pre_a, pre_c = tables
+    l = int(part.elements.index[part.locate(a_loc)])
+    abar = pre_a[l]
+    # parity: x_{q_k} lies right of x0 iff k is even
+    w_left, w_right = part.orbit[part.q_nm1], part.orbit[part.q_n]
+    if part.n % 2:
+        w_left, w_right = w_right, w_left
+    if not in_arc(abar, w_left, w_right):
+        raise InvariantFailure(
+            f"preimage {abar!r} of break {a_loc!r} (l={l}) escaped the window "
+            f"[{w_left!r}, {w_right!r}]"
+        )
+    _roundtrip_check(m, abar, l, a_loc)
+    p = min(range(part.q_n), key=lambda k: _circle_gap(pre_c[k], abar))
+    cbar = pre_c[p]
+    _roundtrip_check(m, cbar, p, c_loc)
     if p > l and advance(m, a_loc, 0, p - l)[0] == c_loc:
         # c is a's (p - l)-th image in floating point, so its preimage is
         # abar itself; pulling c back separately would only add rounding
         cbar = abar
 
     fwd = advance(m, abar, 0, part.q_nm1)[0]
-    bwd = retreat(m, abar, 0, part.q_nm1)[0]
+    bwd = pre_a[l + part.q_nm1]
     d_n = 0.5 * min(_circle_gap(abar, fwd), _circle_gap(abar, bwd))
     h_v = 0.5 * math.exp(-params.v) * d_n / params.c0
     h_u = params.zeta0 * h_v
@@ -517,8 +514,9 @@ def _check_hull_images(
     return sum(lengths)
 
 
-def _qn_row(m: CircleMap, part: DynamicalPartition) -> QnDistortionRow:
-    """|Dist(z; f^{q_n}) - 1| at the rank of ``part``.
+def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
+    """|Dist(z; f^{q_n}) - 1| at the rank of ``part``, with ``tables`` the
+    breaks' backward orbits (``break_preimages``).
 
     Two-break maps get the full cover construction with the one-step
     factors audited against their closed forms; break-free maps fall
@@ -526,7 +524,7 @@ def _qn_row(m: CircleMap, part: DynamicalPartition) -> QnDistortionRow:
     rigid rotation.
     """
     if len(m.breaks) == 2:
-        triple = regular_cover_triple(m, part)
+        triple = regular_cover_triple(m, part, tables)
         res = distortion_chain(triple.quadruple, m, part.q_n)
         image_len_sum = _check_hull_images(m, part, triple, res)
     else:
@@ -921,6 +919,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     rho = tr.rho.value
     bracket = cf.bracket_within(tr.certified_tol)
     deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)
+    tables = break_preimages(m, deep)
 
     two_break = len(m.breaks) == 2
     if two_break:
@@ -934,7 +933,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     curves = []
     for n in range(config.n_min, config.n_max + 1):
         part = deep.coarsen(cf, n)
-        qrow = _qn_row(m, part)
+        qrow = _qn_row(m, part, tables)
         curve = mass_length_curve(part, convergent_masses(part, cf, rho))
         curves.append(curve)
         rows.append(

@@ -11,7 +11,7 @@ from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make
 from circlebreak.numerics import MACHINE_EPS, arc_length, to_circle
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction, tune_translation
-from circlebreak.singularity import _qn_row, solve_same_orbit
+from circlebreak.singularity import _qn_row, break_preimages, solve_same_orbit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -94,7 +94,8 @@ def qn_rows(m, cf, x0, ranks):
     deepest of ``ranks`` (ascending), cut to each rank."""
     ranks = list(ranks)
     deep = build_partition(m, cf, x0, ranks[-1])
-    return [_qn_row(m, deep.coarsen(cf, n)) for n in ranks]
+    tables = break_preimages(m, deep)
+    return [_qn_row(m, deep.coarsen(cf, n), tables) for n in ranks]
 
 
 @pytest.fixture(scope="session")

@@ -405,11 +405,103 @@ def test_bundled_experiments_keep_their_verdicts(tmp_path, name, verdict):
     raises=AssertionError,
     reason="exits 4: the first-break audit's one-step factor 1.3333333627561803 "
     "misses its closed form 1.3333333889288232 beyond 7.48e-09, from the "
-    "distortion chain's gap rounding (ROADMAP item 5)",
+    "distortion chain's gap rounding (ROADMAP item 8)",
 )
 def test_pq_main_passes_at_rank_16(tmp_path):
     doc = json.loads((CONFIG_DIR / "pq_main.json").read_text())
     code, _ = run(tmp_path, "singularity", dict(doc, n_min=16, n_max=16))
+    assert code == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="exits 4: the constructed ratio 166.1959358196626 drifted from C0 "
+    "166.19593605528215, since the triple's gaps are differences of absolute "
+    "lifts around abar (ROADMAP item 8)",
+)
+def test_pq_same_orbit_passes_at_rank_19(tmp_path):
+    doc = json.loads((CONFIG_DIR / "pq_same_orbit.json").read_text())
+    doc.update(x0=0.875966711583542, n_min=19, n_max=19)
+    code, _ = run(tmp_path, "singularity", doc)
+    assert code == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="exits 5: same-orbit placement did not converge in 40 rounds; the "
+    "loop settles into an exact 2-cycle (ROADMAP Negative results)",
+)
+def test_three_step_same_orbit_passes_at_rank_12(tmp_path):
+    doc = {"kind": "pq", "n_min": 5, "n_max": 12, "same_orbit_steps": 3}
+    code, _ = run(tmp_path, "singularity", doc)
+    assert code == 0
+
+
+# The bundled experiments and the verdict theory predicts for each.
+EXPERIMENT_THEORY = [
+    ("pq_main", "SINGULAR_EVIDENCE"),
+    ("pq_same_orbit", "SINGULAR_EVIDENCE"),
+    ("pl_generic", "SINGULAR_EVIDENCE"),
+    ("pl_herman", "AC_BASELINE"),
+    ("rotation_baseline", "AC_BASELINE"),
+]
+
+
+# The rotation numbers of the verdict grid: the golden and silver means,
+# a mixed expansion, one large quotient (k_6 = 20) and e's pattern.
+GRID_RHO = {
+    "golden": [1] * 30,
+    "silver": [2] * 30,
+    "mixed": [1, 3, 1, 7, 2, 1, 4, 1, 2, 5, 1, 1, 3, 2, 1, 6, 1, 2, 1, 3, 1, 1, 2, 4],
+    "quotient-20": [1] * 5 + [20] + [1] * 24,
+    "e-like": [2, 1, 2] + [q for k in range(4, 22, 2) for q in (1, 1, k)],
+}
+
+ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="INCONCLUSIVE: only maps without two breaks can reach AC_BASELINE "
+    "(ROADMAP item 1)",
+)
+ITEM_8 = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="exits 4: the first-break audit's one-step factor misses its closed "
+    "form, from the distortion chain's gap rounding (ROADMAP item 8)",
+)
+
+
+def _grid_cells():
+    for name, verdict in EXPERIMENT_THEORY:
+        for rho in GRID_RHO:
+            marks = ()
+            if name == "pl_herman":
+                marks = ITEM_1
+            elif (name, rho) == ("pq_main", "quotient-20"):
+                marks = ITEM_8
+            yield pytest.param(name, rho, verdict, marks=marks, id=f"{name}-{rho}")
+
+
+def _grid_run(tmp_path, name, rho, n_min, n_max):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    doc.update(rho_quotients=GRID_RHO[rho], n_min=n_min, n_max=n_max)
+    return run(tmp_path, "singularity", doc)
+
+
+@pytest.mark.parametrize("name, rho, verdict", list(_grid_cells()))
+def test_verdicts_beyond_the_golden_mean(tmp_path, name, rho, verdict):
+    # the theorems hold for every irrational rotation number, so each
+    # bundled map reaches the verdict theory predicts on each of the five
+    code, out = _grid_run(tmp_path, name, rho, 5, 8)
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["verdict"] == verdict
+
+
+@ITEM_8
+def test_pq_main_passes_on_silver_at_rank_9(tmp_path):
+    code, _ = _grid_run(tmp_path, "pq_main", "silver", 9, 9)
     assert code == 0
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,7 @@ from circlebreak.singularity import (
     RegularCoverParams,
     SingularityReport,
     _check_hull_images,
+    break_preimages,
     estimate_r6,
     gf_gap,
     make_cover_params,
@@ -58,6 +60,8 @@ from circlebreak.singularity import (
     singularity_report,
     solve_same_orbit,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 V25 = math.log(2.5)  # |log 2| + |log 0.8|
 
@@ -149,7 +153,7 @@ def test_gf_gap_degenerate_reports_without_floor():
 
 def test_cover_triple_generic_case(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 7)
-    t = regular_cover_triple(pq_map, part)
+    t = regular_cover_triple(pq_map, part, break_preimages(pq_map, part))
     assert t.case_tag == "c_outside_U"
     assert not t.covers_second_break
     assert t.z1 < t.z2 < t.z3 < t.z4
@@ -192,7 +196,7 @@ def test_cover_triple_same_orbit_case(so_map, gcf):
         so_map.breaks[0].sigma, so_map.breaks[1].sigma, stats.v
     )
     part = build_partition(so_map, gcf, 0.05, 7)
-    t = regular_cover_triple(so_map, part)
+    t = regular_cover_triple(so_map, part, break_preimages(so_map, part))
     assert t.case_tag == "c_in_U_left"
     assert t.covers_second_break
     assert t.p_index == t.l_index + 1
@@ -294,7 +298,7 @@ def test_chain_hull_audit_matches_the_reference(request, gcf):
     for name, x0, rank in cases:
         m = request.getfixturevalue(name)
         part = build_partition(m, gcf, x0, rank)
-        triple = regular_cover_triple(m, part)
+        triple = regular_cover_triple(m, part, break_preimages(m, part))
         assert _chain_verdicts(m, part, triple) == (True, True)
         assert _reference_verdicts(m, gcf, triple) == (True, True)
         wide = triple._replace(z4=triple.z1 + rng.uniform(0.2, 2.0) * part.max_length())
@@ -312,8 +316,8 @@ def test_widened_hull_exits_4_naming_qn_small(monkeypatch, tmp_path, capsys):
 
     build = sing.regular_cover_triple
 
-    def widened(m, part):
-        t = build(m, part)
+    def widened(m, part, tables):
+        t = build(m, part, tables)
         return t._replace(z4=t.z1 + 2.0 * part.max_length())
 
     monkeypatch.setattr(sing, "regular_cover_triple", widened)
@@ -331,7 +335,7 @@ def test_overlap_within_the_parity_hop_raises(pq_map, gcf):
     # take the hop from the left end and into the right end
     for n in (5, 6):
         part = build_partition(pq_map, gcf, 0.05, n)
-        triple = regular_cover_triple(pq_map, part)
+        triple = regular_cover_triple(pq_map, part, break_preimages(pq_map, part))
         arc = Arc(to_circle(triple.z1), triple.hull)
         assert _reference_endpoint_condition(pq_map, gcf, arc, n)
         res = _overlapped(part, distortion_chain(triple.quadruple, pq_map, part.q_n))
@@ -343,7 +347,7 @@ def test_hull_audit_runs_no_orbit(monkeypatch, pq_map, gcf):
     # the audit reads the chain's quadruples; its sum is the row's
     # image_len_sum
     part = build_partition(pq_map, gcf, 0.05, 9)
-    triple = regular_cover_triple(pq_map, part)
+    triple = regular_cover_triple(pq_map, part, break_preimages(pq_map, part))
     res = distortion_chain(triple.quadruple, pq_map, part.q_n)
     calls = [_count_calls(monkeypatch, fn) for fn in (advance, retreat, evaluate)]
     total = _check_hull_images(pq_map, part, triple, res)
@@ -355,7 +359,7 @@ def test_hull_audit_runs_no_orbit(monkeypatch, pq_map, gcf):
 def test_cover_triple_needs_two_breaks(rot_map, gcf):
     part = build_partition(rot_map, gcf, 0.0, 6)
     with pytest.raises(InvalidGeometry):
-        regular_cover_triple(rot_map, part)
+        regular_cover_triple(rot_map, part, break_preimages(rot_map, part))
 
 
 def test_qn_gaps_rotation_vanish(rot_map, gcf):
@@ -624,6 +628,78 @@ def test_report_encloses_rho_once_and_runs_no_measure_orbit(monkeypatch, kind):
         assert diag["tune_bisections"] is None
     else:
         assert diag["tune_bisections"] > 0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [dict(kind="pq"), dict(kind="pl", same_orbit_steps=1), dict(kind="rotation")],
+    ids=["pq", "pl-same-orbit", "rotation"],
+)
+def test_report_runs_one_backward_orbit_per_break(monkeypatch, shape):
+    # one retreat per break, as deep as the deepest rank needs, and every
+    # rank's cover reads its preimages and d_n's backward point off it;
+    # a rotation has no breaks to pull back
+    cfg = ExperimentConfig(n_min=5, n_max=8, **shape)
+    cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+    m, _, _ = build_experiment_map(cfg, cf)
+    walks = _count_calls(monkeypatch, retreat)
+    singularity_report(cfg)
+    steps = cf.q(8) + cf.q(7) - 1
+    assert [(call["x"], call["n"]) for call in walks] == [
+        (brk.location, steps) for brk in m.breaks
+    ]
+    if m.breaks:
+        deep = build_partition(m, cf, cfg.x0, 8)
+        tables = break_preimages(m, deep)
+        walks.clear()
+        for n in range(5, 9):
+            regular_cover_triple(m, deep.coarsen(cf, n), tables)
+        assert walks == []
+
+
+def _reference_preimages(m, part):
+    """(l, abar, p, the second break's first q_n preimages, d_n's backward
+    point) by the per-rank walks the cover ran before it read the break
+    tables: each break pulled back from itself, and abar pulled back
+    q_{n-1} steps for d_n."""
+    a_loc, c_loc = m.breaks[0].location, m.breaks[1].location
+    l = int(part.elements.index[part.locate(a_loc)])
+    abar = retreat(m, a_loc, 0, l)[0]
+    pres = [c_loc]
+    retreat(m, c_loc, 0, part.q_n - 1, pres)
+    p = min(
+        range(len(pres)),
+        key=lambda k: min(arc_length(pres[k], abar), arc_length(abar, pres[k])),
+    )
+    return l, abar, p, pres, retreat(m, abar, 0, part.q_nm1)[0]
+
+
+@pytest.mark.parametrize(
+    "name, n_max",
+    [("pq_main", 15), ("pq_same_orbit", 16), ("pl_generic", 16), ("pl_herman", 16)],
+)
+def test_break_tables_match_the_per_rank_walks(name, n_max):
+    # the report's tables, built once at the deepest rank, give every
+    # rank the bits of its own walks, and the cover reads nothing else of
+    # them: tables holding only the walks' points, nan elsewhere, give the
+    # same triple
+    cfg = ExperimentConfig(**json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+    m, _, _ = build_experiment_map(cfg, cf)
+    deep = build_partition(m, cf, cfg.x0, n_max)
+    tables = break_preimages(m, deep)
+    assert [len(t) for t in tables] == [deep.q_n + deep.q_nm1] * 2
+    for n in range(5, n_max + 1):
+        part = deep.coarsen(cf, n)
+        l, abar, p, pres, bwd = _reference_preimages(m, part)
+        t = regular_cover_triple(m, part, tables)
+        assert (t.l_index, t.p_index) == (l, p)
+        got = (t.abar, tables[1][p], tables[0][l + part.q_nm1])
+        assert [x.hex() for x in got] == [x.hex() for x in (abar, pres[p], bwd)], n
+        assert t.cbar in (t.abar, pres[p])
+        only = [[math.nan] * len(table) for table in tables]
+        only[0][l], only[0][l + part.q_nm1], only[1][: part.q_n] = abar, bwd, pres
+        assert regular_cover_triple(m, part, only) == t
 
 
 @pytest.mark.parametrize(
