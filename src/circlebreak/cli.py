@@ -415,8 +415,16 @@ def _map_from_config(spec, forbid_translation=False, where="map"):
             "the tune command searches over the translation; remove it "
             "from the map spec"
         )
+
+    def translation(default=_MISSING):
+        # from 2**52 on, x + t keeps at most one fractional bit
+        t = k.real("translation", default)
+        if abs(t) >= 2.0**52:
+            raise ConfigError(f"{where} key 'translation' must be below 2**52 in magnitude")
+        return t
+
     if kind == "rotation":
-        t = 0.0 if forbid_translation else k.real("translation")
+        t = 0.0 if forbid_translation else translation()
         k.done()
         return make_rotation(t), kind
     if kind == "pq":
@@ -424,14 +432,14 @@ def _map_from_config(spec, forbid_translation=False, where="map"):
         c = k.real("c")
         sa = k.real("sigma_a")
         sc = k.real("sigma_c")
-        t = k.real("translation", 0.0)
+        t = translation(0.0)
         k.done()
         return make_pq_two_break(a, c, sa, sc, t), kind
     if kind == "pl":
         a = k.real("a")
         c = k.real("c")
         r = k.real("slope_ratio")
-        t = k.real("translation", 0.0)
+        t = translation(0.0)
         k.done()
         return make_pl_two_break(a, c, r, t), kind
     raise ConfigError(f"unknown map kind {kind!r}; expected rotation, pq, or pl")

@@ -169,13 +169,13 @@ def make_pl_two_break(a, c, slope_ratio, translation=0.0) -> CircleMap:
     s1/s2 = slope_ratio.  The jump ratios multiply to 1 by construction."""
     a = to_circle(a)
     c = to_circle(c)
-    if a == c:
+    len_ac = arc_length(a, c)  # 0 also when c is a float step below a
+    if len_ac == 0.0:
         raise InvalidGeometry("break points coincide")
     if slope_ratio <= 0:
         raise InvalidGeometry("slope ratio must be positive")
     if slope_ratio == 1:
         raise InvalidGeometry("slope ratio 1 gives no break")
-    len_ac = arc_length(a, c)
     len_ca = 1 - len_ac
     s2 = 1 / (slope_ratio * len_ac + len_ca)
     s1 = slope_ratio * s2
@@ -202,7 +202,8 @@ def make_pq_two_break(a, c, sigma_a, sigma_c, translation=0.0) -> CircleMap:
     """
     a = to_circle(a)
     c = to_circle(c)
-    if a == c:
+    len_ac = arc_length(a, c)  # 0 also when c is a float step below a
+    if len_ac == 0.0:
         raise InvalidGeometry("break points coincide")
     if sigma_a <= 0 or sigma_c <= 0:
         raise InvalidGeometry("jump ratios must be positive")
@@ -210,7 +211,6 @@ def make_pq_two_break(a, c, sigma_a, sigma_c, translation=0.0) -> CircleMap:
         raise InvalidGeometry("both jump ratios are 1: no break points")
     if sigma_a == 1 or sigma_c == 1:
         raise InvalidGeometry("a two-break map needs both jump ratios != 1")
-    len_ac = arc_length(a, c)
     len_ca = 1 - len_ac
     area = len_ac * (1 + sigma_c) / 2 + len_ca * (1 + sigma_a) / 2
     s = 1 / area

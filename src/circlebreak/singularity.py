@@ -84,31 +84,21 @@ LORENZ_VIOLATION_LIMIT = 0.05
 LORENZ_MASS = 0.90
 
 
-@lru_cache(maxsize=32)
-def estimate_r6(sigma_a, sigma_c):
-    """Empirical constant bounding the tail factor Phi2.
+def r6_bound(sigma_a, sigma_c):
+    """Tail constant R6 with |Phi2 - 1| <= R6 (1/xi_l + 1/xi_p) for xi >= 10.
 
-    Phi2(xi_l, xi_p, z) -> 1 as both ratios grow, with error dominated by
-    R6*(1/xi_l + 1/xi_p).  The bound's constant is only claimed to exist,
-    so it is estimated as the worst observed ratio on a log grid with
-    xi >= 10, then doubled.  Phi2 is affine over affine in z, hence
-    monotone there, so |Phi2 - 1| peaks at z = 0 or z = 1 and only those
-    two are evaluated.  Floor at 1 since the downstream constant assumes
-    R6 > 1.
+    Phi2 = A B with A = (1 + xi_l)/(sigma_a + xi_l) and
+    B = (1 + xi_p)/(s + xi_p), where s = sigma_c + (1 - sigma_c) z lies
+    between sigma_c and 1 for z in [0, 1].  With alpha = |1 - sigma_a| and
+    gamma = |1 - sigma_c|, A - 1 = (1 - sigma_a)/(sigma_a + xi_l) gives
+    |A - 1| <= alpha/xi_l, and likewise |B - 1| <= gamma/xi_p.  Then
+    |AB - 1| <= |A - 1| + |B - 1| + |A - 1||B - 1|, and for xi_l, xi_p >= 10,
+    1/(xi_l xi_p) <= (1/xi_l + 1/xi_p)/20, so
+    R6 = max(alpha, gamma) + alpha gamma/20 bounds every z.  Floor at 1
+    since C0 assumes R6 >= 1.
     """
-    if sigma_a <= 0 or sigma_c <= 0:
-        raise InvalidGeometry("jump ratios must be positive")
-    xis = [10.0 * (10.0 ** (k / 6.0)) for k in range(31)]
-    worst = 0.0
-    for xl in xis:
-        left = (1.0 + xl) / (sigma_a + xl)
-        for xp in xis:
-            budget = 1.0 / xl + 1.0 / xp
-            for z in (0.0, 1.0):
-                den = sigma_c + (1.0 - sigma_c) * z + xp
-                phi2 = left * (1.0 + xp) / den
-                worst = max(worst, abs(phi2 - 1.0) / budget)
-    return max(2.0 * worst, 1.0)
+    alpha, gamma = abs(1.0 - sigma_a), abs(1.0 - sigma_c)
+    return max(max(alpha, gamma) + alpha * gamma / 20.0, 1.0)
 
 
 class _RegularCoverParamsFields(NamedTuple):
@@ -117,7 +107,7 @@ class _RegularCoverParamsFields(NamedTuple):
     v: float
     sigma_a: float
     sigma_c: float
-    r6_hat: float
+    r6: float
     degenerate: bool = False
 
 
@@ -154,17 +144,17 @@ class RegularCoverParams(_RegularCoverParamsFields):
 def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
     """Constants C0 and zeta0 for the cover construction.
 
-    zeta0 comes from the closed form; C0 needs the Phi2 tail constant,
-    estimated by estimate_r6.  The sup of Phi1(z) = ss + (1 - sigma_c)
-    sigma_a z over z in [0,1] is max(ss, sigma_a): Phi1 is linear with
-    endpoint values ss and sigma_a.
+    zeta0 comes from the closed form; C0 needs the Phi2 tail constant of
+    r6_bound.  The sup of Phi1(z) = ss + (1 - sigma_c) sigma_a z over z
+    in [0,1] is max(ss, sigma_a): Phi1 is linear with endpoint values ss
+    and sigma_a.
     """
     if sigma_a <= 0 or sigma_c <= 0:
         raise InvalidGeometry("jump ratios must be positive")
     if v <= 0:
         raise InvalidGeometry("log-derivative variation must be positive")
     ss = sigma_a * sigma_c
-    r6 = estimate_r6(sigma_a, sigma_c)
+    r6 = r6_bound(sigma_a, sigma_c)
     if abs(ss - 1.0) <= 1e-12:
         return RegularCoverParams(
             c0=1.0,
@@ -172,7 +162,7 @@ def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
             v=v,
             sigma_a=sigma_a,
             sigma_c=sigma_c,
-            r6_hat=r6,
+            r6=r6,
             degenerate=True,
         )
     if abs(ss - sigma_a) <= 1e-15:
@@ -182,7 +172,7 @@ def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
     m_sigma = max(ss, sigma_a)
     c0 = max(4.0 * r6 * ev * m_sigma / abs(ss - 1.0), 1.0)
     return RegularCoverParams(
-        c0=c0, zeta0=zeta0, v=v, sigma_a=sigma_a, sigma_c=sigma_c, r6_hat=r6
+        c0=c0, zeta0=zeta0, v=v, sigma_a=sigma_a, sigma_c=sigma_c, r6=r6
     )
 
 
@@ -926,7 +916,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
         params = _cover_params(m)[0]
         notes.append(
             f"cover constants: C0={params.c0:.6g}, zeta0={params.zeta0:.6g}, "
-            f"R6={params.r6_hat:.6g}"
+            f"R6={params.r6:.6g}"
         )
 
     rows = []

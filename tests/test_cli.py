@@ -253,6 +253,10 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("measure", dict(MEASURE, map=dict(PQ_TUNED, a=math.nan))),
         ("partition", dict(PARTITION, map={"kind": "rotation", "translation": math.inf})),
         ("rotnum", dict(ROTNUM, map={"kind": "rotation", "translation": math.nan})),
+        # from 2**52 on, x + t keeps at most one fractional bit; at 1e308
+        # the orbit loops' float winding overflowed
+        ("rotnum", dict(ROTNUM, map={"kind": "rotation", "translation": 1e308})),
+        ("rotnum", dict(ROTNUM, map={"kind": "rotation", "translation": -(2**52)})),
         ("singularity", dict(SINGULARITY, x0=math.nan)),
         ("singularity", dict(SINGULARITY, a=10**400)),
         ("distortion", {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, math.inf]]}),
@@ -296,6 +300,8 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "measure-pq-a-nan",
         "partition-rotation-translation-infinity",
         "rotnum-translation-nan",
+        "rotnum-translation-1e308",
+        "rotnum-translation-minus-2-52",
         "singularity-x0-nan",
         "singularity-a-past-float-range",
         "distortion-quadruple-infinity",
@@ -329,6 +335,14 @@ def test_unresolvable_decimal_rho_exits_2_naming_the_key(tmp_path, capsys, comma
     assert os.listdir(out) == []
     err = capsys.readouterr().err
     assert err == f"error: {key} 1e-20: no partial quotients resolvable at this precision\n"
+
+
+def test_breaks_that_coincide_on_the_circle_exit_5(tmp_path, capsys):
+    # c = 1.2 reduces to the same circle point as a = 0.2
+    code, out = run(tmp_path, "rotnum", dict(ROTNUM, map=dict(PQ_MAP, c=1.2)))
+    assert code == 5
+    assert os.listdir(out) == []
+    assert capsys.readouterr().err == "error: break points coincide\n"
 
 
 @pytest.mark.parametrize(
@@ -400,31 +414,44 @@ def test_bundled_experiments_keep_their_verdicts(tmp_path, name, verdict):
         assert report["verdict"] == verdict
 
 
+# What stops each run that item 8's chain defect breaks; a pin that stops
+# for another reason fails outright instead of counting as expected.
+FIRST_BREAK_AUDIT = "at the first break differs from its closed form"
+C0_DRIFT = "drifted from C0"
+
+
+def _passes_unless_item_8(capsys, code, cause):
+    err = capsys.readouterr().err
+    if code != 0 and not (code == 4 and cause in err):
+        pytest.fail(f"exit {code} for a reason other than ROADMAP item 8: {err}")
+    assert code == 0
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="exits 4: the first-break audit's one-step factor 1.3333333627561803 "
-    "misses its closed form 1.3333333889288232 beyond 7.48e-09, from the "
+    reason="exits 4: the first-break audit's one-step factor 1.3333333872289526 "
+    "misses its closed form 1.3333334026021675 beyond 9.27e-09, from the "
     "distortion chain's gap rounding (ROADMAP item 8)",
 )
-def test_pq_main_passes_at_rank_16(tmp_path):
+def test_pq_main_passes_at_rank_17(tmp_path, capsys):
     doc = json.loads((CONFIG_DIR / "pq_main.json").read_text())
-    code, _ = run(tmp_path, "singularity", dict(doc, n_min=16, n_max=16))
-    assert code == 0
+    code, _ = run(tmp_path, "singularity", dict(doc, n_min=17, n_max=17))
+    _passes_unless_item_8(capsys, code, FIRST_BREAK_AUDIT)
 
 
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="exits 4: the constructed ratio 166.1959358196626 drifted from C0 "
-    "166.19593605528215, since the triple's gaps are differences of absolute "
+    reason="exits 4: the constructed ratio 84.16666678645339 drifted from C0 "
+    "84.16666666666661, since the triple's gaps are differences of absolute "
     "lifts around abar (ROADMAP item 8)",
 )
-def test_pq_same_orbit_passes_at_rank_19(tmp_path):
+def test_pq_same_orbit_passes_at_rank_19(tmp_path, capsys):
     doc = json.loads((CONFIG_DIR / "pq_same_orbit.json").read_text())
-    doc.update(x0=0.875966711583542, n_min=19, n_max=19)
+    doc.update(x0=0.9777456784655486, n_min=19, n_max=19)
     code, _ = run(tmp_path, "singularity", doc)
-    assert code == 0
+    _passes_unless_item_8(capsys, code, C0_DRIFT)
 
 
 @pytest.mark.xfail(
@@ -465,22 +492,12 @@ ITEM_1 = pytest.mark.xfail(
     reason="INCONCLUSIVE: only maps without two breaks can reach AC_BASELINE "
     "(ROADMAP item 1)",
 )
-ITEM_8 = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="exits 4: the first-break audit's one-step factor misses its closed "
-    "form, from the distortion chain's gap rounding (ROADMAP item 8)",
-)
 
 
 def _grid_cells():
     for name, verdict in EXPERIMENT_THEORY:
         for rho in GRID_RHO:
-            marks = ()
-            if name == "pl_herman":
-                marks = ITEM_1
-            elif (name, rho) == ("pq_main", "quotient-20"):
-                marks = ITEM_8
+            marks = ITEM_1 if name == "pl_herman" else ()
             yield pytest.param(name, rho, verdict, marks=marks, id=f"{name}-{rho}")
 
 
@@ -499,10 +516,19 @@ def test_verdicts_beyond_the_golden_mean(tmp_path, name, rho, verdict):
     assert json.loads((out / "report.json").read_text())["verdict"] == verdict
 
 
-@ITEM_8
-def test_pq_main_passes_on_silver_at_rank_9(tmp_path):
-    code, _ = _grid_run(tmp_path, "pq_main", "silver", 9, 9)
-    assert code == 0
+# pq_main's first failing rank off the golden mean; the mixed rho also
+# exits 4 at rank 10, but that run takes about 2 s, most of it tuning, so
+# it has no pin yet.
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="exits 4: the first-break audit's one-step factor misses its closed "
+    "form, from the distortion chain's gap rounding (ROADMAP item 8)",
+)
+@pytest.mark.parametrize("rho, rank", [("silver", 10), ("quotient-20", 11)])
+def test_pq_main_passes_beyond_the_golden_mean(tmp_path, capsys, rho, rank):
+    code, _ = _grid_run(tmp_path, "pq_main", rho, rank, rank)
+    _passes_unless_item_8(capsys, code, FIRST_BREAK_AUDIT)
 
 
 @pytest.mark.parametrize(

@@ -558,6 +558,15 @@ def test_pq_rejects_degenerate():
         make_pq_two_break(0.2, 0.6, -2.0, 0.8)
 
 
+def test_breaks_apart_only_before_reduction_coincide():
+    # 1.2 reduces to the float just below 0.2, and so does nextafter; the
+    # arc from 0.2 to it rounds to a full turn, which reduces to 0
+    with pytest.raises(InvalidGeometry, match="break points coincide"):
+        make_pq_two_break(0.2, 1.2, 2.0, 0.8)
+    with pytest.raises(InvalidGeometry, match="break points coincide"):
+        make_pl_two_break(0.2, math.nextafter(0.2, 0), 2.0)
+
+
 def test_pq_stats():
     m = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
     stats = map_stats(m)

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,12 +51,12 @@ from circlebreak.singularity import (
     SingularityReport,
     _check_hull_images,
     break_preimages,
-    estimate_r6,
     gf_gap,
     make_cover_params,
     mass_length_curve,
     mass_width,
     build_experiment_map,
+    r6_bound,
     regular_cover_triple,
     singularity_report,
     solve_same_orbit,
@@ -98,36 +99,36 @@ def test_single_genuine_break_rejected():
 
 
 def test_r6_estimate_moderate():
-    r6 = estimate_r6(2.0, 0.8)
-    assert 1.0 < r6 < 4.0
+    # alpha = 1, gamma = 0.2: R6 = 1 + 0.2/20
+    assert r6_bound(2.0, 0.8) == 1.01
+    assert r6_bound(0.5, 1.25) == 1.0  # the mirror's 0.50625, floored
     params = make_cover_params(2.0, 0.8, V25)
-    assert params.r6_hat == r6
-    assert params.c0 == pytest.approx(4.0 * r6 * 2.5 * 2.0 / 0.6, rel=1e-12)
+    assert params.r6 == 1.01
+    assert params.c0 == pytest.approx(4.0 * 1.01 * 2.5 * 2.0 / 0.6, rel=1e-12)
 
 
-def _r6_on_a_z_grid(sigma_a, sigma_c):
-    # estimate_r6 with Phi2 sampled at nine z in [0, 1], not just the ends
-    xis = [10.0 * (10.0 ** (k / 6.0)) for k in range(31)]
-    worst = 0.0
-    for xl in xis:
-        left = (1.0 + xl) / (sigma_a + xl)
-        for xp in xis:
-            budget = 1.0 / xl + 1.0 / xp
-            for z in [j / 8.0 for j in range(9)]:
-                den = sigma_c + (1.0 - sigma_c) * z + xp
-                phi2 = left * (1.0 + xp) / den
-                worst = max(worst, abs(phi2 - 1.0) / budget)
-    return max(2.0 * worst, 1.0)
+def _phi2_ratio(sigma_a, sigma_c, xi_l, xi_p, z):
+    # |Phi2 - 1| / (R6 (1/xi_l + 1/xi_p)) in exact arithmetic
+    sa, sc, xl, xp, z = map(Fraction, (sigma_a, sigma_c, xi_l, xi_p, z))
+    phi2 = (1 + xl) / (sa + xl) * (1 + xp) / (sc + (1 - sc) * z + xp)
+    return abs(phi2 - 1) / (Fraction(r6_bound(sigma_a, sigma_c)) * (1 / xl + 1 / xp))
 
 
-def test_r6_estimate_matches_a_z_grid():
-    # Phi2 is monotone in z, so its ends carry the worst ratio bit for bit
-    rng = random.Random(3)
-    pairs = [(2.0, 0.8), (0.5, 3.0), (1.5, 1.5), (0.1, 0.2), (8.0, 0.05)]
-    pairs += [(rng.uniform(0.05, 10.0), rng.uniform(0.05, 10.0)) for _ in range(20)]
-    for sa, sc in pairs:
-        for s in ((sa, sc), (1.0 / sa, 1.0 / sc)):
-            assert estimate_r6(*s) == _r6_on_a_z_grid(*s)
+def test_r6_bound_holds_in_exact_arithmetic():
+    # the bound is proven for every z in [0, 1], so it is checked at both
+    # ends and inside, with no appeal to Phi2 being monotone in z
+    rng = random.Random(13)
+    for _ in range(1500):
+        sa, sc = (math.exp(rng.uniform(math.log(0.03), math.log(32.0))) for _ in "ac")
+        xl, xp = (10.0 ** rng.uniform(1.0, 7.0) for _ in "lp")
+        for z in (0.0, 1.0, rng.random()):
+            assert _phi2_ratio(sa, sc, xl, xp, z) <= 1
+    # alpha = 2, gamma = 0: the ratio reaches 0.9987 of the bound, so a
+    # looser constant fails here
+    assert Fraction(998, 1000) < _phi2_ratio(3.0, 1.0, 1e4, 1e7, 0.5) <= 1
+    # alpha = gamma = 0.97 at xi = 10: 0.9969 of the bound, which holds only
+    # with the alpha gamma/20 term
+    assert Fraction(996, 1000) < _phi2_ratio(0.03, 0.03, 10.0, 10.0, 0.0) <= 1
 
 
 def test_gf_gap_value(params25):
