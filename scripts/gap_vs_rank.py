@@ -4,7 +4,7 @@
 A quick console view of the separation the full experiments certify:
 the two-break map with sigma_a*sigma_c != 1 keeps |Dist - 1| bounded
 away from zero while the rigid rotation sits at rounding level.  The
-gaps are the ``dist_gap`` rows of the ``singularity`` reports of the
+gaps are the ``dist_qn_gap`` rows of the ``singularity`` reports of the
 bundled configs, so they are the numbers under ``results/``.
 """
 
@@ -20,7 +20,7 @@ CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 def _gaps(name):
     with open(os.path.join(CONFIGS, name)) as fh:
         report = singularity_report(ExperimentConfig(**json.load(fh)))
-    return [(row.n, row.dist_gap) for row in report.rows]
+    return [(row.n, row.dist_qn_gap) for row in report.rows]
 
 
 def main() -> int:

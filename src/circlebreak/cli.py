@@ -53,7 +53,7 @@ from .rotation import (
     rho_iterate_estimate,
     tune_translation,
 )
-from .singularity import ExperimentConfig, singularity_report
+from .singularity import ExperimentConfig, ReportRow, singularity_report
 
 SCHEMA = 1
 
@@ -463,6 +463,12 @@ def _cf_from_config(spec, where="rho"):
     raise ConfigError(f"{where} must be a number or an object with a cf list")
 
 
+def _enclosure(est, **extra):
+    """A RotationEstimate's value and enclosure, then ``extra``, as a
+    report object."""
+    return {"value": est.value, "lower": est.lower, "upper": est.upper, **extra}
+
+
 def cmd_rotnum(doc, outdir, seed):
     k = _Keys(doc)
     m, _ = _map_from_config(k.take("map"))
@@ -487,19 +493,8 @@ def cmd_rotnum(doc, outdir, seed):
     report = {
         "schema": SCHEMA,
         "command": "rotnum",
-        "farey": {
-            "value": est.value,
-            "lower": est.lower,
-            "upper": est.upper,
-            "width": est.width,
-            "rational": list(est.rational) if est.rational else None,
-            "depth": depth,
-        },
-        "iterate": (
-            None
-            if it is None
-            else {"value": it.value, "lower": it.lower, "upper": it.upper, "n": estimate_n}
-        ),
+        "farey": _enclosure(est, width=est.width, rational=est.rational, depth=depth),
+        "iterate": None if it is None else _enclosure(it, n=estimate_n),
         "quotients": list(cfr.quotients),
         "max_quotient": max(cfr.quotients) if cfr.quotients else None,
     }
@@ -536,11 +531,7 @@ def cmd_tune(doc, outdir, seed):
         "t_star": res.translation,
         "certified_tol": res.certified_tol,
         "bisections": res.bisections,
-        "rho": {
-            "value": res.rho.value,
-            "lower": res.rho.lower,
-            "upper": res.rho.upper,
-        },
+        "rho": _enclosure(res.rho),
     }
     return _write_all(outdir, [("tune.json", [_json_text(report) + "\n"])])
 
@@ -639,14 +630,9 @@ def cmd_partition(doc, outdir, seed):
                 "v": stats.v,
             }
         if fit is not None:
-            summary["decay"] = {
-                "rows": [[rn, ln] for rn, ln in fit.rows],
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "log_lambda": fit.log_lambda,
-                "margin": fit.margin,
-                "within_bound": fit.within_bound,
-            }
+            summary["decay"] = dict(
+                fit._asdict(), margin=fit.margin, within_bound=fit.within_bound
+            )
         if rep is not None:
             summary["refinement"] = {
                 "k_next": rep.k_next,
@@ -789,7 +775,7 @@ def cmd_measure(doc, outdir, seed):
         "command": "measure",
         "n": n,
         "points": points,
-        "rho": {"value": est.value, "lower": est.lower, "upper": est.upper},
+        "rho": _enclosure(est),
         "mass_sum": sum(masses),
         "ranks": rank_summary,
         "identity_residual": mass_identity_residual(cf, est.value, n),
@@ -856,28 +842,12 @@ def cmd_singularity(doc, outdir, seed):
         )
 
     report = singularity_report(config)
-    body = {"schema": SCHEMA, "command": "singularity"}
-    body.update(report.to_json_dict())
-
+    body = {"schema": SCHEMA, "command": "singularity", **report.to_json_dict()}
+    # a null gf_gap is an empty cell
+    rows = [r if r.gf_gap is not None else r._replace(gf_gap="") for r in report.rows]
     artifacts = [
         ("report.json", [_json_text(body) + "\n"]),
-        (
-            "rows.csv",
-            _csv_chunks(
-                ["n", "q_n", "gf_gap", "dist_qn_gap", "lorenz_90_length", "case_tag"],
-                [
-                    (
-                        r.n,
-                        r.q_n,
-                        "" if r.gf is None else r.gf,
-                        r.dist_gap,
-                        r.lorenz_90_length,
-                        r.case_tag,
-                    )
-                    for r in report.rows
-                ],
-            ),
-        ),
+        ("rows.csv", _csv_chunks(ReportRow._fields, rows)),
     ]
     for curve in report.curves:
         artifacts.append(

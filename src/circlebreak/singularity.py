@@ -414,19 +414,19 @@ def gf_gap(params: RegularCoverParams, xi_l, xi_p, z_p):
 class QnDistortionRow(NamedTuple):
     """One rank of the distortion experiment.
 
-    gap is |Dist(z; f^{q_n}) - 1| on the cover triple; gf is the
-    Lemma-level product gap when the triple covers both breaks, else
+    dist_qn_gap is |Dist(z; f^{q_n}) - 1| on the cover triple; gf_gap is
+    the Lemma-level product gap when the triple covers both breaks, else
     None.  image_len_sum is the total length of the q_n hull iterates
     (disjointness puts it under 1).
     """
 
     n: int
     q_n: int
-    gap: float
+    dist_qn_gap: float
     case_tag: str
     l_index: int
     p_index: int
-    gf: float | None
+    gf_gap: float | None
     image_len_sum: float
 
 
@@ -531,11 +531,11 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
         return QnDistortionRow(
             n=part.n,
             q_n=part.q_n,
-            gap=gap,
+            dist_qn_gap=gap,
             case_tag="break_free",
             l_index=-1,
             p_index=-1,
-            gf=None,
+            gf_gap=None,
             image_len_sum=image_len_sum,
         )
 
@@ -582,11 +582,11 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
     return QnDistortionRow(
         n=part.n,
         q_n=part.q_n,
-        gap=gap,
+        dist_qn_gap=gap,
         case_tag=triple.case_tag,
         l_index=l,
         p_index=p,
-        gf=gf,
+        gf_gap=gf,
         image_len_sum=image_len_sum,
     )
 
@@ -732,6 +732,11 @@ class ExperimentConfig(_ExperimentConfigFields):
             raise ConfigError(
                 "rho_quotients must reach past n_max with entries >= 1"
             )
+        if self.kind != "rotation" and self.n_min == 1 and qs[0] == 1:
+            raise ConfigError(
+                "a two-break experiment with k_1 = 1 needs n_min >= 2: then "
+                "q_1 = q_0, and the rank-1 cover window is a single point"
+            )
         cf = ContinuedFraction.from_quotients(qs)
         width = mass_width(cf, self.n_max)
         if not width >= TUNE_TOL_FLOOR:
@@ -753,10 +758,13 @@ class ExperimentConfig(_ExperimentConfigFields):
 
 
 class ReportRow(NamedTuple):
+    """One rank of a report; its fields are the columns of ``rows.csv``
+    and the keys of a ``report.json`` row, in this order."""
+
     n: int
     q_n: int
-    gf: float | None
-    dist_gap: float
+    gf_gap: float | None
+    dist_qn_gap: float
     lorenz_90_length: float
     case_tag: str
 
@@ -796,37 +804,21 @@ class SingularityReport(_SingularityReportFields):
         if ns != sorted(set(ns)):
             raise InvariantFailure("report rows must be strictly increasing in n")
         for r in self.rows:
-            if r.dist_gap < 0 or (r.gf is not None and r.gf < 0):
+            if r.dist_qn_gap < 0 or (r.gf_gap is not None and r.gf_gap < 0):
                 raise InvariantFailure("gaps cannot be negative")
         return self
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "map_params": dict(self.map_params),
-            "rho_quotients": list(self.rho_quotients),
-            "translation": self.translation,
-            "v": self.v,
-            "rows": [
-                {
-                    "n": r.n,
-                    "q_n": r.q_n,
-                    "gf_gap": r.gf,
-                    "dist_qn_gap": r.dist_gap,
-                    "lorenz_90_length": r.lorenz_90_length,
-                    "case_tag": r.case_tag,
-                }
-                for r in self.rows
-            ],
-            "verdict": self.verdict,
-            "gap_floor_ok": self.gap_floor_ok,
-            "lorenz_trend_ok": self.lorenz_trend_ok,
-            "min_upper_gap": self.min_upper_gap,
-            "median_gap": self.median_gap,
-            "notes": list(self.notes),
-            "diagnostics": dict(self.diagnostics),
-        }
+        """Every field but ``curves``, in field order, with the pair tuples
+        as objects and each row as its fields."""
+        doc = self._asdict()
+        del doc["curves"]
+        doc.update(
+            map_params=dict(self.map_params),
+            rows=[r._asdict() for r in self.rows],
+            diagnostics=dict(self.diagnostics),
+        )
+        return doc
 
 
 def mass_width(cf: ContinuedFraction, n: int) -> float:
@@ -930,14 +922,14 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
             ReportRow(
                 n=n,
                 q_n=part.q_n,
-                gf=qrow.gf,
-                dist_gap=qrow.gap,
+                gf_gap=qrow.gf_gap,
+                dist_qn_gap=qrow.dist_qn_gap,
                 lorenz_90_length=curve.lorenz_90_length,
                 case_tag=qrow.case_tag,
             )
         )
 
-    gaps = [r.dist_gap for r in rows]
+    gaps = [r.dist_qn_gap for r in rows]
     upper = gaps[len(gaps) // 2 :]
     min_upper = min(upper)
     med = statistics.median(gaps)

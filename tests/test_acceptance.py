@@ -185,8 +185,8 @@ def test_primary_08_gf_gap_floor(so_map, gcf):
         rows = qn_rows(so_map, gcf, x0, range(6, 13))
         for r in rows:
             assert r.case_tag == "c_in_U_left"
-            assert r.gf is not None
-            assert r.gf >= 0.15, f"n={r.n} x0={x0}: gf gap {r.gf} < 0.15"
+            assert r.gf_gap is not None
+            assert r.gf_gap >= 0.15, f"n={r.n} x0={x0}: gf gap {r.gf_gap} < 0.15"
             checked += 1
     assert checked == 20 * 7
     elapsed = time.perf_counter() - t0
@@ -196,13 +196,13 @@ def test_primary_08_gf_gap_floor(so_map, gcf):
 
 def test_primary_09_qn_distortion_gap(so_map, rot_map, gcf):
     rows = qn_rows(so_map, gcf, 0.05, range(5, 13))
-    gaps = {r.n: r.gap for r in rows}
+    gaps = {r.n: r.dist_qn_gap for r in rows}
     deep_min = min(gaps[n] for n in range(9, 13))
     med = statistics.median(gaps.values())
     assert deep_min > 0
     assert deep_min >= 0.5 * med, f"min {deep_min} < half median {med}"
     rot_rows = qn_rows(rot_map, gcf, 0.0, range(5, 13))
-    rot_stat = min(r.gap for r in rot_rows if r.n >= 9)
+    rot_stat = min(r.dist_qn_gap for r in rot_rows if r.n >= 9)
     assert rot_stat < 1e-10
     _ok("PRIMARY-09 q_n-distortion gap bounded below, rotation null")
 

@@ -17,7 +17,7 @@ from circlebreak.errors import InvariantFailure
 from circlebreak.maps import make_rotation
 from circlebreak.partition import build_partition, partition_rows
 from circlebreak.rotation import ContinuedFraction
-from circlebreak.singularity import CASE_TAGS, mass_width
+from circlebreak.singularity import CASE_TAGS, ReportRow, SingularityReport, mass_width
 
 PQ_GOLDEN_T = 0.6949140919153628  # certified by the tune example config
 
@@ -337,6 +337,31 @@ def test_unresolvable_decimal_rho_exits_2_naming_the_key(tmp_path, capsys, comma
     assert err == f"error: {key} 1e-20: no partial quotients resolvable at this precision\n"
 
 
+@pytest.mark.parametrize(
+    "translation",
+    [
+        pytest.param(
+            4503599627370495.5,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="exits 4: a few float steps below 2**52, x + t keeps one "
+                "fractional bit, so the iterated estimate reads rho 0 and misses "
+                "the Farey enclosure at 0.5 (ROADMAP item 10)",
+            ),
+        ),
+        1e15,
+    ],
+    ids=["just-below-2-52", "1e15"],
+)
+def test_rotnum_large_translations_exit_0(tmp_path, capsys, translation):
+    code, _ = run(tmp_path, "rotnum", {"map": {"kind": "rotation", "translation": translation}})
+    err = capsys.readouterr().err
+    if code != 0 and not (code == 4 and "estimates do not intersect" in err):
+        pytest.fail(f"exit {code} for a reason other than ROADMAP item 10: {err}")
+    assert code == 0
+
+
 def test_breaks_that_coincide_on_the_circle_exit_5(tmp_path, capsys):
     # c = 1.2 reduces to the same circle point as a = 0.2
     code, out = run(tmp_path, "rotnum", dict(ROTNUM, map=dict(PQ_MAP, c=1.2)))
@@ -391,6 +416,64 @@ def test_singularity_null_same_orbit_steps_is_the_default(tmp_path):
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["map_params"].get("c", 0.7) == 0.7
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "pq", "n_min": 1, "n_max": 2},
+        {"kind": "pl", "n_min": 1, "n_max": 2},
+        {"kind": "pq", "n_min": 1, "n_max": 2, "same_orbit_steps": 1},
+    ],
+    ids=["pq", "pl", "pq-same-orbit"],
+)
+def test_two_break_rank_1_with_k1_of_1_exits_2(tmp_path, capsys, doc):
+    # k_1 = 1 gives q_1 = q_0, so the rank-1 cover window is one point
+    code, out = run(tmp_path, "singularity", doc)
+    assert code == 2
+    assert os.listdir(out) == []
+    assert "k_1 = 1 needs n_min >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "pq", "n_min": 1, "n_max": 2, "rho_quotients": [2] + [1] * 29},
+        {"kind": "rotation", "n_min": 1, "n_max": 2},
+    ],
+    ids=["pq-k1-2", "rotation"],
+)
+def test_rank_1_runs_when_k1_exceeds_1_or_on_the_rotation(tmp_path, doc):
+    code, out = run(tmp_path, "singularity", doc)
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["rows"][0]["n"] == 1
+
+
+@pytest.mark.parametrize(
+    "doc, null_gf_gap",
+    [(SINGULARITY, True), (dict(SINGULARITY, same_orbit_steps=1), False)],
+    ids=["null-gf_gap", "gf_gap"],
+)
+def test_singularity_files_are_written_from_the_record_fields(tmp_path, doc, null_gf_gap):
+    # one name per quantity: rows.csv's header and each report.json row's
+    # keys are ReportRow's fields, report.json's keys SingularityReport's
+    code, out = run(tmp_path, "singularity", doc)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    fields = [f for f in SingularityReport._fields if f != "curves"]
+    assert list(report) == ["schema", "command", *fields]
+    with open(out / "rows.csv", newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert header == list(report["rows"][0]) == list(ReportRow._fields)
+    assert len(lines) == len(report["rows"])
+    for line, row in zip(lines, report["rows"]):
+        assert list(row) == header
+        want = [
+            "" if v is None else v if isinstance(v, str) else fmt(v)
+            for v in row.values()
+        ]
+        assert line == want
+    assert {row["gf_gap"] is None for row in report["rows"]} == {null_gf_gap}
 
 
 # The bundled experiments and, where it already holds, the verdict theory

@@ -367,8 +367,8 @@ def test_qn_gaps_rotation_vanish(rot_map, gcf):
     rows = qn_rows(rot_map, gcf, 0.0, range(4, 9))
     for r in rows:
         assert r.case_tag == "break_free"
-        assert r.gf is None
-        assert r.gap <= 1e-12
+        assert r.gf_gap is None
+        assert r.dist_qn_gap <= 1e-12
         assert r.image_len_sum <= 1.0 + 1e-9
 
 
@@ -376,7 +376,7 @@ def test_qn_gaps_generic_bounded_below(pq_map, gcf):
     rows = qn_rows(pq_map, gcf, 0.05, range(6, 10))
     for r in rows:
         assert r.case_tag == "c_outside_U"
-        assert r.gap > 0.2
+        assert r.dist_qn_gap > 0.2
         assert r.image_len_sum <= 1.0 + 1e-9
 
 
@@ -384,9 +384,9 @@ def test_qn_gaps_same_orbit_certified(so_map, gcf):
     rows = qn_rows(so_map, gcf, 0.05, range(6, 10))
     for r in rows:
         assert r.case_tag == "c_in_U_left"
-        assert r.gf is not None
-        assert r.gf >= 0.15
-        assert r.gap > 0.3
+        assert r.gf_gap is not None
+        assert r.gf_gap >= 0.15
+        assert r.dist_qn_gap > 0.3
 
 
 def test_lorenz_rotation_flat(rot_map, gcf):
@@ -533,7 +533,7 @@ def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
     assert [r.n for r in rows] == ranks
     for r in rows:
         assert r.case_tag == "c_in_U_left"
-        assert r.gap <= 1e-12, f"rank {r.n}: gap {r.gap!r}"
+        assert r.dist_qn_gap <= 1e-12, f"rank {r.n}: gap {r.dist_qn_gap!r}"
 
 
 def test_solve_same_orbit_validation(gcf):
@@ -864,6 +864,6 @@ def test_validated_records_refuse_bad_values():
     assert SingularityReport(**fields) == rep
     with pytest.raises(InvariantFailure, match="strictly increasing"):
         SingularityReport(**{**fields, "rows": rep.rows[::-1]})
-    negative = rep.rows[0]._replace(dist_gap=-1.0)
+    negative = rep.rows[0]._replace(dist_qn_gap=-1.0)
     with pytest.raises(InvariantFailure, match="negative"):
         SingularityReport(**{**fields, "rows": (negative,) + rep.rows[1:]})
