@@ -20,7 +20,6 @@ from .errors import (
     PrecisionBudgetExceeded,
 )
 from .maps import (
-    ROTATION,
     BreakPoint,
     CircleMap,
     abs_d2f_integral,
@@ -259,12 +258,10 @@ U = MACHINE_EPS / 2
 
 @lru_cache(maxsize=None)
 def _slope_range(m: CircleMap):
-    """(min Df, max Df, max |D2f|) over the circle; a rotation has slope 1.
+    """(min Df, max Df, max |D2f|) over the circle.
 
     Df is affine on each segment, so its extremes sit at segment ends.
     """
-    if not m.seg_d0:
-        return 1.0, 1.0, 0.0
     ends = m.seg_d0 + m.seg_d1
     return min(ends), max(ends), max(abs(c) for c in m.seg_curv)
 
@@ -567,11 +564,9 @@ def distortion_rows(quads, m: CircleMap) -> list:
     maps.advance repeats evaluate.  Its row is bit-identical to
     _general_row's.  Every other row goes through _general_row: a break in
     the hull, a walk that starts on a rounded segment end or leaves the
-    piece, a rotation, and any row that would raise, which then raises
-    there.
+    piece, and any row that would raise, which then raises there.  A
+    rotation takes the same two paths on its two slope-1 segments.
     """
-    if m.kind == ROTATION:
-        return [_general_row(q, m) for q in quads]
     fl = floor
     t = m.translation
     p0, p1 = m.seg_pos[0], m.seg_pos[1]

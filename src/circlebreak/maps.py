@@ -4,7 +4,8 @@ A map is handled through a degree-one lift f: R -> R, f(x+1) = f(x) + 1,
 strictly increasing, with one-sided derivatives everywhere.  Three families
 are provided:
 
-* ``make_rotation``       rigid rotation, f(x) = x + t;
+* ``make_rotation``       rigid rotation, f(x) = x + t, as two slope-1
+                          segments split at 1/2;
 * ``make_pl_two_break``   piecewise-linear lift, two slopes meeting at break
                           points a and c, so the jump ratios satisfy
                           sigma(a) * sigma(c) = 1;
@@ -13,12 +14,12 @@ are provided:
                           ratios sigma_a, sigma_c > 0, including
                           sigma_a * sigma_c != 1.
 
-Both two-break families share a two-segment representation: the derivative
-profile is affine on each of the arcs (a, c) and (c, a), so the lift is a
-quadratic polynomial per segment and inverts in closed form.  The profile is
-normalised so the derivative integrates to exactly 1 over a period, which is
-what makes the lift degree one.  The translation parameter t only shifts
-values; break locations and derivatives do not depend on it.
+All three share a two-segment representation: the derivative profile is
+affine on each segment (for two breaks, the arcs (a, c) and (c, a)), so the
+lift is a quadratic polynomial per segment and inverts in closed form.  The
+profile is normalised so the derivative integrates to exactly 1 over a
+period, which is what makes the lift degree one.  The translation parameter
+t only shifts values; break locations and derivatives do not depend on it.
 """
 
 from __future__ import annotations
@@ -91,13 +92,15 @@ class MapStats(NamedTuple):
 
 
 class CircleMap(NamedTuple):
-    """Immutable two-segment piecewise-polynomial lift (or a rotation).
+    """Immutable two-segment piecewise-polynomial lift.
 
     Segment s covers [seg_pos[s], seg_pos[s+1]] of the fundamental domain,
-    which starts at the smaller break location.  ``seg_val`` holds base lift
-    values (translation excluded) at the three boundary positions;
-    ``seg_d0``/``seg_d1`` are the derivative at segment start/end and
-    ``seg_curv`` the constant second derivative on the segment.
+    which starts at the smaller break location; a rotation's two segments
+    split [0, 1) at 1/2 and have slope 1, with no break between them.
+    ``seg_val`` holds base lift values (translation excluded) at the three
+    boundary positions; ``seg_d0``/``seg_d1`` are the derivative at segment
+    start/end and ``seg_curv`` the constant second derivative on the
+    segment.
     """
 
     kind: str
@@ -114,7 +117,16 @@ class CircleMap(NamedTuple):
 
 
 def make_rotation(translation) -> CircleMap:
-    return CircleMap(kind=ROTATION, translation=translation)
+    # a second segment of length 0 would start at 1.0, which is no circle point
+    return CircleMap(
+        kind=ROTATION,
+        translation=translation,
+        seg_pos=(0.0, 0.5, 1.0),
+        seg_val=(0.0, 0.5, 1.0),
+        seg_d0=(1.0, 1.0),
+        seg_d1=(1.0, 1.0),
+        seg_curv=(0.0, 0.0),
+    )
 
 
 def _build_two_segment(kind, a, c, da_plus, dc_minus, dc_plus, da_minus, translation):
@@ -229,9 +241,7 @@ def make_pq_two_break(a, c, sigma_a, sigma_c, translation=0.0) -> CircleMap:
 def evaluate(m: CircleMap, x):
     """Lift value f(x) for any real lift coordinate x."""
     # one unpack of the record in place of a field read per use
-    kind, t, _, pos, val, d0, _, curv = m
-    if kind == ROTATION:
-        return x + t
+    _, t, _, pos, val, d0, _, curv = m
     p0 = pos[0]
     k = floor(x - p0)
     u = x - k
@@ -246,26 +256,6 @@ def evaluate(m: CircleMap, x):
     du = u - pos[s]
     y = val[s] + du * (d0[s] + 0.5 * curv[s] * du)
     return y + k + t
-
-
-def one_sided_derivatives(m: CircleMap, x):
-    """(Df_-(x), Df_+(x)) at the circle point underlying x."""
-    if m.kind == ROTATION:
-        return (1.0, 1.0)
-    p0 = m.seg_pos[0]
-    u = x - floor(x - p0)
-    if u < p0:
-        u += 1
-    elif u >= p0 + 1:
-        u -= 1
-    p1 = m.seg_pos[1]
-    if u == p0:
-        return (m.seg_d1[1], m.seg_d0[0])
-    if u == p1:
-        return (m.seg_d1[0], m.seg_d0[1])
-    s = 0 if u < p1 else 1
-    d = m.seg_d0[s] + m.seg_curv[s] * (u - m.seg_pos[s])
-    return (d, d)
 
 
 def check_orbit_length(n: int, cap: int):
@@ -293,28 +283,19 @@ def advance(m: CircleMap, x, w: int, n: int, pts=None):
     clamps up to 0 the winding gains one.  When given, ``pts`` receives
     every new point in order.
 
-    The loop repeats ``evaluate`` inline with the segment constants in
-    locals, and every operand is a float, which keeps CPython on its
-    float-only opcodes: x is placed in [p0, p0 + 1) by comparison with p0,
-    ``y % 1.0`` is ``y - floor(y)`` for finite y, and ``y - (y % 1.0)`` is
-    floor(y) exactly, so the winding is summed as a float.
+    One loop serves every map, a rotation included: it repeats
+    ``evaluate`` inline with the segment constants in locals, and every
+    operand is a float, which keeps CPython on its float-only opcodes: x is
+    placed in [p0, p0 + 1) by comparison with p0, ``y % 1.0`` is
+    ``y - floor(y)`` for finite y, and ``y - (y % 1.0)`` is floor(y)
+    exactly, so the winding is summed as a float.  That sum is exact while
+    it stays below 2**53 turns; past that it rounds.
     """
-    kind, t, _, pos, val, d0, _, curv = m
+    _, t, _, pos, val, d0, _, curv = m
     _check_orbit_start(x, t, n)
     top = CLAMP_FROM
     put_x = None if pts is None else pts.append
     turns = 0.0
-    if kind == ROTATION:
-        for _ in range(n):
-            y = x + t
-            x = y % 1.0
-            turns += y - x
-            if x >= top:
-                x = 0.0
-                turns += 1.0
-            if put_x is not None:
-                put_x(x)
-        return x, w + int(turns)
     p0, p1 = pos[0], pos[1]
     p0_next = p0 + 1
     v0, v1 = val[0], val[1]
@@ -361,12 +342,11 @@ def retreat(m: CircleMap, x, w: int, n: int, pts=None):
     floor of x - t - v0, and takes the segment's linear or stable quadratic
     root.  Over the circle x - t spans at most one turn, so that floor is
     one of the float turn offsets k0, k0 + 1 and k0 + 2, and comparisons
-    pick it.  As in ``advance``, every operand of the loop is a float.
+    pick it.  A curvature-free segment, as both of a rotation's are, takes
+    the linear root, which for slope 1 is the float x - t.  As in
+    ``advance``, every operand of the loop is a float.
     """
-    kind, t, _, pos, val, d0, _, curv = m
-    if kind == ROTATION:
-        # x - t is x + (-t) bit for bit
-        return advance(m.with_translation(-t), x, w, n, pts)
+    _, t, _, pos, val, d0, _, curv = m
     _check_orbit_start(x, t, n)
     top = CLAMP_FROM
     put_x = None if pts is None else pts.append
@@ -504,8 +484,6 @@ def map_stats(m: CircleMap) -> MapStats:
     endpoint differences of log Df (Df is monotone there) and the jumps
     at the breaks.  Cached, since maps are immutable and hashable.
     """
-    if m.kind == ROTATION:
-        return MapStats(v=0.0, lam=(1 + 1.0) ** -0.5, sigma_product=1.0)
     if min(m.seg_d0 + m.seg_d1) <= 0:
         raise NotClassP("one-sided derivative not bounded below by a positive c1")
     v = 0.0
@@ -563,8 +541,6 @@ def gap_image(m: CircleMap, lo, hi):
     positive terms keeps the relative error at a few epsilons even when
     hi - lo is many orders of magnitude below 1.  Requires lo <= hi.
     """
-    if m.kind == ROTATION:
-        return hi - lo
     d0, curv = m.seg_d0, m.seg_curv
     total = 0.0
     for s, x1, x2, start in _segment_walk(m, lo, hi):
@@ -576,8 +552,6 @@ def gap_image(m: CircleMap, lo, hi):
 def abs_d2f_integral(m: CircleMap, lo, hi):
     """Integral of |D2 f| over the lift interval [lo, hi] (exact quadrature:
     the second derivative is constant per segment)."""
-    if m.kind == ROTATION:
-        return 0.0
     curv = m.seg_curv
     total = 0.0
     for s, x1, x2, _ in _segment_walk(m, lo, hi):

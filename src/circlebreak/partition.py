@@ -24,7 +24,6 @@ from .errors import (
     RefinementViolation,
 )
 from .maps import (
-    ROTATION,
     CircleMap,
     check_orbit_length,
     map_stats,
@@ -295,12 +294,12 @@ def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
 
     One pass, no orbit kept: each step gives the point ``maps.advance``
     gives, bit for bit, and multiplies in Df_+ = d0 + curv * du from the
-    segment offset du it has just computed, which is
-    ``one_sided_derivatives(m, x)[1]`` bit for bit.  The product runs in
-    orbit order, as a running product.  It places each circle point as
-    ``advance``'s loop does, by comparison with p0, and like that loop it
-    keeps every operand a float, so CPython stays on its float-only
-    opcodes.
+    segment offset du it has just computed, which is Df_+ of the one-point
+    reference ``_reference_one_sided_derivatives`` in tests/conftest.py bit
+    for bit.  The product runs in orbit order, as a running product.  It
+    places each circle point as ``advance``'s loop does, by comparison with
+    p0, and like that loop it keeps every operand a float, so CPython stays
+    on its float-only opcodes.
 
     The orbit is not nudged: a point too close to a break raises
     BreakCollision.  The exact test is ``orbit_avoiding_breaks``'s; a
@@ -312,8 +311,6 @@ def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
         return 1.0
     length = steps - 1  # the orbit's steps after its base point
     check_orbit_length(length, cap)
-    if m.kind == ROTATION:
-        return 1.0
     t = m.translation
     # floor raises for a translation that is not finite, where the loop's
     # y % 1.0 would go on with nan

@@ -42,6 +42,26 @@ def cell_interval(part, row):
     return Arc(cell.left, cell.length)
 
 
+def _reference_one_sided_derivatives(m, x):
+    """(Df_-(x), Df_+(x)) at the circle point underlying x, read off the
+    segment table one point at a time: the reference for each Df factor of
+    ``partition.df_product``."""
+    p0 = m.seg_pos[0]
+    u = x - math.floor(x - p0)
+    if u < p0:
+        u += 1
+    elif u >= p0 + 1:
+        u -= 1
+    p1 = m.seg_pos[1]
+    if u == p0:
+        return (m.seg_d1[1], m.seg_d0[0])
+    if u == p1:
+        return (m.seg_d1[0], m.seg_d0[1])
+    s = 0 if u < p1 else 1
+    d = m.seg_d0[s] + m.seg_curv[s] * (u - m.seg_pos[s])
+    return (d, d)
+
+
 def _reference_endpoint_condition(m, cf, interval, n):
     """Sufficient endpoint test for q_n-smallness, on orbits of its own.
 

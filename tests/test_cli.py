@@ -345,9 +345,12 @@ def test_unresolvable_decimal_rho_exits_2_naming_the_key(tmp_path, capsys, comma
             marks=pytest.mark.xfail(
                 strict=True,
                 raises=AssertionError,
-                reason="exits 4: a few float steps below 2**52, x + t keeps one "
-                "fractional bit, so the iterated estimate reads rho 0 and misses "
-                "the Farey enclosure at 0.5 (ROADMAP item 10)",
+                reason="exits 4: advance sums the winding as a float, which "
+                "rounds past 2**53 turns; after 10000 steps it reads "
+                "45035996273704951808 for the exact 45035996273704955000 (ulp "
+                "8192), so the iterated estimate reads rho 0 and misses the "
+                "Farey enclosure at 0.5, though each x + t step is exact "
+                "(ROADMAP item 10)",
             ),
         ),
         1e15,

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from circlebreak.crossratio import Quadruple, _general_row, distortion_rows
 from circlebreak.errors import (
+    CircleBreakError,
     InfeasibleDerivatives,
     InvalidGeometry,
     NotClassP,
@@ -27,7 +29,6 @@ from circlebreak.maps import (
     make_pq_two_break,
     make_rotation,
     map_stats,
-    one_sided_derivatives,
     retreat,
     step_with_winding,
 )
@@ -38,8 +39,9 @@ from circlebreak.numerics import (
     arc_length,
     to_circle,
 )
+from circlebreak.partition import df_product
 
-from conftest import GOLDEN
+from conftest import GOLDEN, _reference_one_sided_derivatives
 
 
 def test_rotation_evaluate():
@@ -69,16 +71,16 @@ def test_degree_one_everywhere(x):
 
 def test_one_sided_derivatives():
     rot = make_rotation(0.3)
-    assert one_sided_derivatives(rot, 0.5) == (1.0, 1.0)
+    assert _reference_one_sided_derivatives(rot, 0.5) == (1.0, 1.0)
 
     pq = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
-    dm, dp = one_sided_derivatives(pq, 0.2)
+    dm, dp = _reference_one_sided_derivatives(pq, 0.2)
     assert dm / dp == pytest.approx(2.0, abs=1e-14)
-    dm, dp = one_sided_derivatives(pq, 0.6)
+    dm, dp = _reference_one_sided_derivatives(pq, 0.6)
     assert dm / dp == pytest.approx(0.8, abs=1e-14)
 
     pl = make_pl_two_break(0.3, 0.7, 2.0)
-    dm, dp = one_sided_derivatives(pl, 0.5)
+    dm, dp = _reference_one_sided_derivatives(pl, 0.5)
     assert dm == dp  # interior of the (a, c) arc: one active slope
 
 
@@ -316,6 +318,9 @@ def test_retreat_matches_reference_loop():
     seeded = [rng.random() for _ in range(1000)]
     for m in RETREAT_MAPS:
         edges = [y for p in m.seg_pos[:2] for y in _ulps_around(to_circle(evaluate(m, p)))]
+        # a rotation by -1e-20 maps its segment start to 0, whose lower ulp
+        # neighbour is no circle point
+        edges = [y for y in edges if 0.0 <= y < 1.0]
         for x in seeded + edges:
             _assert_retreat_matches_reference(m, x, 20)
 
@@ -380,11 +385,6 @@ def test_no_module_keeps_an_orbit_list_for_one_point():
     assert found == []
 
 
-# Kept although only tests call it: the tests read each Df factor of
-# partition.df_product against this one-point reference.
-TEST_ONLY_HELPERS = {"one_sided_derivatives"}
-
-
 def test_every_helper_is_used_by_the_program():
     # each top-level def and class of the package is named somewhere in
     # src/, scripts/ or perfbench/ outside its own definition: as a name,
@@ -420,7 +420,7 @@ def test_every_helper_is_used_by_the_program():
                 if name != own:
                     used.add(name)
     assert len(defined) > 100
-    assert sorted(set(defined) - used - TEST_ONLY_HELPERS) == []
+    assert sorted(set(defined) - used) == []
 
 
 @pytest.mark.parametrize("name", ["pq_map", "pl_map"])
@@ -518,15 +518,15 @@ def test_orbit_loops_keep_every_operand_a_float():
         for func in funcs:
             loops += sum(isinstance(node, ast.For) for node in ast.walk(func))
             found += [(module, func.name, *hit) for hit in _int_operands_in_loops(func)]
-    assert loops >= 6
+    assert loops == 5
     assert found == []
 
 
 def test_pl_slopes_closed_form():
     m = make_pl_two_break(0.0, 0.5, 2.0)
-    dm, dp = one_sided_derivatives(m, 0.25)
+    dm, dp = _reference_one_sided_derivatives(m, 0.25)
     assert dm == pytest.approx(4.0 / 3.0, abs=1e-15)
-    dm, dp = one_sided_derivatives(m, 0.75)
+    dm, dp = _reference_one_sided_derivatives(m, 0.75)
     assert dm == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
@@ -651,3 +651,52 @@ def test_segment_walk_passes_a_rounded_segment_end(lo, hi):
     assert abs_d2f_integral(m, lo, hi) == pytest.approx(
         sum(abs(curv[s]) * (x2 - x1) for s, x1, x2, _ in pieces), rel=1e-15
     )
+
+
+def _hexed(values):
+    return [float.hex(v) if type(v) is float else v for v in values]
+
+
+@pytest.mark.parametrize(
+    "t", [1e-20, -1e-20, GOLDEN, -1.9990654205607474, 3.75, 1e15 + 0.5]
+)
+def test_rotation_table_is_the_rigid_rotation(t):
+    # a rotation is two slope-1 segments: every kernel gives, bit for bit,
+    # what the rigid rotation x + t gives in closed form
+    m = make_rotation(t)
+    rng = random.Random(34)
+    starts = [0.0, *_ulps_around(0.5), math.nextafter(1.0, 0.0)]
+    starts += [rng.random() for _ in range(200)]
+    assert map_stats(m) == (0.0, 2**-0.5, 1.0)
+    back = m.with_translation(-t)
+    for x in starts:
+        for lift in (x, x - 3.0, x + 2.0):
+            assert float.hex(evaluate(m, lift)) == float.hex(lift + t)
+        pts, ref = [], []
+        assert retreat(m, x, 1, 200, pts) == advance(back, x, 1, 200, ref)
+        assert _hexed(pts) == _hexed(ref)
+        lo = x + rng.randrange(-3, 4)
+        for hi in (lo + h for h in (1e-12, 1e-6, 0.01, 0.3, 0.7)):
+            assert float.hex(gap_image(m, lo, hi)) == float.hex(hi - lo)
+            assert float.hex(abs_d2f_integral(m, lo, hi)) == float.hex(0.0)
+        for steps in (1, 2, 89):
+            assert float.hex(df_product(m, x, steps)) == float.hex(1.0)
+    for _ in range(300):
+        # gaps at scales 1e-9 to 0.2; half the hulls put a segment end, a
+        # whole or half turn, inside their second gap
+        scale = 10 ** rng.uniform(-9, math.log10(0.2))
+        gaps = [scale * (0.25 + rng.random()) for _ in range(3)]
+        if rng.random() < 0.5:
+            z = rng.uniform(-3, 4)
+        else:
+            z = rng.randrange(-6, 8) / 2 - gaps[0] - gaps[1] / 2
+        q = Quadruple.from_gaps(z, *gaps)
+        try:
+            want = _hexed(_general_row(q, m))
+        except CircleBreakError as e:
+            want = (type(e), str(e))
+        try:
+            got = _hexed(distortion_rows((q,), m)[0])
+        except CircleBreakError as e:
+            got = (type(e), str(e))
+        assert got == want, q

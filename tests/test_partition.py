@@ -17,7 +17,6 @@ from circlebreak.maps import (
     make_pq_two_break,
     make_rotation,
     map_stats,
-    one_sided_derivatives,
     orbit_avoiding_breaks,
     retreat,
 )
@@ -50,6 +49,7 @@ from conftest import (
     Arc,
     _reference_endpoint_condition,
     _reference_is_qn_small,
+    _reference_one_sided_derivatives,
     cell_interval,
 )
 
@@ -271,7 +271,7 @@ def test_denjoy_product_refuses_a_break_orbit(pq_map, gcf):
 def _running_product(m, x0, steps):
     prod = 1.0
     for p in iterate(m, x0, steps - 1):
-        prod *= one_sided_derivatives(m, p)[1]
+        prod *= _reference_one_sided_derivatives(m, p)[1]
     return prod
 
 
