@@ -1,10 +1,11 @@
 """Regular break covers and the measure-concentration experiments.
 
 Turns a tuned two-break map into quantitative evidence about its
-invariant measure: cover triples centered on a break preimage, the G*F
-product gap that keeps Dist(.; f^{q_n}) away from 1, and Lorenz-style
-mass-versus-length curves whose collapse is the numerical signature of
-singularity.
+invariant measure: cover triples centered on a break preimage, and the
+G*F product gap that keeps Dist(.; f^{q_n}) away from 1, which is the
+paper's criterion and alone decides a two-break verdict.  Lorenz-style
+mass-versus-length curves ride along as evidence; they decide only the
+break-free baseline.
 """
 
 from __future__ import annotations
@@ -72,12 +73,9 @@ SAME_ORBIT_ROUNDS = 40
 SAME_ORBIT_TOL = 1e-9
 
 # Verdict thresholds of a two-break map: the deep half of the distortion
-# gaps must reach GAP_ABS_FLOOR and GAP_FLOOR_RATIO times their median,
-# and the Lorenz lengths may rise at most once, by at most
-# LORENZ_VIOLATION_LIMIT relative.
+# gaps must reach GAP_ABS_FLOOR and GAP_FLOOR_RATIO times their median.
 GAP_FLOOR_RATIO = 0.5
 GAP_ABS_FLOOR = 1e-6
-LORENZ_VIOLATION_LIMIT = 0.05
 
 # Share of the invariant measure whose least carrying length the Lorenz
 # curve reports as lorenz_90_length.
@@ -784,7 +782,6 @@ class _SingularityReportFields(NamedTuple):
     rows: tuple
     verdict: str
     gap_floor_ok: bool
-    lorenz_trend_ok: bool
     min_upper_gap: float
     median_gap: float
     notes: tuple
@@ -874,23 +871,16 @@ def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
     return base.with_translation(tr.translation), tr, notes
 
 
-def _lorenz_trend_ok(values, limit):
-    violations = 0
-    for prev, nxt in zip(values, values[1:]):
-        if nxt >= prev:
-            violations += 1
-            if prev <= 0 or (nxt - prev) / prev > limit:
-                return False
-    return violations <= 1
-
-
 def singularity_report(config: ExperimentConfig) -> SingularityReport:
     """Full experiment: tune (enclosing rho), partition, cover, gap, curve.
 
-    The verdict is SINGULAR_EVIDENCE when the distortion gaps stay
-    bounded away from zero on the deep ranks and the length carrying 90%
-    of the mass keeps shrinking; AC_BASELINE when both statistics sit at
-    their rigid-rotation values; INCONCLUSIVE otherwise.
+    A two-break map is SINGULAR_EVIDENCE when the distortion gaps stay
+    bounded away from zero on the deep ranks (``gap_floor_ok``), the
+    paper's criterion: Dist(.; f^{q_n}) bounded away from 1 on the cover
+    triples rules out an absolutely continuous measure.  It is
+    INCONCLUSIVE otherwise.  A map without two breaks is AC_BASELINE when
+    the gaps and the length carrying 90% of the mass sit at their
+    rigid-rotation values, and INCONCLUSIVE otherwise.
     """
     cf = ContinuedFraction.from_quotients(config.rho_quotients)
     m, tr, notes = build_experiment_map(config, cf)
@@ -933,22 +923,14 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     upper = gaps[len(gaps) // 2 :]
     min_upper = min(upper)
     med = statistics.median(gaps)
-    lorenz = [r.lorenz_90_length for r in rows]
 
     if two_break:
         # the ratio test alone would accept a sequence of numerical zeros
         gap_floor_ok = min_upper >= GAP_ABS_FLOOR and min_upper >= GAP_FLOOR_RATIO * med
-        lorenz_trend_ok = _lorenz_trend_ok(lorenz, LORENZ_VIOLATION_LIMIT)
-        if gap_floor_ok and lorenz_trend_ok:
-            verdict = VERDICT_SINGULAR
-        else:
-            verdict = VERDICT_OPEN
+        verdict = VERDICT_SINGULAR if gap_floor_ok else VERDICT_OPEN
     else:
-        flat = all(
-            abs(l - LORENZ_MASS) <= 2.0 / r.q_n for l, r in zip(lorenz, rows)
-        )
+        flat = all(abs(r.lorenz_90_length - LORENZ_MASS) <= 2.0 / r.q_n for r in rows)
         gap_floor_ok = False
-        lorenz_trend_ok = False
         verdict = (
             VERDICT_BASELINE if max(gaps) < 1e-8 and flat else VERDICT_OPEN
         )
@@ -974,7 +956,6 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
         rows=tuple(rows),
         verdict=verdict,
         gap_floor_ok=gap_floor_ok,
-        lorenz_trend_ok=lorenz_trend_ok,
         min_upper_gap=min_upper,
         median_gap=med,
         notes=tuple(notes),

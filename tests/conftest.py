@@ -1,6 +1,8 @@
 """Shared fixtures: tuned maps are expensive, so build each once."""
 
+import importlib.util
 import math
+import os
 from typing import NamedTuple
 
 import pytest
@@ -14,6 +16,21 @@ from circlebreak.rotation import ContinuedFraction, tune_translation
 from circlebreak.singularity import _qn_row, break_preimages, solve_same_orbit
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The message of the first-break closed-form audit, which stops the runs
+# that the strict xfails of ROADMAP items 8 and 14 pin.
+FIRST_BREAK_AUDIT = "at the first break differs from its closed form"
+
+
+def load_run_all_experiments():
+    """scripts/run_all_experiments.py as a module; no command imports it."""
+    path = os.path.join(ROOT, "scripts", "run_all_experiments.py")
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 settings.register_profile(
     "suite",

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FIRST_BREAK_AUDIT, load_run_all_experiments
+
 from circlebreak import crossratio
 from circlebreak.cli import CSV_CHUNK_LINES, _csv_chunks, _write_all, fmt, main
 from circlebreak.crossratio import lift_into
@@ -479,30 +481,43 @@ def test_singularity_files_are_written_from_the_record_fields(tmp_path, doc, nul
     assert {row["gf_gap"] is None for row in report["rows"]} == {null_gf_gap}
 
 
-# The bundled experiments and, where it already holds, the verdict theory
-# predicts; pq_same_orbit and pl_herman do not reach theirs yet.
-BUNDLED_VERDICTS = [
-    ("pq_main", "SINGULAR_EVIDENCE"),
-    ("pq_same_orbit", None),
-    ("pl_generic", "SINGULAR_EVIDENCE"),
-    ("pl_herman", None),
-    ("rotation_baseline", "AC_BASELINE"),
+# The bundled experiments and the verdict theory predicts for each, the
+# table scripts/run_all_experiments.py prints its verdicts against.
+EXPERIMENT_THEORY = [
+    (os.path.splitext(name)[0], verdict)
+    for name, verdict, _ in load_run_all_experiments().EXPERIMENTS
 ]
 
+ITEM_1B = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="INCONCLUSIVE: only maps without two breaks can reach AC_BASELINE "
+    "(ROADMAP item 1b)",
+)
 
-@pytest.mark.parametrize("name, verdict", BUNDLED_VERDICTS)
+
+def _theory_marks(name):
+    return ITEM_1B if name == "pl_herman" else ()
+
+
+@pytest.mark.parametrize(
+    "name, verdict",
+    [pytest.param(*cell, marks=_theory_marks(cell[0])) for cell in EXPERIMENT_THEORY],
+)
 def test_bundled_experiments_keep_their_verdicts(tmp_path, name, verdict):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     code, out = run(tmp_path, "singularity", doc)
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    if verdict is not None:
-        assert report["verdict"] == verdict
+    if code != 0:
+        pytest.fail(f"exit {code}")
+    got = json.loads((out / "report.json").read_text())["verdict"]
+    # a pinned miss is INCONCLUSIVE; the opposite verdict fails outright
+    if got not in (verdict, "INCONCLUSIVE"):
+        pytest.fail(f"verdict {got} where theory predicts {verdict}")
+    assert got == verdict
 
 
 # What stops each run that item 8's chain defect breaks; a pin that stops
 # for another reason fails outright instead of counting as expected.
-FIRST_BREAK_AUDIT = "at the first break differs from its closed form"
 C0_DRIFT = "drifted from C0"
 
 
@@ -552,16 +567,6 @@ def test_three_step_same_orbit_passes_at_rank_12(tmp_path):
     assert code == 0
 
 
-# The bundled experiments and the verdict theory predicts for each.
-EXPERIMENT_THEORY = [
-    ("pq_main", "SINGULAR_EVIDENCE"),
-    ("pq_same_orbit", "SINGULAR_EVIDENCE"),
-    ("pl_generic", "SINGULAR_EVIDENCE"),
-    ("pl_herman", "AC_BASELINE"),
-    ("rotation_baseline", "AC_BASELINE"),
-]
-
-
 # The rotation numbers of the verdict grid: the golden and silver means,
 # a mixed expansion, one large quotient (k_6 = 20) and e's pattern.
 GRID_RHO = {
@@ -572,18 +577,11 @@ GRID_RHO = {
     "e-like": [2, 1, 2] + [q for k in range(4, 22, 2) for q in (1, 1, k)],
 }
 
-ITEM_1 = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="INCONCLUSIVE: only maps without two breaks can reach AC_BASELINE "
-    "(ROADMAP item 1)",
-)
-
 
 def _grid_cells():
     for name, verdict in EXPERIMENT_THEORY:
         for rho in GRID_RHO:
-            marks = ITEM_1 if name == "pl_herman" else ()
+            marks = _theory_marks(name)
             yield pytest.param(name, rho, verdict, marks=marks, id=f"{name}-{rho}")
 
 

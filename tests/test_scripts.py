@@ -1,12 +1,11 @@
 """Smoke tests for the scripts in scripts/, which no command imports."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from conftest import ROOT, load_run_all_experiments
 
 
 def test_gap_vs_rank_prints_every_rank():
@@ -26,14 +25,6 @@ def test_gap_vs_rank_prints_every_rank():
     assert [int(r.split()[0]) for r in rows] == list(range(5, 13))
 
 
-def _run_all_experiments():
-    path = os.path.join(ROOT, "scripts", "run_all_experiments.py")
-    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def _bundled_runs(script):
     """(label, command, config name) of every run the script makes."""
     runs = []
@@ -45,7 +36,7 @@ def _bundled_runs(script):
 
 
 def test_digest_manifest_names_every_bundled_run():
-    script = _run_all_experiments()
+    script = load_run_all_experiments()
     manifest = script.load_manifest()
     assert sorted(manifest) == sorted(label for label, _, _ in _bundled_runs(script))
     for digest in manifest.values():
@@ -54,7 +45,7 @@ def test_digest_manifest_names_every_bundled_run():
 
 def test_every_bundled_run_writes_its_committed_bytes(tmp_path, monkeypatch):
     # the runs go into tmp_path, not results/, as the script would write them
-    script = _run_all_experiments()
+    script = load_run_all_experiments()
     src = os.path.join(ROOT, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     monkeypatch.setenv("PYTHONPATH", path)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    FIRST_BREAK_AUDIT,
     GOLDEN,
     Arc,
     _reference_endpoint_condition,
@@ -23,6 +24,7 @@ import circlebreak.rotation
 from circlebreak.cli import main
 from circlebreak.crossratio import Quadruple, calibrate_k1, distortion_chain
 from circlebreak.errors import (
+    CircleBreakError,
     ConfigError,
     HypothesisNotCertified,
     InvalidGeometry,
@@ -739,7 +741,7 @@ def test_report_rotation_baseline():
     cfg = ExperimentConfig(kind="rotation", label="baseline", n_min=4, n_max=7)
     rep = singularity_report(cfg)
     assert rep.verdict == "AC_BASELINE"
-    assert not rep.gap_floor_ok and not rep.lorenz_trend_ok
+    assert not rep.gap_floor_ok
     assert rep.min_upper_gap < 1e-8
     assert [r.n for r in rep.rows] == [4, 5, 6, 7]
     assert len(rep.curves) == 4
@@ -752,13 +754,80 @@ def test_report_pq_singular_evidence():
     cfg = ExperimentConfig(kind="pq", label="pq-short", n_min=5, n_max=8)
     rep = singularity_report(cfg)
     assert rep.verdict == "SINGULAR_EVIDENCE"
-    assert rep.gap_floor_ok and rep.lorenz_trend_ok
+    assert rep.gap_floor_ok
     assert rep.min_upper_gap > 0.1
     assert rep.v == pytest.approx(2 * (math.log(2) + abs(math.log(0.8))))
     lorenz = [r.lorenz_90_length for r in rep.rows]
     assert lorenz[-1] < lorenz[0]
     for row in rep.rows:
         assert row.case_tag == "c_outside_U"
+
+
+@pytest.mark.parametrize("rho, n_max", [("golden", 12), ("silver", 10)])
+@pytest.mark.parametrize("slope_ratio", [1.5, 3.0])
+def test_pl_same_orbit_maps_never_read_singular(slope_ratio, rho, n_max):
+    # breaks on one orbit make the invariant measure AC (Herman 1979), and
+    # their jump ratios cancel along f^{q_n}: the gap rule alone must keep
+    # these maps out of SINGULAR_EVIDENCE
+    quotients = {"golden": [1] * 30, "silver": [2] * 30}[rho]
+    cfg = ExperimentConfig(
+        kind="pl",
+        slope_ratio=slope_ratio,
+        same_orbit_steps=1,
+        rho_quotients=quotients,
+        n_min=5,
+        n_max=n_max,
+    )
+    assert singularity_report(cfg).verdict != "SINGULAR_EVIDENCE"
+
+
+# What stops each cell of the jump-ratio grid that item 14's one-sided
+# cover width breaks; a cell that stops for another reason fails outright.
+ROUNDING_FLOOR = "leaves cover widths at the rounding floor"
+JUMP_GRID_STOPS = {
+    **dict.fromkeys(
+        [(0.5, 0.1), (0.5, 3.0), (1.25, 0.1)]
+        + [(2.0, sigma_c) for sigma_c in (0.1, 0.3, 0.45, 0.55)]
+        + [(4.0, sigma_c) for sigma_c in (0.45, 0.55, 0.7, 0.8, 1.6, 3.0)],
+        FIRST_BREAK_AUDIT,
+    ),
+    (4.0, 0.1): ROUNDING_FLOOR,
+    (4.0, 0.3): ROUNDING_FLOOR,
+}
+
+
+def _jump_grid_cells():
+    for sigma_a in (0.5, 1.25, 2.0, 4.0):
+        for sigma_c in (0.1, 0.3, 0.45, 0.55, 0.7, 0.8, 0.9, 1.6, 3.0):
+            if sigma_a * sigma_c == 1.0:
+                continue  # no theorem at hand for a jump product of 1
+            cause = JUMP_GRID_STOPS.get((sigma_a, sigma_c))
+            marks = ()
+            if cause is not None:
+                marks = pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason=f"stops: {cause!r}, from the one-sided cover's "
+                    "width zeta0*h_v (ROADMAP item 14)",
+                )
+            yield pytest.param(sigma_a, sigma_c, cause, marks=marks, id=f"{sigma_a}-{sigma_c}")
+
+
+@pytest.mark.parametrize("sigma_a, sigma_c, cause", list(_jump_grid_cells()))
+def test_verdicts_across_the_jump_ratios(sigma_a, sigma_c, cause):
+    # the paper's theorem: breaks on different orbits with
+    # sigma_a * sigma_c != 1 make the invariant measure singular
+    cfg = ExperimentConfig(
+        kind="pq", a=0.2, c=0.6, x0=0.05, sigma_a=sigma_a, sigma_c=sigma_c, n_min=5, n_max=8
+    )
+    try:
+        rep = singularity_report(cfg)
+    except CircleBreakError as exc:
+        if cause is None or cause not in str(exc):
+            pytest.fail(f"{type(exc).__name__} for a reason other than ROADMAP item 14: {exc}")
+        raise AssertionError(str(exc)) from exc
+    if rep.verdict != "SINGULAR_EVIDENCE":
+        pytest.fail(f"verdict {rep.verdict}, min_upper_gap {rep.min_upper_gap!r}")
 
 
 @pytest.mark.parametrize(
