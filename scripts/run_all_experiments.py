@@ -51,6 +51,19 @@ OTHER_CONFIGS = [
 ]
 
 
+def bundled_runs():
+    """(label, command, config name) of every run, in the order ``main``
+    makes them."""
+    import json
+
+    runs = []
+    for name, _, _ in EXPERIMENTS:
+        with open(os.path.join(ROOT, "configs", name)) as fh:
+            runs.append((json.load(fh)["label"], "singularity", name))
+    runs += [(os.path.splitext(name)[0], cmd, name) for name, cmd in OTHER_CONFIGS]
+    return runs
+
+
 def artifacts_digest(paths) -> str:
     """SHA-256 over the named files, in sorted name order."""
     h = hashlib.sha256()

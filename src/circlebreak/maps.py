@@ -66,7 +66,7 @@ class BreakPoint(_BreakPointFields):
     def __new__(cls, location, d_minus, d_plus):
         if not (0 <= location < 1):
             raise InvalidGeometry(f"break location {location!r} not in [0, 1)")
-        if d_minus <= 0 or d_plus <= 0:
+        if not (d_minus > 0 and d_plus > 0):  # refuses nan too
             raise InvalidGeometry("one-sided derivatives must be positive")
         if d_minus == d_plus:
             raise InvalidGeometry("equal one-sided derivatives: not a break")
@@ -184,7 +184,7 @@ def make_pl_two_break(a, c, slope_ratio, translation=0.0) -> CircleMap:
     len_ac = arc_length(a, c)  # 0 also when c is a float step below a
     if len_ac == 0.0:
         raise InvalidGeometry("break points coincide")
-    if slope_ratio <= 0:
+    if not slope_ratio > 0:  # refuses nan too
         raise InvalidGeometry("slope ratio must be positive")
     if slope_ratio == 1:
         raise InvalidGeometry("slope ratio 1 gives no break")
@@ -217,7 +217,7 @@ def make_pq_two_break(a, c, sigma_a, sigma_c, translation=0.0) -> CircleMap:
     len_ac = arc_length(a, c)  # 0 also when c is a float step below a
     if len_ac == 0.0:
         raise InvalidGeometry("break points coincide")
-    if sigma_a <= 0 or sigma_c <= 0:
+    if not (sigma_a > 0 and sigma_c > 0):  # refuses nan too
         raise InvalidGeometry("jump ratios must be positive")
     if sigma_a == 1 and sigma_c == 1:
         raise InvalidGeometry("both jump ratios are 1: no break points")

@@ -36,10 +36,8 @@ class OrbitMeasure(NamedTuple):
 
 
 def _circular_argsort_equal(order_a, order_b) -> bool:
-    """True iff two permutations agree up to a cyclic rotation."""
+    """True iff two permutations of one range agree up to a cyclic rotation."""
     n = len(order_a)
-    if n != len(order_b):
-        return False
     pos = {v: k for k, v in enumerate(order_b)}
     shift = pos[order_a[0]]
     return all(order_a[k] == order_b[(shift + k) % n] for k in range(n))

@@ -125,8 +125,6 @@ def cf_expand_convergents(rho, n_max: int = 40) -> ContinuedFraction:
             break
         inv = 1 / x
         k = floor(inv)
-        if k < 1:
-            break
         ks.append(int(k))
         x = inv - k
     if not ks:

@@ -24,10 +24,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIRST_BREAK_AUDIT = "at the first break differs from its closed form"
 
 
-def load_run_all_experiments():
-    """scripts/run_all_experiments.py as a module; no command imports it."""
-    path = os.path.join(ROOT, "scripts", "run_all_experiments.py")
-    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+def load_script(name):
+    """scripts/<name>.py as a module; no command imports it."""
+    path = os.path.join(ROOT, "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIRST_BREAK_AUDIT, load_run_all_experiments
+from conftest import FIRST_BREAK_AUDIT, load_script
 
 from circlebreak import crossratio
 from circlebreak.cli import CSV_CHUNK_LINES, _csv_chunks, _write_all, fmt, main
@@ -485,7 +485,7 @@ def test_singularity_files_are_written_from_the_record_fields(tmp_path, doc, nul
 # table scripts/run_all_experiments.py prints its verdicts against.
 EXPERIMENT_THEORY = [
     (os.path.splitext(name)[0], verdict)
-    for name, verdict, _ in load_run_all_experiments().EXPERIMENTS
+    for name, verdict, _ in load_script("run_all_experiments").EXPERIMENTS
 ]
 
 ITEM_1B = pytest.mark.xfail(
@@ -500,6 +500,18 @@ def _theory_marks(name):
     return ITEM_1B if name == "pl_herman" else ()
 
 
+def _assert_verdict(code, out, verdict):
+    """The run exited 0 with ``verdict``.  A nonzero exit, or a verdict
+    other than ``verdict`` and INCONCLUSIVE, fails outright, so under a
+    pin only an INCONCLUSIVE run counts as the expected miss."""
+    if code != 0:
+        pytest.fail(f"exit {code}")
+    got = json.loads((out / "report.json").read_text())["verdict"]
+    if got not in (verdict, "INCONCLUSIVE"):
+        pytest.fail(f"verdict {got} where theory predicts {verdict}")
+    assert got == verdict
+
+
 # pl_herman misses its theory verdict (ROADMAP item 1b); its cell with no
 # verdict pins what the run does reach: exit 0 and never a singular verdict.
 @pytest.mark.parametrize(
@@ -510,16 +522,11 @@ def _theory_marks(name):
 def test_bundled_experiments_keep_their_verdicts(tmp_path, name, verdict):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     code, out = run(tmp_path, "singularity", doc)
-    if code != 0:
-        pytest.fail(f"exit {code}")
-    got = json.loads((out / "report.json").read_text())["verdict"]
     if verdict is None:
-        assert got != "SINGULAR_EVIDENCE"
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["verdict"] != "SINGULAR_EVIDENCE"
         return
-    # a pinned miss is INCONCLUSIVE; the opposite verdict fails outright
-    if got not in (verdict, "INCONCLUSIVE"):
-        pytest.fail(f"verdict {got} where theory predicts {verdict}")
-    assert got == verdict
+    _assert_verdict(code, out, verdict)
 
 
 # What stops each run that item 8's chain defect breaks; a pin that stops
@@ -539,7 +546,8 @@ def _passes_unless_item_8(capsys, code, cause):
     raises=AssertionError,
     reason="exits 4: the first-break audit's one-step factor 1.3333333872289526 "
     "misses its closed form 1.3333334026021675 beyond 9.27e-09, from the "
-    "distortion chain's gap rounding (ROADMAP item 8)",
+    "distortion chain's gap rounding (ROADMAP item 8; item 14's prototype "
+    "makes it pass)",
 )
 def test_pq_main_passes_at_rank_17(tmp_path, capsys):
     doc = json.loads((CONFIG_DIR / "pq_main.json").read_text())
@@ -602,8 +610,7 @@ def test_verdicts_beyond_the_golden_mean(tmp_path, name, rho, verdict):
     # the theorems hold for every irrational rotation number, so each
     # bundled map reaches the verdict theory predicts on each of the five
     code, out = _grid_run(tmp_path, name, rho, 5, 8)
-    assert code == 0
-    assert json.loads((out / "report.json").read_text())["verdict"] == verdict
+    _assert_verdict(code, out, verdict)
 
 
 # pq_main's first failing rank off the golden mean; the mixed rho also
@@ -613,7 +620,8 @@ def test_verdicts_beyond_the_golden_mean(tmp_path, name, rho, verdict):
     strict=True,
     raises=AssertionError,
     reason="exits 4: the first-break audit's one-step factor misses its closed "
-    "form, from the distortion chain's gap rounding (ROADMAP item 8)",
+    "form, from the distortion chain's gap rounding (ROADMAP item 8; item 14's "
+    "prototype makes them pass)",
 )
 @pytest.mark.parametrize("rho, rank", [("silver", 10), ("quotient-20", 11)])
 def test_pq_main_passes_beyond_the_golden_mean(tmp_path, capsys, rho, rank):
@@ -670,6 +678,26 @@ def test_unreachable_tolerance_exits_3(tmp_path):
     )
     assert code == 3
     assert os.listdir(out) == []
+
+
+def test_partition_below_the_resolution_floor_exits_3(tmp_path, capsys):
+    # rho = 1 / (1 + 1e-14): a rank-1 cell about 1e-14 long is below the
+    # 1e3 eps at which binary64 can certify the cells' order
+    code, out = run(
+        tmp_path,
+        "partition",
+        {
+            "map": {"kind": "rotation", "translation": 0.99999999999999},
+            "rho": {"cf": [1, 100_000_000_000_000]},
+            "n": 1,
+        },
+    )
+    assert code == 3
+    assert os.listdir(out) == []
+    assert (
+        "min element length 9.950e-15 at rank 1 is below the 1e+03*eps "
+        "resolution floor" in capsys.readouterr().err
+    )
 
 
 def test_partition_outputs(tmp_path, capsys):

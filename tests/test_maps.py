@@ -117,6 +117,11 @@ def test_iterate_cap():
         iterate(m, 0.0, 100, cap=50)
 
 
+def test_iterate_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        iterate(make_rotation(GOLDEN), 0.0, -1)
+
+
 def test_step_clamps_to_next_turn():
     # f(0) = -1e-20: the fractional part rounds up to 1.0, which is the
     # origin of the next turn, so the point is 0 and the winding stays 0
@@ -535,6 +540,24 @@ def test_pl_rejects_slope_ratio_one():
         make_pl_two_break(0.3, 0.7, 1.0)
 
 
+def test_pl_rejects_a_slope_ratio_that_is_not_positive():
+    for ratio in (0.0, -2.0, math.nan):
+        with pytest.raises(InvalidGeometry, match="slope ratio must be positive"):
+            make_pl_two_break(0.3, 0.7, ratio)
+
+
+def test_maps_refuse_derivatives_that_overflow():
+    # an infinite ratio leaves the other arc's derivative 0
+    with pytest.raises(InfeasibleDerivatives, match="non-positive one-sided derivative"):
+        make_pq_two_break(0.2, 0.6, math.inf, 0.8)
+    with pytest.raises(InfeasibleDerivatives, match="non-positive one-sided derivative"):
+        make_pl_two_break(0.2, 0.6, math.inf)
+    # on an arc one subnormal step long, Df_-(c) = sigma_c * Df_+(c)
+    # overflows, and so does the integral of the profile
+    with pytest.raises(InfeasibleDerivatives, match="derivative profile integrates to inf"):
+        make_pq_two_break(0.0, 5e-324, 1e-300, 1e308)
+
+
 def test_pl_jump_product_cancels():
     rng = random.Random(11)
     for _ in range(20):
@@ -556,6 +579,10 @@ def test_pq_rejects_degenerate():
         make_pq_two_break(0.2, 0.2, 2.0, 0.8)
     with pytest.raises((InvalidGeometry, InfeasibleDerivatives)):
         make_pq_two_break(0.2, 0.6, -2.0, 0.8)
+    with pytest.raises(InvalidGeometry, match="needs both jump ratios != 1"):
+        make_pq_two_break(0.2, 0.6, 2.0, 1.0)
+    with pytest.raises(InvalidGeometry, match="jump ratios must be positive"):
+        make_pq_two_break(0.2, 0.6, 2.0, math.nan)
 
 
 def test_breaks_apart_only_before_reduction_coincide():

@@ -127,6 +127,18 @@ def test_conjugacy_rejects_wrong_rho(pq_map, gcf):
         conjugacy_values(pq_map, exact_rho(0.61), part, 100)
 
 
+def test_conjugacy_rejects_duplicate_positions(rot_map, gcf):
+    part = build_partition(rot_map, gcf, 0.0, 5)
+    n = len(part.orbit)
+    # the identity extends the orbit by its last point once more
+    dup = f"duplicate orbit positions at indices {n - 1} and {n}"
+    with pytest.raises(OrderViolation, match=dup):
+        conjugacy_values(make_rotation(0.0), exact_rho(gcf.value), part, n + 1)
+    # rho = 1/2 puts phi[2] on phi[0]
+    with pytest.raises(OrderViolation, match="duplicate phi positions at indices 0 and 2"):
+        conjugacy_values(rot_map, exact_rho(0.5), part, n)
+
+
 def test_conjugacy_needs_two_points(rot_map, gcf):
     # the shallowest partition orbit, x0 and T x0, already has two
     part = build_partition(rot_map, gcf, 0.0, 1)

@@ -8,6 +8,7 @@ from circlebreak.errors import (
     BreakCollision,
     InvariantFailure,
     PrecisionBudgetExceeded,
+    RankTooShallow,
     RefinementViolation,
 )
 from circlebreak.maps import (
@@ -268,6 +269,20 @@ def test_denjoy_product_refuses_a_break_orbit(pq_map, gcf):
         denjoy_product(pq_map, gcf, 0.2, 6)
 
 
+def test_denjoy_product_refuses_a_short_fraction_and_a_wrong_bound(monkeypatch, pq_map, gcf):
+    short = ContinuedFraction.from_quotients(gcf.quotients[:5])
+    with pytest.raises(RankTooShallow, match="need 6 partial quotients, have 5"):
+        denjoy_product(pq_map, short, 0.05, 6)
+    # read with v = 0, a rotation's bound, the pq map's product escapes
+    assert abs(denjoy_product(pq_map, gcf, 0.05, 6) - 1) > 1e-3
+    monkeypatch.setattr(
+        "circlebreak.partition.map_stats", lambda m: map_stats(m)._replace(v=0.0)
+    )
+    escape = r"escapes \[e\^-v, e\^v\] = \[1.0, 1.0\] at rank 6"
+    with pytest.raises(InvariantFailure, match=escape):
+        denjoy_product(pq_map, gcf, 0.05, 6)
+
+
 def _running_product(m, x0, steps):
     prod = 1.0
     for p in iterate(m, x0, steps - 1):
@@ -283,6 +298,7 @@ def _break_distance(m, x):
 @pytest.mark.parametrize("name", ["pq_map", "pl_map"])
 def test_df_product_matches_running_product(request, name):
     m = request.getfixturevalue(name)
+    assert df_product(m, 0.05, 0) == 1.0  # the empty product
     for x0 in (0.05, 0.31, 0.77):
         assert df_product(m, x0, 233) == _running_product(m, x0, 233)
         # q_18 = 4181 steps
@@ -708,3 +724,45 @@ def test_adjacency_audit_names_the_first_misplaced_cell(gcf, t, n, cell):
         f"element ({cell} are not circularly adjacent; "
         "orbit order does not match the rotation combinatorics"
     )
+
+
+def test_build_partition_refuses_rank_0_and_a_short_fraction(pq_map, gcf):
+    with pytest.raises(ValueError, match="partition rank must be >= 1"):
+        build_partition(pq_map, gcf, 0.05, 0)
+    short = ContinuedFraction.from_quotients(gcf.quotients[:5])
+    with pytest.raises(RankTooShallow, match="need 6 partial quotients to build rank 6, have 5"):
+        build_partition(pq_map, short, 0.05, 6)
+
+
+def test_refinement_refuses_a_mismatched_pair(pq_map, gcf):
+    coarse = build_partition(pq_map, gcf, 0.05, 6)
+    with pytest.raises(ValueError, match="fine rank 8 must be coarse rank 6 plus one"):
+        check_refinement(coarse, build_partition(pq_map, gcf, 0.05, 8), gcf)
+    with pytest.raises(ValueError, match="different base points"):
+        check_refinement(coarse, build_partition(pq_map, gcf, 0.06, 7), gcf)
+    fine = build_partition(pq_map, gcf, 0.05, 7)
+    short = ContinuedFraction.from_quotients(gcf.quotients[:6])
+    with pytest.raises(RankTooShallow, match="need quotient k_7"):
+        check_refinement(coarse, fine, short)
+
+
+def test_cell_table_equals_only_a_table(pq_map, gcf):
+    el = build_partition(pq_map, gcf, 0.05, 5).elements
+    assert el == CellTable(**{name: getattr(el, name) for name in CellTable.__slots__})
+    # a tuple of the same cells is no table: both sides decline, and
+    # identity decides
+    assert el != tuple(el)
+
+
+def test_locate_refuses_cells_that_end_where_they_start(pq_map, gcf):
+    # each cell of the table ends at its own left point, so a point
+    # between two orbit points lies in none of them
+    part = build_partition(pq_map, gcf, 0.05, 6)
+    el = part.elements
+    x = to_circle(el.left[3] + 0.5 * el.length[3])
+    assert part.locate(x) == 3
+    columns = {name: getattr(el, name) for name in CellTable.__slots__}
+    columns["right_index"] = el.left_index
+    broken = part._replace(elements=CellTable(**columns))
+    with pytest.raises(InvariantFailure, match=f"no partition element contains {x!r}"):
+        broken.locate(x)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import circlebreak.rotation
-from circlebreak.errors import PrecisionBudgetExceeded
+from circlebreak.errors import NotBracketed, PrecisionBudgetExceeded, TolUnreachable
 from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make_rotation
 from circlebreak.numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS
 from circlebreak.rotation import (
@@ -17,6 +17,7 @@ from circlebreak.rotation import (
     _compare_to_target,
     _sign,
     cf_expand_convergents,
+    cf_quotients_of_fraction,
     rho_farey,
     rho_iterate_estimate,
     tune_translation,
@@ -58,6 +59,24 @@ def test_cf_expand_examples():
     assert (cf.p(1), cf.q(1)) == (1, 4)
     golden = cf_expand_convergents(GOLDEN, 20)
     assert golden.quotients == (1,) * 20
+
+
+def test_continued_fractions_refuse_values_outside_their_domain():
+    with pytest.raises(ValueError, match="partial quotients must be >= 1"):
+        ContinuedFraction.from_quotients([1, 0, 2])
+    for fr in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            cf_quotients_of_fraction(fr)
+    for rho in (0.0, 1.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match="rho must lie strictly between 0 and 1"):
+            cf_expand_convergents(rho)
+
+
+def test_rho_estimates_refuse_an_empty_walk(rot_map):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        rho_iterate_estimate(rot_map, 0)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        rho_farey(rot_map, depth=0)
 
 
 def test_rho_iterate_rotation_third():
@@ -205,6 +224,60 @@ def test_tuned_maps_certified(pq_map, pl_map, gcf):
     for m in (pq_map, pl_map):
         est, _ = rho_farey(m, depth=25)
         assert est.lower - 1e-10 <= gcf.value <= est.upper + 1e-10
+
+
+@pytest.mark.parametrize("tol", [1e-13, 0.0, math.nan])
+def test_tune_refuses_a_tolerance_below_the_floor(gcf, tol):
+    with pytest.raises(ValueError, match="not certifiable in binary64"):
+        tune_translation(make_rotation(0.0), gcf, tol=tol)
+
+
+def test_tune_returns_a_start_end_already_within(gcf):
+    # tol 0.5 asks only for the golden bracket [1/2, 1].  The rotation's
+    # lower start end already lies in it; this map's lower end has rho
+    # below 1/2, and its upper end lies in it.
+    rot = tune_translation(make_rotation(0.0), gcf, tol=0.5)
+    assert (rot.translation, rot.bisections) == (gcf.value - 1e-9, 0)
+    m = make_pq_two_break(0.2, 0.6, 4.0, 0.1)
+    res = tune_translation(m, gcf, tol=0.5)
+    assert res.bisections == 0 and res.translation > gcf.value
+    tuned = m.with_translation(res.translation)
+    assert _compare_to_target(tuned, gcf, 2, DEFAULT_ORBIT_CAP) == "within"
+
+
+@pytest.mark.parametrize("shift, widened", [(0.7, 0), (-0.7, 1)])
+def test_tune_widens_a_start_bracket_that_misses(gcf, shift, widened):
+    # the family runs ``shift`` off the map whose displacements seed the
+    # start bracket, so one start end reads the wrong side and moves out
+    # by 0.5 until it reads its own
+    m = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
+    tried = []
+
+    def family(t):
+        tried.append(t)
+        return m.with_translation(t + shift)
+
+    res = tune_translation(m, gcf, tol=1e-6, family=family)
+    step = 0.5 if widened else -0.5
+    assert tried[2] == tried[widened] + step
+    n = gcf.bracket_within(1e-6)
+    assert _compare_to_target(family(res.translation), gcf, n, DEFAULT_ORBIT_CAP) == "within"
+
+
+def test_tune_refuses_a_family_it_cannot_bracket(gcf):
+    # every member has rho 0.1: the upper end never reads "high"
+    with pytest.raises(NotBracketed, match="could not bracket target"):
+        tune_translation(make_rotation(0.0), gcf, tol=1e-6, family=lambda t: make_rotation(0.1))
+
+
+def test_tune_gives_up_on_a_family_that_jumps_over_the_target(gcf):
+    # rho jumps from 0.1 to 0.9 at the target: no member is within, and
+    # the bisection gives up after its budget
+    def jump(t):
+        return make_rotation(0.1 if t < gcf.value else 0.9)
+
+    with pytest.raises(TolUnreachable, match="no certification after 200 bisections"):
+        tune_translation(make_rotation(0.0), gcf, tol=1e-6, family=jump)
 
 
 def test_tune_rejects_rational_target():

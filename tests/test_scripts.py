@@ -1,11 +1,12 @@
 """Smoke tests for the scripts in scripts/, which no command imports."""
 
-import json
 import os
 import subprocess
 import sys
 
-from conftest import ROOT, load_run_all_experiments
+import pytest
+
+from conftest import ROOT, load_script
 
 
 def test_gap_vs_rank_prints_every_rank():
@@ -25,34 +26,52 @@ def test_gap_vs_rank_prints_every_rank():
     assert [int(r.split()[0]) for r in rows] == list(range(5, 13))
 
 
-def _bundled_runs(script):
-    """(label, command, config name) of every run the script makes."""
-    runs = []
-    for name, _, _ in script.EXPERIMENTS:
-        with open(os.path.join(ROOT, "configs", name)) as fh:
-            runs.append((json.load(fh)["label"], "singularity", name))
-    runs += [(os.path.splitext(name)[0], cmd, name) for name, cmd in script.OTHER_CONFIGS]
-    return runs
-
-
 def test_digest_manifest_names_every_bundled_run():
-    script = load_run_all_experiments()
+    script = load_script("run_all_experiments")
     manifest = script.load_manifest()
-    assert sorted(manifest) == sorted(label for label, _, _ in _bundled_runs(script))
+    assert sorted(manifest) == sorted(label for label, _, _ in script.bundled_runs())
     for digest in manifest.values():
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
 def test_every_bundled_run_writes_its_committed_bytes(tmp_path, monkeypatch):
     # the runs go into tmp_path, not results/, as the script would write them
-    script = load_run_all_experiments()
+    script = load_script("run_all_experiments")
     src = os.path.join(ROOT, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     monkeypatch.setenv("PYTHONPATH", path)
     digests = {}
-    for label, command, name in _bundled_runs(script):
+    for label, command, name in script.bundled_runs():
         config = os.path.join(ROOT, "configs", name)
         proc = script.run(command, config, str(tmp_path / label))
         assert proc.returncode == 0, proc.stderr
         digests[label] = script.artifacts_digest(proc.stdout.splitlines())
     assert digests == script.load_manifest()
+
+
+def test_unreached_lines_traces_a_test_module():
+    # one small module under the tracer: it runs every line of to_circle
+    # and none of in_arc, and the trace functions that were set come back
+    from circlebreak import numerics
+
+    script = load_script("unreached_lines")
+    exe = script.executable_lines()
+    pkg = os.path.join(ROOT, "src", "circlebreak")
+    assert sorted(exe) == sorted(
+        os.path.join(pkg, name) for name in os.listdir(pkg) if name.endswith(".py")
+    )
+    before = sys.gettrace()
+    with script.LineTracer() as tracer:
+        module = os.path.join(ROOT, "tests", "test_numerics.py")
+        code = pytest.main(["-q", "-p", "no:cacheprovider", module])
+    assert code == 0
+    assert sys.gettrace() is before
+    path = os.path.join(pkg, "numerics.py")
+    missed = set(script.unreached(exe, tracer.hits)[path])
+    assert tracer.hits[path] <= exe[path]
+
+    def body(fn):
+        return {line for _, _, line in fn.__code__.co_lines()} - {fn.__code__.co_firstlineno}
+
+    assert body(numerics.to_circle) <= tracer.hits[path]
+    assert body(numerics.in_arc) <= missed

@@ -915,6 +915,9 @@ def test_validated_records_refuse_bad_values():
         BreakPoint(1.0, 2.0, 1.0)
     with pytest.raises(InvalidGeometry):
         BreakPoint(0.5, 2.0, 2.0)
+    for d_minus, d_plus in ((-1.0, 2.0), (2.0, 0.0), (math.nan, 2.0)):
+        with pytest.raises(InvalidGeometry, match="must be positive"):
+            BreakPoint(0.5, d_minus, d_plus)
     params = make_cover_params(2.0, 0.8, V25)._asdict()
     assert RegularCoverParams(**params) == make_cover_params(2.0, 0.8, V25)
     for bad in ({"c0": 0.5}, {"zeta0": 0.0}, {"zeta0": 1.5}):
