@@ -12,7 +12,8 @@ A line is executable when the ``co_lines()`` of some code object compiled
 from its module names it.  The script prints how many executable lines
 neither pass reached, then the count and the lines of each module that
 has any.  The tracer slows the suite down about sevenfold: the whole
-run took 3.5-4 minutes with Python 3.11 on a 2-core machine.
+run took 4 min 0 s, 3 min 50 s of it the Tier-1 pass, with Python
+3.11.7 on a 2-core machine.
 
 Work done in a child that ``cli._fork_block`` forks is invisible here:
 the child inherits the tracer, but what it records never comes back to
@@ -20,11 +21,17 @@ this process.  So the child branch of ``_fork_block`` always reads as
 unreached; ``tests/test_denjoy_samples.py`` checks it through its
 results.  Subprocesses that tests start are not traced either.
 
+The script is a gate.  The body of ``if pid == 0:`` in ``_fork_block``,
+found with ``ast`` in the source, is the one exempt region: its lines
+are printed as exempt.  Any other unreached line makes the script exit
+1, as does a bundled run or a test that fails.
+
 Run it from anywhere, with pytest and hypothesis installed:
 
     python3 scripts/unreached_lines.py
 """
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -101,6 +108,45 @@ class LineTracer:
         threading.settrace(self._saved[1])
 
 
+def exempt_lines(exe: dict) -> dict:
+    """{cli.py: executable lines of the ``if pid == 0:`` body of
+    ``_fork_block``}, the child's branch, which runs only in a forked
+    child."""
+    path = os.path.join(PKG, "cli.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    fork = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_fork_block"
+    )
+    child = next(
+        node
+        for node in ast.walk(fork)
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "pid == 0"
+    )
+    body = range(child.body[0].lineno, child.body[-1].end_lineno + 1)
+    return {path: exe[path].intersection(body)}
+
+
+def report(missed: dict, exempt: dict) -> int:
+    """Print the unreached lines of each module, those of ``exempt`` on a
+    line of their own; return 1 if any unreached line is not exempt."""
+    print(f"{sum(map(len, missed.values()))} executable lines unreached")
+    code = 0
+    for path, lines in missed.items():
+        name = os.path.relpath(path, ROOT)
+        free = exempt.get(path, set())
+        gaps = [line for line in lines if line not in free]
+        excused = [line for line in lines if line in free]
+        if gaps:
+            print(f"{name} {len(gaps)}: {' '.join(map(str, gaps))}")
+            code = 1
+        if excused:
+            print(f"{name} exempt {len(excused)}: {' '.join(map(str, excused))}")
+    return code
+
+
 def unreached(exe: dict, *hit_maps) -> dict:
     """{module path: sorted executable lines in no hit map}."""
     return {
@@ -143,13 +189,8 @@ def main() -> int:
 
     with LineTracer() as tier1:
         code = pytest.main(["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")])
-    missed = unreached(exe, bundled.hits, tier1.hits)
-    print(f"{sum(map(len, missed.values()))} executable lines unreached")
-    for path, lines in missed.items():
-        if lines:
-            name = os.path.relpath(path, ROOT)
-            print(f"{name} {len(lines)}: {' '.join(map(str, lines))}")
-    return 1 if failed or code != 0 else 0
+    gate = report(unreached(exe, bundled.hits, tier1.hits), exempt_lines(exe))
+    return 1 if failed or code != 0 else gate
 
 
 if __name__ == "__main__":

@@ -877,8 +877,6 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a JSON object")
     return doc
 
 

@@ -588,6 +588,9 @@ def distortion_rows(quads, m: CircleMap) -> list:
 
         A walk whose start the reduction rounded back below its segment's
         end (nxt <= x < y) corrects the piece; it is left to gap_image.
+        Only the u < p0 fix-up can put a start in an earlier piece than
+        z1's, and that piece is in segment 1; a start in segment 0 lies in
+        z1's piece or a later one, whose end z4 does not pass.
         """
         j = fl(x - p0)
         u = x - j
@@ -598,9 +601,6 @@ def distortion_rows(quads, m: CircleMap) -> list:
             u -= 1
             j += 1
         if u < p1:
-            nxt = p1 + j
-            if y > nxt:
-                return None
             return (y - x) * (a0 + c0 * ((x + y) / 2 - (p0 + j)))
         nxt = p0_next + j
         if y > nxt:

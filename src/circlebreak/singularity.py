@@ -147,9 +147,9 @@ def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
     in [0,1] is max(ss, sigma_a): Phi1 is linear with endpoint values ss
     and sigma_a.
     """
-    if sigma_a <= 0 or sigma_c <= 0:
+    if not (sigma_a > 0 and sigma_c > 0):  # refuses nan too
         raise InvalidGeometry("jump ratios must be positive")
-    if v <= 0:
+    if not v > 0:
         raise InvalidGeometry("log-derivative variation must be positive")
     ss = sigma_a * sigma_c
     r6 = r6_bound(sigma_a, sigma_c)
@@ -282,10 +282,11 @@ def regular_cover_triple(m: CircleMap, part: DynamicalPartition, tables) -> Cove
     Sizes come from d_n (clearance to the q_{n-1} neighbors of abar)
     through V_n and its zeta0-core U_n; the position of the second
     break's preimage relative to U_n selects between the one-sided cover
-    and the two asymmetric two-break covers.  The normalized coordinates
-    matching C0/zeta0 are audited here; the q_n-smallness of the hull
-    and that each break is covered exactly once along its q_n iterates
-    are audited on the distortion chain (``_check_hull_images``).
+    and the two asymmetric two-break covers, whose offset is within
+    zeta0 by that choice.  Their ratio matching C0 is audited here; the
+    q_n-smallness of the hull and that each break is covered exactly
+    once along its q_n iterates are audited on the distortion chain
+    (``_check_hull_images``).
     """
     if len(m.breaks) != 2:
         raise InvalidGeometry("cover triples need a map with exactly two breaks")
@@ -349,11 +350,6 @@ def regular_cover_triple(m: CircleMap, part: DynamicalPartition, tables) -> Cove
             raise InvariantFailure(
                 f"constructed ratio {xi0!r} drifted from C0 {params.c0!r}"
             )
-        if coord0 > params.zeta0 * (1.0 + CERT_SLACK):
-            raise InvariantFailure(
-                f"normalized break offset {coord0!r} exceeds zeta0 "
-                f"{params.zeta0!r}"
-            )
 
     return CoverTriple(
         n=part.n,
@@ -384,7 +380,7 @@ def gf_gap(params: RegularCoverParams, xi_l, xi_p, z_p):
     """
     ev = math.exp(params.v)
     slack = 1.0 + CERT_SLACK
-    if xi_l <= 0 or xi_p <= 0:
+    if not (xi_l > 0 and xi_p > 0):  # refuses nan too
         raise HypothesisNotCertified("gap ratios must be positive")
     floor_xi = params.c0 / ev / slack
     if xi_l < floor_xi or xi_p < floor_xi:

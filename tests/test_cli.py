@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import re
+import runpy
 import sys
 import tracemalloc
 from itertools import chain
@@ -12,8 +14,17 @@ import pytest
 
 from conftest import FIRST_BREAK_AUDIT, load_script
 
-from circlebreak import crossratio
-from circlebreak.cli import CSV_CHUNK_LINES, _csv_chunks, _write_all, fmt, main
+from circlebreak import cli, crossratio
+from circlebreak.cli import (
+    CSV_CHUNK_LINES,
+    _csv_chunks,
+    _json_text,
+    _stage,
+    _unstage,
+    _write_all,
+    fmt,
+    main,
+)
 from circlebreak.crossratio import lift_into
 from circlebreak.errors import InvariantFailure
 from circlebreak.maps import make_rotation
@@ -337,6 +348,122 @@ def test_unresolvable_decimal_rho_exits_2_naming_the_key(tmp_path, capsys, comma
     assert os.listdir(out) == []
     err = capsys.readouterr().err
     assert err == f"error: {key} 1e-20: no partial quotients resolvable at this precision\n"
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("partition", dict(PARTITION, map=5), "map must be a JSON object"),
+        (
+            "singularity",
+            dict(SINGULARITY, label=5),
+            "singularity config key 'label' must be a string",
+        ),
+        (
+            "partition",
+            dict(PARTITION, refinement=1),
+            "config key 'refinement' must be true or false",
+        ),
+        (
+            "rotnum",
+            dict(ROTNUM, map={"kind": "henon"}),
+            "unknown map kind 'henon'; expected rotation, pq, or pl",
+        ),
+        ("partition", dict(PARTITION, rho=1.5), "rho must lie in (0, 1), got 1.5"),
+        (
+            "measure",
+            dict(MEASURE, rho="golden"),
+            "rho must be a number or an object with a cf list",
+        ),
+        ("measure", dict(MEASURE, rho={"cf": [1] * 4}), "rank 5 needs at least 5 rho quotients"),
+        (
+            "distortion",
+            {"map": PQ_MAP, "quadruples": 5},
+            "quadruples must be a list of 4-point lists",
+        ),
+        (
+            "distortion",
+            {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3]]},
+            "quadruples[0] must be a list of four numbers",
+        ),
+        (
+            "distortion",
+            {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, 0.4], [0.1, 0.1, 0.3, 0.4]]},
+            "quadruples[1]: gap 0.0 between 0.1 and 0.1 is below the degeneracy floor",
+        ),
+        (
+            "distortion",
+            {"map": PQ_MAP, "sample": {"count": 0}},
+            "sample.count must be >= 1 and 0 < sample.scale <= 0.2",
+        ),
+        (
+            "distortion",
+            {"map": PQ_MAP, "sample": {"count": 5, "scale": 0.3}},
+            "sample.count must be >= 1 and 0 < sample.scale <= 0.2",
+        ),
+    ],
+    ids=[
+        "map-not-an-object",
+        "label-not-a-string",
+        "refinement-not-a-flag",
+        "unknown-map-kind",
+        "decimal-rho-outside-0-1",
+        "rho-a-string",
+        "rank-past-the-quotients",
+        "quadruples-not-a-list",
+        "quadruple-of-three",
+        "quadruple-with-a-zero-gap",
+        "sample-count-0",
+        "sample-scale-0.3",
+    ],
+)
+def test_malformed_config_exits_2_naming_the_problem(tmp_path, capsys, command, doc, message):
+    code, out = run(tmp_path, command, doc)
+    assert code == 2
+    assert os.listdir(out) == []
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        ("rotnum", "config"),
+        ("tune", "config"),
+        ("partition", "config"),
+        ("distortion", "config"),
+        ("measure", "config"),
+        ("singularity", "singularity config"),
+    ],
+)
+def test_a_config_that_is_no_object_exits_2(tmp_path, capsys, command, where):
+    # every command reads its document through one object check
+    code, out = run(tmp_path, command, [ROTNUM])
+    assert code == 2
+    assert os.listdir(out) == []
+    assert capsys.readouterr().err == f"error: {where} must be a JSON object\n"
+
+
+def test_the_module_runs_as_a_script(monkeypatch, tmp_path, capsys):
+    # ``python -m circlebreak.cli``: the exit status is main's
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(ROTNUM))
+    out = tmp_path / "out"
+    argv = ["cli.py", "rotnum", "--config", str(cfg), "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", argv)
+    # run_module warns about a module it re-executes from sys.modules
+    monkeypatch.delitem(sys.modules, "circlebreak.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("circlebreak.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert sorted(os.listdir(out)) == ["cf_table.csv", "rotnum.json"]
+    cfg.write_text(json.dumps(dict(ROTNUM, depth=0)))
+    empty = tmp_path / "empty"
+    monkeypatch.setattr(sys, "argv", argv[:-1] + [str(empty)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("circlebreak.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert not empty.exists()
+    assert capsys.readouterr().err == "error: config key 'depth' must be >= 1\n"
 
 
 @pytest.mark.parametrize(
@@ -846,6 +973,28 @@ def test_break_free_rows_stay_on_the_row_kernel(tmp_path, monkeypatch, doc):
     assert reached[True] > 0
 
 
+@pytest.mark.parametrize(
+    "constant, quadruple, what",
+    [
+        ("calibrate_c1", [0.3, 0.31, 0.33, 0.36], "break-free distortion"),
+        ("calibrate_k1", [0.19, 0.2005, 0.21, 0.22], "closed-form"),
+    ],
+    ids=["break-free", "one-break"],
+)
+def test_a_bound_without_its_curvature_term_exits_4(
+    monkeypatch, tmp_path, capsys, constant, quadruple, what
+):
+    # read as 0, the constant leaves only rounding in the bound, which a
+    # curved map's residual exceeds
+    monkeypatch.setattr(crossratio, constant, lambda m: 0.0)
+    doc = {"map": PQ_MAP, "quadruples": [[0.5, 0.51, 0.52, 0.53], quadruple]}
+    code, out = run(tmp_path, "distortion", doc)
+    assert code == 4
+    assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: {what} residual \S+ exceeds its bound \S+\n", err), err
+
+
 def test_distortion_quadruple_must_fit_one_turn(tmp_path, capsys):
     doc = {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, 0.4], [0.0, 0.3, 0.6, 1.0]]}
     code, out = run(tmp_path, "distortion", doc)
@@ -1036,6 +1185,38 @@ def test_write_all_removes_the_file_it_was_writing(tmp_path):
     with pytest.raises(OSError):
         _write_all(tmp_path, [("x.json", ["{}\n"]), ("y.csv", failing_chunks())])
     assert os.listdir(tmp_path) == []
+
+
+def test_unstage_goes_on_past_a_file_it_cannot_remove(tmp_path):
+    # the first file was removed behind the run's back; the second goes all
+    # the same
+    staged = []
+    _stage(tmp_path, [("x.json", ["{}\n"]), ("y.csv", ["a\n"])], staged)
+    os.unlink(staged[0][0])
+    _unstage(staged)
+    assert os.listdir(tmp_path) == []
+
+
+def test_non_finite_report_value_exits_4_without_files(monkeypatch, tmp_path, capsys):
+    real = cli.singularity_report
+    monkeypatch.setattr(
+        cli, "singularity_report", lambda config: real(config)._replace(median_gap=math.nan)
+    )
+    code, out = run(tmp_path, "singularity", {"kind": "rotation", "n_min": 4, "n_max": 6})
+    assert code == 4
+    assert os.listdir(out) == []
+    assert capsys.readouterr().err == "error: non-finite value nan reached an output table\n"
+
+
+def test_report_text_writes_empty_containers_and_refuses_other_types():
+    assert _json_text({"a": {}, "b": [], "c": [{}]}) == (
+        '{\n  "a": {},\n  "b": [],\n  "c": [\n    {}\n  ]\n}'
+    )
+    with pytest.raises(InvariantFailure, match="^cannot serialize set into a report$"):
+        _json_text({"rows": {1, 2}})
+    # a cell type with no CSV format is a programming error, not a table
+    with pytest.raises(TypeError, match="^no CSV format for a bool cell$"):
+        list(_csv_chunks(["n", "ok"], [(1, True)]))
 
 
 # Traced peak of a rank-18 `partition` run, in bytes per cell of its

@@ -20,6 +20,7 @@ from circlebreak.crossratio import (
     distortion_rows,
     f_func,
     g_func,
+    _sample_quadruples,
     image_quadruple,
     lift_into,
     normalized_coords,
@@ -139,8 +140,38 @@ def test_chain_matches_direct(pq_map, gcf):
 
 
 def test_chain_rejects_wrapping_hull(pq_map):
-    with pytest.raises(DegenerateQuadruple):
+    with pytest.raises(DegenerateQuadruple, match="^tracked hull does not fit on one chart$"):
         chain_points(pq_map, (0.0, 0.4, 0.8, 1.2), 3)
+    with pytest.raises(DegenerateQuadruple, match="^tracked points must be strictly increasing$"):
+        chain_points(pq_map, (0.0, 0.4, 0.4, 0.8), 3)
+    # slope 2 - 1e-16 on [0.25, 0.75]: the image of that whole segment
+    # rounds to one full turn
+    m = make_pl_two_break(0.25, 0.75, 1e16)
+    with pytest.raises(DegenerateQuadruple, match="^hull wrapped the circle at step 1$"):
+        chain_points(m, (0.25, 0.4, 0.6, 0.75), 1)
+
+
+def test_chain_refuses_a_product_that_does_not_telescope(monkeypatch, pq_map):
+    # a track one step longer than its factors: their product stops one
+    # step short of the ratio of its ends
+    real = chain_points
+    monkeypatch.setattr(
+        circlebreak.crossratio, "chain_points", lambda m, pts, steps: real(m, pts, steps + 1)
+    )
+    drift = r"^factor product \S+ drifted from the telescoped ratio \S+$"
+    with pytest.raises(InvariantFailure, match=drift):
+        distortion_chain(Quadruple.from_gaps(0.199, 1e-3, 1e-3, 1e-3), pq_map, 5)
+
+
+def test_chain_refuses_endpoints_iterated_apart(monkeypatch, pq_map):
+    # each endpoint iterated one step past the chain
+    real = circlebreak.crossratio.advance
+    monkeypatch.setattr(
+        circlebreak.crossratio, "advance", lambda m, x, w, n: real(m, x, w, n + 1)
+    )
+    apart = r"^chain total \S+ disagrees with the directly iterated distortion \S+ beyond 1\.000e-10$"
+    with pytest.raises(InvariantFailure, match=apart):
+        distortion_chain(Quadruple.from_gaps(0.199, 1e-3, 1e-3, 1e-3), pq_map, 5)
 
 
 def test_degenerate_quadruples_rejected():
@@ -165,6 +196,22 @@ def test_normalized_coords():
 def test_lift_into():
     assert lift_into(0.2, 5.3) == pytest.approx(6.2, abs=1e-12)
     assert lift_into(0.2, 0.1) == pytest.approx(0.2, abs=1e-15)
+
+
+def test_closed_form_factors_refuse_arguments_outside_their_domain():
+    for x in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"^need x > 0, got {x!r}$"):
+            g_func(x, 2.0)
+        with pytest.raises(ValueError, match=f"^need x > 0, got {x!r}$"):
+            f_func(x, 0.5, 2.0)
+    for sigma in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError, match=f"^need sigma > 0, got {sigma!r}$"):
+            g_func(1.0, sigma)
+        with pytest.raises(ValueError, match=f"^need sigma > 0, got {sigma!r}$"):
+            f_func(1.0, 0.5, sigma)
+    for t in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match=rf"^need t in \[0, 1\], got {t!r}$"):
+            f_func(1.0, t, 2.0)
 
 
 def test_single_break_closed_form_pl_exact():
@@ -267,6 +314,41 @@ def test_calibrations():
     assert calibrate_k1(make_pq_two_break(0.2, 0.6, 2.0, 0.8)) > 0.0
     # K1 is still sampled, bit for bit as before C1 went closed form
     assert calibrate_k1(PINNED_PQ) == 0.7080270578616931
+
+
+def test_k1_sample_keeps_one_break_per_hull():
+    # breaks 0.01 apart under hulls up to 10**-1.4 = 0.04 long: a hull
+    # that holds both is drawn again
+    m = make_pq_two_break(0.2, 0.21, 2.0, 0.8)
+    sample = _sample_quadruples(m, random.Random(0x5EED), 1000)
+    assert len(sample) == 1000
+    assert max(qd.hull for qd, _ in sample) > 0.02
+    for qd, brk in sample:
+        (other,) = (b for b in m.breaks if b is not brk)
+        assert qd.z1 <= lift_into(brk.location, qd.z1) <= qd.z4
+        assert not qd.z1 < lift_into(other.location, qd.z1) < qd.z4
+    assert calibrate_k1(m) > 0
+
+
+def test_k1_skips_hulls_without_curvature(monkeypatch):
+    # read with no curvature around the second break, those hulls drop out
+    # and the first break's hulls alone set K1
+    second = PINNED_PQ.breaks[1]
+
+    def ratio(qd, brk):
+        predicted = pl_frame_distortion(qd, lift_into(brk.location, qd.z1), brk.sigma)
+        integral = abs_d2f_integral(PINNED_PQ, qd.z1, qd.z4)
+        return abs(distortion(qd, PINNED_PQ) - predicted) / integral
+
+    sample = _sample_quadruples(PINNED_PQ, random.Random(0x5EED), 1000)
+    first_only = 2.0 * max(ratio(qd, brk) for qd, brk in sample if brk is not second)
+    assert first_only < calibrate_k1(PINNED_PQ)
+
+    def flat_at_the_second(m, lo, hi):
+        return 0.0 if lo < lift_into(second.location, lo) < hi else abs_d2f_integral(m, lo, hi)
+
+    monkeypatch.setattr(circlebreak.crossratio, "abs_d2f_integral", flat_at_the_second)
+    assert calibrate_k1.__wrapped__(PINNED_PQ) == first_only
 
 
 def test_c1_is_closed_form(monkeypatch):
@@ -396,6 +478,19 @@ def _outcome(row_of, q, m):
         return type(e), str(e)
 
 
+def _counted_general_rows(monkeypatch):
+    """The quadruples distortion_rows hands to _general_row, from now on."""
+    general = []
+    original = circlebreak.crossratio._general_row
+
+    def counted(q, m):
+        general.append(q)
+        return original(q, m)
+
+    monkeypatch.setattr(circlebreak.crossratio, "_general_row", counted)
+    return general
+
+
 # the pinned pq map, a pq map whose breaks do not multiply to 1, a PL map
 # and a rotation
 KERNEL_ROW_MAPS = [PINNED_PQ, make_pq_two_break(0.3, 0.9, 3.0, 0.7), PL, make_rotation(0.3)]
@@ -437,14 +532,7 @@ def test_distortion_rows_match_the_reference_path(m, monkeypatch):
     qs = _kernel_quadruples(m, random.Random(24))
     expected = [_outcome(_reference_row, q, m) for q in qs]
     assert any(isinstance(want[0], type) for want in expected)
-    general = []
-    original = circlebreak.crossratio._general_row
-
-    def counted(q, m):
-        general.append(q)
-        return original(q, m)
-
-    monkeypatch.setattr(circlebreak.crossratio, "_general_row", counted)
+    general = _counted_general_rows(monkeypatch)
     # one quadruple at a time
     for q, want in zip(qs, expected):
         assert _outcome(lambda q, m: distortion_rows((q,), m)[0], q, m) == want, q
@@ -456,6 +544,74 @@ def test_distortion_rows_match_the_reference_path(m, monkeypatch):
     # the kernel computes most break-free rows itself, on every map: a
     # rotation is a segment table too
     assert 0 < len(general) < len(qs) / 2
+
+
+# Break lift 0.625 + 2**-53 - 1 of the map below, and the spacing 2**-54 of
+# the floats around it
+_BRK, _ULP = 0.625 + 2.0**-53 - 1, 2.0**-54
+
+# Rows that take the kernel's rarer turns, as (map, quadruple, whether the
+# row leaves the kernel).  Each lies within rounding of a segment end or
+# wraps the circle, where the kernel's and gap_image's walks must agree.
+KERNEL_EDGE_ROWS = {
+    # z2 - p0 rounds up to -1, while z2 + 1 = 0.625 lies below p0: the
+    # reduction pulls z2's piece back a turn, into segment 1 of lift -2,
+    # which ends at fl(p0 + 1) - 2 = -0.375 = z2 itself.  The break's lift
+    # is z4, so no break lies inside the hull
+    "piece-pulled-back-past-its-end": (
+        make_pq_two_break(0.625 + 2.0**-53, 0.9, 2.0, 0.8),
+        Quadruple(_BRK - 4 * _ULP, _BRK - 2 * _ULP, _BRK - _ULP, _BRK),
+        True,
+    ),
+    # z2 + 1 rounds up to p0 + 1, one turn on: its piece moves a lift up
+    "piece-pushed-a-turn-on": (
+        make_pl_two_break(0.2, 0.3, 3.0),
+        Quadruple(0.19999999999999973, 0.19999999999999982, 0.1999999999999999, 0.19999999999999996),
+        True,
+    ),
+    # f(z1) lies within 2 eps below 1, so the anchor is the origin
+    "anchor-clamped-to-0": (
+        make_rotation(0.3),
+        Quadruple.from_gaps(math.nextafter(0.7, 0.0), 0.01, 0.02, 0.03),
+        False,
+    ),
+    # slope 2 - 1e-16 on the whole of [0.25, 0.75]: its image rounds to a
+    # full turn
+    "image-hull-a-full-turn": (
+        make_pl_two_break(0.25, 0.75, 1e16),
+        Quadruple(0.25, 0.25 + 0.5 / 3, 0.25 + 1 / 3, 0.75),
+        True,
+    ),
+    # ulp gaps under the slope-1/3 segment's end: an image gap falls to the
+    # degeneracy floor
+    "image-gap-below-the-floor": (
+        make_pl_two_break(0.5, 0.3, 3.0),
+        Quadruple(0.49999999999999967, 0.49999999999999983, 0.49999999999999994, 0.5),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_EDGE_ROWS))
+def test_kernel_edge_rows_match_the_reference_path(monkeypatch, name):
+    m, q, leaves = KERNEL_EDGE_ROWS[name]
+    want = _outcome(_reference_row, q, m)
+    general = _counted_general_rows(monkeypatch)
+    assert _outcome(lambda q, m: distortion_rows((q,), m)[0], q, m) == want
+    assert general == ([q] if leaves else [])
+
+
+def test_kernel_leaves_a_row_past_its_bound_to_the_reference(monkeypatch):
+    # with C1 read as 0, the curved map's break-free residual exceeds the
+    # rounding term that is left of its bound
+    monkeypatch.setattr(circlebreak.crossratio, "calibrate_c1", lambda m: 0.0)
+    q = Quadruple.from_gaps(0.3, 0.01, 0.02, 0.03)
+    want = _outcome(_reference_row, q, PINNED_PQ)
+    assert want[0] is InvariantFailure
+    assert want[1].startswith("break-free distortion residual ")
+    general = _counted_general_rows(monkeypatch)
+    assert _outcome(lambda q, m: distortion_rows((q,), m)[0], q, PINNED_PQ) == want
+    assert general == [q]
 
 
 def test_smooth_bound_scaling(pq_map):

@@ -226,6 +226,59 @@ def test_a_block_without_a_child_runs_here(monkeypatch):
 
 
 @needs_two_cpus
+def test_a_block_without_a_pipe_runs_here(monkeypatch):
+    def no_pipe():
+        raise OSError("too many open files")
+
+    monkeypatch.setattr(cli.os, "pipe", no_pipe)
+    got = cli._Blocks(_where, list(range(2 * len(ALL_CPUS))), ALL_CPUS).join()
+    assert got == [(os.getpid(), ALL_CPUS)] * len(got)
+    _assert_no_children()
+
+
+def test_no_affinity_control_runs_everything_here(monkeypatch, tmp_path):
+    # a platform without sched_getaffinity spreads nothing and writes the
+    # bytes that one usable CPU writes
+    doc = dict(PARTITION, denjoy_samples=6)
+    _one_cpu(monkeypatch)
+    code, alone = _run(tmp_path, "one", doc)
+    assert code == 0
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert cli._spread_cpus([0.1, 0.2]) == []
+    code, out = _run(tmp_path, "none", doc)
+    assert code == 0
+    assert _artifacts(out) == _artifacts(alone)
+    _assert_no_children()
+
+
+@needs_two_cpus
+def test_children_are_reaped_when_a_later_fork_is_interrupted(monkeypatch):
+    # two children on the CPU list; Ctrl-C lands in the second fork, after
+    # the first child started its minute of sleep
+    real = os.fork
+    forks = []
+
+    def interrupted():
+        forks.append(None)
+        if len(forks) == 2:
+            raise KeyboardInterrupt
+        return real()
+
+    def work(i):
+        time.sleep(60)
+        return i
+
+    monkeypatch.setattr(cli.os, "fork", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        cli._Blocks(work, [1, 2, 3, 4], ALL_CPUS + ALL_CPUS[:1])
+    assert time.monotonic() - start < 10
+    assert len(forks) == 2
+    assert sorted(os.sched_getaffinity(0)) == ALL_CPUS
+    _assert_no_children()
+
+
+@needs_two_cpus
 def test_a_child_that_cannot_pin_has_its_block_run_here(monkeypatch):
     real = os.sched_setaffinity
 

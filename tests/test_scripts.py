@@ -49,7 +49,7 @@ def test_every_bundled_run_writes_its_committed_bytes(tmp_path, monkeypatch):
     assert digests == script.load_manifest()
 
 
-def test_unreached_lines_traces_a_test_module():
+def test_unreached_lines_traces_a_test_module(capsys):
     # one small module under the tracer: it runs every line of to_circle
     # and none of in_arc, and the trace functions that were set come back
     from circlebreak import numerics
@@ -75,3 +75,31 @@ def test_unreached_lines_traces_a_test_module():
 
     assert body(numerics.to_circle) <= tracer.hits[path]
     assert body(numerics.in_arc) <= missed
+
+    # the gate: the child branch of cli._fork_block is exempt, found in the
+    # source; every other unreached line fails the run
+    cli_path = os.path.join(pkg, "cli.py")
+    with open(cli_path) as fh:
+        source = [line.strip() for line in fh]
+
+    def lines_of(text):
+        return {i for i, line in enumerate(source, 1) if line == text}
+
+    exempt = script.exempt_lines(exe)
+    assert list(exempt) == [cli_path]
+    child = exempt[cli_path]
+    # the child's first and last statements, read off the text
+    (first,) = lines_of("code = 1")
+    (last,) = lines_of("os._exit(code)")
+    assert child == {line for line in exe[cli_path] if first <= line <= last}
+    assert not (lines_of("if pid == 0:") | lines_of("os.close(w)")) & child
+    capsys.readouterr()
+    assert script.report(script.unreached(exe, tracer.hits), exempt) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert f"src/circlebreak/numerics.py {len(missed)}: " in "\n".join(printed)
+    only_child = {path: sorted(child) if path == cli_path else [] for path in exe}
+    assert script.report(only_child, exempt) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{len(child)} executable lines unreached",
+        f"src/circlebreak/cli.py exempt {len(child)}: {' '.join(map(str, sorted(child)))}",
+    ]

@@ -100,6 +100,15 @@ def test_single_genuine_break_rejected():
         make_cover_params(2.0, 1.0, V25)
 
 
+def test_cover_params_refuse_what_is_not_positive():
+    for sigma_a, sigma_c in ((-2.0, 0.8), (2.0, 0.0), (math.nan, 0.8), (2.0, math.nan)):
+        with pytest.raises(InvalidGeometry, match="^jump ratios must be positive$"):
+            make_cover_params(sigma_a, sigma_c, V25)
+    for v in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidGeometry, match="^log-derivative variation must be positive$"):
+            make_cover_params(2.0, 0.8, v)
+
+
 def test_r6_estimate_moderate():
     # alpha = 1, gamma = 0.2: R6 = 1 + 0.2/20
     assert r6_bound(2.0, 0.8) == 1.01
@@ -144,8 +153,21 @@ def test_gf_gap_refuses_uncertified(params25):
         gf_gap(params25, 5.0, 100.0, 0.0)
     with pytest.raises(HypothesisNotCertified):
         gf_gap(params25, 100.0, 100.0, 0.99)
-    with pytest.raises(HypothesisNotCertified):
-        gf_gap(params25, -1.0, 100.0, 0.0)
+    for xi_l, xi_p in ((-1.0, 100.0), (math.nan, 100.0), (100.0, math.nan)):
+        with pytest.raises(HypothesisNotCertified, match="^gap ratios must be positive$"):
+            gf_gap(params25, xi_l, xi_p, 0.0)
+
+
+def test_gf_gap_refuses_a_product_under_its_floor():
+    # C0 = 1 is far below what the lemma needs at sigma_a = 1.1 and
+    # sigma_c = 0.8: at large ratios G*F tends to 1.1 (0.8 + 0.2 z), which
+    # is 1 at z = 6/11, so the gap falls under |0.88 - 1|/4
+    params = RegularCoverParams(c0=1.0, zeta0=1.0, v=0.01, sigma_a=1.1, sigma_c=0.8, r6=1.0)
+    assert params.gap_floor == pytest.approx(0.03)
+    assert gf_gap(params, 1e6, 1e6, 1.0) > params.gap_floor
+    floor = f"undercuts the floor {params.gap_floor!r}$"
+    with pytest.raises(InvariantFailure, match=r"^certified product gap \d\.\d+e-0\d " + floor):
+        gf_gap(params, 1e6, 1e6, 6 / 11)
 
 
 def test_gf_gap_degenerate_reports_without_floor():
@@ -330,6 +352,120 @@ def test_widened_hull_exits_4_naming_qn_small(monkeypatch, tmp_path, capsys):
     assert main(["singularity", "--config", str(cfg), "--out", str(out)]) == 4
     assert "is not q_6-small" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _singularity_error(tmp_path, capsys, doc):
+    """(exit code, stderr) of a singularity run of ``doc`` that must write
+    nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["singularity", "--config", str(cfg), "--out", str(out)])
+    assert not out.exists()
+    return code, capsys.readouterr().err
+
+
+def test_preimages_of_a_detuned_map_exit_4_naming_the_roundtrip(monkeypatch, tmp_path, capsys):
+    # the break tables of the map shifted by 1e-7: abar stays inside its
+    # window, but its forward steps miss the break
+    import circlebreak.singularity as sing
+
+    real = sing.break_preimages
+    monkeypatch.setattr(
+        sing,
+        "break_preimages",
+        lambda m, deep: real(m.with_translation(m.translation + 1e-7), deep),
+    )
+    code, err = _singularity_error(tmp_path, capsys, {"kind": "pq", "n_min": 6, "n_max": 6})
+    assert code == 4
+    assert err == "error: roundtrip through 2 backward steps moved the break by 1.825e-07\n"
+
+
+def test_a_preimage_outside_its_window_is_refused(pq_map, gcf):
+    # the first break's backward orbit moved by half a turn
+    part = build_partition(pq_map, gcf, 0.05, 6)
+    pre_a, pre_c = break_preimages(pq_map, part)
+    l = int(part.elements.index[part.locate(pq_map.breaks[0].location)])
+    moved = [to_circle(x + 0.5) for x in pre_a]
+    escape = rf"^preimage {moved[l]!r} of break 0\.2 \(l={l}\) escaped the window \["
+    with pytest.raises(InvariantFailure, match=escape):
+        regular_cover_triple(pq_map, part, [moved, pre_c])
+
+
+def test_breaks_a_cover_width_apart_exit_4(tmp_path, capsys):
+    # c = a + 1e-9: both breaks pull back at the same step to within the
+    # cover's core, where no factor can be told from the other
+    doc = {"kind": "pq", "c": 0.200000001, "n_min": 5, "n_max": 6}
+    code, err = _singularity_error(tmp_path, capsys, doc)
+    assert code == 4
+    assert err == (
+        "error: both breaks pull back to the same time step; the one-step "
+        "factors cannot be separated\n"
+    )
+
+
+def test_a_cover_that_misnames_its_first_break_step_exits_4(monkeypatch, tmp_path, capsys):
+    import circlebreak.singularity as sing
+
+    build = sing.regular_cover_triple
+
+    def late(m, part, tables):
+        t = build(m, part, tables)
+        return t._replace(l_index=t.l_index + 1)
+
+    monkeypatch.setattr(sing, "regular_cover_triple", late)
+    code, err = _singularity_error(tmp_path, capsys, {"kind": "pq", "n_min": 6, "n_max": 6})
+    assert code == 4
+    assert err == "error: first break covered at steps [2], expected [3]\n"
+
+
+def test_a_cover_on_the_wrong_side_of_the_second_break_exits_4(monkeypatch, tmp_path, capsys):
+    # the same-orbit cover at rank 6 holds c left of abar; read as the
+    # right-hand cover, the chain finds c in no interval that case states
+    import circlebreak.singularity as sing
+
+    build = sing.regular_cover_triple
+
+    def mirrored(m, part, tables):
+        t = build(m, part, tables)
+        assert t.case_tag == "c_in_U_left"
+        return t._replace(case_tag="c_in_U_right")
+
+    monkeypatch.setattr(sing, "regular_cover_triple", mirrored)
+    doc = {"kind": "pq", "same_orbit_steps": 1, "n_min": 6, "n_max": 6}
+    code, err = _singularity_error(tmp_path, capsys, doc)
+    assert code == 4
+    assert err == "error: second break left its stated interval along the chain\n"
+
+
+def test_overlapping_generator_images_exit_4(monkeypatch, tmp_path, capsys):
+    # a break-free map's quadruple of hull 0.9 has q_4 = 5 images
+    import circlebreak.singularity as sing
+
+    monkeypatch.setattr(
+        sing,
+        "_generator_quadruple",
+        lambda part: Quadruple(part.x0, part.x0 + 0.3, part.x0 + 0.6, part.x0 + 0.9),
+    )
+    doc = {"kind": "rotation", "n_min": 4, "n_max": 4}
+    code, err = _singularity_error(tmp_path, capsys, doc)
+    assert code == 4
+    assert err == "error: hull iterates overlap: total image length 4.5\n"
+
+
+def test_a_same_orbit_residual_past_its_bound_exits_5(monkeypatch, tmp_path, capsys):
+    # f(a) read 1e-6 off the second break
+    import circlebreak.singularity as sing
+
+    def off(m, x, w, n, pts=None):
+        y, winding = advance(m, x, w, n, pts)
+        return y + 1e-6, winding
+
+    monkeypatch.setattr(sing, "advance", off)
+    doc = {"kind": "pq", "same_orbit_steps": 1, "n_min": 6, "n_max": 6}
+    code, err = _singularity_error(tmp_path, capsys, doc)
+    assert code == 5
+    assert err == "error: same-orbit residual 1.000e-06 exceeds 1.0e-08\n"
 
 
 def test_overlap_within_the_parity_hop_raises(pq_map, gcf):
