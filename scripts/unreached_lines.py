@@ -111,20 +111,33 @@ class LineTracer:
 def exempt_lines(exe: dict) -> dict:
     """{cli.py: executable lines of the ``if pid == 0:`` body of
     ``_fork_block``}, the child's branch, which runs only in a forked
-    child."""
+    child.  Exits 1, naming what it looked for, when cli.py has no such
+    branch."""
     path = os.path.join(PKG, "cli.py")
     with open(path) as fh:
         tree = ast.parse(fh.read(), path)
     fork = next(
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and node.name == "_fork_block"
+        (
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_fork_block"
+        ),
+        None,
     )
-    child = next(
-        node
-        for node in ast.walk(fork)
-        if isinstance(node, ast.If) and ast.unparse(node.test) == "pid == 0"
+    child = fork and next(
+        (
+            node
+            for node in ast.walk(fork)
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "pid == 0"
+        ),
+        None,
     )
+    if child is None:
+        print(
+            f"{path}: no `if pid == 0:` branch in _fork_block to exempt",
+            file=sys.stderr,
+        )
+        raise SystemExit(1)
     body = range(child.body[0].lineno, child.body[-1].end_lineno + 1)
     return {path: exe[path].intersection(body)}
 

@@ -220,25 +220,33 @@ def _fork_block(fn, block, cpu):
         r, w = os.pipe()
     except OSError:
         return None
+    # the read end is opened before the fork, so that nothing that can
+    # raise runs here once a child exists
+    try:
+        fh = open(r, "rb")
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
+        fh.close()
         os.close(w)
         return None
     if pid == 0:
         code = 1
         try:
-            os.close(r)
+            fh.close()
             os.sched_setaffinity(0, {cpu})
             data = marshal.dumps([fn(x) for x in block])
-            with open(w, "wb") as fh:
-                fh.write(data)
+            with open(w, "wb") as out:
+                out.write(data)
             code = 0
         finally:
             os._exit(code)
     os.close(w)
-    return pid, open(r, "rb")
+    return pid, fh
 
 
 def _spread_cpus(items):

@@ -44,11 +44,6 @@ from .numerics import (
     to_circle,
 )
 
-ROTATION = "rotation"
-PL_TWO_BREAK = "pl_two_break"
-PQ_TWO_BREAK = "pq_two_break"
-
-
 class _BreakPointFields(NamedTuple):
     location: float  # circle coordinate in [0, 1)
     d_minus: float
@@ -103,14 +98,13 @@ class CircleMap(NamedTuple):
     segment.
     """
 
-    kind: str
     translation: float
-    breaks: tuple = ()
-    seg_pos: tuple = ()
-    seg_val: tuple = ()
-    seg_d0: tuple = ()
-    seg_d1: tuple = ()
-    seg_curv: tuple = ()
+    breaks: tuple
+    seg_pos: tuple
+    seg_val: tuple
+    seg_d0: tuple
+    seg_d1: tuple
+    seg_curv: tuple
 
     def with_translation(self, t) -> "CircleMap":
         return self._replace(translation=t)
@@ -119,8 +113,8 @@ class CircleMap(NamedTuple):
 def make_rotation(translation) -> CircleMap:
     # a second segment of length 0 would start at 1.0, which is no circle point
     return CircleMap(
-        kind=ROTATION,
         translation=translation,
+        breaks=(),
         seg_pos=(0.0, 0.5, 1.0),
         seg_val=(0.0, 0.5, 1.0),
         seg_d0=(1.0, 1.0),
@@ -129,7 +123,7 @@ def make_rotation(translation) -> CircleMap:
     )
 
 
-def _build_two_segment(kind, a, c, da_plus, dc_minus, dc_plus, da_minus, translation):
+def _build_two_segment(a, c, da_plus, dc_minus, dc_plus, da_minus, translation):
     """Assemble a two-break map from its one-sided derivative values.
 
     Segment data lives on [p0, p0+1) with p0 = min(a, c).  The base lift is
@@ -165,7 +159,6 @@ def _build_two_segment(kind, a, c, da_plus, dc_minus, dc_plus, da_minus, transla
     brk_a = BreakPoint(location=a, d_minus=da_minus, d_plus=da_plus)
     brk_c = BreakPoint(location=c, d_minus=dc_minus, d_plus=dc_plus)
     return CircleMap(
-        kind=kind,
         translation=translation,
         breaks=(brk_a, brk_c),
         seg_pos=(p0, p1, p0 + 1),
@@ -193,7 +186,6 @@ def make_pl_two_break(a, c, slope_ratio, translation=0.0) -> CircleMap:
     s1 = slope_ratio * s2
     # At a the left arc is (c, a) with slope s2, the right arc (a, c) with s1.
     return _build_two_segment(
-        PL_TWO_BREAK,
         a,
         c,
         da_plus=s1,
@@ -227,7 +219,6 @@ def make_pq_two_break(a, c, sigma_a, sigma_c, translation=0.0) -> CircleMap:
     area = len_ac * (1 + sigma_c) / 2 + len_ca * (1 + sigma_a) / 2
     s = 1 / area
     return _build_two_segment(
-        PQ_TWO_BREAK,
         a,
         c,
         da_plus=s,
@@ -241,7 +232,7 @@ def make_pq_two_break(a, c, sigma_a, sigma_c, translation=0.0) -> CircleMap:
 def evaluate(m: CircleMap, x):
     """Lift value f(x) for any real lift coordinate x."""
     # one unpack of the record in place of a field read per use
-    _, t, _, pos, val, d0, _, curv = m
+    t, _, pos, val, d0, _, curv = m
     p0 = pos[0]
     k = floor(x - p0)
     u = x - k
@@ -291,7 +282,7 @@ def advance(m: CircleMap, x, w: int, n: int, pts=None):
     exactly, so the winding is summed as a float.  That sum is exact while
     it stays below 2**53 turns; past that it rounds.
     """
-    _, t, _, pos, val, d0, _, curv = m
+    t, _, pos, val, d0, _, curv = m
     _check_orbit_start(x, t, n)
     top = CLAMP_FROM
     put_x = None if pts is None else pts.append
@@ -346,7 +337,7 @@ def retreat(m: CircleMap, x, w: int, n: int, pts=None):
     the linear root, which for slope 1 is the float x - t.  As in
     ``advance``, every operand of the loop is a float.
     """
-    _, t, _, pos, val, d0, _, curv = m
+    t, _, pos, val, d0, _, curv = m
     _check_orbit_start(x, t, n)
     top = CLAMP_FROM
     put_x = None if pts is None else pts.append
@@ -409,6 +400,74 @@ def retreat(m: CircleMap, x, w: int, n: int, pts=None):
     return x, w + int(turns)
 
 
+def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
+    """Product of Df_+ along the first ``steps`` orbit points of x0.
+
+    One pass, no orbit kept: each step gives the point ``advance`` gives,
+    bit for bit, and multiplies in Df_+ = d0 + curv * du from the segment
+    offset du it has just computed, which is Df_+ of the one-point
+    reference ``_reference_one_sided_derivatives`` in tests/conftest.py bit
+    for bit.  The product runs in orbit order, as a running product.  It
+    places each circle point as ``advance``'s loop does, by comparison with
+    p0, and like that loop it keeps every operand a float, so CPython stays
+    on its float-only opcodes.
+
+    The orbit is not nudged: a point that fails ``clears_breaks`` raises
+    BreakCollision.  A point is tested, on its own, when its du lies
+    within twice the clearance of a segment end, an ulp-level superset of
+    the points that test rejects; so an orbit raises at its first point
+    too close to a break, and only there.
+    """
+    check_orbit_length(steps - 1, cap)
+    t, _, pos, val, d0, _, curv = m
+    # floor raises for a translation that is not finite, where the loop's
+    # y % 1.0 would go on with nan
+    floor(t)
+    p0, p1 = pos[0], pos[1]
+    p0_next = p0 + 1
+    v0, v1 = val[0], val[1]
+    a0, a1 = d0
+    c0, c1 = curv
+    h0, h1 = 0.5 * c0, 0.5 * c1
+    top = CLAMP_FROM
+    near = 2 * BREAK_CLEARANCE_EPS * MACHINE_EPS
+    end0, end1 = (p1 - p0) - near, (p0_next - p1) - near
+    x = to_circle(x0)
+    prod = 1.0
+    for _ in range(steps):
+        # x lies in [0, 1).  Left of p0 it sits one turn back, at
+        # u = x + 1 >= 1 > p1 in segment 1.  From p0 on it sits in p0's
+        # own turn, whose offset 0.0 is not added: adding it could only
+        # turn a -0.0 lift value into +0.0, and y % 1.0 does that too.
+        # Within an ulp left of the break p0, x + 1 rounds up to p0 + 1;
+        # there du exceeds end1, and the exact test below raises.
+        if x < p0:
+            u = x + 1.0
+            du = u - p1
+            end = end1
+            prod *= a1 + c1 * du
+            y = v1 + du * (a1 + h1 * du) - 1.0 + t
+        elif x < p1:
+            du = x - p0
+            end = end0
+            prod *= a0 + c0 * du
+            y = v0 + du * (a0 + h0 * du) + t
+        else:
+            du = x - p1
+            end = end1
+            prod *= a1 + c1 * du
+            y = v1 + du * (a1 + h1 * du) + t
+        if (du < near or du > end) and not clears_breaks(m, (x,)):
+            raise BreakCollision(
+                f"orbit of {x0!r} comes within "
+                f"{BREAK_CLEARANCE_EPS * MACHINE_EPS:.1e} of a break at {x!r}"
+            )
+        x = y % 1.0
+        if x >= top:
+            x = 0.0
+    return prod
+
+
 def step_with_winding(m: CircleMap, x, w: int):
     """One forward step of ``advance``: the next (circle point, winding)."""
     return advance(m, x, w, 1)
@@ -428,13 +487,11 @@ def iterate(m: CircleMap, x0, n: int, cap: int = DEFAULT_ORBIT_CAP):
     return pts
 
 
-# Shift applied to the base point when its orbit hits a break.
-NUDGE = 1e-9
-
-
-def _clears_breaks(m: CircleMap, pts, clearance):
+def clears_breaks(m: CircleMap, pts):
     """Whether every arc ``arc_length(loc, p)`` from a break loc to a point p
-    lies strictly between ``clearance`` and ``1 - clearance``."""
+    lies strictly between the clearance, BREAK_CLEARANCE_EPS machine
+    epsilons, and 1 minus the clearance."""
+    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
     far = 1 - clearance
     for b in m.breaks:
         loc = b.location
@@ -449,28 +506,6 @@ def _clears_breaks(m: CircleMap, pts, clearance):
             if not clearance < arc < far:
                 return False
     return True
-
-
-def orbit_avoiding_breaks(m: CircleMap, x0, n: int, cap: int = DEFAULT_ORBIT_CAP, retries=10):
-    """Forward orbit whose points all keep clear of the break locations.
-
-    A point counts as a collision when it lies within BREAK_CLEARANCE_EPS
-    machine epsilons of a break.  On a collision the base point is nudged
-    by ``NUDGE`` and the orbit rebuilt, up to ``retries`` times; with
-    ``retries=0`` the first collision raises.  Returns (points, base point
-    actually used, number of nudges).
-    """
-    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
-    x = to_circle(x0)
-    for attempt in range(retries + 1):
-        pts = iterate(m, x, n, cap=cap)
-        if _clears_breaks(m, pts, clearance):
-            return pts, x, attempt
-        x = to_circle(x + NUDGE)
-    raise BreakCollision(
-        f"orbit of {x0!r} comes within {clearance:.1e} of a break "
-        f"after {retries} nudges"
-    )
 
 
 @functools.lru_cache(maxsize=64)

@@ -13,31 +13,25 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from math import exp, floor, log
+from math import exp, log
 from operator import sub
 from typing import NamedTuple
 
 from .errors import (
+    BreakCollision,
     InvariantFailure,
     PrecisionBudgetExceeded,
     RankTooShallow,
     RefinementViolation,
 )
-from .maps import (
-    CircleMap,
-    check_orbit_length,
-    map_stats,
-    orbit_avoiding_breaks,
-)
-from .numerics import (
-    BREAK_CLEARANCE_EPS,
-    CLAMP_FROM,
-    DEFAULT_ORBIT_CAP,
-    MACHINE_EPS,
-    in_arc,
-    to_circle,
-)
+from .maps import CircleMap, clears_breaks, df_product, iterate, map_stats
+from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, in_arc, to_circle
 from .rotation import ContinuedFraction
+
+# Shift applied to a partition's base point when its orbit hits a break,
+# and the most shifts it takes.
+NUDGE = 1e-9
+MAX_NUDGES = 10
 
 # Minimum element length, in units of machine epsilon, below which the
 # double-precision backend cannot certify disjointness any more.
@@ -212,9 +206,10 @@ def build_partition(
 ) -> DynamicalPartition:
     """Assemble xi_n(x0) on an orbit of x0 that clears the breaks.
 
-    A collision anywhere in the q_n + q_{n-1} points nudges the base
-    point (``orbit_avoiding_breaks``); ``DynamicalPartition.coarsen``
-    cuts every shallower rank from the same orbit.
+    A collision anywhere in the q_n + q_{n-1} points (``clears_breaks``)
+    shifts the base point by ``NUDGE`` and rebuilds the orbit, up to
+    ``MAX_NUDGES`` times; ``DynamicalPartition.coarsen`` cuts every
+    shallower rank from the same orbit.
     """
     if n < 1:
         raise ValueError("partition rank must be >= 1")
@@ -223,8 +218,15 @@ def build_partition(
             f"need {n} partial quotients to build rank {n}, have {cf.depth}"
         )
     total = cf.q(n) + cf.q(n - 1)
-    pts, x0_used, nudges = orbit_avoiding_breaks(m, x0, total - 1, cap=cap)
-    return _cut(cf, n, tuple(pts), x0_used, nudges)
+    x = to_circle(x0)
+    for nudges in range(MAX_NUDGES + 1):
+        pts = iterate(m, x, total - 1, cap=cap)
+        if clears_breaks(m, pts):
+            return _cut(cf, n, tuple(pts), x, nudges)
+        x = to_circle(x + NUDGE)
+    raise BreakCollision(
+        f"orbit of {x0!r} comes too close to a break after {MAX_NUDGES} nudges"
+    )
 
 
 class RefinementReport(NamedTuple):
@@ -280,74 +282,6 @@ def check_refinement(
             raise RefinementViolation(f"rank-{n} cell {j} moved between partitions")
 
     return RefinementReport(k_next=k_next, persisted=q_nm1)
-
-
-def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
-    """Product of Df_+ along the first ``steps`` orbit points of x0.
-
-    One pass, no orbit kept: each step gives the point ``maps.advance``
-    gives, bit for bit, and multiplies in Df_+ = d0 + curv * du from the
-    segment offset du it has just computed, which is Df_+ of the one-point
-    reference ``_reference_one_sided_derivatives`` in tests/conftest.py bit
-    for bit.  The product runs in orbit order, as a running product.  It
-    places each circle point as ``advance``'s loop does, by comparison with
-    p0, and like that loop it keeps every operand a float, so CPython stays
-    on its float-only opcodes.
-
-    The orbit is not nudged: a point too close to a break raises
-    BreakCollision.  The exact test is ``orbit_avoiding_breaks``'s; a
-    point whose du lies within twice the clearance of a segment end (an
-    ulp-level superset of the points that test rejects) runs it over the
-    whole orbit, once, so exactly the same base points raise.
-    """
-    length = steps - 1  # the orbit's steps after its base point
-    check_orbit_length(length, cap)
-    t = m.translation
-    # floor raises for a translation that is not finite, where the loop's
-    # y % 1.0 would go on with nan
-    floor(t)
-    p0, p1 = m.seg_pos[0], m.seg_pos[1]
-    p0_next = p0 + 1
-    v0, v1 = m.seg_val[0], m.seg_val[1]
-    a0, a1 = m.seg_d0
-    c0, c1 = m.seg_curv
-    h0, h1 = 0.5 * c0, 0.5 * c1
-    top = CLAMP_FROM
-    near = 2 * BREAK_CLEARANCE_EPS * MACHINE_EPS
-    end0, end1 = (p1 - p0) - near, (p0_next - p1) - near
-    x = to_circle(x0)
-    prod = 1.0
-    for _ in range(steps):
-        # x lies in [0, 1).  Left of p0 it sits one turn back, at
-        # u = x + 1 >= 1 > p1 in segment 1.  From p0 on it sits in p0's
-        # own turn, whose offset 0.0 is not added: adding it could only
-        # turn a -0.0 lift value into +0.0, and y % 1.0 does that too.
-        # Within an ulp left of the break p0, x + 1 rounds up to p0 + 1;
-        # there du exceeds end1, and the exact scan below raises.
-        if x < p0:
-            u = x + 1.0
-            du = u - p1
-            end = end1
-            prod *= a1 + c1 * du
-            y = v1 + du * (a1 + h1 * du) - 1.0 + t
-        elif x < p1:
-            du = x - p0
-            end = end0
-            prod *= a0 + c0 * du
-            y = v0 + du * (a0 + h0 * du) + t
-        else:
-            du = x - p1
-            end = end1
-            prod *= a1 + c1 * du
-            y = v1 + du * (a1 + h1 * du) + t
-        if du < near or du > end:
-            orbit_avoiding_breaks(m, x0, length, cap=cap, retries=0)
-            # the whole orbit clears the breaks: flag nothing more
-            near, end0, end1 = -1.0, 2.0, 2.0
-        x = y % 1.0
-        if x >= top:
-            x = 0.0
-    return prod
 
 
 def denjoy_product(

@@ -507,52 +507,42 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
     back to generator-scale quadruples, where the gap must vanish for a
     rigid rotation.
     """
+    gf = None
     if len(m.breaks) == 2:
         triple = regular_cover_triple(m, part, tables)
         res = distortion_chain(triple.quadruple, m, part.q_n)
         image_len_sum = _check_hull_images(m, part, triple, res)
+        case_tag, l, p = triple.case_tag, triple.l_index, triple.p_index
     else:
         triple = None
         res = distortion_chain(_generator_quadruple(part), m, part.q_n)
         image_len_sum = sum(q.hull for q in res.quadruples[: part.q_n])
+        case_tag, l, p = "break_free", -1, -1
     gap = abs(res.total - 1.0)
     if image_len_sum > 1.0 + 1e-9:
         raise InvariantFailure(
             f"hull iterates overlap: total image length {image_len_sum!r}"
         )
 
-    if triple is None:
-        return QnDistortionRow(
-            n=part.n,
-            q_n=part.q_n,
-            dist_qn_gap=gap,
-            case_tag="break_free",
-            l_index=-1,
-            p_index=-1,
-            gf_gap=None,
-            image_len_sum=image_len_sum,
-        )
+    if triple is not None:
+        k1 = calibrate_k1(m)
+        audited = [(l, m.breaks[0], "first")]
+        if triple.covers_second_break:
+            audited.append((p, m.breaks[1], "second"))
+        for step, brk, which in audited:
+            # the chain's rounding carries the tracked point off the break,
+            # to either side; the PL frame at the break's own lift predicts
+            # the factor wherever in the hull it falls
+            q = res.quadruples[step]
+            predicted = pl_frame_distortion(q, lift_into(brk.location, q.z1), brk.sigma)
+            budget = k1 * abs_d2f_integral(m, q.z1, q.z4) + 1e-9
+            if abs(res.factors[step] - predicted) > budget:
+                raise InvariantFailure(
+                    f"one-step factor {res.factors[step]!r} at the {which} break "
+                    f"differs from its closed form {predicted!r} beyond {budget!r}"
+                )
 
-    k1 = calibrate_k1(m)
-    l, p = triple.l_index, triple.p_index
-    audited = [(l, m.breaks[0], "first")]
-    if triple.covers_second_break:
-        audited.append((p, m.breaks[1], "second"))
-    for step, brk, which in audited:
-        # the chain's rounding carries the tracked point off the break, to
-        # either side; the PL frame at the break's own lift predicts the
-        # factor wherever in the hull it falls
-        q = res.quadruples[step]
-        predicted = pl_frame_distortion(q, lift_into(brk.location, q.z1), brk.sigma)
-        budget = k1 * abs_d2f_integral(m, q.z1, q.z4) + 1e-9
-        if abs(res.factors[step] - predicted) > budget:
-            raise InvariantFailure(
-                f"one-step factor {res.factors[step]!r} at the {which} break "
-                f"differs from its closed form {predicted!r} beyond {budget!r}"
-            )
-
-    gf = None
-    if triple.covers_second_break:
+    if triple is not None and triple.covers_second_break:
         nc_l = normalized_coords(res.quadruples[l])
         qp = res.quadruples[p]
         c_lift = lift_into(m.breaks[1].location, qp.z1)
@@ -577,7 +567,7 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
         n=part.n,
         q_n=part.q_n,
         dist_qn_gap=gap,
-        case_tag=triple.case_tag,
+        case_tag=case_tag,
         l_index=l,
         p_index=p,
         gf_gap=gf,

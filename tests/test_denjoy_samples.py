@@ -236,6 +236,28 @@ def test_a_block_without_a_pipe_runs_here(monkeypatch):
     _assert_no_children()
 
 
+def _here(x):
+    return x, os.getpid()
+
+
+@needs_two_cpus
+def test_a_read_end_that_cannot_open_starts_no_child(monkeypatch):
+    # the pipe's read end opens before the fork: when that fails, no
+    # child exists to lose, both pipe ends close and the block runs here
+    def no_reader(file, mode="r", *args, **kwargs):
+        if mode == "rb":
+            raise OSError("too many open files")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_reader, raising=False)
+    fds = len(os.listdir("/proc/self/fd"))
+    items = list(range(2 * len(ALL_CPUS)))
+    got = cli._Blocks(_here, items, ALL_CPUS).join()
+    assert got == [(x, os.getpid()) for x in items]
+    _assert_no_children()
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
 def test_no_affinity_control_runs_everything_here(monkeypatch, tmp_path):
     # a platform without sched_getaffinity spreads nothing and writes the
     # bytes that one usable CPU writes

@@ -17,11 +17,11 @@ from circlebreak.errors import (
     PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
-    ROTATION,
-    _clears_breaks,
     _segment_walk,
     abs_d2f_integral,
     advance,
+    clears_breaks,
+    df_product,
     evaluate,
     gap_image,
     iterate,
@@ -39,7 +39,6 @@ from circlebreak.numerics import (
     arc_length,
     to_circle,
 )
-from circlebreak.partition import df_product
 
 from conftest import GOLDEN, _reference_one_sided_derivatives
 
@@ -156,7 +155,7 @@ def _reference_step(m, x, w):
 def _reference_invert(m, y):
     """Exact preimage of the lift value y by the per-segment quadratic
     solve: the reference for each step of ``retreat``."""
-    if m.kind == ROTATION:
+    if not m.breaks:
         return y - m.translation
     yb = y - m.translation
     v0 = m.seg_val[0]
@@ -446,10 +445,10 @@ def test_clears_breaks_at_the_clearance_bounds(request, name):
             want = all(
                 clearance < arc_length(brk.location, p) < far for brk in m.breaks
             )
-            assert _clears_breaks(m, [p], clearance) == want, (loc, p)
+            assert clears_breaks(m, [p]) == want, (loc, p)
             seen.add(want)
         assert seen == {True, False}
-        assert not _clears_breaks(m, pts, clearance)
+        assert not clears_breaks(m, pts)
         # both sides of loc + clearance and of loc - clearance show up
         near = [p for c in centres[:2] for p in _ulps_around(c, 3)]
         arcs = [arc_length(loc, p) for p in near]
@@ -459,8 +458,7 @@ def test_clears_breaks_at_the_clearance_bounds(request, name):
 
 # the loops whose every operand must stay a float, by module
 FLOAT_LOOPS = {
-    "maps.py": ("advance", "retreat", "_clears_breaks"),
-    "partition.py": ("df_product",),
+    "maps.py": ("advance", "retreat", "clears_breaks", "df_product"),
 }
 
 

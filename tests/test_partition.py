@@ -12,13 +12,13 @@ from circlebreak.errors import (
     RefinementViolation,
 )
 from circlebreak.maps import (
-    NUDGE,
+    clears_breaks,
+    df_product,
     iterate,
     make_pl_two_break,
     make_pq_two_break,
     make_rotation,
     map_stats,
-    orbit_avoiding_breaks,
     retreat,
 )
 from circlebreak.numerics import (
@@ -30,11 +30,12 @@ from circlebreak.numerics import (
     to_circle,
 )
 from circlebreak.partition import (
+    MAX_NUDGES,
+    NUDGE,
     CellTable,
     build_partition,
     check_refinement,
     denjoy_product,
-    df_product,
     least_squares_line,
     max_element_decay,
     partition_rows,
@@ -230,14 +231,16 @@ def test_partition_rows_shape(pq_map, gcf):
 
 
 def test_orbit_cap_comes_from_the_caller(monkeypatch, pq_map, gcf):
-    # every orbit is sized by the cap the caller passes, not the default
+    # every orbit is sized by the cap the caller passes, not the default;
+    # the Denjoy product builds no orbit list at all
     caps = []
 
     def spy(*args, **kwargs):
         caps.append(kwargs.get("cap"))
-        return orbit_avoiding_breaks(*args, **kwargs)
+        return iterate(*args, **kwargs)
 
-    monkeypatch.setattr("circlebreak.partition.orbit_avoiding_breaks", spy)
+    monkeypatch.setattr("circlebreak.partition.iterate", spy)
+    monkeypatch.setattr("circlebreak.maps.iterate", spy)
     part = build_partition(pq_map, gcf, 0.05, 10, cap=1000)
     assert len(part.orbit) == 144
     assert denjoy_product(pq_map, gcf, 0.05, 12, cap=1000) > 0
@@ -261,6 +264,25 @@ def test_partition_nudges_off_a_break(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.2, 6)
     assert part.nudges == 1
     assert part.x0 == 0.200000001
+
+
+def test_partition_gives_up_after_its_last_nudge(monkeypatch, pq_map, gcf):
+    # with a nudge that does not move the base point, the break a stays
+    # on the orbit: one build and MAX_NUDGES rebuilds, then the refusal
+    builds = []
+
+    def spy(*args, **kwargs):
+        builds.append(args[1])
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr("circlebreak.partition.iterate", spy)
+    monkeypatch.setattr("circlebreak.partition.NUDGE", 0.0)
+    with pytest.raises(
+        BreakCollision,
+        match=f"orbit of 0.2 comes too close to a break after {MAX_NUDGES} nudges",
+    ):
+        build_partition(pq_map, gcf, 0.2, 6)
+    assert builds == [0.2] * (MAX_NUDGES + 1)
 
 
 def test_denjoy_product_refuses_a_break_orbit(pq_map, gcf):
@@ -305,22 +327,33 @@ def test_df_product_matches_running_product(request, name):
         assert df_product(m, x0, 4181) == _running_product(m, x0, 4181)
 
 
+def _no_orbit_lists(monkeypatch):
+    """Make ``maps.iterate`` and ``maps.advance`` fail if anything in maps
+    calls them, and record each point that ``maps.clears_breaks`` tests."""
+    tested = []
+
+    def refused(*args, **kwargs):
+        raise AssertionError("df_product built a second orbit")
+
+    def counted(m, pts):
+        tested.extend(pts)
+        return clears_breaks(m, pts)
+
+    monkeypatch.setattr("circlebreak.maps.iterate", refused)
+    monkeypatch.setattr("circlebreak.maps.advance", refused)
+    monkeypatch.setattr("circlebreak.maps.clears_breaks", counted)
+    return tested
+
+
 @pytest.mark.parametrize("name", ["pq_map", "pl_map"])
 def test_df_product_near_a_break(monkeypatch, request, name):
     # a point 1.5 clearances off a break is inside the kernel's 2x prefilter
-    # band but outside the exact bound: the exact scan runs once and passes;
-    # at 0.5 clearances it raises
+    # band but outside the exact bound: the exact test runs on that point
+    # alone and passes, and no orbit list is built; at 0.5 clearances it
+    # raises
     m = request.getfixturevalue(name)
     clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
-    scans = []
-
-    def counted(*args, **kwargs):
-        scans.append(args)
-        return orbit_avoiding_breaks(*args, **kwargs)
-
-    monkeypatch.setattr("circlebreak.partition.orbit_avoiding_breaks", counted)
-    assert df_product(m, 0.05, 233) == _running_product(m, 0.05, 233)
-    assert scans == []
+    references = {}
     for b in m.breaks:
         for side in (1, -1):
             near = to_circle(b.location + side * 1.5 * clearance)
@@ -329,13 +362,28 @@ def test_df_product_near_a_break(monkeypatch, request, name):
                 x0 = retreat(m, to_circle(near), 0, k)[0]
                 dist = min(_break_distance(m, p) for p in iterate(m, x0, 232))
                 assert 1.2 * clearance < dist < 1.8 * clearance
-                scans.clear()
-                assert df_product(m, x0, 233) == _running_product(m, x0, 233)
-                assert len(scans) == 1
+                references[x0] = _running_product(m, x0, 233)
+    reference = _running_product(m, 0.05, 233)
+    tested = _no_orbit_lists(monkeypatch)
+    assert df_product(m, 0.05, 233) == reference
+    assert tested == []
+    for x0, want in references.items():
+        tested.clear()
+        assert df_product(m, x0, 233) == want
+        assert tested and all(_break_distance(m, p) < 2 * clearance for p in tested)
+    for b in m.breaks:
+        for side in (1, -1):
             inside = to_circle(b.location + side * 0.5 * clearance)
             x0 = retreat(m, to_circle(inside), 0, 5)[0]
             with pytest.raises(BreakCollision):
                 df_product(m, x0, 233)
+    # a rotation has no break: its segment end 0.5 is flagged, tested
+    # alone and clear
+    rot = make_rotation(GOLDEN)
+    for x0 in (0.5, to_circle(0.5 - 5 * GOLDEN)):
+        tested.clear()
+        assert df_product(rot, x0, 233) == 1.0
+        assert tested and all(abs(p - 0.5) < 2 * clearance for p in tested)
 
 
 @pytest.mark.parametrize(
@@ -354,7 +402,7 @@ def _df_product_floor(m, x0, steps, cap=DEFAULT_ORBIT_CAP):
         return 1.0
     if steps - 1 > cap:
         raise PrecisionBudgetExceeded(f"orbit length {steps - 1} exceeds cap {cap}")
-    if m.kind == "rotation":
+    if not m.breaks:
         return 1.0
     t = m.translation
     p0, p1 = m.seg_pos[0], m.seg_pos[1]
@@ -387,9 +435,10 @@ def _df_product_floor(m, x0, steps, cap=DEFAULT_ORBIT_CAP):
             end = end1
             prod *= a1 + c1 * du
             y = v1 + du * (a1 + h1 * du) + j + t
-        if du < near or du > end:
-            orbit_avoiding_breaks(m, x0, steps - 1, cap=cap, retries=0)
-            near, end0, end1 = -1.0, 2.0, 2.0
+        if (du < near or du > end) and not clears_breaks(m, [x]):
+            raise BreakCollision(
+                f"orbit of {x0!r} comes within {near / 2:.1e} of a break at {x!r}"
+            )
         x = y - math.floor(y)
         if 1 - x <= clamp:
             x = 0.0
@@ -405,18 +454,22 @@ def _outcome(fn, *args):
 
 
 def _sweep_maps():
+    """The sweep's maps as params named by family and first break."""
     rng = random.Random(2024)
     # the pl map has c < a, so its segments start at c
     maps = [
-        make_pq_two_break(0.2, 0.6, 2.0, 0.8, 0.61),
-        make_pl_two_break(0.75, 0.3, 3.0, 0.4),
+        ("pq", make_pq_two_break(0.2, 0.6, 2.0, 0.8, 0.61)),
+        ("pl", make_pl_two_break(0.75, 0.3, 3.0, 0.4)),
     ]
     for _ in range(3):
         a, c = rng.random(), rng.random()
         sa, sc = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
-        maps.append(make_pq_two_break(a, c, sa, sc, rng.random()))
-        maps.append(make_pl_two_break(a, c, rng.uniform(0.3, 3), rng.random()))
-    return maps
+        maps.append(("pq", make_pq_two_break(a, c, sa, sc, rng.random())))
+        maps.append(("pl", make_pl_two_break(a, c, rng.uniform(0.3, 3), rng.random())))
+    return [
+        pytest.param(m, id=f"{family}_two_break-{m.breaks[0].location:.3f}")
+        for family, m in maps
+    ]
 
 
 def _sweep_base_points(m, rng):
@@ -436,12 +489,10 @@ def _sweep_base_points(m, rng):
     return points
 
 
-@pytest.mark.parametrize(
-    "m", _sweep_maps(), ids=lambda m: f"{m.kind}-{m.breaks[0].location:.3f}"
-)
+@pytest.mark.parametrize("m", _sweep_maps())
 def test_df_product_matches_the_floor_step(m):
     # the comparison step is bit-identical to floor(x - p0), and the
-    # near-break path raises the same BreakCollision message
+    # near-break test raises the same BreakCollision message
     rng = random.Random(7)
     points = _sweep_base_points(m, rng)
     outcomes = Counter()
@@ -466,12 +517,81 @@ def test_df_product_turn_fix_up_matches_the_floor_step():
         assert got[0] == "raised"
 
 
-def _reference_orbit_avoiding_breaks(m, x0, n, retries):
-    # the clearance scan point by point, through arc_length
+def _reference_df_outcome(m, x0, steps):
+    """``_outcome`` of df_product point by point: Df_+ multiplied along
+    iterate's orbit, each point first held to the arc test, through
+    arc_length."""
+    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
+    prod = 1.0
+    for p in iterate(m, x0, steps - 1):
+        arcs = [arc_length(b.location, p) for b in m.breaks]
+        if not all(clearance < arc < 1 - clearance for arc in arcs):
+            message = f"orbit of {x0!r} comes within {clearance:.1e} of a break at {p!r}"
+            return "raised", "BreakCollision", message
+        prod *= _reference_one_sided_derivatives(m, p)[1]
+    return "value", prod.hex()
+
+
+def _seeded_df_cases():
+    """(map, base point, steps): preimages of each segment end (a break,
+    or a rotation's 0 and 1/2), shifted by up to 3 ulps or by 0.5 to 3
+    clearances either way."""
+    rng = random.Random(40)
+    clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
+    maps = []
+    for _ in range(2):
+        a, c = rng.random(), rng.random()
+        sa, sc = rng.uniform(0.3, 3), rng.uniform(0.3, 3)
+        maps.append(make_pq_two_break(a, c, sa, sc, rng.random()))
+        maps.append(make_pl_two_break(a, c, rng.uniform(0.3, 3), rng.random()))
+        maps.append(make_rotation(rng.random()))
+    cases = []
+    for m in maps:
+        for end in [b.location for b in m.breaks] or [0.0, 0.5]:
+            for k in (0, 1, 4, 13):
+                pre = retreat(m, end, 0, k)[0]
+                points = []
+                for direction in (1.0, -1.0):
+                    x = pre
+                    for _ in range(3):
+                        x = math.nextafter(x, direction)
+                        points.append(to_circle(x))
+                    for frac in (0.5, 1.0, 1.5, 2.0, 3.0):
+                        shift = direction * frac * rng.uniform(0.9, 1.1) * clearance
+                        points.append(to_circle(pre + shift))
+                for x0 in [pre] + points:
+                    cases.append((m, x0, rng.choice((k + 1, 89, 233))))
+    return cases
+
+
+def test_df_product_tests_each_flagged_point_alone(monkeypatch):
+    # df_product against the point-by-point reference on seeded orbits
+    # through the segment ends: the same bits or the same BreakCollision,
+    # with no second orbit built on the way
+    cases = _seeded_df_cases()
+    want = [_reference_df_outcome(*case) for case in cases]
+    tested = _no_orbit_lists(monkeypatch)
+    kinds = Counter()
+    for case, ref in zip(cases, want):
+        tested.clear()
+        got = _outcome(df_product, *case)
+        assert got == ref, case
+        kinds[got[0], bool(tested)] += 1
+    # collisions, flagged points that clear, and orbits never flagged
+    assert len(cases) == 816
+    assert kinds["raised", True] > 100
+    assert kinds["value", True] > 100
+    assert kinds["value", False] > 0
+    assert kinds["raised", False] == 0
+
+
+def _reference_orbit_avoiding_breaks(m, x0, n):
+    # build_partition's orbit, base point and nudge count: the clearance
+    # scan point by point, through arc_length
     clearance = BREAK_CLEARANCE_EPS * MACHINE_EPS
     far = 1 - clearance
     x = to_circle(x0)
-    for attempt in range(retries + 1):
+    for attempt in range(MAX_NUDGES + 1):
         pts = iterate(m, x, n)
         arcs = [arc_length(b.location, p) for p in pts for b in m.breaks]
         if all(clearance < arc < far for arc in arcs):
@@ -480,24 +600,26 @@ def _reference_orbit_avoiding_breaks(m, x0, n, retries):
     raise BreakCollision("reference scan gave up")
 
 
+def _built_orbit(part):
+    return list(part.orbit), part.x0, part.nudges
+
+
 @pytest.mark.parametrize("name", ["pq_map", "pl_map"])
-def test_orbit_landing_on_a_break_later(request, name):
-    # start k steps back from the break c, so the k-th point is c itself
+def test_orbit_landing_on_a_break_later(request, gcf, name):
+    # start k steps back from the break c, so the k-th point is c itself;
+    # rank 6 takes q_6 + q_5 = 21 points, rank 12 takes 377
     m = request.getfixturevalue(name)
     k, loc = 5, m.breaks[1].location
     x0 = retreat(m, to_circle(loc), 0, k)[0]
     assert abs(iterate(m, x0, k)[-1] - loc) < 8 * MACHINE_EPS
     with pytest.raises(BreakCollision):
-        orbit_avoiding_breaks(m, x0, 20, retries=0)
-    with pytest.raises(BreakCollision):
         df_product(m, x0, 21)
-    pts, used, nudges = orbit_avoiding_breaks(m, x0, 20, retries=10)
-    assert (pts, used, nudges) == _reference_orbit_avoiding_breaks(m, x0, 20, 10)
+    pts, used, nudges = _built_orbit(build_partition(m, gcf, x0, 6))
+    assert (pts, used, nudges) == _reference_orbit_avoiding_breaks(m, x0, 20)
     assert nudges == 1 and used == to_circle(x0 + NUDGE)
     for x in (0.05, 0.31, 0.77):
-        assert orbit_avoiding_breaks(m, x, 300) == _reference_orbit_avoiding_breaks(
-            m, x, 300, 10
-        )
+        part = build_partition(m, gcf, x, 12)
+        assert _built_orbit(part) == _reference_orbit_avoiding_breaks(m, x, 376)
 
 
 # -- point-by-point reference for the column form of a partition ------------
@@ -509,7 +631,7 @@ def _reference_cells(m, cf, x0, n):
     successor map; returns the cells and the orbit."""
     q_n, q_nm1 = cf.q(n), cf.q(n - 1)
     total = q_n + q_nm1
-    pts, _, _ = orbit_avoiding_breaks(m, x0, total - 1)
+    pts, _, _ = _reference_orbit_avoiding_breaks(m, x0, total - 1)
     cells = []
     for tag, count, step in ((n - 1, q_n, q_nm1), (n, q_nm1, q_n)):
         for i in range(count):
@@ -569,10 +691,11 @@ def test_columns_match_point_by_point_reference(request, gcf, name):
             cells, pts = _reference_cells(m, gcf, x0, k)
             part = build_partition(m, gcf, x0, k)
             cut = deep.coarsen(gcf, k)
+            _, used, nudges = _reference_orbit_avoiding_breaks(m, x0, len(pts) - 1)
             assert part.nudges == deep.nudges
             for p in (part, cut):
                 assert list(p.elements) == cells
-                assert p.orbit == tuple(pts) and p.x0 == deep.x0
+                assert _built_orbit(p) == (pts, used, nudges)
                 assert (p.n, p.q_n, p.q_nm1) == (k, gcf.q(k), gcf.q(k - 1))
                 assert p.total_length() == sum(c[5] for c in cells)
                 assert p.max_length() == max(c[5] for c in cells)

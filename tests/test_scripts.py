@@ -103,3 +103,22 @@ def test_unreached_lines_traces_a_test_module(capsys):
         f"{len(child)} executable lines unreached",
         f"src/circlebreak/cli.py exempt {len(child)}: {' '.join(map(str, sorted(child)))}",
     ]
+
+
+def test_unreached_lines_names_a_missing_child_branch(tmp_path, monkeypatch, capsys):
+    # a cli.py whose _fork_block lost its `if pid == 0:` branch, or has no
+    # _fork_block at all: the gate exits 1 and says what it looked for
+    script = load_script("unreached_lines")
+    monkeypatch.setattr(script, "PKG", str(tmp_path))
+    for source in (
+        "def _fork_block(fn, block, cpu):\n    pid = 0\n    return pid\n",
+        "def _spread_cpus(items):\n    return []\n",
+    ):
+        (tmp_path / "cli.py").write_text(source)
+        exe = script.executable_lines()
+        with pytest.raises(SystemExit) as exit_:
+            script.exempt_lines(exe)
+        assert exit_.value.code == 1
+        assert capsys.readouterr().err == (
+            f"{tmp_path / 'cli.py'}: no `if pid == 0:` branch in _fork_block to exempt\n"
+        )
