@@ -37,7 +37,7 @@ from .errors import (
 )
 from .maps import make_pl_two_break, make_pq_two_break, make_rotation, map_stats
 from .measure import conjugacy_values, mass_identity_residual, partition_masses
-from .numerics import DEFAULT_ORBIT_CAP
+from .numerics import DEFAULT_ORBIT_CAP, ordered_sum
 from .partition import (
     build_partition,
     check_refinement,
@@ -603,12 +603,12 @@ def cmd_partition(doc, outdir, seed):
         # a map outside class P fails here, before the samples, as it did serially
         stats = map_stats(m) if denjoy_samples > 0 else None
         try:
-            part = deep.coarsen(cf, n)
+            part = deep.coarsen(n)
             fit = rep = None
             if decay_n_max > 0:
-                fit = max_element_decay(m, cf, deep.coarsen(cf, decay_n_max))
+                fit = max_element_decay(m, deep.coarsen(decay_n_max))
             if refinement:
-                rep = check_refinement(part, deep.coarsen(cf, n + 1), cf)
+                rep = check_refinement(part, deep.coarsen(n + 1))
             header = ["n", "rank_tag", "index", "left", "length"]
             table = _csv_chunks(header, partition_rows(part))
             _stage(outdir, [("partition.csv", table)], staged)
@@ -784,7 +784,7 @@ def cmd_measure(doc, outdir, seed):
         "n": n,
         "points": points,
         "rho": _enclosure(est),
-        "mass_sum": sum(masses),
+        "mass_sum": ordered_sum(masses),
         "ranks": rank_summary,
         "identity_residual": mass_identity_residual(cf, est.value, n),
     }

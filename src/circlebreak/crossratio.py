@@ -27,7 +27,7 @@ from .maps import (
     evaluate,
     gap_image,
 )
-from .numerics import CLAMP_FROM, MACHINE_EPS, arc_length, to_circle
+from .numerics import CLAMP_FROM, MACHINE_EPS, arc_length, ordered_sum, to_circle
 
 # Gaps below this multiple of eps*hull carry no usable cross-ratio
 # information and are rejected outright.
@@ -409,7 +409,7 @@ def _sample_quadruples(m: CircleMap, rng: random.Random, count: int):
         attempts += 1
         h = 10.0 ** rng.uniform(-5, -1.4)
         parts = [rng.uniform(0.15, 1.0) for _ in range(3)]
-        s = sum(parts)
+        s = ordered_sum(parts)
         alpha, beta, gamma = (p * h / s for p in parts)
         brk = rng.choice(m.breaks)
         if rng.random() < 0.5:

@@ -40,7 +40,11 @@ class BreakCollision(CircleBreakError):
     """An orbit point landed on (or indistinguishably close to) a break."""
 
 
-class RefinementViolation(CircleBreakError):
+class InvariantFailure(CircleBreakError):
+    """A machine-checked invariant did not hold."""
+
+
+class RefinementViolation(InvariantFailure):
     """Consecutive dynamical partitions failed the refinement relation."""
 
 
@@ -69,7 +73,3 @@ class RankTooShallow(CircleBreakError):
 
 class ConfigError(CircleBreakError):
     """Experiment configuration is malformed."""
-
-
-class InvariantFailure(CircleBreakError):
-    """A machine-checked invariant did not hold."""

@@ -111,7 +111,7 @@ def partition_masses(om: OrbitMeasure):
     return [to_circle(phi[r] - phi[l]) for l, r in zip(el.left_index, el.right_index)]
 
 
-def convergent_masses(part: DynamicalPartition, cf: ContinuedFraction, rho):
+def convergent_masses(part: DynamicalPartition, rho):
     """Masses of the cells of xi_n from the convergent errors alone.
 
     The conjugacy to the rotation by rho carries a rank-k cell onto an
@@ -119,9 +119,7 @@ def convergent_masses(part: DynamicalPartition, cf: ContinuedFraction, rho):
     mass beta_{n-1} or beta_n by its rank tag; no orbit is needed.
     Returns a list, one mass per cell in the partition's order.
     """
-    n = part.n
-    if cf.depth < n or (cf.q(n), cf.q(n - 1)) != (part.q_n, part.q_nm1):
-        raise ValueError("continued fraction does not match the partition")
+    cf, n = part.cf, part.n
     beta_nm1, beta_n = convergent_error(cf, rho, n - 1), convergent_error(cf, rho, n)
     # the q_n rank-(n-1) cells come first, then the q_{n-1} rank-n cells
     return [beta_nm1] * part.q_n + [beta_n] * part.q_nm1

@@ -9,7 +9,9 @@ The package needs nothing beyond the standard library.
 from __future__ import annotations
 
 import sys
+from functools import reduce
 from math import floor
+from operator import add
 
 MACHINE_EPS = sys.float_info.epsilon
 
@@ -39,6 +41,17 @@ def to_circle(x):
     if v >= CLAMP_FROM:
         return 0.0
     return v
+
+
+def ordered_sum(values) -> float:
+    """Sum of floats added left to right, rounded after every addition.
+
+    Up to Python 3.11 the builtin ``sum`` adds floats this way; from 3.12
+    it compensates the rounding, which moves the last bits of some sums
+    and so the bytes of the outputs written from them.  Every float sum
+    in the package goes through here, so each Python gives the same bytes.
+    """
+    return reduce(add, values, 0.0)
 
 
 def arc_length(u, w):

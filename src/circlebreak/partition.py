@@ -25,7 +25,7 @@ from .errors import (
     RefinementViolation,
 )
 from .maps import CircleMap, clears_breaks, df_product, iterate, map_stats
-from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, in_arc, to_circle
+from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, in_arc, ordered_sum, to_circle
 from .rotation import ContinuedFraction
 
 # Shift applied to a partition's base point when its orbit hits a break,
@@ -81,7 +81,8 @@ class CellTable:
 
 
 class DynamicalPartition(NamedTuple):
-    """xi_n(x0) as a table of cells (``CellTable``) over ``orbit``.
+    """xi_n(x0) as a table of cells (``CellTable``) over ``orbit``, cut
+    with the denominators q_n and q_{n-1} of ``cf``.
 
     The q_n rank-(n-1) cells come first, then the q_{n-1} rank-n cells,
     each block in index order.  ``x0`` is the base point the orbit
@@ -90,15 +91,21 @@ class DynamicalPartition(NamedTuple):
 
     n: int
     x0: float
-    q_n: int
-    q_nm1: int
+    cf: ContinuedFraction
     elements: CellTable
     orbit: tuple
     nudges: int
 
+    @property
+    def q_n(self) -> int:
+        return self.cf.q(self.n)
+
+    @property
+    def q_nm1(self) -> int:
+        return self.cf.q(self.n - 1)
+
     def total_length(self):
-        # sequential, in cell order
-        return sum(self.elements.length)
+        return ordered_sum(self.elements.length)
 
     def max_length(self):
         return max(self.elements.length)
@@ -123,18 +130,13 @@ class DynamicalPartition(NamedTuple):
             raise InvariantFailure(f"no partition element contains {x!r}")
         return row
 
-    def coarsen(self, cf: ContinuedFraction, k: int) -> "DynamicalPartition":
+    def coarsen(self, k: int) -> "DynamicalPartition":
         """xi_k(x0), k <= n, cut from the first q_k + q_{k-1} orbit points."""
         if not 1 <= k <= self.n:
             raise ValueError(f"cannot cut rank {k} from a rank-{self.n} partition")
-        if cf.depth < self.n or (cf.q(self.n), cf.q(self.n - 1)) != (
-            self.q_n,
-            self.q_nm1,
-        ):
-            raise ValueError("continued fraction does not match the partition")
         if k == self.n:
             return self
-        return _cut(cf, k, self.orbit, self.x0, self.nudges)
+        return _cut(self.cf, k, self.orbit, self.x0, self.nudges)
 
 
 def _cut(cf: ContinuedFraction, n: int, orbit: tuple, x0, nudges: int):
@@ -193,7 +195,7 @@ def _cut(cf: ContinuedFraction, n: int, orbit: tuple, x0, nudges: int):
         )
 
     return DynamicalPartition(
-        n=n, x0=x0, q_n=q_n, q_nm1=q_nm1, elements=el, orbit=orbit, nudges=nudges
+        n=n, x0=x0, cf=cf, elements=el, orbit=orbit, nudges=nudges
     )
 
 
@@ -238,9 +240,7 @@ class RefinementReport(NamedTuple):
 
 
 def check_refinement(
-    coarse: DynamicalPartition,
-    fine: DynamicalPartition,
-    cf: ContinuedFraction,
+    coarse: DynamicalPartition, fine: DynamicalPartition
 ) -> RefinementReport:
     """Verify xi_{n+1} refines xi_n cell by cell.
 
@@ -258,11 +258,11 @@ def check_refinement(
         raise ValueError(f"fine rank {fine.n} must be coarse rank {n} plus one")
     if fine.x0 != coarse.x0:
         raise ValueError("partitions were built from different base points")
-    if cf.depth < n + 1:
-        raise RankTooShallow(f"need quotient k_{n + 1}")
+    if fine.cf != coarse.cf:
+        raise ValueError("partitions were cut from different continued fractions")
 
-    k_next = cf.quotients[n]  # k_{n+1}, quotients are 1-based
-    q_n, q_nm1 = cf.q(n), cf.q(n - 1)
+    k_next = fine.cf.quotients[n]  # k_{n+1}: 1-based, and fine has rank n + 1
+    q_n, q_nm1 = coarse.q_n, coarse.q_nm1
 
     el, fine_orbit = coarse.elements, fine.orbit
     for s in range(1, k_next + 1):
@@ -326,16 +326,14 @@ class DecayFit(NamedTuple):
         return self.slope <= self.log_lambda + 1e-9
 
 
-def max_element_decay(
-    m: CircleMap, cf: ContinuedFraction, part: DynamicalPartition
-) -> DecayFit:
+def max_element_decay(m: CircleMap, part: DynamicalPartition) -> DecayFit:
     """Max cell length of xi_n for n = 1..part.n, with a log-linear fit.
 
     Every rank is cut from ``part``'s orbit.  The fitted slope is
     compared against log lambda, lambda = (1 + e^{-v})^{-1/2}; the
     empirical rate should be at least as fast.
     """
-    rows = [(n, part.coarsen(cf, n).max_length()) for n in range(1, part.n + 1)]
+    rows = [(n, part.coarsen(n).max_length()) for n in range(1, part.n + 1)]
     slope, intercept = least_squares_line([(n, log(h)) for n, h in rows])
     return DecayFit(
         rows=tuple(rows),

@@ -21,6 +21,7 @@ from .numerics import (
     MACHINE_EPS,
     arc_length,
     in_arc,
+    ordered_sum,
     to_circle,
     wrap_signed,
 )
@@ -495,7 +496,7 @@ def _check_hull_images(
         raise InvariantFailure(
             f"second break covered at steps {c_hits}, expected {want_c}"
         )
-    return sum(lengths)
+    return ordered_sum(lengths)
 
 
 def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
@@ -516,7 +517,7 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
     else:
         triple = None
         res = distortion_chain(_generator_quadruple(part), m, part.q_n)
-        image_len_sum = sum(q.hull for q in res.quadruples[: part.q_n])
+        image_len_sum = ordered_sum(q.hull for q in res.quadruples[: part.q_n])
         case_tag, l, p = "break_free", -1, -1
     gap = abs(res.total - 1.0)
     if image_len_sum > 1.0 + 1e-9:
@@ -890,9 +891,9 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     rows = []
     curves = []
     for n in range(config.n_min, config.n_max + 1):
-        part = deep.coarsen(cf, n)
+        part = deep.coarsen(n)
         qrow = _qn_row(m, part, tables)
-        curve = mass_length_curve(part, convergent_masses(part, cf, rho))
+        curve = mass_length_curve(part, convergent_masses(part, rho))
         curves.append(curve)
         rows.append(
             ReportRow(

@@ -59,6 +59,15 @@ def cell_interval(part, row):
     return Arc(cell.left, cell.length)
 
 
+def sum_left_to_right(values):
+    """Floats added in order, rounded after each addition: the builtin
+    ``sum`` up to Python 3.11, and what ``numerics.ordered_sum`` promises."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _reference_one_sided_derivatives(m, x):
     """(Df_-(x), Df_+(x)) at the circle point underlying x, read off the
     segment table one point at a time: the reference for each Df factor of
@@ -132,7 +141,7 @@ def qn_rows(m, cf, x0, ranks):
     ranks = list(ranks)
     deep = build_partition(m, cf, x0, ranks[-1])
     tables = break_preimages(m, deep)
-    return [_qn_row(m, deep.coarsen(cf, n), tables) for n in ranks]
+    return [_qn_row(m, deep.coarsen(n), tables) for n in ranks]
 
 
 @pytest.fixture(scope="session")

@@ -84,7 +84,6 @@ def test_primary_02_partition_soundness(gcf):
         rep = check_refinement(
             build_partition(m, gcf, 0.05, n),
             build_partition(m, gcf, 0.05, n + 1),
-            gcf,
         )
         assert rep.k_next == 1
     elapsed = time.perf_counter() - t0
@@ -114,7 +113,7 @@ def test_primary_03_denjoy_inequality(pq_map, rot_map, gcf):
 
 
 def test_primary_04_decay_rate(pq_map, gcf):
-    fit = max_element_decay(pq_map, gcf, build_partition(pq_map, gcf, 0.05, 12))
+    fit = max_element_decay(pq_map, build_partition(pq_map, gcf, 0.05, 12))
     pts = [(n, math.log(length)) for n, length in fit.rows if 4 <= n <= 12]
     assert [n for n, _ in pts] == list(range(4, 13))
     slope, _ = statistics.linear_regression(

@@ -26,7 +26,7 @@ from circlebreak.cli import (
     main,
 )
 from circlebreak.crossratio import lift_into
-from circlebreak.errors import InvariantFailure
+from circlebreak.errors import InvariantFailure, RefinementViolation
 from circlebreak.maps import make_rotation
 from circlebreak.partition import build_partition, partition_rows
 from circlebreak.rotation import ContinuedFraction
@@ -865,6 +865,31 @@ def test_partition_refinement_with_a_nudged_fine_orbit(tmp_path):
     doc = json.loads((out / "partition.json").read_text())
     assert doc["refinement"]["split_min"] == doc["refinement"]["split_max"] == 2
     assert doc["elements"] == 13
+
+
+def test_a_failed_refinement_audit_exits_4(monkeypatch, tmp_path, capsys):
+    # a refinement violation is a failed invariant, as the adjacency audit is
+    def violated(coarse, fine):
+        raise RefinementViolation("boundary point 7 escapes coarse cell 2")
+
+    monkeypatch.setattr(cli, "check_refinement", violated)
+    code, out = run(
+        tmp_path,
+        "partition",
+        {
+            "map": PQ_TUNED,
+            "rho": {"cf": [1] * 12},
+            "x0": 0.05,
+            "n": 5,
+            "refinement": True,
+        },
+    )
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "error: boundary point 7 escapes coarse cell 2\n"
+    )
+    # neither an artifact nor a .stage-* file is left behind
+    assert os.listdir(out) == []
 
 
 def test_partition_builds_one_orbit_for_every_rank(monkeypatch, tmp_path):

@@ -373,11 +373,11 @@ def test_a_failing_build_beats_a_failing_sample(monkeypatch, tmp_path, capsys, c
     _assert_no_children()
 
 
-def _failing_decay(m, cf, part):
+def _failing_decay(m, part):
     raise PrecisionBudgetExceeded("the decay fit ran out of orbit budget")
 
 
-def _failing_refinement(part, fine, cf):
+def _failing_refinement(part, fine):
     raise CircleBreakError("the refinement audit failed")
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from circlebreak.numerics import MACHINE_EPS, to_circle
+from circlebreak.numerics import MACHINE_EPS, ordered_sum, to_circle
 
 # to_circle's results, bit for bit, as recorded from its floor-based
 # reduction: signed zeros, whole turns, the clamp within 2 eps below a
@@ -52,3 +52,12 @@ def test_to_circle_keeps_its_bits(x, bits):
 def test_to_circle_refuses_a_non_finite_lift(x, error):
     with pytest.raises(error):
         to_circle(x)
+
+
+def test_ordered_sum_rounds_after_every_addition():
+    # the 1.0s drown in 1e100 one by one; a compensated sum, as the builtin
+    # is from Python 3.12 on, would keep them and return 2.0
+    values = [1.0, 1e100, 1.0, -1e100]
+    assert ordered_sum(values) == 0.0
+    assert ordered_sum(iter(values)) == 0.0
+    assert ordered_sum([]) == 0.0

@@ -53,6 +53,7 @@ from conftest import (
     _reference_is_qn_small,
     _reference_one_sided_derivatives,
     cell_interval,
+    sum_left_to_right,
 )
 
 
@@ -77,6 +78,14 @@ def test_rank_one_partition(pq_map, gcf):
     assert len(part.elements) == 2
 
 
+def test_total_length_adds_the_cells_in_order(pq_map, gcf):
+    # four cells whose lengths sum to 2.0 only under a compensated sum
+    part = build_partition(pq_map, gcf, 0.05, 1)
+    columns = [col * 2 for col in part.elements._columns()[:-1]]
+    cells = CellTable(*columns, (1.0, 1e100, 1.0, -1e100))
+    assert part._replace(elements=cells).total_length() == 0.0
+
+
 def test_partition_covers_circle(pq_map, gcf):
     for n in (4, 8, 12):
         part = build_partition(pq_map, gcf, 0.05, n)
@@ -92,7 +101,7 @@ def test_partition_covers_circle(pq_map, gcf):
 def test_refinement_golden_splits_two(pq_map, gcf):
     coarse = build_partition(pq_map, gcf, 0.05, 7)
     fine = build_partition(pq_map, gcf, 0.05, 8)
-    rep = check_refinement(coarse, fine, gcf)
+    rep = check_refinement(coarse, fine)
     assert rep.k_next == 1
     assert rep.persisted == coarse.q_nm1
 
@@ -104,7 +113,7 @@ def test_refinement_large_quotient_splits_four():
     m = base.with_translation(res.translation)
     coarse = build_partition(m, cf, 0.05, 1)
     fine = build_partition(m, cf, 0.05, 2)
-    rep = check_refinement(coarse, fine, cf)
+    rep = check_refinement(coarse, fine)
     assert rep.k_next == 3
     assert rep.persisted == coarse.q_nm1
 
@@ -144,13 +153,13 @@ def test_decay_rotation_closed_form(gcf):
     # Max cell length at rank n is the convergent error beta_{n-1}; note
     # beta_0 = rho itself (p_0 = 0), not the distance to the nearest integer.
     rot = make_rotation(GOLDEN)
-    fit = max_element_decay(rot, gcf, build_partition(rot, gcf, 0.0, 9))
+    fit = max_element_decay(rot, build_partition(rot, gcf, 0.0, 9))
     for n, ln in fit.rows:
         assert ln == pytest.approx(convergent_error(gcf, GOLDEN, n - 1), abs=1e-9)
 
 
 def test_decay_pq_rate(pq_map, gcf):
-    fit = max_element_decay(pq_map, gcf, build_partition(pq_map, gcf, 0.05, 12))
+    fit = max_element_decay(pq_map, build_partition(pq_map, gcf, 0.05, 12))
     assert fit.slope <= fit.log_lambda + 0.05
     lens = [ln for _, ln in fit.rows]
     assert all(b <= a for a, b in zip(lens, lens[1:]))
@@ -167,7 +176,7 @@ def test_least_squares_line_is_exact():
 
 
 def test_decay_fit_is_the_exact_line(pq_map, gcf):
-    fit = max_element_decay(pq_map, gcf, build_partition(pq_map, gcf, 0.05, 12))
+    fit = max_element_decay(pq_map, build_partition(pq_map, gcf, 0.05, 12))
     assert (fit.slope, fit.intercept) == least_squares_line(
         [(n, math.log(ln)) for n, ln in fit.rows]
     )
@@ -690,14 +699,14 @@ def test_columns_match_point_by_point_reference(request, gcf, name):
         for k in range(1, 15):
             cells, pts = _reference_cells(m, gcf, x0, k)
             part = build_partition(m, gcf, x0, k)
-            cut = deep.coarsen(gcf, k)
+            cut = deep.coarsen(k)
             _, used, nudges = _reference_orbit_avoiding_breaks(m, x0, len(pts) - 1)
             assert part.nudges == deep.nudges
             for p in (part, cut):
                 assert list(p.elements) == cells
                 assert _built_orbit(p) == (pts, used, nudges)
                 assert (p.n, p.q_n, p.q_nm1) == (k, gcf.q(k), gcf.q(k - 1))
-                assert p.total_length() == sum(c[5] for c in cells)
+                assert p.total_length() == sum_left_to_right(c[5] for c in cells)
                 assert p.max_length() == max(c[5] for c in cells)
                 assert p.min_length() == min(c[5] for c in cells)
             assert list(partition_rows(part)) == [(k, *c[:2], *c[4:]) for c in cells]
@@ -732,7 +741,7 @@ def test_refinement_matches_dict_reference(request, quotients, n_max, name):
     )
     for n in range(1, n_max + 1):
         fine = build_partition(m, cf, 0.05, n + 1)
-        coarse = fine.coarsen(cf, n)
+        coarse = fine.coarsen(n)
         splits, persisted = _reference_refinement(
             _reference_cells(m, cf, 0.05, n)[0],
             *_reference_cells(m, cf, 0.05, n + 1),
@@ -740,7 +749,7 @@ def test_refinement_matches_dict_reference(request, quotients, n_max, name):
             n,
         )
         for c in (coarse, build_partition(m, cf, 0.05, n)):
-            rep = check_refinement(c, fine, cf)
+            rep = check_refinement(c, fine)
             assert rep.k_next == cf.quotients[n]
             assert (rep.persisted, len(splits)) == (persisted, c.q_n)
             assert set(splits) == {rep.k_next + 1}
@@ -758,12 +767,12 @@ def test_refinement_of_a_different_map_fails(pq_map, pl_map, gcf):
             7,
         )
     with pytest.raises(RefinementViolation):
-        check_refinement(coarse, fine, gcf)
+        check_refinement(coarse, fine)
 
 
 def test_refinement_catches_an_escaped_point_and_a_moved_cell(pq_map, gcf):
     fine = build_partition(pq_map, gcf, 0.05, 8)
-    coarse = fine.coarsen(gcf, 7)
+    coarse = fine.coarsen(7)
     # push the interior point i + q_6 + q_7 of coarse cell i = 3 past its
     # right end, to 1.5 cell lengths from its left end
     left, length = coarse.elements.left[3], coarse.elements.length[3]
@@ -771,7 +780,7 @@ def test_refinement_catches_an_escaped_point_and_a_moved_cell(pq_map, gcf):
     orbit[3 + gcf.q(6) + gcf.q(7)] = to_circle(left + 1.5 * length)
     escaped = fine._replace(orbit=tuple(orbit))
     with pytest.raises(RefinementViolation, match="escapes coarse cell 3"):
-        check_refinement(coarse, escaped, gcf)
+        check_refinement(coarse, escaped)
     # shift the left end of the fine rank-7 cell 2 alone
     lefts = list(fine.elements.left)
     lefts[2] += 1e-9
@@ -781,7 +790,7 @@ def test_refinement_catches_an_escaped_point_and_a_moved_cell(pq_map, gcf):
     )
     moved = fine._replace(elements=cells)
     with pytest.raises(RefinementViolation, match="rank-7 cell 2 moved"):
-        check_refinement(coarse, moved, gcf)
+        check_refinement(coarse, moved)
 
 
 @pytest.mark.parametrize("name", ["pq_map", "pl_map", "rot_map"])
@@ -792,7 +801,7 @@ def test_refinement_compares_persisted_cells_exactly(request, gcf, name):
     for n in (5, 9, 13):
         coarse = build_partition(m, gcf, 0.05, n)
         fine = build_partition(m, gcf, 0.05, n + 1)
-        assert check_refinement(coarse, fine, gcf).persisted == gcf.q(n - 1)
+        assert check_refinement(coarse, fine).persisted == gcf.q(n - 1)
         el = fine.elements
         for column in ("left", "length"):
             columns = {name: getattr(el, name) for name in CellTable.__slots__}
@@ -801,7 +810,7 @@ def test_refinement_compares_persisted_cells_exactly(request, gcf, name):
             columns[column] = tuple(values)
             moved = fine._replace(elements=CellTable(**columns))
             with pytest.raises(RefinementViolation, match=f"rank-{n} cell 1 moved"):
-                check_refinement(coarse, moved, gcf)
+                check_refinement(coarse, moved)
 
 
 def test_coarsen_of_a_nudged_partition(pq_map, gcf):
@@ -813,22 +822,20 @@ def test_coarsen_of_a_nudged_partition(pq_map, gcf):
     deep = build_partition(pq_map, gcf, x0, 8)
     assert deep.nudges == 1 and deep.x0 == to_circle(x0 + NUDGE)
     for k in range(1, 9):
-        cut = deep.coarsen(gcf, k)
+        cut = deep.coarsen(k)
         direct = build_partition(pq_map, gcf, deep.x0, k)
         assert cut.x0 == direct.x0 == deep.x0 and cut.nudges == 1
         assert cut.orbit == direct.orbit
         assert cut.elements == direct.elements
-    assert check_refinement(deep.coarsen(gcf, 7), deep, gcf).persisted == gcf.q(6)
+    assert check_refinement(deep.coarsen(7), deep).persisted == gcf.q(6)
 
 
-def test_coarsen_refuses_a_foreign_rank_or_fraction(pq_map, gcf):
+def test_coarsen_refuses_a_foreign_rank(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 6)
-    assert part.coarsen(gcf, 6) is part
+    assert part.coarsen(6) is part
     for k in (0, 7):
         with pytest.raises(ValueError):
-            part.coarsen(gcf, k)
-    with pytest.raises(ValueError):
-        part.coarsen(ContinuedFraction.from_quotients([2] * 30), 4)
+            part.coarsen(k)
 
 
 @pytest.mark.parametrize(
@@ -860,13 +867,15 @@ def test_build_partition_refuses_rank_0_and_a_short_fraction(pq_map, gcf):
 def test_refinement_refuses_a_mismatched_pair(pq_map, gcf):
     coarse = build_partition(pq_map, gcf, 0.05, 6)
     with pytest.raises(ValueError, match="fine rank 8 must be coarse rank 6 plus one"):
-        check_refinement(coarse, build_partition(pq_map, gcf, 0.05, 8), gcf)
+        check_refinement(coarse, build_partition(pq_map, gcf, 0.05, 8))
     with pytest.raises(ValueError, match="different base points"):
-        check_refinement(coarse, build_partition(pq_map, gcf, 0.06, 7), gcf)
-    fine = build_partition(pq_map, gcf, 0.05, 7)
-    short = ContinuedFraction.from_quotients(gcf.quotients[:6])
-    with pytest.raises(RankTooShallow, match="need quotient k_7"):
-        check_refinement(coarse, fine, short)
+        check_refinement(coarse, build_partition(pq_map, gcf, 0.06, 7))
+    # the same denominators up to q_7, but cut from other fractions
+    for quotients in (gcf.quotients[:7], gcf.quotients[:7] + (2,) * 23):
+        other = ContinuedFraction.from_quotients(quotients)
+        fine = build_partition(pq_map, other, 0.05, 7)
+        with pytest.raises(ValueError, match="different continued fractions"):
+            check_refinement(coarse, fine)
 
 
 def test_cell_table_equals_only_a_table(pq_map, gcf):

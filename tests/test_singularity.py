@@ -16,6 +16,7 @@ from conftest import (
     _reference_endpoint_condition,
     _reference_is_qn_small,
     qn_rows,
+    sum_left_to_right,
 )
 
 import circlebreak.crossratio
@@ -491,7 +492,7 @@ def test_hull_audit_runs_no_orbit(monkeypatch, pq_map, gcf):
     calls = [_count_calls(monkeypatch, fn) for fn in (advance, retreat, evaluate)]
     total = _check_hull_images(pq_map, part, triple, res)
     assert calls == [[], [], []]
-    assert total == sum(q.hull for q in res.quadruples[: part.q_n])
+    assert total == sum_left_to_right(q.hull for q in res.quadruples[: part.q_n])
     assert total == qn_rows(pq_map, gcf, 0.05, [9])[0].image_len_sum
 
 
@@ -529,7 +530,7 @@ def test_qn_gaps_same_orbit_certified(so_map, gcf):
 
 def test_lorenz_rotation_flat(rot_map, gcf):
     part = build_partition(rot_map, gcf, 0.0, 7)
-    curve = mass_length_curve(part, convergent_masses(part, gcf, gcf.value))
+    curve = mass_length_curve(part, convergent_masses(part, gcf.value))
     assert abs(curve.lorenz_90_length - 0.90) <= 2.0 / part.q_n
     end_len, end_mass = curve.points[-1]
     assert end_len == pytest.approx(1.0, abs=1e-9)
@@ -541,8 +542,8 @@ def test_lorenz_concentrates_for_pq(pq_map, gcf):
     shallow, deep = (
         build_partition(pq_map, gcf, 0.05, n) for n in (6, 10)
     )
-    shallow = mass_length_curve(shallow, convergent_masses(shallow, gcf, GOLDEN))
-    deep = mass_length_curve(deep, convergent_masses(deep, gcf, GOLDEN))
+    shallow = mass_length_curve(shallow, convergent_masses(shallow, GOLDEN))
+    deep = mass_length_curve(deep, convergent_masses(deep, GOLDEN))
     assert deep.lorenz_90_length < shallow.lorenz_90_length < 0.90
 
 
@@ -568,7 +569,7 @@ def test_lorenz_matches_sorted_reference(request, gcf, name):
     x0, rho = {"rot": (0.0, gcf.value), "pq": (0.05, GOLDEN)}[name]
     for n in range(2, 11):
         part = build_partition(m, gcf, x0, n)
-        masses = convergent_masses(part, gcf, rho)
+        masses = convergent_masses(part, rho)
         curve = mass_length_curve(part, masses)
         assert (curve.points, curve.lorenz_90_length) == _reference_lorenz(
             part, masses
@@ -792,7 +793,7 @@ def test_report_runs_one_backward_orbit_per_break(monkeypatch, shape):
         tables = break_preimages(m, deep)
         walks.clear()
         for n in range(5, 9):
-            regular_cover_triple(m, deep.coarsen(cf, n), tables)
+            regular_cover_triple(m, deep.coarsen(n), tables)
         assert walks == []
 
 
@@ -829,7 +830,7 @@ def test_break_tables_match_the_per_rank_walks(name, n_max):
     tables = break_preimages(m, deep)
     assert [len(t) for t in tables] == [deep.q_n + deep.q_nm1] * 2
     for n in range(5, n_max + 1):
-        part = deep.coarsen(cf, n)
+        part = deep.coarsen(n)
         l, abar, p, pres, bwd = _reference_preimages(m, part)
         t = regular_cover_triple(m, part, tables)
         assert (t.l_index, t.p_index) == (l, p)
