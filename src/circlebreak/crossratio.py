@@ -8,9 +8,8 @@ many orders of magnitude below 1.
 
 from __future__ import annotations
 
-import random
 from functools import lru_cache
-from math import floor
+from math import expm1, floor
 from typing import NamedTuple
 
 from .errors import (
@@ -27,7 +26,7 @@ from .maps import (
     evaluate,
     gap_image,
 )
-from .numerics import CLAMP_FROM, MACHINE_EPS, arc_length, ordered_sum, to_circle
+from .numerics import CLAMP_FROM, MACHINE_EPS, arc_length, to_circle
 
 # Gaps below this multiple of eps*hull carry no usable cross-ratio
 # information and are rejected outright.
@@ -308,7 +307,8 @@ def distortion_rounding(q: Quadruple, img: Quadruple, m: CircleMap) -> float:
     so |d - D| <= 1.25t d; this returns 1.25t, and past t = 1/64 it
     raises PrecisionBudgetExceeded.  Since 1.25t >= 18u, scaling a bound's
     curvature term by 1 + 1.25t also covers the rounding of that term
-    (at most 8u), of the residual and of their sum.
+    (about 10u; for single_break_closed_form's expm1 term, while its
+    argument stays below 1), of the residual and of their sum.
     """
     lo, hi, k = _slope_range(m)
     z1, _, _, z4 = q
@@ -348,8 +348,9 @@ def _frame_rounding(q: Quadruple, sigma) -> float:
 
 
 class ClosedForm(NamedTuple):
-    """``residual_bound`` = ``curvature`` + ``rounding``: K1 times the
-    curvature integral over the hull, and the rounding of both quotients."""
+    """``residual_bound`` = ``curvature`` + ``rounding``: the prediction
+    times expm1(4 K1 ∫|D²f|) over the hull, and the rounding of both
+    quotients."""
 
     predicted: float
     residual_bound: float
@@ -359,36 +360,51 @@ class ClosedForm(NamedTuple):
     rounding: float
 
 
-def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> ClosedForm:
-    """One-step distortion against its break-point closed form.
+def single_break_closed_form(
+    q: Quadruple, img: Quadruple, brk: BreakPoint, m: CircleMap
+) -> ClosedForm:
+    """One-step distortion of q against its break-point closed form.
 
-    The prediction is the PL frame at the break's lift: F(xi, z) at the
-    jump ratio sigma with the break in [z1, z2], F(eta, theta) at
-    1/sigma with it in [z3, z4].  A break in the middle gap is refused,
-    as no closed form of the paper covers it.  The residual is bounded
-    by the calibrated multiple of the total curvature over the hull,
-    zero for PL maps, plus the rounding of the distortion and of the
-    prediction; distortion_rows checks it.
+    ``img`` is ``image_quadruple(q, m)``, and ``brk`` is the one break of
+    m in q's hull; callers refuse hulls that hold both.  The prediction is
+    the PL frame at the break's lift, wherever in the hull it lies:
+    F(xi, z) at the jump ratio sigma with the break in [z1, z2],
+    F(eta, theta) at 1/sigma with it in [z3, z4], and the frame's quotient
+    itself in the middle gap.
+
+    The curvature term.  Let p be the break's lift, so sigma = D-/D+ with
+    D- = Df_-(p) and D+ = Df_+(p).  The break splits a gap [u, w] into a
+    part L left of p and a part R right of it, either of which may be
+    empty, and
+
+        f(w) - f(u) = D+ (sigma |L| r_L + |R| r_R),
+
+    where r_L is the mean of Df/D- over L and r_R that of Df/D+ over R.
+    sigma |L| + |R| is the frame's gap, so each image gap is D+ times the
+    frame's gap times a weighted mean of r_L and r_R.  Off the break, Df
+    is continuous in the hull, so Df/D-(p) on L and Df/D+(p) on R lie in
+    [e^{-V}, e^{V}], where V is the variation of log Df over the hull off
+    the break; so does their weighted mean.  V = ∫|D2f| / Df, which is at
+    most K1 ∫|D2f| with K1 = 1 / min Df (calibrate_k1).  The cross-ratio
+    ac / ((a+b)(b+c)) drops the common D+ and takes four such factors,
+    from the images of [z1, z2], [z3, z4], [z1, z3] and [z2, z4], so
+    Dist / predicted lies in [e^{-4V}, e^{4V}] and
+
+        |Dist - predicted| <= predicted expm1(4 K1 ∫|D2f|),
+
+    which is 0 for PL maps.  That holds in exact arithmetic for the float
+    points z1..z4 and the exact break lift.  ``rounding`` adds
+    distortion_rounding's bound on ``actual`` and _frame_rounding's on
+    ``predicted``.  The latter also scales the curvature term, since that
+    term scales the exact prediction; the former covers the term's own
+    rounding, as distortion_rounding says.
     """
-    pos = lift_into(brk.location, q.z1)
-    others = [b for b in m.breaks if b.location != brk.location]
-    for other in others:
-        opos = lift_into(other.location, q.z1)
-        if q.z1 < opos < q.z4:
-            raise BreakNotInStatedInterval(
-                f"hull also contains the break at {other.location!r}"
-            )
-    if q.z2 < pos < q.z3:
-        raise BreakNotInStatedInterval(
-            f"break {pos!r} lies in the middle gap [{q.z2!r}, {q.z3!r}]"
-        )
-    predicted = pl_frame_distortion(q, pos, brk.sigma)
-    img = image_quadruple(q, m)
+    predicted = pl_frame_distortion(q, lift_into(brk.location, q.z1), brk.sigma)
     actual = cross_ratio(img) / cross_ratio(q)
-    curvature = calibrate_k1(m) * abs_d2f_integral(m, q.z1, q.z4)
+    curvature = predicted * expm1(4.0 * calibrate_k1(m) * abs_d2f_integral(m, q.z1, q.z4))
     rounding = (
         distortion_rounding(q, img, m) * (actual + curvature)
-        + _frame_rounding(q, brk.sigma) * predicted
+        + _frame_rounding(q, brk.sigma) * (predicted + curvature)
     )
     return ClosedForm(
         predicted=predicted,
@@ -400,57 +416,16 @@ def single_break_closed_form(q: Quadruple, brk: BreakPoint, m: CircleMap) -> Clo
     )
 
 
-def _sample_quadruples(m: CircleMap, rng: random.Random, count: int):
-    """Random small-hull quadruples with one break in a side gap."""
-    out = []
-    locs = [b.location for b in m.breaks]
-    attempts = 0
-    while len(out) < count and attempts < 50 * count:
-        attempts += 1
-        h = 10.0 ** rng.uniform(-5, -1.4)
-        parts = [rng.uniform(0.15, 1.0) for _ in range(3)]
-        s = ordered_sum(parts)
-        alpha, beta, gamma = (p * h / s for p in parts)
-        brk = rng.choice(m.breaks)
-        if rng.random() < 0.5:
-            t = rng.uniform(0.0, 1.0)  # z-coordinate in [z1, z2]
-            z2 = brk.location + t * alpha
-            z1 = z2 - alpha
-        else:
-            t = rng.uniform(0.0, 1.0)  # theta-coordinate in [z3, z4]
-            z1 = brk.location - t * gamma - beta - alpha
-        qd = Quadruple.from_gaps(z1, alpha, beta, gamma)
-        inside = [
-            x
-            for x in locs
-            if x != brk.location and qd.z1 < lift_into(x, qd.z1) < qd.z4
-        ]
-        if inside:
-            continue
-        out.append((qd, brk))
-    return out
-
-
 @lru_cache(maxsize=None)
 def calibrate_k1(m: CircleMap) -> float:
-    """Calibrated closed-form residual constant for one map.
+    """K1 = 1 / min Df: the variation of log Df over an interval that Df is
+    continuous on is at most K1 ∫|D2f| there (single_break_closed_form).
 
-    Max of residual / curvature-integral over a deterministic quadruple
-    sample, doubled for safety.  Curvature-free families get 0: their
-    residual is identically zero.
+    Curvature-free maps get 0.
     """
-    if not m.breaks or all(c == 0 for c in m.seg_curv):
+    if not any(m.seg_curv):
         return 0.0
-    rng = random.Random(0x5EED)
-    worst = 0.0
-    for qd, brk in _sample_quadruples(m, rng, 1000):
-        predicted = pl_frame_distortion(qd, lift_into(brk.location, qd.z1), brk.sigma)
-        integral = abs_d2f_integral(m, qd.z1, qd.z4)
-        if integral <= 0:
-            continue
-        ratio = abs(distortion(qd, m) - predicted) / integral
-        worst = max(worst, ratio)
-    return 2.0 * worst
+    return 1.0 / _slope_range(m)[0]
 
 
 @lru_cache(maxsize=None)
@@ -529,8 +504,10 @@ def _general_row(q: Quadruple, m: CircleMap) -> DistortionRow:
     """One row of distortion_rows by way of the bound records, for any hull.
 
     A break-free hull is held to smooth_distortion_bound, a hull with one
-    break in a side gap to single_break_closed_form; a residual past its
-    bound raises InvariantFailure.  Each path computes q's image once.
+    break outside its middle gap to single_break_closed_form; a residual
+    past its bound raises InvariantFailure.  Two breaks in the hull, or
+    one in the middle gap, give a row without a bound.  Each path computes
+    q's image once.
     """
     cr = cross_ratio(q)
     inside = [b for b in m.breaks if q.z1 < lift_into(b.location, q.z1) < q.z4]
@@ -538,11 +515,9 @@ def _general_row(q: Quadruple, m: CircleMap) -> DistortionRow:
         sb = smooth_distortion_bound(m, q)
         predicted, actual, bound = 1.0, sb.actual, sb.bound
     else:
-        try:
-            cf = single_break_closed_form(q, inside[0], m)
-        except BreakNotInStatedInterval:
-            # two breaks in the hull, or one in the middle gap
+        if len(inside) > 1 or q.z2 < lift_into(inside[0].location, q.z1) < q.z3:
             return DistortionRow(cr, distortion(q, m))
+        cf = single_break_closed_form(q, image_quadruple(q, m), inside[0], m)
         predicted, actual, bound = cf.predicted, cf.actual, cf.residual_bound
     residual = abs(actual - predicted)
     if residual > bound:

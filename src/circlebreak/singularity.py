@@ -35,7 +35,6 @@ from .errors import (
 )
 from .maps import (
     CircleMap,
-    abs_d2f_integral,
     advance,
     check_orbit_length,
     make_pl_two_break,
@@ -48,13 +47,12 @@ from .rotation import TUNE_TOL_FLOOR, ContinuedFraction, TuneResult, tune_transl
 from .partition import DynamicalPartition, build_partition
 from .crossratio import (
     Quadruple,
-    calibrate_k1,
     distortion_chain,
     f_func,
     g_func,
     lift_into,
     normalized_coords,
-    pl_frame_distortion,
+    single_break_closed_form,
 )
 from .measure import convergent_masses
 
@@ -526,7 +524,6 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
         )
 
     if triple is not None:
-        k1 = calibrate_k1(m)
         audited = [(l, m.breaks[0], "first")]
         if triple.covers_second_break:
             audited.append((p, m.breaks[1], "second"))
@@ -534,13 +531,14 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
             # the chain's rounding carries the tracked point off the break,
             # to either side; the PL frame at the break's own lift predicts
             # the factor wherever in the hull it falls
-            q = res.quadruples[step]
-            predicted = pl_frame_distortion(q, lift_into(brk.location, q.z1), brk.sigma)
-            budget = k1 * abs_d2f_integral(m, q.z1, q.z4) + 1e-9
-            if abs(res.factors[step] - predicted) > budget:
+            cf = single_break_closed_form(
+                res.quadruples[step], res.quadruples[step + 1], brk, m
+            )
+            if abs(cf.actual - cf.predicted) > cf.residual_bound:
                 raise InvariantFailure(
-                    f"one-step factor {res.factors[step]!r} at the {which} break "
-                    f"differs from its closed form {predicted!r} beyond {budget!r}"
+                    f"one-step factor {cf.actual!r} at the {which} break "
+                    f"differs from its closed form {cf.predicted!r} beyond "
+                    f"{cf.residual_bound!r}"
                 )
 
     if triple is not None and triple.covers_second_break:

@@ -19,8 +19,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# The message of the first-break closed-form audit, which stops the runs
-# that the strict xfails of ROADMAP items 8 and 14 pin.
+# The message of the first-break closed-form audit.
 FIRST_BREAK_AUDIT = "at the first break differs from its closed form"
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIRST_BREAK_AUDIT, load_script
+from conftest import load_script
 
 from circlebreak import cli, crossratio
 from circlebreak.cli import (
@@ -639,6 +639,17 @@ def _assert_verdict(code, out, verdict):
     assert got == verdict
 
 
+def _check_verdict(tmp_path, doc, verdict):
+    """The singularity run of ``doc`` reaches ``verdict``; with ``verdict``
+    None, it exits 0 with any verdict but SINGULAR_EVIDENCE."""
+    code, out = run(tmp_path, "singularity", doc)
+    if verdict is None:
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["verdict"] != "SINGULAR_EVIDENCE"
+        return
+    _assert_verdict(code, out, verdict)
+
+
 # pl_herman misses its theory verdict (ROADMAP item 1b); its cell with no
 # verdict pins what the run does reach: exit 0 and never a singular verdict.
 @pytest.mark.parametrize(
@@ -648,12 +659,18 @@ def _assert_verdict(code, out, verdict):
 )
 def test_bundled_experiments_keep_their_verdicts(tmp_path, name, verdict):
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
-    code, out = run(tmp_path, "singularity", doc)
-    if verdict is None:
-        assert code == 0
-        assert json.loads((out / "report.json").read_text())["verdict"] != "SINGULAR_EVIDENCE"
-        return
-    _assert_verdict(code, out, verdict)
+    _check_verdict(tmp_path, doc, verdict)
+
+
+# The same at ranks 8-20, about 5 s in all; pl_herman has its no-verdict
+# cell only, as its theory cell is the one above.
+@pytest.mark.parametrize(
+    "name, verdict",
+    [cell for cell in EXPERIMENT_THEORY if cell[0] != "pl_herman"] + [("pl_herman", None)],
+)
+def test_bundled_experiments_keep_their_verdicts_at_ranks_8_to_20(tmp_path, name, verdict):
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    _check_verdict(tmp_path, dict(doc, n_min=8, n_max=20), verdict)
 
 
 # What stops each run that item 8's chain defect breaks; a pin that stops
@@ -661,25 +678,17 @@ def test_bundled_experiments_keep_their_verdicts(tmp_path, name, verdict):
 C0_DRIFT = "drifted from C0"
 
 
-def _passes_unless_item_8(capsys, code, cause):
+def _passes_unless_item_8(capsys, code):
     err = capsys.readouterr().err
-    if code != 0 and not (code == 4 and cause in err):
+    if code != 0 and not (code == 4 and C0_DRIFT in err):
         pytest.fail(f"exit {code} for a reason other than ROADMAP item 8: {err}")
     assert code == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="exits 4: the first-break audit's one-step factor 1.3333333872289526 "
-    "misses its closed form 1.3333334026021675 beyond 9.27e-09, from the "
-    "distortion chain's gap rounding (ROADMAP item 8; item 14's prototype "
-    "makes it pass)",
-)
 def test_pq_main_passes_at_rank_17(tmp_path, capsys):
     doc = json.loads((CONFIG_DIR / "pq_main.json").read_text())
     code, _ = run(tmp_path, "singularity", dict(doc, n_min=17, n_max=17))
-    _passes_unless_item_8(capsys, code, FIRST_BREAK_AUDIT)
+    assert code == 0, capsys.readouterr().err
 
 
 @pytest.mark.xfail(
@@ -693,7 +702,7 @@ def test_pq_same_orbit_passes_at_rank_19(tmp_path, capsys):
     doc = json.loads((CONFIG_DIR / "pq_same_orbit.json").read_text())
     doc.update(x0=0.9777456784655486, n_min=19, n_max=19)
     code, _ = run(tmp_path, "singularity", doc)
-    _passes_unless_item_8(capsys, code, C0_DRIFT)
+    _passes_unless_item_8(capsys, code)
 
 
 @pytest.mark.xfail(
@@ -740,20 +749,12 @@ def test_verdicts_beyond_the_golden_mean(tmp_path, name, rho, verdict):
     _assert_verdict(code, out, verdict)
 
 
-# pq_main's first failing rank off the golden mean; the mixed rho also
-# exits 4 at rank 10, but that run takes about 2 s, most of it tuning, so
-# it has no pin yet.
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="exits 4: the first-break audit's one-step factor misses its closed "
-    "form, from the distortion chain's gap rounding (ROADMAP item 8; item 14's "
-    "prototype makes them pass)",
-)
+# The first ranks off the golden mean where pq_main stopped on the
+# first-break audit while that audit read a sampled K1 under a 1e-9 floor.
 @pytest.mark.parametrize("rho, rank", [("silver", 10), ("quotient-20", 11)])
 def test_pq_main_passes_beyond_the_golden_mean(tmp_path, capsys, rho, rank):
     code, _ = _grid_run(tmp_path, "pq_main", rho, rank, rank)
-    _passes_unless_item_8(capsys, code, FIRST_BREAK_AUDIT)
+    assert code == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from circlebreak.crossratio import (
     distortion_rows,
     f_func,
     g_func,
-    _sample_quadruples,
     image_quadruple,
     lift_into,
     normalized_coords,
@@ -220,7 +219,7 @@ def test_single_break_closed_form_pl_exact():
     for t in (0.0, 0.3, 0.9):
         z2 = brk.location + t * 0.01
         q = Quadruple(z2 - 0.01, z2, z2 + 0.012, z2 + 0.02)
-        res = single_break_closed_form(q, brk, m)
+        res = single_break_closed_form(q, image_quadruple(q, m), brk, m)
         assert res.curvature == 0.0  # curvature-free family
         assert abs(res.actual - res.predicted) <= res.residual_bound
         # the break sits in [z1, z2], at z = t
@@ -271,7 +270,7 @@ def test_single_break_closed_form_right_side():
     brk = m.breaks[1]
     z3 = brk.location - 0.004
     q = Quadruple(z3 - 0.02, z3 - 0.01, z3, z3 + 0.01)
-    res = single_break_closed_form(q, brk, m)
+    res = single_break_closed_form(q, image_quadruple(q, m), brk, m)
     # the break sits in [z3, z4], at theta = 0.4
     assert res.predicted == pytest.approx(
         f_func(normalized_coords(q).eta, 0.4, 1 / brk.sigma), rel=1e-12
@@ -283,25 +282,29 @@ def test_single_break_closed_form_pq_bounded(pq_map):
     brk = pq_map.breaks[0]
     q = Quadruple(brk.location - 0.005, brk.location, brk.location + 0.006,
                   brk.location + 0.011)
-    res = single_break_closed_form(q, brk, pq_map)
+    res = single_break_closed_form(q, image_quadruple(q, pq_map), brk, pq_map)
     assert res.curvature > 0
     assert res.residual_bound == res.curvature + res.rounding
     assert abs(res.actual - res.predicted) <= res.residual_bound
 
 
+def _assert_row_without_bound(q, m):
+    (row,) = distortion_rows((q,), m)
+    assert row == DistortionRow(cross_ratio(q), distortion(q, m))
+    assert (row.predicted, row.residual, row.bound) == (None, None, None)
+
+
 def test_single_break_rejects_second_break(pq_map):
+    # no closed form covers two breaks in one hull
     a, c = pq_map.breaks[0].location, pq_map.breaks[1].location
-    q = Quadruple(a - 0.01, a, (a + c) / 2, c + 0.01)
-    with pytest.raises(BreakNotInStatedInterval):
-        single_break_closed_form(q, pq_map.breaks[0], pq_map)
+    _assert_row_without_bound(Quadruple(a - 0.01, a, (a + c) / 2, c + 0.01), pq_map)
 
 
 def test_single_break_rejects_a_middle_gap_break():
+    # nor one break in the middle gap, though its PL frame is defined
     m = make_pl_two_break(0.3, 0.7, 2.0)
     brk = m.breaks[0]
-    q = Quadruple.from_gaps(brk.location - 0.01, 0.005, 0.01, 0.005)
-    with pytest.raises(BreakNotInStatedInterval):
-        single_break_closed_form(q, brk, m)
+    _assert_row_without_bound(Quadruple.from_gaps(brk.location - 0.01, 0.005, 0.01, 0.005), m)
 
 
 # the pq map of the bundled partition and distortion configs, as pinned there
@@ -311,53 +314,26 @@ PL = make_pl_two_break(0.2, 0.6, 3.0, 0.3)
 
 def test_calibrations():
     assert calibrate_k1(make_pl_two_break(0.3, 0.7, 2.0)) == 0.0
-    assert calibrate_k1(make_pq_two_break(0.2, 0.6, 2.0, 0.8)) > 0.0
-    # K1 is still sampled, bit for bit as before C1 went closed form
-    assert calibrate_k1(PINNED_PQ) == 0.7080270578616931
-
-
-def test_k1_sample_keeps_one_break_per_hull():
-    # breaks 0.01 apart under hulls up to 10**-1.4 = 0.04 long: a hull
-    # that holds both is drawn again
-    m = make_pq_two_break(0.2, 0.21, 2.0, 0.8)
-    sample = _sample_quadruples(m, random.Random(0x5EED), 1000)
-    assert len(sample) == 1000
-    assert max(qd.hull for qd, _ in sample) > 0.02
-    for qd, brk in sample:
-        (other,) = (b for b in m.breaks if b is not brk)
-        assert qd.z1 <= lift_into(brk.location, qd.z1) <= qd.z4
-        assert not qd.z1 < lift_into(other.location, qd.z1) < qd.z4
-    assert calibrate_k1(m) > 0
-
-
-def test_k1_skips_hulls_without_curvature(monkeypatch):
-    # read with no curvature around the second break, those hulls drop out
-    # and the first break's hulls alone set K1
-    second = PINNED_PQ.breaks[1]
-
-    def ratio(qd, brk):
-        predicted = pl_frame_distortion(qd, lift_into(brk.location, qd.z1), brk.sigma)
-        integral = abs_d2f_integral(PINNED_PQ, qd.z1, qd.z4)
-        return abs(distortion(qd, PINNED_PQ) - predicted) / integral
-
-    sample = _sample_quadruples(PINNED_PQ, random.Random(0x5EED), 1000)
-    first_only = 2.0 * max(ratio(qd, brk) for qd, brk in sample if brk is not second)
-    assert first_only < calibrate_k1(PINNED_PQ)
-
-    def flat_at_the_second(m, lo, hi):
-        return 0.0 if lo < lift_into(second.location, lo) < hi else abs_d2f_integral(m, lo, hi)
-
-    monkeypatch.setattr(circlebreak.crossratio, "abs_d2f_integral", flat_at_the_second)
-    assert calibrate_k1.__wrapped__(PINNED_PQ) == first_only
+    assert calibrate_k1(make_rotation(0.3)) == 0.0
+    for m in (PINNED_PQ, make_pq_two_break(0.2, 0.21, 2.0, 0.8)):
+        k1 = calibrate_k1(m)
+        assert k1 == 1 / min(m.seg_d0 + m.seg_d1)
+        # Df is monotone on each segment, so log Df varies there by the
+        # log of its end ratio, which K1 times the curvature integral bounds
+        for s in (0, 1):
+            lo, hi = m.seg_pos[s], m.seg_pos[s + 1]
+            variation = abs(math.log(m.seg_d1[s] / m.seg_d0[s]))
+            assert variation <= k1 * abs_d2f_integral(m, lo, hi)
 
 
 def test_c1_is_closed_form(monkeypatch):
     def no_sampling(*args):
-        raise AssertionError("calibrate_c1 drew random numbers")
+        raise AssertionError("a calibration drew random numbers")
 
-    monkeypatch.setattr(circlebreak.crossratio.random, "Random", no_sampling)
+    monkeypatch.setattr(random, "Random", no_sampling)
     min_df = min(PINNED_PQ.seg_d0 + PINNED_PQ.seg_d1)
-    assert calibrate_c1(PINNED_PQ) == 1 / (4 * min_df**2)
+    assert calibrate_k1.__wrapped__(PINNED_PQ) == 1 / min_df
+    assert calibrate_c1.__wrapped__(PINNED_PQ) == 1 / (4 * min_df**2)
     assert calibrate_c1(PINNED_PQ) == pytest.approx(0.62016, abs=1e-5)
     assert calibrate_c1(PL) == 0.0
     assert calibrate_c1(make_rotation(0.3)) == 0.0
@@ -377,15 +353,16 @@ def _exact_lift(m, x):
     )
 
 
+def _exact_cross_ratio(a, b, c):
+    return a * c / ((a + b) * (b + c))
+
+
 def _exact_distortion(m, q):
     zs = [Fraction(z) for z in q]
     fs = [_exact_lift(m, z) for z in zs]
-
-    def cr(p):
-        a, b, c = (p[k + 1] - p[k] for k in range(3))
-        return a * c / ((a + b) * (b + c))
-
-    return cr(fs) / cr(zs)
+    return _exact_cross_ratio(*(fs[k + 1] - fs[k] for k in range(3))) / _exact_cross_ratio(
+        *(zs[k + 1] - zs[k] for k in range(3))
+    )
 
 
 def _seeded_quadruples(rng, m, count, breaks_inside):
@@ -438,6 +415,54 @@ def test_pl_one_break_rows_hold_their_rounding_bound():
             assert row.residual <= row.bound
 
 
+# the pq maps of the jump-ratio grid (tests/test_singularity.py)
+JUMP_GRID_PQ = [
+    make_pq_two_break(0.2, 0.6, sigma_a, sigma_c)
+    for sigma_a in (0.5, 1.25, 2.0, 4.0)
+    for sigma_c in (0.1, 0.3, 0.45, 0.55, 0.7, 0.8, 0.9, 1.6, 3.0)
+    if sigma_a * sigma_c != 1.0
+]
+
+
+def _exact_pl_frame(q, brk):
+    """pl_frame_distortion in Fraction arithmetic, at the break's exact lift
+    and its exact jump ratio."""
+    zs = [Fraction(z) for z in q]
+    pos = Fraction(brk.location) + math.ceil(zs[0] - Fraction(brk.location))
+    sigma = Fraction(brk.d_minus) / Fraction(brk.d_plus)
+    imgs = []
+    for u, w in zip(zs, zs[1:]):
+        left = min(max(pos - u, 0), w - u)
+        imgs.append(sigma * left + (w - u - left))
+    return _exact_cross_ratio(*imgs) / _exact_cross_ratio(
+        *(zs[k + 1] - zs[k] for k in range(3))
+    )
+
+
+def test_closed_form_curvature_term_holds_in_exact_arithmetic():
+    # one break in either side gap or in the middle gap, hulls of 1e-6 to
+    # 0.03, and middle-to-side gap ratios of 0.01 to 5000, which the
+    # c_in_U covers reach at C0 up to 4180; the largest residual uses 0.17
+    # of the term
+    rng = random.Random(42)
+    for _ in range(1500):
+        m = rng.choice(JUMP_GRID_PQ)
+        brk = rng.choice(m.breaks)
+        hull = 10 ** rng.uniform(-6, math.log10(0.03))
+        ratio = 10 ** rng.uniform(-2, math.log10(5000))
+        sides = [0.5 + rng.random() for _ in range(2)]
+        middle = ratio * (sides[0] + sides[1]) / 2
+        scale = hull / (sides[0] + middle + sides[1])
+        gaps = [sides[0] * scale, middle * scale, sides[1] * scale]
+        which = rng.randrange(3)
+        offset = sum(gaps[:which]) + rng.random() * gaps[which]
+        q = Quadruple.from_gaps(brk.location + rng.randrange(-2, 3) - offset, *gaps)
+        exact = _exact_distortion(m, q)
+        frame = _exact_pl_frame(q, brk)
+        cf = single_break_closed_form(q, image_quadruple(q, m), brk, m)
+        assert abs(exact - frame) <= cf.curvature, q
+
+
 def test_rounding_past_its_range_is_refused():
     # gaps of 1e-15 on a lift near 3: eps over the gap is above 1/64
     q = Quadruple.from_gaps(3.1, 1e-15, 1e-15, 1e-15)
@@ -454,10 +479,9 @@ def _reference_row(q, m):
         sb = smooth_distortion_bound(m, q)
         predicted, actual, bound = 1.0, sb.actual, sb.bound
     else:
-        try:
-            cf = single_break_closed_form(q, inside[0], m)
-        except BreakNotInStatedInterval:
+        if len(inside) > 1 or q.z2 < lift_into(inside[0].location, q.z1) < q.z3:
             return DistortionRow(cr, distortion(q, m))
+        cf = single_break_closed_form(q, image_quadruple(q, m), inside[0], m)
         predicted, actual, bound = cf.predicted, cf.actual, cf.residual_bound
     residual = abs(actual - predicted)
     if residual > bound:

@@ -664,9 +664,9 @@ def test_same_orbit_placement_uses_callers_cap(monkeypatch, gcf):
 def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
     # Herman: both breaks on one orbit of a PL map give an AC measure, and
     # with c exactly f(a) the q_n-distortion gap is rounding only.  At
-    # rank 19 the chain's rounding puts c 4e-9 alpha left of z2; taking
-    # its offset as exactly 0 would move the predicted second-break factor
-    # by 1.6e-9, past the audit's 1e-9 budget
+    # rank 19 the chain's rounding puts c 4e-9 alpha left of z2, which
+    # moves the predicted second-break factor by 1.6e-9 from the offset-0
+    # slice
     ranks = list(range(5, 13)) + [19]
     rows = qn_rows(pl_so_map, gcf, 0.05, ranks)
     assert [r.n for r in rows] == ranks
@@ -921,16 +921,7 @@ def test_pl_same_orbit_maps_never_read_singular(slope_ratio, rho, n_max):
 # What stops each cell of the jump-ratio grid that item 14's one-sided
 # cover width breaks; a cell that stops for another reason fails outright.
 ROUNDING_FLOOR = "leaves cover widths at the rounding floor"
-JUMP_GRID_STOPS = {
-    **dict.fromkeys(
-        [(0.5, 0.1), (0.5, 3.0), (1.25, 0.1)]
-        + [(2.0, sigma_c) for sigma_c in (0.1, 0.3, 0.45, 0.55)]
-        + [(4.0, sigma_c) for sigma_c in (0.45, 0.55, 0.7, 0.8, 1.6, 3.0)],
-        FIRST_BREAK_AUDIT,
-    ),
-    (4.0, 0.1): ROUNDING_FLOOR,
-    (4.0, 0.3): ROUNDING_FLOOR,
-}
+JUMP_GRID_STOPS = {(4.0, 0.1): ROUNDING_FLOOR, (4.0, 0.3): ROUNDING_FLOOR}
 
 
 def _jump_grid_cells():
@@ -965,6 +956,31 @@ def test_verdicts_across_the_jump_ratios(sigma_a, sigma_c, cause):
         raise AssertionError(str(exc)) from exc
     if rep.verdict != "SINGULAR_EVIDENCE":
         pytest.fail(f"verdict {rep.verdict}, min_upper_gap {rep.min_upper_gap!r}")
+
+
+@pytest.mark.parametrize(
+    "sigma_a, sigma_c, n_max", [(2.0, 0.8, 12), (2.0, 0.1, 8)], ids=["2-0.8", "2-0.1"]
+)
+def test_first_break_audit_catches_a_wrong_closed_form(monkeypatch, sigma_a, sigma_c, n_max):
+    # the first break read with a jump ratio 5% high, its map unchanged: the
+    # audit's closed form then misses the chain's factor, from the grid's
+    # widest cover hull to its smallest (5.8e-12 at (2, 0.1), rank 5)
+    import circlebreak.singularity as sing
+
+    build = sing.build_experiment_map
+
+    def wrong_first_break(config, target):
+        m, tr, notes = build(config, target)
+        a = m.breaks[0]
+        wrong = BreakPoint(a.location, 1.05 * a.d_minus, a.d_plus)
+        return m._replace(breaks=(wrong, m.breaks[1])), tr, notes
+
+    monkeypatch.setattr(sing, "build_experiment_map", wrong_first_break)
+    cfg = ExperimentConfig(
+        kind="pq", a=0.2, c=0.6, x0=0.05, sigma_a=sigma_a, sigma_c=sigma_c, n_min=5, n_max=n_max
+    )
+    with pytest.raises(InvariantFailure, match=FIRST_BREAK_AUDIT):
+        singularity_report(cfg)
 
 
 @pytest.mark.parametrize(
