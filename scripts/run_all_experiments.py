@@ -150,8 +150,6 @@ def main() -> int:
             f"min_upper_gap {report['min_upper_gap']:.3e}  "
             f"median_gap {report['median_gap']:.3e}"
         )
-        lorenz = [row["lorenz_90_length"] for row in report["rows"]]
-        print("   lorenz_90_length " + " ".join(f"{v:.5f}" for v in lorenz))
         print_digest(label, proc, manifest)
     for name, command in OTHER_CONFIGS:
         stem = os.path.splitext(name)[0]

@@ -857,13 +857,6 @@ def cmd_singularity(doc, outdir, seed):
         ("report.json", [_json_text(body) + "\n"]),
         ("rows.csv", _csv_chunks(ReportRow._fields, rows)),
     ]
-    for curve in report.curves:
-        artifacts.append(
-            (
-                f"lorenz_n{curve.n}.csv",
-                _csv_chunks(["cum_length", "cum_mass"], curve.points),
-            )
-        )
     return _write_all(outdir, artifacts)
 
 

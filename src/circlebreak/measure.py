@@ -111,20 +111,6 @@ def partition_masses(om: OrbitMeasure):
     return [to_circle(phi[r] - phi[l]) for l, r in zip(el.left_index, el.right_index)]
 
 
-def convergent_masses(part: DynamicalPartition, rho):
-    """Masses of the cells of xi_n from the convergent errors alone.
-
-    The conjugacy to the rotation by rho carries a rank-k cell onto an
-    arc of length beta_k = |q_k rho - p_k|, so every cell of xi_n has
-    mass beta_{n-1} or beta_n by its rank tag; no orbit is needed.
-    Returns a list, one mass per cell in the partition's order.
-    """
-    cf, n = part.cf, part.n
-    beta_nm1, beta_n = convergent_error(cf, rho, n - 1), convergent_error(cf, rho, n)
-    # the q_n rank-(n-1) cells come first, then the q_{n-1} rank-n cells
-    return [beta_nm1] * part.q_n + [beta_n] * part.q_nm1
-
-
 def mass_identity_residual(cf: ContinuedFraction, rho, n: int):
     """q_n beta_{n-1} + q_{n-1} beta_n - 1, zero in exact arithmetic.
 

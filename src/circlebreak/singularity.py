@@ -3,9 +3,7 @@
 Turns a tuned two-break map into quantitative evidence about its
 invariant measure: cover triples centered on a break preimage, and the
 G*F product gap that keeps Dist(.; f^{q_n}) away from 1, which is the
-paper's criterion and alone decides a two-break verdict.  Lorenz-style
-mass-versus-length curves ride along as evidence; they decide only the
-break-free baseline.
+paper's criterion and alone decides a two-break verdict.
 """
 
 from __future__ import annotations
@@ -54,16 +52,12 @@ from .crossratio import (
     normalized_coords,
     single_break_closed_form,
 )
-from .measure import convergent_masses
 
 CASE_TAGS = ("c_outside_U", "c_in_U_left", "c_in_U_right", "a_only")
 
 # Relative slack for certification checks on quantities that are exact
 # by construction up to rounding.
 CERT_SLACK = 1e-9
-
-# Relative accuracy of every partition mass a singularity report uses.
-MASS_REL_TOL = 1e-3
 
 # Placement rounds ``solve_same_orbit`` allows for same_orbit_steps > 1.
 SAME_ORBIT_ROUNDS = 40
@@ -588,7 +582,10 @@ class LorenzCurve(NamedTuple):
 
 
 def mass_length_curve(part: DynamicalPartition, masses):
-    """Lorenz curve of ``part`` with one mass per cell, in cell order."""
+    """Lorenz curve of ``part`` with one mass per cell, in cell order.
+
+    No command draws it; ``perfbench/trace_launcher.py`` binds it.
+    """
     el = part.elements
     # densest first; ties by rank tag, then index
     order = sorted(
@@ -711,9 +708,9 @@ class ExperimentConfig(_ExperimentConfigFields):
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError("need 1 <= n_min <= n_max")
         qs = tuple(int(k) for k in self.rho_quotients)
-        if len(qs) < self.n_max + 1 or any(k < 1 for k in qs):
+        if len(qs) < self.n_max + 2 or any(k < 1 for k in qs):
             raise ConfigError(
-                "rho_quotients must reach past n_max with entries >= 1"
+                "rho_quotients must reach n_max + 2 with entries >= 1"
             )
         if self.kind != "rotation" and self.n_min == 1 and qs[0] == 1:
             raise ConfigError(
@@ -721,18 +718,12 @@ class ExperimentConfig(_ExperimentConfigFields):
                 "q_1 = q_0, and the rank-1 cover window is a single point"
             )
         cf = ContinuedFraction.from_quotients(qs)
-        width = mass_width(cf, self.n_max)
+        width = tuning_width(cf, self.n_max)
         if not width >= TUNE_TOL_FLOOR:
             raise ConfigError(
                 f"n_max {self.n_max} needs rho to {width:.2g}, finer than the "
                 f"certifiable {TUNE_TOL_FLOOR:g}"
             )
-        try:
-            cf.bracket_within(width)
-        except ValueError as e:
-            raise ConfigError(
-                f"rho_quotients cannot certify the masses of rank {self.n_max}: {e}"
-            ) from e
         if self.same_orbit_steps is not None and self.same_orbit_steps < 1:
             raise ConfigError("same_orbit_steps must be >= 1 when set")
         if self.cap < 1:
@@ -748,7 +739,6 @@ class ReportRow(NamedTuple):
     q_n: int
     gf_gap: float | None
     dist_qn_gap: float
-    lorenz_90_length: float
     case_tag: str
 
 
@@ -770,11 +760,8 @@ class _SingularityReportFields(NamedTuple):
     min_upper_gap: float
     median_gap: float
     notes: tuple
-    # (key, value) pairs of the rho certificate the masses were read off
+    # (key, value) pairs of the rho certificate
     diagnostics: tuple = ()
-    # Full mass-length curves, one per row; carried for tabular emission
-    # but kept out of the JSON document.
-    curves: tuple = ()
 
 
 class SingularityReport(_SingularityReportFields):
@@ -791,10 +778,9 @@ class SingularityReport(_SingularityReportFields):
         return self
 
     def to_json_dict(self) -> dict:
-        """Every field but ``curves``, in field order, with the pair tuples
-        as objects and each row as its fields."""
+        """Every field, in field order, with the pair tuples as objects and
+        each row as its fields."""
         doc = self._asdict()
-        del doc["curves"]
         doc.update(
             map_params=dict(self.map_params),
             rows=[r._asdict() for r in self.rows],
@@ -803,32 +789,39 @@ class SingularityReport(_SingularityReportFields):
         return doc
 
 
-def mass_width(cf: ContinuedFraction, n: int) -> float:
-    """Width of a rho enclosure whose midpoint gives every cell mass of
-    ranks up to n within MASS_REL_TOL.
+def tuning_width(cf: ContinuedFraction, n: int) -> float:
+    """Width 1 / (q_{n+1} q_{n+2}) of the target's bracket n + 2, to which
+    an experiment with ``n_max`` n tunes its map.
 
-    The width is w = 2 * MASS_REL_TOL / (q_n (q_n + q_{n+1})).  A midpoint
-    rho_hat within w/2 of rho moves beta_k = |q_k rho - p_k| by at most
-    q_k w / 2, while beta_k > 1/(q_k + q_{k+1}).  The relative error of
-    beta_k is therefore below q_k (q_k + q_{k+1}) w / 2, which grows with
-    k and equals MASS_REL_TOL at k = n.
+    xi_k has the target's cyclic order on the whole open bracket k.  Its
+    ends p_{k-1}/q_{k-1} and p_k/q_k are Farey neighbours, so every
+    fraction strictly between them has a denominator of at least
+    q_{k-1} + q_k, which is the length of xi_k's orbit: no two of its
+    points can trade places while rho stays inside.  Bracket n + 2 lies
+    inside every bracket k <= n + 2, so every rank of the report has its
+    combinatorics.
+
+    Inside bracket n + 2, beta_n = |q_n rho - p_n| runs linearly between
+    k_{n+2}/q_{n+2} and 1/q_{n+1}; inside bracket n + 1, beta_{n-1}
+    likewise runs between k_{n+1}/q_{n+1} and 1/q_n.  Each pair of ends
+    is within a factor 1 + 1/k <= 2, so both cell masses of xi_n stay
+    within a factor 2 of the target's, and the cells keep their scale.
     """
-    return 2.0 * MASS_REL_TOL / (cf.q(n) * (cf.q(n) + cf.q(n + 1)))
+    return 1.0 / (cf.q(n + 1) * cf.q(n + 2))
 
 
 def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
     """Map described by the config, tuned to ``target``, the continued
     fraction of ``config.rho_quotients``, with its TuneResult and notes.
 
-    Tuning stops at the first bracket of the target within
-    ``mass_width`` of rank ``n_max``, so the certificate's midpoint serves
-    the masses.  The rotation is not tuned: its TuneResult carries the
-    same bracket, which holds ``target.value`` by construction.
+    Tuning stops at the target's bracket n_max + 2 (``tuning_width``).
+    The rotation is not tuned: its TuneResult carries the same bracket,
+    which holds ``target.value`` by construction.
     """
     notes = []
-    width = mass_width(target, config.n_max)
+    width = tuning_width(target, config.n_max)
     if config.kind == "rotation":
-        rho = target.bracket(target.bracket_within(width))
+        rho = target.bracket(config.n_max + 2)
         tr = TuneResult(target.value, rho, None, width)
         return make_rotation(target.value), tr, notes
     if config.same_orbit_steps is not None:
@@ -857,23 +850,20 @@ def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
 
 
 def singularity_report(config: ExperimentConfig) -> SingularityReport:
-    """Full experiment: tune (enclosing rho), partition, cover, gap, curve.
+    """Full experiment: tune (enclosing rho), partition, cover, gap.
 
     A two-break map is SINGULAR_EVIDENCE when the distortion gaps stay
     bounded away from zero on the deep ranks (``gap_floor_ok``), the
     paper's criterion: Dist(.; f^{q_n}) bounded away from 1 on the cover
     triples rules out an absolutely continuous measure.  It is
     INCONCLUSIVE otherwise.  A map without two breaks is AC_BASELINE when
-    the gaps and the length carrying 90% of the mass sit at their
-    rigid-rotation values, and INCONCLUSIVE otherwise.
+    it is a rigid rotation, v = Var log Df = 0, which preserves Lebesgue
+    measure, and its gaps stay below 1e-8; it is INCONCLUSIVE otherwise.
     """
     cf = ContinuedFraction.from_quotients(config.rho_quotients)
     m, tr, notes = build_experiment_map(config, cf)
     translation = tr.translation
     stats = map_stats(m)
-    # the certificate holds rho in a bracket within the mass width, so
-    # its midpoint serves every rank's masses
-    rho = tr.rho.value
     bracket = cf.bracket_within(tr.certified_tol)
     deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)
     tables = break_preimages(m, deep)
@@ -887,19 +877,15 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
         )
 
     rows = []
-    curves = []
     for n in range(config.n_min, config.n_max + 1):
         part = deep.coarsen(n)
         qrow = _qn_row(m, part, tables)
-        curve = mass_length_curve(part, convergent_masses(part, rho))
-        curves.append(curve)
         rows.append(
             ReportRow(
                 n=n,
                 q_n=part.q_n,
                 gf_gap=qrow.gf_gap,
                 dist_qn_gap=qrow.dist_qn_gap,
-                lorenz_90_length=curve.lorenz_90_length,
                 case_tag=qrow.case_tag,
             )
         )
@@ -914,11 +900,9 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
         gap_floor_ok = min_upper >= GAP_ABS_FLOOR and min_upper >= GAP_FLOOR_RATIO * med
         verdict = VERDICT_SINGULAR if gap_floor_ok else VERDICT_OPEN
     else:
-        flat = all(abs(r.lorenz_90_length - LORENZ_MASS) <= 2.0 / r.q_n for r in rows)
         gap_floor_ok = False
-        verdict = (
-            VERDICT_BASELINE if max(gaps) < 1e-8 and flat else VERDICT_OPEN
-        )
+        rigid = stats.v == 0.0 and max(gaps) < 1e-8
+        verdict = VERDICT_BASELINE if rigid else VERDICT_OPEN
 
     if config.kind == "rotation":
         map_params = (("translation", translation),)
@@ -949,5 +933,4 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
             ("rho_bracket_width", 1.0 / (cf.q(bracket - 1) * cf.q(bracket))),
             ("tune_bisections", tr.bisections),
         ),
-        curves=tuple(curves),
     )

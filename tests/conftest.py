@@ -12,8 +12,13 @@ from circlebreak.errors import InvariantFailure
 from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make_rotation
 from circlebreak.numerics import MACHINE_EPS, arc_length, to_circle
 from circlebreak.partition import build_partition
-from circlebreak.rotation import ContinuedFraction, tune_translation
-from circlebreak.singularity import _qn_row, break_preimages, solve_same_orbit
+from circlebreak.rotation import ContinuedFraction, convergent_error, tune_translation
+from circlebreak.singularity import (
+    _qn_row,
+    break_preimages,
+    mass_length_curve,
+    solve_same_orbit,
+)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -141,6 +146,28 @@ def qn_rows(m, cf, x0, ranks):
     deep = build_partition(m, cf, x0, ranks[-1])
     tables = break_preimages(m, deep)
     return [_qn_row(m, deep.coarsen(n), tables) for n in ranks]
+
+
+def beta_masses(part, rho):
+    """One mass per cell of ``part``, in cell order, from the convergent
+    errors alone: the conjugacy to the rotation by rho carries a rank-k
+    cell onto an arc of length beta_k = |q_k rho - p_k|."""
+    cf, n = part.cf, part.n
+    # the q_n rank-(n-1) cells come first, then the q_{n-1} rank-n cells
+    return [convergent_error(cf, rho, n - 1)] * part.q_n + [
+        convergent_error(cf, rho, n)
+    ] * part.q_nm1
+
+
+def lorenz_lengths(m, cf, x0, ranks, rho):
+    """``mass_length_curve``'s lorenz_90_length of each of ``ranks``
+    (ascending), with the cells' beta masses at ``rho``."""
+    ranks = list(ranks)
+    deep = build_partition(m, cf, x0, ranks[-1])
+    return [
+        mass_length_curve(part, beta_masses(part, rho)).lorenz_90_length
+        for part in map(deep.coarsen, ranks)
+    ]
 
 
 @pytest.fixture(scope="session")

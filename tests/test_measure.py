@@ -1,12 +1,11 @@
 import pytest
 
-from conftest import GOLDEN
+from conftest import GOLDEN, beta_masses
 
 import circlebreak.measure
 from circlebreak.errors import OrderViolation, PrecisionBudgetExceeded
 from circlebreak.measure import (
     conjugacy_values,
-    convergent_masses,
     mass_identity_residual,
     partition_masses,
 )
@@ -19,7 +18,7 @@ from circlebreak.rotation import (
     convergent_error,
     rho_farey,
 )
-from circlebreak.singularity import MASS_REL_TOL, mass_length_curve
+from circlebreak.singularity import mass_length_curve
 
 
 def exact_rho(value):
@@ -174,42 +173,21 @@ def test_phi_drift_within_budget(pq_om):
     assert pq_om.rho.width * pq_om.n_points <= 1e-7
 
 
-def mass_rule_width(cf, n):
-    """The rho width a singularity report asks for at deepest rank n."""
-    return 2.0 * MASS_REL_TOL / (cf.q(n) * (cf.q(n) + cf.q(n + 1)))
-
-
 @pytest.mark.parametrize("name", ["pq", "pl", "rot"])
 def test_convergent_masses_match_orbit_masses(request, gcf, name):
+    # the beta masses the Lorenz tests feed ``mass_length_curve``: with
+    # the map's own rho, the rank tag picks beta_{n-1} or beta_n exactly
     m = request.getfixturevalue(name + "_map")
     fine, _ = rho_farey(m, width=1e-11)
-    w = mass_rule_width(gcf, 12)
-    coarse, _ = rho_farey(m, width=w)
-    assert coarse.width <= w
     deep = build_partition(m, gcf, 0.05, 12)
     for n in range(2, 13):
         part = deep.coarsen(n)
         orbit = partition_masses(conjugacy_values(m, fine, part, len(deep.orbit)))
-        # same rho: the rank tag picks beta_{n-1} or beta_n exactly
-        same = convergent_masses(part, fine.value)
-        assert max(abs(a - b) for a, b in zip(same, orbit)) <= 1e-12
-        # the report's coarser rho: q_k times the rho error, plus rounding
-        masses = convergent_masses(part, coarse.value)
-        for k, mass, ref in zip(part.elements.rank_tag, masses, orbit):
-            assert abs(mass - ref) <= gcf.q(k) * (coarse.width + fine.width) / 2 + 1e-12
-            assert abs(mass - ref) <= MASS_REL_TOL * ref
+        masses = beta_masses(part, fine.value)
+        assert max(abs(a - b) for a, b in zip(masses, orbit)) <= 1e-12
         if m.breaks:
             assert (
                 mass_length_curve(part, masses).lorenz_90_length
                 == mass_length_curve(part, orbit).lorenz_90_length
             )
-
-
-def test_convergent_masses_are_the_rank_errors(gcf):
-    # any partition of the golden cf: rank n-1 cells get beta_{n-1}
-    part = build_partition(make_rotation(GOLDEN), gcf, 0.3, 6)
-    masses = convergent_masses(part, GOLDEN)
-    for tag, mass in zip(part.elements.rank_tag, masses):
-        assert mass == convergent_error(gcf, GOLDEN, tag)
-    assert sum(masses) == pytest.approx(1.0, abs=1e-12)
 

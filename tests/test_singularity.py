@@ -15,6 +15,7 @@ from conftest import (
     Arc,
     _reference_endpoint_condition,
     _reference_is_qn_small,
+    beta_masses,
     qn_rows,
     sum_left_to_right,
 )
@@ -42,12 +43,10 @@ from circlebreak.maps import (
     map_stats,
     retreat,
 )
-from circlebreak.measure import convergent_masses
 from circlebreak.numerics import arc_length, to_circle
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction, tune_translation
 from circlebreak.singularity import (
-    MASS_REL_TOL,
     CoverTriple,
     ExperimentConfig,
     RegularCoverParams,
@@ -57,12 +56,12 @@ from circlebreak.singularity import (
     gf_gap,
     make_cover_params,
     mass_length_curve,
-    mass_width,
     build_experiment_map,
     r6_bound,
     regular_cover_triple,
     singularity_report,
     solve_same_orbit,
+    tuning_width,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -379,7 +378,7 @@ def test_preimages_of_a_detuned_map_exit_4_naming_the_roundtrip(monkeypatch, tmp
     )
     code, err = _singularity_error(tmp_path, capsys, {"kind": "pq", "n_min": 6, "n_max": 6})
     assert code == 4
-    assert err == "error: roundtrip through 2 backward steps moved the break by 1.825e-07\n"
+    assert err == "error: roundtrip through 2 backward steps moved the break by 1.824e-07\n"
 
 
 def test_a_preimage_outside_its_window_is_refused(pq_map, gcf):
@@ -530,7 +529,7 @@ def test_qn_gaps_same_orbit_certified(so_map, gcf):
 
 def test_lorenz_rotation_flat(rot_map, gcf):
     part = build_partition(rot_map, gcf, 0.0, 7)
-    curve = mass_length_curve(part, convergent_masses(part, gcf.value))
+    curve = mass_length_curve(part, beta_masses(part, gcf.value))
     assert abs(curve.lorenz_90_length - 0.90) <= 2.0 / part.q_n
     end_len, end_mass = curve.points[-1]
     assert end_len == pytest.approx(1.0, abs=1e-9)
@@ -542,8 +541,8 @@ def test_lorenz_concentrates_for_pq(pq_map, gcf):
     shallow, deep = (
         build_partition(pq_map, gcf, 0.05, n) for n in (6, 10)
     )
-    shallow = mass_length_curve(shallow, convergent_masses(shallow, GOLDEN))
-    deep = mass_length_curve(deep, convergent_masses(deep, GOLDEN))
+    shallow = mass_length_curve(shallow, beta_masses(shallow, GOLDEN))
+    deep = mass_length_curve(deep, beta_masses(deep, GOLDEN))
     assert deep.lorenz_90_length < shallow.lorenz_90_length < 0.90
 
 
@@ -569,7 +568,7 @@ def test_lorenz_matches_sorted_reference(request, gcf, name):
     x0, rho = {"rot": (0.0, gcf.value), "pq": (0.05, GOLDEN)}[name]
     for n in range(2, 11):
         part = build_partition(m, gcf, x0, n)
-        masses = convergent_masses(part, rho)
+        masses = beta_masses(part, rho)
         curve = mass_length_curve(part, masses)
         assert (curve.points, curve.lorenz_90_length) == _reference_lorenz(
             part, masses
@@ -645,7 +644,7 @@ def test_same_orbit_placement_uses_callers_cap(monkeypatch, gcf):
     # n_max 7
     import circlebreak.singularity as sing
 
-    shape = dict(sigma_a=2.0, sigma_c=0.8, m_steps=3, tune_tol=mass_width(gcf, 7))
+    shape = dict(sigma_a=2.0, sigma_c=0.8, m_steps=3, tune_tol=tuning_width(gcf, 7))
     caps = []
     tune = sing.tune_translation
 
@@ -693,24 +692,23 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(kind="pq", same_orbit_steps=0)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", cap=0)
-    # the tuning width is rank n_max's mass width, 1.41e-8 at 12, which the
-    # golden bracket 20 is the first to meet; the rotation reads the same
-    # bracket, so every kind needs its quotients
+    # the tuning width is the golden bracket n_max + 2, 4.3e-6 at 12; the
+    # rotation reads the same bracket, so every kind needs its quotients
     golden = ContinuedFraction.from_quotients([1] * 30)
-    assert mass_width(golden, 12) == pytest.approx(1.407e-8, rel=1e-3)
-    assert golden.bracket_within(mass_width(golden, 12)) == 20
+    assert tuning_width(golden, 12) == 1 / (377 * 610)
+    assert golden.bracket_within(tuning_width(golden, 12)) == 14
     for kind in ("pq", "pl", "rotation"):
-        ExperimentConfig(kind=kind, rho_quotients=tuple([1] * 20), n_max=12)
-        with pytest.raises(ConfigError, match="cannot certify"):
-            ExperimentConfig(kind=kind, rho_quotients=tuple([1] * 19), n_max=12)
-    # n_max 21 needs 2.4e-12; 22 needs 9.3e-13, which binary64 cannot
+        ExperimentConfig(kind=kind, rho_quotients=tuple([1] * 14), n_max=12)
+        with pytest.raises(ConfigError, match="n_max \\+ 2"):
+            ExperimentConfig(kind=kind, rho_quotients=tuple([1] * 13), n_max=12)
+    # n_max 27 needs 2.3e-12; 28 needs 8.9e-13, which binary64 cannot
     # certify, so it is refused here, before any orbit runs
-    ExperimentConfig(kind="pq", n_max=21)
-    assert mass_width(golden, 22) == pytest.approx(9.3e-13, rel=1e-2)
+    ExperimentConfig(kind="pq", n_max=27)
+    assert tuning_width(golden, 28) == pytest.approx(8.9e-13, rel=1e-2)
     with pytest.raises(ConfigError, match="certifiable"):
-        ExperimentConfig(kind="pq", n_max=22)
-    # the width follows from n_max, so tune_tol and the measure-orbit keys
-    # of the measure command (masses come from the convergent errors) mean
+        ExperimentConfig(kind="pq", n_max=28)
+    # the width follows from n_max, and a report reads no measure orbit,
+    # so tune_tol and the measure-orbit keys of the measure command mean
     # nothing here: exit 2, nothing written
     for key, value in (
         ("measure_points", 1200),
@@ -745,25 +743,21 @@ def _count_calls(monkeypatch, fn):
 
 @pytest.mark.parametrize("kind", ["pq", "rotation"])
 def test_report_encloses_rho_once_and_runs_no_measure_orbit(monkeypatch, kind):
-    # one certificate: tuning to rank 8's mass width encloses rho, and the
-    # masses of every rank read its bracket's midpoint; the rotation is not
-    # tuned and reads the same bracket of its target
+    # one certificate: tuning to bracket n_max + 2 encloses rho; the
+    # rotation is not tuned and reads the same bracket of its target
     cfg = ExperimentConfig(kind=kind, n_min=5, n_max=8)
     farey = _count_calls(monkeypatch, circlebreak.rotation.rho_farey)
     tunes = _count_calls(monkeypatch, circlebreak.rotation.tune_translation)
-    masses = _count_calls(monkeypatch, circlebreak.measure.convergent_masses)
     orbits = _count_calls(monkeypatch, circlebreak.measure.conjugacy_values)
     rep = singularity_report(cfg)
     cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
-    width = 2.0 * MASS_REL_TOL / (cf.q(8) * (cf.q(8) + cf.q(9)))
-    assert mass_width(cf, 8) == width
+    width = 1.0 / (cf.q(9) * cf.q(10))
+    assert tuning_width(cf, 8) == width
     assert [call["tol"] for call in tunes] == ([] if kind == "rotation" else [width])
     assert farey == [] and orbits == []
-    n = cf.bracket_within(width)
-    assert [call["rho"] for call in masses] == [cf.bracket(n).value] * 4
     diag = rep.to_json_dict()["diagnostics"]
-    assert diag["rho_bracket"] == n
-    assert diag["rho_bracket_width"] == 1 / (cf.q(n - 1) * cf.q(n)) <= width
+    assert diag["rho_bracket"] == cf.bracket_within(width) == 10
+    assert diag["rho_bracket_width"] == width
     if kind == "rotation":
         assert diag["tune_bisections"] is None
     else:
@@ -823,7 +817,8 @@ def test_break_tables_match_the_per_rank_walks(name, n_max):
     # rank the bits of its own walks, and the cover reads nothing else of
     # them: tables holding only the walks' points, nan elsewhere, give the
     # same triple
-    cfg = ExperimentConfig(**json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg = ExperimentConfig(**dict(doc, n_max=n_max))
     cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
     m, _, _ = build_experiment_map(cfg, cf)
     deep = build_partition(m, cf, cfg.x0, n_max)
@@ -880,8 +875,8 @@ def test_report_rotation_baseline():
     assert rep.verdict == "AC_BASELINE"
     assert not rep.gap_floor_ok
     assert rep.min_upper_gap < 1e-8
+    assert rep.v == 0.0
     assert [r.n for r in rep.rows] == [4, 5, 6, 7]
-    assert len(rep.curves) == 4
     doc = rep.to_json_dict()
     assert doc["verdict"] == "AC_BASELINE"
     assert doc["map_params"] == {"translation": rep.translation}
@@ -894,8 +889,6 @@ def test_report_pq_singular_evidence():
     assert rep.gap_floor_ok
     assert rep.min_upper_gap > 0.1
     assert rep.v == pytest.approx(2 * (math.log(2) + abs(math.log(0.8))))
-    lorenz = [r.lorenz_90_length for r in rep.rows]
-    assert lorenz[-1] < lorenz[0]
     for row in rep.rows:
         assert row.case_tag == "c_outside_U"
 
