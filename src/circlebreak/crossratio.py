@@ -8,7 +8,6 @@ many orders of magnitude below 1.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import expm1, floor
 from typing import NamedTuple
 
@@ -25,6 +24,7 @@ from .maps import (
     advance,
     evaluate,
     gap_image,
+    map_stats,
 )
 from .numerics import CLAMP_FROM, MACHINE_EPS, arc_length, to_circle
 
@@ -205,19 +205,11 @@ def normalized_coords(q: Quadruple, cbar=None) -> NormalizedCoords:
     return NormalizedCoords(xi=xi, eta=eta, z=z, theta=theta)
 
 
-def g_func(x, sigma):
-    """sigma (1+x) / (sigma + x); the zero-offset slice of f_func."""
-    if not x > 0:
-        raise ValueError(f"need x > 0, got {x!r}")
-    if not sigma > 0:
-        raise ValueError(f"need sigma > 0, got {sigma!r}")
-    return sigma * (1 + x) / (sigma + x)
-
-
 def f_func(x, t, sigma):
     """[sigma + (1-sigma) t](1+x) / (sigma + (1-sigma) t + x).
 
-    t = 0 recovers g_func; t = 1 collapses to 1 for every x.
+    F at offset 0, sigma (1+x) / (sigma + x), is the paper's G; t = 1
+    collapses to 1 for every x.
     """
     if not x > 0:
         raise ValueError(f"need x > 0, got {x!r}")
@@ -234,9 +226,9 @@ def pl_frame_distortion(q: Quadruple, pos, sigma):
 
     ``pos`` is a break's lift anywhere in [z1, z4]; each gap's image is
     sigma times its part left of the break plus its part right of it.
-    This is g_func at pos = z2, f_func with the break in [z1, z2] and
-    f_func(eta, theta, 1/sigma) with it in [z3, z4], and it covers the
-    middle gap as well.  Exact for PL maps, since the cross-ratio ignores
+    This is F at offset 0 (the paper's G) at pos = z2, f_func with the
+    break in [z1, z2] and f_func(eta, theta, 1/sigma) with it in [z3, z4],
+    and it covers the middle gap as well.  Exact for PL maps, since the cross-ratio ignores
     a common scale.
     """
     if not q.z1 <= pos <= q.z4:
@@ -253,16 +245,6 @@ def pl_frame_distortion(q: Quadruple, pos, sigma):
 
 # Unit roundoff of binary64: fl(x op y) = (x op y)(1 + d) with |d| <= U.
 U = MACHINE_EPS / 2
-
-
-@lru_cache(maxsize=None)
-def _slope_range(m: CircleMap):
-    """(min Df, max Df, max |D2f|) over the circle.
-
-    Df is affine on each segment, so its extremes sit at segment ends.
-    """
-    ends = m.seg_d0 + m.seg_d1
-    return min(ends), max(ends), max(abs(c) for c in m.seg_curv)
 
 
 def _quotient_rounding(gap, abs_err, rel_err):
@@ -310,7 +292,8 @@ def distortion_rounding(q: Quadruple, img: Quadruple, m: CircleMap) -> float:
     (about 10u; for single_break_closed_form's expm1 term, while its
     argument stays below 1), of the residual and of their sum.
     """
-    lo, hi, k = _slope_range(m)
+    stats = map_stats(m)
+    lo, hi, k = stats.df_min, stats.df_max, stats.d2f_max
     z1, _, _, z4 = q
     p0, p1, p2, p3 = img
     # max |z| and max |P| of increasing points
@@ -347,22 +330,26 @@ def _frame_rounding(q: Quadruple, sigma) -> float:
     )
 
 
-class ClosedForm(NamedTuple):
-    """``residual_bound`` = ``curvature`` + ``rounding``: the prediction
-    times expm1(4 K1 ∫|D²f|) over the hull, and the rounding of both
-    quotients."""
+class CheckedFactor(NamedTuple):
+    """A one-step distortion ``actual`` and the ``predicted`` value it must
+    lie within ``bound`` = ``curvature`` + ``rounding`` of: the proven
+    curvature term of the exact distortion, and the rounding of the float
+    quotients.  A break-free hull predicts 1 (smooth_distortion_bound), a
+    hull with one break its PL frame (single_break_closed_form)."""
 
     predicted: float
-    residual_bound: float
     actual: float
-    sigma: float
     curvature: float
     rounding: float
+
+    @property
+    def bound(self):
+        return self.curvature + self.rounding
 
 
 def single_break_closed_form(
     q: Quadruple, img: Quadruple, brk: BreakPoint, m: CircleMap
-) -> ClosedForm:
+) -> CheckedFactor:
     """One-step distortion of q against its break-point closed form.
 
     ``img`` is ``image_quadruple(q, m)``, and ``brk`` is the one break of
@@ -406,29 +393,21 @@ def single_break_closed_form(
         distortion_rounding(q, img, m) * (actual + curvature)
         + _frame_rounding(q, brk.sigma) * (predicted + curvature)
     )
-    return ClosedForm(
-        predicted=predicted,
-        residual_bound=curvature + rounding,
-        actual=actual,
-        sigma=brk.sigma,
-        curvature=curvature,
-        rounding=rounding,
-    )
+    return CheckedFactor(predicted, actual, curvature, rounding)
 
 
-@lru_cache(maxsize=None)
 def calibrate_k1(m: CircleMap) -> float:
     """K1 = 1 / min Df: the variation of log Df over an interval that Df is
     continuous on is at most K1 ∫|D2f| there (single_break_closed_form).
 
     Curvature-free maps get 0.
     """
-    if not any(m.seg_curv):
+    stats = map_stats(m)
+    if not stats.d2f_max:
         return 0.0
-    return 1.0 / _slope_range(m)[0]
+    return 1.0 / stats.df_min
 
 
-@lru_cache(maxsize=None)
 def calibrate_c1(m: CircleMap) -> float:
     """C1 = 1 / (4 min Df^2): |Dist - 1| <= C1 (∫|D2f|)^2 on break-free hulls.
 
@@ -443,45 +422,25 @@ def calibrate_c1(m: CircleMap) -> float:
     As beta < h and ∫|D2f| = |k| h, |Dist - 1| <= (|k| h)^2 / (4 min Df^2).
     Curvature-free maps get 0.
     """
-    if not any(m.seg_curv):
+    stats = map_stats(m)
+    if not stats.d2f_max:
         return 0.0
-    return 1.0 / (4.0 * _slope_range(m)[0] ** 2)
+    return 1.0 / (4.0 * stats.df_min**2)
 
 
-class SmoothBound(NamedTuple):
-    """``bound`` = ``curvature`` + ``rounding``: C1 times the squared
-    curvature integral, and the rounding of the distortion ``actual``."""
-
-    bound: float
-    integral: float
-    constant: float
-    curvature: float
-    rounding: float
-    actual: float
-
-
-def smooth_distortion_bound(m: CircleMap, q: Quadruple) -> SmoothBound:
+def smooth_distortion_bound(m: CircleMap, q: Quadruple) -> CheckedFactor:
     """Bound C1 (∫|D²f|)² plus rounding on |Dist - 1| over the hull of q.
 
     The hull must contain no break.  It then lies in one segment, where
     D²f is constant, so the oscillation term hull·osc(D²f) of the general
     bound is 0 and the squared curvature integral is all that remains;
-    calibrate_c1 gives its constant in closed form.
+    calibrate_c1 gives its constant in closed form.  The prediction is 1.
     """
     img = image_quadruple(q, m)
     actual = cross_ratio(img) / cross_ratio(q)
-    integral = abs_d2f_integral(m, q.z1, q.z4)
-    c1 = calibrate_c1(m)
-    curvature = c1 * integral**2
+    curvature = calibrate_c1(m) * abs_d2f_integral(m, q.z1, q.z4) ** 2
     rounding = distortion_rounding(q, img, m) * (actual + curvature)
-    return SmoothBound(
-        bound=curvature + rounding,
-        integral=integral,
-        constant=c1,
-        curvature=curvature,
-        rounding=rounding,
-        actual=actual,
-    )
+    return CheckedFactor(1.0, actual, curvature, rounding)
 
 
 class DistortionRow(NamedTuple):
@@ -501,7 +460,7 @@ class DistortionRow(NamedTuple):
 
 
 def _general_row(q: Quadruple, m: CircleMap) -> DistortionRow:
-    """One row of distortion_rows by way of the bound records, for any hull.
+    """One row of distortion_rows by way of a CheckedFactor, for any hull.
 
     A break-free hull is held to smooth_distortion_bound, a hull with one
     break outside its middle gap to single_break_closed_form; a residual
@@ -512,18 +471,16 @@ def _general_row(q: Quadruple, m: CircleMap) -> DistortionRow:
     cr = cross_ratio(q)
     inside = [b for b in m.breaks if q.z1 < lift_into(b.location, q.z1) < q.z4]
     if not inside:
-        sb = smooth_distortion_bound(m, q)
-        predicted, actual, bound = 1.0, sb.actual, sb.bound
+        fc = smooth_distortion_bound(m, q)
     else:
         if len(inside) > 1 or q.z2 < lift_into(inside[0].location, q.z1) < q.z3:
             return DistortionRow(cr, distortion(q, m))
-        cf = single_break_closed_form(q, image_quadruple(q, m), inside[0], m)
-        predicted, actual, bound = cf.predicted, cf.actual, cf.residual_bound
-    residual = abs(actual - predicted)
+        fc = single_break_closed_form(q, image_quadruple(q, m), inside[0], m)
+    residual, bound = abs(fc.actual - fc.predicted), fc.bound
     if residual > bound:
         what = "closed-form" if inside else "break-free distortion"
         raise InvariantFailure(f"{what} residual {residual:.3e} exceeds its bound {bound:.3e}")
-    return DistortionRow(cr, actual, predicted, residual, bound, bool(inside))
+    return DistortionRow(cr, fc.actual, fc.predicted, residual, bound, bool(inside))
 
 
 def distortion_rows(quads, m: CircleMap) -> list:
@@ -531,12 +488,12 @@ def distortion_rows(quads, m: CircleMap) -> list:
     each quadruple q of ``quads``, as one list.
 
     This is the one procedure that decides and checks rows.  It reads the
-    segment table, C1, the slope range and the break locations once.  A
-    break-free hull that gap_image's walk keeps in one segment piece is
-    computed inline, operation for operation as smooth_distortion_bound
-    computes it: evaluate, the three gap_image increments, the image's
-    Quadruple check, abs_d2f_integral and distortion_rounding, the way
-    maps.advance repeats evaluate.  Its row is bit-identical to
+    segment table, C1, map_stats' slope range and the break locations
+    once.  A break-free hull that gap_image's walk keeps in one segment
+    piece is computed inline, operation for operation as
+    smooth_distortion_bound computes it: evaluate, the three gap_image
+    increments, the image's Quadruple check, abs_d2f_integral and
+    distortion_rounding, the way maps.advance repeats evaluate.  Its row is bit-identical to
     _general_row's.  Every other row goes through _general_row: a break in
     the hull, a walk that starts on a rounded segment end or leaves the
     piece, and any row that would raise, which then raises there.  A
@@ -552,10 +509,11 @@ def distortion_rows(quads, m: CircleMap) -> list:
     # evaluate's 0.5 * curv * du groups as (0.5 * curv) * du
     h0, h1 = 0.5 * c0, 0.5 * c1
     locs = [b.location for b in m.breaks]
-    lo, hi, kmax = _slope_range(m)
+    stats = map_stats(m)
+    lo, kmax = stats.df_min, stats.d2f_max
     c1_const = calibrate_c1(m)
     # distortion_rounding's constant products, grouped as it groups them
-    u2, u15, u16, spread = 2.0 * U, 15.0 * U, 16.0 * U, hi - lo
+    u2, u15, u16, spread = 2.0 * U, 15.0 * U, 16.0 * U, stats.df_max - lo
     floor_eps = DEGENERACY_EPS * MACHINE_EPS
 
     def piece(x, y):

@@ -79,11 +79,17 @@ class MapStats(NamedTuple):
     lam           the contraction base (1 + e^-v)^(-1/2) controlling how fast
                   dynamical-partition elements shrink
     sigma_product product of the jump ratios over all breaks
+    df_min        least one-sided derivative, the class-P bound c1 > 0
+    df_max        largest one-sided derivative
+    d2f_max       largest |D2f|
     """
 
     v: float
     lam: float
     sigma_product: float
+    df_min: float
+    df_max: float
+    d2f_max: float
 
 
 class CircleMap(NamedTuple):
@@ -514,12 +520,16 @@ def map_stats(m: CircleMap) -> MapStats:
 
     The lift is quadratic on each segment with affine derivative, so its
     one-sided derivative values at the segment ends decide everything:
-    their minimum is the bound c1 > 0 (and makes the lift strictly
-    increasing), and v = Var(log Df) is the sum of the per-segment
-    endpoint differences of log Df (Df is monotone there) and the jumps
-    at the breaks.  Cached, since maps are immutable and hashable.
+    they hold the extremes of Df, whose minimum is the bound c1 > 0 (and
+    makes the lift strictly increasing), and v = Var(log Df) is the sum of
+    the per-segment endpoint differences of log Df (Df is monotone there)
+    and the jumps at the breaks.  This is the one place the package reads
+    Df's constants off the segment table, and its one cache, since maps
+    are immutable and hashable.
     """
-    if min(m.seg_d0 + m.seg_d1) <= 0:
+    ends = m.seg_d0 + m.seg_d1
+    df_min = min(ends)
+    if df_min <= 0:
         raise NotClassP("one-sided derivative not bounded below by a positive c1")
     v = 0.0
     for b in m.breaks:
@@ -530,7 +540,7 @@ def map_stats(m: CircleMap) -> MapStats:
     sig = 1.0
     for b in m.breaks:
         sig *= b.sigma
-    return MapStats(v=v, lam=lam, sigma_product=sig)
+    return MapStats(v, lam, sig, df_min, max(ends), max(map(abs, m.seg_curv)))
 
 
 def _segment_walk(m: CircleMap, lo, hi):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -47,7 +46,6 @@ from .crossratio import (
     Quadruple,
     distortion_chain,
     f_func,
-    g_func,
     lift_into,
     normalized_coords,
     single_break_closed_form,
@@ -167,7 +165,6 @@ def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
     )
 
 
-@lru_cache(maxsize=32)
 def _cover_params(m: CircleMap):
     """(params, mirror) for a two-break map, from its jump ratios and v.
 
@@ -388,7 +385,7 @@ def gf_gap(params: RegularCoverParams, xi_l, xi_p, z_p):
             f"[0, {cap_z!r}]"
         )
     z = min(max(z_p, 0.0), 1.0)
-    value = g_func(xi_l, params.sigma_a) * f_func(xi_p, z, params.sigma_c)
+    value = f_func(xi_l, 0.0, params.sigma_a) * f_func(xi_p, z, params.sigma_c)
     gap = abs(value - 1.0)
     if not params.degenerate and gap < params.gap_floor:
         raise InvariantFailure(
@@ -528,11 +525,11 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
             cf = single_break_closed_form(
                 res.quadruples[step], res.quadruples[step + 1], brk, m
             )
-            if abs(cf.actual - cf.predicted) > cf.residual_bound:
+            if abs(cf.actual - cf.predicted) > cf.bound:
                 raise InvariantFailure(
                     f"one-step factor {cf.actual!r} at the {which} break "
                     f"differs from its closed form {cf.predicted!r} beyond "
-                    f"{cf.residual_bound!r}"
+                    f"{cf.bound!r}"
                 )
 
     if triple is not None and triple.covers_second_break:
@@ -807,7 +804,9 @@ def tuning_width(cf: ContinuedFraction, n: int) -> float:
     is within a factor 1 + 1/k <= 2, so both cell masses of xi_n stay
     within a factor 2 of the target's, and the cells keep their scale.
     """
-    return 1.0 / (cf.q(n + 1) * cf.q(n + 2))
+    # int division rounds correctly and gives 0.0, not OverflowError, past
+    # the float range, as ContinuedFraction.bracket_within's does
+    return 1 / (cf.q(n + 1) * cf.q(n + 2))
 
 
 def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
@@ -864,7 +863,6 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     m, tr, notes = build_experiment_map(config, cf)
     translation = tr.translation
     stats = map_stats(m)
-    bracket = cf.bracket_within(tr.certified_tol)
     deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)
     tables = break_preimages(m, deep)
 
@@ -928,9 +926,11 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
         min_upper_gap=min_upper,
         median_gap=med,
         notes=tuple(notes),
+        # build_experiment_map tunes every map to bracket n_max + 2, and its
+        # TuneResult carries that bracket's width, tuning_width
         diagnostics=(
-            ("rho_bracket", bracket),
-            ("rho_bracket_width", 1.0 / (cf.q(bracket - 1) * cf.q(bracket))),
+            ("rho_bracket", config.n_max + 2),
+            ("rho_bracket_width", tr.certified_tol),
             ("tune_bisections", tr.bisections),
         ),
     )

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import GOLDEN, cell_interval, lorenz_lengths, qn_rows
 
-from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain, f_func, g_func
+from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain, f_func
 from circlebreak.maps import make_pq_two_break, make_rotation, map_stats
 from circlebreak.measure import (
     conjugacy_values,
@@ -134,7 +134,7 @@ def test_primary_05_cross_ratio_exactness():
     frame = lambda x: 2.0 * x if x <= 0 else x  # jump ratio 2 at the origin
     d = _dist(Quadruple(-1.0, 0.0, 1.0, 2.0), frame)
     assert d == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert d == pytest.approx(g_func(1.0, 2.0), abs=1e-12)
+    assert d == pytest.approx(f_func(1.0, 0.0, 2.0), abs=1e-12)
     rng = random.Random(5)
     for _ in range(100):
         x = math.exp(rng.uniform(-6, 6))

@@ -332,6 +332,19 @@ def test_malformed_config_exits_2(tmp_path, command, doc):
     assert os.listdir(out) == []
 
 
+def test_quotients_past_the_float_range_exit_2(tmp_path, capsys):
+    # q_7 q_8 of these quotients is past 1e400, so the tuning width is 0.0:
+    # finer than binary64 certifies, and refused with one error line rather
+    # than an OverflowError traceback
+    doc = dict(SINGULARITY, rho_quotients=[1] * 5 + [10**200] + [1] * 20)
+    code, out = run(tmp_path, "singularity", doc)
+    assert code == 2
+    assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    want = r"error: n_max 6 needs rho to 0, finer than the certifiable \S+\n"
+    assert re.fullmatch(want, err), err
+
+
 @pytest.mark.parametrize(
     "command, doc, key",
     [

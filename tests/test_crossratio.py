@@ -19,7 +19,6 @@ from circlebreak.crossratio import (
     distortion_rounding,
     distortion_rows,
     f_func,
-    g_func,
     image_quadruple,
     lift_into,
     normalized_coords,
@@ -69,7 +68,7 @@ def test_pl_break_quadruple_closed_form():
     q = Quadruple(-1.0, 0.0, 1.0, 2.0)
     d = _dist(q, frame)
     assert d == pytest.approx(4.0 / 3.0, abs=1e-12)
-    assert d == pytest.approx(g_func(1.0, 2.0), abs=1e-12)
+    assert d == pytest.approx(f_func(1.0, 0.0, 2.0), abs=1e-12)
 
 
 def test_f_collapses_at_t_one():
@@ -81,11 +80,12 @@ def test_f_collapses_at_t_one():
 
 
 def test_f_at_t_zero_is_g():
+    # F at offset 0 is the paper's G, sigma (1+x) / (sigma + x), bit for bit
     rng = random.Random(9)
     for _ in range(50):
         x = math.exp(rng.uniform(-4, 4))
         sigma = math.exp(rng.uniform(-2, 2))
-        assert f_func(x, 0.0, sigma) == g_func(x, sigma)
+        assert f_func(x, 0.0, sigma) == sigma * (1 + x) / (sigma + x)
 
 
 def test_affine_invariance():
@@ -200,12 +200,8 @@ def test_lift_into():
 def test_closed_form_factors_refuse_arguments_outside_their_domain():
     for x in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match=f"^need x > 0, got {x!r}$"):
-            g_func(x, 2.0)
-        with pytest.raises(ValueError, match=f"^need x > 0, got {x!r}$"):
             f_func(x, 0.5, 2.0)
     for sigma in (0.0, -2.0, math.nan):
-        with pytest.raises(ValueError, match=f"^need sigma > 0, got {sigma!r}$"):
-            g_func(1.0, sigma)
         with pytest.raises(ValueError, match=f"^need sigma > 0, got {sigma!r}$"):
             f_func(1.0, 0.5, sigma)
     for t in (-0.5, 1.5, math.nan):
@@ -221,7 +217,7 @@ def test_single_break_closed_form_pl_exact():
         q = Quadruple(z2 - 0.01, z2, z2 + 0.012, z2 + 0.02)
         res = single_break_closed_form(q, image_quadruple(q, m), brk, m)
         assert res.curvature == 0.0  # curvature-free family
-        assert abs(res.actual - res.predicted) <= res.residual_bound
+        assert abs(res.actual - res.predicted) <= res.bound
         # the break sits in [z1, z2], at z = t
         assert res.predicted == pytest.approx(
             f_func(normalized_coords(q).xi, t, brk.sigma), rel=1e-12
@@ -236,7 +232,7 @@ def test_pl_frame_matches_the_closed_forms():
         q = Quadruple.from_gaps(rng.uniform(-1, 1), alpha, beta, gamma)
         nc = normalized_coords(q)
         assert pl_frame_distortion(q, q.z2, sigma) == pytest.approx(
-            g_func(nc.xi, sigma), rel=1e-12
+            f_func(nc.xi, 0.0, sigma), rel=1e-12
         )
         t = rng.random()
         assert pl_frame_distortion(q, q.z2 - t * alpha, sigma) == pytest.approx(
@@ -284,8 +280,8 @@ def test_single_break_closed_form_pq_bounded(pq_map):
                   brk.location + 0.011)
     res = single_break_closed_form(q, image_quadruple(q, pq_map), brk, pq_map)
     assert res.curvature > 0
-    assert res.residual_bound == res.curvature + res.rounding
-    assert abs(res.actual - res.predicted) <= res.residual_bound
+    assert res.bound == res.curvature + res.rounding
+    assert abs(res.actual - res.predicted) <= res.bound
 
 
 def _assert_row_without_bound(q, m):
@@ -332,8 +328,8 @@ def test_c1_is_closed_form(monkeypatch):
 
     monkeypatch.setattr(random, "Random", no_sampling)
     min_df = min(PINNED_PQ.seg_d0 + PINNED_PQ.seg_d1)
-    assert calibrate_k1.__wrapped__(PINNED_PQ) == 1 / min_df
-    assert calibrate_c1.__wrapped__(PINNED_PQ) == 1 / (4 * min_df**2)
+    assert calibrate_k1(PINNED_PQ) == 1 / min_df
+    assert calibrate_c1(PINNED_PQ) == 1 / (4 * min_df**2)
     assert calibrate_c1(PINNED_PQ) == pytest.approx(0.62016, abs=1e-5)
     assert calibrate_c1(PL) == 0.0
     assert calibrate_c1(make_rotation(0.3)) == 0.0
@@ -392,6 +388,7 @@ def test_break_free_bound_holds_in_exact_arithmetic(m):
         exact = _exact_distortion(m, q)
         img = image_quadruple(q, m)
         sb = smooth_distortion_bound(m, q)
+        assert sb.predicted == 1.0
         # the closed-form C1 bounds the exact distortion (0 for PL maps) ...
         assert abs(exact - 1) <= sb.curvature
         # ... and the rounding term the float one
@@ -476,13 +473,12 @@ def _reference_row(q, m):
     cr = cross_ratio(q)
     inside = [b for b in m.breaks if q.z1 < lift_into(b.location, q.z1) < q.z4]
     if not inside:
-        sb = smooth_distortion_bound(m, q)
-        predicted, actual, bound = 1.0, sb.actual, sb.bound
+        fc = smooth_distortion_bound(m, q)
     else:
         if len(inside) > 1 or q.z2 < lift_into(inside[0].location, q.z1) < q.z3:
             return DistortionRow(cr, distortion(q, m))
-        cf = single_break_closed_form(q, image_quadruple(q, m), inside[0], m)
-        predicted, actual, bound = cf.predicted, cf.actual, cf.residual_bound
+        fc = single_break_closed_form(q, image_quadruple(q, m), inside[0], m)
+    predicted, actual, bound = fc.predicted, fc.actual, fc.bound
     residual = abs(actual - predicted)
     if residual > bound:
         what = "closed-form" if inside else "break-free distortion"
@@ -648,12 +644,14 @@ def test_smooth_bound_scaling(pq_map):
     for _ in range(5):
         q = Quadruple.from_gaps(z1, h / 3, h / 3, h / 3)
         sb = smooth_distortion_bound(pq_map, q)
+        integral = abs_d2f_integral(pq_map, q.z1, q.z4)
         assert abs(distortion(q, pq_map) - 1.0) <= sb.bound
+        assert sb.curvature == calibrate_c1(pq_map) * integral**2
         if prev is not None:
             prev_integral, prev_curvature = prev
-            assert sb.integral == pytest.approx(prev_integral / 2, rel=1e-9)
+            assert integral == pytest.approx(prev_integral / 2, rel=1e-9)
             assert sb.curvature == pytest.approx(prev_curvature / 4, rel=1e-9)
-        prev = (sb.integral, sb.curvature)
+        prev = (integral, sb.curvature)
         h /= 2
 
 

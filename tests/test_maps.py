@@ -633,6 +633,29 @@ def test_map_stats_reads_the_segment_table(monkeypatch):
         map_stats(bad)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [
+        make_pq_two_break(0.2, 0.6, 2.0, 0.8),
+        make_pl_two_break(0.3, 0.7, 2.0),
+        make_rotation(GOLDEN),
+    ],
+    ids=["pq", "pl", "rotation"],
+)
+def test_map_stats_carries_the_segment_end_extremes(m):
+    # Df is affine on each segment, so its extremes are one-sided values at
+    # the segment ends, and D2f is each segment's constant
+    stats = map_stats(m)
+    ends = [d for x in m.seg_pos[:2] for d in _reference_one_sided_derivatives(m, x)]
+    assert (stats.df_min, stats.df_max) == (min(ends), max(ends))
+    assert stats.d2f_max == max(abs(c) for c in m.seg_curv)
+    rng = random.Random(8)
+    slack = 4 * MACHINE_EPS * stats.df_max
+    for _ in range(500):
+        for d in _reference_one_sided_derivatives(m, rng.uniform(-2, 3)):
+            assert stats.df_min - slack <= d <= stats.df_max + slack
+
+
 def test_translation_family():
     base = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
     shifted = base.with_translation(0.7)
@@ -692,7 +715,7 @@ def test_rotation_table_is_the_rigid_rotation(t):
     rng = random.Random(34)
     starts = [0.0, *_ulps_around(0.5), math.nextafter(1.0, 0.0)]
     starts += [rng.random() for _ in range(200)]
-    assert map_stats(m) == (0.0, 2**-0.5, 1.0)
+    assert map_stats(m) == (0.0, 2**-0.5, 1.0, 1.0, 1.0, 0.0)
     back = m.with_translation(-t)
     for x in starts:
         for lift in (x, x - 3.0, x + 2.0):

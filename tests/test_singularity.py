@@ -1,7 +1,9 @@
+import importlib
 import inspect
 import json
 import math
 import os
+import pkgutil
 import random
 import sys
 from fractions import Fraction
@@ -20,11 +22,12 @@ from conftest import (
     sum_left_to_right,
 )
 
+import circlebreak
 import circlebreak.crossratio
 import circlebreak.measure
 import circlebreak.rotation
 from circlebreak.cli import main
-from circlebreak.crossratio import Quadruple, calibrate_k1, distortion_chain
+from circlebreak.crossratio import Quadruple, distortion_chain
 from circlebreak.errors import (
     CircleBreakError,
     ConfigError,
@@ -852,8 +855,8 @@ def test_break_tables_match_the_per_rank_walks(name, n_max):
 )
 def test_first_break_audit_follows_the_break_off_z2(gcf, m, rank):
     # the chain's rounding carries the tracked z2 off the first break by
-    # 1e-16 to 2.5e-14; predicting with the offset-0 slice g_func missed the
-    # measured factor beyond the audit's budget at these ranks
+    # 1e-16 to 2.5e-14; predicting with F at offset 0, the paper's G,
+    # missed the measured factor beyond the audit's budget at these ranks
     (row,) = qn_rows(m, gcf, 0.05, [rank])
     assert row.n == rank
 
@@ -863,7 +866,6 @@ def test_qn_row_chains_each_rank_once(monkeypatch, request, gcf, name):
     # the hull audit (q_n-smallness, parity cross-check, break hits) reads
     # the distortion chain's own quadruples and runs no orbit of its own
     m = request.getfixturevalue(name)
-    calibrate_k1(m)  # cached; its sample runs one-step chains of its own
     chains = _count_calls(monkeypatch, circlebreak.crossratio.chain_points)
     rows = qn_rows(m, gcf, 0.05, range(5, 9))
     assert [call["steps"] for call in chains] == [r.q_n for r in rows]
@@ -1018,17 +1020,29 @@ def test_report_with_a_nudged_base_point():
     assert [(r.n, r.q_n) for r in rep.rows] == [(n, cf.q(n)) for n in range(5, 9)]
 
 
-def test_equal_maps_hit_the_caches():
-    # the caches keyed by a map compare by value: a twin built on its own
-    # compares and hashes equal, so it reads the entries of the first map
+def test_map_stats_is_the_one_cache():
+    # every constant read off the segment table comes from map_stats, the
+    # package's one cache
+    modules = [
+        importlib.import_module(f"circlebreak.{info.name}")
+        for info in pkgutil.iter_modules(circlebreak.__path__)
+    ]
+    cached = [
+        f"{mod.__name__}.{name}"
+        for mod in modules
+        for name, obj in vars(mod).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__
+    ]
+    assert cached == ["circlebreak.maps.map_stats"]
+    # it is keyed by value: a twin built on its own compares and hashes
+    # equal, so it reads the entry of the first map
     m = make_pq_two_break(0.137, 0.771, 1.7, 0.6, 0.3)
     twin = make_pq_two_break(0.137, 0.771, 1.7, 0.6).with_translation(0.3)
     assert twin is not m and twin == m and hash(twin) == hash(m)
-    for cached in (map_stats, calibrate_k1):
-        first = cached(m)
-        hits = cached.cache_info().hits
-        assert cached(twin) is first
-        assert cached.cache_info().hits == hits + 1
+    first = map_stats(m)
+    hits = map_stats.cache_info().hits
+    assert map_stats(twin) is first
+    assert map_stats.cache_info().hits == hits + 1
 
 
 def test_records_refuse_assignment(pq_map, gcf):
