@@ -32,6 +32,7 @@ from .errors import (
     BreakCollision,
     CircleBreakError,
     ConfigError,
+    DegenerateQuadruple,
     InvariantFailure,
     PrecisionBudgetExceeded,
 )
@@ -698,12 +699,15 @@ def cmd_distortion(doc, outdir, seed):
         if count < 1 or not 0 < scale <= 0.2:
             raise ConfigError("sample.count must be >= 1 and 0 < sample.scale <= 0.2")
         rand = random.Random(seed).random
-        for _ in range(count):
-            # three gaps of scale * [0.25, 1.25) added from z1 in turn
-            z1 = rand()
-            z2 = z1 + scale * (0.25 + rand())
-            z3 = z2 + scale * (0.25 + rand())
-            quads.append(Quadruple(z1, z2, z3, z3 + scale * (0.25 + rand())))
+        try:
+            for _ in range(count):
+                # three gaps of scale * [0.25, 1.25) added from z1 in turn
+                z1 = rand()
+                z2 = z1 + scale * (0.25 + rand())
+                z3 = z2 + scale * (0.25 + rand())
+                quads.append(Quadruple(z1, z2, z3, z3 + scale * (0.25 + rand())))
+        except DegenerateQuadruple as e:
+            raise ConfigError(f"sample.scale {scale!r}: {e}") from e
     if not quads:
         raise ConfigError("distortion needs a quadruples list or a sample block")
 
@@ -758,13 +762,19 @@ def cmd_measure(doc, outdir, seed):
         )
     if not drift_tol > 0:
         raise ConfigError("drift_tol must be positive")
+    width = 0.5 * drift_tol / points
+    if not width > 0:
+        raise ConfigError(
+            f"drift_tol {drift_tol!r} over {points} points leaves no rho "
+            "width binary64 can hold"
+        )
 
     # Orbit point i carries the conjugacy value {i rho}, so the phi drift
     # over ``points`` points is points times the enclosure width and must
     # stay under drift_tol.  The Farey descent stops at half that budget:
     # the factor 0.5 keeps conjugacy_values' drift check clear of rounding.
     # If the orbit cap runs out first, PrecisionBudgetExceeded propagates.
-    est, _ = rho_farey(m, cap=cap, width=0.5 * drift_tol / points)
+    est, _ = rho_farey(m, cap=cap, width=width)
     part = build_partition(m, cf, x0, n, cap=cap)
     om = conjugacy_values(m, est, part, points, drift_tol=drift_tol, cap=cap)
     masses = partition_masses(om)

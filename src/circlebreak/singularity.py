@@ -395,23 +395,20 @@ def gf_gap(params: RegularCoverParams, xi_l, xi_p, z_p):
     return gap
 
 
-class QnDistortionRow(NamedTuple):
-    """One rank of the distortion experiment.
+class ReportRow(NamedTuple):
+    """One rank of a report; its fields are the columns of ``rows.csv``
+    and the keys of a ``report.json`` row, in this order.
 
     dist_qn_gap is |Dist(z; f^{q_n}) - 1| on the cover triple; gf_gap is
     the Lemma-level product gap when the triple covers both breaks, else
-    None.  image_len_sum is the total length of the q_n hull iterates
-    (disjointness puts it under 1).
+    None.
     """
 
     n: int
     q_n: int
+    gf_gap: float | None
     dist_qn_gap: float
     case_tag: str
-    l_index: int
-    p_index: int
-    gf_gap: float | None
-    image_len_sum: float
 
 
 def _generator_quadruple(part: DynamicalPartition) -> Quadruple:
@@ -488,7 +485,7 @@ def _check_hull_images(
     return ordered_sum(lengths)
 
 
-def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
+def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> ReportRow:
     """|Dist(z; f^{q_n}) - 1| at the rank of ``part``, with ``tables`` the
     breaks' backward orbits (``break_preimages``).
 
@@ -507,7 +504,7 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
         triple = None
         res = distortion_chain(_generator_quadruple(part), m, part.q_n)
         image_len_sum = ordered_sum(q.hull for q in res.quadruples[: part.q_n])
-        case_tag, l, p = "break_free", -1, -1
+        case_tag = "break_free"
     gap = abs(res.total - 1.0)
     if image_len_sum > 1.0 + 1e-9:
         raise InvariantFailure(
@@ -553,16 +550,7 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> QnDistortionRow:
             )
         gf = gf_gap(*gf_args)
 
-    return QnDistortionRow(
-        n=part.n,
-        q_n=part.q_n,
-        dist_qn_gap=gap,
-        case_tag=case_tag,
-        l_index=l,
-        p_index=p,
-        gf_gap=gf,
-        image_len_sum=image_len_sum,
-    )
+    return ReportRow(part.n, part.q_n, gf, gap, case_tag)
 
 
 class LorenzCurve(NamedTuple):
@@ -728,17 +716,6 @@ class ExperimentConfig(_ExperimentConfigFields):
         return self._replace(rho_quotients=qs)
 
 
-class ReportRow(NamedTuple):
-    """One rank of a report; its fields are the columns of ``rows.csv``
-    and the keys of a ``report.json`` row, in this order."""
-
-    n: int
-    q_n: int
-    gf_gap: float | None
-    dist_qn_gap: float
-    case_tag: str
-
-
 VERDICT_SINGULAR = "SINGULAR_EVIDENCE"
 VERDICT_BASELINE = "AC_BASELINE"
 VERDICT_OPEN = "INCONCLUSIVE"
@@ -874,19 +851,10 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
             f"R6={params.r6:.6g}"
         )
 
-    rows = []
-    for n in range(config.n_min, config.n_max + 1):
-        part = deep.coarsen(n)
-        qrow = _qn_row(m, part, tables)
-        rows.append(
-            ReportRow(
-                n=n,
-                q_n=part.q_n,
-                gf_gap=qrow.gf_gap,
-                dist_qn_gap=qrow.dist_qn_gap,
-                case_tag=qrow.case_tag,
-            )
-        )
+    rows = [
+        _qn_row(m, deep.coarsen(n), tables)
+        for n in range(config.n_min, config.n_max + 1)
+    ]
 
     gaps = [r.dist_qn_gap for r in rows]
     upper = gaps[len(gaps) // 2 :]

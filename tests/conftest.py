@@ -139,13 +139,19 @@ def _reference_is_qn_small(m, cf, interval, n):
     return disjoint
 
 
-def qn_rows(m, cf, x0, ranks):
-    """singularity_report's per-rank distortion rows: one partition at the
-    deepest of ``ranks`` (ascending), cut to each rank."""
+def rank_parts(m, cf, x0, ranks):
+    """One partition at the deepest of ``ranks`` (ascending), cut to each
+    rank, and the breaks' backward orbits on it, as singularity_report
+    builds them."""
     ranks = list(ranks)
     deep = build_partition(m, cf, x0, ranks[-1])
-    tables = break_preimages(m, deep)
-    return [_qn_row(m, deep.coarsen(n), tables) for n in ranks]
+    return [deep.coarsen(n) for n in ranks], break_preimages(m, deep)
+
+
+def qn_rows(m, cf, x0, ranks):
+    """singularity_report's per-rank ReportRows at ``ranks``."""
+    parts, tables = rank_parts(m, cf, x0, ranks)
+    return [_qn_row(m, part, tables) for part in parts]
 
 
 def beta_masses(part, rho):

@@ -279,6 +279,10 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("partition", dict(PARTITION, rho=10**400)),
         ("measure", dict(MEASURE, rho=10**400)),
         ("tune", dict(TUNE, target_rho=10**400)),
+        # 0.5 * drift_tol / points underflows to a rho width of 0.0
+        ("measure", dict(MEASURE, drift_tol=5e-324)),
+        # binary64 cannot resolve a gap of 1e-17 at z1 ~ 0.84
+        ("distortion", {"map": PQ_MAP, "sample": {"count": 3, "scale": 1e-17}}),
     ],
     ids=[
         "n_min-string",
@@ -324,12 +328,16 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "partition-rho-past-float-range",
         "measure-rho-past-float-range",
         "tune-target_rho-past-float-range",
+        "measure-drift_tol-underflows-rho-width",
+        "distortion-sample-scale-unresolvable",
     ],
 )
-def test_malformed_config_exits_2(tmp_path, command, doc):
+def test_malformed_config_exits_2(tmp_path, capsys, command, doc):
     code, out = run(tmp_path, command, doc)
     assert code == 2
     assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_quotients_past_the_float_range_exit_2(tmp_path, capsys):

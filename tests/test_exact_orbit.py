@@ -2,8 +2,9 @@
 
 A PL map read from its float segment table and translation is an exact
 rational map, so its orbit can be replayed in ``Fraction`` arithmetic and
-every float point measured against the exact one.  This is the first
-slice of the oracle of ROADMAP item 19.
+every float point measured against the exact one.  Backward orbits are
+replayed likewise, inverting each segment with its linear root.  These
+are the first slices of the oracle of ROADMAP item 19.
 """
 
 import json
@@ -11,9 +12,16 @@ from fractions import Fraction
 from math import floor
 from pathlib import Path
 
+import pytest
+
 from circlebreak.maps import iterate
+from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction
-from circlebreak.singularity import ExperimentConfig, build_experiment_map
+from circlebreak.singularity import (
+    ExperimentConfig,
+    break_preimages,
+    build_experiment_map,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -21,7 +29,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # float orbit of 0.05 is 1.4e-14 and 2.0e-14 from the exact one after 233
 # and 610 steps, and at most 2.4e-14 and 3.9e-14 on the way there.  The
 # error grows with the orbit: over 1597 steps it reaches 1.3e-13, so this
-# tolerance holds for the 610 steps tested here only.
+# tolerance holds for the orbit lengths tested here only (610 steps
+# forward, 376 back).
 ORBIT_TOL = 1e-13
 
 
@@ -45,15 +54,41 @@ def exact_orbit(m, x0, n):
     return out
 
 
+def exact_backward_orbit(m, x0, n):
+    """[x0, T^-1 x0, ..., T^-n x0] in Fraction arithmetic from m's segment
+    table, each preimage put on its segment as ``maps.retreat`` puts it.
+    The segments must be linear, as a PL map's are."""
+    assert m.seg_curv == (0.0, 0.0)
+    t = Fraction(m.translation)
+    p0, p1 = Fraction(m.seg_pos[0]), Fraction(m.seg_pos[1])
+    v0, v1 = Fraction(m.seg_val[0]), Fraction(m.seg_val[1])
+    a0, a1 = Fraction(m.seg_d0[0]), Fraction(m.seg_d0[1])
+    x = Fraction(x0)
+    out = [x]
+    for _ in range(n):
+        # the value u = x - t - k lies in [v0, v0 + 1) for one integer k
+        k = floor(x - t - v0)
+        u = x - t - k
+        y = (p0 + (u - v0) / a0 if u < v1 else p1 + (u - v1) / a1) + k
+        x = y - floor(y)
+        out.append(x)
+    return out
+
+
+def _tuned_experiment(name):
+    cfg = ExperimentConfig(**json.loads((CONFIG_DIR / f"{name}.json").read_text()))
+    cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+    m, _, _ = build_experiment_map(cfg, cf)
+    return cfg, cf, m
+
+
 def _circle_distance(x, y):
     d = x - y
     return abs(d - round(d))
 
 
 def test_float_orbit_stays_near_the_exact_one_on_pl_generic():
-    cfg = ExperimentConfig(**json.loads((CONFIG_DIR / "pl_generic.json").read_text()))
-    cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
-    m, _, _ = build_experiment_map(cfg, cf)
+    cfg, _, m = _tuned_experiment("pl_generic")
     steps = 610  # q_14 of the golden mean
     floats = iterate(m, cfg.x0, steps)
     exact = exact_orbit(m, cfg.x0, steps)
@@ -61,3 +96,18 @@ def test_float_orbit_stays_near_the_exact_one_on_pl_generic():
     assert len(errors) == steps + 1
     # rounding does move the float orbit, but by less than ORBIT_TOL
     assert 0 < max(errors) <= ORBIT_TOL
+
+
+@pytest.mark.parametrize("name", ["pl_generic", "pl_herman"])
+def test_break_preimages_stay_near_the_exact_ones(name):
+    # at n_max 12 each table holds q_12 + q_11 = 377 entries; the float
+    # entries were measured at most 1.6e-14 (pl_generic) and 5.5e-15
+    # (pl_herman) from the exact ones
+    cfg, cf, m = _tuned_experiment(name)
+    assert cfg.n_max == 12
+    deep = build_partition(m, cf, cfg.x0, cfg.n_max)
+    for brk, floats in zip(m.breaks, break_preimages(m, deep)):
+        exact = exact_backward_orbit(m, brk.location, len(floats) - 1)
+        assert len(floats) == cf.q(12) + cf.q(11) == 377
+        errors = [_circle_distance(Fraction(f), e) for f, e in zip(floats, exact)]
+        assert 0 < max(errors) <= ORBIT_TOL

@@ -19,6 +19,7 @@ from conftest import (
     _reference_is_qn_small,
     beta_masses,
     qn_rows,
+    rank_parts,
     sum_left_to_right,
 )
 
@@ -55,6 +56,8 @@ from circlebreak.singularity import (
     RegularCoverParams,
     SingularityReport,
     _check_hull_images,
+    _generator_quadruple,
+    _qn_row,
     break_preimages,
     gf_gap,
     make_cover_params,
@@ -254,8 +257,11 @@ def test_second_break_found_on_abar_orbit(request, gcf, name, x0, rank, tag, p):
     # preimages within q_n steps, and pulling it back along its own cell
     # took the one the hull around abar does not reach
     m = request.getfixturevalue(name)
-    (row,) = qn_rows(m, gcf, x0, [rank])
-    assert (row.case_tag, row.p_index) == (tag, p)
+    (part,), tables = rank_parts(m, gcf, x0, [rank])
+    # the row runs the hull audit, which checks the break hits
+    row = _qn_row(m, part, tables)
+    triple = regular_cover_triple(m, part, tables)
+    assert (row.case_tag, triple.p_index) == (tag, p)
 
 
 @pytest.fixture(scope="module")
@@ -486,8 +492,7 @@ def test_overlap_within_the_parity_hop_raises(pq_map, gcf):
 
 
 def test_hull_audit_runs_no_orbit(monkeypatch, pq_map, gcf):
-    # the audit reads the chain's quadruples; its sum is the row's
-    # image_len_sum
+    # the audit reads the chain's quadruples and sums their hulls
     part = build_partition(pq_map, gcf, 0.05, 9)
     triple = regular_cover_triple(pq_map, part, break_preimages(pq_map, part))
     res = distortion_chain(triple.quadruple, pq_map, part.q_n)
@@ -495,7 +500,6 @@ def test_hull_audit_runs_no_orbit(monkeypatch, pq_map, gcf):
     total = _check_hull_images(pq_map, part, triple, res)
     assert calls == [[], [], []]
     assert total == sum_left_to_right(q.hull for q in res.quadruples[: part.q_n])
-    assert total == qn_rows(pq_map, gcf, 0.05, [9])[0].image_len_sum
 
 
 def test_cover_triple_needs_two_breaks(rot_map, gcf):
@@ -504,21 +508,34 @@ def test_cover_triple_needs_two_breaks(rot_map, gcf):
         regular_cover_triple(rot_map, part, break_preimages(rot_map, part))
 
 
+def _hull_image_sum(m, part, tables):
+    # total length of the q_n hull iterates whose quadruples _qn_row
+    # chains: the cover triple's on a two-break map, else the generator's
+    if len(m.breaks) == 2:
+        quad = regular_cover_triple(m, part, tables).quadruple
+    else:
+        quad = _generator_quadruple(part)
+    res = distortion_chain(quad, m, part.q_n)
+    return sum_left_to_right(q.hull for q in res.quadruples[: part.q_n])
+
+
 def test_qn_gaps_rotation_vanish(rot_map, gcf):
-    rows = qn_rows(rot_map, gcf, 0.0, range(4, 9))
-    for r in rows:
+    parts, tables = rank_parts(rot_map, gcf, 0.0, range(4, 9))
+    for part in parts:
+        r = _qn_row(rot_map, part, tables)
         assert r.case_tag == "break_free"
         assert r.gf_gap is None
         assert r.dist_qn_gap <= 1e-12
-        assert r.image_len_sum <= 1.0 + 1e-9
+        assert _hull_image_sum(rot_map, part, tables) <= 1.0 + 1e-9
 
 
 def test_qn_gaps_generic_bounded_below(pq_map, gcf):
-    rows = qn_rows(pq_map, gcf, 0.05, range(6, 10))
-    for r in rows:
+    parts, tables = rank_parts(pq_map, gcf, 0.05, range(6, 10))
+    for part in parts:
+        r = _qn_row(pq_map, part, tables)
         assert r.case_tag == "c_outside_U"
         assert r.dist_qn_gap > 0.2
-        assert r.image_len_sum <= 1.0 + 1e-9
+        assert _hull_image_sum(pq_map, part, tables) <= 1.0 + 1e-9
 
 
 def test_qn_gaps_same_orbit_certified(so_map, gcf):
