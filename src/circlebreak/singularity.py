@@ -154,7 +154,7 @@ def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
             r6=r6,
             degenerate=True,
         )
-    if abs(ss - sigma_a) <= 1e-15:
+    if abs(sigma_c - 1.0) <= 1e-15:
         raise InvalidGeometry("sigma_c = 1 leaves only one genuine break")
     ev = math.exp(v)
     zeta0 = min(abs(ss - 1.0) / (2.0 * ev * abs(ss - sigma_a)), 1.0)

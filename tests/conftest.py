@@ -8,6 +8,8 @@ from typing import NamedTuple
 import pytest
 from hypothesis import HealthCheck, settings
 
+import circlebreak.singularity
+from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain
 from circlebreak.errors import InvariantFailure
 from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make_rotation
 from circlebreak.numerics import MACHINE_EPS, arc_length, to_circle
@@ -152,6 +154,48 @@ def qn_rows(m, cf, x0, ranks):
     """singularity_report's per-rank ReportRows at ``ranks``."""
     parts, tables = rank_parts(m, cf, x0, ranks)
     return [_qn_row(m, part, tables) for part in parts]
+
+
+def qn_chains(monkeypatch, m, cf, x0, ranks):
+    """(quadruple, steps, ChainResult) of each distortion_chain run that
+    singularity_report's rows make at ``ranks``, in rank order."""
+    runs = []
+
+    def recorded(q, m, steps):
+        res = distortion_chain(q, m, steps)
+        runs.append((q, steps, res))
+        return res
+
+    monkeypatch.setattr(circlebreak.singularity, "distortion_chain", recorded)
+    qn_rows(m, cf, x0, ranks)
+    return runs
+
+
+def direct_distortion(q, m, steps):
+    """(direct, direct_tol): Dist(q; f^steps) from the four endpoints
+    iterated one by one on the circle, the oracle for distortion_chain,
+    and the relative tolerance the chain's total must meet against it.
+
+    The final endpoints are reassembled on one chart by arc lengths.
+    Unlike the gap-tracked chain, each endpoint carries its own orbit
+    roundoff, so the tolerance grows with the step count over the
+    smallest reassembled gap; its floor is 1e-10.  Heuristic, not proven.
+    """
+    finals = [advance(m, to_circle(z), 0, steps)[0] for z in q]
+    w = [finals[0]]
+    for u, x in zip(finals, finals[1:]):
+        w.append(w[-1] + arc_length(u, x))
+    direct = cross_ratio(Quadruple(*w)) / cross_ratio(q)
+    min_gap = min(b - a for a, b in zip(w, w[1:]))
+    return direct, max(1e-10, 32.0 * MACHINE_EPS * steps / max(min_gap, MACHINE_EPS))
+
+
+def telescoping_bound(steps):
+    """(1 + u)^(2 steps + 1) - 1 with u = 2^-53: the relative distance a
+    chain's total of ``steps`` factors may keep from the float quotient
+    Cr(last) / Cr(first).  The cross-ratios cancel exactly, and each
+    factor's quotient, each product and that quotient round once."""
+    return math.expm1((2 * steps + 1) * math.log1p(MACHINE_EPS / 2))
 
 
 def beta_masses(part, rho):

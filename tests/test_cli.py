@@ -340,6 +340,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, doc):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_a_huge_sigma_a_is_refused_for_its_rank_not_as_one_break(tmp_path, capsys):
+    # the mirrored cover sees sigma_a = 1e-16 and sigma_c = 2: both breaks
+    # are genuine, and the refusal names what is at the rounding floor
+    code, out = run(tmp_path, "singularity", dict(SINGULARITY, sigma_a=1e16, sigma_c=0.5))
+    assert code == 5
+    assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    want = r"error: rank 5 clearance \S+ leaves cover widths at the rounding floor\n"
+    assert re.fullmatch(want, err), err
+
+
 def test_quotients_past_the_float_range_exit_2(tmp_path, capsys):
     # q_7 q_8 of these quotients is past 1e400, so the tuning width is 0.0:
     # finer than binary64 certifies, and refused with one error line rather
@@ -1040,6 +1051,40 @@ def test_break_free_rows_stay_on_the_row_kernel(tmp_path, monkeypatch, doc):
     assert code == 0
     assert reached[False] == 0
     assert reached[True] > 0
+
+
+CURVED_PQ_MAP = {"kind": "pq", "a": 0.2, "c": 0.6, "sigma_a": 100, "sigma_c": 0.5}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"map": CURVED_PQ_MAP, "quadruples": [[-0.35, -0.3, -0.1, 0.55]]},
+            "curvature term of the closed form on the hull [-0.35, 0.55] is not finite",
+        ),
+        (
+            {"map": CURVED_PQ_MAP, "sample": {"count": 200, "scale": 0.2}},
+            "curvature term of the closed form on the hull ",
+        ),
+        (
+            {
+                "map": dict(CURVED_PQ_MAP, sigma_a=1e150, sigma_c=1e-150),
+                "quadruples": [[0.3, 0.35, 0.4, 0.45]],
+            },
+            "C1 = 1 / (4 min Df^2) overflows at min Df ",
+        ),
+    ],
+    ids=["closed-form-expm1-overflows", "sampled-expm1-overflows", "c1-overflows"],
+)
+def test_a_bound_past_the_float_range_exits_3(tmp_path, capsys, doc, message):
+    # 4 K1 ∫|D²f| is 729.5 on the first hull, past expm1's range; on the
+    # extreme map min Df is 3.3e-300, whose square underflows to 0
+    code, out = run(tmp_path, "distortion", doc, extra=("--seed", "7"))
+    assert code == 3
+    assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@
 A PL map read from its float segment table and translation is an exact
 rational map, so its orbit can be replayed in ``Fraction`` arithmetic and
 every float point measured against the exact one.  Backward orbits are
-replayed likewise, inverting each segment with its linear root.  These
-are the first slices of the oracle of ROADMAP item 19.
+replayed likewise, inverting each segment with its linear root, and so
+is the report's distortion chain, point by point.  These are the first
+slices of the oracle of ROADMAP item 19.
 """
 
 import json
@@ -22,6 +23,8 @@ from circlebreak.singularity import (
     break_preimages,
     build_experiment_map,
 )
+
+from conftest import qn_chains
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -111,3 +114,22 @@ def test_break_preimages_stay_near_the_exact_ones(name):
         assert len(floats) == cf.q(12) + cf.q(11) == 377
         errors = [_circle_distance(Fraction(f), e) for f, e in zip(floats, exact)]
         assert 0 < max(errors) <= ORBIT_TOL
+
+
+@pytest.mark.parametrize("name", ["pl_generic", "pl_herman"])
+def test_report_chain_points_stay_near_the_exact_orbit(monkeypatch, name):
+    # the chain _qn_row runs at ranks 5-12, its cover's four float points
+    # pushed through q_n exact steps; each chain point lies on some turn,
+    # and the exact point lifted onto that turn is within ORBIT_TOL of it.
+    # Measured at most 3.8e-14 (pl_generic) and 2.9e-15 (pl_herman)
+    cfg, cf, m = _tuned_experiment(name)
+    runs = qn_chains(monkeypatch, m, cf, cfg.x0, range(5, 13))
+    assert [steps for _, steps, _ in runs] == [cf.q(n) for n in range(5, 13)]
+    for q, steps, res in runs:
+        orbits = [exact_orbit(m, Fraction(z) % 1, steps) for z in q]
+        errors = [
+            _circle_distance(Fraction(z), orbit[k])
+            for k, quad in enumerate(res.quadruples)
+            for z, orbit in zip(quad, orbits)
+        ]
+        assert max(errors) <= ORBIT_TOL

@@ -18,9 +18,12 @@ from conftest import (
     _reference_endpoint_condition,
     _reference_is_qn_small,
     beta_masses,
+    direct_distortion,
+    qn_chains,
     qn_rows,
     rank_parts,
     sum_left_to_right,
+    telescoping_bound,
 )
 
 import circlebreak
@@ -28,7 +31,7 @@ import circlebreak.crossratio
 import circlebreak.measure
 import circlebreak.rotation
 from circlebreak.cli import main
-from circlebreak.crossratio import Quadruple, distortion_chain
+from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain
 from circlebreak.errors import (
     CircleBreakError,
     ConfigError,
@@ -104,6 +107,16 @@ def test_degenerate_product_collapses_constants():
 def test_single_genuine_break_rejected():
     with pytest.raises(InvalidGeometry):
         make_cover_params(2.0, 1.0, V25)
+    with pytest.raises(InvalidGeometry, match="^sigma_c = 1 leaves only one genuine break$"):
+        make_cover_params(2.0, 1 + 2**-52, V25)
+
+
+def test_a_tiny_sigma_a_keeps_both_breaks():
+    # sigma_a (sigma_c - 1) is 1e-16 here, yet sigma_c = 2 is a genuine
+    # break: the test reads sigma_c, not that product
+    p = make_cover_params(1e-16, 2.0, V25)
+    assert not p.degenerate
+    assert (p.sigma_a, p.sigma_c) == (1e-16, 2.0)
 
 
 def test_cover_params_refuse_what_is_not_positive():
@@ -500,6 +513,49 @@ def test_hull_audit_runs_no_orbit(monkeypatch, pq_map, gcf):
     total = _check_hull_images(pq_map, part, triple, res)
     assert calls == [[], [], []]
     assert total == sum_left_to_right(q.hull for q in res.quadruples[: part.q_n])
+
+
+def test_distortion_chain_walks_no_orbit_of_its_own(monkeypatch, pq_map, gcf):
+    # the chain's points are its only orbit; the endpoints iterated one
+    # by one are the oracle below, not part of the run
+    part = build_partition(pq_map, gcf, 0.05, 9)
+    triple = regular_cover_triple(pq_map, part, break_preimages(pq_map, part))
+    calls = _count_calls(monkeypatch, advance)
+    res = distortion_chain(triple.quadruple, pq_map, part.q_n)
+    assert calls == []
+    assert type(res)._fields == ("total", "factors", "quadruples")
+
+
+@pytest.mark.parametrize(
+    "name, n_max",
+    [
+        ("pq_main", None),
+        ("pq_same_orbit", None),
+        ("pl_generic", None),
+        ("rotation_baseline", None),
+        ("pl_herman", None),
+        ("pl_generic", 20),
+    ],
+)
+def test_every_report_chain_meets_its_oracles(monkeypatch, name, n_max):
+    # each rank's chain, as the report runs it: its total within
+    # direct_tol of the endpoints iterated one by one, and within the
+    # proven rounding of the telescoped ratio of its end cross-ratios
+    doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    if n_max is not None:
+        doc = dict(doc, n_min=n_max, n_max=n_max)
+    cfg = ExperimentConfig(**doc)
+    cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+    m, _, _ = build_experiment_map(cfg, cf)
+    ranks = range(cfg.n_min, cfg.n_max + 1)
+    runs = qn_chains(monkeypatch, m, cf, cfg.x0, ranks)
+    assert [steps for _, steps, _ in runs] == [cf.q(n) for n in ranks]
+    for q, steps, res in runs:
+        assert len(res.factors) == steps and len(res.quadruples) == steps + 1
+        direct, direct_tol = direct_distortion(q, m, steps)
+        assert abs(res.total - direct) <= direct_tol * abs(direct)
+        telescoped = cross_ratio(res.quadruples[-1]) / cross_ratio(res.quadruples[0])
+        assert abs(res.total - telescoped) <= telescoping_bound(steps) * abs(telescoped)
 
 
 def test_cover_triple_needs_two_breaks(rot_map, gcf):
