@@ -27,6 +27,7 @@ from .errors import (
     HypothesisNotCertified,
     InvalidGeometry,
     InvariantFailure,
+    PrecisionBudgetExceeded,
     RankTooShallow,
     TolUnreachable,
 )
@@ -156,10 +157,17 @@ def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
         )
     if abs(sigma_c - 1.0) <= 1e-15:
         raise InvalidGeometry("sigma_c = 1 leaves only one genuine break")
-    ev = math.exp(v)
+    if ss == sigma_a:  # zeta0's denominator rounds to 0
+        raise PrecisionBudgetExceeded(f"sigma_a * sigma_c rounds back to sigma_a = {sigma_a!r}")
+    try:
+        ev = math.exp(v)
+    except OverflowError:
+        ev = math.inf
     zeta0 = min(abs(ss - 1.0) / (2.0 * ev * abs(ss - sigma_a)), 1.0)
     m_sigma = max(ss, sigma_a)
     c0 = max(4.0 * r6 * ev * m_sigma / abs(ss - 1.0), 1.0)
+    if not math.isfinite(c0):
+        raise PrecisionBudgetExceeded(f"cover constant C0 is past the float range at v = {v!r}")
     return RegularCoverParams(
         c0=c0, zeta0=zeta0, v=v, sigma_a=sigma_a, sigma_c=sigma_c, r6=r6
     )

@@ -191,11 +191,17 @@ def direct_distortion(q, m, steps):
 
 
 def telescoping_bound(steps):
-    """(1 + u)^(2 steps + 1) - 1 with u = 2^-53: the relative distance a
-    chain's total of ``steps`` factors may keep from the float quotient
-    Cr(last) / Cr(first).  The cross-ratios cancel exactly, and each
-    factor's quotient, each product and that quotient round once."""
-    return math.expm1((2 * steps + 1) * math.log1p(MACHINE_EPS / 2))
+    """(1 + u)^(2 steps) / (1 - u) - 1 with u = 2^-53: the relative
+    distance a chain's total of ``steps`` factors may keep from the float
+    quotient Cr(last) / Cr(first).  The float cross-ratios cancel exactly;
+    each factor's quotient and each product round once, a factor 1 + u
+    apiece, and the reference quotient's rounding sits in the denominator
+    of the relative error, a factor 1 / (1 - u).  The subtraction in the
+    comparison is exact (Sterbenz); what is not counted is the rounding of
+    this bound and of its product with |Cr(last) / Cr(first)|, a few ulps
+    relative to the bound itself."""
+    u = MACHINE_EPS / 2
+    return math.expm1(2 * steps * math.log1p(u) - math.log1p(-u))
 
 
 def beta_masses(part, rho):

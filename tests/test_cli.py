@@ -351,6 +351,24 @@ def test_a_huge_sigma_a_is_refused_for_its_rank_not_as_one_break(tmp_path, capsy
     assert re.fullmatch(want, err), err
 
 
+@pytest.mark.parametrize(
+    "sigma_a, sigma_c, message",
+    [
+        (5e-324, 0.9, "sigma_a * sigma_c rounds back to sigma_a = 5e-324"),
+        (1e-200, 0.5, "cover constant C0 is past the float range at v = "),
+    ],
+    ids=["product-rounds-to-sigma_a", "c0-overflows"],
+)
+def test_a_jump_ratio_past_the_float_range_exits_3(tmp_path, capsys, sigma_a, sigma_c, message):
+    # the first product is subnormal and rounds back to sigma_a; on the
+    # second map v is about 922, so e^v overflows
+    code, out = run(tmp_path, "singularity", dict(SINGULARITY, sigma_a=sigma_a, sigma_c=sigma_c))
+    assert code == 3
+    assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 def test_quotients_past_the_float_range_exit_2(tmp_path, capsys):
     # q_7 q_8 of these quotients is past 1e400, so the tuning width is 0.0:
     # finer than binary64 certifies, and refused with one error line rather

@@ -119,6 +119,17 @@ def test_a_tiny_sigma_a_keeps_both_breaks():
     assert (p.sigma_a, p.sigma_c) == (1e-16, 2.0)
 
 
+def test_cover_params_refuse_constants_past_the_float_range():
+    # 5e-324 * 0.9 rounds back to 5e-324, so zeta0's denominator
+    # |sigma_a sigma_c - sigma_a| is 0; e^800 overflows, and C0 with it
+    rounds = "^sigma_a \\* sigma_c rounds back to sigma_a = 5e-324$"
+    with pytest.raises(PrecisionBudgetExceeded, match=rounds):
+        make_cover_params(5e-324, 0.9, V25)
+    past = "^cover constant C0 is past the float range at v = 800.0$"
+    with pytest.raises(PrecisionBudgetExceeded, match=past):
+        make_cover_params(2.0, 0.8, 800.0)
+
+
 def test_cover_params_refuse_what_is_not_positive():
     for sigma_a, sigma_c in ((-2.0, 0.8), (2.0, 0.0), (math.nan, 0.8), (2.0, math.nan)):
         with pytest.raises(InvalidGeometry, match="^jump ratios must be positive$"):
@@ -540,7 +551,7 @@ def test_distortion_chain_walks_no_orbit_of_its_own(monkeypatch, pq_map, gcf):
 def test_every_report_chain_meets_its_oracles(monkeypatch, name, n_max):
     # each rank's chain, as the report runs it: its total within
     # direct_tol of the endpoints iterated one by one, and within the
-    # proven rounding of the telescoped ratio of its end cross-ratios
+    # rounding bound of the telescoped ratio of its end cross-ratios
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     if n_max is not None:
         doc = dict(doc, n_min=n_max, n_max=n_max)
