@@ -9,25 +9,31 @@ Exit codes: 0 success, 2 malformed config, 3 evaluation budget
 exhausted, 4 a machine-checked invariant failed, 5 any other failure
 from this package.  All artifacts are staged before the first rename,
 so a failing run leaves no partial outputs behind.
+
+Layers load on first use.  Importing this module registers every layer
+(``maps``, ``rotation``, ``partition``, ``crossratio``, ``measure``,
+``singularity``) in ``sys.modules`` but runs none of them, so a command
+compiles only the layers it reads: ``distortion`` loads ``maps`` and
+``crossratio``, ``partition`` loads ``maps``, ``rotation`` and
+``partition``, and ``singularity`` every layer but ``measure``.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import marshal
 import math
 import os
 import random
 import re
-import statistics
 import sys
 import tempfile
 from itertools import chain, repeat
 from operator import truediv
 from typing import get_type_hints
 
-from .crossratio import Quadruple, distortion_rows
 from .errors import (
     BreakCollision,
     CircleBreakError,
@@ -36,25 +42,40 @@ from .errors import (
     InvariantFailure,
     PrecisionBudgetExceeded,
 )
-from .maps import make_pl_two_break, make_pq_two_break, make_rotation, map_stats
-from .measure import conjugacy_values, mass_identity_residual, partition_masses
 from .numerics import DEFAULT_ORBIT_CAP, ordered_sum
-from .partition import (
-    build_partition,
-    check_refinement,
-    denjoy_product,
-    max_element_decay,
-    partition_rows,
-)
-from .rotation import (
-    TUNE_TOL_FLOOR,
-    ContinuedFraction,
-    cf_expand_convergents,
-    rho_farey,
-    rho_iterate_estimate,
-    tune_translation,
-)
-from .singularity import ExperimentConfig, ReportRow, singularity_report
+
+
+def _lazy_layer(name):
+    """The package's module ``name``, bound in ``sys.modules`` and on the
+    package as an import binds it, but compiled and run only when code
+    first reads one of its attributes (``importlib.util.LazyLoader``).
+
+    A module imported already is returned as it is.  An ``import``
+    statement naming the module runs it too, since the import system
+    reads its ``__spec__``.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        loader = importlib.util.LazyLoader(spec.loader)
+        spec.loader = loader
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Every layer is in sys.modules from here on, for code that looks layers
+# up there.  Their names are read through the module at call time, so a
+# function replaced on its module takes effect here too.
+maps = _lazy_layer("maps")
+rotation = _lazy_layer("rotation")
+partition = _lazy_layer("partition")
+crossratio = _lazy_layer("crossratio")
+measure = _lazy_layer("measure")
+singularity = _lazy_layer("singularity")
 
 SCHEMA = 1
 
@@ -368,12 +389,14 @@ class _Keys:
             raise ConfigError(f"{self.where} key {key!r} must be a number")
         return _finite(v, f"{self.where} key {key!r}")
 
-    def integer(self, key, default=_MISSING, minimum=None):
+    def integer(self, key, default=_MISSING, minimum=None, maximum=None):
         v = self.take(key, default)
         if isinstance(v, bool) or not isinstance(v, int):
             raise ConfigError(f"{self.where} key {key!r} must be an integer")
         if minimum is not None and v < minimum:
             raise ConfigError(f"{self.where} key {key!r} must be >= {minimum}")
+        if maximum is not None and v > maximum:
+            raise ConfigError(f"{self.where} key {key!r} must be <= {maximum}")
         return v
 
     def optional_integer(self, key, default=None):
@@ -435,7 +458,7 @@ def _map_from_config(spec, forbid_translation=False, where="map"):
     if kind == "rotation":
         t = 0.0 if forbid_translation else translation()
         k.done()
-        return make_rotation(t), kind
+        return maps.make_rotation(t), kind
     if kind == "pq":
         a = k.real("a")
         c = k.real("c")
@@ -443,14 +466,14 @@ def _map_from_config(spec, forbid_translation=False, where="map"):
         sc = k.real("sigma_c")
         t = translation(0.0)
         k.done()
-        return make_pq_two_break(a, c, sa, sc, t), kind
+        return maps.make_pq_two_break(a, c, sa, sc, t), kind
     if kind == "pl":
         a = k.real("a")
         c = k.real("c")
         r = k.real("slope_ratio")
         t = translation(0.0)
         k.done()
-        return make_pl_two_break(a, c, r, t), kind
+        return maps.make_pl_two_break(a, c, r, t), kind
     raise ConfigError(f"unknown map kind {kind!r}; expected rotation, pq, or pl")
 
 
@@ -460,13 +483,13 @@ def _cf_from_config(spec, where="rho"):
         k = _Keys(spec, where)
         ks = k.quotients("cf")
         k.done()
-        return ContinuedFraction.from_quotients(ks)
+        return rotation.ContinuedFraction.from_quotients(ks)
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         v = _finite(spec, where)
         if not 0 < v < 1:
             raise ConfigError(f"{where} must lie in (0, 1), got {v!r}")
         try:
-            return cf_expand_convergents(v)
+            return rotation.cf_expand_convergents(v)
         except ValueError as e:
             raise ConfigError(f"{where} {v!r}: {e}") from e
     raise ConfigError(f"{where} must be a number or an object with a cf list")
@@ -486,8 +509,8 @@ def cmd_rotnum(doc, outdir, seed):
     cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
 
-    est, cfr = rho_farey(m, depth=depth, cap=cap)
-    it = rho_iterate_estimate(m, estimate_n, cap=cap) if estimate_n > 0 else None
+    est, cfr = rotation.rho_farey(m, depth=depth, cap=cap)
+    it = rotation.rho_iterate_estimate(m, estimate_n, cap=cap) if estimate_n > 0 else None
     if it is not None and (it.upper < est.lower or est.upper < it.lower):
         raise InvariantFailure(
             "farey and iterated rotation estimates do not intersect: "
@@ -524,14 +547,14 @@ def cmd_tune(doc, outdir, seed):
     tol = k.real("tol", 1e-10)
     cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
-    if not tol >= TUNE_TOL_FLOOR:
-        raise ConfigError(f"tol must be at least {TUNE_TOL_FLOOR:g}")
+    if not tol >= rotation.TUNE_TOL_FLOOR:
+        raise ConfigError(f"tol must be at least {rotation.TUNE_TOL_FLOOR:g}")
     try:
         target.bracket_within(tol)
     except ValueError as e:
         raise ConfigError(f"target_rho cannot certify tol: {e}") from e
 
-    res = tune_translation(m, target, tol=tol, cap=cap)
+    res = rotation.tune_translation(m, target, tol=tol, cap=cap)
     report = {
         "schema": SCHEMA,
         "command": "tune",
@@ -555,10 +578,12 @@ def _start_denjoy_samples(m, cf, n, cap, count, seed):
     A base point whose orbit collides with a break is not redrawn: it
     fails the run, and another ``--seed`` draws other points.
     """
+    # read before the fork, so that no child compiles the layer again
+    product = partition.denjoy_product
 
     def sample(x):
         try:
-            return denjoy_product(m, cf, x, n, cap=cap)
+            return product(m, cf, x, n, cap=cap)
         except BreakCollision as e:
             raise InvariantFailure(
                 f"the orbit of Denjoy base point {x!r}, drawn with --seed "
@@ -576,7 +601,8 @@ def cmd_partition(doc, outdir, seed):
     cf = _cf_from_config(k.take("rho"))
     x0 = k.real("x0", 0.05)
     n = k.integer("n", minimum=1)
-    denjoy_samples = k.integer("denjoy_samples", 0, minimum=0)
+    # every draw is held in memory before the first sample runs
+    denjoy_samples = k.integer("denjoy_samples", 0, minimum=0, maximum=DEFAULT_ORBIT_CAP)
     decay_n_max = k.integer("decay_n_max", 0, minimum=0)
     refinement = k.flag("refinement", False)
     cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
@@ -600,18 +626,18 @@ def cmd_partition(doc, outdir, seed):
     staged = []
     try:
         # every rank is cut from one orbit, so all share one base point
-        deep = build_partition(m, cf, x0, max(n_fine, decay_n_max), cap=cap)
+        deep = partition.build_partition(m, cf, x0, max(n_fine, decay_n_max), cap=cap)
         # a map outside class P fails here, before the samples, as it did serially
-        stats = map_stats(m) if denjoy_samples > 0 else None
+        stats = maps.map_stats(m) if denjoy_samples > 0 else None
         try:
             part = deep.coarsen(n)
             fit = rep = None
             if decay_n_max > 0:
-                fit = max_element_decay(m, deep.coarsen(decay_n_max))
+                fit = partition.max_element_decay(m, deep.coarsen(decay_n_max))
             if refinement:
-                rep = check_refinement(part, deep.coarsen(n + 1))
+                rep = partition.check_refinement(part, deep.coarsen(n + 1))
             header = ["n", "rank_tag", "index", "left", "length"]
-            table = _csv_chunks(header, partition_rows(part))
+            table = _csv_chunks(header, partition.partition_rows(part))
             _stage(outdir, [("partition.csv", table)], staged)
         except Exception:
             samples.join()
@@ -668,7 +694,7 @@ def _config_quadruple(raw, where):
         raise ConfigError(f"{where} must be a list of four numbers")
     zs = [_finite(v, where) for v in raw]
     try:
-        q = Quadruple(*zs)
+        q = crossratio.Quadruple(*zs)
     except CircleBreakError as e:
         raise ConfigError(f"{where}: {e}") from e
     if not q.hull < 1:
@@ -693,7 +719,7 @@ def cmd_distortion(doc, outdir, seed):
         ]
     if sample_spec is not None:
         sk = _Keys(sample_spec, "sample")
-        count = sk.integer("count")
+        count = sk.integer("count", maximum=DEFAULT_ORBIT_CAP)
         scale = sk.real("scale", 0.01)
         sk.done()
         if count < 1 or not 0 < scale <= 0.2:
@@ -705,7 +731,7 @@ def cmd_distortion(doc, outdir, seed):
                 z1 = rand()
                 z2 = z1 + scale * (0.25 + rand())
                 z3 = z2 + scale * (0.25 + rand())
-                quads.append(Quadruple(z1, z2, z3, z3 + scale * (0.25 + rand())))
+                quads.append(crossratio.Quadruple(z1, z2, z3, z3 + scale * (0.25 + rand())))
         except DegenerateQuadruple as e:
             raise ConfigError(f"sample.scale {scale!r}: {e}") from e
     if not quads:
@@ -714,7 +740,7 @@ def cmd_distortion(doc, outdir, seed):
     rows = []
     closed_form_rows = 0
     max_residual = 0.0
-    for q, r in zip(quads, distortion_rows(quads, m)):
+    for q, r in zip(quads, crossratio.distortion_rows(quads, m)):
         if r.closed_form:
             closed_form_rows += 1
             max_residual = max(max_residual, r.residual)
@@ -744,6 +770,8 @@ def cmd_distortion(doc, outdir, seed):
 
 
 def cmd_measure(doc, outdir, seed):
+    import statistics  # slow to import, and only this command takes a median
+
     k = _Keys(doc)
     m, _ = _map_from_config(k.take("map"))
     cf = _cf_from_config(k.take("rho"))
@@ -774,10 +802,10 @@ def cmd_measure(doc, outdir, seed):
     # stay under drift_tol.  The Farey descent stops at half that budget:
     # the factor 0.5 keeps conjugacy_values' drift check clear of rounding.
     # If the orbit cap runs out first, PrecisionBudgetExceeded propagates.
-    est, _ = rho_farey(m, cap=cap, width=width)
-    part = build_partition(m, cf, x0, n, cap=cap)
-    om = conjugacy_values(m, est, part, points, drift_tol=drift_tol, cap=cap)
-    masses = partition_masses(om)
+    est, _ = rotation.rho_farey(m, cap=cap, width=width)
+    part = partition.build_partition(m, cf, x0, n, cap=cap)
+    om = measure.conjugacy_values(m, est, part, points, drift_tol=drift_tol, cap=cap)
+    masses = measure.partition_masses(om)
     el = part.elements
 
     rank_summary = {}
@@ -796,7 +824,7 @@ def cmd_measure(doc, outdir, seed):
         "rho": _enclosure(est),
         "mass_sum": ordered_sum(masses),
         "ranks": rank_summary,
-        "identity_residual": mass_identity_residual(cf, est.value, n),
+        "identity_residual": measure.mass_identity_residual(cf, est.value, n),
     }
     return _write_all(
         outdir,
@@ -840,14 +868,14 @@ _UNREAD_KEYS = {
 def cmd_singularity(doc, outdir, seed):
     # keys left out keep the ExperimentConfig defaults
     k = _Keys(doc, "singularity config")
-    types = get_type_hints(ExperimentConfig)
+    types = get_type_hints(singularity.ExperimentConfig)
     kwargs = {
         name: _FIELD_READERS[types[name]](k, name)
-        for name in ExperimentConfig._fields
-        if name in doc or name not in ExperimentConfig._field_defaults
+        for name in singularity.ExperimentConfig._fields
+        if name in doc or name not in singularity.ExperimentConfig._field_defaults
     }
     k.done()
-    config = ExperimentConfig(**kwargs)
+    config = singularity.ExperimentConfig(**kwargs)
     # a null same_orbit_steps is the default, not a setting
     unread = {key for key in _UNREAD_KEYS[config.kind] if kwargs.get(key) is not None}
     if config.same_orbit_steps is not None and "c" in kwargs:
@@ -859,13 +887,13 @@ def cmd_singularity(doc, outdir, seed):
             f"{', '.join(sorted(unread))}"
         )
 
-    report = singularity_report(config)
+    report = singularity.singularity_report(config)
     body = {"schema": SCHEMA, "command": "singularity", **report.to_json_dict()}
     # a null gf_gap is an empty cell
     rows = [r if r.gf_gap is not None else r._replace(gf_gap="") for r in report.rows]
     artifacts = [
         ("report.json", [_json_text(body) + "\n"]),
-        ("rows.csv", _csv_chunks(ReportRow._fields, rows)),
+        ("rows.csv", _csv_chunks(singularity.ReportRow._fields, rows)),
     ]
     return _write_all(outdir, artifacts)
 

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import load_script
 
-from circlebreak import cli, crossratio
+from circlebreak import crossratio, partition, singularity
 from circlebreak.cli import (
     CSV_CHUNK_LINES,
     _csv_chunks,
@@ -28,6 +28,7 @@ from circlebreak.cli import (
 from circlebreak.crossratio import lift_into
 from circlebreak.errors import InvariantFailure, RefinementViolation
 from circlebreak.maps import make_rotation
+from circlebreak.numerics import DEFAULT_ORBIT_CAP
 from circlebreak.partition import build_partition, partition_rows
 from circlebreak.rotation import ContinuedFraction
 from circlebreak.singularity import CASE_TAGS, ReportRow, SingularityReport, tuning_width
@@ -252,6 +253,9 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("partition", dict(PARTITION, rho={"cf": [1] * 6}, n=6, decay_n_max=6)),
         # counts and caps out of range, refused before any orbit runs
         ("partition", dict(PARTITION, denjoy_samples=-1)),
+        # every draw is held in memory before the first one runs
+        ("partition", dict(PARTITION, denjoy_samples=DEFAULT_ORBIT_CAP + 1)),
+        ("distortion", {"map": PQ_MAP, "sample": {"count": DEFAULT_ORBIT_CAP + 1}}),
         ("partition", dict(PARTITION, decay_n_max=-1)),
         ("partition", dict(PARTITION, decay_n_max=1)),
         ("partition", dict(PARTITION, cap=-1)),
@@ -305,6 +309,8 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "partition-decay_n_max-past-quotients",
         "partition-refinement-past-quotients",
         "partition-denjoy_samples-negative",
+        "partition-denjoy_samples-past-orbit-cap",
+        "distortion-sample-count-past-orbit-cap",
         "partition-decay_n_max-negative",
         "partition-decay_n_max-1",
         "partition-cap-negative",
@@ -945,7 +951,7 @@ def test_a_failed_refinement_audit_exits_4(monkeypatch, tmp_path, capsys):
     def violated(coarse, fine):
         raise RefinementViolation("boundary point 7 escapes coarse cell 2")
 
-    monkeypatch.setattr(cli, "check_refinement", violated)
+    monkeypatch.setattr(partition, "check_refinement", violated)
     code, out = run(
         tmp_path,
         "partition",
@@ -1302,7 +1308,7 @@ def test_non_finite_last_row_leaves_no_files(monkeypatch, tmp_path):
     def rows_ending_in_nan(part):
         return chain(partition_rows(part), [(part.n, part.n, 0, 0.5, math.nan)])
 
-    monkeypatch.setattr("circlebreak.cli.partition_rows", rows_ending_in_nan)
+    monkeypatch.setattr(partition, "partition_rows", rows_ending_in_nan)
     doc = {"map": PQ_TUNED, "rho": {"cf": [1] * 20}, "n": 17}
     code, out = run(tmp_path, "partition", doc)
     assert code == 4
@@ -1330,9 +1336,11 @@ def test_unstage_goes_on_past_a_file_it_cannot_remove(tmp_path):
 
 
 def test_non_finite_report_value_exits_4_without_files(monkeypatch, tmp_path, capsys):
-    real = cli.singularity_report
+    real = singularity.singularity_report
     monkeypatch.setattr(
-        cli, "singularity_report", lambda config: real(config)._replace(median_gap=math.nan)
+        singularity,
+        "singularity_report",
+        lambda config: real(config)._replace(median_gap=math.nan),
     )
     code, out = run(tmp_path, "singularity", {"kind": "rotation", "n_min": 4, "n_max": 6})
     assert code == 4

@@ -18,7 +18,7 @@ from itertools import chain
 
 import pytest
 
-from circlebreak import cli
+from circlebreak import cli, partition
 from circlebreak.errors import (
     BreakCollision,
     CircleBreakError,
@@ -105,7 +105,7 @@ def test_first_failure_in_draw_order_exits_4(monkeypatch, tmp_path, capsys, fail
     # with two CPUs all 40 draws run in a child beside the build; a child
     # that raises exits non-zero and its block is computed again here
     index = _draws(40)
-    real = cli.denjoy_product
+    real = partition.denjoy_product
 
     def failing_product(m, cf, x, n, cap):
         i = index[x]
@@ -113,7 +113,7 @@ def test_first_failure_in_draw_order_exits_4(monkeypatch, tmp_path, capsys, fail
             raise InvariantFailure(f"Denjoy product escapes its bounds at draw {i}")
         return real(m, cf, x, n, cap=cap)
 
-    monkeypatch.setattr(cli, "denjoy_product", failing_product)
+    monkeypatch.setattr(partition, "denjoy_product", failing_product)
     doc = dict(PARTITION, denjoy_samples=40)
     code, out = _run(tmp_path, "all", doc)
     message = capsys.readouterr().err
@@ -129,7 +129,7 @@ def test_first_failure_in_draw_order_exits_4(monkeypatch, tmp_path, capsys, fail
 
 def test_the_base_points_are_the_seeded_draws(monkeypatch):
     # a product that returns its base point shows which points were taken
-    monkeypatch.setattr(cli, "denjoy_product", lambda m, cf, x, n, cap: x)
+    monkeypatch.setattr(partition, "denjoy_product", lambda m, cf, x, n, cap: x)
     got = cli._start_denjoy_samples(None, None, 0, 0, 40, SEED).join()
     assert got == list(_draws(40))
     _assert_no_children()
@@ -145,7 +145,7 @@ def test_a_colliding_draw_exits_4(monkeypatch, tmp_path, capsys, cpus, colliding
     # a colliding draw is not replaced: the first one in draw order fails
     # the run, before a bound failing at a later draw
     index = _draws(40)
-    real = cli.denjoy_product
+    real = partition.denjoy_product
 
     def product(m, cf, x, n, cap):
         i = index[x]
@@ -155,7 +155,7 @@ def test_a_colliding_draw_exits_4(monkeypatch, tmp_path, capsys, cpus, colliding
             raise InvariantFailure("Denjoy product escapes its bounds at draw 33")
         return real(m, cf, x, n, cap=cap)
 
-    monkeypatch.setattr(cli, "denjoy_product", product)
+    monkeypatch.setattr(partition, "denjoy_product", product)
     if cpus == "one":
         _one_cpu(monkeypatch)
     code, out = _run(tmp_path, cpus, dict(PARTITION, denjoy_samples=40))
@@ -325,7 +325,7 @@ def test_the_samples_run_during_the_build(monkeypatch, tmp_path):
     # a child's first sample leaves a file, which the build waits for
     flag = tmp_path / "sampling"
     parent = os.getpid()
-    real_product, real_build = cli.denjoy_product, cli.build_partition
+    real_product, real_build = partition.denjoy_product, partition.build_partition
     seen = []
 
     def product(m, cf, x, n, cap):
@@ -340,8 +340,8 @@ def test_the_samples_run_during_the_build(monkeypatch, tmp_path):
         seen.append(flag.exists())
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "denjoy_product", product)
-    monkeypatch.setattr(cli, "build_partition", build)
+    monkeypatch.setattr(partition, "denjoy_product", product)
+    monkeypatch.setattr(partition, "build_partition", build)
     code, _ = _run(tmp_path, "all", dict(PARTITION, denjoy_samples=40))
     assert code == 0
     assert seen == [True]
@@ -360,8 +360,8 @@ def test_a_failing_build_beats_a_failing_sample(monkeypatch, tmp_path, capsys, c
     def build(*args, **kwargs):
         raise PrecisionBudgetExceeded("the build ran out of orbit budget")
 
-    monkeypatch.setattr(cli, "denjoy_product", product)
-    monkeypatch.setattr(cli, "build_partition", build)
+    monkeypatch.setattr(partition, "denjoy_product", product)
+    monkeypatch.setattr(partition, "build_partition", build)
     if cpus == "one":
         _one_cpu(monkeypatch)
     start = time.monotonic()
@@ -381,11 +381,11 @@ def _failing_refinement(part, fine):
     raise CircleBreakError("the refinement audit failed")
 
 
-def _nan_rows(part, real=cli.partition_rows):
+def _nan_rows(part, real=partition.partition_rows):
     return chain(real(part), [(part.n, part.n, 0, 0.5, float("nan"))])
 
 
-# failure -> (cli name to replace, replacement, exit code, message)
+# failure -> (partition name to replace, replacement, exit code, message)
 LATER_FAILURES = {
     "decay": (
         "max_element_decay",
@@ -420,15 +420,15 @@ def test_a_failing_sample_beats_the_checks_and_the_table(
     # the decay fit, the refinement audit or the table that ran beside it
     name, replacement, later_code, later_message = LATER_FAILURES[later]
     index = _draws(40)
-    real = cli.denjoy_product
+    real = partition.denjoy_product
 
     def product(m, cf, x, n, cap):
         if sample_fails and index[x] == 27:
             raise InvariantFailure("Denjoy product escapes its bounds at draw 27")
         return real(m, cf, x, n, cap=cap)
 
-    monkeypatch.setattr(cli, "denjoy_product", product)
-    monkeypatch.setattr(cli, name, replacement)
+    monkeypatch.setattr(partition, "denjoy_product", product)
+    monkeypatch.setattr(partition, name, replacement)
     if cpus == "one":
         _one_cpu(monkeypatch)
     doc = dict(PARTITION, denjoy_samples=40, decay_n_max=12, refinement=True)
