@@ -42,7 +42,7 @@ from .errors import (
     InvariantFailure,
     PrecisionBudgetExceeded,
 )
-from .numerics import DEFAULT_ORBIT_CAP, ordered_sum
+from .numerics import ORBIT_CAP, ordered_sum
 
 
 def _lazy_layer(name):
@@ -506,11 +506,10 @@ def cmd_rotnum(doc, outdir, seed):
     m, _ = _map_from_config(k.take("map"))
     depth = k.integer("depth", 40, minimum=1)
     estimate_n = k.integer("estimate_n", 10_000, minimum=0)
-    cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
 
-    est, cfr = rotation.rho_farey(m, depth=depth, cap=cap)
-    it = rotation.rho_iterate_estimate(m, estimate_n, cap=cap) if estimate_n > 0 else None
+    est, cfr = rotation.rho_farey(m, depth=depth)
+    it = rotation.rho_iterate_estimate(m, estimate_n) if estimate_n > 0 else None
     if it is not None and (it.upper < est.lower or est.upper < it.lower):
         raise InvariantFailure(
             "farey and iterated rotation estimates do not intersect: "
@@ -545,7 +544,6 @@ def cmd_tune(doc, outdir, seed):
     m, kind = _map_from_config(mspec, forbid_translation=True)
     target = _cf_from_config(k.take("target_rho"), "target_rho")
     tol = k.real("tol", 1e-10)
-    cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
     if not tol >= rotation.TUNE_TOL_FLOOR:
         raise ConfigError(f"tol must be at least {rotation.TUNE_TOL_FLOOR:g}")
@@ -554,7 +552,7 @@ def cmd_tune(doc, outdir, seed):
     except ValueError as e:
         raise ConfigError(f"target_rho cannot certify tol: {e}") from e
 
-    res = rotation.tune_translation(m, target, tol=tol, cap=cap)
+    res = rotation.tune_translation(m, target, tol=tol)
     report = {
         "schema": SCHEMA,
         "command": "tune",
@@ -568,7 +566,7 @@ def cmd_tune(doc, outdir, seed):
     return _write_all(outdir, [("tune.json", [_json_text(report) + "\n"])])
 
 
-def _start_denjoy_samples(m, cf, n, cap, count, seed):
+def _start_denjoy_samples(m, cf, n, count, seed):
     """Start the Denjoy products of ``count`` random base points drawn
     from ``random.Random(seed)``, in children on the CPUs but the first
     (``_Blocks``), so the caller can work beside them, pinned to the
@@ -583,7 +581,7 @@ def _start_denjoy_samples(m, cf, n, cap, count, seed):
 
     def sample(x):
         try:
-            return product(m, cf, x, n, cap=cap)
+            return product(m, cf, x, n)
         except BreakCollision as e:
             raise InvariantFailure(
                 f"the orbit of Denjoy base point {x!r}, drawn with --seed "
@@ -602,10 +600,9 @@ def cmd_partition(doc, outdir, seed):
     x0 = k.real("x0", 0.05)
     n = k.integer("n", minimum=1)
     # every draw is held in memory before the first sample runs
-    denjoy_samples = k.integer("denjoy_samples", 0, minimum=0, maximum=DEFAULT_ORBIT_CAP)
+    denjoy_samples = k.integer("denjoy_samples", 0, minimum=0, maximum=ORBIT_CAP)
     decay_n_max = k.integer("decay_n_max", 0, minimum=0)
     refinement = k.flag("refinement", False)
-    cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
     if decay_n_max == 1:
         raise ConfigError("decay_n_max must be 0 (no fit) or at least 2")
@@ -622,11 +619,11 @@ def cmd_partition(doc, outdir, seed):
     # children while this process builds, checks and stages the table.
     # Failures still surface in the order of a serial run: the build's,
     # then the samples', then those of the checks and the table.
-    samples = _start_denjoy_samples(m, cf, n, cap, denjoy_samples, seed)
+    samples = _start_denjoy_samples(m, cf, n, denjoy_samples, seed)
     staged = []
     try:
         # every rank is cut from one orbit, so all share one base point
-        deep = partition.build_partition(m, cf, x0, max(n_fine, decay_n_max), cap=cap)
+        deep = partition.build_partition(m, cf, x0, max(n_fine, decay_n_max))
         # a map outside class P fails here, before the samples, as it did serially
         stats = maps.map_stats(m) if denjoy_samples > 0 else None
         try:
@@ -719,7 +716,7 @@ def cmd_distortion(doc, outdir, seed):
         ]
     if sample_spec is not None:
         sk = _Keys(sample_spec, "sample")
-        count = sk.integer("count", maximum=DEFAULT_ORBIT_CAP)
+        count = sk.integer("count", maximum=ORBIT_CAP)
         scale = sk.real("scale", 0.01)
         sk.done()
         if count < 1 or not 0 < scale <= 0.2:
@@ -779,7 +776,6 @@ def cmd_measure(doc, outdir, seed):
     n = k.integer("n", minimum=1)
     points = k.integer("points", 2000)
     drift_tol = k.real("drift_tol", 1e-6)
-    cap = k.integer("cap", DEFAULT_ORBIT_CAP, minimum=1)
     k.done()
     if n > cf.depth:
         raise ConfigError(f"rank {n} needs at least {n} rho quotients")
@@ -801,10 +797,10 @@ def cmd_measure(doc, outdir, seed):
     # over ``points`` points is points times the enclosure width and must
     # stay under drift_tol.  The Farey descent stops at half that budget:
     # the factor 0.5 keeps conjugacy_values' drift check clear of rounding.
-    # If the orbit cap runs out first, PrecisionBudgetExceeded propagates.
-    est, _ = rotation.rho_farey(m, cap=cap, width=width)
-    part = partition.build_partition(m, cf, x0, n, cap=cap)
-    om = measure.conjugacy_values(m, est, part, points, drift_tol=drift_tol, cap=cap)
+    # If the orbit budget runs out first, PrecisionBudgetExceeded propagates.
+    est, _ = rotation.rho_farey(m, width=width)
+    part = partition.build_partition(m, cf, x0, n)
+    om = measure.conjugacy_values(m, est, part, points, drift_tol=drift_tol)
     masses = measure.partition_masses(om)
     el = part.elements
 

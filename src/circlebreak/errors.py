@@ -10,8 +10,9 @@ class CircleBreakError(Exception):
 
 
 class PrecisionBudgetExceeded(CircleBreakError):
-    """An orbit or refinement would exceed the configured evaluation cap,
-    or a quantity fell below what the arithmetic type can resolve."""
+    """An orbit would exceed the fixed budget of map evaluations
+    (``numerics.ORBIT_CAP``), or a quantity fell below what the
+    arithmetic type can resolve."""
 
 
 class InvalidGeometry(CircleBreakError):

@@ -35,10 +35,10 @@ from .errors import (
     NotClassP,
     PrecisionBudgetExceeded,
 )
+from . import numerics
 from .numerics import (
     BREAK_CLEARANCE_EPS,
     CLAMP_FROM,
-    DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
     arc_length,
     to_circle,
@@ -255,10 +255,13 @@ def evaluate(m: CircleMap, x):
     return y + k + t
 
 
-def check_orbit_length(n: int, cap: int):
-    """Refuse an orbit of n map steps when n exceeds ``cap``."""
-    if n > cap:
-        raise PrecisionBudgetExceeded(f"orbit length {n} exceeds cap {cap}")
+def check_orbit_length(n: int):
+    """Refuse an orbit of n map steps when n exceeds the orbit budget,
+    ``numerics.ORBIT_CAP``, read here at call time."""
+    if n > numerics.ORBIT_CAP:
+        raise PrecisionBudgetExceeded(
+            f"orbit length {n} exceeds cap {numerics.ORBIT_CAP}"
+        )
 
 
 def _check_orbit_start(x, t, n: int):
@@ -406,7 +409,7 @@ def retreat(m: CircleMap, x, w: int, n: int, pts=None):
     return x, w + int(turns)
 
 
-def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
+def df_product(m: CircleMap, x0, steps: int):
     """Product of Df_+ along the first ``steps`` orbit points of x0.
 
     One pass, no orbit kept: each step gives the point ``advance`` gives,
@@ -424,7 +427,7 @@ def df_product(m: CircleMap, x0, steps: int, cap: int = DEFAULT_ORBIT_CAP):
     the points that test rejects; so an orbit raises at its first point
     too close to a break, and only there.
     """
-    check_orbit_length(steps - 1, cap)
+    check_orbit_length(steps - 1)
     t, _, pos, val, d0, _, curv = m
     # floor raises for a translation that is not finite, where the loop's
     # y % 1.0 would go on with nan
@@ -479,13 +482,14 @@ def step_with_winding(m: CircleMap, x, w: int):
     return advance(m, x, w, 1)
 
 
-def iterate(m: CircleMap, x0, n: int, cap: int = DEFAULT_ORBIT_CAP):
+def iterate(m: CircleMap, x0, n: int):
     """Forward orbit of circle points [x0, T x0, ..., T^n x0].
 
-    The capped list form of ``advance``: ``cap`` bounds the number of map
-    evaluations n; a longer orbit raises PrecisionBudgetExceeded.
+    The capped list form of ``advance``: the orbit budget bounds the
+    number of map evaluations n; a longer orbit raises
+    PrecisionBudgetExceeded.
     """
-    check_orbit_length(n, cap)
+    check_orbit_length(n)
     if n < 0:
         raise ValueError("n must be non-negative")
     pts = [to_circle(x0)]

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import OrderViolation, PrecisionBudgetExceeded
 from .maps import CircleMap, advance, check_orbit_length
-from .numerics import DEFAULT_ORBIT_CAP, to_circle
+from .numerics import to_circle
 from .partition import DynamicalPartition
 from .rotation import ContinuedFraction, RotationEstimate, convergent_error
 
@@ -49,14 +49,13 @@ def conjugacy_values(
     part: DynamicalPartition,
     n_points: int,
     drift_tol: float = 1e-7,
-    cap: int = DEFAULT_ORBIT_CAP,
 ) -> OrbitMeasure:
     """Orbit of ``part.x0`` to n_points points, phi[i] = {i rho}, order-checked.
 
     The partition's orbit is extended from its last point; ``advance``
     does not read the winding, so the points are bit-identical to an
-    orbit iterated afresh from the base point.  ``cap`` bounds the whole
-    orbit, n_points - 1 map steps.
+    orbit iterated afresh from the base point.  The orbit budget bounds
+    the whole orbit, n_points - 1 map steps.
 
     The orbit must be circularly ordered exactly like the rigid
     rotation orbit; any disagreement means rho is not accurate enough
@@ -74,7 +73,7 @@ def conjugacy_values(
             f"rho enclosure width {rho.width:.3e} lets phi drift past "
             f"{drift_tol:.1e} over {n_points} points; deepen the rho estimate"
         )
-    check_orbit_length(n_points - 1, cap)
+    check_orbit_length(n_points - 1)
     advance(m, pts[-1], 0, n_points - len(pts), pts)
     val = rho.value
     phi = tuple(to_circle(i * val) for i in range(n_points))

@@ -21,8 +21,9 @@ MACHINE_EPS = sys.float_info.epsilon
 # and a comparison.
 CLAMP_FROM = 1.0 - 2 * MACHINE_EPS
 
-# Hard ceiling on map evaluations in a single orbit-producing call.
-DEFAULT_ORBIT_CAP = 2_000_000
+# Hard ceiling on map evaluations in a single orbit-producing call;
+# ``maps.check_orbit_length`` is its one reader on the orbit paths.
+ORBIT_CAP = 2_000_000
 
 # Orbit points closer to a break than this (in units of MACHINE_EPS)
 # count as collisions for derivative sampling purposes.

@@ -25,7 +25,7 @@ from .errors import (
     RefinementViolation,
 )
 from .maps import CircleMap, clears_breaks, df_product, iterate, map_stats
-from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, in_arc, ordered_sum, to_circle
+from .numerics import MACHINE_EPS, in_arc, ordered_sum, to_circle
 from .rotation import ContinuedFraction
 
 # Shift applied to a partition's base point when its orbit hits a break,
@@ -200,11 +200,7 @@ def _cut(cf: ContinuedFraction, n: int, orbit: tuple, x0, nudges: int):
 
 
 def build_partition(
-    m: CircleMap,
-    cf: ContinuedFraction,
-    x0,
-    n: int,
-    cap: int = DEFAULT_ORBIT_CAP,
+    m: CircleMap, cf: ContinuedFraction, x0, n: int
 ) -> DynamicalPartition:
     """Assemble xi_n(x0) on an orbit of x0 that clears the breaks.
 
@@ -222,7 +218,7 @@ def build_partition(
     total = cf.q(n) + cf.q(n - 1)
     x = to_circle(x0)
     for nudges in range(MAX_NUDGES + 1):
-        pts = iterate(m, x, total - 1, cap=cap)
+        pts = iterate(m, x, total - 1)
         if clears_breaks(m, pts):
             return _cut(cf, n, tuple(pts), x, nudges)
         x = to_circle(x + NUDGE)
@@ -284,13 +280,7 @@ def check_refinement(
     return RefinementReport(k_next=k_next, persisted=q_nm1)
 
 
-def denjoy_product(
-    m: CircleMap,
-    cf: ContinuedFraction,
-    x0,
-    n: int,
-    cap: int = DEFAULT_ORBIT_CAP,
-):
+def denjoy_product(m: CircleMap, cf: ContinuedFraction, x0, n: int):
     """Df-product over q_n steps; certified to lie in [e^{-v}, e^{v}].
 
     The orbit must clear the break points on its own: no nudging here,
@@ -299,7 +289,7 @@ def denjoy_product(
     if cf.depth < n:
         raise RankTooShallow(f"need {n} partial quotients, have {cf.depth}")
     q_n = cf.q(n)
-    prod = df_product(m, x0, q_n, cap=cap)
+    prod = df_product(m, x0, q_n)
     v = map_stats(m).v
     lo, hi = exp(-v), exp(v)
     slack = 1e-9

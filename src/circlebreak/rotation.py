@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .errors import NotBracketed, TolUnreachable
 from .maps import CircleMap, advance, check_orbit_length, evaluate
-from .numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS, to_circle
+from .numerics import MACHINE_EPS, to_circle
 
 # |f^q(0) - p| at or below this many epsilons-times-q is treated as an exact
 # hit, i.e. the rotation number is declared rational.
@@ -147,10 +147,11 @@ class RotationEstimate(NamedTuple):
         return self.upper - self.lower
 
 
-def _walk(m: CircleMap, x, w: int, at: int, q: int, cap: int):
+def _walk(m: CircleMap, x, w: int, at: int, q: int):
     """The orbit state (x, w) of 0 moved from step ``at`` to step ``q`` by
-    ``maps.advance``; a q past ``cap`` raises before any step runs."""
-    check_orbit_length(q, cap)
+    ``maps.advance``; a q past the orbit budget raises before any step
+    runs."""
+    check_orbit_length(q)
     return advance(m, x, w, q - at)
 
 
@@ -163,13 +164,11 @@ def _sign(x, w: int, p: int, q: int) -> int:
     return 1 if s > 0 else -1
 
 
-def rho_iterate_estimate(
-    m: CircleMap, n: int, cap: int = DEFAULT_ORBIT_CAP
-) -> RotationEstimate:
+def rho_iterate_estimate(m: CircleMap, n: int) -> RotationEstimate:
     """Plain Birkhoff estimate f^n(0)/n with the certified +-1/n enclosure."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    x, w = _walk(m, 0.0, 0, 0, n, cap)
+    x, w = _walk(m, 0.0, 0, 0, n)
     raw = (x + w) / n
     shift = floor(raw)
     return RotationEstimate(
@@ -193,9 +192,7 @@ def _bracket_quotients(pl, ql, ph, qh, m0) -> list:
     return cf_quotients_of_fraction(Fraction(pl + ph, ql + qh) - m0)[:-1]
 
 
-def rho_farey(
-    m: CircleMap, depth: int = 60, cap: int = DEFAULT_ORBIT_CAP, width: float | None = None
-):
+def rho_farey(m: CircleMap, depth: int = 60, width: float | None = None):
     """Certified rotation-number enclosure by Farey mediant bisection.
 
     Returns (RotationEstimate, ContinuedFraction).  Each refinement replaces
@@ -207,14 +204,14 @@ def rho_farey(
     By default the descent takes ``depth`` steps.  With ``width`` set it
     instead stops as soon as the enclosure is at most ``width`` wide, so
     the orbit grows only to the denominators that width needs; ``depth``
-    is then ignored and the orbit ``cap`` alone bounds the work (running
+    is then ignored and the orbit budget alone bounds the work (running
     into it raises PrecisionBudgetExceeded).
     """
     if width is None and depth < 1:
         raise ValueError("depth must be >= 1")
     if width is not None and not width > 0:
         raise ValueError("width must be positive")
-    x, w = _walk(m, 0.0, 0, 0, 1, cap)
+    x, w = _walk(m, 0.0, 0, 0, 1)
     # integer part: f(0) in [m0, m0+1]
     m0 = floor(x + w)
     if _sign(x, w, m0, 1) == 0:
@@ -236,7 +233,7 @@ def rho_farey(
     rational = None
     while descend():
         pm, qm = pl + ph, ql + qh
-        x, w = _walk(m, x, w, at, qm, cap)
+        x, w = _walk(m, x, w, at, qm)
         at = qm
         s = _sign(x, w, pm, qm)
         if s == 0:
@@ -275,7 +272,7 @@ class TuneResult(NamedTuple):
     certified_tol: float
 
 
-def _compare_to_target(m, target: ContinuedFraction, n: int, cap: int):
+def _compare_to_target(m, target: ContinuedFraction, n: int):
     """Certified comparison of rho(m) against the target's n-th bracket.
 
     Returns "low", "high" or "within".  Even convergents lie below the
@@ -284,12 +281,12 @@ def _compare_to_target(m, target: ContinuedFraction, n: int, cap: int):
     sign <= 0 at an even k puts rho(m) at or below p_k/q_k, so at or below
     bracket n's lower end ("low"), and a sign >= 0 at an odd k at or above
     its upper end ("high").  Passing all n + 1 tests certifies rho(m) in
-    bracket n ("within").  An orbit longer than ``cap`` raises
+    bracket n ("within").  An orbit past the budget raises
     PrecisionBudgetExceeded.
     """
     x, w, at = 0.0, 0, 0
     for k, (p, q) in enumerate(target.convergents[: n + 1]):
-        x, w = _walk(m, x, w, at, q, cap)
+        x, w = _walk(m, x, w, at, q)
         at = q
         s = _sign(x, w, p, q)
         if k % 2 == 0:
@@ -304,7 +301,6 @@ def tune_translation(
     m: CircleMap,
     target: ContinuedFraction,
     tol: float = 1e-10,
-    cap: int = DEFAULT_ORBIT_CAP,
     family=None,
 ) -> TuneResult:
     """Find t with |rho(f_t) - target| <= tol by bisection on t.
@@ -341,7 +337,7 @@ def tune_translation(
     t_hi = target.value - dmin + 1e-9
 
     def oracle(t):
-        return _compare_to_target(family(t), target, n, cap)
+        return _compare_to_target(family(t), target, n)
 
     r_lo = oracle(t_lo)
     r_hi = oracle(t_hi)

@@ -14,7 +14,6 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .numerics import (
-    DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
     arc_length,
     in_arc,
@@ -601,7 +600,6 @@ def solve_same_orbit(
     slope_ratio=None,
     m_steps: int = 1,
     tune_tol: float = 1e-10,
-    cap: int = DEFAULT_ORBIT_CAP,
 ):
     """Two-break map with the second break on the first break's orbit.
 
@@ -621,14 +619,15 @@ def solve_same_orbit(
     the full ``tune_tol``.  The accepted c is then retuned at ``tune_tol``.
 
     Either way the residual |f^{m_steps}(a) - c| must stay within
-    10 * SAME_ORBIT_TOL.  ``cap`` bounds the tuning orbits and the
-    m_steps placement orbit.  Returns the tuned map and its TuneResult.
+    10 * SAME_ORBIT_TOL.  The orbit budget bounds the tuning orbits and
+    the m_steps placement orbit.  Returns the tuned map and its
+    TuneResult.
     """
     if m_steps < 1:
         raise ValueError("m_steps must be >= 1")
     if kind not in ("pq", "pl"):
         raise ValueError("same-orbit construction supports pq and pl maps")
-    check_orbit_length(m_steps, cap)
+    check_orbit_length(m_steps)
     a_circ = to_circle(a)
 
     def build(c_pos, translation=0.0):
@@ -652,7 +651,7 @@ def solve_same_orbit(
             return build(to_circle(a_circ + t), t)
 
         rep = build(to_circle(a_circ + target.value))
-        tr = tune_translation(rep, target, tol=tune_tol, cap=cap, family=family)
+        tr = tune_translation(rep, target, tol=tune_tol, family=family)
         return checked(family(tr.translation), tr)
 
     c = to_circle(a + 0.61 * m_steps)
@@ -660,12 +659,12 @@ def solve_same_orbit(
     for _ in range(SAME_ORBIT_ROUNDS):
         round_tol = max(tune_tol, 1e-2 * gap)
         base = build(c)
-        tr = tune_translation(base, target, tol=round_tol, cap=cap)
+        tr = tune_translation(base, target, tol=round_tol)
         tuned = base.with_translation(tr.translation)
         c_new = advance(tuned, a_circ, 0, m_steps)[0]
         gap = _circle_gap(c_new, c)
         if gap <= SAME_ORBIT_TOL and round_tol == tune_tol:
-            tr = tune_translation(build(c_new), target, tol=tune_tol, cap=cap)
+            tr = tune_translation(build(c_new), target, tol=tune_tol)
             return checked(build(c_new, tr.translation), tr)
         c = c_new
     raise TolUnreachable(
@@ -686,7 +685,6 @@ class _ExperimentConfigFields(NamedTuple):
     n_min: int = 5
     n_max: int = 12
     same_orbit_steps: int | None = None
-    cap: int = DEFAULT_ORBIT_CAP
 
 
 class ExperimentConfig(_ExperimentConfigFields):
@@ -719,8 +717,6 @@ class ExperimentConfig(_ExperimentConfigFields):
             )
         if self.same_orbit_steps is not None and self.same_orbit_steps < 1:
             raise ConfigError("same_orbit_steps must be >= 1 when set")
-        if self.cap < 1:
-            raise ConfigError("cap must be >= 1")
         return self._replace(rho_quotients=qs)
 
 
@@ -818,7 +814,6 @@ def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
             slope_ratio=config.slope_ratio,
             m_steps=config.same_orbit_steps,
             tune_tol=width,
-            cap=config.cap,
         )
         notes.append(
             f"second break placed on the first break's orbit after "
@@ -829,7 +824,7 @@ def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
         base = make_pq_two_break(config.a, config.c, config.sigma_a, config.sigma_c)
     else:
         base = make_pl_two_break(config.a, config.c, config.slope_ratio)
-    tr = tune_translation(base, target, tol=width, cap=config.cap)
+    tr = tune_translation(base, target, tol=width)
     return base.with_translation(tr.translation), tr, notes
 
 
@@ -848,7 +843,7 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     m, tr, notes = build_experiment_map(config, cf)
     translation = tr.translation
     stats = map_stats(m)
-    deep = build_partition(m, cf, config.x0, config.n_max, cap=config.cap)
+    deep = build_partition(m, cf, config.x0, config.n_max)
     tables = break_preimages(m, deep)
 
     two_break = len(m.breaks) == 2

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import load_script
 
-from circlebreak import crossratio, partition, singularity
+from circlebreak import crossratio, numerics, partition, singularity
 from circlebreak.cli import (
     CSV_CHUNK_LINES,
     _csv_chunks,
@@ -28,7 +28,7 @@ from circlebreak.cli import (
 from circlebreak.crossratio import lift_into
 from circlebreak.errors import InvariantFailure, RefinementViolation
 from circlebreak.maps import make_rotation
-from circlebreak.numerics import DEFAULT_ORBIT_CAP
+from circlebreak.numerics import ORBIT_CAP
 from circlebreak.partition import build_partition, partition_rows
 from circlebreak.rotation import ContinuedFraction
 from circlebreak.singularity import CASE_TAGS, ReportRow, SingularityReport, tuning_width
@@ -162,7 +162,8 @@ def test_tune_rejects_pinned_translation(tmp_path):
     assert os.listdir(out) == []
 
 
-def test_budget_exhaustion_exits_3_without_files(tmp_path):
+def test_budget_exhaustion_exits_3_without_files(monkeypatch, tmp_path):
+    monkeypatch.setattr(numerics, "ORBIT_CAP", 100_000)
     code, out = run(
         tmp_path,
         "rotnum",
@@ -170,21 +171,21 @@ def test_budget_exhaustion_exits_3_without_files(tmp_path):
             "map": {"kind": "rotation", "translation": 0.6180339887498949},
             "depth": 40,
             "estimate_n": 0,
-            "cap": 100_000,
         },
     )
     assert code == 3
     assert os.listdir(out) == []
 
 
-def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
+def test_rho_width_beyond_cap_exits_3_without_files(monkeypatch, tmp_path, capsys):
     # singularity sizes the rho enclosure by its deepest rank, measure by
     # drift_tol / points; a cap below the orbit that width needs must fail
     # before anything is written. At rank 12 the partition orbit fits the
     # cap; tuning to bracket n_max + 2 needs the golden q_14, which does
     # not.
+    monkeypatch.setattr(numerics, "ORBIT_CAP", 500)
     cf = ContinuedFraction.from_quotients([1] * 30)
-    part = build_partition(make_rotation(cf.value), cf, 0.05, 12, cap=500)
+    part = build_partition(make_rotation(cf.value), cf, 0.05, 12)
     assert len(part.orbit) == cf.q(12) + cf.q(11) == 377
     assert cf.bracket_within(tuning_width(cf, 12)) == 14
     assert cf.q(14) == 610
@@ -194,7 +195,6 @@ def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
             "label": "capped",
             "n_min": 11,
             "n_max": 12,
-            "cap": 500,
         },
         "measure": {
             "map": PQ_TUNED,
@@ -202,7 +202,6 @@ def test_rho_width_beyond_cap_exits_3_without_files(tmp_path, capsys):
             "x0": 0.05,
             "n": 5,
             "points": 400,
-            "cap": 500,
         },
     }
     for command, doc in runs.items():
@@ -227,7 +226,6 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
     [
         ("singularity", dict(SINGULARITY, n_min="5")),
         ("singularity", dict(SINGULARITY, x0="abc")),
-        ("singularity", dict(SINGULARITY, cap="big")),
         # the tuning width follows from n_max
         ("singularity", dict(SINGULARITY, tune_tol=1e-10)),
         ("singularity", dict(SINGULARITY, rho_quotients=[1.5] + [1] * 29)),
@@ -251,15 +249,17 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("partition", dict(PARTITION, rho={"cf": [1] * 5}, n=8)),
         ("partition", dict(PARTITION, rho={"cf": [1] * 6}, n=4, decay_n_max=9)),
         ("partition", dict(PARTITION, rho={"cf": [1] * 6}, n=6, decay_n_max=6)),
-        # counts and caps out of range, refused before any orbit runs
+        # counts out of range, refused before any orbit runs
         ("partition", dict(PARTITION, denjoy_samples=-1)),
         # every draw is held in memory before the first one runs
-        ("partition", dict(PARTITION, denjoy_samples=DEFAULT_ORBIT_CAP + 1)),
-        ("distortion", {"map": PQ_MAP, "sample": {"count": DEFAULT_ORBIT_CAP + 1}}),
+        ("partition", dict(PARTITION, denjoy_samples=ORBIT_CAP + 1)),
+        ("distortion", {"map": PQ_MAP, "sample": {"count": ORBIT_CAP + 1}}),
         ("partition", dict(PARTITION, decay_n_max=-1)),
         ("partition", dict(PARTITION, decay_n_max=1)),
-        ("partition", dict(PARTITION, cap=-1)),
         ("rotnum", dict(ROTNUM, estimate_n=-1)),
+        # the orbit budget is a module constant, not a config key: a
+        # config that sets it names an unknown key
+        ("partition", dict(PARTITION, cap=-1)),
         ("rotnum", dict(ROTNUM, cap=0)),
         ("tune", dict(TUNE, cap=0)),
         ("measure", dict(MEASURE, cap=0)),
@@ -291,7 +291,6 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
     ids=[
         "n_min-string",
         "x0-string",
-        "cap-string",
         "tune_tol-removed",
         "rho_quotients-fraction",
         "same_orbit_steps-float",
@@ -313,8 +312,8 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "distortion-sample-count-past-orbit-cap",
         "partition-decay_n_max-negative",
         "partition-decay_n_max-1",
-        "partition-cap-negative",
         "rotnum-estimate_n-negative",
+        "partition-cap-negative",
         "rotnum-cap-0",
         "tune-cap-0",
         "measure-cap-0",
@@ -344,6 +343,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, doc):
     assert os.listdir(out) == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if "cap" in doc:
+        assert re.fullmatch(r"error: unknown (singularity )?config keys: cap\n", err), err
 
 
 def test_a_huge_sigma_a_is_refused_for_its_rank_not_as_one_break(tmp_path, capsys):
@@ -870,8 +871,9 @@ def test_verdict_threshold_below_zero_exits_2(tmp_path, key, value):
     assert os.listdir(out) == []
 
 
-def test_unreachable_tolerance_exits_3(tmp_path):
+def test_unreachable_tolerance_exits_3(monkeypatch, tmp_path):
     # tol 1e-10 needs the golden bracket of q_26 = 196418, far past the cap
+    monkeypatch.setattr(numerics, "ORBIT_CAP", 2000)
     code, out = run(
         tmp_path,
         "tune",
@@ -879,7 +881,6 @@ def test_unreachable_tolerance_exits_3(tmp_path):
             "map": {"kind": "pl", "a": 0.2, "c": 0.6, "slope_ratio": 3.0},
             "target_rho": {"cf": [1] * 30},
             "tol": 1e-10,
-            "cap": 2000,
         },
     )
     assert code == 3
@@ -976,9 +977,9 @@ def test_partition_builds_one_orbit_for_every_rank(monkeypatch, tmp_path):
     # are all cut from a single build at the deepest of them
     builds = []
 
-    def counted(m, cf, x0, n, cap):
+    def counted(m, cf, x0, n):
         builds.append(n)
-        return build_partition(m, cf, x0, n, cap=cap)
+        return build_partition(m, cf, x0, n)
 
     for name, mod in list(sys.modules.items()):
         if name.split(".")[0] == "circlebreak":

@@ -10,6 +10,7 @@ import circlebreak.crossratio
 from circlebreak.crossratio import (
     DistortionRow,
     Quadruple,
+    U,
     calibrate_c1,
     calibrate_k1,
     chain_points,
@@ -325,6 +326,39 @@ def _exact_lift(m, x):
         + j
         + Fraction(m.translation)
     )
+
+
+# the pl_generic and pq_main maps at the translations their bundled
+# singularity runs tune to
+TUNED_PL_GENERIC = make_pl_two_break(0.2, 0.6, 3.0, 0.47669284285625607)
+TUNED_PQ_MAIN = make_pq_two_break(0.2, 0.6, 2.0, 0.8, 0.6949144976323708)
+
+
+@pytest.mark.parametrize("m", [TUNED_PL_GENERIC, TUNED_PQ_MAIN], ids=["pl", "pq"])
+def test_chain_image_gaps_hold_their_rounding_bound(m):
+    # one chain_points step on gaps of 1e-12, where one rounding of a lift
+    # is about 1e-4 of a gap: each float image gap stays within
+    # distortion_rounding's per-gap term of the exact image of its float
+    # ends, u max|P| + (6 + k(2S + 1)/lo) u g'.  Taking a gap as the
+    # difference of the two lift images instead misses it by about 9x
+    # (pl) and 20x (pq).
+    stats = map_stats(m)
+    rng = random.Random(3)
+    for _ in range(2000):
+        zs = [rng.uniform(0.5, 0.99)]
+        for _ in range(3):
+            zs.append(zs[-1] + 1e-12 * (0.5 + rng.random()))
+        # no break near the hull, so no gap is split at a segment end
+        assert not any(zs[0] - 1e-9 < b.location < zs[-1] + 1e-9 for b in m.breaks)
+        img = chain_points(m, zs, 1)[1]
+        exact = [_exact_lift(m, Fraction(z)) for z in zs]
+        s = 1.0 + max(-zs[0], zs[-1])
+        per_point = U * max(-img[0], img[-1])
+        rel = (6.0 + stats.d2f_max * (2.0 * s + 1.0) / stats.df_min) * U
+        for i in range(3):
+            gap = img[i + 1] - img[i]
+            err = abs(Fraction(gap) - (exact[i + 1] - exact[i]))
+            assert err <= per_point + rel * gap, (zs, i)
 
 
 def _exact_cross_ratio(a, b, c):

@@ -107,11 +107,11 @@ def test_first_failure_in_draw_order_exits_4(monkeypatch, tmp_path, capsys, fail
     index = _draws(40)
     real = partition.denjoy_product
 
-    def failing_product(m, cf, x, n, cap):
+    def failing_product(m, cf, x, n):
         i = index[x]
         if i in failing:
             raise InvariantFailure(f"Denjoy product escapes its bounds at draw {i}")
-        return real(m, cf, x, n, cap=cap)
+        return real(m, cf, x, n)
 
     monkeypatch.setattr(partition, "denjoy_product", failing_product)
     doc = dict(PARTITION, denjoy_samples=40)
@@ -129,8 +129,8 @@ def test_first_failure_in_draw_order_exits_4(monkeypatch, tmp_path, capsys, fail
 
 def test_the_base_points_are_the_seeded_draws(monkeypatch):
     # a product that returns its base point shows which points were taken
-    monkeypatch.setattr(partition, "denjoy_product", lambda m, cf, x, n, cap: x)
-    got = cli._start_denjoy_samples(None, None, 0, 0, 40, SEED).join()
+    monkeypatch.setattr(partition, "denjoy_product", lambda m, cf, x, n: x)
+    got = cli._start_denjoy_samples(None, None, 0, 40, SEED).join()
     assert got == list(_draws(40))
     _assert_no_children()
 
@@ -147,13 +147,13 @@ def test_a_colliding_draw_exits_4(monkeypatch, tmp_path, capsys, cpus, colliding
     index = _draws(40)
     real = partition.denjoy_product
 
-    def product(m, cf, x, n, cap):
+    def product(m, cf, x, n):
         i = index[x]
         if i in colliding:
             raise BreakCollision(f"draw {i} collides")
         if i == 33:
             raise InvariantFailure("Denjoy product escapes its bounds at draw 33")
-        return real(m, cf, x, n, cap=cap)
+        return real(m, cf, x, n)
 
     monkeypatch.setattr(partition, "denjoy_product", product)
     if cpus == "one":
@@ -328,10 +328,10 @@ def test_the_samples_run_during_the_build(monkeypatch, tmp_path):
     real_product, real_build = partition.denjoy_product, partition.build_partition
     seen = []
 
-    def product(m, cf, x, n, cap):
+    def product(m, cf, x, n):
         if os.getpid() != parent:
             flag.touch()
-        return real_product(m, cf, x, n, cap=cap)
+        return real_product(m, cf, x, n)
 
     def build(*args, **kwargs):
         deadline = time.monotonic() + 10
@@ -352,7 +352,7 @@ def test_the_samples_run_during_the_build(monkeypatch, tmp_path):
 def test_a_failing_build_beats_a_failing_sample(monkeypatch, tmp_path, capsys, cpus):
     parent = os.getpid()
 
-    def product(m, cf, x, n, cap):
+    def product(m, cf, x, n):
         if os.getpid() != parent:
             time.sleep(60)  # only a kill ends this child in time
         raise InvariantFailure("Denjoy product escapes its bounds")
@@ -422,10 +422,10 @@ def test_a_failing_sample_beats_the_checks_and_the_table(
     index = _draws(40)
     real = partition.denjoy_product
 
-    def product(m, cf, x, n, cap):
+    def product(m, cf, x, n):
         if sample_fails and index[x] == 27:
             raise InvariantFailure("Denjoy product escapes its bounds at draw 27")
-        return real(m, cf, x, n, cap=cap)
+        return real(m, cf, x, n)
 
     monkeypatch.setattr(partition, "denjoy_product", product)
     monkeypatch.setattr(partition, name, replacement)

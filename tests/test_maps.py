@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from circlebreak import numerics
 from circlebreak.crossratio import Quadruple, _general_row, distortion_rows
 from circlebreak.errors import (
     CircleBreakError,
@@ -110,10 +111,11 @@ def test_orbit_order_matches_rotation(pq_map, gcf):
     assert cyclic_order(orb) == cyclic_order(ref)
 
 
-def test_iterate_cap():
+def test_iterate_cap(monkeypatch):
+    monkeypatch.setattr(numerics, "ORBIT_CAP", 50)
     m = make_rotation(GOLDEN)
     with pytest.raises(PrecisionBudgetExceeded):
-        iterate(m, 0.0, 100, cap=50)
+        iterate(m, 0.0, 100)
 
 
 def test_iterate_refuses_a_negative_length():

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from circlebreak import numerics
 from circlebreak.errors import (
     BreakCollision,
     InvariantFailure,
@@ -23,7 +24,6 @@ from circlebreak.maps import (
 )
 from circlebreak.numerics import (
     BREAK_CLEARANCE_EPS,
-    DEFAULT_ORBIT_CAP,
     MACHINE_EPS,
     arc_length,
     in_arc,
@@ -239,33 +239,17 @@ def test_partition_rows_shape(pq_map, gcf):
     assert 0 <= left < 1 and 0 < length < 1
 
 
-def test_orbit_cap_comes_from_the_caller(monkeypatch, pq_map, gcf):
-    # every orbit is sized by the cap the caller passes, not the default;
-    # the Denjoy product builds no orbit list at all
-    caps = []
-
-    def spy(*args, **kwargs):
-        caps.append(kwargs.get("cap"))
-        return iterate(*args, **kwargs)
-
-    monkeypatch.setattr("circlebreak.partition.iterate", spy)
-    monkeypatch.setattr("circlebreak.maps.iterate", spy)
-    part = build_partition(pq_map, gcf, 0.05, 10, cap=1000)
-    assert len(part.orbit) == 144
-    assert denjoy_product(pq_map, gcf, 0.05, 12, cap=1000) > 0
-    assert len(build_partition(pq_map, gcf, 0.05, 12, cap=1000).orbit) == 377
-    assert caps == [1000, 1000]
-
-
-def test_orbit_cap_counts_map_evaluations(pq_map, gcf):
+def test_orbit_cap_counts_map_evaluations(monkeypatch, pq_map, gcf):
     # rank 10 needs q_10 + q_9 = 144 orbit points, i.e. 143 evaluations
-    assert len(build_partition(pq_map, gcf, 0.05, 10, cap=143).orbit) == 144
-    with pytest.raises(PrecisionBudgetExceeded, match="143 exceeds cap 142"):
-        build_partition(pq_map, gcf, 0.05, 10, cap=142)
+    monkeypatch.setattr(numerics, "ORBIT_CAP", 143)
+    assert len(build_partition(pq_map, gcf, 0.05, 10).orbit) == 144
     # a product over 144 points takes the same 143 evaluations
-    assert df_product(pq_map, 0.05, 144, cap=143) > 0
+    assert df_product(pq_map, 0.05, 144) > 0
+    monkeypatch.setattr(numerics, "ORBIT_CAP", 142)
+    with pytest.raises(PrecisionBudgetExceeded, match="143 exceeds cap 142"):
+        build_partition(pq_map, gcf, 0.05, 10)
     with pytest.raises(PrecisionBudgetExceeded):
-        df_product(pq_map, 0.05, 144, cap=142)
+        df_product(pq_map, 0.05, 144)
 
 
 def test_partition_nudges_off_a_break(pq_map, gcf):
@@ -404,11 +388,12 @@ def test_df_product_refuses_a_non_finite_translation(t, error):
         df_product(make_pq_two_break(0.2, 0.6, 2.0, 0.8, t), 0.3, 5)
 
 
-def _df_product_floor(m, x0, steps, cap=DEFAULT_ORBIT_CAP):
+def _df_product_floor(m, x0, steps):
     # df_product as written before it placed x by comparisons: the
     # fundamental-domain turn j comes from floor(x - p0), as in advance
     if steps < 1:
         return 1.0
+    cap = numerics.ORBIT_CAP
     if steps - 1 > cap:
         raise PrecisionBudgetExceeded(f"orbit length {steps - 1} exceeds cap {cap}")
     if not m.breaks:

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import circlebreak.numerics
 import circlebreak.rotation
 from circlebreak.errors import NotBracketed, PrecisionBudgetExceeded, TolUnreachable
 from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make_rotation
-from circlebreak.numerics import DEFAULT_ORBIT_CAP, MACHINE_EPS
+from circlebreak.numerics import MACHINE_EPS, ORBIT_CAP
 from circlebreak.rotation import (
     RATIONAL_CUTOFF,
     ContinuedFraction,
@@ -188,9 +189,10 @@ def test_rho_farey_width_stop(rot_map, pq_map):
         assert est.lower <= deep.lower and deep.upper <= est.upper
 
 
-def test_rho_farey_width_out_of_cap(pq_map):
+def test_rho_farey_width_out_of_cap(monkeypatch, pq_map):
+    monkeypatch.setattr(circlebreak.numerics, "ORBIT_CAP", 5000)
     with pytest.raises(PrecisionBudgetExceeded):
-        rho_farey(pq_map, width=1e-9, cap=5000)
+        rho_farey(pq_map, width=1e-9)
     with pytest.raises(ValueError):
         rho_farey(pq_map, width=0.0)
 
@@ -242,7 +244,7 @@ def test_tune_returns_a_start_end_already_within(gcf):
     res = tune_translation(m, gcf, tol=0.5)
     assert res.bisections == 0 and res.translation > gcf.value
     tuned = m.with_translation(res.translation)
-    assert _compare_to_target(tuned, gcf, 2, DEFAULT_ORBIT_CAP) == "within"
+    assert _compare_to_target(tuned, gcf, 2) == "within"
 
 
 @pytest.mark.parametrize("shift, widened", [(0.7, 0), (-0.7, 1)])
@@ -261,7 +263,7 @@ def test_tune_widens_a_start_bracket_that_misses(gcf, shift, widened):
     step = 0.5 if widened else -0.5
     assert tried[2] == tried[widened] + step
     n = gcf.bracket_within(1e-6)
-    assert _compare_to_target(family(res.translation), gcf, n, DEFAULT_ORBIT_CAP) == "within"
+    assert _compare_to_target(family(res.translation), gcf, n) == "within"
 
 
 def test_tune_refuses_a_family_it_cannot_bracket(gcf):
@@ -286,10 +288,11 @@ def test_tune_rejects_rational_target():
         tune_translation(make_rotation(0.0), ContinuedFraction.from_quotients([4]))
 
 
-def test_tune_cap_exhaustion(gcf):
+def test_tune_cap_exhaustion(monkeypatch, gcf):
+    monkeypatch.setattr(circlebreak.numerics, "ORBIT_CAP", 2000)
     base = make_pq_two_break(0.2, 0.6, 2.0, 0.8)
     with pytest.raises(PrecisionBudgetExceeded):
-        tune_translation(base, gcf, tol=1e-10, cap=2000)
+        tune_translation(base, gcf, tol=1e-10)
 
 
 def test_tune_certifies_the_last_bracket_of_the_given_quotients():
@@ -376,9 +379,10 @@ def test_tracker_matches_list_reference_at_convergents(monkeypatch, request, gcf
         mt = m.with_translation(t)
         ref = _ListTracker(mt)
         for n in (1, 2, 5, 9, 26):
-            for cap in (DEFAULT_ORBIT_CAP, 1, 50, 1000):
+            for cap in (ORBIT_CAP, 1, 50, 1000):
+                monkeypatch.setattr(circlebreak.numerics, "ORBIT_CAP", cap)
                 tests.clear()
-                got = _outcome(_compare_to_target, mt, gcf, n, cap)
+                got = _outcome(_compare_to_target, mt, gcf, n)
                 assert got == _outcome(_reference_compare, ref, gcf, n, cap)
                 assert len(tests) <= n + 1
                 answers.add(got)
@@ -413,14 +417,15 @@ def test_tracker_query_past_cap_runs_no_step(monkeypatch, pq_map, gcf):
         return advance(m, x, w, n, *rest)
 
     monkeypatch.setattr(circlebreak.rotation, "advance", counted)
+    monkeypatch.setattr(circlebreak.numerics, "ORBIT_CAP", 100)
     with pytest.raises(PrecisionBudgetExceeded):
-        rho_iterate_estimate(pq_map, 101, cap=100)
+        rho_iterate_estimate(pq_map, 101)
     assert steps == []
-    rho_iterate_estimate(pq_map, 100, cap=100)
+    rho_iterate_estimate(pq_map, 100)
     assert steps == [100]
     # the walk over the golden convergents stops at q_10 = 89: q_11 = 144
     # is past the cap, and its test runs no step
     steps.clear()
     with pytest.raises(PrecisionBudgetExceeded, match="144 exceeds cap 100"):
-        _compare_to_target(pq_map, gcf, 26, 100)
+        _compare_to_target(pq_map, gcf, 26)
     assert sum(steps) == 89

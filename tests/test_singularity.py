@@ -29,6 +29,7 @@ from conftest import (
 import circlebreak
 import circlebreak.crossratio
 import circlebreak.measure
+import circlebreak.numerics
 import circlebreak.rotation
 from circlebreak.cli import main
 from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain
@@ -216,33 +217,6 @@ def test_cover_triple_generic_case(pq_map, gcf):
     assert t.coord0 == 0.0
     assert 0 <= t.l_index < part.q_n
     assert t.quadruple.hull == pytest.approx(t.hull)
-
-
-def test_report_uses_the_configs_cap(monkeypatch):
-    # the tuning (directly and through the same-orbit solve) and the deep
-    # partition are sized by the config's cap, not the default; the cap is
-    # 1e5 because the tuning's orbits at rank 12's mass width pass 1e4 steps
-    import circlebreak.singularity as sing
-
-    caps = []
-    for name in ("build_partition", "tune_translation"):
-
-        def spy(*args, _name=name, _wrapped=getattr(sing, name), **kwargs):
-            caps.append((_name, kwargs.get("cap")))
-            return _wrapped(*args, **kwargs)
-
-        monkeypatch.setattr(sing, name, spy)
-    for steps in (None, 1):
-        caps.clear()
-        cfg = ExperimentConfig(
-            kind="pq", n_min=12, n_max=12, same_orbit_steps=steps, cap=100_000
-        )
-        (row,) = singularity_report(cfg).rows
-        assert (row.n, row.q_n) == (12, 233)
-        assert sorted(caps) == [
-            ("build_partition", 100_000),
-            ("tune_translation", 100_000),
-        ]
 
 
 def test_cover_triple_same_orbit_case(so_map, gcf):
@@ -725,28 +699,6 @@ def test_same_orbit_two_steps_runs_the_placement_loop(gcf, kind, shape, referenc
     assert _same_orbit_residual(m, steps=2) <= 10 * 1e-9
 
 
-def test_same_orbit_placement_uses_callers_cap(monkeypatch, gcf):
-    # the m_steps placement orbits and every tuning are sized by the
-    # caller's cap, not the default; the pq three-step case converges at
-    # n_max 7
-    import circlebreak.singularity as sing
-
-    shape = dict(sigma_a=2.0, sigma_c=0.8, m_steps=3, tune_tol=tuning_width(gcf, 7))
-    caps = []
-    tune = sing.tune_translation
-
-    def spy(*args, **kwargs):
-        caps.append(kwargs.get("cap"))
-        return tune(*args, **kwargs)
-
-    monkeypatch.setattr(sing, "tune_translation", spy)
-    m, _ = solve_same_orbit("pq", 0.2, gcf, cap=1000, **shape)
-    assert len(caps) > 1 and set(caps) == {1000}
-    with pytest.raises(PrecisionBudgetExceeded, match="length 3 exceeds cap 2"):
-        solve_same_orbit("pq", 0.2, gcf, cap=2, **shape)
-    assert _same_orbit_residual(m, steps=3) <= 10 * 1e-9
-
-
 def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
     # Herman: both breaks on one orbit of a PL map give an AC measure, and
     # with c exactly f(a) the q_n-distortion gap is rounding only.  At
@@ -761,11 +713,16 @@ def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
         assert r.dist_qn_gap <= 1e-12, f"rank {r.n}: gap {r.dist_qn_gap!r}"
 
 
-def test_solve_same_orbit_validation(gcf):
+def test_solve_same_orbit_validation(monkeypatch, gcf):
     with pytest.raises(ValueError):
         solve_same_orbit("henon", 0.2, gcf, sigma_a=2.0, sigma_c=0.8)
     with pytest.raises(ValueError):
         solve_same_orbit("pq", 0.2, gcf, sigma_a=2.0, sigma_c=0.8, m_steps=0)
+    # the m_steps placement orbit is checked against the budget before
+    # any tuning runs; the tuning's walk would stop at q_4 = 5
+    monkeypatch.setattr(circlebreak.numerics, "ORBIT_CAP", 3)
+    with pytest.raises(PrecisionBudgetExceeded, match="length 4 exceeds cap 3"):
+        solve_same_orbit("pq", 0.2, gcf, sigma_a=2.0, sigma_c=0.8, m_steps=4)
 
 
 def test_experiment_config_validation(tmp_path):
@@ -777,8 +734,6 @@ def test_experiment_config_validation(tmp_path):
         ExperimentConfig(kind="pq", rho_quotients=tuple([1] * 5), n_max=12)
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", same_orbit_steps=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(kind="pq", cap=0)
     # the tuning width is the golden bracket n_max + 2, 4.3e-6 at 12; the
     # rotation reads the same bracket, so every kind needs its quotients
     golden = ContinuedFraction.from_quotients([1] * 30)
