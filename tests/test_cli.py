@@ -226,6 +226,8 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
     [
         ("singularity", dict(SINGULARITY, n_min="5")),
         ("singularity", dict(SINGULARITY, x0="abc")),
+        # cap is not a config key, whatever its value
+        ("singularity", dict(SINGULARITY, cap="big")),
         # the tuning width follows from n_max
         ("singularity", dict(SINGULARITY, tune_tol=1e-10)),
         ("singularity", dict(SINGULARITY, rho_quotients=[1.5] + [1] * 29)),
@@ -291,6 +293,7 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
     ids=[
         "n_min-string",
         "x0-string",
+        "cap-string",
         "tune_tol-removed",
         "rho_quotients-fraction",
         "same_orbit_steps-float",
