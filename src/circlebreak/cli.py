@@ -439,42 +439,29 @@ class _Keys:
             )
 
 
-def _map_from_config(spec, forbid_translation=False, where="map"):
-    k = _Keys(spec, where)
+def _map_from_config(spec, forbid_translation=False):
+    k = _Keys(spec, "map")
     kind = k.take("kind")
     if forbid_translation and "translation" in spec:
         raise ConfigError(
             "the tune command searches over the translation; remove it "
             "from the map spec"
         )
-
-    def translation(default=_MISSING):
-        # from 2**52 on, x + t keeps at most one fractional bit
-        t = k.real("translation", default)
-        if abs(t) >= 2.0**52:
-            raise ConfigError(f"{where} key 'translation' must be below 2**52 in magnitude")
-        return t
-
-    if kind == "rotation":
-        t = 0.0 if forbid_translation else translation()
-        k.done()
-        return maps.make_rotation(t), kind
-    if kind == "pq":
-        a = k.real("a")
-        c = k.real("c")
-        sa = k.real("sigma_a")
-        sc = k.real("sigma_c")
-        t = translation(0.0)
-        k.done()
-        return maps.make_pq_two_break(a, c, sa, sc, t), kind
-    if kind == "pl":
-        a = k.real("a")
-        c = k.real("c")
-        r = k.real("slope_ratio")
-        t = translation(0.0)
-        k.done()
-        return maps.make_pl_two_break(a, c, r, t), kind
-    raise ConfigError(f"unknown map kind {kind!r}; expected rotation, pq, or pl")
+    if not (isinstance(kind, str) and kind in maps.MAP_KINDS):
+        *kinds, last = maps.MAP_KINDS
+        raise ConfigError(
+            f"unknown map kind {kind!r}; expected {', '.join(kinds)}, or {last}"
+        )
+    build, names = maps.MAP_KINDS[kind]
+    params = [k.real(name) for name in names]
+    # a rotation is its translation: it names one unless tune searches for it
+    required = kind == "rotation" and not forbid_translation
+    t = k.real("translation", _MISSING if required else 0.0)
+    # from 2**52 on, x + t keeps at most one fractional bit
+    if abs(t) >= 2.0**52:
+        raise ConfigError("map key 'translation' must be below 2**52 in magnitude")
+    k.done()
+    return build(*params, t), kind
 
 
 def _cf_from_config(spec, where="rho"):
@@ -853,14 +840,6 @@ _FIELD_READERS = {
     tuple: _Keys.quotients,
 }
 
-# Experiment keys a singularity config of each map kind never reads.
-_UNREAD_KEYS = {
-    "rotation": {"a", "c", "sigma_a", "sigma_c", "slope_ratio", "same_orbit_steps"},
-    "pq": {"slope_ratio"},
-    "pl": {"sigma_a", "sigma_c"},
-}
-
-
 def cmd_singularity(doc, outdir, seed):
     # keys left out keep the ExperimentConfig defaults
     k = _Keys(doc, "singularity config")
@@ -872,11 +851,17 @@ def cmd_singularity(doc, outdir, seed):
     }
     k.done()
     config = singularity.ExperimentConfig(**kwargs)
-    # a null same_orbit_steps is the default, not a setting
-    unread = {key for key in _UNREAD_KEYS[config.kind] if kwargs.get(key) is not None}
-    if config.same_orbit_steps is not None and "c" in kwargs:
+    # the parameters of the other map kinds, and the placement of a second
+    # break that a rotation does not have
+    names = maps.MAP_KINDS[config.kind][1]
+    unread = {key for _, other in maps.MAP_KINDS.values() for key in other} - set(names)
+    if config.kind == "rotation":
+        unread.add("same_orbit_steps")
+    elif config.same_orbit_steps is not None:
         # the same-orbit solve places c itself
         unread.add("c")
+    # a null same_orbit_steps is the default, not a setting
+    unread = {key for key in unread if kwargs.get(key) is not None}
     if unread:
         raise ConfigError(
             f"a {config.kind} singularity config does not read "

@@ -14,6 +14,10 @@ are provided:
                           ratios sigma_a, sigma_c > 0, including
                           sigma_a * sigma_c != 1.
 
+``MAP_KINDS`` names each family's config kind, its builder and the
+parameters that builder takes before ``translation``; it is the one list
+of a kind's parameters, which the configs read and the reports write.
+
 All three share a two-segment representation: the derivative profile is
 affine on each segment (for two breaks, the arcs (a, c) and (c, a)), so the
 lift is a quadratic polynomial per segment and inverts in closed form.  The
@@ -233,6 +237,14 @@ def make_pq_two_break(a, c, sigma_a, sigma_c, translation=0.0) -> CircleMap:
         da_minus=sigma_a * s,
         translation=translation,
     )
+
+
+# kind -> (builder, the names of its parameters before ``translation``)
+MAP_KINDS = {
+    "rotation": (make_rotation, ()),
+    "pq": (make_pq_two_break, ("a", "c", "sigma_a", "sigma_c")),
+    "pl": (make_pl_two_break, ("a", "c", "slope_ratio")),
+}
 
 
 def evaluate(m: CircleMap, x):

@@ -31,12 +31,10 @@ from .errors import (
     TolUnreachable,
 )
 from .maps import (
+    MAP_KINDS,
     CircleMap,
     advance,
     check_orbit_length,
-    make_pl_two_break,
-    make_pq_two_break,
-    make_rotation,
     map_stats,
     retreat,
 )
@@ -592,16 +590,13 @@ def mass_length_curve(part: DynamicalPartition, masses):
 
 
 def solve_same_orbit(
-    kind: str,
-    a,
-    target: ContinuedFraction,
-    sigma_a=None,
-    sigma_c=None,
-    slope_ratio=None,
-    m_steps: int = 1,
-    tune_tol: float = 1e-10,
+    config: ExperimentConfig, target: ContinuedFraction, tune_tol: float = 1e-10
 ):
-    """Two-break map with the second break on the first break's orbit.
+    """The config's two-break map with the second break c on the first
+    break a's orbit, c = f^{m_steps}(a) for ``m_steps`` the config's
+    ``same_orbit_steps``.  The solve places c, so the config's c is not
+    read.  A config that places no second break (a rotation, or a null
+    ``same_orbit_steps``) raises ValueError.
 
     Every base lift is anchored at f(a) = a, so with ``m_steps`` 1 the
     condition c = f_t(a) reads c = a + t (mod 1).  The maps
@@ -623,17 +618,15 @@ def solve_same_orbit(
     the m_steps placement orbit.  Returns the tuned map and its
     TuneResult.
     """
-    if m_steps < 1:
-        raise ValueError("m_steps must be >= 1")
-    if kind not in ("pq", "pl"):
-        raise ValueError("same-orbit construction supports pq and pl maps")
+    m_steps = config.same_orbit_steps
+    if config.kind == "rotation" or m_steps is None:
+        raise ValueError("the config places no second break on the first one's orbit")
     check_orbit_length(m_steps)
+    a = config.a
     a_circ = to_circle(a)
 
     def build(c_pos, translation=0.0):
-        if kind == "pq":
-            return make_pq_two_break(a, c_pos, sigma_a, sigma_c, translation)
-        return make_pl_two_break(a, c_pos, slope_ratio, translation)
+        return _config_map(config._replace(c=c_pos), translation)
 
     def checked(final, tr):
         c = final.breaks[1].location
@@ -694,7 +687,7 @@ class ExperimentConfig(_ExperimentConfigFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.kind not in ("pq", "pl", "rotation"):
+        if not (isinstance(self.kind, str) and self.kind in MAP_KINDS):
             raise ConfigError(f"unknown map kind {self.kind!r}")
         if not 1 <= self.n_min <= self.n_max:
             raise ConfigError("need 1 <= n_min <= n_max")
@@ -790,6 +783,12 @@ def tuning_width(cf: ContinuedFraction, n: int) -> float:
     return 1 / (cf.q(n + 1) * cf.q(n + 2))
 
 
+def _config_map(config: ExperimentConfig, translation=0.0) -> CircleMap:
+    """The map of the config's kind, built from its ``MAP_KINDS`` row."""
+    build, names = MAP_KINDS[config.kind]
+    return build(*(getattr(config, name) for name in names), translation)
+
+
 def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
     """Map described by the config, tuned to ``target``, the continued
     fraction of ``config.rho_quotients``, with its TuneResult and notes.
@@ -803,27 +802,15 @@ def build_experiment_map(config: ExperimentConfig, target: ContinuedFraction):
     if config.kind == "rotation":
         rho = target.bracket(config.n_max + 2)
         tr = TuneResult(target.value, rho, None, width)
-        return make_rotation(target.value), tr, notes
+        return _config_map(config, target.value), tr, notes
     if config.same_orbit_steps is not None:
-        m, tr = solve_same_orbit(
-            config.kind,
-            config.a,
-            target,
-            sigma_a=config.sigma_a,
-            sigma_c=config.sigma_c,
-            slope_ratio=config.slope_ratio,
-            m_steps=config.same_orbit_steps,
-            tune_tol=width,
-        )
+        m, tr = solve_same_orbit(config, target, width)
         notes.append(
             f"second break placed on the first break's orbit after "
             f"{config.same_orbit_steps} steps"
         )
         return m, tr, notes
-    if config.kind == "pq":
-        base = make_pq_two_break(config.a, config.c, config.sigma_a, config.sigma_c)
-    else:
-        base = make_pl_two_break(config.a, config.c, config.slope_ratio)
+    base = _config_map(config)
     tr = tune_translation(base, target, tol=width)
     return base.with_translation(tr.translation), tr, notes
 
@@ -878,11 +865,10 @@ def singularity_report(config: ExperimentConfig) -> SingularityReport:
     else:
         # a same-orbit solve places c itself, and the map reduces both breaks
         # mod 1, so the map, not the config, has them
-        map_params = (("a", m.breaks[0].location), ("c", m.breaks[1].location))
-        if config.kind == "pq":
-            map_params += (("sigma_a", config.sigma_a), ("sigma_c", config.sigma_c))
-        else:
-            map_params += (("slope_ratio", config.slope_ratio),)
+        placed = config._replace(a=m.breaks[0].location, c=m.breaks[1].location)
+        map_params = tuple(
+            (name, getattr(placed, name)) for name in MAP_KINDS[config.kind][1]
+        )
 
     return SingularityReport(
         label=config.label,

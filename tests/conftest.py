@@ -16,6 +16,7 @@ from circlebreak.numerics import MACHINE_EPS, arc_length, to_circle
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction, convergent_error, tune_translation
 from circlebreak.singularity import (
+    ExperimentConfig,
     _qn_row,
     break_preimages,
     mass_length_curve,
@@ -255,12 +256,14 @@ def pl_map(gcf):
 @pytest.fixture(scope="session")
 def so_map(gcf):
     """pq map with the second break on the first break's forward orbit."""
-    m, _ = solve_same_orbit("pq", 0.2, gcf, sigma_a=2.0, sigma_c=0.8)
+    cfg = ExperimentConfig(kind="pq", a=0.2, sigma_a=2.0, sigma_c=0.8, same_orbit_steps=1)
+    m, _ = solve_same_orbit(cfg, gcf)
     return m
 
 
 @pytest.fixture(scope="session")
 def pl_so_map(gcf):
     """Piecewise linear map with both breaks on one orbit (Herman's case)."""
-    m, _ = solve_same_orbit("pl", 0.2, gcf, slope_ratio=2.0)
+    cfg = ExperimentConfig(kind="pl", a=0.2, slope_ratio=2.0, same_orbit_steps=1)
+    m, _ = solve_same_orbit(cfg, gcf)
     return m

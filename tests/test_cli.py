@@ -429,6 +429,13 @@ def test_unresolvable_decimal_rho_exits_2_naming_the_key(tmp_path, capsys, comma
             dict(ROTNUM, map={"kind": "henon"}),
             "unknown map kind 'henon'; expected rotation, pq, or pl",
         ),
+        # a list kind is refused as unknown before a dict lookup can raise
+        # TypeError on it
+        (
+            "rotnum",
+            dict(ROTNUM, map={"kind": ["pq"]}),
+            "unknown map kind ['pq']; expected rotation, pq, or pl",
+        ),
         ("partition", dict(PARTITION, rho=1.5), "rho must lie in (0, 1), got 1.5"),
         (
             "measure",
@@ -467,6 +474,7 @@ def test_unresolvable_decimal_rho_exits_2_naming_the_key(tmp_path, capsys, comma
         "label-not-a-string",
         "refinement-not-a-flag",
         "unknown-map-kind",
+        "rotnum-kind-not-a-string",
         "decimal-rho-outside-0-1",
         "rho-a-string",
         "rank-past-the-quotients",

@@ -1,8 +1,10 @@
 import ast
+import inspect
 import math
 import random
 from itertools import islice
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given
@@ -18,6 +20,7 @@ from circlebreak.errors import (
     PrecisionBudgetExceeded,
 )
 from circlebreak.maps import (
+    MAP_KINDS,
     _segment_walk,
     abs_d2f_integral,
     advance,
@@ -40,6 +43,7 @@ from circlebreak.numerics import (
     arc_length,
     to_circle,
 )
+from circlebreak.singularity import ExperimentConfig
 
 from conftest import GOLDEN, _reference_one_sided_derivatives
 
@@ -392,11 +396,11 @@ def test_no_module_keeps_an_orbit_list_for_one_point():
 
 
 def test_every_helper_is_used_by_the_program():
-    # each top-level def and class of the package is named somewhere in
-    # src/, scripts/ or perfbench/ outside its own definition: as a name,
-    # an attribute, an imported alias, or a string of the benchmark's
-    # SPANS/COUNTED tables.  A re-export in __init__.py is not a use, and
-    # __init__.py imports nothing.
+    # each top-level def, class and assigned name of the package is named
+    # somewhere in src/, scripts/ or perfbench/ outside its own definition:
+    # as a name, an attribute, an imported alias, or a string of the
+    # benchmark's SPANS/COUNTED tables.  A re-export in __init__.py is not
+    # a use, and __init__.py imports nothing.
     root = Path(__file__).resolve().parent.parent
     pkg = root / "src" / "circlebreak"
     init = ast.parse((pkg / "__init__.py").read_text())
@@ -407,9 +411,15 @@ def test_every_helper_is_used_by_the_program():
         (root / "perfbench").glob("*.py")
     ):
         for top in ast.parse(path.read_text()).body:
-            own = getattr(top, "name", None) if path.parent == pkg else None
-            if own is not None:
-                defined.append(own)
+            own = set()
+            if path.parent == pkg and isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                own = {
+                    n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)
+                }
+            elif path.parent == pkg and hasattr(top, "name"):
+                own = {top.name}
+            defined.extend(sorted(own))
             if isinstance(top, ast.Assign) and any(
                 getattr(t, "id", None) in ("SPANS", "COUNTED") for t in top.targets
             ):
@@ -423,10 +433,20 @@ def test_every_helper_is_used_by_the_program():
                     name = node.name.rpartition(".")[2]
                 else:
                     continue
-                if name != own:
+                if name not in own:
                     used.add(name)
     assert len(defined) > 100
     assert sorted(set(defined) - used) == []
+
+
+def test_map_kinds_name_their_builders_parameters():
+    # a row's names are its builder's parameters before translation, in
+    # order, and each is a float field of ExperimentConfig, from which
+    # the singularity command builds its map
+    fields = get_type_hints(ExperimentConfig)
+    for kind, (build, names) in MAP_KINDS.items():
+        assert list(inspect.signature(build).parameters) == [*names, "translation"], kind
+        assert [fields.get(name) for name in names] == [float] * len(names), kind
 
 
 @pytest.mark.parametrize("name", ["pq_map", "pl_map"])

@@ -667,6 +667,7 @@ def test_same_orbit_map_realizes_relation(so_map, pl_so_map):
 def test_same_orbit_one_step_tunes_once(monkeypatch, gcf, kind, a, shape, wraps):
     import circlebreak.singularity as sing
 
+    cfg = ExperimentConfig(kind=kind, a=a, same_orbit_steps=1, **shape)
     calls = []
     tune = sing.tune_translation
 
@@ -675,7 +676,7 @@ def test_same_orbit_one_step_tunes_once(monkeypatch, gcf, kind, a, shape, wraps)
         return tune(*args, **kwargs)
 
     monkeypatch.setattr(sing, "tune_translation", counting)
-    m, tr = sing.solve_same_orbit(kind, a, gcf, **shape)
+    m, tr = sing.solve_same_orbit(cfg, gcf)
     assert len(calls) == 1
     assert m.translation == tr.translation
     assert m.breaks[0].location == a
@@ -694,7 +695,8 @@ def test_same_orbit_one_step_tunes_once(monkeypatch, gcf, kind, a, shape, wraps)
 def test_same_orbit_two_steps_runs_the_placement_loop(gcf, kind, shape, reference):
     # c = f_t^2(a) has no closed form in t, so c is placed by alternating
     # tuning with re-placement; the reference is that loop's translation
-    m, _ = solve_same_orbit(kind, 0.2, gcf, m_steps=2, **shape)
+    cfg = ExperimentConfig(kind=kind, a=0.2, same_orbit_steps=2, **shape)
+    m, _ = solve_same_orbit(cfg, gcf)
     assert abs(m.translation - reference) <= 1e-9
     assert _same_orbit_residual(m, steps=2) <= 10 * 1e-9
 
@@ -714,20 +716,27 @@ def test_pl_same_orbit_distortion_gap_vanishes(pl_so_map, gcf):
 
 
 def test_solve_same_orbit_validation(monkeypatch, gcf):
-    with pytest.raises(ValueError):
-        solve_same_orbit("henon", 0.2, gcf, sigma_a=2.0, sigma_c=0.8)
-    with pytest.raises(ValueError):
-        solve_same_orbit("pq", 0.2, gcf, sigma_a=2.0, sigma_c=0.8, m_steps=0)
+    # ExperimentConfig refuses an unknown kind and a same_orbit_steps below
+    # 1; a config that places no second break is refused here
+    with pytest.raises(ValueError, match="places no second break"):
+        solve_same_orbit(ExperimentConfig(kind="rotation", same_orbit_steps=1), gcf)
+    with pytest.raises(ValueError, match="places no second break"):
+        solve_same_orbit(ExperimentConfig(kind="pq"), gcf)
     # the m_steps placement orbit is checked against the budget before
     # any tuning runs; the tuning's walk would stop at q_4 = 5
+    cfg = ExperimentConfig(kind="pq", a=0.2, sigma_a=2.0, sigma_c=0.8, same_orbit_steps=4)
     monkeypatch.setattr(circlebreak.numerics, "ORBIT_CAP", 3)
     with pytest.raises(PrecisionBudgetExceeded, match="length 4 exceeds cap 3"):
-        solve_same_orbit("pq", 0.2, gcf, sigma_a=2.0, sigma_c=0.8, m_steps=4)
+        solve_same_orbit(cfg, gcf)
 
 
 def test_experiment_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="quadratic")
+    # a list kind is refused as unknown before a dict lookup can raise
+    # TypeError on it
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind=["pq"])
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="pq", n_min=0)
     with pytest.raises(ConfigError):
