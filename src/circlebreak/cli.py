@@ -252,10 +252,13 @@ def _fork_block(fn, block, cpu):
         return None
     try:
         pid = os.fork()
-    except OSError:
+    except BaseException as e:
+        # an interrupt here must not leak the pipe either
         fh.close()
         os.close(w)
-        return None
+        if isinstance(e, OSError):
+            return None
+        raise
     if pid == 0:
         code = 1
         try:
@@ -456,10 +459,9 @@ def _map_from_config(spec, forbid_translation=False):
     params = [k.real(name) for name in names]
     # a rotation is its translation: it names one unless tune searches for it
     required = kind == "rotation" and not forbid_translation
-    t = k.real("translation", _MISSING if required else 0.0)
-    # from 2**52 on, x + t keeps at most one fractional bit
-    if abs(t) >= 2.0**52:
-        raise ConfigError("map key 'translation' must be below 2**52 in magnitude")
+    # the map depends on t mod 1 only, and fmod is exact: it returns t
+    # itself when |t| < 1, and keeps a large t's fraction off the orbits
+    t = math.fmod(k.real("translation", _MISSING if required else 0.0), 1.0)
     k.done()
     return build(*params, t), kind
 

@@ -49,8 +49,6 @@ from .crossratio import (
     single_break_closed_form,
 )
 
-CASE_TAGS = ("c_outside_U", "c_in_U_left", "c_in_U_right", "a_only")
-
 # Relative slack for certification checks on quantities that are exact
 # by construction up to rounding.
 CERT_SLACK = 1e-9
@@ -88,7 +86,16 @@ def r6_bound(sigma_a, sigma_c):
     return max(max(alpha, gamma) + alpha * gamma / 20.0, 1.0)
 
 
-class _RegularCoverParamsFields(NamedTuple):
+class RegularCoverParams(NamedTuple):
+    """Geometry constants for regular cover triples.
+
+    c0 >= 1 scales the long side of the triple, zeta0 in (0, 1] caps the
+    normalized offset of the second break, v is the log-derivative
+    variation of the map the constants were derived for.  degenerate
+    marks the sigma_a*sigma_c = 1 family, where the gap machinery has no
+    lower bound to enforce and the constants collapse to neutral values.
+    """
+
     c0: float
     zeta0: float
     v: float
@@ -97,35 +104,10 @@ class _RegularCoverParamsFields(NamedTuple):
     r6: float
     degenerate: bool = False
 
-
-class RegularCoverParams(_RegularCoverParamsFields):
-    """Geometry constants for regular cover triples.
-
-    c0 scales the long side of the triple, zeta0 caps the normalized
-    offset of the second break, v is the log-derivative variation of the
-    map the constants were derived for.  degenerate marks the
-    sigma_a*sigma_c = 1 family, where the gap machinery has no lower
-    bound to enforce and the constants collapse to neutral values.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.c0 < 1.0:
-            raise InvalidGeometry(f"C0 must be >= 1, got {self.c0!r}")
-        if not 0.0 < self.zeta0 <= 1.0:
-            raise InvalidGeometry(f"zeta0 must lie in (0, 1], got {self.zeta0!r}")
-        return self
-
-    @property
-    def sigma_product(self):
-        return self.sigma_a * self.sigma_c
-
     @property
     def gap_floor(self):
         """Lower bound on |G*F - 1| for certified coordinates."""
-        return abs(self.sigma_product - 1.0) / 4.0
+        return abs(self.sigma_a * self.sigma_c - 1.0) / 4.0
 
 
 def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
@@ -135,6 +117,11 @@ def make_cover_params(sigma_a, sigma_c, v) -> RegularCoverParams:
     r6_bound.  The sup of Phi1(z) = ss + (1 - sigma_c) sigma_a z over z
     in [0,1] is max(ss, sigma_a): Phi1 is linear with endpoint values ss
     and sigma_a.
+
+    The clamps give c0 >= 1 and zeta0 <= 1.  Before them the two
+    quotients multiply to 2 R6 max(ss, sigma_a) / |ss - sigma_a| >= 2,
+    since |ss - sigma_a| < max(ss, sigma_a), so a finite c0 leaves
+    zeta0 > 0.
     """
     if not (sigma_a > 0 and sigma_c > 0):  # refuses nan too
         raise InvalidGeometry("jump ratios must be positive")
@@ -186,9 +173,19 @@ def _cover_params(m: CircleMap):
     )
 
 
-class _CoverTripleFields(NamedTuple):
-    n: int
-    q_n: int
+class CoverTriple(NamedTuple):
+    """Three adjacent intervals straddling a break preimage abar.
+
+    Lift coordinates z1 < z2 < z3 < z4 on the chart of abar, which sits
+    at z2 (left cases) or z3 (c_in_U_right).  case_tag is one of
+    c_outside_U, c_in_U_left, c_in_U_right and a_only.  l_index and
+    p_index are the forward times at which the hull covers each break;
+    p_index is meaningful only when case_tag says the second break is
+    covered.  cbar_is_abar says that the second break's preimage cbar is
+    abar itself, as when c is a's (p_index - l_index)-th image in
+    floating point.
+    """
+
     z1: float
     z2: float
     z3: float
@@ -196,42 +193,11 @@ class _CoverTripleFields(NamedTuple):
     case_tag: str
     l_index: int
     p_index: int
-    abar: float
-    cbar: float
-    xi0: float
-    coord0: float
-
-
-class CoverTriple(_CoverTripleFields):
-    """Three adjacent intervals straddling a break preimage.
-
-    Lift coordinates z1 < z2 < z3 < z4 on the chart of abar; the break
-    preimage sits at z2 (left cases) or z3 (c_in_U_right).  l_index and
-    p_index are the forward times at which the hull covers each break;
-    p_index is meaningful only when case_tag says the second break is
-    covered.  cbar is abar itself when c is a's (p_index - l_index)-th
-    image in floating point.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.case_tag not in CASE_TAGS:
-            raise InvalidGeometry(f"unknown case tag {self.case_tag!r}")
-        if not self.z1 < self.z2 < self.z3 < self.z4:
-            raise InvalidGeometry("cover coordinates must be strictly increasing")
-        if not self.z4 - self.z1 < 1.0:
-            raise InvalidGeometry("cover hull must fit on one chart")
-        return self
+    cbar_is_abar: bool
 
     @property
     def quadruple(self) -> Quadruple:
         return Quadruple(self.z1, self.z2, self.z3, self.z4)
-
-    @property
-    def hull(self):
-        return self.z4 - self.z1
 
     @property
     def covers_second_break(self) -> bool:
@@ -307,6 +273,7 @@ def regular_cover_triple(m: CircleMap, part: DynamicalPartition, tables) -> Cove
         # c is a's (p - l)-th image in floating point, so its preimage is
         # abar itself; pulling c back separately would only add rounding
         cbar = abar
+    cbar_is_abar = cbar == abar
 
     fwd = advance(m, abar, 0, part.q_nm1)[0]
     bwd = pre_a[l + part.q_nm1]
@@ -328,39 +295,23 @@ def regular_cover_triple(m: CircleMap, part: DynamicalPartition, tables) -> Cove
     if abs(delta) > h_u:
         tag = "a_only" if params.degenerate else "c_outside_U"
         z1, z2, z3, z4 = abar - h_u / 2.0, abar, abar + h_u / 2.0, abar + h_u
-        xi0, coord0 = (z3 - z2) / (z2 - z1), 0.0
-    elif delta <= 0.0:
-        tag = "c_in_U_left"
-        z1, z2 = abar - h_v, abar
-        z3, z4 = abar + params.c0 * h_v, abar + 2.0 * params.c0 * h_v
-        xi0, coord0 = (z3 - z2) / (z2 - z1), -delta / h_v
     else:
-        tag = "c_in_U_right"
-        z1, z2 = abar - 2.0 * params.c0 * h_v, abar - params.c0 * h_v
-        z3, z4 = abar, abar + h_v
-        xi0, coord0 = (z3 - z2) / (z4 - z3), delta / h_v
-
-    if tag in ("c_in_U_left", "c_in_U_right"):
+        if delta <= 0.0:
+            tag = "c_in_U_left"
+            z1, z2 = abar - h_v, abar
+            z3, z4 = abar + params.c0 * h_v, abar + 2.0 * params.c0 * h_v
+            xi0 = (z3 - z2) / (z2 - z1)
+        else:
+            tag = "c_in_U_right"
+            z1, z2 = abar - 2.0 * params.c0 * h_v, abar - params.c0 * h_v
+            z3, z4 = abar, abar + h_v
+            xi0 = (z3 - z2) / (z4 - z3)
         if abs(xi0 - params.c0) > CERT_SLACK * params.c0:
             raise InvariantFailure(
                 f"constructed ratio {xi0!r} drifted from C0 {params.c0!r}"
             )
 
-    return CoverTriple(
-        n=part.n,
-        q_n=part.q_n,
-        z1=z1,
-        z2=z2,
-        z3=z3,
-        z4=z4,
-        case_tag=tag,
-        l_index=l,
-        p_index=p,
-        abar=abar,
-        cbar=cbar,
-        xi0=xi0,
-        coord0=coord0,
-    )
+    return CoverTriple(z1, z2, z3, z4, tag, l, p, cbar_is_abar)
 
 
 def gf_gap(params: RegularCoverParams, xi_l, xi_p, z_p):
@@ -417,13 +368,9 @@ class ReportRow(NamedTuple):
 
 
 def _generator_quadruple(part: DynamicalPartition) -> Quadruple:
-    # thirds of the rank-(n-1) generator [x0, x_{q_{n-1}}]
-    if (part.n - 1) % 2 == 0:
-        lo = part.x0
-        length = arc_length(part.x0, part.orbit[part.q_nm1])
-    else:
-        lo = part.orbit[part.q_nm1]
-        length = arc_length(part.orbit[part.q_nm1], part.x0)
+    # thirds of the rank-(n-1) generator [x0, x_{q_{n-1}}], the cell of
+    # orbit index 0, which the cell table lists first
+    lo, length = part.elements.left[0], part.elements.length[0]
     return Quadruple(
         lo, lo + length / 3.0, lo + 2.0 * length / 3.0, lo + length
     )
@@ -436,16 +383,11 @@ def _check_hull_images(
     quadruples 0..q_n-1, and return their total length.
 
     The hull is q_n-small: its images, sorted by circle left end, each
-    end before the next one starts, within 10 eps q_n.  That is
-    cross-checked with the parity endpoint criterion, a sufficient
-    condition: a hull within one hop of T^{q_{n-1}} (from its left end
-    rightward for even n-1, into its right end leftward for odd n-1) is
-    q_n-small, and otherwise the orbit combinatorics are broken.  Each
-    break lies in exactly one image: the first at l_index, the second at
-    p_index when the case tag says the triple covers it, and never
-    otherwise.
+    end before the next one starts, within 10 eps q_n.  Each break lies
+    in exactly one image: the first at l_index, the second at p_index
+    when the case tag says the triple covers it, and never otherwise.
     """
-    q_n, n = part.q_n, part.n
+    q_n = part.q_n
     a_loc, c_loc = m.breaks[0].location, m.breaks[1].location
     lefts, lengths, a_hits, c_hits = [], [], [], []
     for j, (z1, _, _, z4) in enumerate(res.quadruples[:q_n]):
@@ -464,18 +406,8 @@ def _check_hull_images(
         for a, b in zip(order, order[1:] + order[:1])
     )
     if not disjoint:
-        hop = res.quadruples[part.q_nm1]
-        if (n - 1) % 2 == 0:
-            reach = arc_length(lefts[0], to_circle(hop.z1))
-        else:
-            reach = arc_length(to_circle(hop.z4), to_circle(triple.z4))
-        if lengths[0] <= reach:
-            raise InvariantFailure(
-                f"interval satisfies the parity endpoint criterion at rank {n} "
-                "but its iterates overlap"
-            )
         raise InvariantFailure(
-            f"cover hull of length {lengths[0]:.3e} is not q_{n}-small"
+            f"cover hull of length {lengths[0]:.3e} is not q_{part.n}-small"
         )
 
     want_c = [triple.p_index] if triple.covers_second_break else []
@@ -538,7 +470,7 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> ReportRow:
         nc_l = normalized_coords(res.quadruples[l])
         qp = res.quadruples[p]
         c_lift = lift_into(m.breaks[1].location, qp.z1)
-        if triple.cbar == triple.abar:
+        if triple.cbar_is_abar:
             # c is a's image, so at step p the break is z2's image: offset
             # 0 up to the chain's rounding; when that rounding carries c
             # past z2 into the middle gap, it is z2 all the same
@@ -718,7 +650,7 @@ VERDICT_BASELINE = "AC_BASELINE"
 VERDICT_OPEN = "INCONCLUSIVE"
 
 
-class _SingularityReportFields(NamedTuple):
+class SingularityReport(NamedTuple):
     label: str
     kind: str
     map_params: tuple
@@ -733,20 +665,6 @@ class _SingularityReportFields(NamedTuple):
     notes: tuple
     # (key, value) pairs of the rho certificate
     diagnostics: tuple = ()
-
-
-class SingularityReport(_SingularityReportFields):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        ns = [r.n for r in self.rows]
-        if ns != sorted(set(ns)):
-            raise InvariantFailure("report rows must be strictly increasing in n")
-        for r in self.rows:
-            if r.dist_qn_gap < 0 or (r.gf_gap is not None and r.gf_gap < 0):
-                raise InvariantFailure("gaps cannot be negative")
-        return self
 
     def to_json_dict(self) -> dict:
         """Every field, in field order, with the pair tuples as objects and

@@ -30,6 +30,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The message of the first-break closed-form audit.
 FIRST_BREAK_AUDIT = "at the first break differs from its closed form"
 
+# The case tags a cover triple (``singularity.CoverTriple``) can carry.
+CASE_TAGS = ("c_outside_U", "c_in_U_left", "c_in_U_right", "a_only")
+
 
 def load_script(name):
     """scripts/<name>.py as a module; no command imports it."""

@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_script
+from conftest import CASE_TAGS, load_script
 
-from circlebreak import crossratio, numerics, partition, singularity
+from circlebreak import crossratio, numerics, partition, rotation, singularity
 from circlebreak.cli import (
     CSV_CHUNK_LINES,
     _csv_chunks,
@@ -31,7 +31,7 @@ from circlebreak.maps import make_rotation
 from circlebreak.numerics import ORBIT_CAP
 from circlebreak.partition import build_partition, partition_rows
 from circlebreak.rotation import ContinuedFraction
-from circlebreak.singularity import CASE_TAGS, ReportRow, SingularityReport, tuning_width
+from circlebreak.singularity import ReportRow, SingularityReport, tuning_width
 
 PQ_GOLDEN_T = 0.6949140919153628  # certified by the tune example config
 
@@ -77,7 +77,8 @@ def test_rotnum_integer_rotation_number_has_no_quotients(tmp_path, translation):
     )
     assert code == 0
     doc = json.loads((out / "rotnum.json").read_text())
-    assert doc["farey"]["rational"] == [int(translation), 1]
+    # the translation is taken mod 1, so 1.0 reads as the identity too
+    assert doc["farey"]["rational"] == [0, 1]
     assert doc["quotients"] == []
     assert doc["max_quotient"] is None
     assert (out / "cf_table.csv").read_text().splitlines() == ["n,k_n,p_n,q_n,err"]
@@ -272,10 +273,6 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         ("measure", dict(MEASURE, map=dict(PQ_TUNED, a=math.nan))),
         ("partition", dict(PARTITION, map={"kind": "rotation", "translation": math.inf})),
         ("rotnum", dict(ROTNUM, map={"kind": "rotation", "translation": math.nan})),
-        # from 2**52 on, x + t keeps at most one fractional bit; at 1e308
-        # the orbit loops' float winding overflowed
-        ("rotnum", dict(ROTNUM, map={"kind": "rotation", "translation": 1e308})),
-        ("rotnum", dict(ROTNUM, map={"kind": "rotation", "translation": -(2**52)})),
         ("singularity", dict(SINGULARITY, x0=math.nan)),
         ("singularity", dict(SINGULARITY, a=10**400)),
         ("distortion", {"map": PQ_MAP, "quadruples": [[0.1, 0.2, 0.3, math.inf]]}),
@@ -325,8 +322,6 @@ PARTITION = json.loads((CONFIG_DIR / "partition_pq_golden.json").read_text())
         "measure-pq-a-nan",
         "partition-rotation-translation-infinity",
         "rotnum-translation-nan",
-        "rotnum-translation-1e308",
-        "rotnum-translation-minus-2-52",
         "singularity-x0-nan",
         "singularity-a-past-float-range",
         "distortion-quadruple-infinity",
@@ -535,31 +530,51 @@ def test_the_module_runs_as_a_script(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "translation",
+    "translation, rational",
     [
-        pytest.param(
-            4503599627370495.5,
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="exits 4: advance sums the winding as a float, which "
-                "rounds past 2**53 turns; after 10000 steps it reads "
-                "45035996273704951808 for the exact 45035996273704955000 (ulp "
-                "8192), so the iterated estimate reads rho 0 and misses the "
-                "Farey enclosure at 0.5, though each x + t step is exact "
-                "(ROADMAP item 10)",
-            ),
-        ),
-        1e15,
+        (4503599627370495.5, [1, 2]),
+        (1e15, [0, 1]),
+        # 1e308 and -2**52 are whole numbers: the identity
+        (1e308, [0, 1]),
+        (-(2**52), [0, 1]),
     ],
-    ids=["just-below-2-52", "1e15"],
+    ids=["just-below-2-52", "1e15", "1e308", "minus-2-52"],
 )
-def test_rotnum_large_translations_exit_0(tmp_path, capsys, translation):
-    code, _ = run(tmp_path, "rotnum", {"map": {"kind": "rotation", "translation": translation}})
-    err = capsys.readouterr().err
-    if code != 0 and not (code == 4 and "estimates do not intersect" in err):
-        pytest.fail(f"exit {code} for a reason other than ROADMAP item 10: {err}")
+def test_rotnum_large_translations_exit_0(tmp_path, translation, rational):
+    # the map reads the translation mod 1, so the orbits never carry its
+    # whole turns
+    code, out = run(tmp_path, "rotnum", {"map": {"kind": "rotation", "translation": translation}})
     assert code == 0
+    doc = json.loads((out / "rotnum.json").read_text())
+    assert doc["farey"]["rational"] == rational
+
+
+def test_rotnum_estimates_that_disagree_exit_4(monkeypatch, tmp_path, capsys):
+    # the iterated estimate read one turn off, so its enclosure misses
+    # the Farey one
+    real = rotation.rho_iterate_estimate
+
+    def shifted(m, n):
+        est = real(m, n)
+        return est._replace(lower=est.lower + 1.0, upper=est.upper + 1.0)
+
+    monkeypatch.setattr(rotation, "rho_iterate_estimate", shifted)
+    code, out = run(tmp_path, "rotnum", ROTNUM)
+    assert code == 4
+    assert os.listdir(out) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: farey and iterated rotation estimates do not intersect")
+
+
+def test_a_large_translation_certifies_no_false_rational(tmp_path, capsys):
+    # kept whole, this translation's million turns made the orbit read
+    # f^q(0) - p = 8.15e-10 at the mediant 1035223639803/1035223, inside
+    # the 4 eps q cutoff: a false certified rational.  Mod 1 it is the
+    # golden pq map's, whose descent runs out of orbit budget
+    doc = {"map": dict(PQ_MAP, translation=1000000.6949140919153628)}
+    code, out = run(tmp_path, "rotnum", doc)
+    assert code == 3
+    assert os.listdir(out) == []
 
 
 def test_breaks_that_coincide_on_the_circle_exit_5(tmp_path, capsys):

@@ -291,6 +291,7 @@ def test_children_are_reaped_when_a_later_fork_is_interrupted(monkeypatch):
         return i
 
     monkeypatch.setattr(cli.os, "fork", interrupted)
+    fds = os.listdir("/proc/self/fd")
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         cli._Blocks(work, [1, 2, 3, 4], ALL_CPUS + ALL_CPUS[:1])
@@ -298,6 +299,9 @@ def test_children_are_reaped_when_a_later_fork_is_interrupted(monkeypatch):
     assert len(forks) == 2
     assert sorted(os.sched_getaffinity(0)) == ALL_CPUS
     _assert_no_children()
+    # both ends of the interrupted fork's pipe are closed: the raw write
+    # end raises no ResourceWarning, so only this sees it
+    assert sorted(os.listdir("/proc/self/fd")) == sorted(fds)
 
 
 @needs_two_cpus

@@ -10,8 +10,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
+    CASE_TAGS,
     FIRST_BREAK_AUDIT,
     GOLDEN,
     Arc,
@@ -19,7 +22,6 @@ from conftest import (
     _reference_is_qn_small,
     beta_masses,
     direct_distortion,
-    qn_chains,
     qn_rows,
     rank_parts,
     sum_left_to_right,
@@ -31,6 +33,7 @@ import circlebreak.crossratio
 import circlebreak.measure
 import circlebreak.numerics
 import circlebreak.rotation
+import circlebreak.singularity
 from circlebreak.cli import main
 from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain
 from circlebreak.errors import (
@@ -55,10 +58,8 @@ from circlebreak.numerics import arc_length, to_circle
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction, tune_translation
 from circlebreak.singularity import (
-    CoverTriple,
     ExperimentConfig,
     RegularCoverParams,
-    SingularityReport,
     _check_hull_images,
     _generator_quadruple,
     _qn_row,
@@ -87,7 +88,6 @@ def params25():
 def test_zeta0_closed_form(params25):
     # 0.6 / (2 * 2.5 * 0.4)
     assert params25.zeta0 == pytest.approx(0.3, abs=1e-12)
-    assert params25.sigma_product == pytest.approx(1.6)
     assert params25.gap_floor == pytest.approx(0.15, abs=1e-12)
     assert params25.c0 >= 1.0
 
@@ -118,6 +118,22 @@ def test_a_tiny_sigma_a_keeps_both_breaks():
     p = make_cover_params(1e-16, 2.0, V25)
     assert not p.degenerate
     assert (p.sigma_a, p.sigma_c) == (1e-16, 2.0)
+
+
+# jump ratios log-uniform over the positive floats, 2**-1074 to 2**1023.9
+JUMP_RATIOS = st.floats(min_value=-1074.0, max_value=1023.9).map(lambda e: 2.0**e)
+
+
+@given(JUMP_RATIOS, JUMP_RATIOS, st.floats(min_value=0.0, max_value=1e3, exclude_min=True))
+def test_cover_params_keep_their_bounds(sigma_a, sigma_c, v):
+    # RegularCoverParams checks nothing: c0 >= 1 and zeta0 <= 1 are the
+    # clamps, and a finite c0 leaves zeta0 > 0
+    try:
+        p = make_cover_params(sigma_a, sigma_c, v)
+    except (InvalidGeometry, PrecisionBudgetExceeded):
+        return
+    assert p.c0 >= 1.0
+    assert 0.0 < p.zeta0 <= 1.0
 
 
 def test_cover_params_refuse_constants_past_the_float_range():
@@ -213,10 +229,9 @@ def test_cover_triple_generic_case(pq_map, gcf):
     assert t.case_tag == "c_outside_U"
     assert not t.covers_second_break
     assert t.z1 < t.z2 < t.z3 < t.z4
-    assert t.xi0 == pytest.approx(1.0)
-    assert t.coord0 == 0.0
+    assert (t.z3 - t.z2) / (t.z2 - t.z1) == pytest.approx(1.0)
     assert 0 <= t.l_index < part.q_n
-    assert t.quadruple.hull == pytest.approx(t.hull)
+    assert t.quadruple == (t.z1, t.z2, t.z3, t.z4)
 
 
 def test_cover_triple_same_orbit_case(so_map, gcf):
@@ -229,8 +244,9 @@ def test_cover_triple_same_orbit_case(so_map, gcf):
     assert t.case_tag == "c_in_U_left"
     assert t.covers_second_break
     assert t.p_index == t.l_index + 1
-    assert t.xi0 == pytest.approx(params.c0, rel=1e-9)
-    assert t.coord0 == pytest.approx(0.0, abs=params.zeta0)
+    # c = f(a) in floating point, so its preimage is abar itself, at z2
+    assert t.cbar_is_abar
+    assert (t.z3 - t.z2) / (t.z2 - t.z1) == pytest.approx(params.c0, rel=1e-9)
 
 
 @pytest.fixture(scope="module")
@@ -269,16 +285,8 @@ def pq_tilted_map(gcf):
     return base.with_translation(tune_translation(base, gcf, tol=1e-10).translation)
 
 
-def _hull_outcome(m, part, triple, res):
-    """What the hull audit decides on the chain ``res``: "parity" or
-    "overlap" for its two q_n-smallness failures, else "disjoint"."""
-    try:
-        _check_hull_images(m, part, triple, res)
-    except InvariantFailure as e:
-        for outcome, needle in (("parity", "parity endpoint"), ("overlap", "-small")):
-            if needle in str(e):
-                return outcome
-    return "disjoint"
+def _hull_arc(triple):
+    return Arc(to_circle(triple.z1), triple.z4 - triple.z1)
 
 
 def _overlapped(part, res):
@@ -291,35 +299,33 @@ def _overlapped(part, res):
     return res._replace(quadruples=tuple(quads))
 
 
-def _chain_verdicts(m, part, triple):
-    """(q_n-small, parity criterion met) as the chain-based audit decides
-    them.  For a q_n-small hull the audit names the criterion only on
-    overlapping images, so its parity verdict is read off ``_overlapped``."""
+def _chain_is_qn_small(m, part, triple):
+    """Whether the hull audit on the distortion chain finds the hull
+    q_n-small; a refusal for the breaks' hits still counts as small."""
     res = distortion_chain(triple.quadruple, m, part.q_n)
-    outcome = _hull_outcome(m, part, triple, res)
-    if outcome == "disjoint":
-        overlapped = _hull_outcome(m, part, triple, _overlapped(part, res))
-        return True, overlapped == "parity"
-    return False, outcome == "parity"
-
-
-def _reference_verdicts(m, cf, triple):
-    """(q_n-small, parity criterion met) on orbits of the hull's two ends."""
-    arc = Arc(to_circle(triple.z1), triple.hull)
-    parity = _reference_endpoint_condition(m, cf, arc, triple.n)
     try:
-        small = _reference_is_qn_small(m, cf, arc, triple.n)
+        _check_hull_images(m, part, triple, res)
+    except InvariantFailure as e:
+        return "-small" not in str(e)
+    return True
+
+
+def _reference_is_small(m, cf, triple, n):
+    """Whether the hull is q_n-small on orbits of its two ends; the
+    reference's refusal of an overlap within the parity hop reads as not
+    small, as the audit names it."""
+    try:
+        return _reference_is_qn_small(m, cf, _hull_arc(triple), n)
     except InvariantFailure:
-        small = False
-    return small, parity
+        return False
 
 
 def test_chain_hull_audit_matches_the_reference(request, gcf):
     # 50 seeded (x0, rank 5-16) covers on each of six maps, and the
     # second-break cases: as built each is q_n-small within its parity
     # hop; widened to a random multiple of the rank's longest cell most
-    # are neither.  Both ways the audit on the distortion chain's images
-    # and the reference on two endpoint orbits reach the same verdicts
+    # are not.  Both ways the audit on the distortion chain's images and
+    # the reference on two endpoint orbits reach the same verdict
     rng = random.Random(30)
     names = (
         "pq_map", "pq_tilted_map", "pl_map", "pl_seam_map", "so_map", "pl_so_map"
@@ -331,14 +337,15 @@ def test_chain_hull_audit_matches_the_reference(request, gcf):
         m = request.getfixturevalue(name)
         part = build_partition(m, gcf, x0, rank)
         triple = regular_cover_triple(m, part, break_preimages(m, part))
-        assert _chain_verdicts(m, part, triple) == (True, True)
-        assert _reference_verdicts(m, gcf, triple) == (True, True)
+        assert _chain_is_qn_small(m, part, triple)
+        assert _reference_is_small(m, gcf, triple, rank)
+        assert _reference_endpoint_condition(m, gcf, _hull_arc(triple), rank)
         wide = triple._replace(z4=triple.z1 + rng.uniform(0.2, 2.0) * part.max_length())
-        verdicts = _chain_verdicts(m, part, wide)
-        assert verdicts == _reference_verdicts(m, gcf, wide), (name, x0, rank, wide.hull)
-        widened.append(verdicts)
+        small = _chain_is_qn_small(m, part, wide)
+        assert small == _reference_is_small(m, gcf, wide, rank), (name, x0, rank, wide.z4)
+        widened.append(small)
     assert len(cases) == 304
-    assert widened.count((False, False)) > 100
+    assert widened.count(False) > 100
 
 
 def test_widened_hull_exits_4_naming_qn_small(monkeypatch, tmp_path, capsys):
@@ -476,16 +483,15 @@ def test_a_same_orbit_residual_past_its_bound_exits_5(monkeypatch, tmp_path, cap
 
 
 def test_overlap_within_the_parity_hop_raises(pq_map, gcf):
-    # a hull within one T^{q_{n-1}} hop is q_n-small, so images that
-    # overlap all the same mean broken orbit combinatorics; ranks 5 and 6
+    # a hull within one T^{q_{n-1}} hop is q_n-small, yet images that
+    # overlap all the same are refused as not q_n-small; ranks 5 and 6
     # take the hop from the left end and into the right end
     for n in (5, 6):
         part = build_partition(pq_map, gcf, 0.05, n)
         triple = regular_cover_triple(pq_map, part, break_preimages(pq_map, part))
-        arc = Arc(to_circle(triple.z1), triple.hull)
-        assert _reference_endpoint_condition(pq_map, gcf, arc, n)
+        assert _reference_endpoint_condition(pq_map, gcf, _hull_arc(triple), n)
         res = _overlapped(part, distortion_chain(triple.quadruple, pq_map, part.q_n))
-        with pytest.raises(InvariantFailure, match=f"parity endpoint criterion at rank {n}"):
+        with pytest.raises(InvariantFailure, match=f"is not q_{n}-small"):
             _check_hull_images(pq_map, part, triple, res)
 
 
@@ -525,17 +531,38 @@ def test_distortion_chain_walks_no_orbit_of_its_own(monkeypatch, pq_map, gcf):
 def test_every_report_chain_meets_its_oracles(monkeypatch, name, n_max):
     # each rank's chain, as the report runs it: its total within
     # direct_tol of the endpoints iterated one by one, and within the
-    # rounding bound of the telescoped ratio of its end cross-ratios
+    # rounding bound of the telescoped ratio of its end cross-ratios.
+    # The records check nothing themselves: each cover triple has a known
+    # case tag and increasing coordinates on one chart, and the report's
+    # rows run up the ranks with gaps >= 0
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     if n_max is not None:
         doc = dict(doc, n_min=n_max, n_max=n_max)
     cfg = ExperimentConfig(**doc)
     cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
-    m, _, _ = build_experiment_map(cfg, cf)
     ranks = range(cfg.n_min, cfg.n_max + 1)
-    runs = qn_chains(monkeypatch, m, cf, cfg.x0, ranks)
-    assert [steps for _, steps, _ in runs] == [cf.q(n) for n in ranks]
-    for q, steps, res in runs:
+    runs, triples = [], []
+
+    def chain(q, m, steps):
+        runs.append((q, m, steps, distortion_chain(q, m, steps)))
+        return runs[-1][-1]
+
+    def triple(m, part, tables):
+        triples.append(regular_cover_triple(m, part, tables))
+        return triples[-1]
+
+    monkeypatch.setattr(circlebreak.singularity, "distortion_chain", chain)
+    monkeypatch.setattr(circlebreak.singularity, "regular_cover_triple", triple)
+    rows = singularity_report(cfg).rows
+    assert [r.n for r in rows] == list(ranks)
+    assert all(r.dist_qn_gap >= 0 and (r.gf_gap is None or r.gf_gap >= 0) for r in rows)
+    two_break = len(runs[0][1].breaks) == 2
+    assert len(triples) == (len(ranks) if two_break else 0)
+    for t in triples:
+        assert t.case_tag in CASE_TAGS
+        assert t.z1 < t.z2 < t.z3 < t.z4 and t.z4 - t.z1 < 1.0
+    assert [steps for _, _, steps, _ in runs] == [cf.q(n) for n in ranks]
+    for q, m, steps, res in runs:
         assert len(res.factors) == steps and len(res.quadruples) == steps + 1
         direct, direct_tol = direct_distortion(q, m, steps)
         assert abs(res.total - direct) <= direct_tol * abs(direct)
@@ -880,9 +907,9 @@ def test_break_tables_match_the_per_rank_walks(name, n_max):
         l, abar, p, pres, bwd = _reference_preimages(m, part)
         t = regular_cover_triple(m, part, tables)
         assert (t.l_index, t.p_index) == (l, p)
-        got = (t.abar, tables[1][p], tables[0][l + part.q_nm1])
+        t_abar = t.z3 if t.case_tag == "c_in_U_right" else t.z2
+        got = (t_abar, tables[1][p], tables[0][l + part.q_nm1])
         assert [x.hex() for x in got] == [x.hex() for x in (abar, pres[p], bwd)], n
-        assert t.cbar in (t.abar, pres[p])
         only = [[math.nan] * len(table) for table in tables]
         only[0][l], only[0][l + part.q_nm1], only[1][: part.q_n] = abar, bwd, pres
         assert regular_cover_triple(m, part, only) == t
@@ -1126,24 +1153,3 @@ def test_validated_records_refuse_bad_values():
     for d_minus, d_plus in ((-1.0, 2.0), (2.0, 0.0), (math.nan, 2.0)):
         with pytest.raises(InvalidGeometry, match="must be positive"):
             BreakPoint(0.5, d_minus, d_plus)
-    params = make_cover_params(2.0, 0.8, V25)._asdict()
-    assert RegularCoverParams(**params) == make_cover_params(2.0, 0.8, V25)
-    for bad in ({"c0": 0.5}, {"zeta0": 0.0}, {"zeta0": 1.5}):
-        with pytest.raises(InvalidGeometry):
-            RegularCoverParams(**{**params, **bad})
-    triple = dict(
-        n=5, q_n=5, z1=0.0, z2=0.1, z3=0.2, z4=0.3, case_tag="a_only",
-        l_index=0, p_index=0, abar=0.1, cbar=0.1, xi0=1.0, coord0=0.0,
-    )
-    assert CoverTriple(**triple).hull == pytest.approx(0.3)
-    for bad in ({"case_tag": "b_only"}, {"z3": 0.05}, {"z4": 1.5}):
-        with pytest.raises(InvalidGeometry):
-            CoverTriple(**{**triple, **bad})
-    rep = singularity_report(cfg)
-    fields = rep._asdict()
-    assert SingularityReport(**fields) == rep
-    with pytest.raises(InvariantFailure, match="strictly increasing"):
-        SingularityReport(**{**fields, "rows": rep.rows[::-1]})
-    negative = rep.rows[0]._replace(dist_qn_gap=-1.0)
-    with pytest.raises(InvariantFailure, match="negative"):
-        SingularityReport(**{**fields, "rows": (negative,) + rep.rows[1:]})
