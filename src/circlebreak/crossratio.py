@@ -69,10 +69,6 @@ class Quadruple(_QuadrupleFields):
     def hull(self):
         return self.z4 - self.z1
 
-    @classmethod
-    def from_gaps(cls, z1, alpha, beta, gamma) -> "Quadruple":
-        return cls(z1, z1 + alpha, z1 + alpha + beta, z1 + alpha + beta + gamma)
-
 
 def cross_ratio(q: Quadruple):
     """(z2-z1)(z4-z3) / ((z3-z1)(z4-z2)), always in (0, 1).

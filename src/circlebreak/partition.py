@@ -25,7 +25,7 @@ from .errors import (
     RefinementViolation,
 )
 from .maps import CircleMap, clears_breaks, df_product, iterate, map_stats
-from .numerics import MACHINE_EPS, in_arc, ordered_sum, to_circle
+from .numerics import MACHINE_EPS, ordered_sum, to_circle
 from .rotation import ContinuedFraction
 
 # Shift applied to a partition's base point when its orbit hits a break,
@@ -112,23 +112,6 @@ class DynamicalPartition(NamedTuple):
 
     def min_length(self):
         return min(self.elements.length)
-
-    def locate(self, x) -> int:
-        """Row of the cell whose half-open arc [left, right) contains x.
-
-        The cell starts at the circular predecessor of x among the orbit
-        points.  Partition orbits keep clear of the breaks, so a break is
-        never a cell end.
-        """
-        x = to_circle(x)
-        pts = self.orbit
-        # the largest point <= x; with none, x wraps to the largest point
-        k = max(range(len(pts)), key=lambda i: (pts[i] <= x, pts[i]))
-        row = self.elements.left_index.index(k)
-        cell = self.elements[row]
-        if not in_arc(x, pts[cell.left_index], pts[cell.right_index]):
-            raise InvariantFailure(f"no partition element contains {x!r}")
-        return row
 
     def coarsen(self, k: int) -> "DynamicalPartition":
         """xi_k(x0), k <= n, cut from the first q_k + q_{k-1} orbit points."""

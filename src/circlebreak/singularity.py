@@ -27,7 +27,6 @@ from .errors import (
     InvalidGeometry,
     InvariantFailure,
     PrecisionBudgetExceeded,
-    RankTooShallow,
     TolUnreachable,
 )
 from .maps import (
@@ -236,10 +235,20 @@ def regular_cover_triple(m: CircleMap, part: DynamicalPartition, tables) -> Cove
     """Cover triple around the first break's preimage at rank part.n.
 
     ``tables`` (``break_preimages``) give abar, the first break pulled
-    back by its cell's orbit index into [T^{q_n}x0, T^{q_{n-1}}x0], and
-    cbar, the second break's preimage within q_n steps nearest abar: a
-    window point can have two, and the hull around abar reaches the one
-    on abar's own orbit.
+    back by its cell's orbit index into the window W = [T^{q_n}x0,
+    T^{q_{n-1}}x0], and cbar, the second break's preimage within q_n
+    steps nearest abar: a window point can have two, and the hull around
+    abar reaches the one on abar's own orbit.
+    That index l is the least k < q_n whose table entry lies in W.  The
+    cells of xi_n are f^i(Delta_{n-1}), i < q_n, and f^j(Delta_n),
+    j < q_{n-1}, with W = Delta_{n-1} u Delta_n, and the break a lies
+    inside exactly one of them (partition orbits clear the breaks), so
+    f^{-k}(a) is in W iff a is in f^k(Delta_{n-1}) or f^k(Delta_n).  For
+    q_{n-1} <= k < q_n, f^k(Delta_n) lies inside
+    f^{k-q_{n-1}}(Delta_{n-1}), by the refinement
+    Delta_{n-1} = Delta_{n+1} u (union over s < k_{n+1} of
+    f^{q_{n-1}+s q_n}(Delta_n)); so every later in-window index has a
+    smaller one before it, and the least is the orbit index of a's cell.
     Sizes come from d_n (clearance to the q_{n-1} neighbors of abar)
     through V_n and its zeta0-core U_n; the position of the second
     break's preimage relative to U_n selects between the one-sided cover
@@ -254,17 +263,19 @@ def regular_cover_triple(m: CircleMap, part: DynamicalPartition, tables) -> Cove
     params = _cover_params(m)[0]
     a_loc, c_loc = m.breaks[0].location, m.breaks[1].location
     pre_a, pre_c = tables
-    l = int(part.elements.index[part.locate(a_loc)])
-    abar = pre_a[l]
     # parity: x_{q_k} lies right of x0 iff k is even
     w_left, w_right = part.orbit[part.q_nm1], part.orbit[part.q_n]
     if part.n % 2:
         w_left, w_right = w_right, w_left
-    if not in_arc(abar, w_left, w_right):
+    for l in range(part.q_n):
+        if in_arc(pre_a[l], w_left, w_right):
+            break
+    else:
         raise InvariantFailure(
-            f"preimage {abar!r} of break {a_loc!r} (l={l}) escaped the window "
-            f"[{w_left!r}, {w_right!r}]"
+            f"no preimage of break {a_loc!r} within q_n={part.q_n} steps lies "
+            f"in the window [{w_left!r}, {w_right!r}]"
         )
+    abar = pre_a[l]
     _roundtrip_check(m, abar, l, a_loc)
     p = min(range(part.q_n), key=lambda k: _circle_gap(pre_c[k], abar))
     cbar = pre_c[p]
@@ -281,7 +292,7 @@ def regular_cover_triple(m: CircleMap, part: DynamicalPartition, tables) -> Cove
     h_v = 0.5 * math.exp(-params.v) * d_n / params.c0
     h_u = params.zeta0 * h_v
     if h_u / 2.0 <= 1e3 * MACHINE_EPS:
-        raise RankTooShallow(
+        raise PrecisionBudgetExceeded(
             f"rank {part.n} clearance d_n={d_n:.3e} leaves cover widths at "
             "the rounding floor"
         )
@@ -380,7 +391,7 @@ def _check_hull_images(
     m: CircleMap, part: DynamicalPartition, triple: CoverTriple, res
 ):
     """Audit the cover hull's first q_n images, the distortion chain's
-    quadruples 0..q_n-1, and return their total length.
+    quadruples 0..q_n-1.
 
     The hull is q_n-small: its images, sorted by circle left end, each
     end before the next one starts, within 10 eps q_n.  Each break lies
@@ -419,7 +430,6 @@ def _check_hull_images(
         raise InvariantFailure(
             f"second break covered at steps {c_hits}, expected {want_c}"
         )
-    return ordered_sum(lengths)
 
 
 def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> ReportRow:
@@ -435,14 +445,14 @@ def _qn_row(m: CircleMap, part: DynamicalPartition, tables) -> ReportRow:
     if len(m.breaks) == 2:
         triple = regular_cover_triple(m, part, tables)
         res = distortion_chain(triple.quadruple, m, part.q_n)
-        image_len_sum = _check_hull_images(m, part, triple, res)
+        _check_hull_images(m, part, triple, res)
         case_tag, l, p = triple.case_tag, triple.l_index, triple.p_index
     else:
         triple = None
         res = distortion_chain(_generator_quadruple(part), m, part.q_n)
-        image_len_sum = ordered_sum(q.hull for q in res.quadruples[: part.q_n])
         case_tag = "break_free"
     gap = abs(res.total - 1.0)
+    image_len_sum = ordered_sum(q.hull for q in res.quadruples[: part.q_n])
     if image_len_sum > 1.0 + 1e-9:
         raise InvariantFailure(
             f"hull iterates overlap: total image length {image_len_sum!r}"

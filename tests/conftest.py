@@ -12,7 +12,7 @@ import circlebreak.singularity
 from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain
 from circlebreak.errors import InvariantFailure
 from circlebreak.maps import advance, make_pl_two_break, make_pq_two_break, make_rotation
-from circlebreak.numerics import MACHINE_EPS, arc_length, to_circle
+from circlebreak.numerics import MACHINE_EPS, arc_length, in_arc, to_circle
 from circlebreak.partition import build_partition
 from circlebreak.rotation import ContinuedFraction, convergent_error, tune_translation
 from circlebreak.singularity import (
@@ -67,6 +67,24 @@ def cell_interval(part, row):
     """The arc of cell ``row`` of a partition."""
     cell = part.elements[row]
     return Arc(cell.left, cell.length)
+
+
+def quadruple_from_gaps(z1, alpha, beta, gamma):
+    """The quadruple from z1 with gaps alpha, beta and gamma, the ends
+    summed in order."""
+    return Quadruple(z1, z1 + alpha, z1 + alpha + beta, z1 + alpha + beta + gamma)
+
+
+def reference_locate(cells, x):
+    """Row of the first cell, in cell order, whose half-open arc
+    [left, right) holds x; ``cells`` are rows (rank_tag, index,
+    left_index, right_index, left, length), a partition's ``elements``
+    included."""
+    for row, (_, _, _, _, left, length) in enumerate(cells):
+        right = to_circle(left + length)
+        if in_arc(x, left, right) and x != right:
+            return row
+    raise AssertionError(f"no reference cell holds {x!r}")
 
 
 def sum_left_to_right(values):

@@ -15,7 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import GOLDEN, cell_interval, direct_distortion, lorenz_lengths, qn_rows
+from conftest import (
+    GOLDEN,
+    cell_interval,
+    direct_distortion,
+    lorenz_lengths,
+    qn_rows,
+    quadruple_from_gaps,
+)
 
 from circlebreak.crossratio import Quadruple, cross_ratio, distortion_chain, f_func
 from circlebreak.maps import make_pq_two_break, make_rotation, map_stats
@@ -142,7 +149,7 @@ def test_primary_05_cross_ratio_exactness():
         assert abs(f_func(x, 1.0, sigma) - 1.0) < 1e-14
     for _ in range(100):
         a, b = math.exp(rng.uniform(-2, 2)), rng.uniform(-2, 2)
-        q = Quadruple.from_gaps(
+        q = quadruple_from_gaps(
             rng.uniform(-1, 1), *(rng.uniform(0.1, 1.0) for _ in range(3))
         )
         assert abs(_dist(q, lambda x: a * x + b) - 1.0) < 1e-13
@@ -154,7 +161,7 @@ def test_primary_06_telescoping_identity(pq_map, gcf):
         part = build_partition(pq_map, gcf, 0.05, n)
         gen = cell_interval(part, 0)
         third = gen.length / 3
-        q = Quadruple.from_gaps(gen.left, third, third, third)
+        q = quadruple_from_gaps(gen.left, third, third, third)
         res = distortion_chain(q, pq_map, part.q_n)
         direct, _ = direct_distortion(q, pq_map, part.q_n)
         assert res.total == pytest.approx(direct, rel=1e-10)

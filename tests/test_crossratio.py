@@ -43,7 +43,7 @@ from circlebreak.maps import (
 )
 from circlebreak.partition import build_partition
 
-from conftest import cell_interval, direct_distortion
+from conftest import cell_interval, direct_distortion, quadruple_from_gaps
 
 
 def test_cross_ratio_equally_spaced():
@@ -59,7 +59,7 @@ positive_gaps = st.tuples(
 
 @given(positive_gaps)
 def test_cross_ratio_in_unit_interval(gaps):
-    q = Quadruple.from_gaps(0.0, *gaps)
+    q = quadruple_from_gaps(0.0, *gaps)
     assert 0.0 < cross_ratio(q) < 1.0
 
 
@@ -96,7 +96,7 @@ def test_affine_invariance():
     for _ in range(100):
         a = math.exp(rng.uniform(-2, 2))
         b = rng.uniform(-2, 2)
-        q = Quadruple.from_gaps(
+        q = quadruple_from_gaps(
             rng.uniform(-1, 1), *(rng.uniform(0.1, 1.0) for _ in range(3))
         )
         assert abs(_dist(q, lambda x: a * x + b) - 1.0) < 1e-13
@@ -109,7 +109,7 @@ def test_telescoping_composition(pq_map, pl_map):
     g = lambda x: evaluate(pl_map, x)
     rng = random.Random(3)
     for _ in range(30):
-        q = Quadruple.from_gaps(
+        q = quadruple_from_gaps(
             rng.random(), *(1e-3 * (0.2 + rng.random()) for _ in range(3))
         )
         lhs = _dist(q, lambda x: g(h(x)))
@@ -131,7 +131,7 @@ def test_chain_matches_direct(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 6)
     gen = cell_interval(part, 0)
     third = gen.length / 3
-    q = Quadruple.from_gaps(gen.left, third, third, third)
+    q = quadruple_from_gaps(gen.left, third, third, third)
     res = distortion_chain(q, pq_map, part.q_n)
     assert len(res.factors) == part.q_n
     assert len(res.quadruples) == part.q_n + 1
@@ -208,7 +208,7 @@ def test_pl_frame_matches_the_closed_forms():
     for _ in range(50):
         alpha, beta, gamma = (math.exp(rng.uniform(-3, 3)) for _ in range(3))
         sigma = math.exp(rng.uniform(-2, 2))
-        q = Quadruple.from_gaps(rng.uniform(-1, 1), alpha, beta, gamma)
+        q = quadruple_from_gaps(rng.uniform(-1, 1), alpha, beta, gamma)
         nc = normalized_coords(q)
         assert pl_frame_distortion(q, q.z2, sigma) == pytest.approx(
             f_func(nc.xi, 0.0, sigma), rel=1e-12
@@ -279,7 +279,7 @@ def test_single_break_rejects_a_middle_gap_break():
     # nor one break in the middle gap, though its PL frame is defined
     m = make_pl_two_break(0.3, 0.7, 2.0)
     brk = m.breaks[0]
-    _assert_row_without_bound(Quadruple.from_gaps(brk.location - 0.01, 0.005, 0.01, 0.005), m)
+    _assert_row_without_bound(quadruple_from_gaps(brk.location - 0.01, 0.005, 0.01, 0.005), m)
 
 
 # the pq map of the bundled partition and distortion configs, as pinned there
@@ -380,14 +380,14 @@ def _seeded_quadruples(rng, m, count, breaks_inside):
     while len(out) < count:
         scale = 10 ** rng.uniform(-7, -1)
         gaps = [scale * (0.25 + rng.random()) for _ in range(3)]
-        q = Quadruple.from_gaps(rng.uniform(-3, 4), *gaps)
+        q = quadruple_from_gaps(rng.uniform(-3, 4), *gaps)
         if breaks_inside:
             brk = rng.choice(m.breaks)
             # the break at a random point of a side gap
             t = rng.random()
             left = t * gaps[0] if rng.random() < 0.5 else gaps[0] + gaps[1] + t * gaps[2]
             lift = brk.location + math.floor(q.z1 - brk.location) + 1
-            q = Quadruple.from_gaps(lift - left, *gaps)
+            q = quadruple_from_gaps(lift - left, *gaps)
         inside = sum(q.z1 <= lift_into(b.location, q.z1) <= q.z4 for b in m.breaks)
         if inside == breaks_inside:
             out.append(q)
@@ -465,7 +465,7 @@ def test_closed_form_curvature_term_holds_in_exact_arithmetic():
         gaps = [sides[0] * scale, middle * scale, sides[1] * scale]
         which = rng.randrange(3)
         offset = sum(gaps[:which]) + rng.random() * gaps[which]
-        q = Quadruple.from_gaps(brk.location + rng.randrange(-2, 3) - offset, *gaps)
+        q = quadruple_from_gaps(brk.location + rng.randrange(-2, 3) - offset, *gaps)
         exact = _exact_distortion(m, q)
         frame = _exact_pl_frame(q, brk)
         cf = single_break_closed_form(q, image_quadruple(q, m), brk, m)
@@ -474,7 +474,7 @@ def test_closed_form_curvature_term_holds_in_exact_arithmetic():
 
 def test_rounding_past_its_range_is_refused():
     # gaps of 1e-15 on a lift near 3: eps over the gap is above 1/64
-    q = Quadruple.from_gaps(3.1, 1e-15, 1e-15, 1e-15)
+    q = quadruple_from_gaps(3.1, 1e-15, 1e-15, 1e-15)
     with pytest.raises(PrecisionBudgetExceeded):
         distortion_rows((q,), PINNED_PQ)
 
@@ -536,7 +536,7 @@ def _kernel_quadruples(m, rng):
         return [scale * (0.25 + rng.random()) for _ in range(3)]
 
     qs = [
-        Quadruple.from_gaps(rng.uniform(-3, 4), *gaps(10 ** rng.uniform(-7, math.log10(0.2))))
+        quadruple_from_gaps(rng.uniform(-3, 4), *gaps(10 ** rng.uniform(-7, math.log10(0.2))))
         for _ in range(1500)
     ]
     ends = [b.location for b in m.breaks] or [0.0]
@@ -552,10 +552,10 @@ def _kernel_quadruples(m, rng):
             edge = step
         g = gaps(10 ** rng.uniform(-7, math.log10(0.2)))
         if rng.random() < 0.5:
-            qs.append(Quadruple.from_gaps(edge, *g))
+            qs.append(quadruple_from_gaps(edge, *g))
         else:
             qs.append(Quadruple(edge - g[0] - g[1] - g[2], edge - g[1] - g[2], edge - g[2], edge))
-    qs += [Quadruple.from_gaps(z, 1e-15, 1e-15, 1e-15) for z in (3.1, *ends)]
+    qs += [quadruple_from_gaps(z, 1e-15, 1e-15, 1e-15) for z in (3.1, *ends)]
     return qs
 
 
@@ -604,7 +604,7 @@ KERNEL_EDGE_ROWS = {
     # f(z1) lies within 2 eps below 1, so the anchor is the origin
     "anchor-clamped-to-0": (
         make_rotation(0.3),
-        Quadruple.from_gaps(math.nextafter(0.7, 0.0), 0.01, 0.02, 0.03),
+        quadruple_from_gaps(math.nextafter(0.7, 0.0), 0.01, 0.02, 0.03),
         False,
     ),
     # slope 2 - 1e-16 on the whole of [0.25, 0.75]: its image rounds to a
@@ -637,7 +637,7 @@ def test_kernel_leaves_a_row_past_its_bound_to_the_reference(monkeypatch):
     # with C1 read as 0, the curved map's break-free residual exceeds the
     # rounding term that is left of its bound
     monkeypatch.setattr(circlebreak.crossratio, "calibrate_c1", lambda m: 0.0)
-    q = Quadruple.from_gaps(0.3, 0.01, 0.02, 0.03)
+    q = quadruple_from_gaps(0.3, 0.01, 0.02, 0.03)
     want = _outcome(_reference_row, q, PINNED_PQ)
     assert want[0] is InvariantFailure
     assert want[1].startswith("break-free distortion residual ")
@@ -654,7 +654,7 @@ def test_smooth_bound_scaling(pq_map):
     h = 0.08
     prev = None
     for _ in range(5):
-        q = Quadruple.from_gaps(z1, h / 3, h / 3, h / 3)
+        q = quadruple_from_gaps(z1, h / 3, h / 3, h / 3)
         sb = smooth_distortion_bound(pq_map, q)
         integral = abs_d2f_integral(pq_map, q.z1, q.z4)
         assert abs(distortion(q, pq_map) - 1.0) <= sb.bound
@@ -680,7 +680,7 @@ def test_coordinate_stability_along_chain(pq_map, gcf):
     part = build_partition(pq_map, gcf, 0.05, 7)
     gen = cell_interval(part, 0)
     third = gen.length / 3
-    q = Quadruple.from_gaps(gen.left, third, third, third)
+    q = quadruple_from_gaps(gen.left, third, third, third)
     track = chain_points(pq_map, q, part.q_n)
     xi0 = None
     for pts in track:

@@ -22,6 +22,7 @@ from circlebreak.singularity import (
     ExperimentConfig,
     break_preimages,
     build_experiment_map,
+    regular_cover_triple,
 )
 
 from conftest import qn_chains
@@ -90,6 +91,11 @@ def _circle_distance(x, y):
     return abs(d - round(d))
 
 
+def _exact_arc_holds(x, lo, hi):
+    """Whether x lies on the closed ccw arc from lo to hi, all exact."""
+    return (x - lo) % 1 <= (hi - lo) % 1
+
+
 def test_float_orbit_stays_near_the_exact_one_on_pl_generic():
     cfg, _, m = _tuned_experiment("pl_generic")
     steps = 610  # q_14 of the golden mean
@@ -133,3 +139,32 @@ def test_report_chain_points_stay_near_the_exact_orbit(monkeypatch, name):
             for z, orbit in zip(quad, orbits)
         ]
         assert max(errors) <= ORBIT_TOL
+
+
+@pytest.mark.parametrize("name", ["pl_generic", "pl_herman"])
+def test_the_cover_reads_the_exact_cell_of_the_first_break(name):
+    # at ranks 5-12 three indices agree: the orbit index of the exact cell
+    # of xi_n that holds the first break, the first of its exact q_n
+    # preimages in the exact window [x_{q_n}, x_{q_{n-1}}], and the float
+    # cover's l_index
+    cfg, cf, m = _tuned_experiment(name)
+    deep = build_partition(m, cf, cfg.x0, cfg.n_max)
+    tables = break_preimages(m, deep)
+    a = Fraction(m.breaks[0].location)
+    pts = exact_orbit(m, deep.x0, deep.q_n + deep.q_nm1 - 1)
+    pre = exact_backward_orbit(m, a, deep.q_n - 1)
+    for n in range(5, cfg.n_max + 1):
+        q_n, q_nm1 = cf.q(n), cf.q(n - 1)
+        # rank-(n-1) cells join i and i + q_{n-1}, rank-n cells j and
+        # j + q_n; the later point is the right end at an even tag
+        holding = [
+            i
+            for tag, count, step in ((n - 1, q_n, q_nm1), (n, q_nm1, q_n))
+            for i in range(count)
+            for lo, hi in [(i, i + step) if tag % 2 == 0 else (i + step, i)]
+            if _exact_arc_holds(a, pts[lo], pts[hi])
+        ]
+        w_left, w_right = (pts[q_nm1], pts[q_n]) if n % 2 == 0 else (pts[q_n], pts[q_nm1])
+        first_in = next(k for k in range(q_n) if _exact_arc_holds(pre[k], w_left, w_right))
+        triple = regular_cover_triple(m, deep.coarsen(n), tables)
+        assert holding == [first_in] == [triple.l_index], n

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import random
+from collections import Counter
 from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circlebreak import numerics
-from circlebreak.crossratio import Quadruple, _general_row, distortion_rows
+from circlebreak.crossratio import _general_row, distortion_rows
 from circlebreak.errors import (
     CircleBreakError,
     InfeasibleDerivatives,
@@ -45,7 +46,7 @@ from circlebreak.numerics import (
 )
 from circlebreak.singularity import ExperimentConfig
 
-from conftest import GOLDEN, _reference_one_sided_derivatives
+from conftest import GOLDEN, _reference_one_sided_derivatives, quadruple_from_gaps
 
 
 def test_rotation_evaluate():
@@ -395,22 +396,59 @@ def test_no_module_keeps_an_orbit_list_for_one_point():
     assert found == []
 
 
+def _names_read(tree):
+    """Each name, attribute and imported alias under ``tree``, once per
+    occurrence."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
 def test_every_helper_is_used_by_the_program():
-    # each top-level def, class and assigned name of the package is named
-    # somewhere in src/, scripts/ or perfbench/ outside its own definition:
-    # as a name, an attribute, an imported alias, or a string of the
-    # benchmark's SPANS/COUNTED tables.  A re-export in __init__.py is not
-    # a use, and __init__.py imports nothing.
+    # each top-level def, class and assigned name of the package, and each
+    # non-dunder function of a class body in it, is named somewhere in
+    # src/, scripts/ or perfbench/ outside its own definition: as a name,
+    # an attribute, an imported alias, or a string of the benchmark's
+    # SPANS/COUNTED tables.  A re-export in __init__.py is not a use, and
+    # __init__.py imports nothing.  Each name a package module imports is
+    # read in that module.
     root = Path(__file__).resolve().parent.parent
     pkg = root / "src" / "circlebreak"
     init = ast.parse((pkg / "__init__.py").read_text())
     assert [n.lineno for n in ast.walk(init) if isinstance(n, (ast.Import, ast.ImportFrom))] == []
     defined, used = [], set()
+    methods, reads = [], Counter()
+    unread_imports = []
     files = [p for p in sorted(pkg.glob("*.py")) if p.name != "__init__.py"]
     for path in files + sorted((root / "scripts").glob("*.py")) + sorted(
         (root / "perfbench").glob("*.py")
     ):
-        for top in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        reads.update(_names_read(tree))
+        if path.parent == pkg:
+            methods += [
+                (f"{path.name}:{cls.name}.{fn.name}", fn)
+                for cls in ast.walk(tree)
+                if isinstance(cls, ast.ClassDef)
+                for fn in cls.body
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            ]
+            loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            unread_imports += [
+                f"{path.name}:{node.lineno} {bound}"
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+                for bound in [alias.asname or alias.name.partition(".")[0]]
+                if bound not in loaded
+            ]
+        for top in tree.body:
             own = set()
             if path.parent == pkg and isinstance(top, (ast.Assign, ast.AnnAssign)):
                 targets = top.targets if isinstance(top, ast.Assign) else [top.target]
@@ -423,20 +461,18 @@ def test_every_helper_is_used_by_the_program():
             if isinstance(top, ast.Assign) and any(
                 getattr(t, "id", None) in ("SPANS", "COUNTED") for t in top.targets
             ):
-                used.update(attr for _, attr in ast.literal_eval(top.value))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name.rpartition(".")[2]
-                else:
-                    continue
-                if name not in own:
-                    used.add(name)
+                spans = [attr for _, attr in ast.literal_eval(top.value)]
+                used.update(spans)
+                reads.update(spans)
+            used.update(set(_names_read(top)) - own)
     assert len(defined) > 100
     assert sorted(set(defined) - used) == []
+    # a method's reads inside its own body (recursion) are no use
+    assert len(methods) > 10
+    assert [
+        where for where, fn in methods if reads[fn.name] <= list(_names_read(fn)).count(fn.name)
+    ] == []
+    assert unread_imports == []
 
 
 def test_map_kinds_name_their_builders_parameters():
@@ -760,7 +796,7 @@ def test_rotation_table_is_the_rigid_rotation(t):
             z = rng.uniform(-3, 4)
         else:
             z = rng.randrange(-6, 8) / 2 - gaps[0] - gaps[1] / 2
-        q = Quadruple.from_gaps(z, *gaps)
+        q = quadruple_from_gaps(z, *gaps)
         try:
             want = _hexed(_general_row(q, m))
         except CircleBreakError as e:

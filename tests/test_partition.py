@@ -638,15 +638,6 @@ def _reference_cells(m, cf, x0, n):
     return cells, pts
 
 
-def _reference_locate(cells, x):
-    # the first cell, in cell order, whose half-open arc holds x
-    for row, (_, _, _, _, left, length) in enumerate(cells):
-        right = to_circle(left + length)
-        if in_arc(x, left, right) and x != right:
-            return row
-    raise AssertionError(f"no reference cell holds {x!r}")
-
-
 def _reference_refinement(coarse, fine, fine_pts, cf, n):
     """Split counts and persisted cells by dictionary lookups and an
     explicit chain test; raises RefinementViolation like the old check."""
@@ -677,7 +668,6 @@ def _reference_refinement(coarse, fine, fine_pts, cf, n):
 @pytest.mark.parametrize("name", ["pq_map", "pl_map", "rot_map"])
 def test_columns_match_point_by_point_reference(request, gcf, name):
     m = request.getfixturevalue(name)
-    rng = random.Random(11)
     # 0.2 is the break a of both two-break maps: every rank nudges it once
     for x0 in (0.05, 0.2, 0.31, 0.77):
         deep = build_partition(m, gcf, x0, 14)
@@ -695,16 +685,6 @@ def test_columns_match_point_by_point_reference(request, gcf, name):
                 assert p.max_length() == max(c[5] for c in cells)
                 assert p.min_length() == min(c[5] for c in cells)
             assert list(partition_rows(part)) == [(k, *c[:2], *c[4:]) for c in cells]
-            if x0 != 0.05:
-                continue
-            probes = [0.0] + [rng.random() for _ in range(10)]
-            probes += [b.location for b in m.breaks]
-            probes += [to_circle(c[4] + c[5] / 2) for c in cells[:: max(1, k)]]
-            for x in probes:
-                assert part.locate(x) == _reference_locate(cells, x)
-            # a cell's left end belongs to it, its right end does not
-            for row in range(0, len(cells), max(1, k)):
-                assert part.locate(cells[row][4]) == row
 
 
 @pytest.mark.parametrize(
@@ -869,17 +849,3 @@ def test_cell_table_equals_only_a_table(pq_map, gcf):
     # a tuple of the same cells is no table: both sides decline, and
     # identity decides
     assert el != tuple(el)
-
-
-def test_locate_refuses_cells_that_end_where_they_start(pq_map, gcf):
-    # each cell of the table ends at its own left point, so a point
-    # between two orbit points lies in none of them
-    part = build_partition(pq_map, gcf, 0.05, 6)
-    el = part.elements
-    x = to_circle(el.left[3] + 0.5 * el.length[3])
-    assert part.locate(x) == 3
-    columns = {name: getattr(el, name) for name in CellTable.__slots__}
-    columns["right_index"] = el.left_index
-    broken = part._replace(elements=CellTable(**columns))
-    with pytest.raises(InvariantFailure, match=f"no partition element contains {x!r}"):
-        broken.locate(x)

@@ -24,6 +24,7 @@ from conftest import (
     direct_distortion,
     qn_rows,
     rank_parts,
+    reference_locate,
     sum_left_to_right,
     telescoping_bound,
 )
@@ -396,14 +397,85 @@ def test_preimages_of_a_detuned_map_exit_4_naming_the_roundtrip(monkeypatch, tmp
 
 
 def test_a_preimage_outside_its_window_is_refused(pq_map, gcf):
-    # the first break's backward orbit moved by half a turn
+    # every entry of the first break's table half a turn from x0: none of
+    # the first q_n lies in the window, so no cell index can be read off
     part = build_partition(pq_map, gcf, 0.05, 6)
     pre_a, pre_c = break_preimages(pq_map, part)
-    l = int(part.elements.index[part.locate(pq_map.breaks[0].location)])
-    moved = [to_circle(x + 0.5) for x in pre_a]
-    escape = rf"^preimage {moved[l]!r} of break 0\.2 \(l={l}\) escaped the window \["
+    far = [to_circle(part.x0 + 0.5)] * len(pre_a)
+    # at an even rank the window runs from x_{q_{n-1}} to x_{q_n}
+    w_left, w_right = part.orbit[part.q_nm1], part.orbit[part.q_n]
+    escape = (
+        rf"^no preimage of break 0\.2 within q_n={part.q_n} steps lies in the "
+        rf"window \[{w_left!r}, {w_right!r}\]$"
+    )
     with pytest.raises(InvariantFailure, match=escape):
-        regular_cover_triple(pq_map, part, [moved, pre_c])
+        regular_cover_triple(pq_map, part, [far, pre_c])
+
+
+def _reference_l(m, part):
+    """Orbit index of the cell of ``part`` that holds the first break,
+    found from the cell table by ``reference_locate``."""
+    return part.elements.index[reference_locate(part.elements, m.breaks[0].location)]
+
+
+def _baseline_pq_draws(count):
+    # ROADMAP Baseline's pq sweep draws: a, c, the jump ratios, the
+    # quotients and x0
+    rng = random.Random(17)
+    for _ in range(count):
+        a = rng.random()
+        c = (a + rng.uniform(0.05, 0.95)) % 1.0
+        while True:
+            sa, sc = math.exp(rng.uniform(-1.6, 1.6)), math.exp(rng.uniform(-1.6, 1.6))
+            if abs(sa * sc - 1) > 0.05:
+                break
+        qs = [rng.choice([1, 1, 1, 2, 3]) for _ in range(30)]
+        x0 = rng.random()
+        yield dict(kind="pq", a=a, c=c, sigma_a=sa, sigma_c=sc, rho_quotients=qs, x0=x0)
+
+
+def _baseline_pl_draws(count, same_orbit_steps):
+    # ROADMAP Baseline's PL sweep draws; each class re-seeds, so both
+    # classes use the same draws
+    rng = random.Random(23)
+    for _ in range(count):
+        a = rng.random()
+        off = rng.uniform(0.05, 0.95)
+        sgn = rng.choice([-1, 1])
+        mag = rng.uniform(0.2, 2.3)
+        qs = [rng.choice([1, 1, 1, 2]) for _ in range(30)]
+        x0 = rng.random()
+        doc = dict(kind="pl", a=a, slope_ratio=math.exp(sgn * mag), rho_quotients=qs, x0=x0)
+        if same_orbit_steps is None:
+            doc["c"] = (a + off) % 1.0
+        else:
+            doc["same_orbit_steps"] = same_orbit_steps
+        yield doc
+
+
+def test_the_cover_reads_the_cell_index_of_the_first_break():
+    # the first in-window entry of the break table is the orbit index of
+    # the cell that holds the break, on sweep maps at ranks 2-10; a rank
+    # whose cover stops at its width floor is not compared
+    docs = [*_baseline_pq_draws(30), *_baseline_pl_draws(20, None), *_baseline_pl_draws(20, 1)]
+    compared = 0
+    for doc in docs:
+        cfg = ExperimentConfig(n_min=2, n_max=10, **doc)
+        cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
+        m, _, _ = build_experiment_map(cfg, cf)
+        deep = build_partition(m, cf, cfg.x0, cfg.n_max)
+        tables = break_preimages(m, deep)
+        for n in range(2, 11):
+            part = deep.coarsen(n)
+            try:
+                triple = regular_cover_triple(m, part, tables)
+            except PrecisionBudgetExceeded as exc:
+                assert "leaves cover widths at the rounding floor" in str(exc), (doc, n)
+                continue
+            assert triple.l_index == _reference_l(m, part), (doc, n)
+            compared += 1
+    # 70 maps at 9 ranks; one pq map stops at the width floor at all nine
+    assert compared == 621
 
 
 def test_breaks_a_cover_width_apart_exit_4(tmp_path, capsys):
@@ -496,14 +568,13 @@ def test_overlap_within_the_parity_hop_raises(pq_map, gcf):
 
 
 def test_hull_audit_runs_no_orbit(monkeypatch, pq_map, gcf):
-    # the audit reads the chain's quadruples and sums their hulls
+    # the audit reads the chain's quadruples only
     part = build_partition(pq_map, gcf, 0.05, 9)
     triple = regular_cover_triple(pq_map, part, break_preimages(pq_map, part))
     res = distortion_chain(triple.quadruple, pq_map, part.q_n)
     calls = [_count_calls(monkeypatch, fn) for fn in (advance, retreat, evaluate)]
-    total = _check_hull_images(pq_map, part, triple, res)
+    assert _check_hull_images(pq_map, part, triple, res) is None
     assert calls == [[], [], []]
-    assert total == sum_left_to_right(q.hull for q in res.quadruples[: part.q_n])
 
 
 def test_distortion_chain_walks_no_orbit_of_its_own(monkeypatch, pq_map, gcf):
@@ -870,20 +941,23 @@ def test_report_runs_one_backward_orbit_per_break(monkeypatch, shape):
 
 
 def _reference_preimages(m, part):
-    """(l, abar, p, the second break's first q_n preimages, d_n's backward
-    point) by the per-rank walks the cover ran before it read the break
-    tables: each break pulled back from itself, and abar pulled back
-    q_{n-1} steps for d_n."""
+    """(l, the first break's walk to abar, p, the second break's first q_n
+    preimages, d_n's backward point) by the per-rank walks the cover ran
+    before it read the break tables: each break pulled back from itself,
+    the first one l steps to abar, and abar pulled back q_{n-1} steps for
+    d_n."""
     a_loc, c_loc = m.breaks[0].location, m.breaks[1].location
-    l = int(part.elements.index[part.locate(a_loc)])
-    abar = retreat(m, a_loc, 0, l)[0]
+    l = _reference_l(m, part)
+    walk = [a_loc]
+    retreat(m, a_loc, 0, l, walk)
+    abar = walk[-1]
     pres = [c_loc]
     retreat(m, c_loc, 0, part.q_n - 1, pres)
     p = min(
         range(len(pres)),
         key=lambda k: min(arc_length(pres[k], abar), arc_length(abar, pres[k])),
     )
-    return l, abar, p, pres, retreat(m, abar, 0, part.q_nm1)[0]
+    return l, walk, p, pres, retreat(m, abar, 0, part.q_nm1)[0]
 
 
 @pytest.mark.parametrize(
@@ -894,7 +968,8 @@ def test_break_tables_match_the_per_rank_walks(name, n_max):
     # the report's tables, built once at the deepest rank, give every
     # rank the bits of its own walks, and the cover reads nothing else of
     # them: tables holding only the walks' points, nan elsewhere, give the
-    # same triple
+    # same triple.  The first table's walk is entries 0..l, the ones the
+    # cover tests against the window
     doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
     cfg = ExperimentConfig(**dict(doc, n_max=n_max))
     cf = ContinuedFraction.from_quotients(cfg.rho_quotients)
@@ -904,14 +979,15 @@ def test_break_tables_match_the_per_rank_walks(name, n_max):
     assert [len(t) for t in tables] == [deep.q_n + deep.q_nm1] * 2
     for n in range(5, n_max + 1):
         part = deep.coarsen(n)
-        l, abar, p, pres, bwd = _reference_preimages(m, part)
+        l, walk, p, pres, bwd = _reference_preimages(m, part)
+        abar = walk[-1]
         t = regular_cover_triple(m, part, tables)
         assert (t.l_index, t.p_index) == (l, p)
         t_abar = t.z3 if t.case_tag == "c_in_U_right" else t.z2
         got = (t_abar, tables[1][p], tables[0][l + part.q_nm1])
         assert [x.hex() for x in got] == [x.hex() for x in (abar, pres[p], bwd)], n
         only = [[math.nan] * len(table) for table in tables]
-        only[0][l], only[0][l + part.q_nm1], only[1][: part.q_n] = abar, bwd, pres
+        only[0][: l + 1], only[0][l + part.q_nm1], only[1][: part.q_n] = walk, bwd, pres
         assert regular_cover_triple(m, part, only) == t
 
 
