@@ -24,6 +24,7 @@ from .maps import (
     evaluate,
     gap_image,
     map_stats,
+    quadruple_image,
 )
 from .numerics import CLAMP_FROM, MACHINE_EPS, arc_length, to_circle
 
@@ -472,27 +473,16 @@ def distortion_rows(quads, m: CircleMap) -> list:
     """Dist(q; f) with the bound that applies to q's hull, checked, for
     each quadruple q of ``quads``, as one list.
 
-    This is the one procedure that decides and checks rows.  It reads the
-    segment table, C1, map_stats' slope range and the break locations
-    once.  A break-free hull that gap_image's walk keeps in one segment
-    piece is computed inline, operation for operation as
-    smooth_distortion_bound computes it: evaluate, the three gap_image
-    increments, the image's Quadruple check, abs_d2f_integral and
-    distortion_rounding, the way maps.advance repeats evaluate.  Its row is bit-identical to
-    _general_row's.  Every other row goes through _general_row: a break in
-    the hull, a walk that starts on a rounded segment end or leaves the
-    piece, and any row that would raise, which then raises there.  A
-    rotation takes the same two paths on its two slope-1 segments.
+    This is the one procedure that decides and checks rows.  It binds
+    quadruple_image and reads C1, the slope range and the break locations
+    once.  A break-free hull that the kernel images gets its row inline,
+    operation for operation as smooth_distortion_bound and
+    distortion_rounding compute it, bit-identical to _general_row's.
+    Every other row goes through _general_row, as does any row that
+    would raise, which then raises there.
     """
     fl = floor
-    t = m.translation
-    p0, p1 = m.seg_pos[0], m.seg_pos[1]
-    p0_next = p0 + 1
-    v0, v1 = m.seg_val[0], m.seg_val[1]
-    a0, a1 = m.seg_d0
-    c0, c1 = m.seg_curv
-    # evaluate's 0.5 * curv * du groups as (0.5 * curv) * du
-    h0, h1 = 0.5 * c0, 0.5 * c1
+    image = quadruple_image(m)
     locs = [b.location for b in m.breaks]
     stats = map_stats(m)
     lo, kmax = stats.df_min, stats.d2f_max
@@ -500,30 +490,6 @@ def distortion_rows(quads, m: CircleMap) -> list:
     # distortion_rounding's constant products, grouped as it groups them
     u2, u15, u16, spread = 2.0 * U, 15.0 * U, 16.0 * U, stats.df_max - lo
     floor_eps = DEGENERACY_EPS * MACHINE_EPS
-
-    def piece(x, y):
-        """gap_image(m, x, y) when its walk is one piece, else None.
-
-        A walk whose start the reduction rounded back below its segment's
-        end (nxt <= x < y) corrects the piece; it is left to gap_image.
-        Only the u < p0 fix-up can put a start in an earlier piece than
-        z1's, and that piece is in segment 1; a start in segment 0 lies in
-        z1's piece or a later one, whose end z4 does not pass.
-        """
-        j = fl(x - p0)
-        u = x - j
-        if u < p0:
-            u += 1
-            j -= 1
-        elif u >= p0_next:
-            u -= 1
-            j += 1
-        if u < p1:
-            return (y - x) * (a0 + c0 * ((x + y) / 2 - (p0 + j)))
-        nxt = p0_next + j
-        if y > nxt:
-            return None
-        return (y - x) * (a1 + c1 * ((x + y) / 2 - (p1 + j)))
 
     def fast_row(q):
         z1, z2, z3, z4 = q
@@ -542,53 +508,28 @@ def distortion_rows(quads, m: CircleMap) -> list:
                 w = 0.0
             if z1 < z1 + w < z4:
                 return None
-        # evaluate(m, z1) reduced by to_circle; the same reduction starts
-        # the walks over [z1, z2] and over the hull [z1, z4]
-        j = fl(z1 - p0)
-        u = z1 - j
-        if u < p0:
-            u += 1
-            j -= 1
-        elif u >= p0_next:
-            u -= 1
-            j += 1
-        if u < p1:
-            du = u - p0
-            y = v0 + du * (a0 + h0 * du) + j + t
-            nxt, start, d0, curv = p1 + j, p0 + j, a0, c0
-        else:
-            du = u - p1
-            y = v1 + du * (a1 + h1 * du) + j + t
-            nxt, start, d0, curv = p0_next + j, p1 + j, a1, c1
-        # one piece holds the hull (so it is shorter than one turn)
-        if z4 > nxt:
+        # chain_points' image, when one segment piece holds the hull
+        img = image(z1, z2, z3, z4)
+        if img is None:
             return None
-        g2 = piece(z2, z3)
-        g3 = piece(z3, z4)
-        if g2 is None or g3 is None:
-            return None
-        # chain_points' image: the anchor and its running gap sums
-        P0 = y - fl(y)
-        if P0 >= CLAMP_FROM:
-            P0 = 0.0
-        P1 = P0 + a * (d0 + curv * ((z1 + z2) / 2 - start))
-        P2 = P1 + g2
-        P3 = P2 + g3
+        P0, P1, P2, P3, curv = img
         h = P3 - P0
         if not h < 1:
             return None
         A = P1 - P0
         B = P2 - P1
         C = P3 - P2
-        gfloor = floor_eps * max(h, MACHINE_EPS)
+        # Quadruple's degeneracy floor; max(x, y) as a conditional here and
+        # below is the same float without a builtin call
+        gfloor = floor_eps * (h if h >= MACHINE_EPS else MACHINE_EPS)
         if not (A > gfloor and B > gfloor and C > gfloor):
             return None
         actual = (A * C) / ((A + B) * (B + C)) / cr
         integral = abs(curv) * (z4 - z1)
         curvature = c1_const * integral**2
         # distortion_rounding(q, img, m)
-        s = 1.0 + max(-z1, z4)
-        abs_err = U * max(-P0, P3)
+        s = 1.0 + (z4 if z4 > -z1 else -z1)
+        abs_err = U * (P3 if P3 > -P0 else -P0)
         margin = u16 * s
         for loc in locs:
             off = (loc - z1) % 1.0

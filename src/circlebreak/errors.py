@@ -68,8 +68,9 @@ class OrderViolation(CircleBreakError):
 
 
 class RankTooShallow(CircleBreakError):
-    """Requested construction under-resolves the arithmetic type at this
-    partition rank."""
+    """A partition or Denjoy product was asked for a rank n beyond the
+    continued fraction's partial quotients: ``build_partition`` and
+    ``denjoy_product`` need at least n of them."""
 
 
 class ConfigError(CircleBreakError):

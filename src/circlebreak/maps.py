@@ -610,6 +610,63 @@ def gap_image(m: CircleMap, lo, hi):
     return total
 
 
+def quadruple_image(m: CircleMap):
+    """A closure over m's segment table: ``image(z1, z2, z3, z4)`` is
+    (P0, P1, P2, P3, curv), P0 = ``to_circle(evaluate(m, z1))`` and each
+    later point the one before plus its gap's ``gap_image``, bit for bit,
+    with curv the D2f of the one segment piece holding the hull.  It is
+    None where the walk from z1 over the hull, or from z2 or z3 over its
+    gap, each start reduced as ``_segment_walk`` does, leaves its piece.
+    """
+    t, _, pos, val, d0, _, curv = m
+    p0, p1 = pos[0], pos[1]
+    p0_next = p0 + 1
+    # start, value, Df, D2f, evaluate's (0.5 * curv) and end of a segment
+    seg0 = (p0, val[0], d0[0], curv[0], 0.5 * curv[0], p1)
+    seg1 = (p1, val[1], d0[1], curv[1], 0.5 * curv[1], p0_next)
+
+    def gap(x, y):
+        # gap_image(m, x, y), or None where its walk leaves x's piece
+        j = floor(x - p0)
+        u = x - j
+        if u < p0:
+            u += 1
+            j -= 1
+        elif u >= p0_next:
+            u -= 1
+            j += 1
+        p, _, d, c, _, e = seg0 if u < p1 else seg1
+        if y > e + j:
+            return None
+        return (y - x) * (d + c * ((x + y) / 2 - (p + j)))
+
+    def image(z1, z2, z3, z4):
+        j = floor(z1 - p0)
+        u = z1 - j
+        if u < p0:
+            u += 1
+            j -= 1
+        elif u >= p0_next:
+            u -= 1
+            j += 1
+        p, v, d, k, h, e = seg0 if u < p1 else seg1
+        if z4 > e + j:
+            return None
+        g2 = gap(z2, z3)
+        g3 = gap(z3, z4)
+        if g2 is None or g3 is None:
+            return None
+        du = u - p
+        y = v + du * (d + h * du) + j + t
+        P0 = y - floor(y)
+        if P0 >= CLAMP_FROM:
+            P0 = 0.0
+        P1 = P0 + (z2 - z1) * (d + k * ((z1 + z2) / 2 - (p + j)))
+        return P0, P1, P1 + g2, P1 + g2 + g3, k
+
+    return image
+
+
 def abs_d2f_integral(m: CircleMap, lo, hi):
     """Integral of |D2 f| over the lift interval [lo, hi] (exact quadrature:
     the second derivative is constant per segment)."""

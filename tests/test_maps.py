@@ -34,6 +34,7 @@ from circlebreak.maps import (
     make_pq_two_break,
     make_rotation,
     map_stats,
+    quadruple_image,
     retreat,
     step_with_winding,
 )
@@ -806,3 +807,81 @@ def test_rotation_table_is_the_rigid_rotation(t):
         except CircleBreakError as e:
             got = (type(e), str(e))
         assert got == want, q
+
+
+def _walked_image(m, zs):
+    # the general one-step image: evaluate's anchor, then each gap's
+    # gap_image added in order
+    pts = [to_circle(evaluate(m, zs[0]))]
+    for u, w in zip(zs, zs[1:]):
+        pts.append(pts[-1] + gap_image(m, u, w))
+    return tuple(pts)
+
+
+def _kernel_hulls(m, rng, count):
+    """Seeded increasing 4-point lifts in [-3, 4) at scales 1e-15 to 0.2:
+    a third anywhere, a third ending or starting within a few ulps of a
+    segment end, a third with a segment end inside a gap."""
+    out = []
+    while len(out) < count:
+        scale = 10 ** rng.uniform(-15, math.log10(0.2))
+        g1, g2, g3 = (scale * (0.25 + rng.random()) for _ in range(3))
+        end = rng.choice(m.seg_pos[:2]) + rng.randrange(-3, 4)
+        for _ in range(rng.randrange(6)):
+            end = math.nextafter(end, rng.choice([-math.inf, math.inf]))
+        kind = rng.randrange(4)
+        if kind == 0:
+            z1 = rng.uniform(-3, 4)
+        elif kind == 1:
+            z1 = end - g1 - g2 - g3
+        elif kind == 2:
+            z1 = end
+        else:
+            z1 = end - rng.choice([g1, g1 + g2, g1 + g2 + g3]) * rng.random()
+        zs = (z1, z1 + g1, z1 + g1 + g2, z1 + g1 + g2 + g3)
+        if all(w > u for u, w in zip(zs, zs[1:])):
+            out.append(zs)
+    return out
+
+
+def _near_a_segment_end(m, x):
+    # within a few ulps of some lift p + k of a segment start p
+    return any(abs(x - (p + round(x - p))) <= 4 * math.ulp(abs(x) + 1) for p in m.seg_pos[:2])
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        make_pq_two_break(0.2, 0.6, 2.0, 0.8, 0.6949144976323708),
+        make_pq_two_break(0.3, 0.9, 3.0, 0.7, 0.25),
+        make_pl_two_break(0.2, 0.6, 3.0, 0.4766928428562561),
+        make_pl_two_break(0.625 + 2.0**-53, 0.9, 2.0),
+        make_rotation(GOLDEN),
+    ],
+    ids=["pq-main", "pq", "pl-generic", "pl-ulp-break", "rotation"],
+)
+def test_quadruple_image_is_the_walked_image_or_none(m):
+    # the kernel gives gap_image's running sums on evaluate's anchor bit
+    # for bit, with the D2f of the one piece the hull lies in, and None
+    # exactly where a walk (z1 over the hull, z2 and z3 over their gaps)
+    # takes more than one piece, or starts on a segment end the reduction
+    # may round back
+    image = quadruple_image(m)
+    nones = near = 0
+    for zs in _kernel_hulls(m, random.Random(53), 4000):
+        got = image(*zs)
+        walks = [list(_segment_walk(m, zs[0], zs[3]))]
+        walks += [list(_segment_walk(m, u, w)) for u, w in zip(zs[1:], zs[2:])]
+        split = any(len(w) > 1 for w in walks)
+        if got is None:
+            nones += 1
+            edge = any(_near_a_segment_end(m, z) for z in zs[:3])
+            near += edge and not split
+            assert split or edge, zs
+        else:
+            assert not split, zs
+            assert _hexed(got[:4]) == _hexed(_walked_image(m, zs)), zs
+            assert got[4] == m.seg_curv[walks[0][0][0]]
+    assert 0 < nones < 2000
+    # a rotation's segment ends 0 and 1/2 reduce exactly; a break may round back
+    assert (near > 0) == bool(m.breaks)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -17,6 +18,7 @@ from conftest import (
     CASE_TAGS,
     FIRST_BREAK_AUDIT,
     GOLDEN,
+    ROOT,
     Arc,
     _reference_endpoint_condition,
     _reference_is_qn_small,
@@ -1229,3 +1231,24 @@ def test_validated_records_refuse_bad_values():
     for d_minus, d_plus in ((-1.0, 2.0), (2.0, 0.0), (math.nan, 2.0)):
         with pytest.raises(InvalidGeometry, match="must be positive"):
             BreakPoint(0.5, d_minus, d_plus)
+
+
+# SHA-256 of each bundled experiment's report, its to_json_dict() dumped
+# with sorted keys, at ranks 8-20: the bundled configs stop at rank 12
+DEEP_REPORT_DIGESTS = {
+    "pl_generic": "5f88c29aaff9317f92679062ac56900de623cdc4010d502afc86c637b2f383ca",
+    "pl_herman": "a34d1b84dbe980c43801e57f6b70501fbef8df4ac1f4b9dffcc94df6084bdf6d",
+    "pq_main": "3abbbd510baf1fce64783f0a7c5889ed7057f49a2cd6a0abbac838e5c72b6dd4",
+    "pq_same_orbit": "0f33d1295374a4d78c87b535273b188aba813f0c9bc424d3ae68c9da745a9ac3",
+    "rotation_baseline": "c99d0c54687b59296f602dffbaf60f72b60ec6627318471ff8a379eb0b4e18e3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_REPORT_DIGESTS))
+def test_bundled_reports_at_ranks_8_to_20_keep_their_digests(name):
+    with open(os.path.join(ROOT, "configs", name + ".json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(n_min=8, n_max=20)
+    rep = circlebreak.singularity.singularity_report(circlebreak.singularity.ExperimentConfig(**doc))
+    text = json.dumps(rep.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEEP_REPORT_DIGESTS[name]
